@@ -308,34 +308,65 @@ func BenchmarkSweepStore(b *testing.B) {
 // at p=1024). Replay cost for comparison lives in
 // BenchmarkEvaluateSizes/BENCH_pipeline.json.
 func BenchmarkSynthRing(b *testing.B) {
-	a, ok := coll.Find(coll.Registry(), coll.CAllreduce, "ring")
+	a := findAlgo(b, coll.CAllreduce, "ring")
+	b.Run("synth-p1024", synthBench(a, 1024))
+	b.Run("record-p1024", recordBench(a, 1024))
+	if !testing.Short() {
+		b.Run("synth-p8192", synthBench(a, 8192))
+	}
+}
+
+// BenchmarkSynthAlltoall is the same record → synth pair for alltoall/bine,
+// the log-step schedule whose per-rank walk was cubic in p before PR 12
+// (few records, but every rank regroups p/2 items per step): it tracks the
+// cost of the schedule helpers rather than of the trace builder.
+func BenchmarkSynthAlltoall(b *testing.B) {
+	a := findAlgo(b, coll.CAlltoall, "bine")
+	b.Run("synth-p1024", synthBench(a, 1024))
+	b.Run("record-p1024", recordBench(a, 1024))
+}
+
+func findAlgo(b *testing.B, c coll.Collective, name string) coll.Algorithm {
+	a, ok := coll.Find(coll.Registry(), c, name)
 	if !ok {
-		b.Fatal("ring not registered")
+		b.Fatalf("%v/%s not registered", c, name)
 	}
-	synthBench := func(p int) func(b *testing.B) {
-		return func(b *testing.B) {
-			s, err := a.Pattern(p, 0, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := synth.Schedule(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("synth-p1024", synthBench(1024))
-	b.Run("record-p1024", func(b *testing.B) {
-		run, err := a.Make(1024, 0)
+	return a
+}
+
+// synthBench times one cold synthesis of a's schedule over p ranks.
+func synthBench(a coll.Algorithm, p int) func(b *testing.B) {
+	return func(b *testing.B) {
+		s, err := a.Pattern(p, 0, p)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rec := fabric.NewRecorder(fabric.NewMem(1024))
+			if _, err := synth.Schedule(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// recordBench times the oracle: the same schedule executed on the recording
+// goroutine fabric.
+func recordBench(a coll.Algorithm, p int) func(b *testing.B) {
+	return func(b *testing.B) {
+		run, err := a.Make(p, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inLen, outLen := a.Coll.InOutLens(p, p)
+		for i := 0; i < b.N; i++ {
+			rec := fabric.NewRecorder(fabric.NewMem(p))
 			err := fabric.Run(rec, func(c fabric.Comm) error {
-				return run(c, 0, make([]int32, 1024), nil, coll.OpSum)
+				var out []int32
+				if outLen > 0 {
+					out = make([]int32, outLen)
+				}
+				return run(c, 0, make([]int32, inLen), out, coll.OpSum)
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -343,9 +374,6 @@ func BenchmarkSynthRing(b *testing.B) {
 			rec.Trace()
 			rec.Close()
 		}
-	})
-	if !testing.Short() {
-		b.Run("synth-p8192", synthBench(8192))
 	}
 }
 

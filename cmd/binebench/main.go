@@ -139,13 +139,26 @@ func printStageBreakdown(w io.Writer) {
 		}
 		fmt.Fprintln(w, title)
 		for _, s := range snaps {
-			h := s.Histogram
-			fmt.Fprintf(w, "  %-24s n=%-7d total=%9.3fs  p50=%s p95=%s p99=%s\n",
-				s.Labels, h.Count, h.Sum, fmtSeconds(h.P50), fmtSeconds(h.P95), fmtSeconds(h.P99))
+			fmt.Fprintln(w, stageLine(s.Labels, *s.Histogram))
 		}
 	}
 	print("stage latency:", stages)
 	print("resolve latency by origin:", resolves)
+}
+
+// minQuantileSamples is the observation count below which a bucket-
+// interpolated quantile is an artefact of the bucket edges, not of the data:
+// one 90 ms observation reads "p50=75ms p99=99.5ms".
+const minQuantileSamples = 10
+
+// stageLine renders one row of the -v latency tables: count and total, then
+// the quantile estimates — or, below minQuantileSamples, the exact mean.
+func stageLine(labels string, h obs.HistogramSummary) string {
+	row := fmt.Sprintf("  %-24s n=%-7d total=%9.3fs  ", labels, h.Count, h.Sum)
+	if h.Count < minQuantileSamples {
+		return row + "mean=" + fmtSeconds(h.Sum/float64(h.Count))
+	}
+	return row + fmt.Sprintf("p50=%s p95=%s p99=%s", fmtSeconds(h.P50), fmtSeconds(h.P95), fmtSeconds(h.P99))
 }
 
 // fmtSeconds renders a quantile estimate compactly (µs/ms/s by magnitude).

@@ -1,0 +1,37 @@
+package main
+
+import (
+	"testing"
+
+	"binetrees/internal/obs"
+)
+
+// TestStageLine pins the -v latency row: quantiles only once there are
+// enough observations for bucket interpolation to mean something, the exact
+// mean below that.
+func TestStageLine(t *testing.T) {
+	cases := []struct {
+		name   string
+		labels string
+		h      obs.HistogramSummary
+		want   string
+	}{
+		{"single observation prints its own value, not a bucket midpoint",
+			`stage="compile"`, obs.HistogramSummary{Count: 1, Sum: 0.090, P50: 0.075, P95: 0.0975, P99: 0.0995},
+			`  stage="compile"          n=1       total=    0.090s  mean= 90.00ms`},
+		{"mean never exceeds the total",
+			`stage="execute"`, obs.HistogramSummary{Count: 1, Sum: 6.791, P50: 7.5, P95: 9.75, P99: 9.95},
+			`  stage="execute"          n=1       total=    6.791s  mean=  6.791s`},
+		{"nine observations are still too few",
+			`stage="render"`, obs.HistogramSummary{Count: 9, Sum: 0.0036, P50: 0.0004, P95: 0.0009, P99: 0.001},
+			`  stage="render"           n=9       total=    0.004s  mean= 400.0µs`},
+		{"ten observations print the quantiles",
+			`origin="synth"`, obs.HistogramSummary{Count: 10, Sum: 1.5, P50: 0.12, P95: 0.4, P99: 1.2},
+			`  origin="synth"           n=10      total=    1.500s  p50=120.00ms p95=400.00ms p99=  1.200s`},
+	}
+	for _, tc := range cases {
+		if got := stageLine(tc.labels, tc.h); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+}

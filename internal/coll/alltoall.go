@@ -20,20 +20,6 @@ import (
 // scatter items into place without any out-of-band agreement; the one-element
 // overhead per block is charged to the algorithms honestly in the traces.
 
-// item encoding helpers.
-func encodeItems(msg []int32, items []a2aItem, bs int) []int32 {
-	for _, it := range items {
-		msg = append(msg, int32(it.origin))
-		msg = append(msg, it.data...)
-	}
-	return msg
-}
-
-type a2aItem struct {
-	origin int
-	data   []int32
-}
-
 // BineAlltoall routes items over the distance-doubling Bine butterfly: at
 // step i the items whose destination lies in the partner's half (the same
 // block sets as the Bine reduce-scatter) move to the partner, n/2 elements
@@ -52,54 +38,53 @@ func BineAlltoall(c fabric.Comm, b *core.Butterfly, buf, out []int32) error {
 		copy(out, buf)
 		return nil
 	}
-	// held[dest] = items currently at this rank destined for dest.
-	held := make([][]a2aItem, p)
+	// cur holds the items currently at this rank in wire encoding, grouped by
+	// destination: before step i the 2^i items destined for block d start at
+	// element at[d]. next is the staging buffer the step regroups into.
+	w := bs + 1
+	cur, next := make([]int32, p*w), make([]int32, 0, p*w)
+	at := make([]int, p)
 	for d := 0; d < p; d++ {
-		data := append([]int32(nil), buf[d*bs:(d+1)*bs]...)
-		held[d] = []a2aItem{{origin: r, data: data}}
+		at[d] = d * w
+		cur[d*w] = int32(r)
+		copy(cur[d*w+1:(d+1)*w], buf[d*bs:(d+1)*bs])
 	}
+	msg := make([]int32, 0, p/2*w)
+	recv := make([]int32, p/2*w)
 	x := &ctx{c: c}
 	for i := 0; i < b.S; i++ {
 		q := b.Partner(r, i)
-		var msg []int32
+		run := w << uint(i) // elements held per destination
+		msg = msg[:0]
 		for _, d := range b.SendBlocks(r, i) {
-			msg = encodeItems(msg, held[d], bs)
-			held[d] = nil
+			msg = append(msg, cur[at[d]:at[d]+run]...)
 		}
-		x.send(q, i, 0, msg)
-		// The partner moves the same item count: its send set mirrors ours
-		// and each surviving destination carries 2^i accumulated items.
-		incoming := len(b.SendOffsets(i)) << uint(i)
-		recv := make([]int32, incoming*(bs+1))
-		x.recv(q, i, 0, recv)
+		// The partner's message mirrors ours: its send blocks are exactly the
+		// blocks we keep, packed in its SendBlocks order, 2^i items each.
+		theirs := b.SendBlocks(q, i)
+		in := recv[:len(theirs)*run]
+		x.exchange(q, i, 0, msg, in)
 		if x.err != nil {
 			return x.err
 		}
-		for k := 0; k < incoming; k++ {
-			chunk := recv[k*(bs+1) : (k+1)*(bs+1)]
-			it := a2aItem{origin: int(chunk[0]), data: append([]int32(nil), chunk[1:]...)}
-			// The destination is recoverable from the schedule, but
-			// indexing by our own keep set keeps it simple: incoming items
-			// are destined for blocks we keep. Scan is avoided by decoding
-			// the destination below.
-			d := destOf(b, q, i, k)
-			held[d] = append(held[d], it)
+		next = next[:0]
+		for k, d := range theirs {
+			start := len(next)
+			next = append(next, cur[at[d]:at[d]+run]...)
+			next = append(next, in[k*run:(k+1)*run]...)
+			at[d] = start
 		}
+		cur, next = next, cur
 	}
-	for _, it := range held[r] {
-		copy(out[it.origin*bs:(it.origin+1)*bs], it.data)
-	}
-	if got := len(held[r]); got != p {
+	// Only block r survives every step: cur is its p items, one per origin.
+	if got := len(cur) / w; got != p {
 		return fmt.Errorf("coll: alltoall rank %d assembled %d of %d items", r, got, p)
 	}
+	for k := 0; k < p; k++ {
+		origin := int(cur[k*w])
+		copy(out[origin*bs:(origin+1)*bs], cur[k*w+1:(k+1)*w])
+	}
 	return nil
-}
-
-// destOf recovers the destination of the k-th item of the step-i message
-// sent by rank q: items are packed per destination block in SendBlocks
-// order, 2^i items per block.
-func destOf(b *core.Butterfly, q, i, k int) int {
-	return b.SendBlocks(q, i)[k>>uint(i)]
 }
 
 // BruckAlltoall is the classic logarithmic baseline (the closest binomial

@@ -398,6 +398,7 @@ func TestCompositeBcastAndReduce(t *testing.T) {
 	for _, cse := range cases {
 		for _, strat := range []Strategy{BlockByBlock, Permute, Send} {
 			for _, p := range []int{2, 4, 16, 64} {
+				tree, bfly := core.MustTree(cse.tree, p, 0), core.MustButterfly(cse.bfly, p)
 				for _, root := range []int{0, p - 1} {
 					n := p * 3
 					want := input(root, n)
@@ -406,7 +407,7 @@ func TestCompositeBcastAndReduce(t *testing.T) {
 						if c.Rank() == root {
 							copy(buf, want)
 						}
-						if err := BcastScatterAllgather(c, cse.tree, cse.bfly, strat, root, buf); err != nil {
+						if err := BcastScatterAllgather(c, tree, bfly, strat, root, buf); err != nil {
 							return err
 						}
 						return eq(t, fmt.Sprintf("bcast-sag %v/%v/%v p=%d root=%d", cse.tree, cse.bfly, strat, p, root), buf, want)
@@ -417,7 +418,7 @@ func TestCompositeBcastAndReduce(t *testing.T) {
 						if c.Rank() == root {
 							out = make([]int32, n)
 						}
-						if err := ReduceRsGather(c, cse.bfly, cse.tree, strat, root, input(c.Rank(), n), out, OpSum); err != nil {
+						if err := ReduceRsGather(c, bfly, tree, strat, root, input(c.Rank(), n), out, OpSum); err != nil {
 							return err
 						}
 						if c.Rank() != root {
@@ -449,9 +450,10 @@ func TestAllreduceReduceBcast(t *testing.T) {
 	for _, p := range []int{2, 8, 12} {
 		n := 7
 		want := expectedReduce(p, n, OpSum)
+		tree := core.MustTree(core.BineDH, p, 0)
 		runRanks(t, p, func(c fabric.Comm) error {
 			buf := input(c.Rank(), n)
-			if err := AllreduceReduceBcast(c, core.BineDH, buf, OpSum); err != nil {
+			if err := AllreduceReduceBcast(c, tree, buf, OpSum); err != nil {
 				return err
 			}
 			return eq(t, fmt.Sprintf("red-bcast p=%d", p), buf, want)

@@ -13,39 +13,45 @@ import (
 // tree/butterfly root is always logical rank 0; block order is preserved
 // end to end.
 
-// rotated returns a view of c in which global rank root becomes rank 0.
-func rotated(c fabric.Comm, root int) (fabric.Comm, error) {
-	p := c.Size()
-	ranks := make([]int, p)
-	for i := range ranks {
-		ranks[i] = (root + i) % p
+// rotatedComm is a view of inner in which global rank root becomes rank 0.
+type rotatedComm struct {
+	inner fabric.Comm
+	root  int
+}
+
+func (r *rotatedComm) Rank() int { return mod(r.inner.Rank()-r.root, r.inner.Size()) }
+func (r *rotatedComm) Size() int { return r.inner.Size() }
+
+func (r *rotatedComm) Send(to, step, sub int, data []int32) error {
+	return r.inner.Send((to+r.root)%r.inner.Size(), step, sub, data)
+}
+
+func (r *rotatedComm) Recv(from, step, sub int, buf []int32) error {
+	return r.inner.Recv((from+r.root)%r.inner.Size(), step, sub, buf)
+}
+
+// checkComposite validates a rooted composite's inputs: a vector of n
+// elements in whole blocks, a butterfly over c's ranks, and the tree rooted
+// at logical rank 0 of the rotated view (its phase checks the tree's size).
+func checkComposite(c fabric.Comm, tree *core.Tree, bfly *core.Butterfly, n int) error {
+	if tree.Root != 0 {
+		return fmt.Errorf("coll: composite needs a tree rooted at 0, got root %d", tree.Root)
 	}
-	return Group(c, ranks)
+	return checkButterfly(c, bfly, n)
 }
 
 // BcastScatterAllgather is the large-vector broadcast: scatter down a tree,
 // then allgather over a butterfly (Sec. 4.5 for Bine; the MPICH
-// scatter+allgather broadcast when given binomial kinds). The vector length
-// must be a multiple of the rank count.
-func BcastScatterAllgather(c fabric.Comm, treeKind core.Kind, bflyKind core.ButterflyKind, strat Strategy, root int, buf []int32) error {
-	p := c.Size()
-	if len(buf)%p != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
-	}
-	rc, err := rotated(c, root)
-	if err != nil {
+// scatter+allgather broadcast when given binomial kinds). The tree is rooted
+// at rank 0 — the collective runs on a view of c rotated by root — and, like
+// the butterfly, is shared by every rank. The vector length must be a
+// multiple of the rank count.
+func BcastScatterAllgather(c fabric.Comm, tree *core.Tree, bfly *core.Butterfly, strat Strategy, root int, buf []int32) error {
+	if err := checkComposite(c, tree, bfly, len(buf)); err != nil {
 		return err
 	}
-	tree, err := core.NewTree(treeKind, p, 0)
-	if err != nil {
-		return err
-	}
-	bfly, err := core.NewButterfly(bflyKind, p)
-	if err != nil {
-		return err
-	}
-	bs := len(buf) / p
-	own := make([]int32, bs)
+	rc := &rotatedComm{inner: c, root: root}
+	own := make([]int32, len(buf)/bfly.P)
 	if err := Scatter(rc, tree, buf, own); err != nil {
 		return err
 	}
@@ -53,27 +59,15 @@ func BcastScatterAllgather(c fabric.Comm, treeKind core.Kind, bflyKind core.Butt
 }
 
 // ReduceRsGather is the large-vector reduce: butterfly reduce-scatter, then
-// tree gather to the root (Sec. 4.5). in is unmodified; out is the fully
+// tree gather to the root (Sec. 4.5), over the same shared rank-0-rooted
+// structures as BcastScatterAllgather. in is unmodified; out is the fully
 // reduced vector at the root.
-func ReduceRsGather(c fabric.Comm, bflyKind core.ButterflyKind, treeKind core.Kind, strat Strategy, root int, in, out []int32, op Op) error {
-	p := c.Size()
-	if len(in)%p != 0 || len(in) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(in), p)
-	}
-	rc, err := rotated(c, root)
-	if err != nil {
+func ReduceRsGather(c fabric.Comm, bfly *core.Butterfly, tree *core.Tree, strat Strategy, root int, in, out []int32, op Op) error {
+	if err := checkComposite(c, tree, bfly, len(in)); err != nil {
 		return err
 	}
-	bfly, err := core.NewButterfly(bflyKind, p)
-	if err != nil {
-		return err
-	}
-	tree, err := core.NewTree(treeKind, p, 0)
-	if err != nil {
-		return err
-	}
-	bs := len(in) / p
-	own := make([]int32, bs)
+	rc := &rotatedComm{inner: c, root: root}
+	own := make([]int32, len(in)/bfly.P)
 	if err := ReduceScatter(rc, bfly, strat, in, own, op); err != nil {
 		return err
 	}
@@ -141,13 +135,11 @@ func HierarchicalAllreduce(c fabric.Comm, ranksPerNode int, bflyKind core.Butter
 	return Allgather(Offset(intra, 2*phaseStride), intraBfly, Permute, slice, buf)
 }
 
-// AllreduceReduceBcast is the naive baseline: reduce to rank 0, then
-// broadcast.
-func AllreduceReduceBcast(c fabric.Comm, treeKind core.Kind, buf []int32, op Op) error {
-	p := c.Size()
-	tree, err := core.NewTree(treeKind, p, 0)
-	if err != nil {
-		return err
+// AllreduceReduceBcast is the naive baseline: reduce to rank 0 up the tree
+// (rooted there), then broadcast down it.
+func AllreduceReduceBcast(c fabric.Comm, tree *core.Tree, buf []int32, op Op) error {
+	if tree.Root != 0 {
+		return fmt.Errorf("coll: reduce-bcast needs a tree rooted at 0, got root %d", tree.Root)
 	}
 	out := buf
 	if c.Rank() == 0 {

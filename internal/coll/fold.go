@@ -15,18 +15,46 @@ import (
 // folded ranks — exactly the overhead the paper notes — which is why the
 // even-p duplicate-prune construction is preferred for trees.
 
-// FoldedAllreduce runs an allreduce over any rank count: extras fold in,
-// the inner power-of-two Bine allreduce runs, and results unfold.
-func FoldedAllreduce(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op) error {
+// FoldButterfly builds the inner butterfly the folded collectives run among
+// the first p' = 2^⌊log2 p⌋ of p ranks. Every rank shares it.
+func FoldButterfly(kind core.ButterflyKind, p int) (*core.Butterfly, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("coll: fold over %d ranks", p)
+	}
+	return core.NewButterfly(kind, 1<<uint(core.Log2Floor(p)))
+}
+
+// foldSizes returns p' = b.P and the number of folded ranks p − p', checking
+// that b is the FoldButterfly of c's rank count.
+func foldSizes(c fabric.Comm, b *core.Butterfly) (pp, extra int, err error) {
 	p := c.Size()
-	if p == 1 {
-		return nil
+	if b.P > p || 2*b.P <= p {
+		return 0, 0, fmt.Errorf("coll: fold of %d ranks over a %d-rank butterfly", p, b.P)
 	}
-	if _, pow2 := core.Log2(p); pow2 {
-		return allreduceAuto(c, kind, buf, op)
+	return b.P, p - b.P, nil
+}
+
+// firstRanks restricts c to its first k ranks, numbering unchanged.
+func firstRanks(c fabric.Comm, k int) fabric.Comm { return &prefixComm{Comm: c, size: k} }
+
+type prefixComm struct {
+	fabric.Comm
+	size int
+}
+
+func (c *prefixComm) Size() int { return c.size }
+
+// FoldedAllreduce runs an allreduce over any rank count: extras fold in,
+// the inner power-of-two Bine allreduce runs over b (a FoldButterfly), and
+// results unfold.
+func FoldedAllreduce(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
+	pp, extra, err := foldSizes(c, b)
+	if err != nil {
+		return err
 	}
-	pp := 1 << uint(core.Log2Floor(p))
-	extra := p - pp
+	if extra == 0 {
+		return allreduceAuto(c, b, buf, op)
+	}
 	r := c.Rank()
 	x := &ctx{c: c}
 	if r >= pp {
@@ -44,11 +72,7 @@ func FoldedAllreduce(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op)
 		}
 		op.Apply(buf, tmp)
 	}
-	inner, err := Group(Offset(c, phaseStride), firstRanks(pp))
-	if err != nil {
-		return err
-	}
-	if err := allreduceAuto(inner, kind, buf, op); err != nil {
+	if err := allreduceAuto(firstRanks(Offset(c, phaseStride), pp), b, buf, op); err != nil {
 		return err
 	}
 	if r < extra {
@@ -59,11 +83,7 @@ func FoldedAllreduce(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op)
 
 // allreduceAuto picks the bandwidth-optimal reduce-scatter+allgather when
 // the vector divides evenly, falling back to recursive doubling.
-func allreduceAuto(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op) error {
-	b, err := core.NewButterfly(kind, c.Size())
-	if err != nil {
-		return err
-	}
+func allreduceAuto(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
 	if len(buf) >= c.Size() && len(buf)%c.Size() == 0 {
 		return AllreduceRsAg(c, b, buf, op)
 	}
@@ -73,24 +93,22 @@ func allreduceAuto(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op) e
 // FoldedReduceScatter runs a reduce-scatter over any rank count. The inner
 // power-of-two phase reduce-scatters whole fold-group shares; a final
 // scatter step distributes each share's blocks to the folded ranks.
-func FoldedReduceScatter(c fabric.Comm, kind core.ButterflyKind, strat Strategy, buf, out []int32, op Op) error {
+func FoldedReduceScatter(c fabric.Comm, b *core.Butterfly, strat Strategy, buf, out []int32, op Op) error {
 	p := c.Size()
 	if len(buf)%p != 0 || len(buf) == 0 {
 		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
 	}
-	if _, pow2 := core.Log2(p); pow2 {
-		b, err := core.NewButterfly(kind, p)
-		if err != nil {
-			return err
-		}
+	pp, extra, err := foldSizes(c, b)
+	if err != nil {
+		return err
+	}
+	if extra == 0 {
 		return ReduceScatter(c, b, strat, buf, out, op)
 	}
 	bs := len(buf) / p
 	if len(out) != bs {
 		return fmt.Errorf("coll: reduce-scatter out has %d elements, want %d", len(out), bs)
 	}
-	pp := 1 << uint(core.Log2Floor(p))
-	extra := p - pp
 	r := c.Rank()
 	x := &ctx{c: c}
 	w := buf
@@ -112,14 +130,7 @@ func FoldedReduceScatter(c fabric.Comm, kind core.ButterflyKind, strat Strategy,
 	// of inner rank i plus (for i < extra) those of folded rank i+p'.
 	shareLen := 2 * bs
 	share := make([]int32, shareLen)
-	inner, err := Group(Offset(c, phaseStride), firstRanks(pp))
-	if err != nil {
-		return err
-	}
-	b, err := core.NewButterfly(kind, pp)
-	if err != nil {
-		return err
-	}
+	inner := firstRanks(Offset(c, phaseStride), pp)
 	// Repack: inner share i = [block i, block i+p' (zero-padded when absent)].
 	packed := make([]int32, pp*shareLen)
 	for i := 0; i < pp; i++ {
@@ -141,21 +152,19 @@ func FoldedReduceScatter(c fabric.Comm, kind core.ButterflyKind, strat Strategy,
 // FoldedAllgather runs an allgather over any rank count: folded ranks seed
 // their block through their partner, which contributes a doubled share to
 // the inner power-of-two allgather and forwards the assembled vector back.
-func FoldedAllgather(c fabric.Comm, kind core.ButterflyKind, strat Strategy, in, out []int32) error {
+func FoldedAllgather(c fabric.Comm, b *core.Butterfly, strat Strategy, in, out []int32) error {
 	p := c.Size()
 	bs := len(in)
 	if len(out) != p*bs {
 		return fmt.Errorf("coll: allgather out has %d elements, want %d", len(out), p*bs)
 	}
-	if _, pow2 := core.Log2(p); pow2 {
-		b, err := core.NewButterfly(kind, p)
-		if err != nil {
-			return err
-		}
+	pp, extra, err := foldSizes(c, b)
+	if err != nil {
+		return err
+	}
+	if extra == 0 {
 		return Allgather(c, b, strat, in, out)
 	}
-	pp := 1 << uint(core.Log2Floor(p))
-	extra := p - pp
 	r := c.Rank()
 	x := &ctx{c: c}
 	if r >= pp {
@@ -171,14 +180,7 @@ func FoldedAllgather(c fabric.Comm, kind core.ButterflyKind, strat Strategy, in,
 			return x.err
 		}
 	}
-	inner, err := Group(Offset(c, phaseStride), firstRanks(pp))
-	if err != nil {
-		return err
-	}
-	b, err := core.NewButterfly(kind, pp)
-	if err != nil {
-		return err
-	}
+	inner := firstRanks(Offset(c, phaseStride), pp)
 	packed := make([]int32, pp*2*bs)
 	if err := Allgather(inner, b, strat, share, packed); err != nil {
 		return err
@@ -194,12 +196,4 @@ func FoldedAllgather(c fabric.Comm, kind core.ButterflyKind, strat Strategy, in,
 		x.send(r+pp, 1, 0, out)
 	}
 	return x.err
-}
-
-func firstRanks(k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -8,13 +8,25 @@ import (
 	"binetrees/internal/fabric"
 )
 
+// foldBfly is the shared inner butterfly a folded collective over p ranks
+// runs on.
+func foldBfly(t *testing.T, p int) *core.Butterfly {
+	t.Helper()
+	b, err := FoldButterfly(core.BflyBineDD, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestFoldedAllreduceAnyP(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 6, 7, 9, 12, 16, 21, 33} {
+		b := foldBfly(t, p)
 		for _, n := range []int{3, 4 * p} {
 			want := expectedReduce(p, n, OpSum)
 			runRanks(t, p, func(c fabric.Comm) error {
 				buf := input(c.Rank(), n)
-				if err := FoldedAllreduce(c, core.BflyBineDD, buf, OpSum); err != nil {
+				if err := FoldedAllreduce(c, b, buf, OpSum); err != nil {
 					return err
 				}
 				return eq(t, fmt.Sprintf("fold-allreduce p=%d n=%d rank=%d", p, n, c.Rank()), buf, want)
@@ -28,9 +40,10 @@ func TestFoldedReduceScatterAnyP(t *testing.T) {
 		bs := 3
 		n := p * bs
 		want := expectedReduce(p, n, OpSum)
+		b := foldBfly(t, p)
 		runRanks(t, p, func(c fabric.Comm) error {
 			out := make([]int32, bs)
-			if err := FoldedReduceScatter(c, core.BflyBineDD, Send, input(c.Rank(), n), out, OpSum); err != nil {
+			if err := FoldedReduceScatter(c, b, Send, input(c.Rank(), n), out, OpSum); err != nil {
 				return err
 			}
 			r := c.Rank()
@@ -46,9 +59,10 @@ func TestFoldedAllgatherAnyP(t *testing.T) {
 		for r := 0; r < p; r++ {
 			copy(full[r*bs:], input(r, bs))
 		}
+		b := foldBfly(t, p)
 		runRanks(t, p, func(c fabric.Comm) error {
 			out := make([]int32, p*bs)
-			if err := FoldedAllgather(c, core.BflyBineDD, Send, input(c.Rank(), bs), out); err != nil {
+			if err := FoldedAllgather(c, b, Send, input(c.Rank(), bs), out); err != nil {
 				return err
 			}
 			return eq(t, fmt.Sprintf("fold-ag p=%d rank=%d", p, c.Rank()), out, full)
@@ -61,10 +75,11 @@ func TestFoldedVolumeOverhead(t *testing.T) {
 	// relative to an even-p execution; verify the folded ranks really pay
 	// the extra full-vector exchange.
 	p, n := 6, 12
+	b := foldBfly(t, p)
 	rec := fabric.NewRecorder(fabric.NewMem(p))
 	defer rec.Close()
 	if err := fabric.Run(rec, func(c fabric.Comm) error {
-		return FoldedAllreduce(c, core.BflyBineDD, make([]int32, n), OpSum)
+		return FoldedAllreduce(c, b, make([]int32, n), OpSum)
 	}); err != nil {
 		t.Fatal(err)
 	}

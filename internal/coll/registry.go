@@ -179,6 +179,55 @@ func butterflyAlgo(coll Collective, name string, kind core.ButterflyKind, strat 
 	}
 }
 
+// compositeAlgo registers a large-vector broadcast (scatter + allgather) or
+// reduce (reduce-scatter + gather) of Sec. 4.5; the tree is rooted at 0
+// because composites run on a communicator rotated by the root.
+func compositeAlgo(coll Collective, name string, treeKind core.Kind, bflyKind core.ButterflyKind, strat Strategy, bine bool) Algorithm {
+	return Algorithm{
+		Name: name, Coll: coll, Bine: bine, Binomial: !bine, Pow2Only: true,
+		Make: func(p, _ int) (RunFunc, error) {
+			tree, err := core.NewTree(treeKind, p, 0)
+			if err != nil {
+				return nil, err
+			}
+			bfly, err := core.NewButterfly(bflyKind, p)
+			if err != nil {
+				return nil, err
+			}
+			if coll == CBcast {
+				return func(c fabric.Comm, root int, in, _ []int32, _ Op) error {
+					return BcastScatterAllgather(c, tree, bfly, strat, root, in)
+				}, nil
+			}
+			return func(c fabric.Comm, root int, in, out []int32, op Op) error {
+				return ReduceRsGather(c, bfly, tree, strat, root, in, out, op)
+			}, nil
+		},
+	}
+}
+
+// foldAlgo registers an Appendix C folded butterfly collective, valid at any
+// rank count.
+func foldAlgo(coll Collective) Algorithm {
+	return Algorithm{
+		Name: "bine-fold", Coll: coll, Bine: true,
+		Make: func(p, _ int) (RunFunc, error) {
+			b, err := FoldButterfly(core.BflyBineDD, p)
+			if err != nil {
+				return nil, err
+			}
+			if coll == CReduceScatter {
+				return func(c fabric.Comm, _ int, in, out []int32, op Op) error {
+					return FoldedReduceScatter(c, b, Send, in, out, op)
+				}, nil
+			}
+			return func(c fabric.Comm, _ int, in, out []int32, _ Op) error {
+				return FoldedAllgather(c, b, Send, in, out)
+			}, nil
+		},
+	}
+}
+
 // Registry returns every registered algorithm, grouped by collective on
 // demand via ByCollective. The set mirrors the paper's evaluation matrix:
 // each collective has its Bine variant(s), the binomial baselines of
@@ -192,22 +241,8 @@ func Registry() []Algorithm {
 		treeAlgo(CBcast, "bine-tree", core.BineDH, true),
 		treeAlgo(CBcast, "binomial-dd", core.BinomialDD, false),
 		treeAlgo(CBcast, "binomial-dh", core.BinomialDH, false),
-		Algorithm{
-			Name: "bine-scatter-allgather", Coll: CBcast, Bine: true, Pow2Only: true,
-			Make: func(p, root int) (RunFunc, error) {
-				return func(c fabric.Comm, root int, in, _ []int32, _ Op) error {
-					return BcastScatterAllgather(c, core.BineDD, core.BflyBineDD, Send, root, in)
-				}, nil
-			},
-		},
-		Algorithm{
-			Name: "binomial-scatter-allgather", Coll: CBcast, Binomial: true, Pow2Only: true,
-			Make: func(p, root int) (RunFunc, error) {
-				return func(c fabric.Comm, root int, in, _ []int32, _ Op) error {
-					return BcastScatterAllgather(c, core.BinomialDH, core.BflyBinomialDH, Permute, root, in)
-				}, nil
-			},
-		},
+		compositeAlgo(CBcast, "bine-scatter-allgather", core.BineDD, core.BflyBineDD, Send, true),
+		compositeAlgo(CBcast, "binomial-scatter-allgather", core.BinomialDH, core.BflyBinomialDH, Permute, false),
 		Algorithm{
 			Name: "linear", Coll: CBcast,
 			Make: func(p, root int) (RunFunc, error) {
@@ -239,22 +274,8 @@ func Registry() []Algorithm {
 		treeAlgo(CReduce, "bine-tree", core.BineDH, true),
 		treeAlgo(CReduce, "binomial-dd", core.BinomialDD, false),
 		treeAlgo(CReduce, "binomial-dh", core.BinomialDH, false),
-		Algorithm{
-			Name: "bine-rs-gather", Coll: CReduce, Bine: true, Pow2Only: true,
-			Make: func(p, root int) (RunFunc, error) {
-				return func(c fabric.Comm, root int, in, out []int32, op Op) error {
-					return ReduceRsGather(c, core.BflyBineDD, core.BineDH, Send, root, in, out, op)
-				}, nil
-			},
-		},
-		Algorithm{
-			Name: "binomial-rs-gather", Coll: CReduce, Binomial: true, Pow2Only: true,
-			Make: func(p, root int) (RunFunc, error) {
-				return func(c fabric.Comm, root int, in, out []int32, op Op) error {
-					return ReduceRsGather(c, core.BflyBinomialDH, core.BinomialDH, Permute, root, in, out, op)
-				}, nil
-			},
-		},
+		compositeAlgo(CReduce, "bine-rs-gather", core.BineDH, core.BflyBineDD, Send, true),
+		compositeAlgo(CReduce, "binomial-rs-gather", core.BinomialDH, core.BflyBinomialDH, Permute, false),
 		Algorithm{
 			Name: "linear", Coll: CReduce,
 			Make: func(p, root int) (RunFunc, error) {
@@ -307,14 +328,7 @@ func Registry() []Algorithm {
 				}, nil
 			},
 		},
-		Algorithm{
-			Name: "bine-fold", Coll: CReduceScatter, Bine: true,
-			Make: func(p, _ int) (RunFunc, error) {
-				return func(c fabric.Comm, _ int, in, out []int32, op Op) error {
-					return FoldedReduceScatter(c, core.BflyBineDD, Send, in, out, op)
-				}, nil
-			},
-		},
+		foldAlgo(CReduceScatter),
 	)
 
 	// Allgather.
@@ -349,14 +363,7 @@ func Registry() []Algorithm {
 				}, nil
 			},
 		},
-		Algorithm{
-			Name: "bine-fold", Coll: CAllgather, Bine: true,
-			Make: func(p, _ int) (RunFunc, error) {
-				return func(c fabric.Comm, _ int, in, out []int32, _ Op) error {
-					return FoldedAllgather(c, core.BflyBineDD, Send, in, out)
-				}, nil
-			},
-		},
+		foldAlgo(CAllgather),
 	)
 
 	// Allreduce.
@@ -431,13 +438,21 @@ func Registry() []Algorithm {
 			}, nil
 		}),
 		mkAllreduce("reduce-bcast", false, false, false, 0, true, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+			tree, err := core.NewTree(core.BinomialDH, p, 0)
+			if err != nil {
+				return nil, err
+			}
 			return func(c fabric.Comm, buf []int32, op Op) error {
-				return AllreduceReduceBcast(c, core.BinomialDH, buf, op)
+				return AllreduceReduceBcast(c, tree, buf, op)
 			}, nil
 		}),
 		mkAllreduce("bine-fold", true, false, false, 0.3, false, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+			b, err := FoldButterfly(core.BflyBineDD, p)
+			if err != nil {
+				return nil, err
+			}
 			return func(c fabric.Comm, buf []int32, op Op) error {
-				return FoldedAllreduce(c, core.BflyBineDD, buf, op)
+				return FoldedAllreduce(c, b, buf, op)
 			}, nil
 		}),
 	)

@@ -15,8 +15,9 @@ import (
 // is a pure function of (p, root, n) — so walking the ranks one by one
 // yields exactly the trace a concurrent recorded run would, without
 // goroutines, mailboxes or payload traffic; the one exception (Bruck's
-// alltoall) carries a Synth override that derives the same pattern by
-// simulation. internal/synth drives the walk and merges the columns.
+// alltoall) carries a Synth override that derives the same pattern from
+// the items' displacements. internal/synth drives the walk and merges the
+// columns.
 type Synthesizer interface {
 	// Ranks returns the schedule's rank count.
 	Ranks() int
@@ -28,11 +29,13 @@ type Synthesizer interface {
 // Pattern returns a Synthesizer for the algorithm's schedule over p ranks
 // with root root and n total vector elements. The per-rank runner is built
 // once (Make caches tree/butterfly structures in its closure, exactly as a
-// recording run would) and each Walk executes it on fresh zero buffers sized
-// by the collective's InOutLens convention — matching the recording path,
-// where vectors are all-zero and only send lengths reach the trace.
-// Algorithms whose control flow reads received data carry a Synth override
-// instead of walking the generic path.
+// recording run would) and each Walk executes it on zero buffers sized by
+// the collective's InOutLens convention — matching the recording path,
+// where vectors are all-zero and only send lengths reach the trace. The
+// buffers are shared by the schedule's ranks and re-zeroed per Walk, so one
+// pattern must not be walked from several goroutines at once. Algorithms
+// whose control flow reads received data carry a Synth override instead of
+// walking the generic path.
 func (a Algorithm) Pattern(p, root, n int) (Synthesizer, error) {
 	if a.Synth != nil {
 		return a.Synth(p, root, n)
@@ -41,27 +44,27 @@ func (a Algorithm) Pattern(p, root, n int) (Synthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pattern{coll: a.Coll, run: run, p: p, root: root, n: n}, nil
+	s := &pattern{run: run, p: p, root: root}
+	inLen, outLen := a.Coll.InOutLens(p, n)
+	s.in = make([]int32, inLen)
+	if outLen > 0 {
+		s.out = make([]int32, outLen)
+	}
+	return s, nil
 }
 
 type pattern struct {
-	coll Collective
-	run  RunFunc
-	p    int
-	root int
-	n    int
+	run     RunFunc
+	p, root int
+	in, out []int32
 }
 
 func (s *pattern) Ranks() int { return s.p }
 
 func (s *pattern) Walk(rank int, c fabric.Comm) error {
-	inLen, outLen := s.coll.InOutLens(s.p, s.n)
-	in := make([]int32, inLen)
-	var out []int32
-	if outLen > 0 {
-		out = make([]int32, outLen)
-	}
-	return s.run(c, s.root, in, out, OpSum)
+	clear(s.in)
+	clear(s.out)
+	return s.run(c, s.root, s.in, s.out, OpSum)
 }
 
 // bruckAlltoallPattern synthesizes BruckAlltoall's send pattern. Bruck is
@@ -69,49 +72,35 @@ func (s *pattern) Walk(rank int, c fabric.Comm) error {
 // the count of held items whose remaining ring displacement has the step
 // bit set, and a rank only learns its incoming count from a header message
 // at runtime — so the generic zero-buffer walk cannot reproduce it. The
-// counts are still pure schedule math (an item's hops depend only on its
-// destination's displacement, never on payload), so a global simulation of
-// item positions yields every rank's per-step send sizes up front.
+// counts are still pure schedule math: an item forwarded at step bit k has
+// already shed exactly the lower set bits of its origin→destination
+// displacement, so it moves iff the displacement itself has bit k set, and
+// every rank holds one item per displacement in [0, p) at every step.
 func bruckAlltoallPattern(p, _, n int) (Synthesizer, error) {
-	// held[r] lists the destinations of the items currently at rank r; each
-	// rank starts holding one item per destination.
-	held := make([][]int, p)
-	for r := range held {
-		for d := 0; d < p; d++ {
-			held[r] = append(held[r], d)
-		}
-	}
-	var moved [][]int32 // moved[step][rank] = items rank forwards that step
+	var moved []int // moved[step] = items every rank forwards that step
 	for k := 1; k < p; k <<= 1 {
-		row := make([]int32, p)
-		next := make([][]int, p)
-		for r := 0; r < p; r++ {
-			to := (r + k) % p
-			for _, d := range held[r] {
-				if (mod(d-r, p)/k)%2 == 1 {
-					row[r]++
-					next[to] = append(next[to], d)
-				} else {
-					next[r] = append(next[r], d)
-				}
+		m := 0
+		for disp := 0; disp < p; disp++ {
+			if (disp/k)%2 == 1 {
+				m++
 			}
 		}
-		held = next
-		moved = append(moved, row)
+		moved = append(moved, m)
 	}
-	return &bruckPattern{p: p, n: n, moved: moved}, nil
+	return &bruckPattern{p: p, n: n, moved: moved, zero: make([]int32, n+2*p)}, nil
 }
 
 type bruckPattern struct {
 	p, n  int
-	moved [][]int32
+	moved []int
+	zero  []int32 // payload stand-in: only message lengths reach the trace
 }
 
 func (s *bruckPattern) Ranks() int { return s.p }
 
 // Walk emits rank's sends exactly as BruckAlltoall does: per step, the item
 // message — recorded even when empty — then the one-element count header
-// (the runtime negotiation whose answer the simulation already knows).
+// (the runtime negotiation whose answer the pattern already knows).
 func (s *bruckPattern) Walk(rank int, c fabric.Comm) error {
 	p, n := s.p, s.n
 	if n%p != 0 || n == 0 {
@@ -124,11 +113,7 @@ func (s *bruckPattern) Walk(rank int, c fabric.Comm) error {
 	var one [1]int32
 	for step, k := 0, 1; k < p; step, k = step+1, k<<1 {
 		to := (rank + k) % p
-		var msg []int32
-		if m := int(s.moved[step][rank]); m > 0 {
-			msg = make([]int32, m*(bs+2))
-		}
-		if err := c.Send(to, step, 0, msg); err != nil {
+		if err := c.Send(to, step, 0, s.zero[:s.moved[step]*(bs+2)]); err != nil {
 			return err
 		}
 		if err := c.Send(to, step, 1, one[:]); err != nil {

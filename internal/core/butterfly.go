@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // ButterflyKind identifies a butterfly (pairwise-exchange) schedule family.
 type ButterflyKind int
@@ -75,6 +78,10 @@ type Butterfly struct {
 	// owned after step i. Both are in deterministic (ascending offset)
 	// order.
 	sendOff, keepOff [][]int
+
+	// pos[blk] is PermutedPosition(blk), tabulated at construction: the
+	// contiguous-range strategies look it up for every block of every step.
+	pos []int
 }
 
 // NewButterfly builds a butterfly schedule over p ranks; p must be a power
@@ -90,7 +97,10 @@ func NewButterfly(kind ButterflyKind, p int) (*Butterfly, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown butterfly kind %v", kind)
 	}
-	b := &Butterfly{Kind: kind, P: p, S: s}
+	b := &Butterfly{Kind: kind, P: p, S: s, pos: make([]int, p)}
+	for blk := range b.pos {
+		b.pos[blk] = b.permute(blk)
+	}
 	if kind.isBine() {
 		b.sendOff = make([][]int, s)
 		b.keepOff = make([][]int, s)
@@ -241,67 +251,87 @@ func (b *Butterfly) binomialBit(i int) int {
 // SendSet returns the blocks rank r transmits to its partner at step i of a
 // reduce-scatter, in ascending block-index order. Block blk is the block
 // destined for rank blk; SendSet(r, i) ∪ KeepSet(r, i) = KeepSet(r, i−1).
+// The slice is freshly allocated: callers may modify it.
 //
 // For an allgather run as the mirror image (step order reversed, data
 // growing) the same sets describe the blocks received.
 func (b *Butterfly) SendSet(r, i int) []int {
-	var out []int
 	if b.Kind.isBine() {
-		for a := 0; a < b.P; a++ {
-			if b.offsetSent(a, i) {
-				out = append(out, b.blockAt(r, a))
-			}
-		}
-		sortInts(out)
-		return out
+		return b.sortedBlocks(r, b.sendOff[i])
 	}
 	// Binomial: blocks matching r on all previous step bits and matching
 	// the partner on the current one.
-	for blk := 0; blk < b.P; blk++ {
-		if b.binomialOwnedBefore(r, blk, i) && (blk>>uint(b.binomialBit(i)))&1 != (r>>uint(b.binomialBit(i)))&1 {
-			out = append(out, blk)
-		}
-	}
-	return out
+	mask := b.binomialMask(i)
+	return b.maskedBlocks(mask, r&mask^1<<uint(b.binomialBit(i)))
 }
 
 // KeepSet returns the blocks rank r still owns after steps 0..i of a
-// reduce-scatter (ascending block-index order). KeepSet(r, −1) is every
-// block.
+// reduce-scatter (ascending block-index order, freshly allocated).
+// KeepSet(r, −1) is every block.
 func (b *Butterfly) KeepSet(r, i int) []int {
-	var out []int
+	if i < 0 {
+		return b.maskedBlocks(0, 0)
+	}
 	if b.Kind.isBine() {
-		for a := 0; a < b.P; a++ {
-			owned := true
-			for j := 0; j <= i; j++ {
-				if !b.offsetKeeps(a, j) {
-					owned = false
-					break
-				}
-			}
-			if owned {
-				out = append(out, b.blockAt(r, a))
-			}
+		return b.sortedBlocks(r, b.keepOff[i])
+	}
+	mask := b.binomialMask(i)
+	return b.maskedBlocks(mask, r&mask)
+}
+
+// sortedBlocks maps an ascending offset table to rank r's blocks in
+// ascending block order without sorting: r+a (even r) ascends with one wrap
+// past p−1, r−a (odd r) descends with one wrap below 0, so the sorted
+// sequence is the wrapped part followed by the unwrapped one, the odd case
+// read backwards.
+func (b *Butterfly) sortedBlocks(r int, off []int) []int {
+	out := make([]int, len(off))
+	n := len(off)
+	if r%2 == 0 {
+		w := n // first offset whose block wraps: r+a ≥ p
+		for w > 0 && r+off[w-1] >= b.P {
+			w--
 		}
-		sortInts(out)
+		for k, a := range off[w:] {
+			out[k] = r + a - b.P
+		}
+		for k, a := range off[:w] {
+			out[n-w+k] = r + a
+		}
 		return out
 	}
-	for blk := 0; blk < b.P; blk++ {
-		if b.binomialOwnedBefore(r, blk, i+1) {
-			out = append(out, blk)
-		}
+	w := 0 // first offset whose block wraps: r−a < 0
+	for w < n && off[w] <= r {
+		w++
+	}
+	for k := 0; k < w; k++ {
+		out[k] = r - off[w-1-k]
+	}
+	for k := w; k < n; k++ {
+		out[k] = r - off[n-1-(k-w)] + b.P
 	}
 	return out
 }
 
-func (b *Butterfly) binomialOwnedBefore(r, blk, i int) bool {
-	for j := 0; j < i; j++ {
-		bit := uint(b.binomialBit(j))
-		if (blk>>bit)&1 != (r>>bit)&1 {
-			return false
+// binomialMask has the bits fixed by steps 0..i of a binomial butterfly set.
+func (b *Butterfly) binomialMask(i int) int {
+	if b.Kind == BflyBinomialDH {
+		return int(Ones(i+1)) << uint(b.S-1-i)
+	}
+	return int(Ones(i + 1))
+}
+
+// maskedBlocks enumerates, ascending, the blocks in [0, P) that equal val on
+// the bits of mask.
+func (b *Butterfly) maskedBlocks(mask, val int) []int {
+	free := (b.P - 1) &^ mask
+	out := make([]int, 0, b.P>>uint(bits.OnesCount(uint(mask))))
+	for x := 0; ; {
+		out = append(out, val|x)
+		if x = (x - free) & free; x == 0 {
+			return out
 		}
 	}
-	return true
 }
 
 // FinalBlock returns the block rank r owns after a full reduce-scatter down
@@ -319,7 +349,9 @@ func (b *Butterfly) FinalBlock(r int) int {
 // distance-doubling send set into a contiguous position range (Fig. 8). For
 // binomial kinds the identity placement is already contiguous under the
 // recursive-halving bit order and is returned unchanged.
-func (b *Butterfly) PermutedPosition(blk int) int {
+func (b *Butterfly) PermutedPosition(blk int) int { return b.pos[blk] }
+
+func (b *Butterfly) permute(blk int) int {
 	switch b.Kind {
 	case BflyBineDH, BflyBineDD, BflySwing:
 		return int(Reverse(Nu(blk, b.P), b.S))
@@ -342,15 +374,5 @@ func (b *Butterfly) PermutedInverse(pos int) int {
 		return int(Reverse(uint64(pos), b.S))
 	default:
 		return pos
-	}
-}
-
-func sortInts(v []int) {
-	// Insertion sort: the sets here are small and often nearly sorted;
-	// avoids pulling package sort into this hot path.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }

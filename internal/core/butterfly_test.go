@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 var allBflyKinds = []ButterflyKind{BflyBineDH, BflyBineDD, BflyBinomialDH, BflyBinomialDD, BflySwing}
 
@@ -346,5 +349,130 @@ func TestButterflyRejectsNonPowerOfTwo(t *testing.T) {
 	}
 	if _, err := NewButterfly(ButterflyKind(99), 8); err == nil {
 		t.Error("unknown kind should fail")
+	}
+}
+
+// refBlockSets is the definitional scan SendSet and KeepSet used before they
+// read the per-step offset tables (Bine) and fixed-bit masks (binomial): test
+// every offset, or every block, against the per-step predicate. It returns
+// rank r's send and keep lists of every step in scan order — ascending
+// offset for Bine kinds, which is SendBlocks/KeepBlocks order, ascending
+// block for binomial kinds.
+func refBlockSets(b *Butterfly, r int) (send, keep [][]int) {
+	send, keep = make([][]int, b.S), make([][]int, b.S)
+	owned := make([]bool, b.P) // indexed by offset (Bine) or block (binomial)
+	for k := range owned {
+		owned[k] = true
+	}
+	for i := 0; i < b.S; i++ {
+		for k := 0; k < b.P; k++ {
+			if !owned[k] {
+				continue
+			}
+			if b.Kind.isBine() {
+				switch {
+				case b.offsetSent(k, i):
+					send[i] = append(send[i], b.blockAt(r, k))
+				case b.offsetKeeps(k, i):
+					keep[i] = append(keep[i], b.blockAt(r, k))
+					continue
+				}
+			} else {
+				bit := uint(b.binomialBit(i))
+				if (k>>bit)&1 == (r>>bit)&1 {
+					keep[i] = append(keep[i], k)
+					continue
+				}
+				send[i] = append(send[i], k)
+			}
+			owned[k] = false
+		}
+	}
+	return send, keep
+}
+
+func ascending(v []int) []int {
+	out := slices.Clone(v)
+	slices.Sort(out)
+	return out
+}
+
+// TestBlockSetsMatchDefinition pins the O(|set|) block-set queries to the
+// definitional scan for every kind, power-of-two p, rank and step: wrap-around
+// of the rotated offset tables and bit-mask enumeration errors only show at
+// large p.
+func TestBlockSetsMatchDefinition(t *testing.T) {
+	maxP := 2048
+	if testing.Short() {
+		maxP = 256
+	}
+	for _, kind := range allBflyKinds {
+		for p := 2; p <= maxP; p *= 2 {
+			b := MustButterfly(kind, p)
+			all := make([]int, p)
+			for blk := range all {
+				all[blk] = blk
+			}
+			for r := 0; r < p; r++ {
+				if got := b.KeepSet(r, -1); !slices.Equal(got, all) {
+					t.Fatalf("%v p=%d: KeepSet(%d, -1) = %v", kind, p, r, got)
+				}
+				prevKeep := all
+				send, keep := refBlockSets(b, r)
+				for i := 0; i < b.S; i++ {
+					if kind.isBine() {
+						if got := b.SendBlocks(r, i); !slices.Equal(got, send[i]) {
+							t.Fatalf("%v p=%d: SendBlocks(%d, %d) = %v, want %v", kind, p, r, i, got, send[i])
+						}
+						if got := b.KeepBlocks(r, i); !slices.Equal(got, keep[i]) {
+							t.Fatalf("%v p=%d: KeepBlocks(%d, %d) = %v, want %v", kind, p, r, i, got, keep[i])
+						}
+					}
+					wantSend, wantKeep := ascending(send[i]), ascending(keep[i])
+					gotSend, gotKeep := b.SendSet(r, i), b.KeepSet(r, i)
+					if !slices.Equal(gotSend, wantSend) {
+						t.Fatalf("%v p=%d: SendSet(%d, %d) = %v, want %v", kind, p, r, i, gotSend, wantSend)
+					}
+					if !slices.Equal(gotKeep, wantKeep) {
+						t.Fatalf("%v p=%d: KeepSet(%d, %d) = %v, want %v", kind, p, r, i, gotKeep, wantKeep)
+					}
+					// Partition: send ∪ keep is exactly what was kept before.
+					if union := ascending(append(gotSend, gotKeep...)); !slices.Equal(union, prevKeep) {
+						t.Fatalf("%v p=%d r=%d step %d: send ∪ keep = %v, want %v", kind, p, r, i, union, prevKeep)
+					}
+					prevKeep = wantKeep
+				}
+			}
+		}
+	}
+}
+
+// TestBlockSetsAreFreshSlices pins the ownership contract: every block-set
+// query returns a slice the caller may modify without disturbing the
+// butterfly's tables or a later query.
+func TestBlockSetsAreFreshSlices(t *testing.T) {
+	for _, kind := range allBflyKinds {
+		b := MustButterfly(kind, 16)
+		queries := map[string]func(r, i int) []int{"SendSet": b.SendSet, "KeepSet": b.KeepSet}
+		if kind.isBine() {
+			queries["SendBlocks"], queries["KeepBlocks"] = b.SendBlocks, b.KeepBlocks
+		}
+		for name, q := range queries {
+			for _, i := range []int{-1, 0, b.S - 1} {
+				if i < 0 && (name == "SendSet" || name == "SendBlocks") {
+					continue
+				}
+				for r := 0; r < 2; r++ {
+					want := append([]int(nil), q(r, i)...)
+					got := q(r, i)
+					for k := range got {
+						got[k] = -1
+					}
+					if again := q(r, i); !slices.Equal(again, want) {
+						t.Fatalf("%v: %s(%d, %d) changed after its result was modified: %v, want %v", kind, name, r, i, again, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -69,9 +69,9 @@ func mergeShards(p int, shards []shardCols) *Trace {
 // the same shard sort and counting merge the Recorder uses, so the result is
 // byte-identical under the codec to a recording of the same schedule.
 //
-// Each rank's endpoint writes only its own shard, so distinct ranks may be
-// driven concurrently; a single rank's endpoint must not be shared across
-// goroutines (mirroring the Comm contract).
+// Ranks are driven one at a time, in any order: an endpoint writes only its
+// own shard, but Comm sizes a fresh shard from its predecessor's length, so
+// the builder is not safe for concurrent use.
 type TraceBuilder struct {
 	p      int
 	shards []shardCols
@@ -85,8 +85,20 @@ func NewTraceBuilder(p int) *TraceBuilder {
 // Size returns the rank count.
 func (b *TraceBuilder) Size() int { return b.p }
 
-// Comm returns the pattern-only endpoint for the rank.
-func (b *TraceBuilder) Comm(rank int) Comm { return &patternComm{b: b, rank: rank} }
+// Comm returns the pattern-only endpoint for the rank. The ranks of one
+// schedule send near-equal message counts, so a rank's still-empty shard is
+// carved out of one allocation sized by the previous rank's record count; a
+// rank that sends more falls back to append growth per column.
+func (b *TraceBuilder) Comm(rank int) Comm {
+	if sh := &b.shards[rank]; rank > 0 && sh.step == nil {
+		if n := len(b.shards[rank-1].step); n > 0 {
+			buf := make([]int32, 4*n)
+			sh.step, sh.to = buf[0:0:n], buf[n:n:2*n]
+			sh.sub, sh.elems = buf[2*n:2*n:3*n], buf[3*n:3*n:4*n]
+		}
+	}
+	return &patternComm{b: b, rank: rank}
+}
 
 // Trace merges the captured columns into the deterministic (step, from, to,
 // sub) order, consuming them: the builder is reset for reuse.

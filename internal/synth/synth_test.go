@@ -3,6 +3,7 @@ package synth
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -154,4 +155,68 @@ func FuzzSynthEquivalence(f *testing.F) {
 		root := int(rr) % p
 		checkAlgoEquivalence(t, algo, p, root)
 	})
+}
+
+// synthAlloc returns the record count of one cold synthesis — Pattern plus
+// Schedule, what the harness resolver runs — and the bytes it allocated.
+func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (records, bytes uint64) {
+	t.Helper()
+	algo, ok := coll.Find(coll.Registry(), c, name)
+	if !ok {
+		t.Fatalf("%v/%s not registered", c, name)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := algo.Pattern(p, 0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Schedule(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return uint64(tr.NumRecords()), after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSynthAllocBudget is the deterministic complexity guard on the cold
+// path: allocation, unlike time, repeats exactly, so it can gate. Every
+// schedule here emits Θ(p log p) records while each rank's walk legitimately
+// allocates Θ(p) working elements (its copy of the n = p element vector), so
+// bytes per record grow like p/log p and doubling p multiplies allocation by
+// at most 4 against 2.2 for the records. The p=256 budget catches a helper
+// that rebuilds an O(p) structure per rank (a tree per rank put
+// reduce/bine-rs-gather at 225× its trace); the growth bound catches an
+// O(p²)-per-rank one (BineAlltoall's per-item SendBlocks: 2413× at p=256,
+// ×6.9 per doubling).
+func TestSynthAllocBudget(t *testing.T) {
+	const recordBytes = 20 // columnar footprint of one trace record
+	cases := []struct {
+		coll coll.Collective
+		name string
+		// budget bounds the bytes allocated at p=256 in units of the trace's
+		// own footprint: 1.5× the measured ratio.
+		budget uint64
+	}{
+		{coll.CAlltoall, "bine", 120},                // measured 80.4
+		{coll.CAllreduce, "bine-bw", 27},             // 17.6
+		{coll.CReduceScatter, "bine-two-trans", 128}, // 85.2
+		{coll.CReduce, "bine-rs-gather", 43},         // 28.6
+		{coll.CReduceScatter, "bine-fold", 35},       // 23.4
+	}
+	for _, tc := range cases {
+		r256, b256 := synthAlloc(t, tc.coll, tc.name, 256)
+		r512, b512 := synthAlloc(t, tc.coll, tc.name, 512)
+		recGrowth, allocGrowth := float64(r512)/float64(r256), float64(b512)/float64(b256)
+		t.Logf("%v/%s: p=256 %d records, %d B = %.1f× trace; p=512 ×%.2f records, ×%.2f bytes",
+			tc.coll, tc.name, r256, b256, float64(b256)/float64(r256*recordBytes), recGrowth, allocGrowth)
+		if limit := tc.budget * r256 * recordBytes; b256 > limit {
+			t.Errorf("%v/%s p=256: allocated %d B for %d records, budget %d× the trace = %d B",
+				tc.coll, tc.name, b256, r256, tc.budget, limit)
+		}
+		if allocGrowth > 2*recGrowth {
+			t.Errorf("%v/%s: p 256→512 multiplies records by %.2f but allocation by %.2f (limit 2× the records' factor)",
+				tc.coll, tc.name, recGrowth, allocGrowth)
+		}
+	}
 }
