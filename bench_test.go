@@ -15,6 +15,7 @@ import (
 	"binetrees/internal/netsim"
 	"binetrees/internal/synth"
 	"binetrees/internal/topology"
+	"binetrees/internal/tracestore"
 )
 
 // Execution microbenchmarks: real collective executions on the in-process
@@ -131,170 +132,91 @@ func BenchmarkCoreConstruction(b *testing.B) {
 // regeneration of that artifact (quick sweep; `binebench -full` runs the
 // paper-scale version).
 
-func benchArtifact(b *testing.B, run func(ctx context.Context, w io.Writer, opts harness.Options) error) {
+// benchArtifact times cold regenerations of one named experiment: opts
+// carries no Engine, so every iteration — and every benchmark, regardless of
+// run order — resolves its schedules from scratch on a fresh one.
+func benchArtifact(b *testing.B, name string, opts harness.Options) {
 	b.Helper()
-	opts := harness.Options{Quick: true}
 	for i := 0; i < b.N; i++ {
-		// Drop the process-wide trace cache so every iteration — and every
-		// benchmark, regardless of run order — records its schedules from
-		// scratch, as the serial engine did.
-		harness.ResetTraceCache()
-		if err := run(context.Background(), io.Discard, opts); err != nil {
+		if err := harness.RunExperiment(context.Background(), io.Discard, name, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFig01Broadcast(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, _ harness.Options) error { return harness.Fig1(ctx, w) })
-}
+var quick = harness.Options{Quick: true}
 
-func BenchmarkEq2Distances(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, _ harness.Options) error { return harness.Eq2(ctx, w) })
-}
-
-func BenchmarkFig05AllocationStudy(b *testing.B) {
-	benchArtifact(b, harness.Fig5)
-}
-
-func BenchmarkTable3LUMI(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, o harness.Options) error {
-		return harness.TableBinomial(ctx, w, harness.LUMI(), o)
-	})
-}
-
-func BenchmarkFig09aHeatmapLUMI(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, o harness.Options) error {
-		return harness.HeatmapAllreduce(ctx, w, harness.LUMI(), o)
-	})
-}
-
-func BenchmarkFig09bBoxplotsLUMI(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, o harness.Options) error {
-		return harness.Boxplots(ctx, w, harness.LUMI(), o)
-	})
-}
-
-func BenchmarkTable4Leonardo(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, o harness.Options) error {
-		return harness.TableBinomial(ctx, w, harness.Leonardo(), o)
-	})
-}
-
-func BenchmarkFig10aHeatmapLeonardo(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, o harness.Options) error {
-		return harness.HeatmapAllreduce(ctx, w, harness.Leonardo(), o)
-	})
-}
-
-func BenchmarkFig10bBoxplotsLeonardo(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, o harness.Options) error {
-		return harness.Boxplots(ctx, w, harness.Leonardo(), o)
-	})
-}
-
-func BenchmarkTable5MareNostrum(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, o harness.Options) error {
-		return harness.TableBinomial(ctx, w, harness.MareNostrum(), o)
-	})
-}
-
-func BenchmarkFig11aBoxplotsMareNostrum(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, o harness.Options) error {
-		return harness.Boxplots(ctx, w, harness.MareNostrum(), o)
-	})
-}
-
-func BenchmarkFig11bFugaku(b *testing.B) {
-	benchArtifact(b, harness.Fig11b)
-}
-
-func BenchmarkFig14Strategies(b *testing.B) {
-	benchArtifact(b, harness.Fig14)
-}
-
-func BenchmarkHierarchicalAllreduce(b *testing.B) {
-	benchArtifact(b, harness.Hier)
-}
-
-func BenchmarkAppDTorus(b *testing.B) {
-	benchArtifact(b, func(ctx context.Context, w io.Writer, _ harness.Options) error { return harness.AppD(ctx, w) })
-}
+func BenchmarkFig01Broadcast(b *testing.B)            { benchArtifact(b, "fig1", quick) }
+func BenchmarkEq2Distances(b *testing.B)              { benchArtifact(b, "eq2", quick) }
+func BenchmarkFig05AllocationStudy(b *testing.B)      { benchArtifact(b, "fig5", quick) }
+func BenchmarkTable3LUMI(b *testing.B)                { benchArtifact(b, "table3", quick) }
+func BenchmarkFig09aHeatmapLUMI(b *testing.B)         { benchArtifact(b, "fig9a", quick) }
+func BenchmarkFig09bBoxplotsLUMI(b *testing.B)        { benchArtifact(b, "fig9b", quick) }
+func BenchmarkTable4Leonardo(b *testing.B)            { benchArtifact(b, "table4", quick) }
+func BenchmarkFig10aHeatmapLeonardo(b *testing.B)     { benchArtifact(b, "fig10a", quick) }
+func BenchmarkFig10bBoxplotsLeonardo(b *testing.B)    { benchArtifact(b, "fig10b", quick) }
+func BenchmarkTable5MareNostrum(b *testing.B)         { benchArtifact(b, "table5", quick) }
+func BenchmarkFig11aBoxplotsMareNostrum(b *testing.B) { benchArtifact(b, "fig11a", quick) }
+func BenchmarkFig11bFugaku(b *testing.B)              { benchArtifact(b, "fig11b", quick) }
+func BenchmarkFig14Strategies(b *testing.B)           { benchArtifact(b, "fig14", quick) }
+func BenchmarkHierarchicalAllreduce(b *testing.B)     { benchArtifact(b, "hier", quick) }
+func BenchmarkAppDTorus(b *testing.B)                 { benchArtifact(b, "appD", quick) }
 
 // BenchmarkSweepParallel tracks the worker-pool speedup of the sweep
 // engine: the same quick allreduce sweep (heatmap artifact) on one worker
-// vs one per CPU. The trace cache is dropped every iteration so both widths
-// record their schedules from scratch.
+// vs one per CPU, every iteration cold.
 func BenchmarkSweepParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			opts := harness.Options{Quick: true, Workers: workers}
-			for i := 0; i < b.N; i++ {
-				harness.ResetTraceCache()
-				if err := harness.HeatmapAllreduce(context.Background(), io.Discard, harness.LUMI(), opts); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchArtifact(b, "fig9a", harness.Options{Quick: true, Workers: workers})
 		})
 	}
-	harness.ResetTraceCache()
 }
 
 // BenchmarkSweepStore tracks the persistent trace store: the same quick
-// allreduce sweep (heatmap artifact) with no store, a cold store (records
+// allreduce sweep (heatmap artifact) with no store, a cold store (resolves
 // and writes through every schedule) and a warm store (loads every schedule
-// from disk, zero recordings). The in-process cache is dropped every
-// iteration so the store tier is what's measured.
+// from disk, zero resolutions). Every iteration runs on a fresh Engine, so
+// the store tier is what's measured.
 func BenchmarkSweepStore(b *testing.B) {
-	sweep := func(b *testing.B) {
-		if err := harness.HeatmapAllreduce(context.Background(), io.Discard, harness.LUMI(), harness.Options{Quick: true}); err != nil {
+	sweep := func(b *testing.B, store *tracestore.Store) {
+		opts := harness.Options{Quick: true, Engine: &harness.Engine{Store: store}}
+		if err := harness.RunExperiment(context.Background(), io.Discard, "fig9a", opts); err != nil {
 			b.Fatal(err)
 		}
 	}
-	restore := func(b *testing.B) {
-		if err := harness.SetTraceStore(""); err != nil {
+	open := func(b *testing.B, dir string) *tracestore.Store {
+		store, err := tracestore.Open(dir)
+		if err != nil {
 			b.Fatal(err)
 		}
-		harness.ResetTraceCache()
+		return store
 	}
 	b.Run("no-store", func(b *testing.B) {
-		defer restore(b)
 		for i := 0; i < b.N; i++ {
-			harness.ResetTraceCache()
-			sweep(b)
+			sweep(b, nil)
 		}
 	})
 	b.Run("cold-store", func(b *testing.B) {
-		defer restore(b)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			dir, err := os.MkdirTemp("", "tracestore-bench-*")
 			if err != nil {
 				b.Fatal(err)
 			}
-			harness.ResetTraceCache()
 			b.StartTimer()
-			if err := harness.SetTraceStore(dir); err != nil {
-				b.Fatal(err)
-			}
-			sweep(b)
+			sweep(b, open(b, dir))
 			b.StopTimer()
 			os.RemoveAll(dir)
 			b.StartTimer()
 		}
 	})
 	b.Run("warm-store", func(b *testing.B) {
-		defer restore(b)
-		dir := b.TempDir()
-		if err := harness.SetTraceStore(dir); err != nil {
-			b.Fatal(err)
-		}
-		harness.ResetTraceCache()
-		sweep(b) // populate
+		store := open(b, b.TempDir())
+		sweep(b, store) // populate
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			harness.ResetTraceCache()
-			sweep(b)
+			sweep(b, store)
 		}
 	})
 }

@@ -61,6 +61,7 @@ import (
 
 	"binetrees/internal/harness"
 	"binetrees/internal/obs"
+	"binetrees/internal/tracestore"
 )
 
 func main() {
@@ -79,13 +80,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "binebench: -systems only applies to -experiment all")
 		os.Exit(2)
 	}
-	harness.SetSynthesis(*synthOn)
-	harness.SetVerifySynth(*verifySynth)
-	if err := harness.SetTraceStore(*traceCache); err != nil {
-		fmt.Fprintln(os.Stderr, "binebench:", err)
-		os.Exit(1)
+	// The run's one Engine: the three resolver flags map onto its fields.
+	engine := &harness.Engine{DisableSynth: !*synthOn, VerifySynth: *verifySynth}
+	if *traceCache != "" {
+		store, err := tracestore.Open(*traceCache)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "binebench:", err)
+			os.Exit(1)
+		}
+		engine.Store = store
 	}
-	opts := harness.Options{Quick: !*full, Workers: *workers}
+	opts := harness.Options{Quick: !*full, Workers: *workers, Engine: engine}
 	if *systems != "" {
 		opts.Systems = strings.Split(*systems, ",")
 	}
@@ -102,7 +107,7 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 	if *verbose {
-		fmt.Fprintln(os.Stderr, harness.TraceCacheStats())
+		fmt.Fprintln(os.Stderr, engine.Stats())
 		printStageBreakdown(os.Stderr)
 	}
 	if *obsJSON != "" {

@@ -14,11 +14,6 @@
 //	-root      tree root rank
 //	-workers   worker pool width (0 = one per CPU)
 //	-progress  report live schedule-rendering counts on stderr
-//	-trace-cache  directory of the persistent trace store shared with
-//	           binebench (schedule printing records no traces, so this only
-//	           selects the store the stats report on)
-//	-v         print trace-cache statistics to stderr after the run
-//	           (hits, recordings, and the resident columnar trace footprint)
 //
 // Usage:
 //
@@ -37,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"binetrees/internal/core"
-	"binetrees/internal/harness"
 	"binetrees/internal/pool"
 )
 
@@ -48,19 +42,10 @@ func main() {
 	root := flag.Int("root", 0, "tree root")
 	workers := flag.Int("workers", 0, "worker pool width for multiple rank counts (0 = one per CPU)")
 	progress := flag.Bool("progress", false, "report live schedule-rendering counts on stderr")
-	traceCache := flag.String("trace-cache", "", "directory of the persistent trace store (shared with binebench)")
-	verbose := flag.Bool("v", false, "print trace-cache statistics to stderr after the run")
 	flag.Parse()
-	if err := harness.SetTraceStore(*traceCache); err != nil {
-		fmt.Fprintln(os.Stderr, "binetree:", err)
-		os.Exit(1)
-	}
 	err := runAll(os.Stdout, *ps, *kind, *bfly, *root, *workers, *progress)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
-	}
-	if *verbose {
-		fmt.Fprintln(os.Stderr, harness.TraceCacheStats())
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "binetree:", err)

@@ -21,14 +21,9 @@ import (
 // placements and even systems: a trace depends only on its schedule identity
 // — (collective, algorithm, rank count, root), plus geometry for torus
 // schedules — and netsim's linear rescaling (TestTraceScalingExact) makes
-// one unit-granularity recording exact for every vector size. The cache
-// below has two tiers. The in-process tier records each schedule exactly
-// once per process, no matter how many sweep cells — possibly on concurrent
-// workers — ask for it. The optional disk tier (SetTraceStore) persists
-// recordings across processes under content addresses, so repeated -full
-// runs and CI sweeps load every schedule instead of re-executing it; a
-// loaded trace is byte-for-byte the recorded one, so artifacts are identical
-// at any cache state.
+// one unit-granularity recording exact for every vector size. An Engine
+// resolves each schedule exactly once, no matter how many sweep cells —
+// possibly on concurrent workers — ask for it.
 
 // schedVersion tags the generation of every schedule construction that
 // feeds the trace caches. It joins each disk content address, so bumping it
@@ -36,44 +31,35 @@ import (
 // every previously stored trace instead of wrongly reusing it.
 const schedVersion = 1
 
-type traceEntry struct {
-	once sync.Once
-	tr   *fabric.Trace
-	err  error
-	// origin names the resolver tier that produced tr (obs.OriginStore /
-	// OriginSynth / OriginRecord), written inside once.Do and read only after
-	// it returns; waiters that found the entry report obs.OriginMemory.
-	origin string
-}
+// Engine is the trace resolver chain as one value: the in-process memory
+// tier, the optional disk tier, the synthesis mode and the counters that
+// describe what each tier served. A CLI run or an artifact server constructs
+// one and hands it to its plans through Options.Engine; everything an Engine
+// caches dies with it, so a fresh Engine is a cold start and two Engines in
+// one process share nothing. The zero value is ready to use: no disk tier,
+// synthesis on, verification off. Set the exported fields before the first
+// resolution and not afterwards; methods are safe for concurrent use.
+type Engine struct {
+	// Store is the disk tier, persisting resolved traces across processes
+	// under content addresses: misses of the memory tier consult it before
+	// resolving, and resolved traces are written through. A loaded trace is
+	// byte-for-byte the resolved one, so artifacts are identical at any
+	// cache state. Nil disables the tier.
+	Store *tracestore.Store
+	// DisableSynth turns off direct schedule synthesis: every cold schedule
+	// executes on the recording goroutine fabric — the pre-synthesis
+	// behavior, kept as the oracle path for equivalence checks.
+	DisableSynth bool
+	// VerifySynth also records each synthesized trace on the goroutine
+	// fabric and compares the two encodings byte for byte, failing the
+	// request on any difference. Recording still runs per schedule, so this
+	// costs what a cold pre-synthesis run did; it exists for CI's
+	// equivalence gate, not for production sweeps.
+	VerifySynth bool
 
-var traceCache = struct {
-	mu sync.Mutex
-	m  map[tracestore.Key]*traceEntry
-}{m: map[tracestore.Key]*traceEntry{}}
+	mu     sync.Mutex
+	traces map[tracestore.Key]*traceEntry
 
-// store is the optional disk tier; nil disables it.
-var store atomic.Pointer[tracestore.Store]
-
-// synthDisabled and verifySynth gate the synthesis stage of the resolver
-// chain. The zero values give the defaults: synthesis on, verification off.
-var (
-	synthDisabled atomic.Bool
-	verifySynth   atomic.Bool
-)
-
-// SetSynthesis toggles direct schedule synthesis (on by default). Disabled,
-// every cold schedule executes on the recording goroutine fabric — the
-// pre-synthesis behavior, kept as the oracle path for equivalence checks.
-func SetSynthesis(enabled bool) { synthDisabled.Store(!enabled) }
-
-// SetVerifySynth toggles verification mode: each synthesized trace is also
-// recorded on the goroutine fabric and the two encodings compared byte for
-// byte, failing the request on any difference. Recording still runs per
-// schedule, so this costs what a cold pre-synthesis run did; it exists for
-// CI's equivalence gate, not for production sweeps.
-func SetVerifySynth(enabled bool) { verifySynth.Store(enabled) }
-
-var cacheCounters struct {
 	memHits        atomic.Uint64
 	synthHits      atomic.Uint64
 	synthFallbacks atomic.Uint64
@@ -83,44 +69,22 @@ var cacheCounters struct {
 	cachedBytes    atomic.Uint64
 }
 
-// SetTraceStore layers a disk-backed trace store (rooted at dir, created if
-// missing) under the in-process cache; an empty dir removes the layer.
-// Traces recorded from now on are written through, and cache misses consult
-// the directory before recording.
-func SetTraceStore(dir string) error {
-	if dir == "" {
-		store.Store(nil)
-		return nil
-	}
-	s, err := tracestore.Open(dir)
-	if err != nil {
-		return err
-	}
-	store.Store(s)
-	return nil
+type traceEntry struct {
+	once sync.Once
+	tr   *fabric.Trace
+	err  error
+	// origin names the resolver tier that produced tr (obs.OriginStore /
+	// OriginSynth / OriginRecord), written inside once.Do and read only after
+	// it returns; waiters that found the entry report obs.OriginMemory.
+	origin obs.Origin
 }
 
-// SetTraceStoreProbeInterval tunes how often a degraded disk tier re-probes
-// its directory for writability (tracestore.Store.SetProbeInterval). A
-// no-op without a configured store.
-func SetTraceStoreProbeInterval(d time.Duration) {
-	if s := store.Load(); s != nil {
-		s.SetProbeInterval(d)
-	}
-}
-
-// PrewarmTraceStore decode-validates every file of the configured disk tier
+// Prewarm decode-validates every file of the disk tier
 // (tracestore.Store.Prewarm): valid traces are paged in, corrupt ones are
 // evicted, and the returned stats report the store's footprint — what a
 // long-running artifact server does at startup before accepting requests.
-// Without a configured store it is a no-op reporting zeroes.
-func PrewarmTraceStore() (tracestore.PrewarmStats, error) {
-	s := store.Load()
-	if s == nil {
-		return tracestore.PrewarmStats{}, nil
-	}
-	return s.Prewarm()
-}
+// Without a disk tier it is a no-op reporting zeroes.
+func (eng *Engine) Prewarm() (tracestore.PrewarmStats, error) { return eng.Store.Prewarm() }
 
 // CacheStats snapshots the trace-cache counters: per-tier hits, the
 // recordings performed, and the disk tier's write and eviction activity.
@@ -169,25 +133,22 @@ func (s CacheStats) String() string {
 	return out
 }
 
-// TraceCacheStats returns the counters accumulated since the last
-// ResetTraceCache (disk counters: since the store was set).
-func TraceCacheStats() CacheStats {
-	var ds tracestore.Stats
-	if s := store.Load(); s != nil {
-		ds = s.Stats()
-	}
+// Stats snapshots the Engine's counters (the disk counters are the
+// Store's own, so they span every Engine the store was handed to).
+func (eng *Engine) Stats() CacheStats {
+	ds := eng.Store.Stats()
 	return CacheStats{
-		MemoryHits:       cacheCounters.memHits.Load(),
+		MemoryHits:       eng.memHits.Load(),
 		DiskHits:         ds.Hits,
 		DiskMisses:       ds.Misses,
-		SynthHits:        cacheCounters.synthHits.Load(),
-		SynthFallbacks:   cacheCounters.synthFallbacks.Load(),
-		SynthVerified:    cacheCounters.synthVerified.Load(),
-		Records:          cacheCounters.records.Load(),
+		SynthHits:        eng.synthHits.Load(),
+		SynthFallbacks:   eng.synthFallbacks.Load(),
+		SynthVerified:    eng.synthVerified.Load(),
+		Records:          eng.records.Load(),
 		DiskSaves:        ds.Saves,
 		CorruptEvictions: ds.CorruptEvictions,
-		CachedTraces:     cacheCounters.cachedTraces.Load(),
-		CachedBytes:      cacheCounters.cachedBytes.Load(),
+		CachedTraces:     eng.cachedTraces.Load(),
+		CachedBytes:      eng.cachedBytes.Load(),
 
 		DiskSaveSkips:       ds.SaveSkips,
 		StoreDegraded:       ds.Degraded,
@@ -195,28 +156,11 @@ func TraceCacheStats() CacheStats {
 	}
 }
 
-// ResetTraceCache drops every in-process cached trace and zeroes the memory
-// counters. Benchmarks call it between iterations so each run records (or
-// disk-loads) its schedules from scratch; the disk tier, if set, keeps its
-// files and counters.
-func ResetTraceCache() {
-	traceCache.mu.Lock()
-	traceCache.m = map[tracestore.Key]*traceEntry{}
-	traceCache.mu.Unlock()
-	cacheCounters.memHits.Store(0)
-	cacheCounters.synthHits.Store(0)
-	cacheCounters.synthFallbacks.Store(0)
-	cacheCounters.synthVerified.Store(0)
-	cacheCounters.records.Store(0)
-	cacheCounters.cachedTraces.Store(0)
-	cacheCounters.cachedBytes.Store(0)
-}
-
 // cachedTraceKey is the cache core: it resolves the trace for the schedule
 // identity key through the resolver chain — the in-process tier, then the
 // disk store, then direct synthesis from schedule math (synthesize, when
 // non-nil and enabled), and only then a recording run on the goroutine
-// fabric — exactly once per key per process, however many concurrent workers
+// fabric — exactly once per key per Engine, however many concurrent workers
 // ask. A synthesis error is a fallback, not a failure: the schedule records
 // instead. Resolved traces are written through to the store stamped with
 // their origin; failed resolutions are never written anywhere and their
@@ -227,17 +171,20 @@ func ResetTraceCache() {
 // histograms and the trace's aggregates; waiters served from the in-process
 // tier — including time blocked on a concurrent leader — report under
 // cache-lookup. The whole resolution lands in the per-origin resolve metrics.
-func cachedTraceKey(ctx context.Context, key tracestore.Key, synthesize, record func() (*fabric.Trace, error)) (*fabric.Trace, error) {
+func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synthesize, record func() (*fabric.Trace, error)) (*fabric.Trace, error) {
 	resolveStart := time.Now()
-	traceCache.mu.Lock()
-	e, ok := traceCache.m[key]
+	eng.mu.Lock()
+	if eng.traces == nil {
+		eng.traces = map[tracestore.Key]*traceEntry{}
+	}
+	e, ok := eng.traces[key]
 	if !ok {
 		e = &traceEntry{}
-		traceCache.m[key] = e
+		eng.traces[key] = e
 	}
-	traceCache.mu.Unlock()
+	eng.mu.Unlock()
 	e.once.Do(func() {
-		s := store.Load()
+		s := eng.Store
 		loadStart := time.Now()
 		tr, hit := s.Load(key)
 		if s.Enabled() {
@@ -248,7 +195,7 @@ func cachedTraceKey(ctx context.Context, key tracestore.Key, synthesize, record 
 			e.origin = obs.OriginStore
 		} else {
 			origin := tracestore.OriginRecorded
-			if synthesize != nil && !synthDisabled.Load() {
+			if synthesize != nil && !eng.DisableSynth {
 				synthStart := time.Now()
 				tr, err := synthesize()
 				obs.ObserveStageCtx(ctx, obs.StageSynth, time.Since(synthStart))
@@ -257,33 +204,33 @@ func cachedTraceKey(ctx context.Context, key tracestore.Key, synthesize, record 
 					// A schedule the synthesizer cannot walk falls through
 					// to the fabric — counted, so a sweep that should be
 					// recording-free is diagnosable from its stats line.
-					cacheCounters.synthFallbacks.Add(1)
-				case verifySynth.Load():
+					eng.synthFallbacks.Add(1)
+				case eng.VerifySynth:
 					// Verification mode: record the same schedule on the
 					// goroutine fabric (the oracle) and require the two
 					// encodings to match byte for byte.
-					cacheCounters.records.Add(1)
+					eng.records.Add(1)
 					recordStart := time.Now()
 					rt, rerr := record()
 					obs.ObserveStageCtx(ctx, obs.StageRecord, time.Since(recordStart))
 					if rerr != nil {
 						e.err = rerr
 					} else if e.err = diffTraces(key, tr, rt); e.err == nil {
-						cacheCounters.synthVerified.Add(1)
-						cacheCounters.synthHits.Add(1)
+						eng.synthVerified.Add(1)
+						eng.synthHits.Add(1)
 						e.tr = tr
 						e.origin = obs.OriginSynth
 						origin = tracestore.OriginSynthesized
 					}
 				default:
-					cacheCounters.synthHits.Add(1)
+					eng.synthHits.Add(1)
 					e.tr = tr
 					e.origin = obs.OriginSynth
 					origin = tracestore.OriginSynthesized
 				}
 			}
 			if e.tr == nil && e.err == nil {
-				cacheCounters.records.Add(1)
+				eng.records.Add(1)
 				recordStart := time.Now()
 				e.tr, e.err = record()
 				obs.ObserveStageCtx(ctx, obs.StageRecord, time.Since(recordStart))
@@ -297,8 +244,8 @@ func cachedTraceKey(ctx context.Context, key tracestore.Key, synthesize, record 
 			}
 		}
 		if e.err == nil && e.tr != nil {
-			cacheCounters.cachedTraces.Add(1)
-			cacheCounters.cachedBytes.Add(uint64(e.tr.MemBytes()))
+			eng.cachedTraces.Add(1)
+			eng.cachedBytes.Add(uint64(e.tr.MemBytes()))
 		}
 	})
 	if e.err != nil {
@@ -307,17 +254,17 @@ func cachedTraceKey(ctx context.Context, key tracestore.Key, synthesize, record 
 		// entry — unless a retry already replaced it — so the next request
 		// records afresh. Concurrent waiters on this entry still see the
 		// original error.
-		traceCache.mu.Lock()
-		if traceCache.m[key] == e {
-			delete(traceCache.m, key)
+		eng.mu.Lock()
+		if eng.traces[key] == e {
+			delete(eng.traces, key)
 		}
-		traceCache.mu.Unlock()
+		eng.mu.Unlock()
 	} else if ok {
 		// A memory hit is only counted once the found entry has resolved
 		// successfully: waiters that pile onto a mid-recording entry which
 		// then errors and evicts were never served from the warm tier, and
 		// counting them made -v over-report warm hits under concurrency.
-		cacheCounters.memHits.Add(1)
+		eng.memHits.Add(1)
 		obs.ObserveStageCtx(ctx, obs.StageCacheLookup, time.Since(resolveStart))
 	}
 	if e.err == nil {
@@ -369,7 +316,7 @@ func encodeTraceBytes(tr *fabric.Trace) ([]byte, error) {
 }
 
 // cachedTrace returns a registry algorithm's unit-granularity trace.
-func cachedTrace(ctx context.Context, algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
+func (eng *Engine) cachedTrace(ctx context.Context, algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
 	key := tracestore.Key{
 		Kind:         "flat",
 		Collective:   algo.Coll.String(),
@@ -378,7 +325,7 @@ func cachedTrace(ctx context.Context, algo coll.Algorithm, p, root int) (*fabric
 		Root:         root,
 		SchedVersion: schedVersion,
 	}
-	return cachedTraceKey(ctx, key,
+	return eng.cachedTraceKey(ctx, key,
 		func() (*fabric.Trace, error) { return synthTrace(algo, p, root) },
 		func() (*fabric.Trace, error) { return recordTrace(algo, p, root) })
 }
@@ -386,7 +333,7 @@ func cachedTrace(ctx context.Context, algo coll.Algorithm, p, root int) (*fabric
 // cachedTorusTrace is cachedTrace for torus-geometry algorithms, which the
 // registry does not cover; the torus shape and the recorded element count
 // join the identity.
-func cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.Torus, root int) (*fabric.Trace, int, error) {
+func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.Torus, root int) (*fabric.Trace, int, error) {
 	n := torusRecordedElems(ta, tor)
 	key := tracestore.Key{
 		Kind:         "torus",
@@ -396,7 +343,7 @@ func cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.Torus, root in
 		Root:         root,
 		SchedVersion: schedVersion,
 	}
-	tr, err := cachedTraceKey(ctx, key,
+	tr, err := eng.cachedTraceKey(ctx, key,
 		func() (*fabric.Trace, error) { return synthTorusTrace(ta, tor, root) },
 		func() (*fabric.Trace, error) { return recordTorusTrace(ta, tor, root) })
 	return tr, n, err
@@ -408,14 +355,14 @@ func cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.Torus, root in
 // body fn over p ranks, including its recorded element count. Every such
 // body is data-independent, so the resolver synthesizes it with a serial
 // pattern walk and touches the fabric only as fallback or under verify mode.
-func cachedNamedTrace(ctx context.Context, kind, name, shape string, p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
+func (eng *Engine) cachedNamedTrace(ctx context.Context, kind, name, shape string, p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
 	key := tracestore.Key{
 		Kind:         kind,
 		Algo:         name,
 		Shape:        shape,
 		SchedVersion: schedVersion,
 	}
-	return cachedTraceKey(ctx, key,
+	return eng.cachedTraceKey(ctx, key,
 		func() (*fabric.Trace, error) { return synth.Run(p, fn) },
 		func() (*fabric.Trace, error) { return recordBody(kind, name, p, fn) })
 }

@@ -18,20 +18,14 @@ import (
 
 // Every experiment below compiles to a plan (see graph.go): recording and
 // evaluation cells become tasks writing into index-addressed slots, and the
-// artifact renders serially from those slots. The public driver functions
-// drain their own plan on a private pool; RunAll shards all plans' tasks
-// across one process-wide pool instead.
+// artifact renders serially from those slots. Cells resolve their traces
+// through the Engine their plan was compiled with (Options.Engine).
 
-// Fig1 reproduces the motivating example of Fig. 1: global-link bytes of a
+// planFig1 reproduces the motivating example of Fig. 1: global-link bytes of a
 // broadcast over eight nodes on a 2:1 oversubscribed fat tree with two
 // nodes per leaf, for the distance-doubling (Open MPI), distance-halving
 // (MPICH) and Bine trees.
-func Fig1(ctx context.Context, w io.Writer) error {
-	p, err := planFig1()
-	return runPlan(ctx, w, p, err, Options{})
-}
-
-func planFig1() (*plan, error) {
+func planFig1(opts Options) (*plan, error) {
 	const p, n = 8, 1 // eight nodes, unit vector; results are per n bytes
 	groupOf := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	kinds := []core.Kind{core.BinomialDD, core.BinomialDH, core.BineDH}
@@ -48,7 +42,7 @@ func planFig1() (*plan, error) {
 	for i := range kinds {
 		i := i
 		tasks[i] = task{system: systemMisc, run: func(ctx context.Context) error {
-			tr, err := cachedNamedTrace(ctx, "tree-bcast", kinds[i].String(), fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
+			tr, err := opts.Engine.cachedNamedTrace(ctx, "tree-bcast", kinds[i].String(), fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
 				return coll.Bcast(c, trees[i], make([]int32, n))
 			})
 			if err != nil {
@@ -75,14 +69,9 @@ func planFig1() (*plan, error) {
 	return &plan{tasks: tasks, render: render}, nil
 }
 
-// Eq2 tabulates the per-step modular distances of Bine vs binomial
+// planEq2 tabulates the per-step modular distances of Bine vs binomial
 // schedules and their ratio, illustrating the 2/3 bound of Sec. 2.4.1.
-func Eq2(ctx context.Context, w io.Writer) error {
-	p, err := planEq2()
-	return runPlan(ctx, w, p, err, Options{})
-}
-
-func planEq2() (*plan, error) {
+func planEq2(Options) (*plan, error) {
 	// Pure schedule arithmetic: no cells, everything happens at render.
 	render := func(w io.Writer) error {
 		p := 1024
@@ -99,16 +88,11 @@ func planEq2() (*plan, error) {
 	return &plan{render: render}, nil
 }
 
-// Fig5 reproduces the allocation study of Sec. 2.4.2: synthetic fragmented
+// planFig5 reproduces the allocation study of Sec. 2.4.2: synthetic fragmented
 // job allocations on Leonardo-like and LUMI-like machines, reporting the
 // distribution of global-traffic reduction of a Bine allreduce over the
 // binomial allreduce with the same distance ordering, bucketed by node
 // count.
-func Fig5(ctx context.Context, w io.Writer, opts Options) error {
-	p, err := planFig5(opts)
-	return runPlan(ctx, w, p, err, opts)
-}
-
 func planFig5(opts Options) (*plan, error) {
 	type sysCase struct {
 		name    string
@@ -134,7 +118,7 @@ func planFig5(opts Options) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cachedNamedTrace(ctx, "bfly-allreduce", kind.String(), fmt.Sprintf("p=%d/n=%d", p, p), p, func(c fabric.Comm) error {
+		return opts.Engine.cachedNamedTrace(ctx, "bfly-allreduce", kind.String(), fmt.Sprintf("p=%d/n=%d", p, p), p, func(c fabric.Comm) error {
 			return coll.AllreduceRsAg(c, b, make([]int32, p), coll.OpSum)
 		})
 	}
@@ -219,22 +203,17 @@ func planFig5(opts Options) (*plan, error) {
 	return &plan{tasks: tasks, render: render}, nil
 }
 
-// TableBinomial reproduces the per-system Bine-vs-binomial comparison
+// planTableBinomial reproduces the per-system Bine-vs-binomial comparison
 // (Tables 3, 4 and 5): for every collective, the fraction of
 // configurations won/lost against the best binomial baseline, the
 // average/max gain and drop, and the average/max global-traffic reduction.
-func TableBinomial(ctx context.Context, w io.Writer, sys System, opts Options) error {
-	p, err := planTableBinomial(sys, opts)
-	return runPlan(ctx, w, p, err, opts)
-}
-
 func planTableBinomial(sys System, opts Options) (*plan, error) {
 	counts := opts.nodeCounts(sys)
 	sizes := opts.sizes()
 	var tasks []task
 	finishes := make([]func() *sweepResult, len(coll.Collectives))
 	for ci, collective := range coll.Collectives {
-		ts, finish, err := planSweep(sys, collective, counts, sizes)
+		ts, finish, err := planSweep(opts.Engine, sys, collective, counts, sizes)
 		if err != nil {
 			return nil, err
 		}
@@ -304,18 +283,13 @@ func familyLetter(res *sweepResult, name string) string {
 	return "?"
 }
 
-// HeatmapAllreduce reproduces Figs. 9a/10a: for every (node count, vector
+// planHeatmapAllreduce reproduces Figs. 9a/10a: for every (node count, vector
 // size) cell of the allreduce sweep, either the Bine speedup over the best
 // baseline (when Bine wins) or the letter of the winning baseline.
-func HeatmapAllreduce(ctx context.Context, w io.Writer, sys System, opts Options) error {
-	p, err := planHeatmapAllreduce(sys, opts)
-	return runPlan(ctx, w, p, err, opts)
-}
-
 func planHeatmapAllreduce(sys System, opts Options) (*plan, error) {
 	counts := opts.nodeCounts(sys)
 	sizes := opts.sizes()
-	tasks, finish, err := planSweep(sys, coll.CAllreduce, counts, sizes)
+	tasks, finish, err := planSweep(opts.Engine, sys, coll.CAllreduce, counts, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -359,21 +333,16 @@ func planHeatmapAllreduce(sys System, opts Options) (*plan, error) {
 	return &plan{tasks: tasks, render: render}, nil
 }
 
-// Boxplots reproduces Figs. 9b/10b/11a: for every collective, the
+// planBoxplots reproduces Figs. 9b/10b/11a: for every collective, the
 // distribution of Bine's improvement over the best baseline in the
 // configurations where Bine wins, plus the win percentage.
-func Boxplots(ctx context.Context, w io.Writer, sys System, opts Options) error {
-	p, err := planBoxplots(sys, opts)
-	return runPlan(ctx, w, p, err, opts)
-}
-
 func planBoxplots(sys System, opts Options) (*plan, error) {
 	counts := opts.nodeCounts(sys)
 	sizes := opts.sizes()
 	var tasks []task
 	finishes := make([]func() *sweepResult, len(coll.Collectives))
 	for ci, collective := range coll.Collectives {
-		ts, finish, err := planSweep(sys, collective, counts, sizes)
+		ts, finish, err := planSweep(opts.Engine, sys, collective, counts, sizes)
 		if err != nil {
 			return nil, err
 		}
@@ -414,19 +383,14 @@ func planBoxplots(sys System, opts Options) (*plan, error) {
 	return &plan{tasks: tasks, render: render}, nil
 }
 
-// Fig14 reproduces Appendix B: which non-contiguous-data strategy wins each
+// planFig14 reproduces Appendix B: which non-contiguous-data strategy wins each
 // (node count, vector size) cell of the allgather sweep on the LUMI-like
 // system, and its gain over the binomial butterfly.
-func Fig14(ctx context.Context, w io.Writer, opts Options) error {
-	p, err := planFig14(opts)
-	return runPlan(ctx, w, p, err, opts)
-}
-
 func planFig14(opts Options) (*plan, error) {
 	sys := LUMI()
 	counts := opts.nodeCounts(sys)
 	sizes := opts.sizes()
-	tasks, finish, err := planSweep(sys, coll.CAllgather, counts, sizes)
+	tasks, finish, err := planSweep(opts.Engine, sys, coll.CAllgather, counts, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -471,14 +435,9 @@ func planFig14(opts Options) (*plan, error) {
 	return &plan{tasks: tasks, render: render}, nil
 }
 
-// Fig11b reproduces the Fugaku evaluation (Sec. 5.4): Bine torus
+// planFig11b reproduces the Fugaku evaluation (Sec. 5.4): Bine torus
 // collectives against bucket, ring and butterfly baselines over the paper's
 // job shapes, as per-collective improvement boxplots.
-func Fig11b(ctx context.Context, w io.Writer, opts Options) error {
-	p, err := planFig11b(opts)
-	return runPlan(ctx, w, p, err, opts)
-}
-
 func planFig11b(opts Options) (*plan, error) {
 	shapes := FugakuShapes()
 	if opts.Quick {
@@ -563,7 +522,7 @@ func planFig11b(opts Options) (*plan, error) {
 			tor, topo := tors[j.shape], topos[j.shape]
 			reduces := groups[j.group].collective.Reduces()
 			if j.torus != nil {
-				tr, n, err := cachedTorusTrace(ctx, *j.torus, tor, 0)
+				tr, n, err := opts.Engine.cachedTorusTrace(ctx, *j.torus, tor, 0)
 				if err != nil {
 					return err
 				}
@@ -589,7 +548,7 @@ func planFig11b(opts Options) (*plan, error) {
 					return nil // skipped: a nil slot folds as no result
 				}
 			}
-			tr, err := cachedTrace(ctx, algo, tor.P(), 0)
+			tr, err := opts.Engine.cachedTrace(ctx, algo, tor.P(), 0)
 			if err != nil {
 				return err
 			}
@@ -676,15 +635,10 @@ func planFig11b(opts Options) (*plan, error) {
 	return &plan{tasks: tasks, render: render}, nil
 }
 
-// Hier reproduces the multi-GPU discussion of Sec. 6.2: a hierarchical Bine
+// planHier reproduces the multi-GPU discussion of Sec. 6.2: a hierarchical Bine
 // allreduce (intra-node reduce-scatter, inter-node Bine allreduce,
 // intra-node allgather) against flat algorithms on a machine with four
 // fully connected GPUs per node.
-func Hier(ctx context.Context, w io.Writer, opts Options) error {
-	p, err := planHier(opts)
-	return runPlan(ctx, w, p, err, opts)
-}
-
 func planHier(opts Options) (*plan, error) {
 	const gpusPerNode = 4
 	counts := []int{16, 64, 256, 512}
@@ -745,7 +699,7 @@ func planHier(opts Options) (*plan, error) {
 			p := counts[ci]
 			a := setups[ci].algos[ai]
 			n := p * gpusPerNode
-			tr, err := cachedNamedTrace(ctx, "hier-allreduce", a.name, fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
+			tr, err := opts.Engine.cachedNamedTrace(ctx, "hier-allreduce", a.name, fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
 				return a.run(c, make([]int32, n))
 			})
 			if err != nil {
@@ -812,15 +766,10 @@ func planHier(opts Options) (*plan, error) {
 	return &plan{tasks: tasks, render: render}, nil
 }
 
-// AppD illustrates Appendix D on a 4×4 torus: hop counts of the flat Bine
+// planAppD illustrates Appendix D on a 4×4 torus: hop counts of the flat Bine
 // tree vs the torus-optimized construction, and the DFS-postorder block
 // permutation.
-func AppD(ctx context.Context, w io.Writer) error {
-	p, err := planAppD()
-	return runPlan(ctx, w, p, err, Options{})
-}
-
-func planAppD() (*plan, error) {
+func planAppD(opts Options) (*plan, error) {
 	tor := core.MustTorus(4, 4)
 	topo, err := FugakuTopology([]int{4, 4})
 	if err != nil {
@@ -830,14 +779,14 @@ func planAppD() (*plan, error) {
 	var flatTr, torusTr *fabric.Trace
 	tasks := []task{
 		{system: systemFugaku, run: func(ctx context.Context) error {
-			tr, err := cachedNamedTrace(ctx, "tree-bcast", core.BineDH.String(), fmt.Sprintf("p=%d/n=1", tor.P()), tor.P(), func(c fabric.Comm) error {
+			tr, err := opts.Engine.cachedNamedTrace(ctx, "tree-bcast", core.BineDH.String(), fmt.Sprintf("p=%d/n=1", tor.P()), tor.P(), func(c fabric.Comm) error {
 				return coll.Bcast(c, flatTree, make([]int32, 1))
 			})
 			flatTr = tr
 			return err
 		}},
 		{system: systemFugaku, run: func(ctx context.Context) error {
-			tr, err := cachedNamedTrace(ctx, "torus-bcast", core.BineDH.String(), fmt.Sprintf("%v/n=1", tor.Dims), tor.P(), func(c fabric.Comm) error {
+			tr, err := opts.Engine.cachedNamedTrace(ctx, "torus-bcast", core.BineDH.String(), fmt.Sprintf("%v/n=1", tor.Dims), tor.P(), func(c fabric.Comm) error {
 				return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
 			})
 			torusTr = tr

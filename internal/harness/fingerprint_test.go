@@ -18,7 +18,7 @@ import (
 // existing -trace-cache directories silently serve stale traces. This test
 // pins a fingerprint (hash of the encoded trace) for one representative
 // schedule of every cache family; if it fails, a recorded schedule or the
-// codec changed, and you MUST bump schedVersion in pool.go (or
+// codec changed, and you MUST bump schedVersion in engine.go (or
 // fabric.CodecVersion for a format change) before updating the constants
 // below. Entries for algorithms that no longer exist are skipped — removal
 // orphans their store files harmlessly.
@@ -50,7 +50,7 @@ func TestScheduleFingerprints(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: schedule fingerprint %s, pinned %s\n"+
-				"A recorded schedule (or the trace codec) changed: bump schedVersion in pool.go\n"+
+				"A recorded schedule (or the trace codec) changed: bump schedVersion in engine.go\n"+
 				"(or fabric.CodecVersion for codec changes) so persistent trace stores invalidate,\n"+
 				"then update this pin.", name, got, want)
 		}

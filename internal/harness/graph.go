@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"binetrees/internal/obs"
 	"binetrees/internal/pool"
@@ -18,10 +17,9 @@ import (
 // the whole suite instead: every experiment compiles to a plan — tasks
 // that may run in any order plus a serial render — and RunAll concatenates
 // all selected plans' tasks into one flat (system × collective × node
-// count × algorithm) cell list drained by a single process-wide
-// pool.Runner, so the LUMI / Leonardo / MareNostrum / Fugaku artifact
-// groups record and evaluate concurrently while sharing the process-wide
-// trace cache.
+// count × algorithm) cell list drained by a single pool.Runner, so the
+// LUMI / Leonardo / MareNostrum / Fugaku artifact groups record and
+// evaluate concurrently while sharing one Engine's trace cache.
 
 // task is one schedulable cell of the flat cross-system job graph: an
 // independent recording or evaluation unit, labeled with the system key it
@@ -79,31 +77,6 @@ func (t *progressTracker) taskDone(system string) {
 	t.mu.Unlock()
 }
 
-// runPlan drains one experiment's tasks on its own pool and renders — the
-// serial per-experiment path behind the standalone drivers (Fig5, Fig11b,
-// …). RunAll bypasses it and drains every plan's tasks together on one
-// shared Runner instead. ctx bounds cell dispatch and carries the trace the
-// stage timings attribute to.
-func runPlan(ctx context.Context, w io.Writer, p *plan, err error, opts Options) error {
-	if err != nil {
-		return err
-	}
-	tracker := newProgressTracker(opts.Progress, p.tasks)
-	endExec := obs.TimeStage(ctx, obs.StageExecute)
-	if err := pool.ForEachCtx(ctx, opts.Workers, len(p.tasks), func(i int) error {
-		if err := p.tasks[i].run(ctx); err != nil {
-			return err
-		}
-		tracker.taskDone(p.tasks[i].system)
-		return nil
-	}); err != nil {
-		return err
-	}
-	endExec()
-	defer obs.TimeStage(ctx, obs.StageRender)()
-	return p.render(w)
-}
-
 // systemMisc labels cells of experiments that model ad-hoc machines (the
 // Fig. 1 fat tree, the Sec. 6.2 GPU cluster, Eq. 2's pure schedule math);
 // systemFugaku labels the torus experiments, which have no System struct.
@@ -129,8 +102,8 @@ type step struct {
 func steps() []step {
 	lumi, leo, mare := LUMI(), Leonardo(), MareNostrum()
 	return []step{
-		{"fig1", []string{systemMisc}, func(Options) (*plan, error) { return planFig1() }},
-		{"eq2", []string{systemMisc}, func(Options) (*plan, error) { return planEq2() }},
+		{"fig1", []string{systemMisc}, planFig1},
+		{"eq2", []string{systemMisc}, planEq2},
 		{"fig5", []string{leo.Key, lumi.Key}, planFig5},
 		{"table3", []string{lumi.Key}, func(o Options) (*plan, error) { return planTableBinomial(lumi, o) }},
 		{"fig9a", []string{lumi.Key}, func(o Options) (*plan, error) { return planHeatmapAllreduce(lumi, o) }},
@@ -144,7 +117,7 @@ func steps() []step {
 		{"fig14", []string{lumi.Key}, planFig14},
 		{"hier", []string{systemMisc}, planHier},
 		{"ppn", []string{lumi.Key}, planPPN},
-		{"appD", []string{systemFugaku}, func(Options) (*plan, error) { return planAppD() }},
+		{"appD", []string{systemFugaku}, planAppD},
 	}
 }
 
@@ -212,10 +185,11 @@ func selectSteps(keys []string) ([]step, error) {
 
 // RunAll executes every experiment (or the Options.Systems selection) in
 // paper order. All selected experiments compile up front and their cells
-// form one flat job graph drained by a single process-wide pool.Runner —
-// cross-system sharding — before the artifacts render serially, separated
-// exactly as the per-experiment path separates them. ctx bounds cell
-// submission and carries the trace the stage timings attribute to.
+// form one flat job graph drained by a single pool.Runner — cross-system
+// sharding, every plan resolving through one Engine — before the artifacts
+// render serially, separated exactly as the per-experiment path separates
+// them. ctx bounds cell submission and carries the trace the stage timings
+// attribute to.
 func RunAll(ctx context.Context, w io.Writer, opts Options) error {
 	runner := pool.NewRunner(opts.Workers)
 	defer runner.Close()
@@ -227,6 +201,7 @@ func RunAll(ctx context.Context, w io.Writer, opts Options) error {
 // pool outlives every request. The rendering is the exact byte sequence
 // RunAll emits for the same Options.
 func RunAllOn(ctx context.Context, w io.Writer, runner *pool.Runner, opts Options) error {
+	opts = opts.withEngine()
 	_, endCompile := obs.StartSpan(ctx, obs.StageCompile)
 	selected, err := selectSteps(opts.Systems)
 	if err != nil {
@@ -299,8 +274,11 @@ type Experiment struct {
 }
 
 // CompileExperiment compiles the named experiment's plan under opts. The
-// name must be one of ExperimentNames.
+// name must be one of ExperimentNames. The Experiment keeps its Engine
+// (opts.Engine, or a fresh default one) for its lifetime, so a second Run
+// finds every trace the first resolved.
 func CompileExperiment(name string, opts Options) (*Experiment, error) {
+	opts = opts.withEngine()
 	for _, s := range steps() {
 		if s.name == name {
 			p, err := s.plan(opts)
@@ -347,16 +325,18 @@ func (e *Experiment) Run(ctx context.Context, w io.Writer, runner *pool.Runner, 
 }
 
 // RunExperiment compiles and executes one named experiment on a private pool
-// of opts.Workers — the single-experiment CLI path. It shares plan
-// compilation and rendering with the service path, so binebench files and
-// binebenchd responses for the same request are byte-identical by
+// of opts.Workers — the single-experiment CLI path. It is the service path
+// (CompileExperiment, then Run) on a Runner of its own, so binebench files
+// and binebenchd responses for the same request are byte-identical by
 // construction (and pinned by tests on both sides).
 func RunExperiment(ctx context.Context, w io.Writer, name string, opts Options) error {
-	start := time.Now()
+	_, endCompile := obs.StartSpan(ctx, obs.StageCompile)
 	e, err := CompileExperiment(name, opts)
-	obs.ObserveStage(obs.StageCompile, time.Since(start))
+	endCompile()
 	if err != nil {
 		return err
 	}
-	return runPlan(ctx, w, e.p, nil, opts)
+	runner := pool.NewRunner(opts.Workers)
+	defer runner.Close()
+	return e.Run(ctx, w, runner, opts.Progress)
 }

@@ -110,56 +110,53 @@ func TestSweepLatencyVsBandwidthRegimes(t *testing.T) {
 	}
 }
 
-func TestExperimentDriversRunQuick(t *testing.T) {
-	// Every driver must run to completion and produce non-trivial output.
-	opts := Options{Quick: true}
-	drivers := []struct {
-		name string
-		run  func(w *strings.Builder) error
-		want string
-	}{
-		{"fig1", func(w *strings.Builder) error { return Fig1(context.Background(), w) }, "6n global"},
-		{"eq2", func(w *strings.Builder) error { return Eq2(context.Background(), w) }, "0.6"},
-		{"table5", func(w *strings.Builder) error { return TableBinomial(context.Background(), w, MareNostrum(), opts) }, "allreduce"},
-		{"heatmap", func(w *strings.Builder) error { return HeatmapAllreduce(context.Background(), w, MareNostrum(), opts) }, "Bine best in"},
-		{"boxplots", func(w *strings.Builder) error { return Boxplots(context.Background(), w, MareNostrum(), opts) }, "alltoall"},
-		{"fig14", func(w *strings.Builder) error { return Fig14(context.Background(), w, opts) }, "strategy"},
-		{"fig11b", func(w *strings.Builder) error { return Fig11b(context.Background(), w, opts) }, "allreduce"},
-		{"hier", func(w *strings.Builder) error { return Hier(context.Background(), w, opts) }, "hier-bine"},
-		{"appD", func(w *strings.Builder) error { return AppD(context.Background(), w) }, "torus-optimized"},
-		{"ppn", func(w *strings.Builder) error { return PPN(context.Background(), w, opts) }, "ppn=4"},
-		{"fig5", func(w *strings.Builder) error { return Fig5(context.Background(), w, opts) }, "LUMI"},
+// runQuick renders one named experiment at quick scale through eng (nil: a
+// fresh default Engine).
+func runQuick(t *testing.T, eng *Engine, name string) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := RunExperiment(context.Background(), &sb, name, Options{Quick: true, Engine: eng}); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	for _, d := range drivers {
-		var sb strings.Builder
-		if err := d.run(&sb); err != nil {
-			t.Fatalf("%s: %v", d.name, err)
-		}
-		out := sb.String()
-		if !strings.Contains(out, d.want) {
+	return sb.String()
+}
+
+func TestExperimentDriversRunQuick(t *testing.T) {
+	t.Parallel()
+	// Every experiment family must run to completion and produce
+	// non-trivial output.
+	eng := &Engine{}
+	for _, d := range []struct{ name, want string }{
+		{"fig1", "6n global"},
+		{"eq2", "0.6"},
+		{"table5", "allreduce"},
+		{"fig10a", "Bine best in"},
+		{"fig11a", "alltoall"},
+		{"fig14", "strategy"},
+		{"fig11b", "allreduce"},
+		{"hier", "hier-bine"},
+		{"appD", "torus-optimized"},
+		{"ppn", "ppn=4"},
+		{"fig5", "LUMI"},
+	} {
+		if out := runQuick(t, eng, d.name); !strings.Contains(out, d.want) {
 			t.Errorf("%s output missing %q:\n%s", d.name, d.want, out)
 		}
 	}
 }
 
 func TestFig1MatchesPaperNumbers(t *testing.T) {
-	var sb strings.Builder
-	if err := Fig1(context.Background(), &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	t.Parallel()
+	out := runQuick(t, nil, "fig1")
 	if !strings.Contains(out, "6n global") || !strings.Contains(out, "3n global") {
 		t.Fatalf("Fig. 1 numbers missing:\n%s", out)
 	}
 }
 
 func TestTorusBeatsFlatOnHops(t *testing.T) {
-	var sb strings.Builder
-	if err := AppD(context.Background(), &sb); err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
 	var flat, torus int
-	for _, line := range strings.Split(sb.String(), "\n") {
+	for _, line := range strings.Split(runQuick(t, nil, "appD"), "\n") {
 		if strings.Contains(line, "flat 1-D") {
 			if _, err := fmtSscanfInt(line, &flat); err != nil {
 				t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // workers (run under -race in CI): every key must record exactly one trace
 // and every caller must observe the same pointer.
 func TestTraceCacheConcurrent(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
+	t.Parallel()
+	eng := &Engine{}
 	algos := coll.ByCollective(coll.Registry(), coll.CAllreduce)
 	if len(algos) < 3 {
 		t.Fatalf("only %d allreduce algorithms", len(algos))
@@ -28,11 +28,11 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	flat := make([][]*trPtr, lanes)
 	err := pool.ForEach(8, lanes, func(i int) error {
 		algo := algos[i%len(algos)]
-		tr, err := cachedTrace(context.Background(), algo, 16, 0)
+		tr, err := eng.cachedTrace(context.Background(), algo, 16, 0)
 		if err != nil {
 			return err
 		}
-		ttr, n, err := cachedTorusTrace(context.Background(), ta, tor, 0)
+		ttr, n, err := eng.cachedTorusTrace(context.Background(), ta, tor, 0)
 		if err != nil {
 			return err
 		}
@@ -63,58 +63,39 @@ type trPtr struct {
 
 // TestParallelSweepByteIdentical pins the tentpole guarantee: a sweep
 // dispatched on one worker and on eight workers renders byte-identical
-// artifacts. The chain covers every parallelized driver family:
-// HeatmapAllreduce (sweepCollective), PPN, Fig11b (torus + flat cells),
-// Hier and Fig5 — exercising the worker pools and both trace caches.
+// artifacts. The chain covers every parallelized experiment family: fig9a
+// (planSweep), ppn, fig11b (torus + flat cells), hier and fig5 — exercising
+// the worker pools and every trace-cache family.
 func TestParallelSweepByteIdentical(t *testing.T) {
-	sys := MareNostrum()
-	chain := func(sb *strings.Builder, opts Options) error {
-		if err := HeatmapAllreduce(context.Background(), sb, sys, opts); err != nil {
-			return err
-		}
-		if err := PPN(context.Background(), sb, opts); err != nil {
-			return err
-		}
-		if err := Fig11b(context.Background(), sb, opts); err != nil {
-			return err
-		}
-		if err := Hier(context.Background(), sb, opts); err != nil {
-			return err
-		}
-		return Fig5(context.Background(), sb, opts)
-	}
-	render := func(workers int) string {
-		ResetTraceCache()
+	t.Parallel()
+	render := func(eng *Engine, workers int) string {
 		var sb strings.Builder
-		if err := chain(&sb, Options{Quick: true, Workers: workers}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		for _, name := range []string{"fig9a", "ppn", "fig11b", "hier", "fig5"} {
+			if err := RunExperiment(context.Background(), &sb, name, Options{Quick: true, Workers: workers, Engine: eng}); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
 		}
 		return sb.String()
 	}
-	serial := render(1)
-	parallel := render(8)
+	serial := render(&Engine{}, 1)
+	eng := &Engine{}
+	parallel := render(eng, 8)
 	if serial != parallel {
 		t.Fatalf("parallel output diverges from serial:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
 	}
 	// A warm cache must not change the rendering either.
-	var sb strings.Builder
-	if err := chain(&sb, Options{Quick: true, Workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != serial {
+	if render(eng, 8) != serial {
 		t.Fatal("warm trace cache changed the artifact")
 	}
-	ResetTraceCache()
 }
 
 // TestTableBinomialByteIdentical covers the table artifacts (and, through
 // them, every collective's sweep) at both pool widths.
 func TestTableBinomialByteIdentical(t *testing.T) {
-	sys := MareNostrum()
+	t.Parallel()
 	render := func(workers int) string {
-		ResetTraceCache()
 		var sb strings.Builder
-		if err := TableBinomial(context.Background(), &sb, sys, Options{Quick: true, Workers: workers}); err != nil {
+		if err := RunExperiment(context.Background(), &sb, "table5", Options{Quick: true, Workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return sb.String()
@@ -122,5 +103,4 @@ func TestTableBinomialByteIdentical(t *testing.T) {
 	if a, b := render(1), render(6); a != b {
 		t.Fatalf("table diverges:\n--- workers=1 ---\n%s\n--- workers=6 ---\n%s", a, b)
 	}
-	ResetTraceCache()
 }

@@ -10,16 +10,11 @@ import (
 	"binetrees/internal/obs"
 )
 
-// PPN reproduces the Sec. 6.1 study: the same collectives with one vs four
+// planPPN reproduces the Sec. 6.1 study: the same collectives with one vs four
 // processes per node on a LUMI-like 64-node job. With more processes per
 // node each node injects more traffic, so the global-link relief Bine
 // provides matters more — the paper saw the 1 MiB reduce-scatter gain grow
 // from 59% to 84%.
-func PPN(ctx context.Context, w io.Writer, opts Options) error {
-	p, err := planPPN(opts)
-	return runPlan(ctx, w, p, err, opts)
-}
-
 func planPPN(opts Options) (*plan, error) {
 	sys := LUMI()
 	const nodes = 64
@@ -76,7 +71,7 @@ func planPPN(opts Options) (*plan, error) {
 			if !ok {
 				return fmt.Errorf("%v/%s not registered", j.collective, j.name)
 			}
-			tr, err := cachedTrace(ctx, algo, p, 0)
+			tr, err := opts.Engine.cachedTrace(ctx, algo, p, 0)
 			if err != nil {
 				return err
 			}

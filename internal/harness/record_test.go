@@ -36,11 +36,10 @@ func countTraceFiles(t *testing.T, dir string) int {
 // recording is persisted. Synthesis is bypassed (nil synthesize) because
 // this test is about the fabric leg of the resolver chain.
 func TestFailedRecordingNeverCachedOrStored(t *testing.T) {
-	resetCaches(t)
+	t.Parallel()
 	dir := t.TempDir()
-	if err := SetTraceStore(dir); err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, dir)
+	eng := &Engine{Store: st}
 	attempts := 0
 	record := func() (*fabric.Trace, error) {
 		attempts++
@@ -65,13 +64,13 @@ func TestFailedRecordingNeverCachedOrStored(t *testing.T) {
 		return rec.Trace(), nil
 	}
 	key := tracestore.Key{Kind: "test-evict", Algo: "x", Shape: "p=2", SchedVersion: schedVersion}
-	if _, err := cachedTraceKey(context.Background(), key, nil, record); !errors.Is(err, fabric.ErrTimeout) {
+	if _, err := eng.cachedTraceKey(context.Background(), key, nil, record); !errors.Is(err, fabric.ErrTimeout) {
 		t.Fatalf("first attempt: got %v, want timeout", err)
 	}
 	if n := countTraceFiles(t, dir); n != 0 {
 		t.Fatalf("failed recording reached the store: %d files", n)
 	}
-	tr, err := cachedTraceKey(context.Background(), key, nil, record)
+	tr, err := eng.cachedTraceKey(context.Background(), key, nil, record)
 	if err != nil {
 		t.Fatalf("retry after eviction: %v", err)
 	}
@@ -86,15 +85,10 @@ func TestFailedRecordingNeverCachedOrStored(t *testing.T) {
 	}
 	// The successful recording is cached normally: a third request must
 	// not record again — and its stored trace is stamped as recorded.
-	if _, err := cachedTraceKey(context.Background(), key, nil, record); err != nil || attempts != 2 {
+	if _, err := eng.cachedTraceKey(context.Background(), key, nil, record); err != nil || attempts != 2 {
 		t.Fatalf("cached success re-recorded: attempts=%d err=%v", attempts, err)
 	}
-	if o := storeOrigin(key); o != tracestore.OriginRecorded {
+	if o := st.Origin(key); o != tracestore.OriginRecorded {
 		t.Fatalf("fabric-recorded trace stamped %q", o)
 	}
-}
-
-// storeOrigin reads the configured store's provenance stamp for key.
-func storeOrigin(key tracestore.Key) tracestore.Origin {
-	return store.Load().Origin(key)
 }

@@ -11,37 +11,19 @@ import (
 )
 
 // serialSuite renders the quick suite the pre-sharding way: every
-// experiment invoked one at a time, each draining its own pool — the
-// per-system path the flat cross-system graph must reproduce byte for
+// experiment run one at a time, each draining its own pool — the
+// per-experiment path the flat cross-system graph must reproduce byte for
 // byte.
 func serialSuite(t *testing.T, workers int) string {
 	t.Helper()
-	opts := Options{Quick: true, Workers: workers}
+	opts := Options{Quick: true, Workers: workers, Engine: &Engine{}}
 	var sb strings.Builder
-	chain := []func(w io.Writer) error{
-		func(w io.Writer) error { return Fig1(context.Background(), w) },
-		func(w io.Writer) error { return Eq2(context.Background(), w) },
-		func(w io.Writer) error { return Fig5(context.Background(), w, opts) },
-		func(w io.Writer) error { return TableBinomial(context.Background(), w, LUMI(), opts) },
-		func(w io.Writer) error { return HeatmapAllreduce(context.Background(), w, LUMI(), opts) },
-		func(w io.Writer) error { return Boxplots(context.Background(), w, LUMI(), opts) },
-		func(w io.Writer) error { return TableBinomial(context.Background(), w, Leonardo(), opts) },
-		func(w io.Writer) error { return HeatmapAllreduce(context.Background(), w, Leonardo(), opts) },
-		func(w io.Writer) error { return Boxplots(context.Background(), w, Leonardo(), opts) },
-		func(w io.Writer) error { return TableBinomial(context.Background(), w, MareNostrum(), opts) },
-		func(w io.Writer) error { return Boxplots(context.Background(), w, MareNostrum(), opts) },
-		func(w io.Writer) error { return Fig11b(context.Background(), w, opts) },
-		func(w io.Writer) error { return Fig14(context.Background(), w, opts) },
-		func(w io.Writer) error { return Hier(context.Background(), w, opts) },
-		func(w io.Writer) error { return PPN(context.Background(), w, opts) },
-		func(w io.Writer) error { return AppD(context.Background(), w) },
-	}
-	for i, run := range chain {
+	for i, name := range ExperimentNames() {
 		if i > 0 {
 			fmt.Fprintln(&sb, strings.Repeat("=", 100))
 		}
-		if err := run(&sb); err != nil {
-			t.Fatalf("serial step %d: %v", i, err)
+		if err := RunExperiment(context.Background(), &sb, name, opts); err != nil {
+			t.Fatalf("serial %s: %v", name, err)
 		}
 	}
 	return sb.String()
@@ -49,20 +31,18 @@ func serialSuite(t *testing.T, workers int) string {
 
 // TestShardedRunAllByteIdentical pins the tentpole guarantee: RunAll's
 // flat cross-system job graph — every system's cells drained at once on
-// one shared pool — renders byte-identically to the serial per-system
-// path, at worker counts {1, NumCPU}.
+// one shared pool — renders byte-identically to the serial per-experiment
+// path, at worker counts {1, NumCPU}, each run cold on an Engine of its own.
 func TestShardedRunAllByteIdentical(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
+	t.Parallel()
 	reference := serialSuite(t, 1)
 	for _, workers := range []int{1, runtime.NumCPU()} {
-		ResetTraceCache()
 		var sb strings.Builder
 		if err := RunAll(context.Background(), &sb, Options{Quick: true, Workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if sb.String() != reference {
-			t.Fatalf("sharded RunAll (workers=%d) diverges from the serial per-system path", workers)
+			t.Fatalf("sharded RunAll (workers=%d) diverges from the serial per-experiment path", workers)
 		}
 	}
 }
@@ -70,8 +50,7 @@ func TestShardedRunAllByteIdentical(t *testing.T) {
 // TestRunAllSystemsSelector pins the -systems behavior: a selection keeps
 // exactly its artifact groups, in paper order.
 func TestRunAllSystemsSelector(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
+	t.Parallel()
 	var sb strings.Builder
 	err := RunAll(context.Background(), &sb, Options{Quick: true, Workers: runtime.NumCPU(), Systems: []string{"marenostrum"}})
 	if err != nil {
@@ -95,8 +74,7 @@ func TestRunAllSystemsSelector(t *testing.T) {
 // job-graph cell reports exactly once, done counts ascend per system, and
 // the final done equals the advertised total.
 func TestRunAllProgressCounters(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
+	t.Parallel()
 	var mu sync.Mutex
 	events := 0
 	last := map[string]int{}

@@ -12,10 +12,10 @@ import (
 	"binetrees/internal/tracestore"
 )
 
-// hammerKey fires lanes concurrent cachedTraceKey calls at one key, holding
+// hammerKey fires lanes concurrent eng.cachedTraceKey calls at one key, holding
 // the recording in flight until every lane has started so the waiter path is
 // actually exercised, and returns how many callers saw an error.
-func hammerKey(t *testing.T, key tracestore.Key, lanes int, record func() (*fabric.Trace, error)) int {
+func hammerKey(t *testing.T, eng *Engine, key tracestore.Key, lanes int, record func() (*fabric.Trace, error)) int {
 	t.Helper()
 	var entered, errCount atomic.Int32
 	rec := func() (*fabric.Trace, error) {
@@ -30,7 +30,7 @@ func hammerKey(t *testing.T, key tracestore.Key, lanes int, record func() (*fabr
 		go func() {
 			defer wg.Done()
 			entered.Add(1)
-			if _, err := cachedTraceKey(context.Background(), key, nil, rec); err != nil {
+			if _, err := eng.cachedTraceKey(context.Background(), key, nil, rec); err != nil {
 				errCount.Add(1)
 			}
 		}()
@@ -45,8 +45,8 @@ func hammerKey(t *testing.T, key tracestore.Key, lanes int, record func() (*fabr
 // mid-recording and ultimately errored and was evicted. Hits must only be
 // counted for entries that resolved successfully.
 func TestMemoryHitAccountingConcurrent(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
+	t.Parallel()
+	eng := &Engine{}
 	const lanes = 16
 	key := func(name string) tracestore.Key {
 		return tracestore.Key{Kind: "test-stats", Algo: name, Shape: "8", SchedVersion: schedVersion}
@@ -54,13 +54,13 @@ func TestMemoryHitAccountingConcurrent(t *testing.T) {
 
 	// Every lane piles onto one entry whose recording fails: nobody was
 	// served from the warm tier, so no memory hit may be counted.
-	failed := hammerKey(t, key("fails"), lanes, func() (*fabric.Trace, error) {
+	failed := hammerKey(t, eng, key("fails"), lanes, func() (*fabric.Trace, error) {
 		return nil, errors.New("recording timed out")
 	})
 	if failed != lanes {
 		t.Fatalf("%d of %d lanes saw the recording error", failed, lanes)
 	}
-	s := TraceCacheStats()
+	s := eng.Stats()
 	if s.MemoryHits != 0 {
 		t.Fatalf("failed entry counted %d memory hits, want 0 (stats %+v)", s.MemoryHits, s)
 	}
@@ -72,10 +72,10 @@ func TestMemoryHitAccountingConcurrent(t *testing.T) {
 	// every other lane is a genuine warm hit.
 	tr := fabric.NewTrace(8, []fabric.Record{{From: 0, To: 1, Step: 0, Elems: 1}})
 	recBase := s.Records
-	if failed := hammerKey(t, key("succeeds"), lanes, func() (*fabric.Trace, error) { return tr, nil }); failed != 0 {
+	if failed := hammerKey(t, eng, key("succeeds"), lanes, func() (*fabric.Trace, error) { return tr, nil }); failed != 0 {
 		t.Fatalf("%d lanes errored on a successful recording", failed)
 	}
-	s = TraceCacheStats()
+	s = eng.Stats()
 	if s.MemoryHits != lanes-1 {
 		t.Fatalf("successful entry counted %d memory hits, want %d (stats %+v)", s.MemoryHits, lanes-1, s)
 	}
@@ -84,12 +84,12 @@ func TestMemoryHitAccountingConcurrent(t *testing.T) {
 	}
 
 	// Re-requesting the resolved key serially still counts hits.
-	if _, err := cachedTraceKey(context.Background(), key("succeeds"), nil, func() (*fabric.Trace, error) {
+	if _, err := eng.cachedTraceKey(context.Background(), key("succeeds"), nil, func() (*fabric.Trace, error) {
 		return nil, errors.New("must not re-record")
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s := TraceCacheStats(); s.MemoryHits != lanes {
+	if s := eng.Stats(); s.MemoryHits != lanes {
 		t.Fatalf("serial re-request counted %d memory hits, want %d", s.MemoryHits, lanes)
 	}
 }

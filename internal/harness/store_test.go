@@ -7,43 +7,44 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"binetrees/internal/tracestore"
 )
 
-// renderSuite runs the full quick artifact suite and returns its rendering.
-func renderSuite(t *testing.T, workers int) string {
+// renderSuite runs the full quick artifact suite through eng and returns its
+// rendering.
+func renderSuite(t *testing.T, eng *Engine, workers int) string {
 	t.Helper()
 	var sb strings.Builder
-	if err := RunAll(context.Background(), &sb, Options{Quick: true, Workers: workers}); err != nil {
+	if err := RunAll(context.Background(), &sb, Options{Quick: true, Workers: workers, Engine: eng}); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return sb.String()
 }
 
-func resetCaches(t *testing.T) {
+// openStore opens a trace store on dir; each call starts the disk counters
+// afresh, as each process sharing the directory would.
+func openStore(t *testing.T, dir string) *tracestore.Store {
 	t.Helper()
-	t.Cleanup(func() {
-		if err := SetTraceStore(""); err != nil {
-			t.Error(err)
-		}
-		ResetTraceCache()
-	})
-	if err := SetTraceStore(""); err != nil {
+	st, err := tracestore.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ResetTraceCache()
+	return st
 }
 
 // TestStoreEquivalenceMatrix pins the tentpole guarantee of the persistent
 // store: the complete quick artifact suite renders byte-identically across
-// {no store, cold store, warm store} × {Workers=1, Workers=NumCPU}. A cold
-// run synthesizes every schedule — zero goroutine-fabric recordings — and a
-// warm-store run loads everything from disk without even synthesizing
-// (asserted via the cache counters).
+// {no store, cold store, warm store} × {Workers=1, Workers=NumCPU}, each
+// variant a cold Engine. A cold run synthesizes every schedule — zero
+// goroutine-fabric recordings — and a warm-store run loads everything from
+// disk without even synthesizing (asserted via the Engine's counters).
 func TestStoreEquivalenceMatrix(t *testing.T) {
-	resetCaches(t)
+	t.Parallel()
 	dir := t.TempDir()
-	reference := renderSuite(t, 1)
-	if s := TraceCacheStats(); s.SynthHits == 0 {
+	ref := &Engine{}
+	reference := renderSuite(t, ref, 1)
+	if s := ref.Stats(); s.SynthHits == 0 {
 		t.Fatalf("baseline run synthesized nothing: %+v", s)
 	} else if s.Records != 0 {
 		t.Fatalf("baseline run fell back to the fabric %d times: %+v", s.Records, s)
@@ -61,18 +62,14 @@ func TestStoreEquivalenceMatrix(t *testing.T) {
 		{"warm-store/parallel", true, runtime.NumCPU()},
 	}
 	for i, v := range variants {
-		ResetTraceCache()
-		storeDir := ""
+		eng := &Engine{}
 		if v.store {
-			storeDir = dir
+			eng.Store = openStore(t, dir)
 		}
-		if err := SetTraceStore(storeDir); err != nil {
-			t.Fatal(err)
-		}
-		if out := renderSuite(t, v.workers); out != reference {
+		if out := renderSuite(t, eng, v.workers); out != reference {
 			t.Fatalf("%s: rendering diverges from the no-store serial reference", v.name)
 		}
-		s := TraceCacheStats()
+		s := eng.Stats()
 		warm := i >= 2 // the cold-store pass populated dir
 		switch {
 		case s.Records != 0:
@@ -95,14 +92,10 @@ func TestStoreEquivalenceMatrix(t *testing.T) {
 // schedules re-synthesize and re-save — without changing a single artifact
 // byte.
 func TestStoreCorruptionRecovered(t *testing.T) {
-	resetCaches(t)
+	t.Parallel()
 	dir := t.TempDir()
-	reference := renderSuite(t, runtime.NumCPU())
-	if err := SetTraceStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	ResetTraceCache()
-	if out := renderSuite(t, runtime.NumCPU()); out != reference {
+	reference := renderSuite(t, &Engine{}, runtime.NumCPU())
+	if out := renderSuite(t, &Engine{Store: openStore(t, dir)}, runtime.NumCPU()); out != reference {
 		t.Fatal("cold store rendering diverges")
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.trace"))
@@ -119,11 +112,11 @@ func TestStoreCorruptionRecovered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ResetTraceCache()
-	if out := renderSuite(t, runtime.NumCPU()); out != reference {
+	damaged := &Engine{Store: openStore(t, dir)}
+	if out := renderSuite(t, damaged, runtime.NumCPU()); out != reference {
 		t.Fatal("rendering diverges after store corruption")
 	}
-	s := TraceCacheStats()
+	s := damaged.Stats()
 	if s.CorruptEvictions < uint64(len(files)) {
 		t.Fatalf("only %d of %d corrupt files evicted: %+v", s.CorruptEvictions, len(files), s)
 	}
@@ -131,11 +124,11 @@ func TestStoreCorruptionRecovered(t *testing.T) {
 		t.Fatalf("corrupt store served traces without re-synthesizing: %+v", s)
 	}
 	// The re-saved store is warm again.
-	ResetTraceCache()
-	if out := renderSuite(t, runtime.NumCPU()); out != reference {
+	recovered := &Engine{Store: openStore(t, dir)}
+	if out := renderSuite(t, recovered, runtime.NumCPU()); out != reference {
 		t.Fatal("rendering diverges after recovery")
 	}
-	if s := TraceCacheStats(); s.SynthHits+s.Records != 0 {
+	if s := recovered.Stats(); s.SynthHits+s.Records != 0 {
 		t.Fatalf("recovered store still resolving cold: %+v", s)
 	}
 }

@@ -24,12 +24,27 @@ type Options struct {
 	// regardless of the setting.
 	Workers int
 	// Systems restricts RunAll to the artifact groups of the named system
-	// keys (see SystemKeys); empty runs the whole suite. Standalone
-	// experiment drivers ignore it.
+	// keys (see SystemKeys); empty runs the whole suite. Single experiments
+	// ignore it.
 	Systems []string
 	// Progress, when non-nil, observes every completed job-graph cell (see
 	// ProgressFunc). Callbacks arrive from pool workers.
 	Progress ProgressFunc
+	// Engine resolves and caches the traces of every plan compiled under
+	// these Options; plans sharing an Engine share its tiers and counters.
+	// Nil gives the RunAll, RunAllOn, RunExperiment or CompileExperiment
+	// call a fresh default Engine of its own (no disk tier, synthesis on),
+	// shared by all plans of that call and held for the life of what it
+	// compiled.
+	Engine *Engine
+}
+
+// withEngine returns o with a fresh default Engine in place of a nil one.
+func (o Options) withEngine() Options {
+	if o.Engine == nil {
+		o.Engine = &Engine{}
+	}
+	return o
 }
 
 func (o Options) nodeCounts(sys System) []int {
@@ -135,7 +150,7 @@ func synthTrace(algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
 // artifact rendered from it — is byte-identical to a serial evaluation.
 // Call finish only after every task has run (render time); it caches the
 // merge, so multiple renders are free.
-func planSweep(sys System, collective coll.Collective, counts []int, sizes []int64) ([]task, func() *sweepResult, error) {
+func planSweep(eng *Engine, sys System, collective coll.Collective, counts []int, sizes []int64) ([]task, func() *sweepResult, error) {
 	placements, err := Placements(sys, counts)
 	if err != nil {
 		return nil, nil, err
@@ -175,7 +190,7 @@ func planSweep(sys System, collective coll.Collective, counts []int, sizes []int
 		i := i
 		tasks[i] = task{system: sys.Key, run: func(ctx context.Context) error {
 			j := jobs[i]
-			tr, err := cachedTrace(ctx, j.algo, j.p, 0)
+			tr, err := eng.cachedTrace(ctx, j.algo, j.p, 0)
 			if err != nil {
 				return err
 			}
@@ -227,11 +242,12 @@ func planSweep(sys System, collective coll.Collective, counts []int, sizes []int
 }
 
 // sweepCollective is the standalone form of planSweep: it drains the tasks
-// on its own pool of the given width and returns the merged result. ctx
-// bounds cell dispatch — a cancelled caller stops submitting cells and the
-// cancellation error surfaces here (pinned by TestSweepCollectiveCancel).
+// on its own pool of the given width, resolving traces through a fresh
+// Engine, and returns the merged result. ctx bounds cell dispatch — a
+// cancelled caller stops submitting cells and the cancellation error
+// surfaces here (pinned by TestSweepCollectiveCancel).
 func sweepCollective(ctx context.Context, sys System, collective coll.Collective, counts []int, sizes []int64, workers int) (*sweepResult, error) {
-	tasks, finish, err := planSweep(sys, collective, counts, sizes)
+	tasks, finish, err := planSweep(&Engine{}, sys, collective, counts, sizes)
 	if err != nil {
 		return nil, err
 	}

@@ -24,11 +24,9 @@ func synthTestTrace(elems int) *fabric.Trace {
 // produce. The counting is honest by the PR 5 rule: a stage that never
 // served the trace never counts.
 func TestResolverChainCounters(t *testing.T) {
-	resetCaches(t)
-	defer SetSynthesis(true)
-	if err := SetTraceStore(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	st := openStore(t, t.TempDir())
+	eng := &Engine{Store: st}
 	tr := synthTestTrace(1)
 	synthOK := func() (*fabric.Trace, error) { return tr, nil }
 	mustNotRun := func(what string) func() (*fabric.Trace, error) {
@@ -40,54 +38,54 @@ func TestResolverChainCounters(t *testing.T) {
 
 	// Cold key with a working synthesizer: resolved without touching the
 	// fabric, written through stamped synthesized.
-	if _, err := cachedTraceKey(context.Background(), synthKey("a"), synthOK, mustNotRun("record")); err != nil {
+	if _, err := eng.cachedTraceKey(context.Background(), synthKey("a"), synthOK, mustNotRun("record")); err != nil {
 		t.Fatal(err)
 	}
-	s := TraceCacheStats()
+	s := eng.Stats()
 	if s.SynthHits != 1 || s.Records != 0 || s.DiskSaves != 1 {
 		t.Fatalf("synthesis resolution miscounted: %+v", s)
 	}
-	if o := storeOrigin(synthKey("a")); o != tracestore.OriginSynthesized {
+	if o := st.Origin(synthKey("a")); o != tracestore.OriginSynthesized {
 		t.Fatalf("synthesized trace stamped %q", o)
 	}
 
-	// After a memory reset the disk tier answers first: neither synthesis
-	// nor recording runs.
-	ResetTraceCache()
-	diskHits := TraceCacheStats().DiskHits
-	if _, err := cachedTraceKey(context.Background(), synthKey("a"), mustNotRun("synthesize"), mustNotRun("record")); err != nil {
+	// A fresh Engine on the same store starts with a cold memory tier, so
+	// the disk tier answers first: neither synthesis nor recording runs.
+	eng = &Engine{Store: st}
+	diskHits := eng.Stats().DiskHits
+	if _, err := eng.cachedTraceKey(context.Background(), synthKey("a"), mustNotRun("synthesize"), mustNotRun("record")); err != nil {
 		t.Fatal(err)
 	}
-	s = TraceCacheStats()
+	s = eng.Stats()
 	if s.DiskHits != diskHits+1 || s.SynthHits != 0 || s.Records != 0 {
 		t.Fatalf("disk resolution miscounted: %+v", s)
 	}
 
 	// A failing synthesizer is a counted fallback, not an error: the fabric
 	// records, and the store stamp says so.
-	if _, err := cachedTraceKey(context.Background(), synthKey("b"),
+	if _, err := eng.cachedTraceKey(context.Background(), synthKey("b"),
 		func() (*fabric.Trace, error) { return nil, errors.New("cannot walk") },
 		synthOK); err != nil {
 		t.Fatal(err)
 	}
-	s = TraceCacheStats()
+	s = eng.Stats()
 	if s.SynthFallbacks != 1 || s.Records != 1 || s.SynthHits != 0 {
 		t.Fatalf("fallback miscounted: %+v", s)
 	}
-	if o := storeOrigin(synthKey("b")); o != tracestore.OriginRecorded {
+	if o := st.Origin(synthKey("b")); o != tracestore.OriginRecorded {
 		t.Fatalf("fallback recording stamped %q", o)
 	}
 
 	// Synthesis disabled: the synthesizer must not even be consulted.
-	SetSynthesis(false)
-	if _, err := cachedTraceKey(context.Background(), synthKey("c"), mustNotRun("synthesize"), synthOK); err != nil {
+	eng = &Engine{Store: st, DisableSynth: true}
+	if _, err := eng.cachedTraceKey(context.Background(), synthKey("c"), mustNotRun("synthesize"), synthOK); err != nil {
 		t.Fatal(err)
 	}
-	s = TraceCacheStats()
-	if s.Records != 2 || s.SynthHits != 0 || s.SynthFallbacks != 1 {
+	s = eng.Stats()
+	if s.Records != 1 || s.SynthHits != 0 || s.SynthFallbacks != 0 {
 		t.Fatalf("disabled synthesis miscounted: %+v", s)
 	}
-	if o := storeOrigin(synthKey("c")); o != tracestore.OriginRecorded {
+	if o := st.Origin(synthKey("c")); o != tracestore.OriginRecorded {
 		t.Fatalf("synth-disabled recording stamped %q", o)
 	}
 }
@@ -97,43 +95,40 @@ func TestResolverChainCounters(t *testing.T) {
 // diverging one fails the request naming the first differing record, is
 // never cached or stored, and leaves the key retryable.
 func TestVerifySynthMode(t *testing.T) {
-	resetCaches(t)
-	defer SetVerifySynth(false)
-	if err := SetTraceStore(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	SetVerifySynth(true)
+	t.Parallel()
+	st := openStore(t, t.TempDir())
+	eng := &Engine{Store: st, VerifySynth: true}
 
 	same := func() (*fabric.Trace, error) { return synthTestTrace(1), nil }
 	other := func() (*fabric.Trace, error) { return synthTestTrace(2), nil }
 
-	if _, err := cachedTraceKey(context.Background(), synthKey("match"), same, same); err != nil {
+	if _, err := eng.cachedTraceKey(context.Background(), synthKey("match"), same, same); err != nil {
 		t.Fatal(err)
 	}
-	s := TraceCacheStats()
+	s := eng.Stats()
 	if s.SynthVerified != 1 || s.SynthHits != 1 || s.Records != 1 {
 		t.Fatalf("verified resolution miscounted: %+v", s)
 	}
-	if o := storeOrigin(synthKey("match")); o != tracestore.OriginSynthesized {
+	if o := st.Origin(synthKey("match")); o != tracestore.OriginSynthesized {
 		t.Fatalf("verified trace stamped %q", o)
 	}
 
-	_, err := cachedTraceKey(context.Background(), synthKey("diverge"), same, other)
+	_, err := eng.cachedTraceKey(context.Background(), synthKey("diverge"), same, other)
 	if err == nil || !strings.Contains(err.Error(), "record 0 diverges") {
 		t.Fatalf("divergence not reported: %v", err)
 	}
-	s = TraceCacheStats()
+	s = eng.Stats()
 	if s.SynthVerified != 1 || s.SynthHits != 1 {
 		t.Fatalf("diverging synthesis counted as served: %+v", s)
 	}
-	if _, ok := store.Load().Load(synthKey("diverge")); ok {
+	if _, ok := st.Load(synthKey("diverge")); ok {
 		t.Fatal("diverging trace reached the store")
 	}
 	// The failed key was evicted, not poisoned: a fixed synthesizer passes.
-	if _, err := cachedTraceKey(context.Background(), synthKey("diverge"), other, other); err != nil {
+	if _, err := eng.cachedTraceKey(context.Background(), synthKey("diverge"), other, other); err != nil {
 		t.Fatalf("retry after divergence: %v", err)
 	}
-	if s := TraceCacheStats(); s.SynthVerified != 2 {
+	if s := eng.Stats(); s.SynthVerified != 2 {
 		t.Fatalf("retry not verified: %+v", s)
 	}
 }

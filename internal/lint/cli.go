@@ -110,11 +110,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		add([]*Package{pkg})
 	}
 
-	findings, err := Run(ldr, pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "binelint: %v\n", err)
-		return ExitError
-	}
+	findings := Run(ldr, pkgs, analyzers)
 	if *fix {
 		// -fix writes files in place; -fix -diff keeps stdout a pure patch
 		// (findings move to stderr) so CI can assert patch emptiness.

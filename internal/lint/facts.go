@@ -5,22 +5,35 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // Facts is the whole-module fact layer computed once per Run and shared by
-// every analyzer in the pass: the static call graph (callgraph.go) and a
-// constant-value resolver that folds string constants across package
-// boundaries. Building it is one walk over the analysis set's files —
-// cheaper than any single analyzer's own traversal — so the driver computes
-// it unconditionally rather than tracking which analyzers ask.
+// every analyzer in the pass: an index of every static call site by resolved
+// callee, and a constant-value resolver that folds string constants across
+// package boundaries. The Loader checks every package in one shared object
+// space, so a function is one *types.Func no matter how many packages call
+// it. Building the layer is one walk over the analysis set's files — cheaper
+// than any single analyzer's own traversal — so the driver computes it
+// unconditionally rather than tracking which analyzers ask.
 type Facts struct {
-	Graph *CallGraph
+	// sites indexes every call expression whose callee resolves statically
+	// (f() and x.M(); not calls of function-typed values), wherever it
+	// appears: function bodies, func literals, package-level initializers.
+	sites map[*types.Func][]CallSite
 
 	// varInit maps a package-level var to its single initializer expression
 	// and owning package, for constant folding through var indirection.
 	// Vars that are ever reassigned, or declared with multi-value
 	// initializers, are absent: their value is not a static fact.
 	varInit map[*types.Var]varInit
+}
+
+// CallSite is one static call of a resolved function: the package the call
+// appears in and the expression.
+type CallSite struct {
+	Pkg  *Package
+	Call *ast.CallExpr
 }
 
 type varInit struct {
@@ -31,7 +44,7 @@ type varInit struct {
 // NewFacts computes the fact layer over pkgs.
 func NewFacts(pkgs []*Package) *Facts {
 	f := &Facts{
-		Graph:   buildCallGraph(pkgs),
+		sites:   map[*types.Func][]CallSite{},
 		varInit: map[*types.Var]varInit{},
 	}
 	reassigned := map[*types.Var]bool{}
@@ -54,23 +67,26 @@ func NewFacts(pkgs []*Package) *Facts {
 					}
 				}
 			}
-			// Any assignment to a package-level var anywhere in the module
-			// voids its initializer as a static fact.
 			ast.Inspect(file, func(n ast.Node) bool {
-				as, ok := n.(*ast.AssignStmt)
-				if !ok {
-					return true
-				}
-				for _, lhs := range as.Lhs {
-					switch x := ast.Unparen(lhs).(type) {
-					case *ast.Ident:
-						if v, ok := pkg.Info.ObjectOf(x).(*types.Var); ok && v != nil && v.Parent() == pkg.Pkg.Scope() {
-							reassigned[v] = true
-						}
-					case *ast.SelectorExpr:
-						// Qualified assignment to another package's var.
-						if v, ok := pkg.Info.Uses[x.Sel].(*types.Var); ok && v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-							reassigned[v] = true
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if fn := calleeFunc(pkg.Info, n); fn != nil {
+						f.sites[fn] = append(f.sites[fn], CallSite{Pkg: pkg, Call: n})
+					}
+				case *ast.AssignStmt:
+					// Any assignment to a package-level var anywhere in the
+					// module voids its initializer as a static fact.
+					for _, lhs := range n.Lhs {
+						switch x := ast.Unparen(lhs).(type) {
+						case *ast.Ident:
+							if v, ok := pkg.Info.ObjectOf(x).(*types.Var); ok && v != nil && v.Parent() == pkg.Pkg.Scope() {
+								reassigned[v] = true
+							}
+						case *ast.SelectorExpr:
+							// Qualified assignment to another package's var.
+							if v, ok := pkg.Info.Uses[x.Sel].(*types.Var); ok && v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+								reassigned[v] = true
+							}
 						}
 					}
 				}
@@ -82,6 +98,20 @@ func NewFacts(pkgs []*Package) *Facts {
 		delete(f.varInit, v)
 	}
 	return f
+}
+
+// SitesMatching returns the call sites of every function match reports true
+// for, in deterministic position order — how analyzers find "all calls to
+// obs.(*Registry).Counter" without holding the object handle.
+func (f *Facts) SitesMatching(match func(*types.Func) bool) []CallSite {
+	var out []CallSite
+	for fn, sites := range f.sites {
+		if match(fn) {
+			out = append(out, sites...)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Call.Pos() < out[j].Call.Pos() })
+	return out
 }
 
 // StringConst resolves e (an expression in pkg) to its compile-time string

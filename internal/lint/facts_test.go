@@ -5,85 +5,50 @@ import (
 	"testing"
 )
 
-// factsFixture loads the callgraph driver-test package and builds its fact
+// factsFixture loads the fact-layer driver-test package and builds its fact
 // layer.
 func factsFixture(t *testing.T) (*Package, *Facts) {
 	t.Helper()
-	_, pkgs := loadGolden(t, "testdata/src/callgraph")
+	_, pkgs := loadGolden(t, "testdata/src/facts")
 	return pkgs[0], NewFacts(pkgs)
 }
 
-// pkgFunc resolves a package-level function of the fixture by name.
-func pkgFunc(t *testing.T, pkg *Package, name string) *types.Func {
+// sitesOf returns the fixture's call sites of the named package-level
+// function.
+func sitesOf(t *testing.T, pkg *Package, facts *Facts, name string) []CallSite {
 	t.Helper()
 	fn, _ := pkg.Pkg.Scope().Lookup(name).(*types.Func)
 	if fn == nil {
 		t.Fatalf("function %s not found in %s", name, pkg.Path)
 	}
-	return fn
+	return facts.SitesMatching(func(f *types.Func) bool { return f == fn })
 }
 
-func TestCallGraphEdges(t *testing.T) {
+// TestCallSites pins which syntactic positions the site index covers: a
+// direct call in a function body, a call inside a func literal, a method
+// call, and a call in a package-level initializer are all sites; mentioning
+// a function as a value is not.
+func TestCallSites(t *testing.T) {
 	pkg, facts := factsFixture(t)
-	g := facts.Graph
-	a, b, c := pkgFunc(t, pkg, "A"), pkgFunc(t, pkg, "B"), pkgFunc(t, pkg, "C")
-
-	// Direct edge.
-	if !g.Reaches(a, b) {
-		t.Error("missing direct edge A → B")
-	}
-	// Transitive closure, and its direction.
-	if !g.Reaches(a, c) {
-		t.Error("missing transitive reach A → C")
-	}
-	if g.Reaches(c, a) {
-		t.Error("reverse reach C → A must not exist")
-	}
-	// FindReachable returns the shortest chain, source first.
-	chain := g.FindReachable(a, func(fn *types.Func) bool { return fn == c })
-	if len(chain) != 3 || chain[0] != a || chain[1] != b || chain[2] != c {
-		t.Errorf("FindReachable(A, C) = %v, want [A B C]", chain)
-	}
-
-	// Method value: mentioning s.M without calling it is a may-call edge.
-	s, _ := pkg.Pkg.Scope().Lookup("S").(*types.TypeName)
-	if s == nil {
-		t.Fatal("type S not found")
-	}
-	var m *types.Func
-	named := s.Type().(*types.Named)
-	for i := 0; i < named.NumMethods(); i++ {
-		if named.Method(i).Name() == "M" {
-			m = named.Method(i)
+	for name, want := range map[string]int{
+		"B":    1, // A calls B directly
+		"C":    2, // B calls C; UsesLiteral calls it from a func literal
+		"seed": 1, // package-level initializer
+		"A":    0, // never called
+	} {
+		if got := len(sitesOf(t, pkg, facts, name)); got != want {
+			t.Errorf("%s has %d call sites, want %d", name, got, want)
 		}
 	}
-	if m == nil {
-		t.Fatal("method S.M not found")
-	}
-	if !g.Reaches(pkgFunc(t, pkg, "UsesMethodValue"), m) {
-		t.Error("missing method-value edge UsesMethodValue → S.M")
-	}
-
-	// Func literal: the literal's body belongs to the enclosing function.
-	if !g.Reaches(pkgFunc(t, pkg, "UsesLiteral"), c) {
-		t.Error("missing func-literal edge UsesLiteral → C")
-	}
-
-	// Package-level initializer calls hang off the synthetic init node.
-	seed := pkgFunc(t, pkg, "seed")
-	sites := g.Sites(seed)
-	if len(sites) != 1 {
-		t.Fatalf("seed has %d call sites, want 1", len(sites))
-	}
-	if got := sites[0].Caller.Name(); got != "init#binelint" {
-		t.Errorf("initializer call attributed to %q, want init#binelint", got)
+	methods := facts.SitesMatching(func(f *types.Func) bool { return f.Name() == "M" })
+	if len(methods) != 1 {
+		t.Errorf("S.M has %d call sites, want 1 (the method value in UsesMethodValue is not a call)", len(methods))
 	}
 }
 
 func TestStringConstResolver(t *testing.T) {
 	pkg, facts := factsFixture(t)
-	sink := pkgFunc(t, pkg, "sink")
-	sites := facts.Graph.Sites(sink)
+	sites := sitesOf(t, pkg, facts, "sink")
 	if len(sites) != 1 {
 		t.Fatalf("sink has %d call sites, want 1", len(sites))
 	}

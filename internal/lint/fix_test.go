@@ -66,7 +66,7 @@ func loadAndRun(t *testing.T, dir string) (*Loader, []Finding) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ldr, mustRun(t, ldr, pkgs, []*Analyzer{DetRange, AtomicMix})
+	return ldr, Run(ldr, pkgs, []*Analyzer{DetRange, AtomicMix})
 }
 
 // TestApplyFixesIdempotent pins the -fix contract: one application removes

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -36,17 +35,6 @@ func sharedLoader(t *testing.T) *Loader {
 	return goldenLdr
 }
 
-// mustRun wraps Run, failing the test on a driver error (which only
-// test-variant loading can produce).
-func mustRun(t *testing.T, ldr *Loader, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	t.Helper()
-	findings, err := Run(ldr, pkgs, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return findings
-}
-
 func loadGolden(t *testing.T, dirs ...string) (*Loader, []*Package) {
 	t.Helper()
 	ldr := sharedLoader(t)
@@ -71,13 +59,8 @@ type wantEntry struct {
 func collectWants(t *testing.T, ldr *Loader, pkgs []*Package) map[string][]*wantEntry {
 	t.Helper()
 	wants := map[string][]*wantEntry{}
-	seen := map[*ast.File]bool{} // test variants share the plain files' ASTs
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			if seen[f] {
-				continue
-			}
-			seen[f] = true
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -129,26 +112,8 @@ func goldenKey(ldr *Loader, filename string, line int) string {
 func runGolden(t *testing.T, a *Analyzer, dirs ...string) {
 	t.Helper()
 	ldr, pkgs := loadGolden(t, dirs...)
-	findings := mustRun(t, ldr, pkgs, []*Analyzer{a})
+	findings := Run(ldr, pkgs, []*Analyzer{a})
 	matchGolden(t, findings, collectWants(t, ldr, pkgs))
-}
-
-// runGoldenWithTests is runGolden for Tests analyzers: the want comments
-// live in _test.go files, so the test variants join the want scan (their
-// shared plain ASTs dedupe inside collectWants).
-func runGoldenWithTests(t *testing.T, a *Analyzer, dirs ...string) {
-	t.Helper()
-	ldr, pkgs := loadGolden(t, dirs...)
-	findings := mustRun(t, ldr, pkgs, []*Analyzer{a})
-	wantPkgs := append([]*Package(nil), pkgs...)
-	for _, p := range pkgs {
-		tps, err := ldr.LoadTests(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPkgs = append(wantPkgs, tps...)
-	}
-	matchGolden(t, findings, collectWants(t, ldr, wantPkgs))
 }
 
 func matchGolden(t *testing.T, findings []Finding, wants map[string][]*wantEntry) {
@@ -186,10 +151,6 @@ func TestCtxFlowGolden(t *testing.T) {
 	runGolden(t, CtxFlow, "testdata/src/ctxflow/internal/harness", "testdata/src/ctxflow/outside")
 }
 
-func TestStageVocabGolden(t *testing.T) {
-	runGolden(t, StageVocab, "testdata/src/stagevocab")
-}
-
 func TestDetRangeGolden(t *testing.T) {
 	runGolden(t, DetRange, "testdata/src/detrange")
 }
@@ -198,40 +159,16 @@ func TestAtomicMixGolden(t *testing.T) {
 	runGolden(t, AtomicMix, "testdata/src/atomicmix")
 }
 
-func TestStorePermGolden(t *testing.T) {
-	// Inside the store package the permission invariant binds; outside it
-	// does not.
-	runGolden(t, StorePerm, "testdata/src/storeperm/internal/tracestore", "testdata/src/storeperm/outside")
-}
-
 func TestMetricNameGolden(t *testing.T) {
 	runGolden(t, MetricName, "testdata/src/metricname",
 		"testdata/src/metricname/internal/obs", "testdata/src/metricname/names")
-}
-
-func TestTraceColRetGolden(t *testing.T) {
-	runGolden(t, TraceColRet, "testdata/src/tracecolret",
-		"testdata/src/tracecolret/internal/fabric", "testdata/src/tracecolret/internal/harness")
-}
-
-// TestTraceColRetGate pins the arming condition: identical retention shapes,
-// but no reachable ResetTraceCache in the analysis set, so no findings (the
-// quiet package carries no want comments).
-func TestTraceColRetGate(t *testing.T) {
-	runGolden(t, TraceColRet, "testdata/src/tracecolretquiet",
-		"testdata/src/tracecolretquiet/internal/fabric")
-}
-
-func TestParaTestGolden(t *testing.T) {
-	runGoldenWithTests(t, ParaTest, "testdata/src/paratest",
-		"testdata/src/paratest/internal/harness")
 }
 
 // TestCleanPackageNoFindings pins the zero-exit contract: a conforming
 // package produces no findings under the full suite.
 func TestCleanPackageNoFindings(t *testing.T) {
 	ldr, pkgs := loadGolden(t, "testdata/src/clean")
-	if findings := mustRun(t, ldr, pkgs, Analyzers()); len(findings) != 0 {
+	if findings := Run(ldr, pkgs, Analyzers()); len(findings) != 0 {
 		for _, f := range findings {
 			t.Errorf("finding on clean package: %s:%d [%s] %s", f.File, f.Line, f.Rule, f.Message)
 		}
@@ -261,7 +198,7 @@ func markerLine(t *testing.T, ldr *Loader, pkg *Package, marker string) int {
 func TestSuppression(t *testing.T) {
 	ldr, pkgs := loadGolden(t, "testdata/src/suppress")
 	pkg := pkgs[0]
-	findings := mustRun(t, ldr, pkgs, []*Analyzer{GoArg})
+	findings := Run(ldr, pkgs, []*Analyzer{GoArg})
 
 	at := func(rule string, line int) *Finding {
 		for i := range findings {

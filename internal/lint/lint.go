@@ -18,29 +18,22 @@ import (
 
 // Analyzer is one rule. Per-package analyzers run once per package with
 // Pass.Pkg set; Global analyzers run once over the whole analysis set with
-// Pass.Pkg nil (atomicmix correlates accesses across packages). Tests
-// analyzers (implies Global) run over the test-augmented package set —
-// every package re-checked with its _test.go files plus the external _test
-// packages — because their subject is the tests themselves (paratest).
+// Pass.Pkg nil (atomicmix correlates accesses across packages).
 type Analyzer struct {
 	Name   string
 	Doc    string
 	Global bool
-	Tests  bool
 	Run    func(*Pass)
 }
 
 // Pass is one analyzer execution: the package under analysis (nil for
 // Global analyzers), the full analysis set, the shared fact layer
-// (facts.go: call graph + constant resolver over that set), and the report
-// sink.
+// (facts.go: call-site index + constant resolver over that set), and the
+// report sink.
 type Pass struct {
-	Fset *token.FileSet
-	Pkg  *Package
-	Pkgs []*Package
-	// Facts is the fact layer over Pkgs. For a Tests analyzer it covers the
-	// union of the plain set and the test variants, so reachability can
-	// cross from a test into plain-package helpers and onward.
+	Fset  *token.FileSet
+	Pkg   *Package
+	Pkgs  []*Package
 	Facts *Facts
 
 	modRoot string
@@ -100,7 +93,7 @@ type Finding struct {
 
 // Analyzers returns the full rule suite in catalog order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{GoArg, CtxFlow, StageVocab, DetRange, AtomicMix, StorePerm, MetricName, TraceColRet, ParaTest}
+	return []*Analyzer{GoArg, CtxFlow, DetRange, AtomicMix, MetricName}
 }
 
 // ignoreDirective is one parsed //binelint:ignore comment.
@@ -122,13 +115,8 @@ const ignorePrefix = "binelint:ignore"
 func collectIgnores(modRoot string, fset *token.FileSet, pkgs []*Package, out *[]Finding) map[string]map[int]*ignoreDirective {
 	ignores := map[string]map[int]*ignoreDirective{}
 	pass := &Pass{Fset: fset, modRoot: modRoot, rule: "binelint", out: out}
-	seen := map[*ast.File]bool{} // test variants share the plain files' ASTs
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			if seen[f] {
-				continue
-			}
-			seen[f] = true
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -171,42 +159,13 @@ func (d *ignoreDirective) matches(rule string) bool {
 // Run executes the analyzers over pkgs and returns the surviving findings,
 // sorted by file, line, column, rule. Findings matched by an ignore
 // directive are dropped; unused directives are reported (a stale ignore
-// hides nothing but misleads every future reader).
-//
-// The fact layer (call graph + constant resolver) is computed once over
-// pkgs and shared by every analyzer through Pass.Facts. If any analyzer is
-// a Tests analyzer, the test variants of every package are loaded and
-// type-checked too, and those analyzers get the union set with its own
-// fact layer; loading or checking a test file failing is an analysis error
-// (the tree doesn't compile), not a finding.
-func Run(ldr *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+// hides nothing but misleads every future reader). The fact layer is
+// computed once over pkgs and shared by every analyzer through Pass.Facts.
+func Run(ldr *Loader, pkgs []*Package, analyzers []*Analyzer) []Finding {
 	facts := NewFacts(pkgs)
-	var testPkgs []*Package
-	var testFacts *Facts
-	for _, a := range analyzers {
-		if !a.Tests {
-			continue
-		}
-		testPkgs = append(testPkgs, pkgs...)
-		for _, p := range pkgs {
-			tps, err := ldr.LoadTests(p)
-			if err != nil {
-				return nil, err
-			}
-			testPkgs = append(testPkgs, tps...)
-		}
-		testFacts = NewFacts(testPkgs)
-		break
-	}
-
 	var raw []Finding
 	for _, a := range analyzers {
 		pass := &Pass{Fset: ldr.Fset, Pkgs: pkgs, Facts: facts, modRoot: ldr.ModRoot, rule: a.Name, out: &raw}
-		if a.Tests {
-			pass.Pkgs, pass.Facts = testPkgs, testFacts
-			a.Run(pass)
-			continue
-		}
 		if a.Global {
 			a.Run(pass)
 			continue
@@ -218,11 +177,7 @@ func Run(ldr *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Finding, error)
 	}
 
 	var diag []Finding
-	ignorePkgs := pkgs
-	if testPkgs != nil {
-		ignorePkgs = testPkgs // superset; shared ASTs dedupe inside
-	}
-	ignores := collectIgnores(ldr.ModRoot, ldr.Fset, ignorePkgs, &diag)
+	ignores := collectIgnores(ldr.ModRoot, ldr.Fset, pkgs, &diag)
 	var out []Finding
 	for _, f := range raw {
 		abs := f.File
@@ -268,7 +223,7 @@ func Run(ldr *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Finding, error)
 		}
 		return a.Rule < b.Rule
 	})
-	return out, nil
+	return out
 }
 
 // WriteText renders findings one per line: file:line: [rule] message, with

@@ -8,8 +8,8 @@
 // through go/importer's source importer, which reads GOROOT/src.
 //
 // Test files (_test.go) are not loaded: binelint checks the invariants of
-// shipped code, and tests legitimately use context.Background(), ad-hoc
-// stage names, and other patterns the analyzers forbid in request paths.
+// shipped code, and tests legitimately use context.Background() and other
+// patterns the analyzers forbid in request paths.
 package lint
 
 import (
@@ -27,20 +27,15 @@ import (
 
 // Package is one parsed and type-checked package under analysis.
 type Package struct {
-	// Path is the import path ("binetrees/internal/harness"). Test variants
-	// (LoadTests) carry a " [tests]" or "_test" suffix so messages can tell
-	// them apart; they are never importable.
+	// Path is the import path ("binetrees/internal/harness").
 	Path string
 	// Dir is the absolute directory the files were read from.
 	Dir string
-	// Files are the package's non-test files, sorted by file name — plus,
-	// for test variants, the _test.go files.
+	// Files are the package's non-test files, sorted by file name.
 	Files []*ast.File
 	// Pkg and Info are the go/types check results.
 	Pkg  *types.Package
 	Info *types.Info
-	// Test marks a package produced by LoadTests.
-	Test bool
 }
 
 // Loader loads and caches the module's packages. It doubles as the
@@ -212,76 +207,6 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	p := &Package{Path: path, Dir: dir, Files: files, Pkg: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
-}
-
-// LoadTests builds the test variants of an already-loaded package: the
-// in-package variant (the package's non-test files re-checked together with
-// its `package foo` test files) and the external `package foo_test`
-// package, whichever exist. The result is nil when the directory has no
-// test files.
-//
-// The driver's normal load set deliberately excludes tests (see the package
-// comment) — the per-package invariant rules would drown in legitimate test
-// idioms. The test variants exist for the analyzers that are *about* tests
-// (paratest: a t.Parallel test must not mutate process-wide harness
-// globals), which opt in via Analyzer.Tests. Both variants type-check
-// through the same Loader importer, so every cross-package object — the
-// harness mutators a test reaches through a helper in another package —
-// keeps the identity the rest of the analysis set uses. Neither variant is
-// registered in the import cache: nothing may import a test package.
-func (l *Loader) LoadTests(p *Package) ([]*Package, error) {
-	ents, err := os.ReadDir(p.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var inPkg, external []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		if f.Name.Name == p.Pkg.Name()+"_test" {
-			external = append(external, f)
-		} else {
-			inPkg = append(inPkg, f)
-		}
-	}
-	var out []*Package
-	check := func(path string, files []*ast.File) (*Package, error) {
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		conf := types.Config{Importer: l}
-		tpkg, err := conf.Check(path, l.Fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", path, err)
-		}
-		return &Package{Path: path, Dir: p.Dir, Files: files, Pkg: tpkg, Info: info, Test: true}, nil
-	}
-	if len(inPkg) > 0 {
-		// Re-checking the shared non-test ASTs is safe: go/parser ran with
-		// SkipObjectResolution and go/types writes only into its own Info.
-		tp, err := check(p.Path+" [tests]", append(append([]*ast.File(nil), p.Files...), inPkg...))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tp)
-	}
-	if len(external) > 0 {
-		tp, err := check(p.Path+"_test", external)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tp)
-	}
-	return out, nil
 }
 
 // Import implements types.Importer: module-local paths load through the

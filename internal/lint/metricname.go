@@ -77,7 +77,7 @@ type metricSite struct {
 }
 
 func runMetricName(pass *Pass) {
-	sites := pass.Facts.Graph.SitesMatching(isRegistryMethod)
+	sites := pass.Facts.SitesMatching(isRegistryMethod)
 	byName := map[string][]metricSite{}
 	var names []string
 	for _, site := range sites {

@@ -1,9 +1,9 @@
-// Driver-test package for the fact layer: the call-graph construction test
-// (facts_test.go) asserts the edge kinds over these declarations, and the
+// Driver-test package for the fact layer: the call-site index test
+// (facts_test.go) counts the sites of these declarations, and the
 // constant-resolver test folds the strings reaching sink.
-package callgraph
+package facts
 
-// Direct and transitive call edges: A → B → C.
+// Direct calls in function bodies: A → B → C.
 func A() { B() }
 
 func B() { C() }
@@ -14,20 +14,21 @@ type S struct{}
 
 func (s S) M() {}
 
-// A method value is an edge without a call expression.
+// A method call is a site; a method value is not.
 func UsesMethodValue() {
 	var s S
+	s.M()
 	f := s.M
 	_ = f
 }
 
-// A func literal's body is attributed to the enclosing declared function.
+// A call inside a func literal is a site like any other.
 func UsesLiteral() {
 	f := func() { C() }
 	f()
 }
 
-// Package-level initializers get a synthetic per-package init node.
+// So is a call in a package-level initializer.
 var initCall = seed()
 
 func seed() int { return 1 }

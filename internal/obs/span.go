@@ -14,104 +14,105 @@ import (
 	"time"
 )
 
-// The stage vocabulary: every timed unit of pipeline work reports under one
-// of these names, in the Default registry's binebench_stage_seconds
-// histogram and in per-request trace timelines.
-const (
+// Stage is one name of the stage vocabulary: every timed unit of pipeline
+// work reports under one, in the Default registry's binebench_stage_seconds
+// histogram and in per-request trace timelines. The field is unexported, so
+// the Stage* values below are the only named stages any other package can
+// hold — a series the CI scrape gate does not know cannot be minted from a
+// string.
+type Stage struct{ name string }
+
+// String returns the stage's label value and timeline name.
+func (s Stage) String() string { return s.name }
+
+var (
 	// StageCompile is plan compilation: experiment spec → flat cell list.
-	StageCompile = "compile"
+	StageCompile = Stage{"compile"}
 	// StageExecute is the drain of a plan's cells on the worker pool.
-	StageExecute = "execute"
+	StageExecute = Stage{"execute"}
 	// StageRender is the serial artifact render from completed cell slots.
-	StageRender = "render"
+	StageRender = Stage{"render"}
 	// StageServe is a whole HTTP request, first byte of parsing to last
 	// byte streamed.
-	StageServe = "serve"
+	StageServe = Stage{"serve"}
 	// StageCacheLookup is a trace resolution served by the in-process
 	// memory tier (including time spent waiting on a concurrent resolver).
-	StageCacheLookup = "cache-lookup"
+	StageCacheLookup = Stage{"cache-lookup"}
 	// StageStoreLoad is a disk trace-store lookup (hit or miss).
-	StageStoreLoad = "store-load"
+	StageStoreLoad = Stage{"store-load"}
 	// StageSynth is direct schedule synthesis from schedule math.
-	StageSynth = "synth"
+	StageSynth = Stage{"synth"}
 	// StageRecord is a schedule execution on the recording goroutine
 	// fabric (the fallback/oracle path).
-	StageRecord = "fabric-record"
+	StageRecord = Stage{"fabric-record"}
 	// StageEvaluate is a netsim evaluation of a resolved trace.
-	StageEvaluate = "evaluate"
+	StageEvaluate = Stage{"evaluate"}
 )
 
 // Stages lists the full stage vocabulary in pipeline order.
-func Stages() []string {
-	return []string{
+func Stages() []Stage {
+	return []Stage{
 		StageCompile, StageExecute, StageRender, StageServe,
 		StageCacheLookup, StageStoreLoad, StageSynth, StageRecord, StageEvaluate,
 	}
 }
 
-// The resolver-origin vocabulary: the tier that ultimately served a
-// schedule's trace, labeling binebench_resolve_seconds / _total.
-const (
+// Origin is one name of the resolver-origin vocabulary: the tier that
+// ultimately served a schedule's trace, labeling binebench_resolve_seconds /
+// _total. Opaque like Stage: the Origin* values are the only instances.
+type Origin struct{ name string }
+
+// String returns the origin's label value.
+func (o Origin) String() string { return o.name }
+
+var (
 	// OriginMemory is the in-process cache tier (including waits on a
 	// concurrent resolver of the same key).
-	OriginMemory = "memory"
+	OriginMemory = Origin{"memory"}
 	// OriginStore is the disk trace store.
-	OriginStore = "store"
+	OriginStore = Origin{"store"}
 	// OriginSynth is direct synthesis from schedule math.
-	OriginSynth = "synth"
+	OriginSynth = Origin{"synth"}
 	// OriginRecord is an execution on the recording goroutine fabric.
-	OriginRecord = "record"
+	OriginRecord = Origin{"record"}
 )
 
 // Origins lists the resolver-origin vocabulary in lookup order.
-func Origins() []string { return []string{OriginMemory, OriginStore, OriginSynth, OriginRecord} }
+func Origins() []Origin { return []Origin{OriginMemory, OriginStore, OriginSynth, OriginRecord} }
 
 // stageHists and resolveHists pre-register the full vocabulary into Default
 // so /metrics always exposes every series (at zero) and hot-path lookups
 // are a read of an init-built map that is never mutated afterwards.
 var (
-	stageHists    = map[string]*Histogram{}
-	resolveHists  = map[string]*Histogram{}
-	resolveCounts = map[string]*Counter{}
+	stageHists    = map[Stage]*Histogram{}
+	resolveHists  = map[Origin]*Histogram{}
+	resolveCounts = map[Origin]*Counter{}
 )
 
 func init() {
 	for _, s := range Stages() {
 		stageHists[s] = Default.Histogram("binebench_stage_seconds",
-			"Latency of pipeline stages, by stage.", nil, "stage", s)
+			"Latency of pipeline stages, by stage.", nil, "stage", s.name)
 	}
 	for _, o := range Origins() {
 		resolveHists[o] = Default.Histogram("binebench_resolve_seconds",
-			"Trace resolution latency, by the tier that served it.", nil, "origin", o)
+			"Trace resolution latency, by the tier that served it.", nil, "origin", o.name)
 		resolveCounts[o] = Default.Counter("binebench_resolves_total",
-			"Trace resolutions, by the tier that served them.", "origin", o)
+			"Trace resolutions, by the tier that served them.", "origin", o.name)
 	}
-}
-
-func stageHist(stage string) *Histogram {
-	if h, ok := stageHists[stage]; ok {
-		return h
-	}
-	// Unknown stage names fall back to a registry lookup per observation;
-	// the init set covers every stage the pipeline emits, so this is only
-	// the path of future, not-yet-listed stages.
-	return Default.Histogram("binebench_stage_seconds",
-		"Latency of pipeline stages, by stage.", nil, "stage", stage)
 }
 
 // ObserveStage records one stage duration into the global stage histogram.
-func ObserveStage(stage string, d time.Duration) { stageHist(stage).Observe(d.Seconds()) }
+func ObserveStage(stage Stage, d time.Duration) { stageHists[stage].Observe(d.Seconds()) }
 
 // ObserveResolve records one trace resolution into the per-origin resolver
 // metrics and, when ctx carries a Trace, into its stage aggregates under
 // "resolve:<origin>".
-func ObserveResolve(ctx context.Context, origin string, d time.Duration) {
-	if h, ok := resolveHists[origin]; ok {
-		h.Observe(d.Seconds())
-		resolveCounts[origin].Inc()
-	}
+func ObserveResolve(ctx context.Context, origin Origin, d time.Duration) {
+	resolveHists[origin].Observe(d.Seconds())
+	resolveCounts[origin].Inc()
 	if t := TraceOf(ctx); t != nil {
-		t.addStage("resolve:"+origin, d)
+		t.addStage("resolve:"+origin.name, d)
 	}
 }
 
@@ -140,14 +141,14 @@ func TraceOf(ctx context.Context) *Trace {
 // is attached — to the trace's timeline. Without a trace only the
 // histogram observation happens. Use for the serial skeleton of a request
 // (compile, execute, render); parallel per-cell work uses TimeStage.
-func StartSpan(ctx context.Context, stage string) (context.Context, func()) {
+func StartSpan(ctx context.Context, stage Stage) (context.Context, func()) {
 	t0 := time.Now()
 	tr := TraceOf(ctx)
 	if tr == nil {
 		return ctx, func() { ObserveStage(stage, time.Since(t0)) }
 	}
 	depth, _ := ctx.Value(depthKey).(int)
-	idx := tr.openSpan(stage, t0, depth)
+	idx := tr.openSpan(stage.name, t0, depth)
 	ctx = context.WithValue(ctx, depthKey, depth+1)
 	return ctx, func() {
 		d := time.Since(t0)
@@ -161,14 +162,14 @@ func StartSpan(ctx context.Context, stage string) (context.Context, func()) {
 // into the context trace's per-stage aggregates. Cells use this instead of
 // StartSpan so a thousand-cell request aggregates rather than growing a
 // thousand-span timeline.
-func TimeStage(ctx context.Context, stage string) func() {
+func TimeStage(ctx context.Context, stage Stage) func() {
 	t0 := time.Now()
 	tr := TraceOf(ctx)
 	return func() {
 		d := time.Since(t0)
 		ObserveStage(stage, d)
 		if tr != nil {
-			tr.addStage(stage, d)
+			tr.addStage(stage.name, d)
 		}
 	}
 }
@@ -176,10 +177,10 @@ func TimeStage(ctx context.Context, stage string) func() {
 // ObserveStageCtx records an already-measured stage duration into both the
 // global histogram and the context trace — the non-closure form of
 // TimeStage for call sites that measured the interval themselves.
-func ObserveStageCtx(ctx context.Context, stage string, d time.Duration) {
+func ObserveStageCtx(ctx context.Context, stage Stage, d time.Duration) {
 	ObserveStage(stage, d)
 	if tr := TraceOf(ctx); tr != nil {
-		tr.addStage(stage, d)
+		tr.addStage(stage.name, d)
 	}
 }
 

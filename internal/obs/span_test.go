@@ -15,11 +15,11 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	tr := NewTrace("req-1", "fig1")
 	ctx := WithTrace(context.Background(), tr)
 
-	cctx, end := StartSpan(ctx, "compile")
-	_, endInner := StartSpan(cctx, "inner")
+	cctx, end := StartSpan(ctx, StageCompile)
+	_, endInner := StartSpan(cctx, StageSynth)
 	endInner()
 	end()
-	_, endExec := StartSpan(ctx, "execute")
+	_, endExec := StartSpan(ctx, StageExecute)
 	endExec()
 	tr.Finish()
 
@@ -30,7 +30,7 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	want := []struct {
 		name  string
 		depth int
-	}{{"compile", 0}, {"inner", 1}, {"execute", 0}}
+	}{{"compile", 0}, {"synth", 1}, {"execute", 0}}
 	if len(s.Spans) != len(want) {
 		t.Fatalf("%d spans, want %d: %+v", len(s.Spans), len(want), s.Spans)
 	}
@@ -82,7 +82,7 @@ func TestTimeStageAggregates(t *testing.T) {
 	wg.Wait()
 	tr.Finish()
 	s := tr.Summary()
-	agg, ok := s.Stages[StageEvaluate]
+	agg, ok := s.Stages[StageEvaluate.String()]
 	if !ok || agg.Count != cells {
 		t.Fatalf("evaluate stage %+v, want count %d", agg, cells)
 	}
@@ -96,9 +96,9 @@ func TestTimeStageAggregates(t *testing.T) {
 func TestObserveResolve(t *testing.T) {
 	tr := NewTrace("req-3", "x")
 	ctx := WithTrace(context.Background(), tr)
-	before := resolveCounts["synth"].Value()
-	ObserveResolve(ctx, "synth", 2*time.Millisecond)
-	if got := resolveCounts["synth"].Value(); got != before+1 {
+	before := resolveCounts[OriginSynth].Value()
+	ObserveResolve(ctx, OriginSynth, 2*time.Millisecond)
+	if got := resolveCounts[OriginSynth].Value(); got != before+1 {
 		t.Errorf("resolve counter %d, want %d", got, before+1)
 	}
 	tr.Finish()

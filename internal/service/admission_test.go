@@ -9,29 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"binetrees/internal/harness"
 )
-
-// newAdmissionTestServer is newTestServer with an explicit flight budget.
-func newAdmissionTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	harness.ResetTraceCache()
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		if err := harness.SetTraceStore(""); err != nil {
-			t.Error(err)
-		}
-		harness.ResetTraceCache()
-	})
-	return srv, ts
-}
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -54,7 +32,7 @@ func TestAdmissionShedsWith429RetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	renderGate = func() { <-gate }
 	defer func() { renderGate = nil }()
-	srv, ts := newAdmissionTestServer(t, Config{MaxFlights: 1, QueueBudget: 1})
+	srv, ts := newTestServer(t, Config{MaxFlights: 1, QueueBudget: 1})
 
 	var wg sync.WaitGroup
 	launch := func(path string, wantCode int) {
@@ -99,6 +77,9 @@ func TestAdmissionShedsWith429RetryAfter(t *testing.T) {
 	// Load drains: the blocked renders finish, and admission recovers.
 	close(gate)
 	wg.Wait()
+	// A leader returns its token only after finishing the stream its clients
+	// were waiting on, so the slot may still be held for an instant.
+	waitFor(t, "render slots to free", func() bool { return srv.adm.inFlight() == 0 })
 	if code, body := get(t, ts.URL+"/artifact/fig9b"); code != http.StatusOK {
 		t.Fatalf("post-drain request: status %d: %s", code, body)
 	}
@@ -124,7 +105,7 @@ func TestDisconnectStormFreesCells(t *testing.T) {
 	gate := make(chan struct{})
 	renderGate = func() { <-gate }
 	defer func() { renderGate = nil }()
-	srv, _ := newAdmissionTestServer(t, Config{MaxFlights: 2, QueueBudget: 2})
+	srv, _ := newTestServer(t, Config{MaxFlights: 2, QueueBudget: 2})
 	mux := srv.Handler()
 
 	// Four distinct-plan clients: two render slots, two queue seats — the

@@ -7,7 +7,6 @@ import (
 	"syscall"
 	"testing"
 
-	"binetrees/internal/harness"
 	"binetrees/internal/tracestore"
 )
 
@@ -17,19 +16,20 @@ import (
 // skipped saves), and once the directory recovers the store reports healthy
 // and writes through again.
 func TestDegradedStoreServing(t *testing.T) {
-	srv, ts := newTestServer(t, t.TempDir())
+	t.Parallel()
+	srv, ts := newTestServer(t, Config{TraceDir: t.TempDir()})
 	srv.Prewarm()
-	harness.SetTraceStoreProbeInterval(0) // probe on every degraded save
+	store := srv.engine.Store
+	store.SetProbeInterval(0) // probe on every degraded save
 	var broken atomic.Bool
 	broken.Store(true)
 	rofs := &os.PathError{Op: "open", Path: "trace-cache", Err: syscall.EROFS}
-	tracestore.SetFaultHook(func(op tracestore.FaultOp) error {
+	store.SetFaultHook(func(op tracestore.FaultOp) error {
 		if broken.Load() && (op == tracestore.FaultCreateTemp || op == tracestore.FaultProbe) {
 			return rofs
 		}
 		return nil
 	})
-	t.Cleanup(func() { tracestore.SetFaultHook(nil) })
 
 	// The render succeeds — synthesis needs no disk — while its write-behind
 	// save fails and degrades the store before the response completes.

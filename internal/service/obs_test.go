@@ -6,12 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
-	"binetrees/internal/harness"
 	"binetrees/internal/obs"
 )
 
@@ -21,7 +19,8 @@ import (
 // covered elsewhere; here every response just has to be well-formed while
 // the counters, the pool gauges, and the prewarm fields churn.
 func TestStatszUnderLoad(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir())
+	t.Parallel()
+	_, ts := newTestServer(t, Config{TraceDir: t.TempDir()})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -61,7 +60,7 @@ func TestReadiness(t *testing.T) {
 	gate := make(chan struct{})
 	prewarmGate = func() { <-gate }
 	defer func() { prewarmGate = nil }()
-	srv, ts := newTestServer(t, t.TempDir())
+	srv, ts := newTestServer(t, Config{TraceDir: t.TempDir()})
 
 	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK || body != "ok\n" {
 		t.Fatalf("healthz while prewarming: %d %q", code, body)
@@ -100,7 +99,8 @@ func TestReadiness(t *testing.T) {
 // on the response (success and error paths alike), and requests without one
 // get a generated ID.
 func TestRequestID(t *testing.T) {
-	_, ts := newTestServer(t, "")
+	t.Parallel()
+	_, ts := newTestServer(t, Config{})
 	do := func(path, sendID string) (*http.Response, string) {
 		req, err := http.NewRequest("GET", ts.URL+path, nil)
 		if err != nil {
@@ -136,7 +136,7 @@ func TestRequestID(t *testing.T) {
 // parseable Prometheus text form (every non-comment line is `name{labels}
 // value`), with the serve histogram actually populated.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, "")
+	_, ts := newTestServer(t, Config{})
 	if code, body := get(t, ts.URL+"/artifact/fig1"); code != http.StatusOK {
 		t.Fatalf("artifact: %d %s", code, body)
 	}
@@ -195,8 +195,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // leader runs them contiguously on the flight goroutine — their durations
 // sum to the flight's wall time (within tolerance for scheduling noise).
 func TestTracezTimeline(t *testing.T) {
-	harness.ResetTraceCache()
-	_, ts := newTestServer(t, "")
+	t.Parallel()
+	_, ts := newTestServer(t, Config{})
 	req, _ := http.NewRequest("GET", ts.URL+"/artifact/fig11b", nil)
 	req.Header.Set("X-Request-ID", "tracez-pin")
 	resp, err := http.DefaultClient.Do(req)
@@ -238,8 +238,8 @@ func TestTracezTimeline(t *testing.T) {
 			sum += sp.MS
 		}
 	}
-	for _, want := range []string{obs.StageCompile, obs.StageExecute, obs.StageRender} {
-		if _, ok := spanMS[want]; !ok {
+	for _, want := range []obs.Stage{obs.StageCompile, obs.StageExecute, obs.StageRender} {
+		if _, ok := spanMS[want.String()]; !ok {
 			t.Errorf("span %q missing from timeline: %+v", want, tr.Spans)
 		}
 	}
@@ -260,14 +260,10 @@ func TestTracezTimeline(t *testing.T) {
 // the request ID, plan key, singleflight role, status, bytes, and the stage
 // breakdown; parse errors are logged too, with their status and error.
 func TestAccessLog(t *testing.T) {
-	harness.ResetTraceCache()
+	t.Parallel()
 	var buf bytes.Buffer
 	logw := &syncWriter{w: &buf}
-	srv, err := New(Config{AccessLog: logw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newTestFrontend(t, srv)
+	_, ts := newTestServer(t, Config{AccessLog: logw})
 	req, _ := http.NewRequest("GET", ts.URL+"/artifact/fig1", nil)
 	req.Header.Set("X-Request-ID", "log-pin")
 	resp, err := http.DefaultClient.Do(req)
@@ -297,7 +293,7 @@ func TestAccessLog(t *testing.T) {
 		ok.Bytes == 0 || ok.PlanKey == "" || ok.Trace == nil || ok.DurMS <= 0 {
 		t.Fatalf("success entry %+v", ok)
 	}
-	if _, has := findSpan(ok.Trace.Spans, obs.StageRender); !has {
+	if _, has := findSpan(ok.Trace.Spans, obs.StageRender.String()); !has {
 		t.Fatalf("success entry's trace lacks the render span: %+v", ok.Trace)
 	}
 	bad := entries[1]
@@ -364,20 +360,4 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
-}
-
-// newTestFrontend wraps a caller-built Server in an httptest frontend with
-// the standard teardown (used when the test needs a custom Config).
-func newTestFrontend(t *testing.T, srv *Server) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		if err := harness.SetTraceStore(""); err != nil {
-			t.Error(err)
-		}
-		harness.ResetTraceCache()
-	})
-	return ts
 }

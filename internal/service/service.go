@@ -7,9 +7,10 @@
 // Identical concurrent requests are deduplicated by singleflight on the
 // compiled plan key, so a thundering herd resolves each schedule once —
 // normally by direct synthesis from schedule math, with the goroutine
-// fabric as fallback/oracle — and the shared -trace-cache directory is
-// prewarmed (decode-validated, corrupt files evicted) in the background;
-// /readyz reports 503 until that pass completes.
+// fabric as fallback/oracle — through the server's own harness.Engine, and
+// the shared -trace-cache directory is prewarmed (decode-validated, corrupt
+// files evicted) in the background; /readyz reports 503 until that pass
+// completes.
 //
 // Observability: every request carries a request ID (X-Request-ID, accepted
 // or generated) and an obs.Trace whose serial spans (compile → execute →
@@ -61,7 +62,8 @@ func obsRequests(code int) *obs.Counter {
 // Config tunes a Server.
 type Config struct {
 	// TraceDir is the shared persistent trace store directory, prewarmed in
-	// the background after New; empty serves from the in-process cache only.
+	// the background after New; empty serves from the server's in-process
+	// cache only.
 	TraceDir string
 	// Workers bounds the resident Runner (<= 0: one per CPU).
 	Workers int
@@ -87,11 +89,14 @@ type Config struct {
 	QueueBudget int
 }
 
-// Server is the artifact service: a resident worker pool, the singleflight
-// table, the trace log behind /tracez, and the request counters behind
-// /statsz.
+// Server is the artifact service: a resident worker pool, the Engine every
+// request resolves its traces through, the singleflight table, the trace log
+// behind /tracez, and the request counters behind /statsz. Servers share
+// nothing but the process-wide obs registry: each has its own trace cache,
+// synthesis mode and cache counters.
 type Server struct {
 	runner      *pool.Runner
+	engine      *harness.Engine
 	flights     flightGroup
 	adm         *admission
 	serveWindow *obs.Window // recent p95 behind Retry-After
@@ -116,20 +121,24 @@ type Server struct {
 	requests, renders, joins, failures, bytesOut atomic.Uint64
 }
 
-// New configures the process-wide trace store and synthesis mode, kicks off
-// the background prewarm pass, and returns a serving-ready Server owning a
-// resident Runner. The server answers immediately; /readyz turns 200 once
-// the prewarm completes.
+// New builds the server's Engine from cfg (trace store opened, synthesis mode
+// set), kicks off the background prewarm pass, and returns a serving-ready
+// Server owning a resident Runner. The server answers immediately; /readyz
+// turns 200 once the prewarm completes.
 func New(cfg Config) (*Server, error) {
-	harness.SetSynthesis(!cfg.DisableSynth)
-	harness.SetVerifySynth(cfg.VerifySynth)
-	if err := harness.SetTraceStore(cfg.TraceDir); err != nil {
-		return nil, err
+	engine := &harness.Engine{DisableSynth: cfg.DisableSynth, VerifySynth: cfg.VerifySynth}
+	if cfg.TraceDir != "" {
+		store, err := tracestore.Open(cfg.TraceDir)
+		if err != nil {
+			return nil, err
+		}
+		engine.Store = store
 	}
 	//binelint:ignore ctxflow server-lifetime root context, cancelled by Close; requests derive from it
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		runner:      pool.NewRunner(cfg.Workers),
+		engine:      engine,
 		serveWindow: obs.NewWindow(obsServeSeconds, 30*time.Second),
 		start:       time.Now(),
 		ctx:         ctx,
@@ -160,7 +169,7 @@ func New(cfg Config) (*Server, error) {
 			prewarmGate()
 		}
 		t0 := time.Now()
-		s.prewarm, s.prewarmErr = harness.PrewarmTraceStore()
+		s.prewarm, s.prewarmErr = engine.Prewarm()
 		s.prewarmSeconds = time.Since(t0).Seconds()
 	}()
 	s.registerGauges()
@@ -360,7 +369,7 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Add(1)
-	opts := harness.Options{Quick: !full, Systems: systems}
+	opts := harness.Options{Quick: !full, Systems: systems, Engine: s.engine}
 	key := fmt.Sprintf("%s|full=%v|systems=%s", name, full, strings.Join(systems, ","))
 	// The flight trace belongs to the leader: its render goroutine runs the
 	// serial compile → execute → render skeleton, so the span timeline sums
@@ -536,8 +545,8 @@ type Stats struct {
 	// counters, and the live queue/render occupancy.
 	Admission AdmissionStats `json:"admission"`
 	// Prewarm reports the startup store validation (zero until Ready); Cache
-	// the live trace cache counters (including the resident columnar
-	// footprint).
+	// this server's trace cache counters since New (including the resident
+	// columnar footprint).
 	Prewarm tracestore.PrewarmStats `json:"prewarm"`
 	Cache   harness.CacheStats      `json:"cache"`
 }
@@ -579,7 +588,7 @@ func (s *Server) Snapshot() Stats {
 			Waiting:     s.adm.waiting.Load(),
 			InFlight:    s.adm.inFlight(),
 		},
-		Cache: harness.TraceCacheStats(),
+		Cache: s.engine.Stats(),
 	}
 	select {
 	case <-s.prewarmDone:

@@ -18,12 +18,11 @@ import (
 	"binetrees/internal/tracestore"
 )
 
-// newTestServer builds a Server over a clean trace cache and an httptest
-// frontend, undoing the process-global store configuration afterwards.
-func newTestServer(t *testing.T, traceDir string) (*Server, *httptest.Server) {
+// newTestServer builds a Server from cfg — cold, with an Engine of its own —
+// behind an httptest frontend, and closes both when the test ends.
+func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	harness.ResetTraceCache()
-	srv, err := New(Config{TraceDir: traceDir})
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +30,6 @@ func newTestServer(t *testing.T, traceDir string) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
-		if err := harness.SetTraceStore(""); err != nil {
-			t.Error(err)
-		}
-		harness.ResetTraceCache()
 	})
 	return srv, ts
 }
@@ -56,13 +51,15 @@ func get(t *testing.T, url string) (int, string) {
 // TestArtifactByteIdentity pins the serving contract: every quick-mode
 // experiment — and the systems-selected "all" aggregate — is served
 // byte-identical to what the binebench CLI writes for the same request.
-// The CLI reference renders share the process trace cache with the server,
-// so the suite records each schedule once however it is asked for.
+// The CLI reference renders share one Engine of their own, the server has
+// its own: the bytes agree with nothing shared between the two sides.
 func TestArtifactByteIdentity(t *testing.T) {
-	_, ts := newTestServer(t, "")
+	t.Parallel()
+	_, ts := newTestServer(t, Config{})
+	cli := harness.Options{Quick: true, Engine: &harness.Engine{}}
 	for _, name := range harness.ExperimentNames() {
 		var want strings.Builder
-		if err := harness.RunExperiment(context.Background(), &want, name, harness.Options{Quick: true}); err != nil {
+		if err := harness.RunExperiment(context.Background(), &want, name, cli); err != nil {
 			t.Fatal(err)
 		}
 		code, body := get(t, ts.URL+"/artifact/"+name)
@@ -74,7 +71,8 @@ func TestArtifactByteIdentity(t *testing.T) {
 		}
 	}
 	var want strings.Builder
-	if err := harness.RunAll(context.Background(), &want, harness.Options{Quick: true, Systems: []string{"misc"}}); err != nil {
+	cli.Systems = []string{"misc"}
+	if err := harness.RunAll(context.Background(), &want, cli); err != nil {
 		t.Fatal(err)
 	}
 	code, body := get(t, ts.URL+"/artifact/all?systems=misc")
@@ -96,17 +94,17 @@ func TestArtifactByteIdentity(t *testing.T) {
 func TestSingleflightDedup(t *testing.T) {
 	// Reference pass: the artifact bytes and the per-schedule synthesis
 	// count of a cold fig1 render.
-	harness.ResetTraceCache()
+	ref := &harness.Engine{}
 	var want strings.Builder
-	if err := harness.RunExperiment(context.Background(), &want, "fig1", harness.Options{Quick: true}); err != nil {
+	if err := harness.RunExperiment(context.Background(), &want, "fig1", harness.Options{Quick: true, Engine: ref}); err != nil {
 		t.Fatal(err)
 	}
-	synthRef := harness.TraceCacheStats().SynthHits
+	synthRef := ref.Stats().SynthHits
 	if synthRef == 0 {
 		t.Fatal("reference render synthesized nothing")
 	}
 
-	srv, ts := newTestServer(t, "")
+	srv, ts := newTestServer(t, Config{})
 	const herd = 8
 	deadline := time.Now().Add(10 * time.Second)
 	renderGate = func() {
@@ -154,7 +152,8 @@ func TestSingleflightDedup(t *testing.T) {
 // TestRequestValidation covers the error surface: unknown experiments 404,
 // malformed or misaddressed parameters 400, and the health/stats endpoints.
 func TestRequestValidation(t *testing.T) {
-	srv, ts := newTestServer(t, "")
+	t.Parallel()
+	srv, ts := newTestServer(t, Config{})
 	cases := []struct {
 		path string
 		code int
@@ -195,6 +194,7 @@ func TestRequestValidation(t *testing.T) {
 // decode-validated before serving — valid traces counted with their
 // footprint, corrupt files evicted.
 func TestServicePrewarm(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	st, err := tracestore.Open(dir)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestServicePrewarm(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "deadbeef.trace"), []byte("BTRCgarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, dir)
+	srv, ts := newTestServer(t, Config{TraceDir: dir})
 	ps := srv.Prewarm()
 	if ps.Files != 2 || ps.Valid != 1 || ps.Corrupt != 1 || ps.MemBytes != tr.MemBytes() {
 		t.Fatalf("prewarm %+v", ps)
@@ -227,22 +227,8 @@ func TestServicePrewarm(t *testing.T) {
 // synthesis, and /statsz reports the verified counts. DisableSynth likewise
 // forces pure recording.
 func TestVerifySynthService(t *testing.T) {
-	harness.ResetTraceCache()
-	srv, err := New(Config{VerifySynth: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		harness.SetVerifySynth(false)
-		harness.SetSynthesis(true)
-		if err := harness.SetTraceStore(""); err != nil {
-			t.Error(err)
-		}
-		harness.ResetTraceCache()
-	})
+	t.Parallel()
+	srv, ts := newTestServer(t, Config{VerifySynth: true})
 	if code, body := get(t, ts.URL+"/artifact/fig1"); code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -259,18 +245,70 @@ func TestVerifySynthService(t *testing.T) {
 		t.Fatalf("statsz lacks synth counters: %d\n%s", code, body)
 	}
 
-	harness.ResetTraceCache()
-	srv2, err := New(Config{DisableSynth: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
+	srv2, ts2 := newTestServer(t, Config{DisableSynth: true})
 	if code, body := get(t, ts2.URL+"/artifact/fig1"); code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
 	if c := srv2.Snapshot().Cache; c.SynthHits != 0 || c.Records == 0 {
 		t.Fatalf("DisableSynth still synthesized: %+v", c)
+	}
+}
+
+// TestServersAreIsolated pins the per-server Engine at the HTTP layer: two
+// servers in one process, on different trace directories, serve the same
+// artifacts while each /statsz cache block counts only that server's own
+// resolutions — a warm store on one side, cold synthesis written through on
+// the other.
+func TestServersAreIsolated(t *testing.T) {
+	t.Parallel()
+	warmDir := t.TempDir()
+	populate, err := tracestore.Open(warmDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := harness.Options{Quick: true, Engine: &harness.Engine{Store: populate}}
+	var want strings.Builder
+	if err := harness.RunExperiment(context.Background(), &want, "fig9a", opts); err != nil {
+		t.Fatal(err)
+	}
+
+	_, warm := newTestServer(t, Config{TraceDir: warmDir})
+	_, cold := newTestServer(t, Config{TraceDir: t.TempDir()})
+	cache := func(ts *httptest.Server) harness.CacheStats {
+		t.Helper()
+		code, body := get(t, ts.URL+"/statsz")
+		if code != http.StatusOK {
+			t.Fatalf("statsz: %d", code)
+		}
+		var st Stats
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatalf("statsz not JSON: %v\n%s", err, body)
+		}
+		return st.Cache
+	}
+	for _, ts := range []*httptest.Server{warm, cold} {
+		if code, body := get(t, ts.URL+"/artifact/fig9a"); code != http.StatusOK || body != want.String() {
+			t.Fatalf("fig9a: status %d, diverges=%v", code, body != want.String())
+		}
+	}
+	w, c := cache(warm), cache(cold)
+	if w.DiskHits == 0 || w.SynthHits != 0 || w.DiskSaves != 0 {
+		t.Fatalf("warm-store server resolved cold: %+v", w)
+	}
+	if c.SynthHits == 0 || c.DiskHits != 0 || c.DiskSaves != c.SynthHits {
+		t.Fatalf("empty-store server did not synthesize and write through: %+v", c)
+	}
+	if w.CachedTraces != c.CachedTraces || w.MemoryHits != c.MemoryHits {
+		t.Fatalf("servers share a memory tier:\nwarm %+v\ncold %+v", w, c)
+	}
+	// A request to one server moves only that server's counters.
+	if code, _ := get(t, cold.URL+"/artifact/fig9a"); code != http.StatusOK {
+		t.Fatalf("second cold request: %d", code)
+	}
+	if again := cache(warm); again != w {
+		t.Fatalf("a request to the other server moved this one's cache block:\nbefore %+v\nafter  %+v", w, again)
+	}
+	if again := cache(cold); again.MemoryHits <= c.MemoryHits {
+		t.Fatalf("second request did not hit the server's own memory tier: %+v", again)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -48,21 +47,21 @@ const (
 	FaultProbe      FaultOp = "probe"       // recovery probe write cycle
 )
 
-// faultHook boxes the injected hook so an atomic.Value can hold (and clear)
-// it without type panics.
-type faultBox struct{ fn func(FaultOp) error }
-
-var faultHook atomic.Value // faultBox
-
 // SetFaultHook installs (or, with nil, removes) a test-only hook consulted
-// before each store filesystem step: a non-nil return replaces the step's
-// real execution with that error. Serving code never sets it.
-func SetFaultHook(fn func(FaultOp) error) { faultHook.Store(faultBox{fn}) }
+// before each of this store's filesystem steps: a non-nil return replaces
+// the step's real execution with that error. Serving code never sets it.
+func (s *Store) SetFaultHook(fn func(FaultOp) error) {
+	if fn == nil {
+		s.faultHook.Store(nil)
+		return
+	}
+	s.faultHook.Store(&fn)
+}
 
 // faulted runs fn, unless the injected hook fails the op first.
-func faulted(op FaultOp, fn func() error) error {
-	if box, ok := faultHook.Load().(faultBox); ok && box.fn != nil {
-		if err := box.fn(op); err != nil {
+func (s *Store) faulted(op FaultOp, fn func() error) error {
+	if hook := s.faultHook.Load(); hook != nil {
+		if err := (*hook)(op); err != nil {
 			return err
 		}
 	}
@@ -138,7 +137,7 @@ func (s *Store) maybeProbe() bool {
 // write, chmod, close, rename — so recovery is only declared when the exact
 // operations a Save needs all work again.
 func (s *Store) probe() error {
-	return faulted(FaultProbe, func() error {
+	return s.faulted(FaultProbe, func() error {
 		tmp, err := os.CreateTemp(s.dir, ".probe-*")
 		if err != nil {
 			return err
@@ -148,7 +147,7 @@ func (s *Store) probe() error {
 			tmp.Close()
 			return err
 		}
-		if err := tmp.Chmod(0o644); err != nil {
+		if err := tmp.Chmod(fileMode); err != nil {
 			tmp.Close()
 			return err
 		}

@@ -8,14 +8,12 @@ import (
 	"testing"
 )
 
-// withFaults installs a per-op fault table for the test and removes it on
-// cleanup. Ops map to the error each should fail with; unlisted ops run for
-// real. The table can be mutated mid-test (guarded by the returned setter)
-// to stage failure-then-recovery sequences.
-func withFaults(t *testing.T, faults map[FaultOp]error) {
-	t.Helper()
-	SetFaultHook(func(op FaultOp) error { return faults[op] })
-	t.Cleanup(func() { SetFaultHook(nil) })
+// failOps returns a fault hook failing each listed op with its error;
+// unlisted ops run for real. The hook lives on the store under test, so it
+// needs no cleanup and cannot leak into a test running alongside; the table
+// can be mutated mid-test to stage failure-then-recovery sequences.
+func failOps(faults map[FaultOp]error) func(FaultOp) error {
+	return func(op FaultOp) error { return faults[op] }
 }
 
 // tmpFiles lists leftover temp files in the store dir — Save failures must
@@ -40,6 +38,7 @@ func tmpFiles(t *testing.T, dir string) []string {
 // rename — the .tmp file is removed, so a misbehaving shared directory does
 // not accumulate garbage on top of its real problem.
 func TestSaveFailureRemovesTempFile(t *testing.T) {
+	t.Parallel()
 	boom := errors.New("boom")
 	for _, op := range []FaultOp{FaultEncode, FaultChmod, FaultClose, FaultRename} {
 		t.Run(string(op), func(t *testing.T) {
@@ -48,7 +47,7 @@ func TestSaveFailureRemovesTempFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			withFaults(t, map[FaultOp]error{op: boom})
+			s.SetFaultHook(failOps(map[FaultOp]error{op: boom}))
 			if err := s.Save(testKey("leak", 1), testTrace(4, 1), OriginRecorded); !errors.Is(err, boom) {
 				t.Fatalf("Save with %s fault = %v, want boom", op, err)
 			}
@@ -69,6 +68,7 @@ func TestSaveFailureRemovesTempFile(t *testing.T) {
 // working, saves skip and count), and once the directory recovers the probe
 // restores write-through mode on the next save.
 func TestDegradedModeRoundTrip(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -84,8 +84,7 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	// including the recovery probe.
 	rofs := &os.PathError{Op: "open", Path: dir, Err: syscall.EROFS}
 	faults := map[FaultOp]error{FaultCreateTemp: rofs, FaultProbe: rofs}
-	SetFaultHook(func(op FaultOp) error { return faults[op] })
-	t.Cleanup(func() { SetFaultHook(nil) })
+	s.SetFaultHook(failOps(faults))
 
 	k2 := testKey("degrade", 2)
 	if err := s.Save(k2, tr, OriginSynthesized); err == nil {
@@ -138,13 +137,14 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 // error and flips the store degraded instead of letting every later
 // write-behind save rediscover it.
 func TestPrewarmDegradesOnPermissionFailure(t *testing.T) {
+	t.Parallel()
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	withFaults(t, map[FaultOp]error{
+	s.SetFaultHook(failOps(map[FaultOp]error{
 		FaultReadDir: &os.PathError{Op: "open", Path: s.dir, Err: syscall.EACCES},
-	})
+	}))
 	if _, err := s.Prewarm(); err == nil {
 		t.Fatal("Prewarm on an unreadable dir returned nil")
 	}

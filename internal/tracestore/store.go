@@ -107,6 +107,15 @@ type Stats struct {
 	DegradedReason string
 }
 
+// The store's only two permission modes. Directories are shared across
+// users, service replicas and CI cache restores, so everything in them is
+// world-readable; every mode-taking call in the package uses one of these
+// (TestStoreSaveFileMode pins the result on disk).
+const (
+	fileMode = 0o644
+	dirMode  = 0o755
+)
+
 // Store is a directory of encoded traces. The zero value is a disabled
 // store: every Load misses, every Save is dropped. Methods are safe for
 // concurrent use.
@@ -122,6 +131,7 @@ type Store struct {
 	degradedReason atomic.Value // string: the error that degraded the store
 	lastProbe      atomic.Int64 // unixnano of the last recovery probe
 	probeEvery     atomic.Int64 // nanoseconds between recovery probes
+	faultHook      atomic.Pointer[func(FaultOp) error]
 }
 
 // Open returns a store rooted at dir, creating the directory if needed.
@@ -129,7 +139,7 @@ func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("tracestore: empty directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, dirMode); err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
 	s := &Store{dir: dir}
@@ -263,7 +273,7 @@ func (s *Store) Save(k Key, tr *fabric.Trace, origin Origin) error {
 // can fail any of them deterministically.
 func (s *Store) write(k Key, tr *fabric.Trace, origin Origin) (int64, error) {
 	var tmp *os.File
-	if err := faulted(FaultCreateTemp, func() (err error) {
+	if err := s.faulted(FaultCreateTemp, func() (err error) {
 		tmp, err = os.CreateTemp(s.dir, "."+k.addr()+".tmp-*")
 		return err
 	}); err != nil {
@@ -281,24 +291,24 @@ func (s *Store) write(k Key, tr *fabric.Trace, origin Origin) (int64, error) {
 		}
 	}()
 	cw := &countingWriter{w: tmp}
-	if err := faulted(FaultEncode, func() error { return fabric.EncodeTrace(cw, tr) }); err != nil {
+	if err := s.faulted(FaultEncode, func() error { return fabric.EncodeTrace(cw, tr) }); err != nil {
 		return 0, fmt.Errorf("tracestore: encoding %s: %w", k.addr(), err)
 	}
 	// CreateTemp opens the file 0600; a rename would carry that mode into
 	// the store, so directories shared across users or service replicas
 	// (and CI cache restores) would hold traces other readers cannot open.
-	if err := faulted(FaultChmod, func() error { return tmp.Chmod(0o644) }); err != nil {
+	if err := s.faulted(FaultChmod, func() error { return tmp.Chmod(fileMode) }); err != nil {
 		return 0, fmt.Errorf("tracestore: %w", err)
 	}
-	if err := faulted(FaultClose, tmp.Close); err != nil {
+	if err := s.faulted(FaultClose, tmp.Close); err != nil {
 		return 0, fmt.Errorf("tracestore: %w", err)
 	}
-	if err := faulted(FaultRename, func() error { return os.Rename(tmp.Name(), s.path(k)) }); err != nil {
+	if err := s.faulted(FaultRename, func() error { return os.Rename(tmp.Name(), s.path(k)) }); err != nil {
 		return 0, fmt.Errorf("tracestore: %w", err)
 	}
 	committed = true
 	if origin != OriginUnknown {
-		_ = os.WriteFile(originPath(s.path(k)), []byte(origin), 0o644)
+		_ = os.WriteFile(originPath(s.path(k)), []byte(origin), fileMode)
 	}
 	return cw.n, nil
 }
@@ -366,7 +376,7 @@ func (s *Store) Prewarm() (PrewarmStats, error) {
 	// ReadDir, not filepath.Glob: a store path containing glob
 	// metacharacters ('[', '?', '*') would corrupt the pattern.
 	var entries []os.DirEntry
-	if err := faulted(FaultReadDir, func() (err error) {
+	if err := s.faulted(FaultReadDir, func() (err error) {
 		entries, err = os.ReadDir(s.dir)
 		return err
 	}); err != nil {

@@ -164,9 +164,10 @@ func TestStoreEvictsCorruptFileWithoutFingerprint(t *testing.T) {
 	}
 }
 
-// TestStoreSaveFileMode pins the mode of stored traces: CreateTemp's 0600
-// must not survive the rename, or store directories shared across users and
-// service replicas hold files other readers cannot open.
+// TestStoreSaveFileMode pins the modes Save leaves on disk — the trace
+// (CreateTemp's 0600 must not survive the rename) and its provenance
+// sidecar — or store directories shared across users and service replicas
+// hold files other readers cannot open.
 func TestStoreSaveFileMode(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -180,12 +181,14 @@ func TestStoreSaveFileMode(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("files %v err %v", files, err)
 	}
-	fi, err := os.Stat(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fi.Mode().Perm(); got != 0o644 {
-		t.Fatalf("stored trace mode %o, want 644", got)
+	for _, path := range []string{files[0], originPath(files[0])} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fi.Mode().Perm(); got != 0o644 {
+			t.Fatalf("%s: mode %o, want 644", filepath.Base(path), got)
+		}
 	}
 }
 
