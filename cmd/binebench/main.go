@@ -14,8 +14,9 @@
 // length, so full-scale recordings (the 8192-node Fugaku ring) complete
 // instead of tripping the flat timeout. Artifacts are byte-identical at
 // any pool width and sharding (pinned by tests). Traces are stored columnar
-// (struct-of-arrays int32), with replay running off the step index, cached
-// routes and dense scratch — see EXPERIMENTS.md "Performance".
+// (struct-of-arrays int32), with replay running off the step index, routes
+// computed per message pair into a reused buffer, and dense scratch — see
+// EXPERIMENTS.md "Performance".
 //
 // Cold schedules are synthesized directly from schedule math (a serial
 // pattern walk, no goroutine fabric) and are byte-identical to fabric

@@ -23,6 +23,21 @@ import (
 // written by older codecs are simply never found again.
 const CodecVersion = 1
 
+// Decoder bounds. A decoded Trace allocates per-rank scratch and a
+// per-step index whatever the record count (sparse schedules are real: a
+// quarter of LUMI's stored traces have empty steps, the sparsest 137 steps
+// per record), so the header's rank count and every record's step are capped
+// before anything is sized by them — a CRC-valid file of a few bytes must not
+// cost gigabytes. Both caps leave ≥ 64× headroom over the largest schedule
+// the registry produces at -full scale: p = 8192, and step numbers below
+// 2¹⁶ (the p = 8192 ring's 2(p−1) = 16 382; the 3-D torus collectives'
+// seven phases, offset 4096 steps apart, reach 28 675 at quick scale
+// already).
+const (
+	maxTraceRanks = 1 << 20
+	maxTraceSteps = 1 << 22
+)
+
 // traceMagic opens every encoded trace.
 var traceMagic = [4]byte{'B', 'T', 'R', 'C'}
 
@@ -54,7 +69,9 @@ func EncodeTrace(w io.Writer, tr *Trace) error {
 }
 
 // DecodeTrace parses a trace encoded by EncodeTrace, rejecting wrong magic,
-// unknown versions, checksum mismatches, truncation and out-of-range fields.
+// unknown versions, checksum mismatches, truncation, out-of-range fields,
+// rank or step counts above the decoder bounds, and steps out of order
+// (every writer emits them sorted).
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -83,8 +100,8 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if p == 0 || p > 1<<24 {
-		return nil, fmt.Errorf("fabric: trace rank count %d out of range", p)
+	if p == 0 || p > maxTraceRanks {
+		return nil, fmt.Errorf("fabric: trace rank count %d out of range [1, %d]", p, maxTraceRanks)
 	}
 	if count > uint64(len(payload))/5 { // every record costs ≥ 5 payload bytes (5 varints)
 		return nil, fmt.Errorf("fabric: trace record count %d exceeds payload", count)
@@ -101,7 +118,13 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		if recStep < 0 || recStep > math.MaxInt32 || recSub < 0 || recSub > math.MaxInt32 ||
+		if recStep < prevStep {
+			return nil, fmt.Errorf("fabric: trace record %d: step %d follows step %d", i, recStep, prevStep)
+		}
+		if recStep >= maxTraceSteps {
+			return nil, fmt.Errorf("fabric: trace record %d: step %d exceeds the %d-step bound", i, recStep, maxTraceSteps)
+		}
+		if recSub < 0 || recSub > math.MaxInt32 ||
 			recElems < 0 || recElems > math.MaxInt32 ||
 			recFrom < 0 || recFrom >= int64(p) || recTo < 0 || recTo >= int64(p) {
 			return nil, fmt.Errorf("fabric: trace record %d out of range: step=%d from=%d to=%d sub=%d elems=%d",

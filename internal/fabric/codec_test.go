@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -93,6 +94,10 @@ func TestTraceCodecRoundTripRecorded(t *testing.T) {
 	}
 }
 
+// goldenTraceHex is the encoding TestTraceCodecGolden pins (and a
+// FuzzDecodeTrace seed).
+const goldenTraceHex = "42545243010404000002000202000200ac0200020201ac020202050001305d4479"
+
 // TestTraceCodecGolden pins the on-disk byte format: any codec change must
 // show up here and force a CodecVersion bump (which re-addresses every
 // stored file) rather than silently reinterpreting old files.
@@ -103,13 +108,12 @@ func TestTraceCodecGolden(t *testing.T) {
 		{From: 1, To: 3, Step: 1, Sub: 1, Elems: 300},
 		{From: 2, To: 0, Step: 2, Sub: 0, Elems: 1},
 	})
-	const golden = "42545243010404000002000202000200ac0200020201ac020202050001305d4479"
 	var buf bytes.Buffer
 	if err := EncodeTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(buf.Bytes()); got != golden {
-		t.Fatalf("encoding changed (bump CodecVersion!):\n got %s\nwant %s", got, golden)
+	if got := hex.EncodeToString(buf.Bytes()); got != goldenTraceHex {
+		t.Fatalf("encoding changed (bump CodecVersion!):\n got %s\nwant %s", got, goldenTraceHex)
 	}
 	got, err := DecodeTrace(&buf)
 	if err != nil {
@@ -143,13 +147,118 @@ func TestTraceCodecRejectsDamage(t *testing.T) {
 		}
 	}
 	// An unknown version must be rejected even with a valid checksum.
-	payload := []byte{CodecVersion + 1, 1, 0} // version, P=1, no records
-	future := append([]byte(nil), traceMagic[:]...)
-	future = append(future, payload...)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	future = append(future, sum[:]...)
+	future := frameTrace([]byte{CodecVersion + 1, 1, 0}) // version, P=1, no records
 	if _, err := DecodeTrace(bytes.NewReader(future)); err == nil {
 		t.Fatal("future codec version accepted")
 	}
+}
+
+// frameTrace wraps a hand-built payload in the magic and a valid checksum,
+// so the decoder's own field checks — not the CRC — are what a test hits.
+func frameTrace(payload []byte) []byte {
+	raw := append([]byte(nil), traceMagic[:]...)
+	raw = append(raw, payload...)
+	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
+}
+
+// oneRecordTrace frames a single-record trace over p ranks at the given
+// step: 19 bytes for step = 1<<26.
+func oneRecordTrace(p uint64, step int64) []byte {
+	payload := binary.AppendUvarint([]byte{CodecVersion}, p)
+	payload = binary.AppendUvarint(payload, 1)
+	payload = binary.AppendVarint(payload, step)
+	return frameTrace(append(payload, 0, 0, 0, 1)) // from 0, to 0, sub 0, elems 1
+}
+
+// allocatedBytes is the heap f allocates: the smallest of three readings of
+// the process-wide counter, because whatever else is alive in the test
+// binary (goroutines earlier tests left draining) can only add to one.
+func allocatedBytes(f func()) uint64 {
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestTraceCodecBoundsAllocation pins the decoder's hardening: a CRC-valid
+// file of a few bytes cannot make it size an allocation by a field the file
+// chose. The 19-byte step = 1<<26 reproducer used to allocate a 256 MiB step
+// index (8 GB at step = 1<<31 − 1); it, an oversized rank count and an
+// out-of-order step are all rejected before anything is allocated.
+func TestTraceCodecBoundsAllocation(t *testing.T) {
+	bomb := oneRecordTrace(1, 1<<26)
+	if len(bomb) != 19 {
+		t.Fatalf("reproducer is %d bytes, want 19", len(bomb))
+	}
+	backwards := binary.AppendVarint([]byte{CodecVersion, 2, 2, 2 << 1, 0, 0, 0, 1}, -1) // step 2, then step 1
+	backwards = append(backwards, 0, 0, 0, 1)
+	for name, raw := range map[string][]byte{
+		"step 1<<26":           bomb,
+		"step at the bound":    oneRecordTrace(1, maxTraceSteps),
+		"ranks over the bound": oneRecordTrace(maxTraceRanks+1, 0),
+		"step goes backwards":  frameTrace(backwards),
+	} {
+		var err error
+		got := allocatedBytes(func() { _, err = DecodeTraceBytes(raw) })
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got >= 1<<20 {
+			t.Errorf("%s: rejected only after allocating %d bytes", name, got)
+		}
+	}
+	// Just inside both bounds decodes: the caps reject nothing real.
+	tr, err := DecodeTraceBytes(oneRecordTrace(maxTraceRanks, maxTraceSteps-1))
+	if err != nil {
+		t.Fatalf("trace at the bounds rejected: %v", err)
+	}
+	if tr.P != maxTraceRanks || tr.NumSteps() != maxTraceSteps {
+		t.Fatalf("trace at the bounds decoded as p=%d, %d steps", tr.P, tr.NumSteps())
+	}
+}
+
+// FuzzDecodeTrace feeds the decoder arbitrary bytes, re-framed with a valid
+// checksum so the fuzzer reaches the field checks: it must never panic, and
+// whatever it accepts must have cost O(len(input)) plus the fixed bounds —
+// the per-rank scratch and step index the caps allow — and must re-encode to
+// a trace that decodes to the same records.
+func FuzzDecodeTrace(f *testing.F) {
+	golden, err := hex.DecodeString(goldenTraceHex)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden[4 : len(golden)-4])
+	bomb := oneRecordTrace(1, 1<<26)
+	f.Add(bomb[4 : len(bomb)-4])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		raw := frameTrace(payload)
+		var tr *Trace
+		var err error
+		got := allocatedBytes(func() { tr, err = DecodeTraceBytes(raw) })
+		// Five int32 columns per record (≤ len/5 records) plus the
+		// re-sliced payload, the step index, two per-rank scratch slices
+		// and slack for the runtime's own bookkeeping.
+		if limit := uint64(16*len(raw) + 4*(maxTraceSteps+1) + 8*maxTraceRanks + 1<<16); got > limit {
+			t.Fatalf("%d-byte input allocated %d bytes (limit %d)", len(raw), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeTrace(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeTraceBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatal("accepted trace does not survive a round trip")
+		}
+	})
 }

@@ -796,9 +796,11 @@ func planAppD(opts Options) (*plan, error) {
 	render := func(w io.Writer) error {
 		fmt.Fprintln(w, "Appendix D — 4×4 torus: link hops of tree broadcasts (lower = better locality):")
 		hops := func(tr *fabric.Trace) int {
-			routes, total := topo.Routes(), 0
+			var route []int32
+			total := 0
 			for i := 0; i < tr.NumRecords(); i++ {
-				total += len(routes.Route(tr.From(i), tr.To(i))) - 2
+				route = topo.AppendRoute(route[:0], tr.From(i), tr.To(i))
+				total += len(route) - 2
 			}
 			return total
 		}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"sync"
 	"testing"
 
 	"binetrees/internal/coll"
@@ -119,6 +120,60 @@ func TestEvaluateSizesMatchesEvaluate(t *testing.T) {
 		t.Fatal("no configurations checked")
 	}
 	t.Logf("%d (algorithm, topology, size) configurations bit-identical", checked)
+}
+
+// TestEvaluateSizesSharedTopology pins the property the sweep pool relies
+// on: any number of goroutines replay against ONE topology instance — no
+// per-goroutine copy, no lock — and each gets exactly (==) the serial
+// Result. Run under -race: a route computation that touched shared state
+// would be reported here.
+func TestEvaluateSizesSharedTopology(t *testing.T) {
+	const p, goroutines = 16, 8
+	elemBytes := []float64{4, 1e6 / 384.0}
+	params := testParams()
+	params.PerHopLatency = 3e-7
+	// One reducing schedule (exercises the receive scratch) and the
+	// pairwise alltoall (routes every ordered node pair).
+	registry := coll.Registry()
+	for _, sched := range []struct {
+		c    coll.Collective
+		name string
+	}{{coll.CAllreduce, "ring"}, {coll.CAlltoall, "pairwise"}} {
+		c := sched.c
+		algo, ok := coll.Find(registry, c, sched.name)
+		if !ok {
+			t.Fatalf("%v/%s not registered", c, sched.name)
+		}
+		tr := algoTrace(t, algo, p)
+		ev := Eval{Placement: identity(p), Reduces: algo.Coll.Reduces(), Overlap: algo.Overlap}
+		for name, topo := range testTopologies(t, p) {
+			want, err := EvaluateSizes(tr, topo, params, ev, elemBytes)
+			if err != nil {
+				t.Fatalf("%v on %s: %v", c, name, err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for rep := 0; rep < 10; rep++ {
+						got, err := EvaluateSizes(tr, topo, params, ev, elemBytes)
+						if err != nil {
+							t.Errorf("%v on %s: %v", c, name, err)
+							return
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Errorf("%v on %s, elemBytes=%v: concurrent %+v, serial %+v", c, name, elemBytes[i], got[i], want[i])
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}
 }
 
 func TestEvaluateSizesErrors(t *testing.T) {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"binetrees/internal/fabric"
@@ -23,8 +24,10 @@ func ringTrace(p int) *fabric.Trace {
 
 // BenchmarkProfileRing measures the structural replay (profile) of a ring
 // schedule — the netsim hot path of every sweep cell — on a torus and a
-// flat model. The replay reuses dense scratch and cached routes, so
-// allocs/op stays flat in the message count.
+// flat model. The replay reuses dense scratch and one route buffer, so
+// allocs/op stays flat in the message count. It shares one topology across
+// iterations from one goroutine; BenchmarkProfileAlltoall is the shape the
+// sweeps actually produce.
 func BenchmarkProfileRing(b *testing.B) {
 	const p = 256
 	tr := ringTrace(p)
@@ -57,4 +60,44 @@ func BenchmarkProfileRing(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkProfileAlltoall is the replay as planSweep produces it: a fresh
+// topology per node count (so nothing carries over between iterations), an
+// alltoall routing all p(p−1) ordered node pairs, replayed from two
+// goroutines at once against that one instance.
+func BenchmarkProfileAlltoall(b *testing.B) {
+	const p, workers = 512, 2
+	recs := make([]fabric.Record, 0, p*(p-1))
+	for s := 1; s < p; s++ {
+		for r := 0; r < p; r++ {
+			recs = append(recs, fabric.Record{From: r, To: (r + s) % p, Step: s - 1, Elems: 1})
+		}
+	}
+	tr := fabric.NewTrace(p, recs)
+	placement := identity(p)
+	params := testParams()
+	b.Run(fmt.Sprintf("dragonfly-p%d-w%d", p, workers), func(b *testing.B) {
+		b.SetBytes(int64(workers * tr.NumRecords()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			topo, err := topology.NewDragonfly(topology.DragonflyConfig{
+				Name: "dfly", Groups: 16, NodesPerGroup: p / 16, NICBW: 25e9, GlobalBW: 50e9,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := Evaluate(tr, topo, params, Eval{Placement: placement, ElemBytes: 4}); err != nil {
+						b.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	})
 }

@@ -13,11 +13,12 @@
 // TestTraceScalingExact).
 //
 // The replay is allocation-free per message: traces are iterated straight
-// off their columnar step index, routes come from the topology instance's
-// own memoized cache — shared across every evaluation cell replaying
-// against it, and living exactly as long as it (see topology.RouteCache) —
-// and the per-step aggregates use dense generation-stamped scratch slices
-// reused across steps instead of maps.
+// off their columnar step index, each message pair's route is computed into
+// one reused buffer (topology.Topology.AppendRoute: a few integers of
+// arithmetic, an O(hops) walk on a torus — nothing is cached or shared, so
+// any number of cells replay against one topology instance without
+// synchronization), and the per-step aggregates use dense
+// generation-stamped scratch slices reused across steps instead of maps.
 package netsim
 
 import (
@@ -125,14 +126,15 @@ type traceProfile struct {
 // volumes as exact integer element counts. The per-step aggregates —
 // link loads, per-receiver volumes, per-sender message counts — live in
 // dense scratch slices stamped with the step's generation, so advancing a
-// step resets nothing and the whole replay allocates only the profile it
-// returns.
+// step resets nothing. Routes are computed per message pair into one buffer
+// reused for the whole replay (topo.AppendRoute), so beyond that scratch the
+// replay allocates only the profile it returns and touches no state shared
+// with other goroutines replaying against the same topo.
 func profile(tr *fabric.Trace, topo topology.Topology, ev Eval) (*traceProfile, error) {
 	if len(ev.Placement) < tr.P {
 		return nil, fmt.Errorf("netsim: placement covers %d of %d ranks", len(ev.Placement), tr.P)
 	}
 	links := topo.Links()
-	routes := topo.Routes()
 	// Generation-stamped scratch: entry i is live for the current step iff
 	// its stamp equals the step's generation, so clearing between steps is
 	// free and only touched entries are ever visited.
@@ -167,9 +169,9 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval) (*traceProfile, 
 			pf.totalElems += elems
 			pf.messages++
 			// Consecutive records very often repeat a pair (sub-message
-			// runs); skip even the cache lookup for those.
+			// runs); those reuse the route already in the buffer.
 			if src != lastSrc || dst != lastDst {
-				route = routes.Route(src, dst)
+				route = topo.AppendRoute(route[:0], src, dst)
 				lastSrc, lastDst = src, dst
 			}
 			hops := 0

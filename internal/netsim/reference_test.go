@@ -37,7 +37,7 @@ func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Ev
 			bytes := float64(m.Elems) * ev.ElemBytes
 			res.TotalBytes += bytes
 			res.Messages++
-			route := topo.Route(src, dst)
+			route := topo.AppendRoute(nil, src, dst)
 			a := p.AlphaLocal
 			hops := 0
 			for _, id := range route {

@@ -1,88 +1,19 @@
 package topology
 
-import "sync"
-
-// RouteCache memoizes a topology's Route results. Minimal routes depend only
-// on the (src, dst) node pair — never on the message — so a cache shared
-// across every evaluation cell of a system computes each pair's route once
-// and replays it allocation-free forever after: the per-message Route slice
-// allocation (and, for tori, the per-hop coordinate walk) disappears from
-// the netsim hot path.
-//
-// Cached routes are appended into flat arena blocks and handed out as
-// immutable subslices, so a million cached pairs cost a handful of
-// allocations rather than one each. Link IDs are stored as int32 (they index
-// Links(), bounded far below 2³¹), matching the columnar trace layout.
-//
-// Every concrete topology carries one cache, created lazily on first use
-// (Topology.Routes), so cached routes live exactly as long as the topology
-// that computes them — no global registry to leak instances into.
-//
-// A RouteCache is safe for concurrent use; lookups take a read lock only.
+// RouteCache is a compatibility shim, not a cache: routes are computed, not
+// stored (Topology.AppendRoute). It survives only because the frozen
+// benchmark probe (bench/probe) compiles against Topology.Routes and
+// (*RouteCache).Route; nothing inside the repository calls either. The next
+// benchmark PR that may edit the probe deletes this type and takes Routes
+// out of the Topology interface.
 type RouteCache struct {
 	topo Topology
-
-	mu     sync.RWMutex
-	routes map[uint64][]int32
-	arena  []int32
+	buf  []int32
 }
 
-// routeArenaBlock is the arena growth quantum in link IDs. Blocks are never
-// reallocated once routes point into them; a full block is simply retired
-// and a fresh one started.
-const routeArenaBlock = 1 << 14
-
-// NewRouteCache returns an empty cache over topo. Callers replaying traces
-// should prefer topo.Routes(), which shares one cache per instance.
-func NewRouteCache(topo Topology) *RouteCache {
-	return &RouteCache{topo: topo, routes: make(map[uint64][]int32)}
-}
-
-// routeCacheHolder lazily attaches one RouteCache to a topology instance
-// (embedded via common); the concrete types' Routes methods hand it their
-// own interface value.
-type routeCacheHolder struct {
-	once sync.Once
-	rc   *RouteCache
-}
-
-func (h *routeCacheHolder) routeCache(t Topology) *RouteCache {
-	h.once.Do(func() { h.rc = NewRouteCache(t) })
-	return h.rc
-}
-
-// Topology returns the wrapped topology.
-func (rc *RouteCache) Topology() Topology { return rc.topo }
-
-// Route returns the link IDs a message from src to dst traverses, computing
-// and memoizing the underlying Route on first use. The returned slice is
-// shared and must not be modified.
+// Route computes the route from src to dst into the shim's own buffer. The
+// result is valid until the next call; not for concurrent use.
 func (rc *RouteCache) Route(src, dst int) []int32 {
-	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
-	rc.mu.RLock()
-	route, ok := rc.routes[key]
-	rc.mu.RUnlock()
-	if ok {
-		return route
-	}
-	ids := rc.topo.Route(src, dst)
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if route, ok := rc.routes[key]; ok { // lost the insert race; keep the winner
-		return route
-	}
-	if cap(rc.arena)-len(rc.arena) < len(ids) {
-		block := routeArenaBlock
-		if len(ids) > block {
-			block = len(ids)
-		}
-		rc.arena = make([]int32, 0, block)
-	}
-	start := len(rc.arena)
-	for _, id := range ids {
-		rc.arena = append(rc.arena, int32(id))
-	}
-	route = rc.arena[start:len(rc.arena):len(rc.arena)]
-	rc.routes[key] = route
-	return route
+	rc.buf = rc.topo.AppendRoute(rc.buf[:0], src, dst)
+	return rc.buf
 }

@@ -62,13 +62,18 @@ type Topology interface {
 	NumGroups() int
 	// GroupOf returns the group of a node.
 	GroupOf(node int) int
-	// Route returns the link IDs a message from src to dst traverses,
-	// under minimal routing. src == dst returns nil.
-	Route(src, dst int) []int
-	// Routes returns the topology's memoized route cache (replay hot
-	// path); its lifetime is the topology instance's.
+	// AppendRoute appends to buf the link IDs a message from src to dst
+	// traverses under minimal routing, and returns the extended slice.
+	// src == dst appends nothing. A route is a few integers of arithmetic
+	// (an O(hops) walk on a torus), so it is computed per message pair
+	// rather than stored: the call allocates nothing once buf has the
+	// capacity, and is safe from any number of goroutines, each with its
+	// own buf.
+	AppendRoute(buf []int32, src, dst int) []int32
+	// Routes exists only for the frozen bench/probe; see RouteCache.
 	Routes() *RouteCache
-	// Links enumerates every link; Route results index into it by ID.
+	// Links enumerates every link; AppendRoute results index into it by
+	// ID.
 	Links() []Link
 }
 
@@ -76,12 +81,10 @@ type Topology interface {
 func GbpsToBytes(gbps float64) float64 { return gbps * 1e9 / 8 }
 
 // common implements injection links (IDs 0..2N-1: node i injects on 2i and
-// ejects on 2i+1) and the lazily attached route cache shared by all
-// concrete topologies.
+// ejects on 2i+1) shared by all concrete topologies.
 type common struct {
 	nodes int
 	links []Link
-	routeCacheHolder
 }
 
 func newCommon(nodes int, nicBW float64) *common {
@@ -95,13 +98,13 @@ func newCommon(nodes int, nicBW float64) *common {
 	return c
 }
 
-func (c *common) inject(node int) int { return 2 * node }
-func (c *common) eject(node int) int  { return 2*node + 1 }
+func (c *common) inject(node int) int32 { return int32(2 * node) }
+func (c *common) eject(node int) int32  { return int32(2*node + 1) }
 
-func (c *common) addLink(kind LinkKind, bw float64) int {
+func (c *common) addLink(kind LinkKind, bw float64) int32 {
 	id := len(c.links)
 	c.links = append(c.links, Link{ID: id, Kind: kind, BW: bw})
-	return id
+	return int32(id)
 }
 
 func (c *common) Nodes() int    { return c.nodes }
@@ -114,7 +117,7 @@ type Dragonfly struct {
 	name          string
 	groups        int
 	nodesPerGroup int
-	global        [][]int // global[ga][gb] = link ID (ga != gb)
+	global        [][]int32 // global[ga][gb] = link ID (ga != gb)
 }
 
 // DragonflyConfig sizes a Dragonfly.
@@ -139,9 +142,9 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 		groups:        cfg.Groups,
 		nodesPerGroup: cfg.NodesPerGroup,
 	}
-	d.global = make([][]int, cfg.Groups)
+	d.global = make([][]int32, cfg.Groups)
 	for a := range d.global {
-		d.global[a] = make([]int, cfg.Groups)
+		d.global[a] = make([]int32, cfg.Groups)
 		for b := range d.global[a] {
 			d.global[a][b] = -1
 		}
@@ -166,20 +169,20 @@ func (d *Dragonfly) NumGroups() int { return d.groups }
 // across groups, as on the paper's systems).
 func (d *Dragonfly) GroupOf(node int) int { return node / d.nodesPerGroup }
 
-// Routes returns the memoized route cache.
-func (d *Dragonfly) Routes() *RouteCache { return d.routeCache(d) }
+// Routes returns the bench/probe shim.
+func (d *Dragonfly) Routes() *RouteCache { return &RouteCache{topo: d} }
 
-// Route returns injection + (for inter-group traffic) the group-pair global
-// bundle + ejection.
-func (d *Dragonfly) Route(src, dst int) []int {
+// AppendRoute appends injection + (for inter-group traffic) the group-pair
+// global bundle + ejection.
+func (d *Dragonfly) AppendRoute(buf []int32, src, dst int) []int32 {
 	if src == dst {
-		return nil
+		return buf
 	}
 	ga, gb := d.GroupOf(src), d.GroupOf(dst)
 	if ga == gb {
-		return []int{d.inject(src), d.eject(dst)}
+		return append(buf, d.inject(src), d.eject(dst))
 	}
-	return []int{d.inject(src), d.global[ga][gb], d.eject(dst)}
+	return append(buf, d.inject(src), d.global[ga][gb], d.eject(dst))
 }
 
 // UpDown is the shared shape of Dragonfly+ (Leonardo) and oversubscribed
@@ -191,7 +194,7 @@ type UpDown struct {
 	name          string
 	groups        int
 	nodesPerGroup int
-	up, down      []int
+	up, down      []int32
 }
 
 // UpDownConfig sizes an UpDown topology. The uplink/downlink bundle
@@ -246,20 +249,20 @@ func (u *UpDown) NumGroups() int { return u.groups }
 // GroupOf maps nodes to groups block-wise.
 func (u *UpDown) GroupOf(node int) int { return node / u.nodesPerGroup }
 
-// Routes returns the memoized route cache.
-func (u *UpDown) Routes() *RouteCache { return u.routeCache(u) }
+// Routes returns the bench/probe shim.
+func (u *UpDown) Routes() *RouteCache { return &RouteCache{topo: u} }
 
-// Route crosses the source group's uplink and the destination group's
+// AppendRoute crosses the source group's uplink and the destination group's
 // downlink for inter-group traffic.
-func (u *UpDown) Route(src, dst int) []int {
+func (u *UpDown) AppendRoute(buf []int32, src, dst int) []int32 {
 	if src == dst {
-		return nil
+		return buf
 	}
 	ga, gb := u.GroupOf(src), u.GroupOf(dst)
 	if ga == gb {
-		return []int{u.inject(src), u.eject(dst)}
+		return append(buf, u.inject(src), u.eject(dst))
 	}
-	return []int{u.inject(src), u.up[ga], u.down[gb], u.eject(dst)}
+	return append(buf, u.inject(src), u.up[ga], u.down[gb], u.eject(dst))
 }
 
 // Flat is a non-blocking crossbar (intra-node GPU fabric, or an idealized
@@ -283,13 +286,13 @@ func (f *Flat) NumGroups() int { return 1 }
 // GroupOf always returns 0.
 func (f *Flat) GroupOf(int) int { return 0 }
 
-// Routes returns the memoized route cache.
-func (f *Flat) Routes() *RouteCache { return f.routeCache(f) }
+// Routes returns the bench/probe shim.
+func (f *Flat) Routes() *RouteCache { return &RouteCache{topo: f} }
 
-// Route is injection and ejection only.
-func (f *Flat) Route(src, dst int) []int {
+// AppendRoute is injection and ejection only.
+func (f *Flat) AppendRoute(buf []int32, src, dst int) []int32 {
 	if src == dst {
-		return nil
+		return buf
 	}
-	return []int{f.inject(src), f.eject(dst)}
+	return append(buf, f.inject(src), f.eject(dst))
 }

@@ -2,6 +2,10 @@ package topology
 
 import "testing"
 
+// routeOf is AppendRoute into a fresh slice, for assertions that keep several
+// routes side by side.
+func routeOf(topo Topology, src, dst int) []int32 { return topo.AppendRoute(nil, src, dst) }
+
 func checkRoutes(t *testing.T, topo Topology) {
 	t.Helper()
 	links := topo.Links()
@@ -17,9 +21,9 @@ func checkRoutes(t *testing.T, topo Topology) {
 	step := n/17 + 1
 	for src := 0; src < n; src += step {
 		for dst := 0; dst < n; dst += step {
-			route := topo.Route(src, dst)
+			route := routeOf(topo, src, dst)
 			if src == dst {
-				if route != nil {
+				if len(route) != 0 {
 					t.Fatalf("%s: self route not empty", topo.Name())
 				}
 				continue
@@ -28,7 +32,7 @@ func checkRoutes(t *testing.T, topo Topology) {
 				t.Fatalf("%s: route %d→%d too short: %v", topo.Name(), src, dst, route)
 			}
 			for _, id := range route {
-				if id < 0 || id >= len(links) {
+				if id < 0 || int(id) >= len(links) {
 					t.Fatalf("%s: route %d→%d uses unknown link %d", topo.Name(), src, dst, id)
 				}
 			}
@@ -69,8 +73,8 @@ func TestDragonfly(t *testing.T) {
 	}
 	checkRoutes(t, d)
 	// Distinct group pairs use distinct global links (per-pair bundles).
-	r1 := d.Route(0, 8)  // g0 → g1
-	r2 := d.Route(0, 16) // g0 → g2
+	r1 := routeOf(d, 0, 8)  // g0 → g1
+	r2 := routeOf(d, 0, 16) // g0 → g2
 	if r1[1] == r2[1] {
 		t.Error("group pairs share a global link")
 	}
@@ -91,7 +95,7 @@ func TestUpDown(t *testing.T) {
 	// 2:1 oversubscription: uplink bundle carries half the aggregate NIC
 	// bandwidth of its subtree.
 	links := u.Links()
-	route := u.Route(0, 7)
+	route := routeOf(u, 0, 7)
 	up := links[route[1]]
 	if up.Kind != Global {
 		t.Fatal("expected uplink")
@@ -100,7 +104,7 @@ func TestUpDown(t *testing.T) {
 		t.Errorf("uplink bw %f, want %f", up.BW, want)
 	}
 	// All traffic leaving one subtree shares its uplink.
-	ra, rb := u.Route(0, 2), u.Route(1, 4)
+	ra, rb := routeOf(u, 0, 2), routeOf(u, 1, 4)
 	if ra[1] != rb[1] {
 		t.Error("subtree sends use different uplinks")
 	}
@@ -129,19 +133,19 @@ func TestTorusTopology(t *testing.T) {
 		t.Fatal("size")
 	}
 	// Neighbour route: inject + 1 hop + eject.
-	if r := tor.Route(0, 1); len(r) != 3 {
+	if r := routeOf(tor, 0, 1); len(r) != 3 {
 		t.Errorf("neighbour route %v", r)
 	}
 	// Fig. 16A: (0,0) → (3,3) is 2 hops on a 4×4 torus (wrap both dims).
-	if r := tor.Route(0, 15); len(r) != 4 {
+	if r := routeOf(tor, 0, 15); len(r) != 4 {
 		t.Errorf("corner route has %d links, want 4", len(r))
 	}
 	// Max distance in one dim of size 4 is 2 hops.
-	if r := tor.Route(0, 2); len(r) != 4 {
+	if r := routeOf(tor, 0, 2); len(r) != 4 {
 		t.Errorf("antipodal route %v", r)
 	}
 	// Distinct directions use distinct links.
-	fwd, back := tor.Route(0, 1), tor.Route(1, 0)
+	fwd, back := routeOf(tor, 0, 1), routeOf(tor, 1, 0)
 	if fwd[1] == back[1] {
 		t.Error("opposite directions share a link")
 	}

@@ -16,9 +16,8 @@ type Torus struct {
 	*common
 	name string
 	geom core.Torus
-	// link id for (node, dim, +1) at dimLinks[node][dim][0], (node, dim,
-	// −1) at [1].
-	dimLinks [][][2]int
+	// stride[d] is the node-id distance of one step along dimension d.
+	stride []int
 }
 
 // TorusConfig sizes a Torus topology.
@@ -41,15 +40,21 @@ func NewTorus(cfg TorusConfig) (*Torus, error) {
 	}
 	n := geom.P()
 	t := &Torus{common: newCommon(n, cfg.NICBW), name: cfg.Name, geom: geom}
-	t.dimLinks = make([][][2]int, n)
-	for node := 0; node < n; node++ {
-		t.dimLinks[node] = make([][2]int, geom.NDims())
-		for d := 0; d < geom.NDims(); d++ {
-			t.dimLinks[node][d][0] = t.addLink(Global, cfg.LinkBW)
-			t.dimLinks[node][d][1] = t.addLink(Global, cfg.LinkBW)
-		}
+	for d := 0; d < geom.NDims(); d++ {
+		t.stride = append(t.stride, geom.DimStride(d))
+	}
+	// Torus links follow the injection links in (node, dim, direction)
+	// order, so dimLink finds them by arithmetic.
+	for i := 0; i < 2*n*geom.NDims(); i++ {
+		t.addLink(Global, cfg.LinkBW)
 	}
 	return t, nil
+}
+
+// dimLink is the link leaving node along dimension d: back = 0 for the
+// positive direction, 1 for the negative.
+func (t *Torus) dimLink(node, d, back int) int32 {
+	return int32(2*t.nodes + 2*(node*len(t.stride)+d) + back)
 }
 
 // Name returns the configured system name.
@@ -65,34 +70,42 @@ func (t *Torus) NumGroups() int { return t.nodes }
 // GroupOf is the identity.
 func (t *Torus) GroupOf(node int) int { return node }
 
-// Routes returns the memoized route cache.
-func (t *Torus) Routes() *RouteCache { return t.routeCache(t) }
+// Routes returns the bench/probe shim.
+func (t *Torus) Routes() *RouteCache { return &RouteCache{topo: t} }
 
-// Route walks dimension order, taking the shorter ring direction in each
-// dimension and collecting one link per hop.
-func (t *Torus) Route(src, dst int) []int {
+// AppendRoute walks dimension order, taking the shorter ring direction in
+// each dimension and appending one link per hop. Coordinates come from the
+// strides and cur advances by ±stride with wrap, so the walk allocates
+// nothing.
+func (t *Torus) AppendRoute(buf []int32, src, dst int) []int32 {
 	if src == dst {
-		return nil
+		return buf
 	}
-	route := []int{t.inject(src)}
-	cur := src
-	cc := t.geom.Coord(src)
-	dc := t.geom.Coord(dst)
-	for d := 0; d < t.geom.NDims(); d++ {
+	buf = append(buf, t.inject(src))
+	// rs and rd are src and dst with the dimensions already walked taken
+	// off, so one division each yields the next coordinate.
+	cur, rs, rd := src, src, dst
+	for d, stride := range t.stride {
 		size := t.geom.Dims[d]
-		fwd := core.Mod(dc[d]-cc[d], size)
-		dir, hops := +1, fwd
-		if back := size - fwd; fwd != 0 && back < fwd {
-			dir, hops = -1, back
+		c, cd := rs/stride, rd/stride
+		rs, rd = rs-c*stride, rd-cd*stride
+		hops, back, step := cd-c, 0, 1
+		if hops < 0 {
+			hops += size
 		}
-		for h := 0; h < hops; h++ {
-			idx := 0
-			if dir < 0 {
-				idx = 1
+		if rev := size - hops; hops != 0 && rev < hops {
+			hops, back, step = rev, 1, -1
+		}
+		for ; hops > 0; hops-- {
+			buf = append(buf, t.dimLink(cur, d, back))
+			c += step
+			cur += step * stride
+			if c == size { // wrapped past the last coordinate
+				c, cur = 0, cur-size*stride
+			} else if c < 0 {
+				c, cur = size-1, cur+size*stride
 			}
-			route = append(route, t.dimLinks[cur][d][idx])
-			cur = t.geom.Displace(cur, d, dir)
 		}
 	}
-	return append(route, t.eject(dst))
+	return append(buf, t.eject(dst))
 }
