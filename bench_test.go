@@ -299,10 +299,10 @@ func recordBench(a coll.Algorithm, p int) func(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateSizes compares per-size trace replay against the batched
-// evaluator over the paper's nine-size ladder: EvaluateSizes replays the
-// topology once and derives each size arithmetically, returning bit-identical
-// Results.
+// BenchmarkEvaluateSizes compares one trace replay per size against one
+// batched call over the paper's nine-size ladder: EvaluateSizes replays the
+// topology once per call and derives each size arithmetically, returning
+// bit-identical Results.
 func BenchmarkEvaluateSizes(b *testing.B) {
 	const p = 256
 	a, ok := coll.Find(coll.Registry(), coll.CAllreduce, "bine-bw")
@@ -341,9 +341,9 @@ func BenchmarkEvaluateSizes(b *testing.B) {
 	b.Run("per-size-evaluate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, eb := range elemBytes {
-				if _, err := netsim.Evaluate(tr, topo, params, netsim.Eval{
-					Placement: placement, ElemBytes: eb, Reduces: true,
-				}); err != nil {
+				if _, err := netsim.EvaluateSizes(tr, topo, params, netsim.Eval{
+					Placement: placement, Reduces: true,
+				}, []float64{eb}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,12 +4,12 @@
 // repository root maps every experiment name to its paper artifact.
 //
 // Every experiment compiles to a flat job graph of independent recording
-// and evaluation cells. A single experiment drains its cells on its own
-// worker pool (one worker per CPU by default; -workers overrides);
-// -experiment all compiles all experiments up front and drains every
-// system's cells — LUMI, Leonardo, MareNostrum, Fugaku — on one shared
-// process-wide pool, with -systems selecting a subset of the artifact
-// groups and -progress reporting live per-system cell counts on stderr.
+// and evaluation cells, drained on one worker pool (one worker per CPU by
+// default; -workers overrides). "all" is itself an experiment: every
+// artifact's plan compiled up front, every system's cells — LUMI, Leonardo,
+// MareNostrum, Fugaku — drained together on that pool, the artifacts
+// rendered in paper order; -systems selects a subset of its artifact groups
+// and -progress reports live per-system cell counts on stderr.
 // Receive deadlines in the recording fabric scale with the schedule
 // length, so full-scale recordings (the 8192-node Fugaku ring) complete
 // instead of tripping the flat timeout. Artifacts are byte-identical at
@@ -20,13 +20,14 @@
 //
 // Cold schedules are synthesized directly from schedule math (a serial
 // pattern walk, no goroutine fabric) and are byte-identical to fabric
-// recordings; the fabric remains the fallback and the verification oracle.
+// recordings; the fabric remains the verification oracle, and a schedule the
+// synthesizer cannot walk fails the run as a failed recording would.
 // -synth=false forces the recording path, and -verify-synth records every
 // synthesized schedule too, failing on any encoded-byte difference (CI's
 // equivalence gate). With -trace-cache the resolved traces also persist to
 // a content-addressed on-disk store shared across runs — a warm store makes
 // repeated -full runs and CI sweeps skip even synthesis. -v prints the
-// cache counters (memory/disk hits, synthesized/verified/fallback counts,
+// cache counters (memory/disk hits, synthesized/verified counts,
 // recordings, evictions, and the resident columnar footprint) to stderr so
 // warm and cold runs are observable, followed by the per-stage latency
 // breakdown — compile, execute, render, cache-lookup, store-load, synth,
@@ -103,7 +104,10 @@ func main() {
 	// consistent) instead of killing the run mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	err := run(ctx, os.Stdout, *experiment, opts)
+	// Every experiment, "all" included, compiles and renders through the same
+	// plan path the binebenchd artifact service uses, so CLI files and served
+	// responses are byte-identical by construction.
+	err := harness.RunExperiment(ctx, os.Stdout, *experiment, opts)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -226,14 +230,4 @@ func progressPrinter(w io.Writer) harness.ProgressFunc {
 		}
 		fmt.Fprintf(w, "\r%-*s", width, line)
 	}
-}
-
-func run(ctx context.Context, w io.Writer, experiment string, opts harness.Options) error {
-	if experiment == "all" {
-		return harness.RunAll(ctx, w, opts)
-	}
-	// Single experiments compile and render through the same plan path the
-	// binebenchd artifact service uses, so CLI files and served responses
-	// are byte-identical by construction.
-	return harness.RunExperiment(ctx, w, experiment, opts)
 }

@@ -17,18 +17,19 @@
 //	GET /tracez                                      recent + slowest request timelines
 //
 // Responses are byte-identical to the binebench CLI's output for the same
-// request: both compile the experiment through the same plan path and render
-// with the same serial pass (diffed in tests and CI). Identical concurrent
-// requests are deduplicated by singleflight on the compiled plan key, so a
-// thundering herd of the same artifact resolves each schedule once; all
-// requests share one resident process-wide worker pool and trace cache.
+// request: both compile the experiment — "all" is one — through the same
+// plan path and drain and render it with the same loop (diffed in tests and
+// CI). Identical concurrent requests are deduplicated by singleflight on the
+// compiled plan key, so a thundering herd of the same artifact resolves each
+// schedule once; all requests share one resident process-wide worker pool
+// and trace cache.
 // Cold schedules are synthesized directly from schedule math (byte-identical
 // to fabric recordings; -synth=false forces the recording path, and
 // -verify-synth cross-checks every synthesis against a recording), and
 // /statsz reports the resolver-chain counters — synthesized, verified,
-// fallbacks, recordings — alongside the cache and request stats. Replicas
-// may share one -trace-cache directory: stored traces are written
-// world-readable and corrupt files self-evict on either side.
+// recordings — alongside the cache and request stats. Replicas may share
+// one -trace-cache directory: stored traces are written world-readable and
+// corrupt files self-evict on either side.
 //
 // Overload protection: at most -max-flights non-follower renders run
 // concurrently, at most -queue-budget further flights wait for a slot, and

@@ -52,10 +52,9 @@ func main() {
 		}
 		tr := cl.Trace()
 		cl.Close()
-		steps := tr.Steps()
 		active := 0
-		for _, s := range steps {
-			if len(s) > 0 {
+		for s := 0; s < tr.NumSteps(); s++ {
+			if lo, hi := tr.StepBounds(s); hi > lo {
 				active++
 			}
 		}

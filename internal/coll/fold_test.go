@@ -87,9 +87,9 @@ func TestFoldedVolumeOverhead(t *testing.T) {
 	// Two folded ranks send n pre-fold and receive n post-unfold: 4n extra
 	// elements over the inner 4-rank allreduce.
 	foldElems := int64(0)
-	for _, m := range tr.Records() {
-		if m.From >= 4 || m.To >= 4 {
-			foldElems += int64(m.Elems)
+	for i := 0; i < tr.NumRecords(); i++ {
+		if tr.From(i) >= 4 || tr.To(i) >= 4 {
+			foldElems += int64(tr.Elems(i))
 		}
 	}
 	if foldElems != 4*int64(n) {
@@ -136,13 +136,13 @@ func TestPipelineWavefrontOverlaps(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	steps := rec.Trace().Steps()
-	if len(steps) != p-2+segs {
-		t.Fatalf("%d steps, want %d", len(steps), p-2+segs)
+	tr := rec.Trace()
+	if tr.NumSteps() != p-2+segs {
+		t.Fatalf("%d steps, want %d", tr.NumSteps(), p-2+segs)
 	}
 	multi := 0
-	for _, s := range steps {
-		if len(s) > 1 {
+	for s := 0; s < tr.NumSteps(); s++ {
+		if lo, hi := tr.StepBounds(s); hi-lo > 1 {
 			multi++
 		}
 	}

@@ -60,7 +60,7 @@ func checkBuilderMatchesRecorder(t *testing.T, rng *rand.Rand) {
 	buildSchedule(t, b, sched)
 	built := b.Trace()
 	if got, want := encodeBytes(t, built), encodeBytes(t, rec.Trace()); !bytes.Equal(got, want) {
-		t.Fatalf("built trace diverges from recorded trace (p=%d)\n built %+v", p, built.Records())
+		t.Fatalf("built trace diverges from recorded trace (p=%d)\n built %+v", p, records(built))
 	}
 	// The builder reset on Trace: a second merge of the same sends must
 	// reproduce the same bytes from a clean slate.
@@ -126,6 +126,6 @@ func TestPatternCommValidation(t *testing.T) {
 	}
 	tr := b.Trace()
 	if tr.NumRecords() != 1 || tr.At(0) != (Record{From: 1, To: 2, Step: 0, Sub: 0, Elems: 3}) {
-		t.Fatalf("trace %+v", tr.Records())
+		t.Fatalf("trace %+v", records(tr))
 	}
 }

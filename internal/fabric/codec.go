@@ -23,16 +23,16 @@ import (
 // written by older codecs are simply never found again.
 const CodecVersion = 1
 
-// Decoder bounds. A decoded Trace allocates per-rank scratch and a
-// per-step index whatever the record count (sparse schedules are real: a
-// quarter of LUMI's stored traces have empty steps, the sparsest 137 steps
-// per record), so the header's rank count and every record's step are capped
-// before anything is sized by them — a CRC-valid file of a few bytes must not
-// cost gigabytes. Both caps leave ≥ 64× headroom over the largest schedule
-// the registry produces at -full scale: p = 8192, and step numbers below
-// 2¹⁶ (the p = 8192 ring's 2(p−1) = 16 382; the 3-D torus collectives'
-// seven phases, offset 4096 steps apart, reach 28 675 at quick scale
-// already).
+// Decoder bounds. A decoded Trace allocates a per-step index whatever the
+// record count (sparse schedules are real: a quarter of LUMI's stored traces
+// have empty steps, the sparsest 137 steps per record), and its consumers
+// allocate per-rank scratch, so the header's rank count and every record's
+// step are capped before anything is sized by them — a CRC-valid file of a
+// few bytes must not cost gigabytes. Both caps leave ≥ 64× headroom over the
+// largest schedule the registry produces at -full scale: p = 8192, and step
+// numbers below 2¹⁶ (the p = 8192 ring's 2(p−1) = 16 382; the 3-D torus
+// collectives' seven phases, offset 4096 steps apart, reach 28 675 at quick
+// scale already).
 const (
 	maxTraceRanks = 1 << 20
 	maxTraceSteps = 1 << 22
@@ -68,20 +68,11 @@ func EncodeTrace(w io.Writer, tr *Trace) error {
 	return nil
 }
 
-// DecodeTrace parses a trace encoded by EncodeTrace, rejecting wrong magic,
+// DecodeTraceBytes parses a trace encoded by EncodeTrace from its in-memory
+// encoding (the trace store reads whole files), rejecting wrong magic,
 // unknown versions, checksum mismatches, truncation, out-of-range fields,
 // rank or step counts above the decoder bounds, and steps out of order
 // (every writer emits them sorted).
-func DecodeTrace(r io.Reader) (*Trace, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: reading trace: %w", err)
-	}
-	return DecodeTraceBytes(raw)
-}
-
-// DecodeTraceBytes is DecodeTrace over an in-memory encoding (the trace
-// store reads whole files and decodes without an intermediate copy).
 func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	if len(raw) < len(traceMagic)+4 || string(raw[:4]) != string(traceMagic[:]) {
 		return nil, fmt.Errorf("fabric: not an encoded trace")

@@ -46,14 +46,14 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 		if err := EncodeTrace(&buf, tr); err != nil {
 			t.Fatalf("trace %d: encode: %v", i, err)
 		}
-		got, err := DecodeTrace(&buf)
+		got, err := DecodeTraceBytes(buf.Bytes())
 		if err != nil {
 			t.Fatalf("trace %d: decode: %v", i, err)
 		}
 		if got.P != tr.P || got.NumRecords() != tr.NumRecords() {
 			t.Fatalf("trace %d: shape %d/%d, want %d/%d", i, got.P, got.NumRecords(), tr.P, tr.NumRecords())
 		}
-		if tr.NumRecords() > 0 && !reflect.DeepEqual(got.Records(), tr.Records()) {
+		if !reflect.DeepEqual(got, tr) {
 			t.Fatalf("trace %d: records differ", i)
 		}
 	}
@@ -85,7 +85,7 @@ func TestTraceCodecRoundTripRecorded(t *testing.T) {
 	if err := EncodeTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTrace(&buf)
+	got, err := DecodeTraceBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTraceCodecGolden(t *testing.T) {
 	if got := hex.EncodeToString(buf.Bytes()); got != goldenTraceHex {
 		t.Fatalf("encoding changed (bump CodecVersion!):\n got %s\nwant %s", got, goldenTraceHex)
 	}
-	got, err := DecodeTrace(&buf)
+	got, err := DecodeTraceBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestTraceCodecRejectsDamage(t *testing.T) {
 	raw := buf.Bytes()
 	// Every truncation must fail cleanly.
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := DecodeTrace(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := DecodeTraceBytes(raw[:cut]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes accepted", cut, len(raw))
 		}
 	}
@@ -142,13 +142,13 @@ func TestTraceCodecRejectsDamage(t *testing.T) {
 	for i := range raw {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0x5a
-		if _, err := DecodeTrace(bytes.NewReader(bad)); err == nil {
+		if _, err := DecodeTraceBytes(bad); err == nil {
 			t.Fatalf("corrupted byte %d accepted", i)
 		}
 	}
 	// An unknown version must be rejected even with a valid checksum.
 	future := frameTrace([]byte{CodecVersion + 1, 1, 0}) // version, P=1, no records
-	if _, err := DecodeTrace(bytes.NewReader(future)); err == nil {
+	if _, err := DecodeTraceBytes(future); err == nil {
 		t.Fatal("future codec version accepted")
 	}
 }

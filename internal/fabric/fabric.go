@@ -142,13 +142,3 @@ func Run(f Fabric, fn func(c Comm) error) error {
 	}
 	return first
 }
-
-// SendRecv performs the pairwise exchange at the heart of every butterfly
-// step: send sdata to peer and receive a message of len(rbuf) elements from
-// the same peer, both tagged (step, sub).
-func SendRecv(c Comm, peer, step, sub int, sdata, rbuf []int32) error {
-	if err := c.Send(peer, step, sub, sdata); err != nil {
-		return err
-	}
-	return c.Recv(peer, step, sub, rbuf)
-}

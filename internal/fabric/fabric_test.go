@@ -424,18 +424,16 @@ func TestRecorderCapturesTrace(t *testing.T) {
 	if got, want := tr.NumRecords(), 4+3; got != want {
 		t.Fatalf("%d records, want %d", got, want)
 	}
-	steps := tr.Steps()
-	if len(steps) != 2 || len(steps[0]) != 4 || len(steps[1]) != 3 {
-		t.Fatalf("steps: %d/%v", len(steps), steps)
+	lo0, hi0 := tr.StepBounds(0)
+	lo1, hi1 := tr.StepBounds(1)
+	if tr.NumSteps() != 2 || hi0-lo0 != 4 || hi1-lo1 != 3 {
+		t.Fatalf("steps: %d, bounds [%d,%d) [%d,%d)", tr.NumSteps(), lo0, hi0, lo1, hi1)
 	}
 	if tr.TotalElems() != 4*10+3*5 {
 		t.Fatalf("total elems %d", tr.TotalElems())
 	}
-	if tr.MaxMessagesPerSender() != 3 {
-		t.Fatalf("max messages per sender %d", tr.MaxMessagesPerSender())
-	}
 	// Determinism: records sorted by (step, from, to, sub).
-	recs := tr.Records()
+	recs := records(tr)
 	for i := 1; i < len(recs); i++ {
 		a, b := recs[i-1], recs[i]
 		if a.Step > b.Step || (a.Step == b.Step && a.From > b.From) {

@@ -10,8 +10,8 @@ import (
 
 // Record is one captured point-to-point transfer, materialized from the
 // trace's columnar storage (see Trace). It remains the unit of construction
-// (NewTrace) and inspection (Trace.At, Trace.Records) for tests and tools;
-// the hot paths read the columns through the per-field accessors instead.
+// (NewTrace) and inspection (Trace.At) for tests and tools; the hot paths
+// read the columns through the per-field accessors instead.
 type Record struct {
 	From, To int
 	// Step is the collective's logical step; messages sharing a step are
@@ -31,9 +31,7 @@ type Record struct {
 // bytes per record instead of the 40 of a []Record — the full-scale Fugaku
 // ring (~134M messages) fits in ~2.7 GB instead of ~5.4. Records are grouped
 // by ascending step with a step index over the columns, so replay iterates
-// steps without re-grouping, and the totals the evaluator asks for per cell
-// (TotalElems, MaxMessagesPerSender) are computed once at construction. A
-// Trace is immutable after construction.
+// steps without re-grouping. A Trace is immutable after construction.
 type Trace struct {
 	P int
 
@@ -47,15 +45,21 @@ type Trace struct {
 	stepOff []int32
 
 	totalElems int64
-	maxMsgs    int
 }
 
 // NewTrace builds a trace over p ranks from materialized records (tests and
-// tools; recordings come from Recorder.Trace and DecodeTrace). Records are
-// stably grouped by step if they aren't already; within-step order is
+// tools; recordings come from Recorder.Trace and DecodeTraceBytes). Records
+// are stably grouped by step if they aren't already; within-step order is
 // preserved. Fields must be non-negative, fit in int32, and name ranks below
 // p.
 func NewTrace(p int, recs []Record) *Trace {
+	// Only hand-built traces interleave steps. Stable so within-step order —
+	// which the replay semantics preserve — stays exactly the construction
+	// order.
+	if !sort.SliceIsSorted(recs, func(i, j int) bool { return recs[i].Step < recs[j].Step }) {
+		recs = append([]Record(nil), recs...)
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Step < recs[j].Step })
+	}
 	n := len(recs)
 	step, from, to, sub, elems := makeColumns(n)
 	for i, r := range recs {
@@ -80,38 +84,14 @@ func makeColumns(n int) (step, from, to, sub, elems []int32) {
 	return cols[:n:n], cols[n : 2*n : 2*n], cols[2*n : 3*n : 3*n], cols[3*n : 4*n : 4*n], cols[4*n : 5*n : 5*n]
 }
 
-// newTraceColumns assembles a trace from columns it takes ownership of:
-// stable-group by step when needed, then index and total in one pass.
-// Callers guarantee non-negative fields and ranks below p.
+// newTraceColumns assembles a trace from columns it takes ownership of,
+// building the step index and the element total. Callers guarantee
+// non-negative fields, ranks below p and nondecreasing steps: mergeShards
+// by its counting merge, DecodeTraceBytes by rejecting a step below its
+// predecessor, NewTrace by sorting first.
 func newTraceColumns(p int, step, from, to, sub, elems []int32) *Trace {
 	n := len(step)
 	t := &Trace{P: p, cStep: step, cFrom: from, cTo: to, cSub: sub, cElems: elems}
-	sorted := true
-	for i := 1; i < n; i++ {
-		if step[i] < step[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		// Rare path: only hand-built traces interleave steps. Stable so
-		// within-step order — which the replay semantics preserve — stays
-		// exactly the construction order.
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(i, j int) bool { return step[perm[i]] < step[perm[j]] })
-		for _, col := range []*[]int32{&t.cStep, &t.cFrom, &t.cTo, &t.cSub, &t.cElems} {
-			old := *col
-			neu := make([]int32, n)
-			for i, pi := range perm {
-				neu[i] = old[pi]
-			}
-			*col = neu
-		}
-		step, from, elems = t.cStep, t.cFrom, t.cElems
-	}
 	numSteps := 0
 	if n > 0 {
 		numSteps = int(step[n-1]) + 1
@@ -125,26 +105,6 @@ func newTraceColumns(p int, step, from, to, sub, elems []int32) *Trace {
 	}
 	for _, e := range elems {
 		t.totalElems += int64(e)
-	}
-	// Messages-per-sender-per-step with a dense generation-stamped scratch:
-	// no maps, one pass.
-	if n > 0 {
-		cnt := make([]int32, p)
-		stamp := make([]int32, p)
-		for s := 0; s < numSteps; s++ {
-			gen := int32(s) + 1
-			for i := t.stepOff[s]; i < t.stepOff[s+1]; i++ {
-				f := from[i]
-				if stamp[f] != gen {
-					stamp[f] = gen
-					cnt[f] = 0
-				}
-				cnt[f]++
-				if int(cnt[f]) > t.maxMsgs {
-					t.maxMsgs = int(cnt[f])
-				}
-			}
-		}
 	}
 	return t
 }
@@ -178,16 +138,6 @@ func (t *Trace) At(i int) Record {
 	}
 }
 
-// Records materializes every record in the trace's step-grouped order
-// (tests and tools; the replay iterates the columns instead).
-func (t *Trace) Records() []Record {
-	out := make([]Record, t.NumRecords())
-	for i := range out {
-		out[i] = t.At(i)
-	}
-	return out
-}
-
 // NumSteps returns the number of logical steps (the largest step + 1; steps
 // with no messages count).
 func (t *Trace) NumSteps() int { return len(t.stepOff) - 1 }
@@ -196,27 +146,6 @@ func (t *Trace) NumSteps() int { return len(t.stepOff) - 1 }
 // records; lo == hi for an empty step.
 func (t *Trace) StepBounds(s int) (lo, hi int) {
 	return int(t.stepOff[s]), int(t.stepOff[s+1])
-}
-
-// Steps returns the records grouped by step in ascending step order
-// (materialized; the replay iterates StepBounds over the columns instead).
-func (t *Trace) Steps() [][]Record {
-	if t.NumRecords() == 0 {
-		return nil
-	}
-	out := make([][]Record, t.NumSteps())
-	for s := range out {
-		lo, hi := t.StepBounds(s)
-		if lo == hi {
-			continue
-		}
-		recs := make([]Record, hi-lo)
-		for i := range recs {
-			recs[i] = t.At(lo + i)
-		}
-		out[s] = recs
-	}
-	return out
 }
 
 // MemBytes returns the resident size of the trace's columnar storage: five
@@ -229,11 +158,6 @@ func (t *Trace) MemBytes() int64 {
 // TotalElems returns the total number of vector elements transferred
 // (computed once at construction).
 func (t *Trace) TotalElems() int64 { return t.totalElems }
-
-// MaxMessagesPerSender returns the largest number of messages any single
-// rank sends within one step (computed once at construction); the cost model
-// charges per-message overhead serialized at the sender.
-func (t *Trace) MaxMessagesPerSender() int { return t.maxMsgs }
 
 // budgetEvery is how many captured sends pass between the Recorder's budget
 // raises: frequent enough that the allowance tracks the schedule closely

@@ -9,6 +9,15 @@ import (
 	"testing"
 )
 
+// records materializes tr record by record, in its step-grouped order.
+func records(tr *Trace) []Record {
+	out := make([]Record, tr.NumRecords())
+	for i := range out {
+		out[i] = tr.At(i)
+	}
+	return out
+}
+
 // nullFabric is a transport that accepts every send and never delivers:
 // recorder tests and benchmarks exercise the recording hot path without
 // paying for mailboxes or goroutine scheduling.
@@ -180,8 +189,8 @@ func checkShardedMatchesReference(t *testing.T, rng *rand.Rand) {
 	if got.P != p {
 		t.Fatalf("trace P = %d, want %d", got.P, p)
 	}
-	if !reflect.DeepEqual(got.Records(), want) {
-		t.Fatalf("sharded merge diverged from single-mutex order\n got %+v\nwant %+v", got.Records(), want)
+	if !reflect.DeepEqual(records(got), want) {
+		t.Fatalf("sharded merge diverged from single-mutex order\n got %+v\nwant %+v", records(got), want)
 	}
 }
 

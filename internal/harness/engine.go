@@ -60,13 +60,12 @@ type Engine struct {
 	mu     sync.Mutex
 	traces map[tracestore.Key]*traceEntry
 
-	memHits        atomic.Uint64
-	synthHits      atomic.Uint64
-	synthFallbacks atomic.Uint64
-	synthVerified  atomic.Uint64
-	records        atomic.Uint64
-	cachedTraces   atomic.Uint64
-	cachedBytes    atomic.Uint64
+	memHits       atomic.Uint64
+	synthHits     atomic.Uint64
+	synthVerified atomic.Uint64
+	records       atomic.Uint64
+	cachedTraces  atomic.Uint64
+	cachedBytes   atomic.Uint64
 }
 
 type traceEntry struct {
@@ -96,11 +95,10 @@ type CacheStats struct {
 	// corrupt file is a miss).
 	DiskHits, DiskMisses uint64
 	// SynthHits counts schedules resolved by direct synthesis from schedule
-	// math — no goroutine fabric involved. SynthFallbacks counts synthesis
-	// attempts that errored and fell through to recording. SynthVerified
-	// counts synthesized traces checked byte-identical against a fabric
-	// recording (verify mode only).
-	SynthHits, SynthFallbacks, SynthVerified uint64
+	// math — no goroutine fabric involved. SynthVerified counts synthesized
+	// traces checked byte-identical against a fabric recording (verify mode
+	// only).
+	SynthHits, SynthVerified uint64
 	// Records counts schedules actually executed under a recording fabric
 	// — the expensive path; with synthesis on, a cold run keeps it at zero
 	// (verify mode deliberately drives it back up: one per verification).
@@ -123,8 +121,8 @@ type CacheStats struct {
 }
 
 func (s CacheStats) String() string {
-	out := fmt.Sprintf("trace cache: %d memory hits, %d disk hits, %d disk misses, %d synthesized (%d verified, %d fallbacks), %d recordings, %d disk saves, %d corrupt evictions; %d resident traces, %.1f MiB columnar",
-		s.MemoryHits, s.DiskHits, s.DiskMisses, s.SynthHits, s.SynthVerified, s.SynthFallbacks,
+	out := fmt.Sprintf("trace cache: %d memory hits, %d disk hits, %d disk misses, %d synthesized (%d verified), %d recordings, %d disk saves, %d corrupt evictions; %d resident traces, %.1f MiB columnar",
+		s.MemoryHits, s.DiskHits, s.DiskMisses, s.SynthHits, s.SynthVerified,
 		s.Records, s.DiskSaves, s.CorruptEvictions,
 		s.CachedTraces, float64(s.CachedBytes)/(1<<20))
 	if s.StoreDegraded {
@@ -142,7 +140,6 @@ func (eng *Engine) Stats() CacheStats {
 		DiskHits:         ds.Hits,
 		DiskMisses:       ds.Misses,
 		SynthHits:        eng.synthHits.Load(),
-		SynthFallbacks:   eng.synthFallbacks.Load(),
 		SynthVerified:    eng.synthVerified.Load(),
 		Records:          eng.records.Load(),
 		DiskSaves:        ds.Saves,
@@ -158,13 +155,16 @@ func (eng *Engine) Stats() CacheStats {
 
 // cachedTraceKey is the cache core: it resolves the trace for the schedule
 // identity key through the resolver chain — the in-process tier, then the
-// disk store, then direct synthesis from schedule math (synthesize, when
-// non-nil and enabled), and only then a recording run on the goroutine
-// fabric — exactly once per key per Engine, however many concurrent workers
-// ask. A synthesis error is a fallback, not a failure: the schedule records
-// instead. Resolved traces are written through to the store stamped with
-// their origin; failed resolutions are never written anywhere and their
-// in-process slot is evicted so a later request retries.
+// disk store, then one cold leg: direct synthesis from schedule math
+// (synthesize), or with DisableSynth a recording run on the goroutine fabric
+// (record) — exactly once per key per Engine, however many concurrent workers
+// ask. A synthesis error fails the request exactly as a failed recording
+// does: every error the pattern walk can return comes from the same
+// Make/body/Send validation the recording would hit, so a second attempt on
+// the fabric could only double the time to fail and hide a walker bug.
+// Resolved traces are written through to the store stamped with their
+// origin; failed resolutions are never written anywhere and their in-process
+// slot is evicted so a later request retries.
 //
 // ctx carries the request trace, if any: each resolver stage the leader runs
 // (store-load, synth, fabric-record) is timed into the global stage
@@ -190,98 +190,85 @@ func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synth
 		if s.Enabled() {
 			obs.ObserveStageCtx(ctx, obs.StageStoreLoad, time.Since(loadStart))
 		}
-		if hit {
-			e.tr = tr
-			e.origin = obs.OriginStore
-		} else {
-			origin := tracestore.OriginRecorded
-			if synthesize != nil && !eng.DisableSynth {
-				synthStart := time.Now()
-				tr, err := synthesize()
-				obs.ObserveStageCtx(ctx, obs.StageSynth, time.Since(synthStart))
-				switch {
-				case err != nil:
-					// A schedule the synthesizer cannot walk falls through
-					// to the fabric — counted, so a sweep that should be
-					// recording-free is diagnosable from its stats line.
-					eng.synthFallbacks.Add(1)
-				case eng.VerifySynth:
-					// Verification mode: record the same schedule on the
-					// goroutine fabric (the oracle) and require the two
-					// encodings to match byte for byte.
-					eng.records.Add(1)
-					recordStart := time.Now()
-					rt, rerr := record()
-					obs.ObserveStageCtx(ctx, obs.StageRecord, time.Since(recordStart))
-					if rerr != nil {
-						e.err = rerr
-					} else if e.err = diffTraces(key, tr, rt); e.err == nil {
-						eng.synthVerified.Add(1)
-						eng.synthHits.Add(1)
-						e.tr = tr
-						e.origin = obs.OriginSynth
-						origin = tracestore.OriginSynthesized
-					}
-				default:
-					eng.synthHits.Add(1)
-					e.tr = tr
-					e.origin = obs.OriginSynth
-					origin = tracestore.OriginSynthesized
+		timedRecord := func() (*fabric.Trace, error) {
+			eng.records.Add(1)
+			defer obs.TimeStage(ctx, obs.StageRecord)()
+			return record()
+		}
+		var stamp tracestore.Origin // provenance of a cold resolution
+		switch {
+		case hit:
+			e.tr, e.origin = tr, obs.OriginStore
+		case eng.DisableSynth:
+			e.tr, e.err = timedRecord()
+			e.origin, stamp = obs.OriginRecord, tracestore.OriginRecorded
+		default:
+			synthStart := time.Now()
+			e.tr, e.err = synthesize()
+			obs.ObserveStageCtx(ctx, obs.StageSynth, time.Since(synthStart))
+			e.origin, stamp = obs.OriginSynth, tracestore.OriginSynthesized
+			if e.err == nil && eng.VerifySynth {
+				// Verification mode: record the same schedule on the
+				// goroutine fabric (the oracle) and require the two
+				// encodings to match byte for byte.
+				var rt *fabric.Trace
+				if rt, e.err = timedRecord(); e.err == nil {
+					e.err = diffTraces(e.tr, rt)
+				}
+				if e.err == nil {
+					eng.synthVerified.Add(1)
 				}
 			}
-			if e.tr == nil && e.err == nil {
-				eng.records.Add(1)
-				recordStart := time.Now()
-				e.tr, e.err = record()
-				obs.ObserveStageCtx(ctx, obs.StageRecord, time.Since(recordStart))
-				e.origin = obs.OriginRecord
-			}
 			if e.err == nil {
-				// Write-behind is best-effort: a read-only or full cache
-				// directory degrades to re-resolving next process, never
-				// to a failed sweep.
-				_ = s.Save(key, e.tr, origin)
+				eng.synthHits.Add(1)
 			}
 		}
-		if e.err == nil && e.tr != nil {
-			eng.cachedTraces.Add(1)
-			eng.cachedBytes.Add(uint64(e.tr.MemBytes()))
+		if e.err != nil {
+			return
 		}
+		if !hit {
+			// Write-behind is best-effort: a read-only or full cache
+			// directory degrades to re-resolving next process, never to a
+			// failed sweep.
+			_ = s.Save(key, e.tr, stamp)
+		}
+		eng.cachedTraces.Add(1)
+		eng.cachedBytes.Add(uint64(e.tr.MemBytes()))
 	})
 	if e.err != nil {
-		// A timed-out or otherwise failed recording must not poison the
+		// A timed-out or otherwise failed resolution must not poison the
 		// key (mirroring how corrupt store files self-evict): drop the
 		// entry — unless a retry already replaced it — so the next request
-		// records afresh. Concurrent waiters on this entry still see the
+		// resolves afresh. Concurrent waiters on this entry still see the
 		// original error.
 		eng.mu.Lock()
 		if eng.traces[key] == e {
 			delete(eng.traces, key)
 		}
 		eng.mu.Unlock()
-	} else if ok {
+		return nil, fmt.Errorf("harness: %s %s/%s shape=%s root=%d: %w",
+			key.Kind, key.Collective, key.Algo, key.Shape, key.Root, e.err)
+	}
+	origin := e.origin
+	if ok {
 		// A memory hit is only counted once the found entry has resolved
 		// successfully: waiters that pile onto a mid-recording entry which
 		// then errors and evicts were never served from the warm tier, and
 		// counting them made -v over-report warm hits under concurrency.
 		eng.memHits.Add(1)
 		obs.ObserveStageCtx(ctx, obs.StageCacheLookup, time.Since(resolveStart))
+		origin = obs.OriginMemory
 	}
-	if e.err == nil {
-		origin := e.origin
-		if ok {
-			origin = obs.OriginMemory
-		}
-		obs.ObserveResolve(ctx, origin, time.Since(resolveStart))
-	}
-	return e.tr, e.err
+	obs.ObserveResolve(ctx, origin, time.Since(resolveStart))
+	return e.tr, nil
 }
 
 // diffTraces enforces verify-synth's contract at the byte-identity level:
 // the synthesized trace must encode to exactly the recorded oracle's bytes.
-// On divergence it names the first differing record so a schedule drift is
-// debuggable from the failure message alone.
-func diffTraces(key tracestore.Key, st, rt *fabric.Trace) error {
+// On divergence it names the first differing record (cachedTraceKey adds the
+// schedule identity) so a schedule drift is debuggable from the failure
+// message alone.
+func diffTraces(st, rt *fabric.Trace) error {
 	sb, err := encodeTraceBytes(st)
 	if err != nil {
 		return err
@@ -299,12 +286,10 @@ func diffTraces(key tracestore.Key, st, rt *fabric.Trace) error {
 	}
 	for i := 0; i < n; i++ {
 		if st.At(i) != rt.At(i) {
-			return fmt.Errorf("harness: verify-synth %s %s/%s shape=%s root=%d: record %d diverges: synthesized %+v, recorded %+v",
-				key.Kind, key.Collective, key.Algo, key.Shape, key.Root, i, st.At(i), rt.At(i))
+			return fmt.Errorf("verify-synth: record %d diverges: synthesized %+v, recorded %+v", i, st.At(i), rt.At(i))
 		}
 	}
-	return fmt.Errorf("harness: verify-synth %s %s/%s shape=%s root=%d: encodings differ (%d synthesized records vs %d recorded)",
-		key.Kind, key.Collective, key.Algo, key.Shape, key.Root, st.NumRecords(), rt.NumRecords())
+	return fmt.Errorf("verify-synth: encodings differ (%d synthesized records vs %d recorded)", st.NumRecords(), rt.NumRecords())
 }
 
 func encodeTraceBytes(tr *fabric.Trace) ([]byte, error) {
@@ -315,7 +300,49 @@ func encodeTraceBytes(tr *fabric.Trace) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// cachedTrace returns a registry algorithm's unit-granularity trace.
+// A schedule reaches the resolver as one per-rank body, built once and handed
+// to both cold legs: synth.Run walks it serially over pattern endpoints, and
+// record runs it on the goroutine fabric — so the oracle and the synthesizer
+// cannot drift apart in what they execute. Registry algorithms synthesize
+// through Algorithm.Pattern instead (one shared buffer pair per schedule, and
+// Bruck's closed form), but record the same way.
+
+// record executes a schedule body on the recording goroutine fabric: the
+// DisableSynth leg and verify mode's oracle.
+func record(p int, body func(c fabric.Comm) error) (*fabric.Trace, error) {
+	rec := fabric.NewRecorder(fabric.NewMem(p))
+	defer rec.Close()
+	if err := fabric.Run(rec, body); err != nil {
+		return nil, err
+	}
+	return rec.Trace(), nil
+}
+
+// zeroVectors adapts a collective's (in, out) runner to a schedule body: each
+// rank runs it on fresh all-zero vectors sized by the InOutLens convention for
+// n elements over p ranks (only send lengths reach a trace).
+func zeroVectors(collective coll.Collective, p, n int, run func(c fabric.Comm, in, out []int32) error) func(fabric.Comm) error {
+	inLen, outLen := collective.InOutLens(p, n)
+	return func(c fabric.Comm) error {
+		var out []int32
+		if outLen > 0 {
+			out = make([]int32, outLen)
+		}
+		return run(c, make([]int32, inLen), out)
+	}
+}
+
+// cachedBody resolves a schedule given as the body both cold legs execute.
+func (eng *Engine) cachedBody(ctx context.Context, key tracestore.Key, p int, body func(c fabric.Comm) error) (*fabric.Trace, error) {
+	return eng.cachedTraceKey(ctx, key,
+		func() (*fabric.Trace, error) { return synth.Run(p, body) },
+		func() (*fabric.Trace, error) { return record(p, body) })
+}
+
+// cachedTrace returns a registry algorithm's unit-granularity trace (n = p
+// elements). Its synthesized and recorded forms are byte-identical under the
+// trace codec for every registered algorithm (internal/synth's equivalence
+// suite and CI's -verify-synth gate).
 func (eng *Engine) cachedTrace(ctx context.Context, algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
 	key := tracestore.Key{
 		Kind:         "flat",
@@ -326,14 +353,28 @@ func (eng *Engine) cachedTrace(ctx context.Context, algo coll.Algorithm, p, root
 		SchedVersion: schedVersion,
 	}
 	return eng.cachedTraceKey(ctx, key,
-		func() (*fabric.Trace, error) { return synthTrace(algo, p, root) },
-		func() (*fabric.Trace, error) { return recordTrace(algo, p, root) })
+		func() (*fabric.Trace, error) {
+			s, err := algo.Pattern(p, root, p)
+			if err != nil {
+				return nil, err
+			}
+			return synth.Schedule(s)
+		},
+		func() (*fabric.Trace, error) {
+			run, err := algo.Make(p, root)
+			if err != nil {
+				return nil, err
+			}
+			return record(p, zeroVectors(algo.Coll, p, p, func(c fabric.Comm, in, out []int32) error {
+				return run(c, root, in, out, coll.OpSum)
+			}))
+		})
 }
 
 // cachedTorusTrace is cachedTrace for torus-geometry algorithms, which the
 // registry does not cover; the torus shape and the recorded element count
-// join the identity.
-func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.Torus, root int) (*fabric.Trace, int, error) {
+// (torusRecordedElems) join the identity.
+func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.Torus, root int) (*fabric.Trace, error) {
 	n := torusRecordedElems(ta, tor)
 	key := tracestore.Key{
 		Kind:         "torus",
@@ -343,10 +384,9 @@ func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.
 		Root:         root,
 		SchedVersion: schedVersion,
 	}
-	tr, err := eng.cachedTraceKey(ctx, key,
-		func() (*fabric.Trace, error) { return synthTorusTrace(ta, tor, root) },
-		func() (*fabric.Trace, error) { return recordTorusTrace(ta, tor, root) })
-	return tr, n, err
+	return eng.cachedBody(ctx, key, tor.P(), zeroVectors(ta.Coll, tor.P(), n, func(c fabric.Comm, in, out []int32) error {
+		return ta.Run(c, tor, root, in, out, coll.OpSum)
+	}))
 }
 
 // cachedNamedTrace caches ad-hoc schedules that no registry covers (the
@@ -354,7 +394,8 @@ func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.
 // Appendix D schedules): kind/name/shape must uniquely identify the schedule
 // body fn over p ranks, including its recorded element count. Every such
 // body is data-independent, so the resolver synthesizes it with a serial
-// pattern walk and touches the fabric only as fallback or under verify mode.
+// pattern walk and touches the fabric only without synthesis or under verify
+// mode.
 func (eng *Engine) cachedNamedTrace(ctx context.Context, kind, name, shape string, p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
 	key := tracestore.Key{
 		Kind:         kind,
@@ -362,7 +403,5 @@ func (eng *Engine) cachedNamedTrace(ctx context.Context, kind, name, shape strin
 		Shape:        shape,
 		SchedVersion: schedVersion,
 	}
-	return eng.cachedTraceKey(ctx, key,
-		func() (*fabric.Trace, error) { return synth.Run(p, fn) },
-		func() (*fabric.Trace, error) { return recordBody(kind, name, p, fn) })
+	return eng.cachedBody(ctx, key, p, fn)
 }

@@ -11,7 +11,6 @@ import (
 	"binetrees/internal/core"
 	"binetrees/internal/fabric"
 	"binetrees/internal/netsim"
-	"binetrees/internal/obs"
 	"binetrees/internal/stats"
 	"binetrees/internal/topology"
 )
@@ -519,56 +518,26 @@ func planFig11b(opts Options) (*plan, error) {
 		i := i
 		tasks[i] = task{system: systemFugaku, run: func(ctx context.Context) error {
 			j := jobs[i]
-			tor, topo := tors[j.shape], topos[j.shape]
-			reduces := groups[j.group].collective.Reduces()
-			if j.torus != nil {
-				tr, n, err := opts.Engine.cachedTorusTrace(ctx, *j.torus, tor, 0)
-				if err != nil {
-					return err
+			tor := tors[j.shape]
+			collective := groups[j.group].collective
+			rp := replay{topo: topos[j.shape], params: FugakuParams(), sizes: sizes}
+			var rs []netsim.Result
+			var err error
+			if ta := j.torus; ta != nil {
+				rs, err = rp.evaluate(ctx, func() (*fabric.Trace, error) { return opts.Engine.cachedTorusTrace(ctx, *ta, tor, 0) },
+					torusRecordedElems(*ta, tor), 0, netsim.Eval{Reduces: collective.Reduces(), Overlap: ta.Overlap})
+			} else {
+				algo, ok := coll.Find(registry, collective, j.flat)
+				if !ok {
+					return fmt.Errorf("%v/%s not registered", collective, j.flat)
 				}
-				endEval := obs.TimeStage(ctx, obs.StageEvaluate)
-				rs, err := evaluateOnTorusSizes(tr, n, topo, sizes, reduces, j.torus.Overlap)
-				endEval()
-				if err != nil {
-					return err
+				if algo.Pow2Only {
+					if _, pow2 := core.Log2(tor.P()); !pow2 {
+						return nil // skipped: a nil slot folds as no result
+					}
 				}
-				out := make(map[int64]float64, len(sizes))
-				for si, size := range sizes {
-					out[size] = rs[si].Time
-				}
-				outs[i] = out
-				return nil
+				rs, err = rp.evaluateAlgo(ctx, opts.Engine, algo, tor.P())
 			}
-			algo, ok := coll.Find(registry, groups[j.group].collective, j.flat)
-			if !ok {
-				return fmt.Errorf("%v/%s not registered", groups[j.group].collective, j.flat)
-			}
-			if algo.Pow2Only {
-				if _, pow2 := core.Log2(tor.P()); !pow2 {
-					return nil // skipped: a nil slot folds as no result
-				}
-			}
-			tr, err := opts.Engine.cachedTrace(ctx, algo, tor.P(), 0)
-			if err != nil {
-				return err
-			}
-			defer obs.TimeStage(ctx, obs.StageEvaluate)()
-			placement := make([]int, tor.P())
-			for r := range placement {
-				placement[r] = r
-			}
-			elemBytes := make([]float64, len(sizes))
-			copyBytes := make([]float64, len(sizes))
-			for si, size := range sizes {
-				elemBytes[si] = float64(size) / float64(tor.P())
-				copyBytes[si] = algo.CopyFactor * float64(size)
-			}
-			rs, err := netsim.EvaluateSizes(tr, topo, FugakuParams(), netsim.Eval{
-				Placement:   placement,
-				Reduces:     reduces,
-				Overlap:     algo.Overlap,
-				CopyBytesAt: copyBytes,
-			}, elemBytes)
 			if err != nil {
 				return err
 			}
@@ -699,26 +668,11 @@ func planHier(opts Options) (*plan, error) {
 			p := counts[ci]
 			a := setups[ci].algos[ai]
 			n := p * gpusPerNode
-			tr, err := opts.Engine.cachedNamedTrace(ctx, "hier-allreduce", a.name, fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
-				return a.run(c, make([]int32, n))
-			})
-			if err != nil {
-				return err
-			}
-			defer obs.TimeStage(ctx, obs.StageEvaluate)()
-			placement := make([]int, p)
-			for r := range placement {
-				placement[r] = r
-			}
-			elemBytes := make([]float64, len(sizes))
-			for si, size := range sizes {
-				elemBytes[si] = float64(size) / float64(n)
-			}
-			rs, err := netsim.EvaluateSizes(tr, setups[ci].topo, params, netsim.Eval{
-				Placement: placement,
-				Reduces:   true,
-				Overlap:   0.3,
-			}, elemBytes)
+			rs, err := replay{topo: setups[ci].topo, params: params, sizes: sizes}.evaluate(ctx, func() (*fabric.Trace, error) {
+				return opts.Engine.cachedNamedTrace(ctx, "hier-allreduce", a.name, fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
+					return a.run(c, make([]int32, n))
+				})
+			}, n, 0, netsim.Eval{Reduces: true, Overlap: 0.3})
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -32,16 +33,10 @@ func TestScheduleFingerprints(t *testing.T) {
 		return hex.EncodeToString(sum[:8])
 	}
 	tor := core.MustTorus(4, 4)
-	// record mirrors the cachedNamedTrace recordings of the experiments
-	// (Fig. 1 / Fig. 5 / Hier / AppD) via the same shared schedule code.
-	record := func(p int, run func(c fabric.Comm) error) (*fabric.Trace, bool) {
-		rec := fabric.NewRecorder(fabric.NewMem(p))
-		defer rec.Close()
-		if err := fabric.Run(rec, run); err != nil {
-			t.Fatal(err)
-		}
-		return rec.Trace(), true
-	}
+	// Every pin is taken on the recording leg of the resolver chain — the
+	// oracle the synthesizer is verified against.
+	ctx := context.Background()
+	eng := &Engine{DisableSynth: true}
 	check := func(name, got, want string) {
 		t.Helper()
 		if want == "" {
@@ -60,14 +55,14 @@ func TestScheduleFingerprints(t *testing.T) {
 	// change silently. Pins for removed algorithms are dropped freely —
 	// removal merely orphans their store files.
 	for _, algo := range coll.Registry() {
-		tr, err := recordTrace(algo, 16, 0)
+		tr, err := eng.cachedTrace(ctx, algo, 16, 0)
 		if err != nil {
 			t.Fatalf("%v/%s: %v", algo.Coll, algo.Name, err)
 		}
 		check("flat/"+algo.Coll.String()+"/"+algo.Name+"/p=16", fingerprint(tr), flatPins[algo.Coll.String()+"/"+algo.Name])
 	}
 	for _, ta := range torusAlgos() {
-		tr, err := recordTorusTrace(ta, tor, 0)
+		tr, err := eng.cachedTorusTrace(ctx, ta, tor, 0)
 		if err != nil {
 			t.Fatalf("torus %s: %v", ta.Name, err)
 		}
@@ -75,32 +70,32 @@ func TestScheduleFingerprints(t *testing.T) {
 	}
 	// The cachedNamedTrace families (Fig. 1 / Fig. 5 / Hier / AppD record
 	// outside the registries) are pinned via the same shared schedule code.
+	tree := core.MustTree(core.BineDH, 8, 0)
+	bfly := core.MustButterfly(core.BflyBineDD, 16)
 	named := []struct {
-		name   string
-		record func() (*fabric.Trace, bool)
-		want   string
+		name string
+		p    int
+		body func(c fabric.Comm) error
+		want string
 	}{
-		{"tree-bcast/bine-dh/p=8/n=1", func() (*fabric.Trace, bool) {
-			tree := core.MustTree(core.BineDH, 8, 0)
-			return record(8, func(c fabric.Comm) error { return coll.Bcast(c, tree, make([]int32, 1)) })
+		{"tree-bcast/bine-dh/p=8/n=1", 8, func(c fabric.Comm) error {
+			return coll.Bcast(c, tree, make([]int32, 1))
 		}, "f63296feb1c154f1"},
-		{"bfly-allreduce/bfly-bine-dd/p=16/n=16", func() (*fabric.Trace, bool) {
-			b := core.MustButterfly(core.BflyBineDD, 16)
-			return record(16, func(c fabric.Comm) error { return coll.AllreduceRsAg(c, b, make([]int32, 16), coll.OpSum) })
+		{"bfly-allreduce/bfly-bine-dd/p=16/n=16", 16, func(c fabric.Comm) error {
+			return coll.AllreduceRsAg(c, bfly, make([]int32, 16), coll.OpSum)
 		}, "60e86c514d90969a"},
-		{"hier-allreduce/hier-bine/p=16/n=64", func() (*fabric.Trace, bool) {
-			return record(16, func(c fabric.Comm) error {
-				return coll.HierarchicalAllreduce(c, 4, core.BflyBineDD, make([]int32, 64), coll.OpSum)
-			})
+		{"hier-allreduce/hier-bine/p=16/n=64", 16, func(c fabric.Comm) error {
+			return coll.HierarchicalAllreduce(c, 4, core.BflyBineDD, make([]int32, 64), coll.OpSum)
 		}, "9eac0231a12be493"},
-		{"torus-bcast/bine-dh/4x4/n=1", func() (*fabric.Trace, bool) {
-			return record(16, func(c fabric.Comm) error {
-				return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
-			})
+		{"torus-bcast/bine-dh/4x4/n=1", 16, func(c fabric.Comm) error {
+			return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
 		}, "7ae9998ad19b23ba"},
 	}
 	for _, c := range named {
-		tr, _ := c.record()
+		tr, err := record(c.p, c.body)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		check(c.name, fingerprint(tr), c.want)
 	}
 }

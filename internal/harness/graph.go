@@ -12,14 +12,10 @@ import (
 	"binetrees/internal/pool"
 )
 
-// The harness used to drain each experiment's cells on that experiment's
-// own worker pool, one experiment at a time. The job graph below flattens
-// the whole suite instead: every experiment compiles to a plan — tasks
-// that may run in any order plus a serial render — and RunAll concatenates
-// all selected plans' tasks into one flat (system × collective × node
-// count × algorithm) cell list drained by a single pool.Runner, so the
-// LUMI / Leonardo / MareNostrum / Fugaku artifact groups record and
-// evaluate concurrently while sharing one Engine's trace cache.
+// Every experiment compiles to a plan — tasks that may run in any order
+// plus a serial render — and an Experiment (one plan, or under "all" every
+// selected one) concatenates its plans' tasks into one flat cell list
+// drained by a single pool.Runner.
 
 // task is one schedulable cell of the flat cross-system job graph: an
 // independent recording or evaluation unit, labeled with the system key it
@@ -36,7 +32,7 @@ type task struct {
 // once every task has completed. A render only reads state its own plan's
 // tasks wrote into index-addressed slots, so the artifact is byte-identical
 // however the tasks interleave — drained per experiment or across the whole
-// cross-system graph (pinned by TestShardedRunAllByteIdentical).
+// cross-system graph of "all" (pinned by TestShardedRunAllByteIdentical).
 type plan struct {
 	tasks  []task
 	render func(w io.Writer) error
@@ -183,75 +179,6 @@ func selectSteps(keys []string) ([]step, error) {
 	return out, nil
 }
 
-// RunAll executes every experiment (or the Options.Systems selection) in
-// paper order. All selected experiments compile up front and their cells
-// form one flat job graph drained by a single pool.Runner — cross-system
-// sharding, every plan resolving through one Engine — before the artifacts
-// render serially, separated exactly as the per-experiment path separates
-// them. ctx bounds cell submission and carries the trace the stage timings
-// attribute to.
-func RunAll(ctx context.Context, w io.Writer, opts Options) error {
-	runner := pool.NewRunner(opts.Workers)
-	defer runner.Close()
-	return RunAllOn(ctx, w, runner, opts)
-}
-
-// RunAllOn is RunAll on a caller-owned Runner with context-bounded cell
-// submission — the artifact service's path, where one resident process-wide
-// pool outlives every request. The rendering is the exact byte sequence
-// RunAll emits for the same Options.
-func RunAllOn(ctx context.Context, w io.Writer, runner *pool.Runner, opts Options) error {
-	opts = opts.withEngine()
-	_, endCompile := obs.StartSpan(ctx, obs.StageCompile)
-	selected, err := selectSteps(opts.Systems)
-	if err != nil {
-		endCompile()
-		return fmt.Errorf("harness: %w", err)
-	}
-	plans := make([]*plan, len(selected))
-	for i, s := range selected {
-		p, err := s.plan(opts)
-		if err != nil {
-			endCompile()
-			return fmt.Errorf("harness: %s: %w", s.name, err)
-		}
-		plans[i] = p
-	}
-	endCompile()
-	var flat []task
-	var flatStep []string
-	for i, p := range plans {
-		flat = append(flat, p.tasks...)
-		for range p.tasks {
-			flatStep = append(flatStep, selected[i].name)
-		}
-	}
-	tracker := newProgressTracker(opts.Progress, flat)
-	ectx, endExec := obs.StartSpan(ctx, obs.StageExecute)
-	if err := runner.ForEachCtx(ectx, len(flat), func(i int) error {
-		if err := flat[i].run(ectx); err != nil {
-			return fmt.Errorf("harness: %s: %w", flatStep[i], err)
-		}
-		tracker.taskDone(flat[i].system)
-		return nil
-	}); err != nil {
-		endExec()
-		return err
-	}
-	endExec()
-	_, endRender := obs.StartSpan(ctx, obs.StageRender)
-	defer endRender()
-	for i, p := range plans {
-		if i > 0 {
-			fmt.Fprintln(w, strings.Repeat("=", 100))
-		}
-		if err := p.render(w); err != nil {
-			return fmt.Errorf("harness: %s: %w", selected[i].name, err)
-		}
-	}
-	return nil
-}
-
 // ExperimentNames returns every experiment name in paper order — the valid
 // -experiment values of the CLIs and /artifact/{experiment} endpoints of the
 // service (excluding the "all" aggregate, which concatenates them).
@@ -264,68 +191,106 @@ func ExperimentNames() []string {
 	return out
 }
 
-// Experiment is one compiled experiment held for request-scoped execution:
-// independent recording/evaluation cells plus the serial artifact renderer.
-// The artifact service compiles the requested plan, drains its cells on the
-// resident process-wide Runner, and renders into the response stream.
+// Experiment is a compiled experiment — or, under the name "all", the
+// compiled suite — held for request-scoped execution: independent recording
+// and evaluation cells plus the serial artifact renderers. A CLI run drains
+// it on a pool of its own, the artifact service on its resident process-wide
+// Runner, rendering into the response stream.
 type Experiment struct {
-	name string
-	p    *plan
+	name  string
+	steps []step
+	plans []*plan // index-paired with steps
+	// tasks is every plan's cells concatenated in step order — one flat
+	// (system × collective × node count × algorithm) list, so the artifact
+	// groups of all systems resolve and evaluate concurrently on one pool
+	// while sharing one Engine's trace cache; taskStep[i] indexes the step
+	// that compiled tasks[i].
+	tasks    []task
+	taskStep []int
 }
 
 // CompileExperiment compiles the named experiment's plan under opts. The
-// name must be one of ExperimentNames. The Experiment keeps its Engine
-// (opts.Engine, or a fresh default one) for its lifetime, so a second Run
-// finds every trace the first resolved.
+// name is one of ExperimentNames, or "all" for every experiment contributing
+// to the opts.Systems selection (empty: the whole suite), in paper order.
+// The Experiment keeps its Engine (opts.Engine, or a fresh default one) for
+// its lifetime, so a second Run finds every trace the first resolved.
 func CompileExperiment(name string, opts Options) (*Experiment, error) {
 	opts = opts.withEngine()
-	for _, s := range steps() {
-		if s.name == name {
-			p, err := s.plan(opts)
-			if err != nil {
-				return nil, fmt.Errorf("harness: %s: %w", name, err)
+	e := &Experiment{name: name}
+	if name == "all" {
+		selected, err := selectSteps(opts.Systems)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
+		e.steps = selected
+	} else {
+		for _, s := range steps() {
+			if s.name == name {
+				e.steps = []step{s}
 			}
-			return &Experiment{name: name, p: p}, nil
+		}
+		if e.steps == nil {
+			return nil, fmt.Errorf("harness: unknown experiment %q", name)
 		}
 	}
-	return nil, fmt.Errorf("harness: unknown experiment %q", name)
+	for i, s := range e.steps {
+		p, err := s.plan(opts)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %s: %w", s.name, err)
+		}
+		e.plans = append(e.plans, p)
+		e.tasks = append(e.tasks, p.tasks...)
+		for range p.tasks {
+			e.taskStep = append(e.taskStep, i)
+		}
+	}
+	return e, nil
 }
 
 // Name returns the experiment's -experiment / endpoint name.
 func (e *Experiment) Name() string { return e.name }
 
-// Tasks returns the number of schedulable cells the plan compiled to.
-func (e *Experiment) Tasks() int { return len(e.p.tasks) }
+// Tasks returns the number of schedulable cells the plans compiled to.
+func (e *Experiment) Tasks() int { return len(e.tasks) }
 
 // Run drains the experiment's cells on the caller's runner and renders the
-// artifact to w — the same serial render pass the batch CLIs use, so the
-// bytes are identical to a binebench run of the same experiment at any pool
-// width. ctx bounds cell submission: a cancelled request stops dispatching
-// new cells (in-flight ones complete, keeping the shared caches consistent).
+// artifacts to w in step order, separated by a rule — the one drain and
+// render pass behind the batch CLI, the daemon and the benchmark probe, so
+// the bytes are identical across them, at any pool width, and between "all"
+// and its experiments run one at a time (pinned by
+// TestShardedRunAllByteIdentical). ctx bounds cell submission: a cancelled
+// request stops dispatching new cells (in-flight ones complete, keeping the
+// shared caches consistent) and its error is returned as is; a failing cell
+// or render is reported under its step's name.
 func (e *Experiment) Run(ctx context.Context, w io.Writer, runner *pool.Runner, progress ProgressFunc) error {
-	tracker := newProgressTracker(progress, e.p.tasks)
+	tracker := newProgressTracker(progress, e.tasks)
 	ectx, endExec := obs.StartSpan(ctx, obs.StageExecute)
-	if err := runner.ForEachCtx(ectx, len(e.p.tasks), func(i int) error {
-		if err := e.p.tasks[i].run(ectx); err != nil {
-			return err
+	err := runner.ForEachCtx(ectx, len(e.tasks), func(i int) error {
+		if err := e.tasks[i].run(ectx); err != nil {
+			return fmt.Errorf("harness: %s: %w", e.steps[e.taskStep[i]].name, err)
 		}
-		tracker.taskDone(e.p.tasks[i].system)
+		tracker.taskDone(e.tasks[i].system)
 		return nil
-	}); err != nil {
-		endExec()
-		return fmt.Errorf("harness: %s: %w", e.name, err)
-	}
+	})
 	endExec()
+	if err != nil {
+		return err
+	}
 	_, endRender := obs.StartSpan(ctx, obs.StageRender)
 	defer endRender()
-	if err := e.p.render(w); err != nil {
-		return fmt.Errorf("harness: %s: %w", e.name, err)
+	for i, p := range e.plans {
+		if i > 0 {
+			fmt.Fprintln(w, strings.Repeat("=", 100))
+		}
+		if err := p.render(w); err != nil {
+			return fmt.Errorf("harness: %s: %w", e.steps[i].name, err)
+		}
 	}
 	return nil
 }
 
-// RunExperiment compiles and executes one named experiment on a private pool
-// of opts.Workers — the single-experiment CLI path. It is the service path
+// RunExperiment compiles and executes one named experiment (or "all") on a
+// private pool of opts.Workers — the CLI path. It is the service path
 // (CompileExperiment, then Run) on a Runner of its own, so binebench files
 // and binebenchd responses for the same request are byte-identical by
 // construction (and pinned by tests on both sides).

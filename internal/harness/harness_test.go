@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"binetrees/internal/coll"
+	"binetrees/internal/pool"
 )
 
 func TestSystemsTopologies(t *testing.T) {
@@ -60,11 +61,25 @@ func TestPlacementsFragmentedAndComplete(t *testing.T) {
 	}
 }
 
+// drainSweep compiles one collective's sweep with planSweep, drains its cells
+// on a pool of the given width under ctx through a fresh Engine, and returns
+// the merged result.
+func drainSweep(ctx context.Context, sys System, collective coll.Collective, counts []int, sizes []int64, workers int) (*sweepResult, error) {
+	tasks, finish, err := planSweep(&Engine{}, sys, collective, counts, sizes)
+	if err != nil {
+		return nil, err
+	}
+	if err := pool.ForEachCtx(ctx, workers, len(tasks), func(i int) error { return tasks[i].run(ctx) }); err != nil {
+		return nil, err
+	}
+	return finish(), nil
+}
+
 func TestSweepCollectiveShape(t *testing.T) {
 	sys := LUMI()
 	counts := []int{16, 32}
 	sizes := []int64{32, 1 << 20}
-	res, err := sweepCollective(context.Background(), sys, coll.CAllreduce, counts, sizes, 0)
+	res, err := drainSweep(context.Background(), sys, coll.CAllreduce, counts, sizes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +111,7 @@ func TestSweepLatencyVsBandwidthRegimes(t *testing.T) {
 	// few nodes ring wins (the paper's Fig. 10a shows exactly this
 	// crossover).
 	sys := LUMI()
-	res, err := sweepCollective(context.Background(), sys, coll.CAllreduce, []int{16}, []int64{32, 512 << 20}, 0)
+	res, err := drainSweep(context.Background(), sys, coll.CAllreduce, []int{16}, []int64{32, 512 << 20}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,20 +223,20 @@ func sscanInt(s string, out *int) (int, error) {
 
 // TestSweepCollectiveCancel pins that a caller's cancellation reaches the
 // sweep's cells: a pre-cancelled context drains nothing and the cancellation
-// error surfaces from sweepCollective — the invariant the ctxflow analyzer
-// guards (sweepCollective once minted its own context.Background(), which
-// silently detached every cell from the caller).
+// error surfaces from the drain — the invariant the ctxflow analyzer guards
+// (a sweep driver once minted its own context.Background(), which silently
+// detached every cell from the caller).
 func TestSweepCollectiveCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sys := MareNostrum()
-	_, err := sweepCollective(ctx, sys, coll.CAllreduce, []int{16}, []int64{32}, 0)
+	_, err := drainSweep(ctx, sys, coll.CAllreduce, []int{16}, []int64{32}, 0)
 	if err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 
 	// A live context still sweeps: the same call, uncancelled, succeeds.
-	res, err := sweepCollective(context.Background(), sys, coll.CAllreduce, []int{16}, []int64{32}, 0)
+	res, err := drainSweep(context.Background(), sys, coll.CAllreduce, []int{16}, []int64{32}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +246,17 @@ func TestSweepCollectiveCancel(t *testing.T) {
 }
 
 // TestRunAllCancel pins the same cut-off one level up, on the flat
-// cross-system job graph: a cancelled RunAll returns the cancellation error
-// and renders nothing.
+// cross-system job graph: a cancelled "all" run returns the cancellation
+// error as is and renders nothing.
 func TestRunAllCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var sb strings.Builder
-	err := RunAll(ctx, &sb, Options{Quick: true, Systems: []string{"misc"}})
+	err := RunExperiment(ctx, &sb, "all", Options{Quick: true, Systems: []string{"misc"}})
 	if err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if sb.Len() != 0 {
-		t.Fatalf("cancelled RunAll rendered %d bytes", sb.Len())
+		t.Fatalf("cancelled run rendered %d bytes", sb.Len())
 	}
 }

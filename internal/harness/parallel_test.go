@@ -32,11 +32,11 @@ func TestTraceCacheConcurrent(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ttr, n, err := eng.cachedTorusTrace(context.Background(), ta, tor, 0)
+		ttr, err := eng.cachedTorusTrace(context.Background(), ta, tor, 0)
 		if err != nil {
 			return err
 		}
-		if n <= 0 || ttr.NumRecords() == 0 || tr.NumRecords() == 0 {
+		if ttr.NumRecords() == 0 || tr.NumRecords() == 0 {
 			return fmt.Errorf("lane %d: empty trace", i)
 		}
 		flat[i] = []*trPtr{{algo.Name, tr}, {ta.Name, ttr}}

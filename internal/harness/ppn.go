@@ -6,8 +6,6 @@ import (
 	"io"
 
 	"binetrees/internal/coll"
-	"binetrees/internal/netsim"
-	"binetrees/internal/obs"
 )
 
 // planPPN reproduces the Sec. 6.1 study: the same collectives with one vs four
@@ -71,23 +69,7 @@ func planPPN(opts Options) (*plan, error) {
 			if !ok {
 				return fmt.Errorf("%v/%s not registered", j.collective, j.name)
 			}
-			tr, err := opts.Engine.cachedTrace(ctx, algo, p, 0)
-			if err != nil {
-				return err
-			}
-			defer obs.TimeStage(ctx, obs.StageEvaluate)()
-			elemBytes := make([]float64, len(sizes))
-			copyBytes := make([]float64, len(sizes))
-			for si, size := range sizes {
-				elemBytes[si] = float64(size) / float64(p)
-				copyBytes[si] = algo.CopyFactor * float64(size)
-			}
-			rs, err := netsim.EvaluateSizes(tr, topo, sys.Params, netsim.Eval{
-				Placement:   placement,
-				Reduces:     j.collective.Reduces(),
-				Overlap:     algo.Overlap,
-				CopyBytesAt: copyBytes,
-			}, elemBytes)
+			rs, err := replay{topo, sys.Params, placement, sizes}.evaluateAlgo(ctx, opts.Engine, algo, p)
 			if err != nil {
 				return err
 			}

@@ -33,13 +33,13 @@ func countTraceFiles(t *testing.T, dir string) int {
 // and pins the eviction guarantee: a timed-out (hence partial) trace is
 // written neither to the tracestore nor to the in-process cache — the
 // failed key re-records on the next request and only the successful
-// recording is persisted. Synthesis is bypassed (nil synthesize) because
-// this test is about the fabric leg of the resolver chain.
+// recording is persisted. Synthesis is off (DisableSynth) because this
+// test is about the fabric leg of the resolver chain.
 func TestFailedRecordingNeverCachedOrStored(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	eng := &Engine{Store: st}
+	eng := &Engine{Store: st, DisableSynth: true}
 	attempts := 0
 	record := func() (*fabric.Trace, error) {
 		attempts++

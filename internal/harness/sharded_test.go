@@ -2,12 +2,15 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"binetrees/internal/pool"
 )
 
 // serialSuite renders the quick suite the pre-sharding way: every
@@ -29,20 +32,21 @@ func serialSuite(t *testing.T, workers int) string {
 	return sb.String()
 }
 
-// TestShardedRunAllByteIdentical pins the tentpole guarantee: RunAll's
-// flat cross-system job graph — every system's cells drained at once on
-// one shared pool — renders byte-identically to the serial per-experiment
-// path, at worker counts {1, NumCPU}, each run cold on an Engine of its own.
+// TestShardedRunAllByteIdentical pins the tentpole guarantee: the flat
+// cross-system job graph of the "all" experiment — every system's cells
+// drained at once on one shared pool — renders byte-identically to the
+// serial per-experiment path, at worker counts {1, NumCPU}, each run cold on
+// an Engine of its own.
 func TestShardedRunAllByteIdentical(t *testing.T) {
 	t.Parallel()
 	reference := serialSuite(t, 1)
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		var sb strings.Builder
-		if err := RunAll(context.Background(), &sb, Options{Quick: true, Workers: workers}); err != nil {
+		if err := RunExperiment(context.Background(), &sb, "all", Options{Quick: true, Workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if sb.String() != reference {
-			t.Fatalf("sharded RunAll (workers=%d) diverges from the serial per-experiment path", workers)
+			t.Fatalf("sharded all (workers=%d) diverges from the serial per-experiment path", workers)
 		}
 	}
 }
@@ -52,7 +56,7 @@ func TestShardedRunAllByteIdentical(t *testing.T) {
 func TestRunAllSystemsSelector(t *testing.T) {
 	t.Parallel()
 	var sb strings.Builder
-	err := RunAll(context.Background(), &sb, Options{Quick: true, Workers: runtime.NumCPU(), Systems: []string{"marenostrum"}})
+	err := RunExperiment(context.Background(), &sb, "all", Options{Quick: true, Workers: runtime.NumCPU(), Systems: []string{"marenostrum"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestRunAllSystemsSelector(t *testing.T) {
 			t.Fatalf("selection %q leaked %q:\n%s", "marenostrum", absent, out)
 		}
 	}
-	if err := RunAll(context.Background(), io.Discard, Options{Quick: true, Systems: []string{"nonesuch"}}); err == nil {
+	if err := RunExperiment(context.Background(), io.Discard, "all", Options{Quick: true, Systems: []string{"nonesuch"}}); err == nil {
 		t.Fatal("unknown system key accepted")
 	}
 }
@@ -89,7 +93,7 @@ func TestRunAllProgressCounters(t *testing.T) {
 		last[system] = done
 		totals[system] = total
 	}
-	err := RunAll(context.Background(), io.Discard, Options{Quick: true, Workers: runtime.NumCPU(), Progress: progress})
+	err := RunExperiment(context.Background(), io.Discard, "all", Options{Quick: true, Workers: runtime.NumCPU(), Progress: progress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,5 +114,43 @@ func TestRunAllProgressCounters(t *testing.T) {
 		if totals[system] == 0 {
 			t.Errorf("no cells labeled %q", system)
 		}
+	}
+}
+
+// TestAllIsTheSelectedExperiments pins what "all" compiles to: exactly the
+// cells of the experiments its systems selection keeps — LUMI's share of the
+// suite here — and, when one of them fails, an error naming the step the
+// cell belongs to rather than "all".
+func TestAllIsTheSelectedExperiments(t *testing.T) {
+	t.Parallel()
+	opts := Options{Quick: true, Systems: []string{"lumi"}}
+	all, err := CompileExperiment("all", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0
+	for _, name := range []string{"fig5", "table3", "fig9a", "fig9b", "fig14", "ppn"} {
+		e, err := CompileExperiment(name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += e.Tasks()
+	}
+	if all.Tasks() != sum || sum == 0 {
+		t.Fatalf("all compiled %d cells, its experiments %d", all.Tasks(), sum)
+	}
+
+	boom := errors.New("boom")
+	last := len(all.tasks) - 1 // a ppn cell: ppn is the selection's last step
+	all.tasks[last].run = func(context.Context) error { return boom }
+	runner := pool.NewRunner(1)
+	defer runner.Close()
+	var sb strings.Builder
+	err = all.Run(context.Background(), &sb, runner, nil)
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "harness: ppn: ") {
+		t.Fatalf("failing ppn cell reported as %v", err)
+	}
+	if sb.Len() != 0 {
+		t.Fatalf("failed run rendered %d bytes", sb.Len())
 	}
 }

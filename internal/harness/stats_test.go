@@ -46,7 +46,7 @@ func hammerKey(t *testing.T, eng *Engine, key tracestore.Key, lanes int, record 
 // counted for entries that resolved successfully.
 func TestMemoryHitAccountingConcurrent(t *testing.T) {
 	t.Parallel()
-	eng := &Engine{}
+	eng := &Engine{DisableSynth: true} // the pile-up is on the recording leg
 	const lanes = 16
 	key := func(name string) tracestore.Key {
 		return tracestore.Key{Kind: "test-stats", Algo: name, Shape: "8", SchedVersion: schedVersion}

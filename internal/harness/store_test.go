@@ -16,7 +16,7 @@ import (
 func renderSuite(t *testing.T, eng *Engine, workers int) string {
 	t.Helper()
 	var sb strings.Builder
-	if err := RunAll(context.Background(), &sb, Options{Quick: true, Workers: workers, Engine: eng}); err != nil {
+	if err := RunExperiment(context.Background(), &sb, "all", Options{Quick: true, Workers: workers, Engine: eng}); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return sb.String()

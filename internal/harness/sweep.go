@@ -2,15 +2,12 @@ package harness
 
 import (
 	"context"
-	"fmt"
 
 	"binetrees/internal/coll"
 	"binetrees/internal/core"
 	"binetrees/internal/fabric"
 	"binetrees/internal/netsim"
 	"binetrees/internal/obs"
-	"binetrees/internal/pool"
-	"binetrees/internal/synth"
 	"binetrees/internal/topology"
 )
 
@@ -23,19 +20,18 @@ type Options struct {
 	// pool.DefaultWorkers (one per CPU). Every artifact is byte-identical
 	// regardless of the setting.
 	Workers int
-	// Systems restricts RunAll to the artifact groups of the named system
-	// keys (see SystemKeys); empty runs the whole suite. Single experiments
-	// ignore it.
+	// Systems restricts the "all" experiment to the artifact groups of the
+	// named system keys (see SystemKeys); empty runs the whole suite. Single
+	// experiments ignore it.
 	Systems []string
 	// Progress, when non-nil, observes every completed job-graph cell (see
 	// ProgressFunc). Callbacks arrive from pool workers.
 	Progress ProgressFunc
 	// Engine resolves and caches the traces of every plan compiled under
 	// these Options; plans sharing an Engine share its tiers and counters.
-	// Nil gives the RunAll, RunAllOn, RunExperiment or CompileExperiment
-	// call a fresh default Engine of its own (no disk tier, synthesis on),
-	// shared by all plans of that call and held for the life of what it
-	// compiled.
+	// Nil gives the RunExperiment or CompileExperiment call a fresh default
+	// Engine of its own (no disk tier, synthesis on), shared by all plans of
+	// that call and held for the life of what it compiled.
 	Engine *Engine
 }
 
@@ -100,46 +96,50 @@ type sweepResult struct {
 	Cells map[string]map[cellKey]cell
 }
 
-// recordTrace executes the algorithm once at unit block size (n = p
-// elements) on a recording in-process fabric and returns its trace.
-func recordTrace(algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
-	run, err := algo.Make(p, root)
-	if err != nil {
-		return nil, err
-	}
-	rec := fabric.NewRecorder(fabric.NewMem(p))
-	defer rec.Close()
-	n := p
-	err = fabric.Run(rec, func(c fabric.Comm) error {
-		inLen, outLen := algo.Coll.InOutLens(p, n)
-		in := make([]int32, inLen)
-		var out []int32
-		if outLen > 0 {
-			out = make([]int32, outLen)
-		}
-		return run(c, root, in, out, coll.OpSum)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %v/%s p=%d: %w", algo.Coll, algo.Name, p, err)
-	}
-	return rec.Trace(), nil
+// replay is the machine side of an evaluate cell: the network model and cost
+// parameters, where each rank sits, and the vector sizes to score. A nil
+// placement puts rank r on node r.
+type replay struct {
+	topo      topology.Topology
+	params    netsim.Params
+	placement []int
+	sizes     []int64
 }
 
-// synthTrace emits the algorithm's unit-granularity trace directly from
-// schedule math (internal/synth) — the cold-path replacement for
-// recordTrace, which stays on as the verification oracle. The two are
-// byte-identical under the trace codec for every registered algorithm
-// (internal/synth's equivalence suite and CI's -verify-synth gate).
-func synthTrace(algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
-	s, err := algo.Pattern(p, root, p)
+// evaluate is the one body of every evaluate cell: resolve the schedule's
+// trace, then — timed as the cell's evaluate stage — scale each vector size
+// to bytes per recorded element (elems elements were recorded per vector) and
+// to its local copy cost (copyFactor vector lengths), and score all sizes in
+// one structural replay (netsim.EvaluateSizes derives each size's Result
+// arithmetically from the shared per-step profile). The caller sets ev's
+// Reduces and Overlap; evaluate fills in the placement and copy costs.
+func (rp replay) evaluate(ctx context.Context, resolve func() (*fabric.Trace, error), elems int, copyFactor float64, ev netsim.Eval) ([]netsim.Result, error) {
+	tr, err := resolve()
 	if err != nil {
 		return nil, err
 	}
-	tr, err := synth.Schedule(s)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %v/%s p=%d: %w", algo.Coll, algo.Name, p, err)
+	defer obs.TimeStage(ctx, obs.StageEvaluate)()
+	if ev.Placement = rp.placement; ev.Placement == nil {
+		ev.Placement = make([]int, tr.P)
+		for r := range ev.Placement {
+			ev.Placement[r] = r
+		}
 	}
-	return tr, nil
+	elemBytes := make([]float64, len(rp.sizes))
+	ev.CopyBytesAt = make([]float64, len(rp.sizes))
+	for si, size := range rp.sizes {
+		elemBytes[si] = float64(size) / float64(elems)
+		ev.CopyBytesAt[si] = copyFactor * float64(size)
+	}
+	return netsim.EvaluateSizes(tr, rp.topo, rp.params, ev, elemBytes)
+}
+
+// evaluateAlgo is evaluate for a registry algorithm over p ranks, whose
+// cached trace is recorded at unit block size and whose cost metadata the
+// registry carries.
+func (rp replay) evaluateAlgo(ctx context.Context, eng *Engine, algo coll.Algorithm, p int) ([]netsim.Result, error) {
+	return rp.evaluate(ctx, func() (*fabric.Trace, error) { return eng.cachedTrace(ctx, algo, p, 0) },
+		p, algo.CopyFactor, netsim.Eval{Reduces: algo.Coll.Reduces(), Overlap: algo.Overlap})
 }
 
 // planSweep compiles one collective's sweep — every applicable algorithm
@@ -190,27 +190,7 @@ func planSweep(eng *Engine, sys System, collective coll.Collective, counts []int
 		i := i
 		tasks[i] = task{system: sys.Key, run: func(ctx context.Context) error {
 			j := jobs[i]
-			tr, err := eng.cachedTrace(ctx, j.algo, j.p, 0)
-			if err != nil {
-				return err
-			}
-			defer obs.TimeStage(ctx, obs.StageEvaluate)()
-			// One structural replay scores every vector size of the cell:
-			// EvaluateSizes derives each size's Result arithmetically from
-			// the shared per-step profile, exactly matching per-size
-			// Evaluate calls.
-			elemBytes := make([]float64, len(sizes))
-			copyBytes := make([]float64, len(sizes))
-			for si, size := range sizes {
-				elemBytes[si] = float64(size) / float64(j.p)
-				copyBytes[si] = j.algo.CopyFactor * float64(size)
-			}
-			rs, err := netsim.EvaluateSizes(tr, topos[j.p], sys.Params, netsim.Eval{
-				Placement:   placements[j.p],
-				Reduces:     collective.Reduces(),
-				Overlap:     j.algo.Overlap,
-				CopyBytesAt: copyBytes,
-			}, elemBytes)
+			rs, err := replay{topos[j.p], sys.Params, placements[j.p], sizes}.evaluateAlgo(ctx, eng, j.algo, j.p)
 			if err != nil {
 				return err
 			}
@@ -239,22 +219,6 @@ func planSweep(eng *Engine, sys System, collective coll.Collective, counts []int
 		return res
 	}
 	return tasks, finish, nil
-}
-
-// sweepCollective is the standalone form of planSweep: it drains the tasks
-// on its own pool of the given width, resolving traces through a fresh
-// Engine, and returns the merged result. ctx bounds cell dispatch — a
-// cancelled caller stops submitting cells and the cancellation error
-// surfaces here (pinned by TestSweepCollectiveCancel).
-func sweepCollective(ctx context.Context, sys System, collective coll.Collective, counts []int, sizes []int64, workers int) (*sweepResult, error) {
-	tasks, finish, err := planSweep(&Engine{}, sys, collective, counts, sizes)
-	if err != nil {
-		return nil, err
-	}
-	if err := pool.ForEachCtx(ctx, workers, len(tasks), func(i int) error { return tasks[i].run(ctx) }); err != nil {
-		return nil, err
-	}
-	return finish(), nil
 }
 
 // best returns the fastest algorithm among the given names for a cell.
@@ -335,75 +299,4 @@ func torusRecordedElems(ta torusAlgo, tor core.Torus) int {
 		mult = 2 * tor.NDims() // safe for every per-dimension split
 	}
 	return tor.P() * mult
-}
-
-// recordTorusTrace executes a torus algorithm at small block granularity.
-func recordTorusTrace(ta torusAlgo, tor core.Torus, root int) (*fabric.Trace, error) {
-	p := tor.P()
-	n := torusRecordedElems(ta, tor)
-	rec := fabric.NewRecorder(fabric.NewMem(p))
-	defer rec.Close()
-	err := fabric.Run(rec, func(c fabric.Comm) error {
-		inLen, outLen := ta.Coll.InOutLens(p, n)
-		in := make([]int32, inLen)
-		var out []int32
-		if outLen > 0 {
-			out = make([]int32, outLen)
-		}
-		return ta.Run(c, tor, root, in, out, coll.OpSum)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: torus %v/%s %v: %w", ta.Coll, ta.Name, tor.Dims, err)
-	}
-	return rec.Trace(), nil
-}
-
-// synthTorusTrace is synthTrace for torus-geometry algorithms: the same
-// schedule body recordTorusTrace runs on the fabric, walked serially over
-// pattern endpoints instead.
-func synthTorusTrace(ta torusAlgo, tor core.Torus, root int) (*fabric.Trace, error) {
-	p := tor.P()
-	n := torusRecordedElems(ta, tor)
-	tr, err := synth.Run(p, func(c fabric.Comm) error {
-		inLen, outLen := ta.Coll.InOutLens(p, n)
-		in := make([]int32, inLen)
-		var out []int32
-		if outLen > 0 {
-			out = make([]int32, outLen)
-		}
-		return ta.Run(c, tor, root, in, out, coll.OpSum)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: torus %v/%s %v: %w", ta.Coll, ta.Name, tor.Dims, err)
-	}
-	return tr, nil
-}
-
-// recordBody executes an ad-hoc schedule body on the recording goroutine
-// fabric — the oracle/fallback leg of cachedNamedTrace.
-func recordBody(kind, name string, p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
-	rec := fabric.NewRecorder(fabric.NewMem(p))
-	defer rec.Close()
-	if err := fabric.Run(rec, fn); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s p=%d: %w", kind, name, p, err)
-	}
-	return rec.Trace(), nil
-}
-
-// evaluateOnTorusSizes scores a recorded trace on the torus network at every
-// vector size in one replay.
-func evaluateOnTorusSizes(tr *fabric.Trace, recordedElems int, topo *topology.Torus, sizes []int64, reduces bool, overlap float64) ([]netsim.Result, error) {
-	placement := make([]int, tr.P)
-	for i := range placement {
-		placement[i] = i
-	}
-	elemBytes := make([]float64, len(sizes))
-	for si, size := range sizes {
-		elemBytes[si] = float64(size) / float64(recordedElems)
-	}
-	return netsim.EvaluateSizes(tr, topo, FugakuParams(), netsim.Eval{
-		Placement: placement,
-		Reduces:   reduces,
-		Overlap:   overlap,
-	}, elemBytes)
 }

@@ -19,7 +19,7 @@ func synthTestTrace(elems int) *fabric.Trace {
 }
 
 // TestResolverChainCounters walks one key through every stage of the
-// resolver chain — synthesis, disk, recording fallback, synthesis disabled —
+// resolver chain — synthesis, disk, a failing synthesis, synthesis disabled —
 // and pins the counters and provenance stamps each stage must (and must not)
 // produce. The counting is honest by the PR 5 rule: a stage that never
 // served the trace never counts.
@@ -61,19 +61,30 @@ func TestResolverChainCounters(t *testing.T) {
 		t.Fatalf("disk resolution miscounted: %+v", s)
 	}
 
-	// A failing synthesizer is a counted fallback, not an error: the fabric
-	// records, and the store stamp says so.
+	// A synth error fails the request — no second attempt on the fabric —
+	// reaches neither the memory tier nor the store, and leaves the key
+	// retryable.
+	cannotWalk := errors.New("cannot walk")
+	before := eng.Stats()
 	if _, err := eng.cachedTraceKey(context.Background(), synthKey("b"),
-		func() (*fabric.Trace, error) { return nil, errors.New("cannot walk") },
-		synthOK); err != nil {
-		t.Fatal(err)
+		func() (*fabric.Trace, error) { return nil, cannotWalk },
+		mustNotRun("record")); !errors.Is(err, cannotWalk) {
+		t.Fatalf("synth error surfaced as %v", err)
 	}
-	s = eng.Stats()
-	if s.SynthFallbacks != 1 || s.Records != 1 || s.SynthHits != 0 {
-		t.Fatalf("fallback miscounted: %+v", s)
+	if s = eng.Stats(); s.SynthHits != 0 || s.Records != 0 || s.CachedTraces != before.CachedTraces || s.DiskSaves != before.DiskSaves {
+		t.Fatalf("failed synthesis counted: %+v, before %+v", s, before)
 	}
-	if o := st.Origin(synthKey("b")); o != tracestore.OriginRecorded {
-		t.Fatalf("fallback recording stamped %q", o)
+	if _, ok := st.Load(synthKey("b")); ok {
+		t.Fatal("failed synthesis reached the store")
+	}
+	if _, err := eng.cachedTraceKey(context.Background(), synthKey("b"), synthOK, mustNotRun("record")); err != nil {
+		t.Fatalf("retry after a synth error: %v", err)
+	}
+	if s = eng.Stats(); s.SynthHits != 1 || s.CachedTraces != before.CachedTraces+1 {
+		t.Fatalf("retried synthesis miscounted: %+v", s)
+	}
+	if o := st.Origin(synthKey("b")); o != tracestore.OriginSynthesized {
+		t.Fatalf("retried synthesis stamped %q", o)
 	}
 
 	// Synthesis disabled: the synthesizer must not even be consulted.
@@ -82,7 +93,7 @@ func TestResolverChainCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = eng.Stats()
-	if s.Records != 1 || s.SynthHits != 0 || s.SynthFallbacks != 0 {
+	if s.Records != 1 || s.SynthHits != 0 {
 		t.Fatalf("disabled synthesis miscounted: %+v", s)
 	}
 	if o := st.Origin(synthKey("c")); o != tracestore.OriginRecorded {

@@ -25,20 +25,14 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of file:line text")
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source files (gofmt-clean, idempotent)")
-	diff := fs.Bool("diff", false, "with -fix: print the patch to stdout instead of writing files (findings go to stderr)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: binelint [-json] [-fix [-diff]] [-rules rule,...] [./... | dir ...]\n\nrules:\n")
+		fmt.Fprintf(stderr, "usage: binelint [-json] [-rules rule,...] [./... | dir ...]\n\nrules:\n")
 		for _, a := range Analyzers() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return ExitError
-	}
-	if *diff && !*fix {
-		fmt.Fprintf(stderr, "binelint: -diff requires -fix\n")
 		return ExitError
 	}
 
@@ -111,25 +105,13 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := Run(ldr, pkgs, analyzers)
-	if *fix {
-		// -fix writes files in place; -fix -diff keeps stdout a pure patch
-		// (findings move to stderr) so CI can assert patch emptiness.
-		if _, err := ApplyFixes(ldr, findings, !*diff, stdout); err != nil {
-			fmt.Fprintf(stderr, "binelint: %v\n", err)
-			return ExitError
-		}
-	}
-	findingsOut := stdout
-	if *fix && *diff {
-		findingsOut = stderr
-	}
 	if *jsonOut {
-		if err := WriteJSON(findingsOut, findings); err != nil {
+		if err := WriteJSON(stdout, findings); err != nil {
 			fmt.Fprintf(stderr, "binelint: %v\n", err)
 			return ExitError
 		}
 	} else {
-		WriteText(findingsOut, findings)
+		WriteText(stdout, findings)
 	}
 	if len(findings) > 0 {
 		return ExitFindings

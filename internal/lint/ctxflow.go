@@ -10,9 +10,9 @@ import (
 // entry point down to the pool cells so that client disconnects stop cell
 // submission and stage timings attribute to the request trace; a root
 // context minted mid-path silently detaches everything below it from
-// cancellation and tracing (the live finding this rule shipped with:
-// sweepCollective building its own context.Background() instead of taking
-// the caller's). Entry points that genuinely own a fresh lifetime (a CLI
+// cancellation and tracing (the live finding this rule shipped with: a
+// harness sweep driver building its own context.Background() instead of
+// taking the caller's). Entry points that genuinely own a fresh lifetime (a CLI
 // main, a server's own lifecycle context) either live outside these
 // packages or carry a //binelint:ignore with the reason.
 //

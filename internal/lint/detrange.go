@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 )
 
 // DetRange guards the byte-identical-artifact invariant: every rendered
@@ -62,7 +61,7 @@ func runDetRange(pass *Pass) {
 				if _, isMap := t.Underlying().(*types.Map); !isMap {
 					continue
 				}
-				checkMapRange(pass, f, rs, stmts[i+1:])
+				checkMapRange(pass, rs, stmts[i+1:])
 			}
 			return true
 		})
@@ -71,9 +70,8 @@ func runDetRange(pass *Pass) {
 
 // checkMapRange inspects one map-range body; later is the tail of the
 // enclosing block after the range statement (where a redeeming sort call
-// would live). f is the enclosing file, for the suggested fix's import
-// insertion.
-func checkMapRange(pass *Pass, f *ast.File, rs *ast.RangeStmt, later []ast.Stmt) {
+// would live).
+func checkMapRange(pass *Pass, rs *ast.RangeStmt, later []ast.Stmt) {
 	info := pass.Pkg.Info
 	reported := false
 	appends := map[*types.Var]bool{} // outside-declared append targets, deduped
@@ -126,59 +124,11 @@ func checkMapRange(pass *Pass, f *ast.File, rs *ast.RangeStmt, later []ast.Stmt)
 	})
 	for v := range appends {
 		if !sortedBeforeUse(info, v, later) {
-			pass.ReportfFix(rs.For, sortFix(f, rs, v),
+			pass.Reportf(rs.For,
 				"map iteration order is nondeterministic: this range over %s appends to %s without a later sort before use; sort %s (sort.Strings/Ints/Slice) before rendering from it",
 				types.ExprString(rs.X), v.Name(), v.Name())
 		}
 	}
-}
-
-// sortFix builds the machine-applicable fix for the append case: insert the
-// missing sort call for v right after the map range, plus the "sort" import
-// if the file lacks it. Only element types with a dedicated sort helper
-// (string, int, float64) are auto-fixable; for anything else a sort.Slice
-// needs a human-written less function, so no fix is attached.
-func sortFix(f *ast.File, rs *ast.RangeStmt, v *types.Var) []TextEdit {
-	slice, ok := v.Type().Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	basic, ok := slice.Elem().Underlying().(*types.Basic)
-	if !ok {
-		return nil
-	}
-	var helper string
-	switch basic.Kind() {
-	case types.String:
-		helper = "Strings"
-	case types.Int:
-		helper = "Ints"
-	case types.Float64:
-		helper = "Float64s"
-	default:
-		return nil
-	}
-	call := importedName(f, "sort", "sort") + "." + helper + "(" + v.Name() + ")"
-	edits := []TextEdit{{Pos: rs.End(), End: rs.End(), New: "\n" + call}}
-	if imp, ok := ensureImport(f, "sort"); ok {
-		edits = append(edits, imp)
-	}
-	return edits
-}
-
-// importedName returns the local name path is imported under in f (aliased
-// imports keep their alias), or fallback when the import is absent and the
-// fix will add it under its default name.
-func importedName(f *ast.File, path, fallback string) string {
-	for _, imp := range f.Imports {
-		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == path {
-			if imp.Name != nil && imp.Name.Name != "" && imp.Name.Name != "_" {
-				return imp.Name.Name
-			}
-			return fallback
-		}
-	}
-	return fallback
 }
 
 // sortedBeforeUse reports whether the first statement in later that

@@ -155,10 +155,6 @@ func TestDetRangeGolden(t *testing.T) {
 	runGolden(t, DetRange, "testdata/src/detrange")
 }
 
-func TestAtomicMixGolden(t *testing.T) {
-	runGolden(t, AtomicMix, "testdata/src/atomicmix")
-}
-
 func TestMetricNameGolden(t *testing.T) {
 	runGolden(t, MetricName, "testdata/src/metricname",
 		"testdata/src/metricname/internal/obs", "testdata/src/metricname/names")

@@ -18,7 +18,7 @@ import (
 
 // Analyzer is one rule. Per-package analyzers run once per package with
 // Pass.Pkg set; Global analyzers run once over the whole analysis set with
-// Pass.Pkg nil (atomicmix correlates accesses across packages).
+// Pass.Pkg nil (metricname correlates registrations across packages).
 type Analyzer struct {
 	Name   string
 	Doc    string
@@ -43,13 +43,6 @@ type Pass struct {
 
 // Reportf files one finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfFix(pos, nil, format, args...)
-}
-
-// ReportfFix files one finding at pos carrying a machine-applicable fix:
-// edits that -fix applies (or -fix -diff prints). A nil or empty edits
-// slice degrades to a plain finding.
-func (p *Pass) ReportfFix(pos token.Pos, edits []TextEdit, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	file := position.Filename
 	if rel, err := filepath.Rel(p.modRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
@@ -61,12 +54,11 @@ func (p *Pass) ReportfFix(pos token.Pos, edits []TextEdit, format string, args .
 		Line:    position.Line,
 		Col:     position.Column,
 		Message: fmt.Sprintf(format, args...),
-		edits:   edits,
 	})
 }
 
 // Position renders pos as a module-relative file:line string (for messages
-// that cite a second location, like atomicmix's atomic-site reference).
+// that cite a second location, like metricname's first-registration site).
 func (p *Pass) Position(pos token.Pos) string {
 	position := p.Fset.Position(pos)
 	file := position.Filename
@@ -83,17 +75,11 @@ type Finding struct {
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Message string `json:"message"`
-	// Fixed reports that -fix applied this finding's suggested edits (CI
-	// reads it from -json to tell applied edits from residual findings).
-	Fixed bool `json:"fixed"`
-
-	// edits is the suggested fix, applied by ApplyFixes under -fix.
-	edits []TextEdit
 }
 
 // Analyzers returns the full rule suite in catalog order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{GoArg, CtxFlow, DetRange, AtomicMix, MetricName}
+	return []*Analyzer{GoArg, CtxFlow, DetRange, MetricName}
 }
 
 // ignoreDirective is one parsed //binelint:ignore comment.
@@ -226,15 +212,10 @@ func Run(ldr *Loader, pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return out
 }
 
-// WriteText renders findings one per line: file:line: [rule] message, with
-// a trailing "(fixed)" marker on findings -fix applied.
+// WriteText renders findings one per line: file:line: [rule] message.
 func WriteText(w io.Writer, findings []Finding) {
 	for _, f := range findings {
-		suffix := ""
-		if f.Fixed {
-			suffix = " (fixed)"
-		}
-		fmt.Fprintf(w, "%s:%d: [%s] %s%s\n", f.File, f.Line, f.Rule, f.Message, suffix)
+		fmt.Fprintf(w, "%s:%d: [%s] %s\n", f.File, f.Line, f.Rule, f.Message)
 	}
 }
 

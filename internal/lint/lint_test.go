@@ -35,7 +35,7 @@ func TestWriteJSONShape(t *testing.T) {
 	if len(decoded) != 1 {
 		t.Fatalf("decoded %d findings, want 1", len(decoded))
 	}
-	for _, key := range []string{"rule", "file", "line", "col", "message", "fixed"} {
+	for _, key := range []string{"rule", "file", "line", "col", "message"} {
 		if _, ok := decoded[0][key]; !ok {
 			t.Errorf("JSON finding missing key %q: %v", key, decoded[0])
 		}
@@ -113,9 +113,5 @@ func TestMainExitCodes(t *testing.T) {
 		if !strings.Contains(errb, a.Name) {
 			t.Errorf("unknown-rule error missing rule %q: %q", a.Name, errb)
 		}
-	}
-
-	if code, _, errb := runMain("-diff", "testdata/src/clean"); code != ExitError || !strings.Contains(errb, "-diff requires -fix") {
-		t.Errorf("-diff without -fix: code=%d err=%q, want exit 2", code, errb)
 	}
 }

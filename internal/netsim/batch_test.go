@@ -62,66 +62,6 @@ func testTopologies(t *testing.T, p int) map[string]topology.Topology {
 	}
 }
 
-// TestEvaluateSizesMatchesEvaluate pins the batched evaluator's exactness
-// guarantee: for every registry algorithm (all collectives) on every
-// topology family, EvaluateSizes returns bit-for-bit the Result of a
-// per-size Evaluate call — with == on every field, no epsilon — including
-// non-dyadic element scales like the torus recordings produce and the
-// per-size copy costs of the permute strategies.
-func TestEvaluateSizesMatchesEvaluate(t *testing.T) {
-	const p = 16
-	// Dyadic scales (the flat sweeps), awkward rationals (torus recordings
-	// divide by p·2·ndims), and arbitrary decimals.
-	elemBytes := []float64{0.25, 4, 4096, 1024.0 / 48.0, 1e6 / 384.0, 7.3, 123456.789}
-	copyBytes := make([]float64, len(elemBytes))
-	for i, eb := range elemBytes {
-		copyBytes[i] = 0.5 * eb * p
-	}
-	topos := testTopologies(t, p)
-	params := testParams()
-	params.PerHopLatency = 3e-7
-	checked := 0
-	for _, algo := range coll.Registry() {
-		tr := algoTrace(t, algo, p)
-		for name, topo := range topos {
-			ev := Eval{
-				Placement:   identity(p),
-				Reduces:     algo.Coll.Reduces(),
-				Overlap:     algo.Overlap,
-				CopyBytesAt: copyBytes,
-			}
-			batched, err := EvaluateSizes(tr, topo, params, ev, elemBytes)
-			if err != nil {
-				t.Fatalf("%v/%s on %s: %v", algo.Coll, algo.Name, name, err)
-			}
-			if len(batched) != len(elemBytes) {
-				t.Fatalf("%v/%s on %s: %d results for %d sizes", algo.Coll, algo.Name, name, len(batched), len(elemBytes))
-			}
-			for i, eb := range elemBytes {
-				single, err := Evaluate(tr, topo, params, Eval{
-					Placement: ev.Placement,
-					ElemBytes: eb,
-					Reduces:   ev.Reduces,
-					Overlap:   ev.Overlap,
-					CopyBytes: copyBytes[i],
-				})
-				if err != nil {
-					t.Fatalf("%v/%s on %s: %v", algo.Coll, algo.Name, name, err)
-				}
-				if batched[i] != single {
-					t.Fatalf("%v/%s on %s, elemBytes=%v:\n batched %+v\n  single %+v",
-						algo.Coll, algo.Name, name, eb, batched[i], single)
-				}
-				checked++
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no configurations checked")
-	}
-	t.Logf("%d (algorithm, topology, size) configurations bit-identical", checked)
-}
-
 // TestEvaluateSizesSharedTopology pins the property the sweep pool relies
 // on: any number of goroutines replay against ONE topology instance — no
 // per-goroutine copy, no lock — and each gets exactly (==) the serial
@@ -179,7 +119,7 @@ func TestEvaluateSizesSharedTopology(t *testing.T) {
 func TestEvaluateSizesErrors(t *testing.T) {
 	tr := fabric.NewTrace(4, []fabric.Record{{From: 0, To: 1, Elems: 1}})
 	topo := topology.NewFlat("f", 4, 10e9)
-	// Short placement fails like Evaluate.
+	// Short placement fails.
 	if _, err := EvaluateSizes(tr, topo, testParams(), Eval{Placement: identity(2)}, []float64{1}); err == nil {
 		t.Fatal("short placement accepted")
 	}
@@ -196,12 +136,8 @@ func TestEvaluateSizesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, eb := range []float64{4, 8} {
-		single, err := Evaluate(tr, topo, p, Eval{Placement: identity(4), ElemBytes: eb, CopyBytes: 1e9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs[i] != single {
-			t.Fatalf("size %d: batched %+v != single %+v", i, rs[i], single)
+		if want := referenceEvaluate(tr, topo, p, Eval{Placement: identity(4), CopyBytes: 1e9}, eb); rs[i] != want {
+			t.Fatalf("size %d: batched %+v != reference %+v", i, rs[i], want)
 		}
 	}
 }

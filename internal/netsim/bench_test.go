@@ -52,9 +52,7 @@ func BenchmarkProfileRing(b *testing.B) {
 			b.SetBytes(int64(tr.NumRecords()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Evaluate(tr, topo, params, Eval{
-					Placement: placement, ElemBytes: 4, Reduces: true,
-				}); err != nil {
+				if _, err := evaluateAt(tr, topo, params, Eval{Placement: placement, Reduces: true}, 4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,7 +90,7 @@ func BenchmarkProfileAlltoall(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, err := Evaluate(tr, topo, params, Eval{Placement: placement, ElemBytes: 4}); err != nil {
+					if _, err := evaluateAt(tr, topo, params, Eval{Placement: placement}, 4); err != nil {
 						b.Error(err)
 					}
 				}()

@@ -51,10 +51,6 @@ type Params struct {
 type Eval struct {
 	// Placement maps rank → node.
 	Placement []int
-	// ElemBytes scales every recorded element to bytes: evaluating a
-	// trace recorded with b₀ blocks of one element at vector size n bytes
-	// uses ElemBytes = n / (number of recorded elements per vector).
-	ElemBytes float64
 	// Reduces marks collectives that fold incoming data (reduce,
 	// reduce-scatter, allreduce): received bytes are charged Gamma.
 	Reduces bool
@@ -66,7 +62,7 @@ type Eval struct {
 	CopyBytes float64
 	// CopyBytesAt optionally gives EvaluateSizes a per-size copy cost,
 	// index-paired with its elemBytes argument (CopyBytes covers every
-	// size otherwise). Evaluate ignores it.
+	// size otherwise).
 	CopyBytesAt []float64
 }
 
@@ -283,22 +279,15 @@ func (pf *traceProfile) result(p Params, ev Eval, elemBytes, copyBytes float64) 
 	return res
 }
 
-// Evaluate replays the trace on the topology.
-func Evaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval) (Result, error) {
-	pf, err := profile(tr, topo, ev)
-	if err != nil {
-		return Result{}, err
-	}
-	return pf.result(p, ev, ev.ElemBytes, ev.CopyBytes), nil
-}
-
-// EvaluateSizes evaluates one trace at every element scale of elemBytes in a
-// single topology replay: the structural pass over routes and link loads
-// runs once, and each size's Result is derived arithmetically — exactly the
-// Result Evaluate returns for that scale, not an approximation, because the
-// two share the profile and the derivation. Per-size copy costs come from
-// ev.CopyBytesAt (index-paired with elemBytes) when set, ev.CopyBytes
-// otherwise; ev.ElemBytes is ignored.
+// EvaluateSizes replays the trace on the topology and scores it at every
+// element scale of elemBytes: each entry scales every recorded element to
+// bytes — a trace recorded with b₀ blocks of one element evaluates at vector
+// size n bytes with n / (number of recorded elements per vector). The
+// structural pass over routes and link loads runs once, and each size's
+// Result is derived from it arithmetically — exactly, not approximately (the
+// seed's per-message evaluator in reference_test.go is the oracle). Per-size
+// copy costs come from ev.CopyBytesAt (index-paired with elemBytes) when set,
+// ev.CopyBytes otherwise.
 func EvaluateSizes(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval, elemBytes []float64) ([]Result, error) {
 	if ev.CopyBytesAt != nil && len(ev.CopyBytesAt) != len(elemBytes) {
 		return nil, fmt.Errorf("netsim: %d copy costs for %d sizes", len(ev.CopyBytesAt), len(elemBytes))

@@ -45,6 +45,15 @@ func identity(p int) []int {
 	return out
 }
 
+// evaluateAt scores tr at one element scale.
+func evaluateAt(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval, elemBytes float64) (Result, error) {
+	rs, err := EvaluateSizes(tr, topo, p, ev, []float64{elemBytes})
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
 func TestFigure1BroadcastTraffic(t *testing.T) {
 	// Fig. 1: on eight nodes with two nodes per leaf switch, a
 	// distance-doubling broadcast of n bytes forwards 6n bytes across
@@ -75,7 +84,7 @@ func TestEvaluateBasicProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(tr, topo, testParams(), Eval{Placement: identity(p), ElemBytes: 4})
+	res, err := evaluateAt(tr, topo, testParams(), Eval{Placement: identity(p)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +94,8 @@ func TestEvaluateBasicProperties(t *testing.T) {
 	if res.TotalBytes != float64(64*4*(p-1)) {
 		t.Fatalf("total bytes %f", res.TotalBytes)
 	}
-	// Byte metrics scale exactly linearly with ElemBytes.
-	res2, err := Evaluate(tr, topo, testParams(), Eval{Placement: identity(p), ElemBytes: 8})
+	// Byte metrics scale exactly linearly with the element scale.
+	res2, err := evaluateAt(tr, topo, testParams(), Eval{Placement: identity(p)}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +106,7 @@ func TestEvaluateBasicProperties(t *testing.T) {
 		t.Fatal("time not monotone in message size")
 	}
 	// Placement shorter than the trace fails.
-	if _, err := Evaluate(tr, topo, testParams(), Eval{Placement: identity(2), ElemBytes: 4}); err == nil {
+	if _, err := evaluateAt(tr, topo, testParams(), Eval{Placement: identity(2)}, 4); err == nil {
 		t.Fatal("short placement accepted")
 	}
 }
@@ -119,11 +128,11 @@ func TestContentionSerializesSharedLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := identity(8)
-	shared, err := Evaluate(mk(0, 2, 1, 3), topo, testParams(), Eval{Placement: pl, ElemBytes: 4})
+	shared, err := evaluateAt(mk(0, 2, 1, 3), topo, testParams(), Eval{Placement: pl}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	separate, err := Evaluate(mk(0, 2, 3, 1), topo, testParams(), Eval{Placement: pl, ElemBytes: 4})
+	separate, err := evaluateAt(mk(0, 2, 3, 1), topo, testParams(), Eval{Placement: pl}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +154,11 @@ func TestStepsSerializeAndMessagesOverlap(t *testing.T) {
 	})
 	topo := topology.NewFlat("f", 4, 10e9)
 	pl := identity(4)
-	a, err := Evaluate(one, topo, testParams(), Eval{Placement: pl, ElemBytes: 4})
+	a, err := evaluateAt(one, topo, testParams(), Eval{Placement: pl}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(two, topo, testParams(), Eval{Placement: pl, ElemBytes: 4})
+	b, err := evaluateAt(two, topo, testParams(), Eval{Placement: pl}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +178,8 @@ func TestPerMessageOverheadCharged(t *testing.T) {
 	segmented := fabric.NewTrace(2, recs)
 	topo := topology.NewFlat("f", 2, 10e9)
 	pl := identity(2)
-	a, _ := Evaluate(bulk, topo, testParams(), Eval{Placement: pl, ElemBytes: 4})
-	b, _ := Evaluate(segmented, topo, testParams(), Eval{Placement: pl, ElemBytes: 4})
+	a, _ := evaluateAt(bulk, topo, testParams(), Eval{Placement: pl}, 4)
+	b, _ := evaluateAt(segmented, topo, testParams(), Eval{Placement: pl}, 4)
 	want := a.Time + 9*testParams().MsgOverhead
 	if math.Abs(b.Time-want) > 1e-12 {
 		t.Fatalf("segmented %.9g, want %.9g", b.Time, want)
@@ -184,14 +193,14 @@ func TestReductionComputeAndOverlap(t *testing.T) {
 	topo := topology.NewFlat("f", 2, 10e9)
 	pl := identity(2)
 	p := testParams()
-	plain, _ := Evaluate(tr, topo, p, Eval{Placement: pl, ElemBytes: 4})
-	reduced, _ := Evaluate(tr, topo, p, Eval{Placement: pl, ElemBytes: 4, Reduces: true})
-	overlapped, _ := Evaluate(tr, topo, p, Eval{Placement: pl, ElemBytes: 4, Reduces: true, Overlap: 0.8})
+	plain, _ := evaluateAt(tr, topo, p, Eval{Placement: pl}, 4)
+	reduced, _ := evaluateAt(tr, topo, p, Eval{Placement: pl, Reduces: true}, 4)
+	overlapped, _ := evaluateAt(tr, topo, p, Eval{Placement: pl, Reduces: true, Overlap: 0.8}, 4)
 	if !(plain.Time < overlapped.Time && overlapped.Time < reduced.Time) {
 		t.Fatalf("ordering: plain %.3g overlapped %.3g reduced %.3g",
 			plain.Time, overlapped.Time, reduced.Time)
 	}
-	copied, _ := Evaluate(tr, topo, p, Eval{Placement: pl, ElemBytes: 4, CopyBytes: 1e9})
+	copied, _ := evaluateAt(tr, topo, p, Eval{Placement: pl, CopyBytes: 1e9}, 4)
 	if copied.Time <= plain.Time {
 		t.Fatal("copy bytes not charged")
 	}

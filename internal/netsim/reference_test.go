@@ -9,18 +9,18 @@ import (
 	"binetrees/internal/topology"
 )
 
-// referenceEvaluate is the seed repository's Evaluate, verbatim: per-message
+// referenceEvaluate is the seed repository's Evaluate at one element scale,
+// verbatim but for reading the trace through StepBounds/At: per-message
 // floating-point accumulation of link loads, received volumes and byte
-// totals. It anchors the profile/derive refactor against the original
-// semantics non-circularly — Evaluate and EvaluateSizes share their
-// arithmetic, so testing them against each other alone could not detect the
-// pair drifting together.
-func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval) Result {
+// totals. It anchors the profile/derive evaluator against the original
+// semantics non-circularly — it shares no arithmetic with EvaluateSizes.
+func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval, elemBytes float64) Result {
 	links := topo.Links()
 	loads := make([]float64, len(links))
 	var res Result
-	for _, step := range tr.Steps() {
-		if len(step) == 0 {
+	for s := 0; s < tr.NumSteps(); s++ {
+		lo, hi := tr.StepBounds(s)
+		if lo == hi {
 			continue
 		}
 		res.Steps++
@@ -32,9 +32,10 @@ func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Ev
 		recvPer := map[int]float64{}
 		sendCnt := map[int]int{}
 		maxMsgs := 0
-		for _, m := range step {
+		for i := lo; i < hi; i++ {
+			m := tr.At(i)
 			src, dst := ev.Placement[m.From], ev.Placement[m.To]
-			bytes := float64(m.Elems) * ev.ElemBytes
+			bytes := float64(m.Elems) * elemBytes
 			res.TotalBytes += bytes
 			res.Messages++
 			route := topo.AppendRoute(nil, src, dst)
@@ -89,15 +90,18 @@ func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Ev
 	return res
 }
 
-// TestEvaluateMatchesSeedReference pins the refactored evaluator to the
-// seed's per-message replay. At dyadic element scales — every scale the flat
-// sweeps use: power-of-two sizes over power-of-two rank counts — each
-// per-message product is exact, so the integer-accumulating profile must
-// reproduce the reference bit for bit. At non-dyadic scales (torus
-// recordings) the two accumulation orders legitimately differ: the reference
-// accumulates one rounding per message (error up to ~messages·ε relative),
-// the profile rounds once per quantity — the gap must stay within that
-// accumulation bound, orders of magnitude below anything a rendered
+// TestEvaluateMatchesSeedReference pins the batched evaluator to the seed's
+// per-message replay: every registry algorithm (all collectives) on every
+// topology family, all scales scored by ONE EvaluateSizes call with per-size
+// copy costs (CopyBytesAt), each size compared with a reference replay at
+// that scale. At dyadic element scales — every scale the flat sweeps use:
+// power-of-two sizes over power-of-two rank counts — each per-message product
+// is exact, so the integer-accumulating profile must reproduce the reference
+// bit for bit. At non-dyadic scales (torus recordings divide by p·2·ndims;
+// arbitrary decimals) the two accumulation orders legitimately differ: the
+// reference accumulates one rounding per message (error up to ~messages·ε
+// relative), the profile rounds once per quantity — the gap must stay within
+// that accumulation bound, orders of magnitude below anything a rendered
 // artifact can observe.
 func TestEvaluateMatchesSeedReference(t *testing.T) {
 	const p = 16
@@ -111,39 +115,50 @@ func TestEvaluateMatchesSeedReference(t *testing.T) {
 		tol := float64(msgs) * 4 * 2.22e-16 * math.Max(math.Abs(a), math.Abs(b))
 		return math.Abs(a-b) <= tol
 	}
+	elemBytes := []float64{0.25, 4, 4096, 1 << 16, 1024.0 / 48.0, 1e6 / 384.0, 7.3, 123456.789}
+	const dyadic = 4 // elemBytes[:dyadic] are exact per message
 	for _, algo := range coll.Registry() {
 		tr := algoTrace(t, algo, p)
+		// The permute strategies' own copy factor, and a flat half vector for
+		// everything else so every algorithm exercises the per-size pairing.
+		factor := algo.CopyFactor
+		if factor == 0 {
+			factor = 0.5
+		}
+		copyBytes := make([]float64, len(elemBytes))
+		for i, eb := range elemBytes {
+			copyBytes[i] = factor * eb * p
+		}
 		for name, topo := range topos {
-			for _, tc := range []struct {
-				elemBytes float64
-				dyadic    bool
-			}{
-				{0.25, true}, {4, true}, {1 << 16, true},
-				{1024.0 / 48.0, false}, {1e6 / 384.0, false}, {7.3, false},
-			} {
-				ev := Eval{
-					Placement: identity(p),
-					ElemBytes: tc.elemBytes,
-					Reduces:   algo.Coll.Reduces(),
-					Overlap:   algo.Overlap,
-					CopyBytes: algo.CopyFactor * tc.elemBytes * p,
-				}
-				want := referenceEvaluate(tr, topo, params, ev)
-				got, err := Evaluate(tr, topo, params, ev)
-				if err != nil {
-					t.Fatalf("%v/%s on %s: %v", algo.Coll, algo.Name, name, err)
-				}
+			ev := Eval{
+				Placement:   identity(p),
+				Reduces:     algo.Coll.Reduces(),
+				Overlap:     algo.Overlap,
+				CopyBytesAt: copyBytes,
+			}
+			batched, err := EvaluateSizes(tr, topo, params, ev, elemBytes)
+			if err != nil {
+				t.Fatalf("%v/%s on %s: %v", algo.Coll, algo.Name, name, err)
+			}
+			if len(batched) != len(elemBytes) {
+				t.Fatalf("%v/%s on %s: %d results for %d sizes", algo.Coll, algo.Name, name, len(batched), len(elemBytes))
+			}
+			for i, eb := range elemBytes {
+				got := batched[i]
+				ref := ev
+				ref.CopyBytesAt, ref.CopyBytes = nil, copyBytes[i]
+				want := referenceEvaluate(tr, topo, params, ref, eb)
 				if got.Steps != want.Steps || got.Messages != want.Messages {
 					t.Fatalf("%v/%s on %s: counts %+v, reference %+v", algo.Coll, algo.Name, name, got, want)
 				}
-				if tc.dyadic {
+				if i < dyadic {
 					if got != want {
 						t.Fatalf("%v/%s on %s, dyadic elemBytes=%v:\n     got %+v\nseed ref %+v",
-							algo.Coll, algo.Name, name, tc.elemBytes, got, want)
+							algo.Coll, algo.Name, name, eb, got, want)
 					}
 				} else if !closeTo(got.Time, want.Time, want.Messages) || !closeTo(got.GlobalBytes, want.GlobalBytes, want.Messages) || !closeTo(got.TotalBytes, want.TotalBytes, want.Messages) {
 					t.Fatalf("%v/%s on %s, elemBytes=%v: drift beyond ulps:\n     got %+v\nseed ref %+v",
-						algo.Coll, algo.Name, name, tc.elemBytes, got, want)
+						algo.Coll, algo.Name, name, eb, got, want)
 				}
 			}
 		}

@@ -156,10 +156,11 @@ func NewRunner(workers int) *Runner {
 func (r *Runner) Workers() int { return r.workers }
 
 // Pressure reports how much work the pool currently holds: cells waiting in
-// the queue plus cells running on workers. Admission control reads this to
-// size its wait budget — a pressure of zero means a disconnect storm has
-// fully drained (every aborted flight's cells finished or were never
-// dispatched), so new flights can be admitted immediately.
+// the queue plus cells running on workers. No product code reads it —
+// admission control budgets flights, not cells; it is the drain probe of the
+// pool and service tests, where a pressure of zero means a disconnect storm
+// has fully drained (every aborted flight's cells finished or were never
+// dispatched).
 func (r *Runner) Pressure() int64 { return r.queued.Load() + r.inFlight.Load() }
 
 // Close stops the workers once every submitted job has run.

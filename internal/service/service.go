@@ -6,8 +6,8 @@
 // binebench CLI's files for the same request (pinned by tests and CI).
 // Identical concurrent requests are deduplicated by singleflight on the
 // compiled plan key, so a thundering herd resolves each schedule once —
-// normally by direct synthesis from schedule math, with the goroutine
-// fabric as fallback/oracle — through the server's own harness.Engine, and
+// by direct synthesis from schedule math, with the goroutine fabric as the
+// verification oracle — through the server's own harness.Engine, and
 // the shared -trace-cache directory is prewarmed (decode-validated, corrupt
 // files evicted) in the background; /readyz reports 503 until that pass
 // completes.
@@ -386,9 +386,6 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 		}()
 		if renderGate != nil {
 			renderGate()
-		}
-		if name == "all" {
-			return harness.RunAllOn(ctx, fw, s.runner, opts)
 		}
 		_, endCompile := obs.StartSpan(ctx, obs.StageCompile)
 		e, err := harness.CompileExperiment(name, opts)

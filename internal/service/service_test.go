@@ -72,7 +72,7 @@ func TestArtifactByteIdentity(t *testing.T) {
 	}
 	var want strings.Builder
 	cli.Systems = []string{"misc"}
-	if err := harness.RunAll(context.Background(), &want, cli); err != nil {
+	if err := harness.RunExperiment(context.Background(), &want, "all", cli); err != nil {
 		t.Fatal(err)
 	}
 	code, body := get(t, ts.URL+"/artifact/all?systems=misc")

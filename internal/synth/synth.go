@@ -13,7 +13,8 @@
 //
 // The goroutine fabric remains the oracle: property/fuzz tests and the
 // tcp-cluster example still execute schedules for real, and the harness
-// falls back to it whenever synthesis fails.
+// records on it with synthesis disabled or under verify mode. A synthesis
+// error is not retried there: it fails the request.
 package synth
 
 import (
