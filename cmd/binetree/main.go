@@ -6,20 +6,17 @@
 //
 // Flags:
 //
-//	-p         comma-separated rank counts; schedules are constructed and
-//	           rendered on a worker pool and printed in the order given
+//	-p         comma-separated rank counts, rendered in the order given
 //	-kind      tree kind: bine-dh, bine-dd, binomial-dd, binomial-dh
 //	-butterfly print a butterfly instead of a tree: bine-dh, bine-dd,
 //	           binomial-dh, binomial-dd, swing
 //	-root      tree root rank
-//	-workers   worker pool width (0 = one per CPU)
-//	-progress  report live schedule-rendering counts on stderr
 //
 // Usage:
 //
 //	binetree -p 16 -kind bine-dh -root 0
 //	binetree -p 8 -butterfly bine-dd
-//	binetree -p 256,1024,4096 -kind bine-dh -workers 4
+//	binetree -p 256,1024,4096 -kind bine-dh
 package main
 
 import (
@@ -29,10 +26,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"binetrees/internal/core"
-	"binetrees/internal/pool"
 )
 
 func main() {
@@ -40,52 +35,31 @@ func main() {
 	kind := flag.String("kind", "bine-dh", "tree kind: bine-dh, bine-dd, binomial-dd, binomial-dh")
 	bfly := flag.String("butterfly", "", "instead of a tree, print a butterfly: bine-dh, bine-dd, binomial-dh, binomial-dd, swing")
 	root := flag.Int("root", 0, "tree root")
-	workers := flag.Int("workers", 0, "worker pool width for multiple rank counts (0 = one per CPU)")
-	progress := flag.Bool("progress", false, "report live schedule-rendering counts on stderr")
 	flag.Parse()
-	err := runAll(os.Stdout, *ps, *kind, *bfly, *root, *workers, *progress)
-	if *progress {
-		fmt.Fprintln(os.Stderr)
-	}
-	if err != nil {
+	if err := runAll(os.Stdout, *ps, *kind, *bfly, *root); err != nil {
 		fmt.Fprintln(os.Stderr, "binetree:", err)
 		os.Exit(1)
 	}
 }
 
-// runAll renders every requested rank count: each count builds and formats
-// its schedule on the pool, then the buffers are printed in argument order.
-func runAll(w io.Writer, ps, kindName, bflyName string, root, workers int, progress bool) error {
-	fields := strings.Split(ps, ",")
-	counts := make([]int, 0, len(fields))
-	for _, f := range fields {
+// runAll renders every requested rank count in argument order; nothing is
+// printed unless all of them render.
+func runAll(w io.Writer, ps, kindName, bflyName string, root int) error {
+	var out strings.Builder
+	for i, f := range strings.Split(ps, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			return fmt.Errorf("bad rank count %q", f)
 		}
-		counts = append(counts, p)
-	}
-	var done atomic.Int64
-	outs, err := pool.Collect(workers, len(counts), func(i int) (string, error) {
-		var sb strings.Builder
-		if err := run(&sb, counts[i], kindName, bflyName, root); err != nil {
-			return "", err
-		}
-		if progress {
-			fmt.Fprintf(os.Stderr, "\rrendered %d/%d schedules", done.Add(1), len(counts))
-		}
-		return sb.String(), nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, out := range outs {
 		if i > 0 {
-			fmt.Fprintln(w, strings.Repeat("=", 80))
+			fmt.Fprintln(&out, strings.Repeat("=", 80))
 		}
-		fmt.Fprint(w, out)
+		if err := run(&out, p, kindName, bflyName, root); err != nil {
+			return err
+		}
 	}
-	return nil
+	_, err := io.WriteString(w, out.String())
+	return err
 }
 
 var treeKinds = map[string]core.Kind{

@@ -9,7 +9,8 @@ import (
 // sending rank is implicit in the shard's index. Both trace producers fill
 // them: the Recorder snapshots its per-rank shards into shardCols, and the
 // TraceBuilder appends to them directly; mergeShards turns either into the
-// final Trace.
+// final Trace. sub lives only here: it is the sort key that fixes the order
+// of a pair's messages within a step, and no consumer of a Trace reads it.
 type shardCols struct {
 	step, to, sub, elems []int32
 }
@@ -25,46 +26,47 @@ func mergeShards(p int, shards []shardCols) *Trace {
 	n, maxStep := 0, -1
 	for s := range shards {
 		sh := &shards[s]
-		sortShard(sh.step, sh.to, sh.sub, sh.elems)
+		sh.sort()
 		n += len(sh.step)
 		if k := len(sh.step); k > 0 && int(sh.step[k-1]) > maxStep {
 			maxStep = int(sh.step[k-1])
 		}
 	}
-	// Counting merge: cursor[s] is the next free output slot for step s.
+	// Counting merge: off[s+1] is the next free output slot for step s.
 	// Walking shards in ascending rank order — each internally sorted by
 	// (step, to, sub) — fills every step's region in (from, to, sub) order.
-	cursor := make([]int32, maxStep+2)
+	// The cursors sit one slot above their step so that, once every region is
+	// full, off[s] has advanced to the start of step s: the merge's scratch
+	// array is the trace's step index, with one spare slot sliced off.
+	off := make([]int32, maxStep+3)
 	for s := range shards {
 		for _, st := range shards[s].step {
-			cursor[st+1]++
+			off[st+2]++
 		}
 	}
-	for s := 1; s < len(cursor); s++ {
-		cursor[s] += cursor[s-1]
+	for s := 2; s < len(off); s++ {
+		off[s] += off[s-1]
 	}
-	step, from, to, sub, elems := makeColumns(n)
+	from, to, elems := makeColumns(n)
 	for s := range shards {
 		sh := &shards[s]
 		for i, st := range sh.step {
-			pos := cursor[st]
-			cursor[st]++
-			step[pos] = st
+			pos := off[st+1]
+			off[st+1]++
 			from[pos] = int32(s)
 			to[pos] = sh.to[i]
-			sub[pos] = sh.sub[i]
 			elems[pos] = sh.elems[i]
 		}
 		*sh = shardCols{} // free the shard as soon as it's merged
 	}
-	return newTraceColumns(p, step, from, to, sub, elems)
+	return newTraceColumns(p, from, to, elems, off[:maxStep+2:maxStep+2])
 }
 
 // TraceBuilder captures a trace from schedule math alone: its Comm endpoints
 // log every Send into per-sender columns and complete every Recv immediately
 // (leaving the buffer untouched), so a schedule body driven against them —
 // rank by rank, with no goroutines, mailboxes, payload copies or deadline
-// machinery — emits exactly the (step, from, to, sub, elems) columns a
+// machinery — emits exactly the (step, to, sub, elems) shard columns a
 // Recorder-wrapped fabric run would capture. Trace merges the columns with
 // the same shard sort and counting merge the Recorder uses, so the result is
 // byte-identical under the codec to a recording of the same schedule.

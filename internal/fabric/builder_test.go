@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // peer: the TraceBuilder's pattern endpoints reject rank→rank sends (as the
 // in-process transport does), while the null transport the reference
 // recorder wraps accepts anything.
-func noSelfSchedule(rng *rand.Rand, p int) [][]Record {
+func noSelfSchedule(rng *rand.Rand, p int) [][]sendRec {
 	sched := randomSchedule(rng, p)
 	for r := range sched {
 		for i := range sched[r] {
@@ -24,7 +25,7 @@ func noSelfSchedule(rng *rand.Rand, p int) [][]Record {
 
 // buildSchedule drives every rank's send list serially through the builder's
 // pattern endpoints — the synthesis execution model.
-func buildSchedule(t *testing.T, b *TraceBuilder, sched [][]Record) {
+func buildSchedule(t *testing.T, b *TraceBuilder, sched [][]sendRec) {
 	t.Helper()
 	for r := range sched {
 		c := b.Comm(r)
@@ -48,7 +49,9 @@ func encodeBytes(t *testing.T, tr *Trace) []byte {
 
 // checkBuilderMatchesRecorder pins the synthesis guarantee at the fabric
 // layer: the same send pattern, driven serially through TraceBuilder
-// endpoints and concurrently through a recording fabric run, produces
+// endpoints and concurrently through a recording fabric run, captures the
+// same per-sender (step, to, sub, elems) columns — the encoding carries no
+// sub, so the shards are where a wrong tag would show — and merges to
 // byte-identical traces under the codec.
 func checkBuilderMatchesRecorder(t *testing.T, rng *rand.Rand) {
 	t.Helper()
@@ -58,8 +61,17 @@ func checkBuilderMatchesRecorder(t *testing.T, rng *rand.Rand) {
 	runSchedule(rec, sched)
 	b := NewTraceBuilder(p)
 	buildSchedule(t, b, sched)
-	built := b.Trace()
-	if got, want := encodeBytes(t, built), encodeBytes(t, rec.Trace()); !bytes.Equal(got, want) {
+	for r := range b.shards {
+		got, want := b.shards[r], &rec.shards[r]
+		if !slices.Equal(got.step, want.step) || !slices.Equal(got.to, want.to) ||
+			!slices.Equal(got.sub, want.sub) || !slices.Equal(got.elems, want.elems) {
+			t.Fatalf("rank %d: built shard columns diverge from recorded ones (p=%d)\n built %+v", r, p, got)
+		}
+	}
+	built, recorded := b.Trace(), rec.Trace()
+	checkMemBytes(t, built)
+	checkMemBytes(t, recorded)
+	if got, want := encodeBytes(t, built), encodeBytes(t, recorded); !bytes.Equal(got, want) {
 		t.Fatalf("built trace diverges from recorded trace (p=%d)\n built %+v", p, records(built))
 	}
 	// The builder reset on Trace: a second merge of the same sends must
@@ -125,7 +137,7 @@ func TestPatternCommValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := b.Trace()
-	if tr.NumRecords() != 1 || tr.At(0) != (Record{From: 1, To: 2, Step: 0, Sub: 0, Elems: 3}) {
-		t.Fatalf("trace %+v", records(tr))
+	if recs := records(tr); len(recs) != 1 || recs[0] != (Record{From: 1, To: 2, Step: 0, Elems: 3}) {
+		t.Fatalf("trace %+v", recs)
 	}
 }

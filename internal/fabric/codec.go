@@ -9,26 +9,36 @@ import (
 )
 
 // Binary trace codec: the on-disk format of internal/tracestore. The format
-// is compact (delta-zigzag varints exploit the sorted (step, from, to, sub)
-// order Recorder.Trace produces), versioned (CodecVersion joins the store's
-// content address, so a format change can never misparse old files as new
-// ones) and self-checking (a CRC over the payload turns torn or corrupted
-// writes into decode errors instead of silently wrong traces). The encoder
-// and decoder work straight off the Trace's columns; the wire bytes are
-// identical to the former []Record-based codec, so existing stores stay
-// warm.
+// is compact (a run table for the step index, delta-zigzag varints that
+// exploit the sorted (from, to) order within a step), versioned (CodecVersion
+// joins the store's content address, so a format change can never misparse
+// old files as new ones) and self-checking (a CRC over the payload turns torn
+// or corrupted writes into decode errors instead of silently wrong traces).
+// It stores exactly what a Trace holds:
+//
+//	magic "BTRC"
+//	uvarint  version, p, n (records), runs (non-empty steps)
+//	runs ×   uvarint gap (empty steps skipped since the previous run),
+//	         uvarint count (records in this step, ≥ 1)
+//	n ×      zigzag Δfrom, zigzag Δto (against the previous record), uvarint elems
+//	uint32   little-endian CRC-32 (IEEE) of everything after the magic
+//
+// The step index is a run table rather than one count per step because torus
+// schedules number their phases 4096 steps apart: a few hundred records reach
+// step 28 675.
 
 // CodecVersion identifies the trace wire format. Bump it on any encoding
 // change; the trace store folds it into every content address, so files
-// written by older codecs are simply never found again.
-const CodecVersion = 1
+// written by older codecs are never asked for again (and Prewarm evicts them
+// as undecodable).
+const CodecVersion = 2
 
 // Decoder bounds. A decoded Trace allocates a per-step index whatever the
 // record count (sparse schedules are real: a quarter of LUMI's stored traces
 // have empty steps, the sparsest 137 steps per record), and its consumers
-// allocate per-rank scratch, so the header's rank count and every record's
-// step are capped before anything is sized by them — a CRC-valid file of a
-// few bytes must not cost gigabytes. Both caps leave ≥ 64× headroom over the
+// allocate per-rank scratch, so the header's rank count and the run table's
+// last step are capped before anything is sized by them — a CRC-valid file of
+// a few bytes must not cost gigabytes. Both caps leave ≥ 64× headroom over the
 // largest schedule the registry produces at -full scale: p = 8192, and step
 // numbers below 2¹⁶ (the p = 8192 ring's 2(p−1) = 16 382; the 3-D torus
 // collectives' seven phases, offset 4096 steps apart, reach 28 675 at quick
@@ -44,19 +54,28 @@ var traceMagic = [4]byte{'B', 'T', 'R', 'C'}
 // EncodeTrace writes tr in the versioned binary format.
 func EncodeTrace(w io.Writer, tr *Trace) error {
 	n := tr.NumRecords()
-	buf := make([]byte, 0, 16+10*n)
+	var table []byte
+	runs, next := 0, 0 // next: the step after the previous run's
+	for s := 0; s < tr.NumSteps(); s++ {
+		if count := tr.stepOff[s+1] - tr.stepOff[s]; count > 0 {
+			table = binary.AppendUvarint(table, uint64(s-next))
+			table = binary.AppendUvarint(table, uint64(count))
+			runs, next = runs+1, s+1
+		}
+	}
+	buf := make([]byte, 0, 24+len(table)+6*n)
 	buf = binary.AppendUvarint(buf, CodecVersion)
 	buf = binary.AppendUvarint(buf, uint64(tr.P))
 	buf = binary.AppendUvarint(buf, uint64(n))
-	var prevStep, prevFrom, prevTo int64
+	buf = binary.AppendUvarint(buf, uint64(runs))
+	buf = append(buf, table...)
+	var prevFrom, prevTo int64
 	for i := 0; i < n; i++ {
-		step, from, to := int64(tr.cStep[i]), int64(tr.cFrom[i]), int64(tr.cTo[i])
-		buf = binary.AppendVarint(buf, step-prevStep)
+		from, to := int64(tr.cFrom[i]), int64(tr.cTo[i])
 		buf = binary.AppendVarint(buf, from-prevFrom)
 		buf = binary.AppendVarint(buf, to-prevTo)
-		buf = binary.AppendUvarint(buf, uint64(tr.cSub[i]))
 		buf = binary.AppendUvarint(buf, uint64(tr.cElems[i]))
-		prevStep, prevFrom, prevTo = step, from, to
+		prevFrom, prevTo = from, to
 	}
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(buf))
@@ -69,10 +88,10 @@ func EncodeTrace(w io.Writer, tr *Trace) error {
 }
 
 // DecodeTraceBytes parses a trace encoded by EncodeTrace from its in-memory
-// encoding (the trace store reads whole files), rejecting wrong magic,
-// unknown versions, checksum mismatches, truncation, out-of-range fields,
-// rank or step counts above the decoder bounds, and steps out of order
-// (every writer emits them sorted).
+// encoding (the trace store reads whole files), rejecting wrong magic, any
+// other codec version, checksum mismatches, truncation, out-of-range fields,
+// rank or step counts above the decoder bounds, and a run table that does not
+// account for exactly the header's record count.
 func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	if len(raw) < len(traceMagic)+4 || string(raw[:4]) != string(traceMagic[:]) {
 		return nil, fmt.Errorf("fabric: not an encoded trace")
@@ -88,50 +107,75 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	}
 	p := d.uvarint()
 	count := d.uvarint()
+	runs := d.uvarint()
 	if d.err != nil {
 		return nil, d.err
 	}
 	if p == 0 || p > maxTraceRanks {
 		return nil, fmt.Errorf("fabric: trace rank count %d out of range [1, %d]", p, maxTraceRanks)
 	}
-	if count > uint64(len(payload))/5 { // every record costs ≥ 5 payload bytes (5 varints)
+	// Every record costs ≥ 3 payload bytes (3 varints); the index holds int32
+	// offsets.
+	if count > uint64(len(payload))/3 || count > math.MaxInt32 {
 		return nil, fmt.Errorf("fabric: trace record count %d exceeds payload", count)
 	}
-	n := int(count)
-	step, from, to, sub, elems := makeColumns(n)
-	var prevStep, prevFrom, prevTo int64
-	for i := 0; i < n; i++ {
-		recStep := prevStep + d.varint()
-		recFrom := prevFrom + d.varint()
-		recTo := prevTo + d.varint()
-		recSub := int64(d.uvarint())
-		recElems := int64(d.uvarint())
+	// The run table is walked twice — first to validate it and find the last
+	// step, so the index is sized by a checked number, then to fill the index.
+	// A lying runs field costs nothing: no allocation is sized by it, and the
+	// walk stops at the first truncated varint.
+	table := d
+	lastStep, total := int64(-1), uint64(0)
+	for r := uint64(0); r < runs; r++ {
+		gap, c := d.uvarint(), d.uvarint()
 		if d.err != nil {
 			return nil, d.err
 		}
-		if recStep < prevStep {
-			return nil, fmt.Errorf("fabric: trace record %d: step %d follows step %d", i, recStep, prevStep)
+		if gap >= uint64(maxTraceSteps-1-lastStep) {
+			return nil, fmt.Errorf("fabric: trace run %d: step exceeds the %d-step bound", r, maxTraceSteps)
 		}
-		if recStep >= maxTraceSteps {
-			return nil, fmt.Errorf("fabric: trace record %d: step %d exceeds the %d-step bound", i, recStep, maxTraceSteps)
+		if c == 0 || c > count-total {
+			return nil, fmt.Errorf("fabric: trace run %d: %d records, %d of %d unaccounted for", r, c, count-total, count)
 		}
-		if recSub < 0 || recSub > math.MaxInt32 ||
-			recElems < 0 || recElems > math.MaxInt32 ||
+		lastStep += 1 + int64(gap)
+		total += c
+	}
+	if total != count {
+		return nil, fmt.Errorf("fabric: trace runs hold %d records, header says %d", total, count)
+	}
+	stepOff := make([]int32, lastStep+2)
+	next, off := 0, int32(0) // next: first index entry not yet written
+	for r := uint64(0); r < runs; r++ {
+		for step := next + int(table.uvarint()); next <= step; next++ {
+			stepOff[next] = off // the skipped steps are empty; the run's starts here
+		}
+		off += int32(table.uvarint())
+	}
+	stepOff[next] = off
+
+	n := int(count)
+	from, to, elems := makeColumns(n)
+	var prevFrom, prevTo int64
+	for i := 0; i < n; i++ {
+		recFrom := prevFrom + d.varint()
+		recTo := prevTo + d.varint()
+		recElems := d.uvarint()
+		if d.err != nil {
+			return nil, d.err
+		}
+		if recElems > math.MaxInt32 ||
 			recFrom < 0 || recFrom >= int64(p) || recTo < 0 || recTo >= int64(p) {
-			return nil, fmt.Errorf("fabric: trace record %d out of range: step=%d from=%d to=%d sub=%d elems=%d",
-				i, recStep, recFrom, recTo, recSub, recElems)
+			return nil, fmt.Errorf("fabric: trace record %d out of range: from=%d to=%d elems=%d",
+				i, recFrom, recTo, recElems)
 		}
-		step[i] = int32(recStep)
 		from[i] = int32(recFrom)
 		to[i] = int32(recTo)
-		sub[i] = int32(recSub)
 		elems[i] = int32(recElems)
-		prevStep, prevFrom, prevTo = recStep, recFrom, recTo
+		prevFrom, prevTo = recFrom, recTo
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("fabric: %d trailing bytes after trace", len(d.buf))
 	}
-	return newTraceColumns(int(p), step, from, to, sub, elems), nil
+	return newTraceColumns(int(p), from, to, elems, stepOff), nil
 }
 
 // varintReader consumes varints from a byte slice, latching the first error.

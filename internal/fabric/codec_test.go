@@ -31,7 +31,6 @@ func randomTrace(rng *rand.Rand) *Trace {
 			From:  from,
 			To:    rng.Intn(p),
 			Step:  step,
-			Sub:   rng.Intn(4),
 			Elems: rng.Intn(1 << 20),
 		})
 	}
@@ -56,6 +55,7 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, tr) {
 			t.Fatalf("trace %d: records differ", i)
 		}
+		checkMemBytes(t, got)
 	}
 }
 
@@ -92,21 +92,22 @@ func TestTraceCodecRoundTripRecorded(t *testing.T) {
 	if !reflect.DeepEqual(got, tr) {
 		t.Fatalf("decoded trace differs:\n got %+v\nwant %+v", got, tr)
 	}
+	checkMemBytes(t, got)
 }
 
 // goldenTraceHex is the encoding TestTraceCodecGolden pins (and a
 // FuzzDecodeTrace seed).
-const goldenTraceHex = "42545243010404000002000202000200ac0200020201ac020202050001305d4479"
+const goldenTraceHex = "42545243020404030001000202010002020002ac020202ac02020501a4cfc664"
 
 // TestTraceCodecGolden pins the on-disk byte format: any codec change must
 // show up here and force a CodecVersion bump (which re-addresses every
 // stored file) rather than silently reinterpreting old files.
 func TestTraceCodecGolden(t *testing.T) {
 	tr := NewTrace(4, []Record{
-		{From: 0, To: 1, Step: 0, Sub: 0, Elems: 2},
-		{From: 0, To: 2, Step: 1, Sub: 0, Elems: 300},
-		{From: 1, To: 3, Step: 1, Sub: 1, Elems: 300},
-		{From: 2, To: 0, Step: 2, Sub: 0, Elems: 1},
+		{From: 0, To: 1, Step: 0, Elems: 2},
+		{From: 0, To: 2, Step: 1, Elems: 300},
+		{From: 1, To: 3, Step: 1, Elems: 300},
+		{From: 2, To: 0, Step: 4, Elems: 1}, // steps 2 and 3 are empty: a gap in the run table
 	})
 	var buf bytes.Buffer
 	if err := EncodeTrace(&buf, tr); err != nil {
@@ -146,10 +147,20 @@ func TestTraceCodecRejectsDamage(t *testing.T) {
 			t.Fatalf("corrupted byte %d accepted", i)
 		}
 	}
-	// An unknown version must be rejected even with a valid checksum.
-	future := frameTrace([]byte{CodecVersion + 1, 1, 0}) // version, P=1, no records
-	if _, err := DecodeTraceBytes(future); err == nil {
+	// Any other version must be rejected even with a valid checksum: the
+	// next one, and the retired v1 layout (version, P=1, no records).
+	if _, err := DecodeTraceBytes(frameTrace([]byte{CodecVersion + 1, 1, 0, 0})); err == nil {
 		t.Fatal("future codec version accepted")
+	}
+	if _, err := DecodeTraceBytes(frameTrace([]byte{1, 1, 0})); err == nil {
+		t.Fatal("v1 trace accepted")
+	}
+	// An empty trace is the smallest valid file; anything after it is not.
+	if _, err := DecodeTraceBytes(frameTrace([]byte{CodecVersion, 1, 0, 0})); err != nil {
+		t.Fatalf("empty trace rejected: %v", err)
+	}
+	if _, err := DecodeTraceBytes(frameTrace([]byte{CodecVersion, 1, 0, 0, 0})); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
 }
 
@@ -162,12 +173,12 @@ func frameTrace(payload []byte) []byte {
 }
 
 // oneRecordTrace frames a single-record trace over p ranks at the given
-// step: 19 bytes for step = 1<<26.
-func oneRecordTrace(p uint64, step int64) []byte {
+// step: 20 bytes for step = 1<<26.
+func oneRecordTrace(p, step uint64) []byte {
 	payload := binary.AppendUvarint([]byte{CodecVersion}, p)
-	payload = binary.AppendUvarint(payload, 1)
-	payload = binary.AppendVarint(payload, step)
-	return frameTrace(append(payload, 0, 0, 0, 1)) // from 0, to 0, sub 0, elems 1
+	payload = append(payload, 1, 1) // one record, one run
+	payload = binary.AppendUvarint(payload, step)
+	return frameTrace(append(payload, 1, 0, 0, 1)) // run of 1; from 0, to 0, elems 1
 }
 
 // allocatedBytes is the heap f allocates: the smallest of three readings of
@@ -187,21 +198,28 @@ func allocatedBytes(f func()) uint64 {
 
 // TestTraceCodecBoundsAllocation pins the decoder's hardening: a CRC-valid
 // file of a few bytes cannot make it size an allocation by a field the file
-// chose. The 19-byte step = 1<<26 reproducer used to allocate a 256 MiB step
-// index (8 GB at step = 1<<31 − 1); it, an oversized rank count and an
-// out-of-order step are all rejected before anything is allocated.
+// chose. The 20-byte step = 1<<26 reproducer would allocate a 256 MiB step
+// index; it, an oversized rank count and every way a run table can disagree
+// with the header are rejected before anything is allocated.
 func TestTraceCodecBoundsAllocation(t *testing.T) {
 	bomb := oneRecordTrace(1, 1<<26)
-	if len(bomb) != 19 {
-		t.Fatalf("reproducer is %d bytes, want 19", len(bomb))
+	if len(bomb) != 20 {
+		t.Fatalf("reproducer is %d bytes, want 20", len(bomb))
 	}
-	backwards := binary.AppendVarint([]byte{CodecVersion, 2, 2, 2 << 1, 0, 0, 0, 1}, -1) // step 2, then step 1
-	backwards = append(backwards, 0, 0, 0, 1)
+	lastStep := binary.AppendUvarint([]byte{CodecVersion, 1, 2, 2}, maxTraceSteps-1) // p=1, 2 records, 2 runs; run 0 at the last legal step
+	hugeGap := binary.AppendUvarint([]byte{CodecVersion, 1, 1, 1}, 1<<64-1)
+	hugeRuns := binary.AppendUvarint([]byte{CodecVersion, 1, 1}, 1<<60)
 	for name, raw := range map[string][]byte{
-		"step 1<<26":           bomb,
-		"step at the bound":    oneRecordTrace(1, maxTraceSteps),
-		"ranks over the bound": oneRecordTrace(maxTraceRanks+1, 0),
-		"step goes backwards":  frameTrace(backwards),
+		"step 1<<26":             bomb,
+		"claims 2²² steps":       oneRecordTrace(1, maxTraceSteps),
+		"ranks over the bound":   oneRecordTrace(maxTraceRanks+1, 0),
+		"gap past the bound":     frameTrace(append(lastStep, 1, 0, 1, 0, 0, 1, 0, 0, 1)), // run 1 lands on step 2²²
+		"gap overflows":          frameTrace(append(hugeGap, 1, 0, 0, 1)),
+		"runs sum below n":       frameTrace([]byte{CodecVersion, 1, 2, 1, 0, 1, 0, 0, 1, 0, 0, 1}),
+		"runs sum above n":       frameTrace([]byte{CodecVersion, 1, 1, 1, 0, 2, 0, 0, 1}),
+		"zero-count run":         frameTrace([]byte{CodecVersion, 1, 1, 2, 0, 0, 0, 1, 0, 0, 1}),
+		"runs field lies":        frameTrace(append(hugeRuns, 0, 1, 0, 0, 1)),
+		"records exceed payload": frameTrace([]byte{CodecVersion, 1, 5, 1, 0, 5, 0, 0, 1}),
 	} {
 		var err error
 		got := allocatedBytes(func() { _, err = DecodeTraceBytes(raw) })
@@ -220,6 +238,10 @@ func TestTraceCodecBoundsAllocation(t *testing.T) {
 	if tr.P != maxTraceRanks || tr.NumSteps() != maxTraceSteps {
 		t.Fatalf("trace at the bounds decoded as p=%d, %d steps", tr.P, tr.NumSteps())
 	}
+	if lo, hi := tr.StepBounds(maxTraceSteps - 1); lo != 0 || hi != 1 {
+		t.Fatalf("the record sits in [%d, %d) of the last step, want [0, 1)", lo, hi)
+	}
+	checkMemBytes(t, tr)
 }
 
 // FuzzDecodeTrace feeds the decoder arbitrary bytes, re-framed with a valid
@@ -235,12 +257,13 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add(golden[4 : len(golden)-4])
 	bomb := oneRecordTrace(1, 1<<26)
 	f.Add(bomb[4 : len(bomb)-4])
+	f.Add([]byte{CodecVersion, 1, 1, 2, 0, 0, 0, 1, 0, 0, 1}) // a zero-count run
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		raw := frameTrace(payload)
 		var tr *Trace
 		var err error
 		got := allocatedBytes(func() { tr, err = DecodeTraceBytes(raw) })
-		// Five int32 columns per record (≤ len/5 records) plus the
+		// Three int32 columns per record (≤ len/3 records) plus the
 		// re-sliced payload, the step index, two per-rank scratch slices
 		// and slack for the runtime's own bookkeeping.
 		if limit := uint64(16*len(raw) + 4*(maxTraceSteps+1) + 8*maxTraceRanks + 1<<16); got > limit {
@@ -260,5 +283,6 @@ func FuzzDecodeTrace(f *testing.F) {
 		if !reflect.DeepEqual(back, tr) {
 			t.Fatal("accepted trace does not survive a round trip")
 		}
+		checkMemBytes(t, tr)
 	})
 }

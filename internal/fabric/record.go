@@ -8,18 +8,14 @@ import (
 	"sync/atomic"
 )
 
-// Record is one captured point-to-point transfer, materialized from the
-// trace's columnar storage (see Trace). It remains the unit of construction
-// (NewTrace) and inspection (Trace.At) for tests and tools; the hot paths
-// read the columns through the per-field accessors instead.
+// Record is one captured point-to-point transfer in materialized form — the
+// unit NewTrace builds test and tool traces from. The replay reads a Trace's
+// columns through the per-field accessors instead.
 type Record struct {
 	From, To int
 	// Step is the collective's logical step; messages sharing a step are
 	// concurrent on the network.
 	Step int
-	// Sub distinguishes multiple messages between the same pair within a
-	// step (segmented / block-by-block transmissions).
-	Sub int
 	// Elems is the payload length in vector elements.
 	Elems int
 }
@@ -27,18 +23,18 @@ type Record struct {
 // Trace is the complete communication record of one collective execution.
 // The cost model in internal/netsim replays traces against topologies.
 //
-// Storage is columnar: five parallel int32 columns (struct-of-arrays), 20
-// bytes per record instead of the 40 of a []Record — the full-scale Fugaku
-// ring (~134M messages) fits in ~2.7 GB instead of ~5.4. Records are grouped
-// by ascending step with a step index over the columns, so replay iterates
-// steps without re-grouping. A Trace is immutable after construction.
+// A trace holds what the replay reads: three parallel int32 columns (from,
+// to, elems — 12 bytes per record) grouped by ascending step, and a step
+// index over them, so replay iterates steps without re-grouping. A record's
+// step is its position in the index; the sub-message tag that orders records
+// within a step exists only on the capture side (shardCols) and is dropped at
+// the merge. A Trace is immutable after construction.
 type Trace struct {
 	P int
 
-	// Parallel columns, grouped by nondecreasing step. Within a step,
-	// construction order is preserved (Recorder.Trace produces full
-	// (step, from, to, sub) order).
-	cStep, cFrom, cTo, cSub, cElems []int32
+	// Parallel columns, grouped by step. Within a step, construction order is
+	// preserved (mergeShards produces full (step, from, to, sub) order).
+	cFrom, cTo, cElems []int32
 
 	// stepOff[s] .. stepOff[s+1] bound step s's records in the columns;
 	// len(stepOff) == NumSteps()+1.
@@ -61,48 +57,42 @@ func NewTrace(p int, recs []Record) *Trace {
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Step < recs[j].Step })
 	}
 	n := len(recs)
-	step, from, to, sub, elems := makeColumns(n)
+	from, to, elems := makeColumns(n)
 	for i, r := range recs {
-		if r.Step < 0 || r.Step > math.MaxInt32 || r.Sub < 0 || r.Sub > math.MaxInt32 ||
+		if r.Step < 0 || r.Step > math.MaxInt32 ||
 			r.Elems < 0 || r.Elems > math.MaxInt32 || r.From < 0 || r.From >= p || r.To < 0 || r.To >= p {
 			panic(fmt.Sprintf("fabric: trace record out of range: %+v (p=%d)", r, p))
 		}
-		step[i] = int32(r.Step)
 		from[i] = int32(r.From)
 		to[i] = int32(r.To)
-		sub[i] = int32(r.Sub)
 		elems[i] = int32(r.Elems)
 	}
-	return newTraceColumns(p, step, from, to, sub, elems)
-}
-
-// makeColumns carves one backing array into the five capped record columns
-// every construction path (NewTrace, Recorder.Trace, DecodeTraceBytes)
-// fills.
-func makeColumns(n int) (step, from, to, sub, elems []int32) {
-	cols := make([]int32, 5*n)
-	return cols[:n:n], cols[n : 2*n : 2*n], cols[2*n : 3*n : 3*n], cols[3*n : 4*n : 4*n], cols[4*n : 5*n : 5*n]
-}
-
-// newTraceColumns assembles a trace from columns it takes ownership of,
-// building the step index and the element total. Callers guarantee
-// non-negative fields, ranks below p and nondecreasing steps: mergeShards
-// by its counting merge, DecodeTraceBytes by rejecting a step below its
-// predecessor, NewTrace by sorting first.
-func newTraceColumns(p int, step, from, to, sub, elems []int32) *Trace {
-	n := len(step)
-	t := &Trace{P: p, cStep: step, cFrom: from, cTo: to, cSub: sub, cElems: elems}
 	numSteps := 0
 	if n > 0 {
-		numSteps = int(step[n-1]) + 1
+		numSteps = recs[n-1].Step + 1
 	}
-	t.stepOff = make([]int32, numSteps+1)
-	for _, s := range step {
-		t.stepOff[s+1]++
+	stepOff := make([]int32, numSteps+1)
+	for _, r := range recs {
+		stepOff[r.Step+1]++
 	}
 	for s := 0; s < numSteps; s++ {
-		t.stepOff[s+1] += t.stepOff[s]
+		stepOff[s+1] += stepOff[s]
 	}
+	return newTraceColumns(p, from, to, elems, stepOff)
+}
+
+// makeColumns carves one backing array into the three capped record columns
+// every construction path (NewTrace, mergeShards, DecodeTraceBytes) fills.
+func makeColumns(n int) (from, to, elems []int32) {
+	cols := make([]int32, 3*n)
+	return cols[:n:n], cols[n : 2*n : 2*n], cols[2*n : 3*n : 3*n]
+}
+
+// newTraceColumns assembles a trace from columns and a step index it takes
+// ownership of. Callers guarantee non-negative elems, ranks below p and an
+// index that starts at 0, never decreases and ends at the record count.
+func newTraceColumns(p int, from, to, elems, stepOff []int32) *Trace {
+	t := &Trace{P: p, cFrom: from, cTo: to, cElems: elems, stepOff: stepOff}
 	for _, e := range elems {
 		t.totalElems += int64(e)
 	}
@@ -110,7 +100,7 @@ func newTraceColumns(p int, step, from, to, sub, elems []int32) *Trace {
 }
 
 // NumRecords returns the record count.
-func (t *Trace) NumRecords() int { return len(t.cStep) }
+func (t *Trace) NumRecords() int { return len(t.cFrom) }
 
 // Per-record column accessors; i indexes the trace's step-grouped order.
 // These are the replay hot path — they compile to bounds-checked loads.
@@ -121,22 +111,8 @@ func (t *Trace) From(i int) int { return int(t.cFrom[i]) }
 // To returns record i's receiving rank.
 func (t *Trace) To(i int) int { return int(t.cTo[i]) }
 
-// Step returns record i's logical step.
-func (t *Trace) Step(i int) int { return int(t.cStep[i]) }
-
-// Sub returns record i's sub-message tag.
-func (t *Trace) Sub(i int) int { return int(t.cSub[i]) }
-
 // Elems returns record i's payload length in vector elements.
 func (t *Trace) Elems(i int) int { return int(t.cElems[i]) }
-
-// At materializes record i.
-func (t *Trace) At(i int) Record {
-	return Record{
-		From: int(t.cFrom[i]), To: int(t.cTo[i]),
-		Step: int(t.cStep[i]), Sub: int(t.cSub[i]), Elems: int(t.cElems[i]),
-	}
-}
 
 // NumSteps returns the number of logical steps (the largest step + 1; steps
 // with no messages count).
@@ -148,11 +124,10 @@ func (t *Trace) StepBounds(s int) (lo, hi int) {
 	return int(t.stepOff[s]), int(t.stepOff[s+1])
 }
 
-// MemBytes returns the resident size of the trace's columnar storage: five
-// int32 columns plus the step index. (The former []Record layout cost 40
-// bytes per record; the columns cost 20.)
+// MemBytes returns the resident size of the trace's columnar storage: three
+// int32 columns plus the step index.
 func (t *Trace) MemBytes() int64 {
-	return 4 * int64(5*len(t.cStep)+len(t.stepOff))
+	return 4 * int64(3*len(t.cFrom)+len(t.stepOff))
 }
 
 // TotalElems returns the total number of vector elements transferred
@@ -256,50 +231,41 @@ func (r *Recorder) Trace() *Trace {
 	return mergeShards(p, snaps)
 }
 
-// sortShard orders one shard's columns by (step, to, sub, elems) unless they
+// sort orders the shard's columns by (step, to, sub, elems) unless they
 // already are — a rank's own send order almost always is, so the common case
 // is a single verification pass.
-func sortShard(step, to, sub, elems []int32) {
-	sorted := true
-	for i := 1; i < len(step); i++ {
-		if shardLess(step, to, sub, elems, i, i-1) {
-			sorted = false
-			break
+func (c *shardCols) sort() {
+	for i := 1; i < len(c.step); i++ {
+		if c.Less(i, i-1) {
+			sort.Sort(c)
+			return
 		}
 	}
-	if sorted {
-		return
-	}
-	sort.Sort(&shardSorter{step: step, to: to, sub: sub, elems: elems})
 }
 
-type shardSorter struct{ step, to, sub, elems []int32 }
+func (c *shardCols) Len() int { return len(c.step) }
 
-func (s *shardSorter) Len() int { return len(s.step) }
-func (s *shardSorter) Less(i, j int) bool {
-	return shardLess(s.step, s.to, s.sub, s.elems, i, j)
-}
-func (s *shardSorter) Swap(i, j int) {
-	s.step[i], s.step[j] = s.step[j], s.step[i]
-	s.to[i], s.to[j] = s.to[j], s.to[i]
-	s.sub[i], s.sub[j] = s.sub[j], s.sub[i]
-	s.elems[i], s.elems[j] = s.elems[j], s.elems[i]
-}
-
-// shardLess is the (step, to, sub, elems) record order within one sender's
-// shard; elems is a final tiebreak so even pathological duplicate tags merge
+// Less is the (step, to, sub, elems) record order within one sender's shard;
+// elems is a final tiebreak so even pathological duplicate tags merge
 // deterministically.
-func shardLess(step, to, sub, elems []int32, i, j int) bool {
-	if step[i] != step[j] {
-		return step[i] < step[j]
+func (c *shardCols) Less(i, j int) bool {
+	if c.step[i] != c.step[j] {
+		return c.step[i] < c.step[j]
 	}
-	if to[i] != to[j] {
-		return to[i] < to[j]
+	if c.to[i] != c.to[j] {
+		return c.to[i] < c.to[j]
 	}
-	if sub[i] != sub[j] {
-		return sub[i] < sub[j]
+	if c.sub[i] != c.sub[j] {
+		return c.sub[i] < c.sub[j]
 	}
-	return elems[i] < elems[j]
+	return c.elems[i] < c.elems[j]
+}
+
+func (c *shardCols) Swap(i, j int) {
+	c.step[i], c.step[j] = c.step[j], c.step[i]
+	c.to[i], c.to[j] = c.to[j], c.to[i]
+	c.sub[i], c.sub[j] = c.sub[j], c.sub[i]
+	c.elems[i], c.elems[j] = c.elems[j], c.elems[i]
 }
 
 type recComm struct {

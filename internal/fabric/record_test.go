@@ -11,11 +11,34 @@ import (
 
 // records materializes tr record by record, in its step-grouped order.
 func records(tr *Trace) []Record {
-	out := make([]Record, tr.NumRecords())
-	for i := range out {
-		out[i] = tr.At(i)
+	out := make([]Record, 0, tr.NumRecords())
+	for s := 0; s < tr.NumSteps(); s++ {
+		for i, hi := tr.StepBounds(s); i < hi; i++ {
+			out = append(out, Record{From: tr.From(i), To: tr.To(i), Step: s, Elems: tr.Elems(i)})
+		}
 	}
 	return out
+}
+
+// sendRec is one scheduled send: a Record plus the sub-message tag, which
+// the capture side sorts on and a Trace does not keep.
+type sendRec struct {
+	Record
+	Sub int
+}
+
+// checkMemBytes pins that MemBytes is exact: 12 bytes per record plus the
+// step index, with no capacity beyond the lengths it counts.
+func checkMemBytes(t *testing.T, tr *Trace) {
+	t.Helper()
+	n := tr.NumRecords()
+	if got, want := tr.MemBytes(), 4*int64(3*n+tr.NumSteps()+1); got != want {
+		t.Fatalf("MemBytes() = %d, want 4·(3·%d + %d) = %d", got, n, tr.NumSteps()+1, want)
+	}
+	if cap(tr.cFrom) != n || cap(tr.cTo) != n || cap(tr.cElems) != n || cap(tr.stepOff) != tr.NumSteps()+1 {
+		t.Fatalf("trace holds capacity MemBytes does not count: columns %d/%d/%d for %d records, index %d for %d steps",
+			cap(tr.cFrom), cap(tr.cTo), cap(tr.cElems), n, cap(tr.stepOff), tr.NumSteps())
+	}
 }
 
 // nullFabric is a transport that accepts every send and never delivers:
@@ -37,13 +60,13 @@ func (c nullComm) Recv(from, step, sub int, buf []int32) error {
 }
 
 // referenceRecorder is the pre-columnar Recorder: one mutex, one append-only
-// []Record, sorted at Trace time. It is the property-test oracle the sharded
+// []sendRec, sorted at Trace time. It is the property-test oracle the sharded
 // merge must match, and the baseline the recording benchmarks compare
 // against.
 type referenceRecorder struct {
 	inner Fabric
 	mu    sync.Mutex
-	recs  []Record
+	recs  []sendRec
 }
 
 func newReferenceRecorder(inner Fabric) *referenceRecorder {
@@ -59,9 +82,9 @@ func (r *referenceRecorder) Comm(rank int) Comm {
 // Trace returns the captured records sorted by (step, from, to, sub, elems)
 // — the old implementation's deterministic order, with the elems tiebreak
 // the sharded merge guarantees for pathological duplicate tags.
-func (r *referenceRecorder) Trace() []Record {
+func (r *referenceRecorder) Trace() []sendRec {
 	r.mu.Lock()
-	recs := append([]Record(nil), r.recs...)
+	recs := append([]sendRec(nil), r.recs...)
 	r.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
@@ -92,8 +115,9 @@ func (c *refComm) Size() int { return c.inner.Size() }
 
 func (c *refComm) Send(to, step, sub int, data []int32) error {
 	c.rec.mu.Lock()
-	c.rec.recs = append(c.rec.recs, Record{
-		From: c.inner.Rank(), To: to, Step: step, Sub: sub, Elems: len(data),
+	c.rec.recs = append(c.rec.recs, sendRec{
+		Record: Record{From: c.inner.Rank(), To: to, Step: step, Elems: len(data)},
+		Sub:    sub,
 	})
 	c.rec.mu.Unlock()
 	return c.inner.Send(to, step, sub, data)
@@ -106,8 +130,8 @@ func (c *refComm) Recv(from, step, sub int, buf []int32) error {
 // randomSchedule builds per-rank send lists with clustered steps, repeated
 // (to, sub) pairs and occasional exact duplicates — the shapes that stress
 // the shard sort and the counting merge.
-func randomSchedule(rng *rand.Rand, p int) [][]Record {
-	sched := make([][]Record, p)
+func randomSchedule(rng *rand.Rand, p int) [][]sendRec {
+	sched := make([][]sendRec, p)
 	for r := 0; r < p; r++ {
 		m := rng.Intn(60)
 		step := 0
@@ -120,13 +144,8 @@ func randomSchedule(rng *rand.Rand, p int) [][]Record {
 					step -= 1 // occasional out-of-order step (stresses the sort)
 				}
 			}
-			rec := Record{
-				From:  r,
-				To:    rng.Intn(p),
-				Step:  step,
-				Sub:   rng.Intn(3),
-				Elems: rng.Intn(5),
-			}
+			to, sub, elems := rng.Intn(p), rng.Intn(3), rng.Intn(5)
+			rec := sendRec{Record{From: r, To: to, Step: step, Elems: elems}, sub}
 			sched[r] = append(sched[r], rec)
 			if rng.Intn(8) == 0 {
 				sched[r] = append(sched[r], rec) // exact duplicate
@@ -140,7 +159,7 @@ func randomSchedule(rng *rand.Rand, p int) [][]Record {
 // recorder chain and returns when all sends completed. Each rank reuses one
 // payload buffer, so benchmarks measure the recording path rather than
 // payload construction.
-func runSchedule(f Fabric, sched [][]Record) {
+func runSchedule(f Fabric, sched [][]sendRec) {
 	var wg sync.WaitGroup
 	for r := range sched {
 		wg.Add(1)
@@ -185,10 +204,14 @@ func checkShardedMatchesReference(t *testing.T, rng *rand.Rand) {
 	runSchedule(rec, sched)
 	<-done
 	got := rec.Trace()
-	want := ref.Trace()
+	want := []Record{} // the reference order, less the tag a Trace does not keep
+	for _, m := range ref.Trace() {
+		want = append(want, m.Record)
+	}
 	if got.P != p {
 		t.Fatalf("trace P = %d, want %d", got.P, p)
 	}
+	checkMemBytes(t, got)
 	if !reflect.DeepEqual(records(got), want) {
 		t.Fatalf("sharded merge diverged from single-mutex order\n got %+v\nwant %+v", records(got), want)
 	}
@@ -276,14 +299,14 @@ func TestRecorderBudgetSpreadAcrossSenders(t *testing.T) {
 
 // ringSchedule is the fig11b hot spot in miniature: every rank sends
 // 2(p−1) unit messages, one per step, to its ring neighbour.
-func ringSchedule(p int) [][]Record {
-	sched := make([][]Record, p)
+func ringSchedule(p int) [][]sendRec {
+	sched := make([][]sendRec, p)
 	for r := 0; r < p; r++ {
 		next := (r + 1) % p
 		steps := 2 * (p - 1)
-		sched[r] = make([]Record, steps)
+		sched[r] = make([]sendRec, steps)
 		for s := 0; s < steps; s++ {
-			sched[r][s] = Record{From: r, To: next, Step: s, Elems: 1}
+			sched[r][s].Record = Record{From: r, To: next, Step: s, Elems: 1}
 		}
 	}
 	return sched

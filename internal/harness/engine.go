@@ -280,16 +280,27 @@ func diffTraces(st, rt *fabric.Trace) error {
 	if bytes.Equal(sb, rb) {
 		return nil
 	}
-	n := st.NumRecords()
-	if rt.NumRecords() < n {
-		n = rt.NumRecords()
-	}
-	for i := 0; i < n; i++ {
-		if st.At(i) != rt.At(i) {
-			return fmt.Errorf("verify-synth: record %d diverges: synthesized %+v, recorded %+v", i, st.At(i), rt.At(i))
+	ss, rs := 0, 0 // the step holding record i in each trace
+	for i, n := 0, min(st.NumRecords(), rt.NumRecords()); i < n; i++ {
+		ss, rs = stepOf(st, ss, i), stepOf(rt, rs, i)
+		if ss != rs || st.From(i) != rt.From(i) || st.To(i) != rt.To(i) || st.Elems(i) != rt.Elems(i) {
+			return fmt.Errorf("verify-synth: record %d diverges: synthesized %s, recorded %s",
+				i, describeRecord(st, ss, i), describeRecord(rt, rs, i))
 		}
 	}
 	return fmt.Errorf("verify-synth: encodings differ (%d synthesized records vs %d recorded)", st.NumRecords(), rt.NumRecords())
+}
+
+// stepOf advances s to the step whose bounds hold record i.
+func stepOf(tr *fabric.Trace, s, i int) int {
+	for _, hi := tr.StepBounds(s); i >= hi; _, hi = tr.StepBounds(s) {
+		s++
+	}
+	return s
+}
+
+func describeRecord(tr *fabric.Trace, step, i int) string {
+	return fmt.Sprintf("{step %d: %d -> %d, %d elems}", step, tr.From(i), tr.To(i), tr.Elems(i))
 }
 
 func encodeTraceBytes(tr *fabric.Trace) ([]byte, error) {

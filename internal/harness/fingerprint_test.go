@@ -80,16 +80,16 @@ func TestScheduleFingerprints(t *testing.T) {
 	}{
 		{"tree-bcast/bine-dh/p=8/n=1", 8, func(c fabric.Comm) error {
 			return coll.Bcast(c, tree, make([]int32, 1))
-		}, "f63296feb1c154f1"},
+		}, "47d1c71357c8ccba"},
 		{"bfly-allreduce/bfly-bine-dd/p=16/n=16", 16, func(c fabric.Comm) error {
 			return coll.AllreduceRsAg(c, bfly, make([]int32, 16), coll.OpSum)
-		}, "60e86c514d90969a"},
+		}, "cc85aafeeaa4f770"},
 		{"hier-allreduce/hier-bine/p=16/n=64", 16, func(c fabric.Comm) error {
 			return coll.HierarchicalAllreduce(c, 4, core.BflyBineDD, make([]int32, 64), coll.OpSum)
-		}, "9eac0231a12be493"},
+		}, "c1c399e941c0961e"},
 		{"torus-bcast/bine-dh/4x4/n=1", 16, func(c fabric.Comm) error {
 			return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
-		}, "7ae9998ad19b23ba"},
+		}, "a0a4e9a6e3d237b9"},
 	}
 	for _, c := range named {
 		tr, err := record(c.p, c.body)
@@ -103,63 +103,63 @@ func TestScheduleFingerprints(t *testing.T) {
 // flatPins fingerprints every registry algorithm's p=16 schedule;
 // torusPins every torus algorithm's 4x4 schedule.
 var flatPins = map[string]string{
-	"bcast/bine-tree":                  "4aa1086088422354",
-	"bcast/binomial-dd":                "d3c1f53268771ddc",
-	"bcast/binomial-dh":                "6c79bc8e7cb2048d",
-	"bcast/bine-scatter-allgather":     "c7f41b693b06656c",
-	"bcast/binomial-scatter-allgather": "756ecb9fc459b96c",
-	"bcast/linear":                     "4fd1d4d39831e3e5",
-	"bcast/pipeline":                   "e518179add538c4a",
-	"bcast/chain":                      "b55d7a13d093ca67",
-	"reduce/bine-tree":                 "b4ab7bdb6397a7b1",
-	"reduce/binomial-dd":               "59de836e50d186da",
-	"reduce/binomial-dh":               "3de0ddb2902f4260",
-	"reduce/bine-rs-gather":            "226ed7391955e6ec",
-	"reduce/binomial-rs-gather":        "25233d528625206e",
-	"reduce/linear":                    "405ffbe585344666",
-	"gather/bine-tree":                 "24a187bf4c93c94e",
-	"gather/binomial-dd":               "753b3121b175aeae",
-	"gather/binomial-dh":               "094e9b16f8061007",
-	"gather/linear":                    "c2193784d143ef24",
-	"scatter/bine-tree":                "f8179c843ad38862",
-	"scatter/binomial-dd":              "dfc43f26580322b3",
-	"scatter/binomial-dh":              "98549a204838fdc7",
-	"scatter/linear":                   "07d6e7d4eeedd3f1",
-	"reduce-scatter/bine-permute":      "1eaf8da4e1a6398a",
-	"reduce-scatter/bine-send":         "1c1e379c73af93b8",
-	"reduce-scatter/bine-block":        "2083fadf29081755",
-	"reduce-scatter/bine-two-trans":    "9a6ebbaabafb729b",
-	"reduce-scatter/recursive-halving": "5464c7d4d2806554",
-	"reduce-scatter/swing":             "2083fadf29081755",
-	"reduce-scatter/ring":              "2165e8400dbe04fe",
-	"reduce-scatter/bine-fold":         "1c1e379c73af93b8",
-	"allgather/bine-permute":           "e57c97081eafa532",
-	"allgather/bine-send":              "a5c032e34078fa19",
-	"allgather/bine-block":             "27cbfe9577a2e442",
-	"allgather/bine-two-trans":         "bc573877d942e3c5",
-	"allgather/recursive-doubling":     "b7869db52a676ec9",
-	"allgather/swing":                  "27cbfe9577a2e442",
-	"allgather/ring":                   "2165e8400dbe04fe",
-	"allgather/bruck":                  "c0134eae3284bde7",
-	"allgather/sparbit":                "c7225f2dfff5c87c",
-	"allgather/bine-fold":              "a5c032e34078fa19",
-	"allreduce/bine-lat":               "2fe8c322bafa02c5",
-	"allreduce/bine-bw":                "60e86c514d90969a",
-	"allreduce/recursive-doubling":     "53c3ce1f51fe13ec",
-	"allreduce/rabenseifner":           "38d879613382a830",
-	"allreduce/ring":                   "a77331da2ee16ac8",
-	"allreduce/swing":                  "dec720f8e490be71",
-	"allreduce/reduce-bcast":           "9d706b39bec1830e",
-	"allreduce/bine-fold":              "60e86c514d90969a",
-	"alltoall/bine":                    "2fe8c322bafa02c5",
-	"alltoall/bruck":                   "f25d2c653d53f7fa",
-	"alltoall/pairwise":                "7c6dff2afdcade31",
+	"bcast/bine-tree":                  "35a87140390cac7e",
+	"bcast/binomial-dd":                "7d620dad52b59ee0",
+	"bcast/binomial-dh":                "56f306b5254e6cd3",
+	"bcast/bine-scatter-allgather":     "bdc9fbdb9ad0113b",
+	"bcast/binomial-scatter-allgather": "03e853147971b1f2",
+	"bcast/linear":                     "0cf4a768af22ef72",
+	"bcast/pipeline":                   "b881e87c029616ae",
+	"bcast/chain":                      "bc21ea1f28c41616",
+	"reduce/bine-tree":                 "fa9162c779d38145",
+	"reduce/binomial-dd":               "fa9abb5f0d29f342",
+	"reduce/binomial-dh":               "7329446e436573bc",
+	"reduce/bine-rs-gather":            "86790b8af06d1c1b",
+	"reduce/binomial-rs-gather":        "c9d3cc1fdebd32b5",
+	"reduce/linear":                    "2037f3ea5391e6c1",
+	"gather/bine-tree":                 "2d90860441fbbbb7",
+	"gather/binomial-dd":               "8feafd6a147946cb",
+	"gather/binomial-dh":               "84ca385134d088c6",
+	"gather/linear":                    "ff7a6217f04619a2",
+	"scatter/bine-tree":                "2c558b13c35a06a2",
+	"scatter/binomial-dd":              "aa42066ada03de54",
+	"scatter/binomial-dh":              "3ef70a3e7eb4ca92",
+	"scatter/linear":                   "02b02f1e6e587321",
+	"reduce-scatter/bine-permute":      "8ecb7440d84996d2",
+	"reduce-scatter/bine-send":         "f05de7bed648e797",
+	"reduce-scatter/bine-block":        "fe66aafa4ef514ae",
+	"reduce-scatter/bine-two-trans":    "360cb3f23de255e8",
+	"reduce-scatter/recursive-halving": "eb6615207b9b697f",
+	"reduce-scatter/swing":             "fe66aafa4ef514ae",
+	"reduce-scatter/ring":              "8eaef8aad5dbe8b3",
+	"reduce-scatter/bine-fold":         "f05de7bed648e797",
+	"allgather/bine-permute":           "9c8775441f56a85b",
+	"allgather/bine-send":              "f3a4aef194c3e9f3",
+	"allgather/bine-block":             "cf1ae38aaa014dbf",
+	"allgather/bine-two-trans":         "c9c4918b79fde76c",
+	"allgather/recursive-doubling":     "79c7b5c451146911",
+	"allgather/swing":                  "cf1ae38aaa014dbf",
+	"allgather/ring":                   "8eaef8aad5dbe8b3",
+	"allgather/bruck":                  "c86ffe6284377c77",
+	"allgather/sparbit":                "116667aa4f3ea6d1",
+	"allgather/bine-fold":              "f3a4aef194c3e9f3",
+	"allreduce/bine-lat":               "48508a00647f3da8",
+	"allreduce/bine-bw":                "cc85aafeeaa4f770",
+	"allreduce/recursive-doubling":     "c23748c3239486d2",
+	"allreduce/rabenseifner":           "7d1fdaccdfbfda96",
+	"allreduce/ring":                   "7891c83b7022f90e",
+	"allreduce/swing":                  "062dedaed722ffb1",
+	"allreduce/reduce-bcast":           "b70179dd9ed73410",
+	"allreduce/bine-fold":              "cc85aafeeaa4f770",
+	"alltoall/bine":                    "48508a00647f3da8",
+	"alltoall/bruck":                   "cd167cf08e6a9850",
+	"alltoall/pairwise":                "370f5b33aeaa0b43",
 }
 
 var torusPins = map[string]string{
-	"bine-torus":     "2c571d84f6350901",
-	"bine-multiport": "4911e491277c2ec7",
-	"bucket":         "33673da3c727d744",
-	"bine-bcast":     "ff38133770fb782e",
-	"bine-reduce":    "495b5eaceb1f728b",
+	"bine-torus":     "e3962b8faf546638",
+	"bine-multiport": "e02c7682165c1718",
+	"bucket":         "a82fdb0787c5ce7d",
+	"bine-bcast":     "ebe6c4f7cc5e69a7",
+	"bine-reduce":    "0db3e3d609194c01",
 }

@@ -69,7 +69,9 @@ func drainSweep(ctx context.Context, sys System, collective coll.Collective, cou
 	if err != nil {
 		return nil, err
 	}
-	if err := pool.ForEachCtx(ctx, workers, len(tasks), func(i int) error { return tasks[i].run(ctx) }); err != nil {
+	runner := pool.NewRunner(workers)
+	defer runner.Close()
+	if err := runner.ForEachCtx(ctx, len(tasks), func(i int) error { return tasks[i].run(ctx) }); err != nil {
 		return nil, err
 	}
 	return finish(), nil

@@ -26,7 +26,9 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	ta := torusAlgos()[0]
 	const lanes = 24
 	flat := make([][]*trPtr, lanes)
-	err := pool.ForEach(8, lanes, func(i int) error {
+	runner := pool.NewRunner(8)
+	defer runner.Close()
+	err := runner.ForEach(lanes, func(i int) error {
 		algo := algos[i%len(algos)]
 		tr, err := eng.cachedTrace(context.Background(), algo, 16, 0)
 		if err != nil {

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func synthKey(name string) tracestore.Key {
 }
 
 func synthTestTrace(elems int) *fabric.Trace {
-	return fabric.NewTrace(4, []fabric.Record{{From: 0, To: 1, Step: 0, Sub: 0, Elems: elems}})
+	return fabric.NewTrace(4, []fabric.Record{{From: 0, To: 1, Step: 0, Elems: elems}})
 }
 
 // TestResolverChainCounters walks one key through every stage of the
@@ -141,5 +142,42 @@ func TestVerifySynthMode(t *testing.T) {
 	}
 	if s := eng.Stats(); s.SynthVerified != 2 {
 		t.Fatalf("retry not verified: %+v", s)
+	}
+}
+
+// TestDiffTracesNamesFirstDivergence pins the verify-synth failure text: the
+// index, step, endpoints and size of the first record that differs on either
+// side, and the record counts when one trace is a prefix of the other.
+func TestDiffTracesNamesFirstDivergence(t *testing.T) {
+	t.Parallel()
+	base := []fabric.Record{
+		{From: 0, To: 1, Step: 0, Elems: 4},
+		{From: 1, To: 2, Step: 2, Elems: 4},
+		{From: 2, To: 3, Step: 2, Elems: 8},
+	}
+	variant := func(i int, edit func(*fabric.Record)) *fabric.Trace {
+		recs := append([]fabric.Record(nil), base...)
+		edit(&recs[i])
+		return fabric.NewTrace(4, recs)
+	}
+	for _, tc := range []struct {
+		name string
+		st   *fabric.Trace
+		want string
+	}{
+		{"identical", fabric.NewTrace(4, base), ""},
+		{"elems", variant(2, func(r *fabric.Record) { r.Elems = 9 }),
+			"verify-synth: record 2 diverges: synthesized {step 2: 2 -> 3, 9 elems}, recorded {step 2: 2 -> 3, 8 elems}"},
+		{"endpoint", variant(1, func(r *fabric.Record) { r.To = 3 }),
+			"verify-synth: record 1 diverges: synthesized {step 2: 1 -> 3, 4 elems}, recorded {step 2: 1 -> 2, 4 elems}"},
+		{"step only", variant(1, func(r *fabric.Record) { r.Step = 1 }),
+			"verify-synth: record 1 diverges: synthesized {step 1: 1 -> 2, 4 elems}, recorded {step 2: 1 -> 2, 4 elems}"},
+		{"prefix", fabric.NewTrace(4, base[:2]),
+			"verify-synth: encodings differ (2 synthesized records vs 3 recorded)"},
+	} {
+		err := diffTraces(tc.st, fabric.NewTrace(4, base))
+		if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -172,8 +172,8 @@ func TestPerMessageOverheadCharged(t *testing.T) {
 		{From: 0, To: 1, Step: 0, Elems: 1000},
 	})
 	var recs []fabric.Record
-	for sub := 0; sub < 10; sub++ {
-		recs = append(recs, fabric.Record{From: 0, To: 1, Step: 0, Sub: sub, Elems: 100})
+	for seg := 0; seg < 10; seg++ {
+		recs = append(recs, fabric.Record{From: 0, To: 1, Step: 0, Elems: 100})
 	}
 	segmented := fabric.NewTrace(2, recs)
 	topo := topology.NewFlat("f", 2, 10e9)
@@ -227,13 +227,21 @@ func TestTraceScalingExact(t *testing.T) {
 	if t1.NumRecords() != t3.NumRecords() {
 		t.Fatalf("record counts differ: %d vs %d", t1.NumRecords(), t3.NumRecords())
 	}
-	for i := 0; i < t1.NumRecords(); i++ {
-		a, b := t1.At(i), t3.At(i)
-		if a.From != b.From || a.To != b.To || a.Step != b.Step || a.Sub != b.Sub {
-			t.Fatalf("record %d shape differs: %+v vs %+v", i, a, b)
+	if t1.NumSteps() != t3.NumSteps() {
+		t.Fatalf("step counts differ: %d vs %d", t1.NumSteps(), t3.NumSteps())
+	}
+	for s := 0; s < t1.NumSteps(); s++ {
+		lo, hi := t1.StepBounds(s)
+		if lo3, hi3 := t3.StepBounds(s); lo != lo3 || hi != hi3 {
+			t.Fatalf("step %d: records [%d,%d) vs [%d,%d)", s, lo, hi, lo3, hi3)
 		}
-		if b.Elems != 3*a.Elems {
-			t.Fatalf("record %d: %d elems vs %d (want exact 3×)", i, a.Elems, b.Elems)
+		for i := lo; i < hi; i++ {
+			if t1.From(i) != t3.From(i) || t1.To(i) != t3.To(i) {
+				t.Fatalf("record %d shape differs: %d->%d vs %d->%d", i, t1.From(i), t1.To(i), t3.From(i), t3.To(i))
+			}
+			if t3.Elems(i) != 3*t1.Elems(i) {
+				t.Fatalf("record %d: %d elems vs %d (want exact 3×)", i, t1.Elems(i), t3.Elems(i))
+			}
 		}
 	}
 }

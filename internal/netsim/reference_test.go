@@ -33,7 +33,7 @@ func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Ev
 		sendCnt := map[int]int{}
 		maxMsgs := 0
 		for i := lo; i < hi; i++ {
-			m := tr.At(i)
+			m := fabric.Record{From: tr.From(i), To: tr.To(i), Step: s, Elems: tr.Elems(i)}
 			src, dst := ev.Placement[m.From], ev.Placement[m.To]
 			bytes := float64(m.Elems) * elemBytes
 			res.TotalBytes += bytes

@@ -1,5 +1,6 @@
 // Package pool is the bounded worker pool shared by the experiment harness
-// and the CLIs: index-addressed fan-out with deterministic error selection.
+// and the artifact service: index-addressed fan-out with deterministic error
+// selection.
 package pool
 
 import (
@@ -13,72 +14,6 @@ import (
 // DefaultWorkers is the pool width used when the caller passes workers <= 0:
 // one worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// (workers <= 0 selects DefaultWorkers). Indices are dispatched in
-// ascending order and a dispatched index always runs to completion; after
-// a failure no further indices are dispatched. Because every failure
-// observed at dispatch time comes from a lower index, the lowest failing
-// index always runs, and its error is returned — the same error a serial
-// loop would stop on. With workers == 1 the indices run strictly in order
-// on the calling goroutine; the parallel path delegates to a one-shot
-// Runner, the single implementation of those guarantees.
-func ForEach(workers, n int, fn func(i int) error) error {
-	// Compatibility wrapper for context-free batch callers (CLI paths that
-	// own the whole process lifetime); everything request-scoped goes through
-	// ForEachCtx.
-	//binelint:ignore ctxflow ForEach is the documented context-free entry point; request paths use ForEachCtx
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach bounded by a context: once ctx is cancelled no
-// further indices are dispatched (already-dispatched indices run to
-// completion, keeping shared state consistent) and ctx.Err() is returned —
-// unless a dispatched index failed first, in which case the usual
-// lowest-failing-index error wins. The serial workers <= 1 path checks the
-// context between indices, so cancellation has the same cut-off semantics at
-// any pool width.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	r := NewRunner(workers)
-	defer r.Close()
-	return r.ForEachCtx(ctx, n, fn)
-}
-
-// Collect is ForEach with a result slot per index: fn(i)'s value lands in
-// slot i of the returned slice, giving callers an index-addressed result
-// set that a serial pass can merge in deterministic order.
-func Collect[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	outs := make([]T, n)
-	err := ForEach(workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		outs[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
 
 // Runner is a reusable fixed-width pool: every batch submitted through its
 // ForEach shares the same long-lived workers, so one process-wide instance
@@ -155,26 +90,18 @@ func NewRunner(workers int) *Runner {
 // Workers returns the pool width.
 func (r *Runner) Workers() int { return r.workers }
 
-// Pressure reports how much work the pool currently holds: cells waiting in
-// the queue plus cells running on workers. No product code reads it —
-// admission control budgets flights, not cells; it is the drain probe of the
-// pool and service tests, where a pressure of zero means a disconnect storm
-// has fully drained (every aborted flight's cells finished or were never
-// dispatched).
-func (r *Runner) Pressure() int64 { return r.queued.Load() + r.inFlight.Load() }
-
 // Close stops the workers once every submitted job has run.
 func (r *Runner) Close() {
 	close(r.jobs)
 	r.wg.Wait()
 }
 
-// ForEach runs fn(i) for every i in [0, n) on the runner's shared workers
-// with the package-level ForEach guarantees: indices are submitted in
-// ascending order and a submitted index always runs; after an observed
-// failure no further indices are submitted, so the lowest failing index
-// always runs and its error is returned — the same error a serial loop
-// would stop on.
+// ForEach runs fn(i) for every i in [0, n) on the runner's shared workers.
+// Indices are submitted in ascending order and a submitted index always runs
+// to completion; after an observed failure no further indices are submitted.
+// Because every failure observed at submission time comes from a lower index,
+// the lowest failing index always runs, and its error is returned — the same
+// error a serial loop would stop on.
 func (r *Runner) ForEach(n int, fn func(i int) error) error {
 	//binelint:ignore ctxflow ForEach is the documented context-free entry point; request paths use ForEachCtx
 	return r.ForEachCtx(context.Background(), n, fn)
@@ -192,9 +119,8 @@ func (r *Runner) ForEachCtx(ctx context.Context, n int, fn func(i int) error) er
 	var wg sync.WaitGroup
 	cancelled := false
 	for i := 0; i < n; i++ {
-		// As in the package-level ForEach, the failure check precedes the
-		// claim (here: the submission), so a raised flag necessarily comes
-		// from an already-submitted, lower index.
+		// The failure check precedes the submission, so a raised flag
+		// necessarily comes from an already-submitted, lower index.
 		if failed.Load() {
 			break
 		}

@@ -7,14 +7,21 @@ import (
 	"testing"
 )
 
+// TestForEachRunsEveryIndex covers the width edge cases: 0 selects
+// DefaultWorkers, and a pool wider than the batch still runs each index once.
 func TestForEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		const n = 57
 		var hits [n]int32
-		err := ForEach(workers, n, func(i int) error {
+		r := NewRunner(workers)
+		if workers == 0 && r.Workers() != DefaultWorkers() {
+			t.Fatalf("width %d, want DefaultWorkers %d", r.Workers(), DefaultWorkers())
+		}
+		err := r.ForEach(n, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
+		r.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -26,34 +33,17 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 	}
 }
 
-func TestForEachReturnsLowestIndexError(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 10, func(i int) error {
-			switch i {
-			case 3:
-				return errA
-			case 7:
-				return errB
-			}
-			return nil
-		})
-		if err != errA {
-			t.Fatalf("workers=%d: got %v, want the lowest-index error", workers, err)
-		}
-	}
-}
-
-func TestForEachZeroJobs(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestForEachStopsDispatchingAfterFailure pins how far past a failure a
+// batch can run: with one worker, index i+1 is checked for submission while
+// index i may still be running, so at most one index after the failing one
+// runs — index i+2 is only checked once the worker has taken i+1, which is
+// after i failed.
 func TestForEachStopsDispatchingAfterFailure(t *testing.T) {
 	boom := errors.New("boom")
 	var ran [10]bool
-	err := ForEach(1, 10, func(i int) error {
+	r := NewRunner(1)
+	defer r.Close()
+	err := r.ForEach(10, func(i int) error {
 		ran[i] = true
 		if i == 4 {
 			return boom
@@ -63,22 +53,24 @@ func TestForEachStopsDispatchingAfterFailure(t *testing.T) {
 	if err != boom {
 		t.Fatalf("got %v", err)
 	}
-	for i, r := range ran {
-		if want := i <= 4; r != want {
-			t.Fatalf("index %d ran=%v, want %v", i, r, want)
+	for i, got := range ran {
+		if i != 5 && got != (i <= 4) {
+			t.Fatalf("index %d ran=%v, want %v", i, got, i <= 4)
 		}
 	}
 }
 
 // TestForEachClaimedIndicesAlwaysRun pins the determinism argument: an
-// index claimed before a failure must run even if a higher index fails
+// index submitted before a failure must run even if a higher index fails
 // while it is in flight, so the lowest failing index always records its
 // error. Index 0 blocks until index 9 has failed, then fails itself; the
 // returned error must be index 0's.
 func TestForEachClaimedIndicesAlwaysRun(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	highFailed := make(chan struct{})
-	err := ForEach(4, 10, func(i int) error {
+	r := NewRunner(4)
+	defer r.Close()
+	err := r.ForEach(10, func(i int) error {
 		switch i {
 		case 0:
 			<-highFailed
@@ -179,29 +171,6 @@ func TestRunnerZeroJobs(t *testing.T) {
 	}
 }
 
-func TestCollect(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		outs, err := Collect(workers, 20, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, v := range outs {
-			if v != i*i {
-				t.Fatalf("workers=%d: slot %d = %d", workers, i, v)
-			}
-		}
-	}
-	boom := errors.New("boom")
-	if _, err := Collect(4, 20, func(i int) (int, error) {
-		if i == 2 {
-			return 0, boom
-		}
-		return i, nil
-	}); err != boom {
-		t.Fatalf("got %v", err)
-	}
-}
-
 // TestRunnerStats pins the observability counters: after a drained batch
 // the queue and in-flight gauges are back to zero, every job is counted
 // done, and the wait/busy accumulators moved.
@@ -226,44 +195,20 @@ func TestRunnerStats(t *testing.T) {
 	}
 }
 
-// TestRunnerPressure pins the admission-control contract: Pressure counts
-// queued plus in-flight work, is positive while a batch runs, and returns to
-// zero once the pool drains.
-func TestRunnerPressure(t *testing.T) {
-	r := NewRunner(2)
-	defer r.Close()
-	if p := r.Pressure(); p != 0 {
-		t.Fatalf("idle pressure = %d, want 0", p)
-	}
-	var sawPositive atomic.Bool
-	if err := r.ForEach(20, func(i int) error {
-		if r.Pressure() >= 1 {
-			sawPositive.Store(true)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sawPositive.Load() {
-		t.Fatal("pressure never observed positive during a running batch")
-	}
-	if p := r.Pressure(); p != 0 {
-		t.Fatalf("drained pressure = %d, want 0", p)
-	}
-}
-
-// TestForEachCtxPreCancelled pins the cancellation cut-off at both the
-// serial and the pooled width: a context cancelled before the call runs
-// nothing and returns ctx.Err().
+// TestForEachCtxPreCancelled pins the cancellation cut-off at width one and
+// above: a context cancelled before the call runs nothing and returns
+// ctx.Err().
 func TestForEachCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEachCtx(ctx, workers, 50, func(i int) error {
+		r := NewRunner(workers)
+		err := r.ForEachCtx(ctx, 50, func(i int) error {
 			ran.Add(1)
 			return nil
 		})
+		r.Close()
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
 		}
@@ -280,13 +225,15 @@ func TestForEachCtxStopsDispatchingOnCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := ForEachCtx(ctx, workers, 200, func(i int) error {
+		r := NewRunner(workers)
+		err := r.ForEachCtx(ctx, 200, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
 				cancel()
 			}
 			return nil
 		})
+		r.Close()
 		cancel()
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
@@ -306,13 +253,15 @@ func TestForEachCtxErrorBeatsCancel(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := ForEachCtx(ctx, workers, 100, func(i int) error {
+		r := NewRunner(workers)
+		err := r.ForEachCtx(ctx, 100, func(i int) error {
 			if i == 2 {
 				cancel()
 				return boom
 			}
 			return nil
 		})
+		r.Close()
 		cancel()
 		if err != boom {
 			t.Fatalf("workers=%d: got %v, want the index error over ctx.Err()", workers, err)

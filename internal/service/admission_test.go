@@ -132,7 +132,10 @@ func TestDisconnectStormFreesCells(t *testing.T) {
 
 	waitFor(t, "flight table to empty", func() bool { return srv.flights.active() == 0 })
 	waitFor(t, "render slots to free", func() bool { return srv.adm.inFlight() == 0 })
-	waitFor(t, "pool pressure to drain", func() bool { return srv.runner.Pressure() == 0 })
+	waitFor(t, "pool to drain", func() bool {
+		s := srv.runner.Stats()
+		return s.QueueDepth+s.InFlight == 0
+	})
 
 	// Capacity is actually back: a fresh request renders and streams fully.
 	rec := httptest.NewRecorder()

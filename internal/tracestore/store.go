@@ -5,7 +5,8 @@
 // together with the codec and schedule versions: repeated sweeps and CI runs
 // load every schedule instead of re-executing it, and any change to the
 // format or to an algorithm's schedule simply hashes to fresh addresses,
-// leaving stale files unreferenced rather than wrongly reused.
+// leaving stale files unreferenced rather than wrongly reused (Prewarm then
+// evicts the ones an older codec wrote, which no longer decode).
 //
 // The store is tolerant by design: a missing, truncated or garbled file is a
 // miss (counted, and the corrupt file evicted) — callers re-record and
@@ -78,12 +79,12 @@ func (k Key) addr() string {
 // Origin records how a stored trace was produced: synthesized from schedule
 // math or recorded on the goroutine fabric. It is stamped in a sidecar file
 // next to the trace — never inside the encoded trace or its content address
-// — so stores written before provenance existed (or with a sidecar lost)
-// stay warm and simply report OriginUnknown.
+// — so a trace whose sidecar is lost stays warm and simply reports
+// OriginUnknown.
 type Origin string
 
 const (
-	// OriginUnknown marks a trace with no sidecar (pre-provenance stores).
+	// OriginUnknown marks a trace with no (readable) sidecar.
 	OriginUnknown Origin = ""
 	// OriginRecorded marks a trace captured from a goroutine-fabric run.
 	OriginRecorded Origin = "recorded"
@@ -159,55 +160,78 @@ func (s *Store) path(k Key) string {
 // rides along without changing the store format or the content addresses.
 func originPath(tracePath string) string { return tracePath + ".origin" }
 
-// statFile fingerprints an open store file for Load's eviction compare. A
-// package variable so tests can force the no-fingerprint fallback, which is
-// otherwise unreachable on a healthy filesystem.
+// statFile sizes and fingerprints an open store file for readTrace's read and
+// eviction compare. A package variable so tests can force the no-fingerprint
+// fallback, which is otherwise unreachable on a healthy filesystem.
 var statFile = (*os.File).Stat
 
-// Load returns the stored trace for the key, or ok=false on any miss: no
-// file, unreadable file, or a file that fails to decode (stale codec,
-// truncation, corruption). Undecodable files are evicted so the slot is
-// cleanly re-recorded and re-saved by the caller.
-func (s *Store) Load(k Key) (tr *fabric.Trace, ok bool) {
-	if !s.Enabled() {
-		return nil, false
-	}
-	defer obsLoadSeconds.ObserveSince(time.Now())
-	f, err := os.Open(s.path(k))
+// maxTraceFileBytes caps the size of a file the store will read. The store
+// directory is shared across users, replicas and CI cache restores, and a
+// file is read into one buffer sized by its stat, so the stat is checked
+// before anything is allocated — a 10 GB sparse file named like a trace must
+// not cost 10 GB. 2 GiB leaves ≥ 4× headroom over the largest file the
+// registry writes at -full scale (the p = 8192 ring allreduce, 134 M records
+// at 3 bytes each: 403 MB), and keeps every decodable record count (≤ a
+// third of the payload) inside the int32 step index.
+const maxTraceFileBytes = 2 << 30
+
+// readTrace opens, reads and decodes one store file. A file that cannot be
+// opened is absent (opened=false). One that is oversized, unreadable or fails
+// to decode (stale codec, truncation, corruption) comes back as a nil trace:
+// it has been evicted — if the path still names the file that was read — and
+// counted corrupt. size is the encoded length of a decoded trace.
+func (s *Store) readTrace(path string) (tr *fabric.Trace, size int64, opened bool) {
+	f, err := os.Open(path)
 	if err != nil {
-		s.misses.Add(1)
-		obsLoadMisses.Inc()
-		return nil, false
+		return nil, 0, false
 	}
-	fi, statErr := statFile(f)
+	fi, err := statFile(f)
 	// Read the whole file into an exactly sized buffer and decode in place:
 	// full-scale traces run to hundreds of megabytes, and a growing
 	// io.ReadAll buffer would copy them several times over.
 	var raw []byte
-	if statErr == nil {
+	switch {
+	case err != nil:
+		// No fingerprint: evict unconditionally. The capped read turns an
+		// oversized file into a truncated one, which fails its checksum.
+		fi = nil
+		raw, err = io.ReadAll(io.LimitReader(f, maxTraceFileBytes))
+	case fi.Size() > maxTraceFileBytes:
+		err = fmt.Errorf("tracestore: %d-byte file is over the size cap", fi.Size())
+	default:
 		raw = make([]byte, fi.Size())
 		_, err = io.ReadFull(f, raw)
-	} else {
-		raw, err = io.ReadAll(f)
 	}
 	f.Close()
 	if err == nil {
 		tr, err = fabric.DecodeTraceBytes(raw)
 	}
 	if err != nil {
-		if statErr != nil {
-			fi = nil // no fingerprint: evict unconditionally
-		}
-		s.evict(s.path(k), fi)
+		s.evict(path, fi)
 		s.corrupt.Add(1)
 		obsEvictions.Inc()
+		return nil, 0, true
+	}
+	return tr, int64(len(raw)), true
+}
+
+// Load returns the stored trace for the key, or ok=false on any miss: no
+// file, or a file readTrace evicted so the slot is cleanly re-recorded and
+// re-saved by the caller.
+func (s *Store) Load(k Key) (tr *fabric.Trace, ok bool) {
+	if !s.Enabled() {
+		return nil, false
+	}
+	defer obsLoadSeconds.ObserveSince(time.Now())
+	tr, size, _ := s.readTrace(s.path(k))
+	if tr == nil {
 		s.misses.Add(1)
 		obsLoadMisses.Inc()
 		return nil, false
 	}
 	s.hits.Add(1)
 	obsLoadHits.Inc()
-	obsLoadBytes.Add(uint64(len(raw)))
+	obsLoadBytes.Add(uint64(size))
 	return tr, true
 }
 
@@ -328,8 +352,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // Origin reports how the stored trace for the key was produced:
 // OriginSynthesized or OriginRecorded from its sidecar, OriginUnknown when
-// no (or an unrecognized) sidecar exists — which is exactly the state of
-// every store written before provenance stamping.
+// no (or an unrecognized) sidecar exists.
 func (s *Store) Origin(k Key) Origin {
 	if !s.Enabled() {
 		return OriginUnknown
@@ -392,37 +415,17 @@ func (s *Store) Prewarm() (PrewarmStats, error) {
 		if entry.IsDir() || !strings.HasSuffix(entry.Name(), ".trace") {
 			continue
 		}
-		path := filepath.Join(s.dir, entry.Name())
-		f, err := os.Open(path)
-		if err != nil {
+		tr, size, opened := s.readTrace(filepath.Join(s.dir, entry.Name()))
+		if !opened {
 			continue // vanished under a concurrent eviction: nothing to validate
 		}
 		ps.Files++
-		fi, statErr := statFile(f)
-		var raw []byte
-		if statErr == nil {
-			raw = make([]byte, fi.Size())
-			_, err = io.ReadFull(f, raw)
-		} else {
-			raw, err = io.ReadAll(f)
-		}
-		f.Close()
-		var tr *fabric.Trace
-		if err == nil {
-			tr, err = fabric.DecodeTraceBytes(raw)
-		}
-		if err != nil {
-			if statErr != nil {
-				fi = nil
-			}
-			s.evict(path, fi)
-			s.corrupt.Add(1)
-			obsEvictions.Inc()
+		if tr == nil {
 			ps.Corrupt++
 			continue
 		}
 		ps.Valid++
-		ps.FileBytes += int64(len(raw))
+		ps.FileBytes += size
 		ps.MemBytes += tr.MemBytes()
 	}
 	return ps, nil

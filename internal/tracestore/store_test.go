@@ -1,10 +1,13 @@
 package tracestore
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,7 +18,7 @@ func testTrace(p, seed int) *fabric.Trace {
 	var recs []fabric.Record
 	for i := 0; i < 10+seed; i++ {
 		recs = append(recs, fabric.Record{
-			From: i % p, To: (i + 1 + seed) % p, Step: i / 3, Sub: i % 2, Elems: 1 + i*seed,
+			From: i % p, To: (i + 1 + seed) % p, Step: i / 3, Elems: 1 + i*seed,
 		})
 	}
 	return fabric.NewTrace(p, recs)
@@ -372,45 +375,101 @@ func TestStoreOriginSidecar(t *testing.T) {
 	}
 }
 
-// TestStoreOldFormatStaysWarm is the warm-compat gate for provenance (the
-// PR 4-style old-store check): a store directory written before origin
-// stamping existed — trace files under unchanged content addresses, no
-// sidecars — must keep serving hits, reporting OriginUnknown.
-func TestStoreOldFormatStaysWarm(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
+// TestStoreOldCodecIsColdThenEvicted is the codec-bump gate: a file the
+// retired v1 codec wrote (valid magic and checksum, version 1) is never
+// decoded by guesswork. Content addresses fold the codec version, so such a
+// file is normally never asked for; planted under a live address it is a miss
+// that evicts itself, Prewarm counts it corrupt, and the slot re-saves and
+// round-trips.
+func TestStoreOldCodecIsColdThenEvicted(t *testing.T) {
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testKey("ring", 1)
+	// v1 framing of a one-record trace: version, p, n, then per record
+	// Δstep, Δfrom, Δto, sub, elems.
+	payload := []byte{1, 2, 1, 0, 0, 2, 0, 1}
+	v1 := append([]byte("BTRC"), payload...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
+	k, k2 := testKey("ring", 1), testKey("swing", 1)
+	for _, key := range []Key{k, k2} {
+		if err := os.WriteFile(s.path(key), v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Load(k); ok {
+		t.Fatal("v1 file loaded")
+	}
+	if _, err := os.Stat(s.path(k)); !os.IsNotExist(err) {
+		t.Fatal("v1 file not evicted by Load")
+	}
+	ps, err := s.Prewarm()
+	if err != nil || ps.Files != 1 || ps.Valid != 0 || ps.Corrupt != 1 {
+		t.Fatalf("prewarm %+v err %v", ps, err)
+	}
+	if _, err := os.Stat(s.path(k2)); !os.IsNotExist(err) {
+		t.Fatal("v1 file not evicted by Prewarm")
+	}
+	if st := s.Stats(); st.CorruptEvictions != 2 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("stats %+v", st)
+	}
 	tr := testTrace(8, 1)
 	if err := s.Save(k, tr, OriginSynthesized); err != nil {
 		t.Fatal(err)
 	}
-	// Strip every sidecar: the directory is now byte-identical to one
-	// written by the pre-provenance Save (same codec, same addresses).
-	sidecars, err := filepath.Glob(filepath.Join(dir, "*.origin"))
-	if err != nil || len(sidecars) != 1 {
-		t.Fatalf("sidecars %v err %v", sidecars, err)
+	if got, ok := s.Load(k); !ok || !reflect.DeepEqual(got, tr) {
+		t.Fatal("re-saved slot does not round-trip")
 	}
-	for _, sc := range sidecars {
-		if err := os.Remove(sc); err != nil {
+}
+
+// TestStoreRefusesOversizedFile pins the size check: a sparse file just over
+// the cap, named like a trace, is evicted as corrupt by both readers without
+// being read — nothing is allocated for it.
+func TestStoreRefusesOversizedFile(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("ring", 1)
+	plant := func() {
+		t.Helper()
+		f, err := os.Create(s.path(k))
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer f.Close()
+		if err := f.Truncate(maxTraceFileBytes + 1); err != nil {
+			t.Skipf("cannot create a sparse file here: %v", err)
+		}
 	}
-	got, ok := s.Load(k)
-	if !ok {
-		t.Fatal("old-format store went cold")
+	readers := map[string]func(){
+		"Load": func() {
+			if _, ok := s.Load(k); ok {
+				t.Error("oversized file loaded")
+			}
+		},
+		"Prewarm": func() {
+			if ps, err := s.Prewarm(); err != nil || ps.Files != 1 || ps.Corrupt != 1 {
+				t.Errorf("prewarm %+v err %v", ps, err)
+			}
+		},
 	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatal("old-format store served a different trace")
-	}
-	if o := s.Origin(k); o != OriginUnknown {
-		t.Fatalf("old-format store reports origin %q", o)
-	}
-	// Prewarm must not count or evict sidecar-less traces either.
-	if ps, err := s.Prewarm(); err != nil || ps.Files != 1 || ps.Valid != 1 || ps.Corrupt != 0 {
-		t.Fatalf("prewarm %+v err %v", ps, err)
+	for name, read := range readers {
+		plant()
+		before := s.Stats().CorruptEvictions
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		read()
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a file it must not read", name, got)
+		}
+		if _, err := os.Stat(s.path(k)); !os.IsNotExist(err) {
+			t.Errorf("%s: oversized file not evicted", name)
+		}
+		if got := s.Stats().CorruptEvictions - before; got != 1 {
+			t.Errorf("%s: %d corrupt evictions, want 1", name, got)
+		}
 	}
 }
 
