@@ -168,7 +168,18 @@ func stageLine(labels string, h obs.HistogramSummary) string {
 	if h.Count < minQuantileSamples {
 		return row + "mean=" + fmtSeconds(h.Sum/float64(h.Count))
 	}
-	return row + fmt.Sprintf("p50=%s p95=%s p99=%s", fmtSeconds(h.P50), fmtSeconds(h.P95), fmtSeconds(h.P99))
+	return row + fmt.Sprintf("p50=%s p95=%s p99=%s", fmtQuantile(h.P50), fmtQuantile(h.P95), fmtQuantile(h.P99))
+}
+
+// fmtQuantile renders a bucket-interpolated estimate. At or below the first
+// bucket bound the histogram knows only "in the first bucket", so that is
+// what is printed — not a midpoint the interpolation invented for a stage
+// whose real latency may be a hundredth of it.
+func fmtQuantile(q float64) string {
+	if floor := obs.DefBuckets[0]; q <= floor {
+		return "≤" + strings.TrimSpace(fmtSeconds(floor))
+	}
+	return fmtSeconds(q)
 }
 
 // fmtSeconds renders a quantile estimate compactly (µs/ms/s by magnitude).

@@ -28,6 +28,12 @@ func TestStageLine(t *testing.T) {
 		{"ten observations print the quantiles",
 			`origin="synth"`, obs.HistogramSummary{Count: 10, Sum: 1.5, P50: 0.12, P95: 0.4, P99: 1.2},
 			`  origin="synth"           n=10      total=    1.500s  p50=120.00ms p95=400.00ms p99=  1.200s`},
+		{"quantiles inside the first bucket print its bound, not an interpolated midpoint",
+			`stage="cache-lookup"`, obs.HistogramSummary{Count: 1084, Sum: 0.0004, P50: 0.00005, P95: 0.000095, P99: 0.000099},
+			`  stage="cache-lookup"     n=1084    total=    0.000s  p50=≤100.0µs p95=≤100.0µs p99=≤100.0µs`},
+		{"only the quantiles at or below the floor are bounded",
+			`stage="evaluate"`, obs.HistogramSummary{Count: 696, Sum: 0.065, P50: 0.0001, P95: 0.0004036, P99: 0.00146},
+			`  stage="evaluate"         n=696     total=    0.065s  p50=≤100.0µs p95= 403.6µs p99=  1.46ms`},
 	}
 	for _, tc := range cases {
 		if got := stageLine(tc.labels, tc.h); got != tc.want {

@@ -99,9 +99,6 @@ type Algorithm struct {
 	// CopyFactor scales extra local data movement in vector lengths
 	// (permute strategies shuffle the full vector once).
 	CopyFactor float64
-	// SmallVector marks latency-optimized variants; the harness annotates
-	// but does not restrict on it.
-	SmallVector bool
 	// Make builds the per-rank runner. Shared schedule structures (trees,
 	// butterflies) are built once per (p, root) and captured by the
 	// closure, mirroring how MPI implementations cache communicator state.
@@ -367,11 +364,11 @@ func Registry() []Algorithm {
 	)
 
 	// Allreduce.
-	mkAllreduce := func(name string, bine, binomial, pow2 bool, overlap float64, small bool,
+	mkAllreduce := func(name string, bine, binomial, pow2 bool, overlap float64,
 		run func(p int) (func(c fabric.Comm, buf []int32, op Op) error, error)) Algorithm {
 		return Algorithm{
 			Name: name, Coll: CAllreduce, Bine: bine, Binomial: binomial,
-			Pow2Only: pow2, Overlap: overlap, SmallVector: small,
+			Pow2Only: pow2, Overlap: overlap,
 			Make: func(p, _ int) (RunFunc, error) {
 				inner, err := run(p)
 				if err != nil {
@@ -384,7 +381,7 @@ func Registry() []Algorithm {
 		}
 	}
 	algos = append(algos,
-		mkAllreduce("bine-lat", true, false, true, 0, true, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		mkAllreduce("bine-lat", true, false, true, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			b, err := core.NewButterfly(core.BflyBineDD, p)
 			if err != nil {
 				return nil, err
@@ -393,7 +390,7 @@ func Registry() []Algorithm {
 				return AllreduceRecDoubling(c, b, buf, op)
 			}, nil
 		}),
-		mkAllreduce("bine-bw", true, false, true, 0.3, false, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		mkAllreduce("bine-bw", true, false, true, 0.3, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			b, err := core.NewButterfly(core.BflyBineDD, p)
 			if err != nil {
 				return nil, err
@@ -402,7 +399,7 @@ func Registry() []Algorithm {
 				return AllreduceRsAg(c, b, buf, op)
 			}, nil
 		}),
-		mkAllreduce("recursive-doubling", false, true, true, 0, true, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		mkAllreduce("recursive-doubling", false, true, true, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			b, err := core.NewButterfly(core.BflyBinomialDD, p)
 			if err != nil {
 				return nil, err
@@ -411,7 +408,7 @@ func Registry() []Algorithm {
 				return AllreduceRecDoubling(c, b, buf, op)
 			}, nil
 		}),
-		mkAllreduce("rabenseifner", false, true, true, 0, false, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		mkAllreduce("rabenseifner", false, true, true, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			b, err := core.NewButterfly(core.BflyBinomialDH, p)
 			if err != nil {
 				return nil, err
@@ -420,10 +417,10 @@ func Registry() []Algorithm {
 				return AllreduceRsAg(c, b, buf, op)
 			}, nil
 		}),
-		mkAllreduce("ring", false, false, false, 0.6, false, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		mkAllreduce("ring", false, false, false, 0.6, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			return RingAllreduce, nil
 		}),
-		mkAllreduce("swing", false, false, true, 0.8, false, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		mkAllreduce("swing", false, false, true, 0.8, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			b, err := core.NewButterfly(core.BflySwing, p)
 			if err != nil {
 				return nil, err
@@ -437,7 +434,7 @@ func Registry() []Algorithm {
 				return Allgather(Offset(c, phaseStride), b, BlockByBlock, own, buf)
 			}, nil
 		}),
-		mkAllreduce("reduce-bcast", false, false, false, 0, true, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		mkAllreduce("reduce-bcast", false, false, false, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			tree, err := core.NewTree(core.BinomialDH, p, 0)
 			if err != nil {
 				return nil, err
@@ -446,7 +443,7 @@ func Registry() []Algorithm {
 				return AllreduceReduceBcast(c, tree, buf, op)
 			}, nil
 		}),
-		mkAllreduce("bine-fold", true, false, false, 0.3, false, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		mkAllreduce("bine-fold", true, false, false, 0.3, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			b, err := FoldButterfly(core.BflyBineDD, p)
 			if err != nil {
 				return nil, err

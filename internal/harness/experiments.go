@@ -24,7 +24,7 @@ import (
 // broadcast over eight nodes on a 2:1 oversubscribed fat tree with two
 // nodes per leaf, for the distance-doubling (Open MPI), distance-halving
 // (MPICH) and Bine trees.
-func planFig1(opts Options) (*plan, error) {
+func planFig1(c *compile) (*plan, error) {
 	const p, n = 8, 1 // eight nodes, unit vector; results are per n bytes
 	groupOf := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	kinds := []core.Kind{core.BinomialDD, core.BinomialDH, core.BineDH}
@@ -39,9 +39,8 @@ func planFig1(opts Options) (*plan, error) {
 	traces := make([]*fabric.Trace, len(kinds))
 	tasks := make([]task, len(kinds))
 	for i := range kinds {
-		i := i
 		tasks[i] = task{system: systemMisc, run: func(ctx context.Context) error {
-			tr, err := opts.Engine.cachedNamedTrace(ctx, "tree-bcast", kinds[i].String(), fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
+			tr, err := c.Engine.cachedNamedTrace(ctx, "tree-bcast", kinds[i].String(), fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
 				return coll.Bcast(c, trees[i], make([]int32, n))
 			})
 			if err != nil {
@@ -70,7 +69,7 @@ func planFig1(opts Options) (*plan, error) {
 
 // planEq2 tabulates the per-step modular distances of Bine vs binomial
 // schedules and their ratio, illustrating the 2/3 bound of Sec. 2.4.1.
-func planEq2(Options) (*plan, error) {
+func planEq2(*compile) (*plan, error) {
 	// Pure schedule arithmetic: no cells, everything happens at render.
 	render := func(w io.Writer) error {
 		p := 1024
@@ -92,7 +91,7 @@ func planEq2(Options) (*plan, error) {
 // distribution of global-traffic reduction of a Bine allreduce over the
 // binomial allreduce with the same distance ordering, bucketed by node
 // count.
-func planFig5(opts Options) (*plan, error) {
+func planFig5(c *compile) (*plan, error) {
 	type sysCase struct {
 		name    string
 		key     string
@@ -105,7 +104,7 @@ func planFig5(opts Options) (*plan, error) {
 		{"Leonardo", "leonardo", alloc.Machine{Groups: 23, NodesPerGroup: 180}, 1116, 256, 3},
 		{"LUMI", "lumi", alloc.Machine{Groups: 24, NodesPerGroup: 124}, 1914, 2048, 4},
 	}
-	if opts.Quick {
+	if c.Quick {
 		for i := range cases {
 			cases[i].jobs = 200
 			cases[i].maxP = 256
@@ -117,7 +116,7 @@ func planFig5(opts Options) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return opts.Engine.cachedNamedTrace(ctx, "bfly-allreduce", kind.String(), fmt.Sprintf("p=%d/n=%d", p, p), p, func(c fabric.Comm) error {
+		return c.Engine.cachedNamedTrace(ctx, "bfly-allreduce", kind.String(), fmt.Sprintf("p=%d/n=%d", p, p), p, func(c fabric.Comm) error {
 			return coll.AllreduceRsAg(c, b, make([]int32, p), coll.OpSum)
 		})
 	}
@@ -149,8 +148,6 @@ func planFig5(opts Options) (*plan, error) {
 			slot := &recSlot{p: p}
 			caseMissing[ci] = append(caseMissing[ci], slot)
 			for ki := range kinds {
-				ki := ki
-				slot := slot
 				tasks = append(tasks, task{system: sc.key, run: func(ctx context.Context) error {
 					tr, err := allreduceTrace(ctx, kinds[ki], slot.p)
 					if err != nil {
@@ -206,25 +203,18 @@ func planFig5(opts Options) (*plan, error) {
 // (Tables 3, 4 and 5): for every collective, the fraction of
 // configurations won/lost against the best binomial baseline, the
 // average/max gain and drop, and the average/max global-traffic reduction.
-func planTableBinomial(sys System, opts Options) (*plan, error) {
-	counts := opts.nodeCounts(sys)
-	sizes := opts.sizes()
-	var tasks []task
-	finishes := make([]func() *sweepResult, len(coll.Collectives))
-	for ci, collective := range coll.Collectives {
-		ts, finish, err := planSweep(opts.Engine, sys, collective, counts, sizes)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, ts...)
-		finishes[ci] = finish
+func planTableBinomial(c *compile, sys System) (*plan, error) {
+	counts, sizes := c.nodeCounts(sys), c.sizes()
+	sweeps, err := c.sweepAll(sys)
+	if err != nil {
+		return nil, err
 	}
 	render := func(w io.Writer) error {
 		fmt.Fprintf(w, "Bine vs binomial trees on %s (nodes %v, %d vector sizes)\n", sys.Name, counts, len(sizes))
 		fmt.Fprintf(w, "  %-15s %6s %15s %6s %15s %18s\n",
 			"collective", "%win", "avg/max gain", "%loss", "avg/max drop", "avg/max traffic red")
 		for ci, collective := range coll.Collectives {
-			res := finishes[ci]()
+			res := sweeps[ci]
 			bineNames := res.names(isBine)
 			binomNames := res.names(isBinomial)
 			var bineTimes, binomTimes, reds []float64
@@ -261,12 +251,12 @@ func planTableBinomial(sys System, opts Options) (*plan, error) {
 		}
 		return nil
 	}
-	return &plan{tasks: tasks, render: render}, nil
+	return &plan{render: render}, nil
 }
 
 // familyLetter maps baseline algorithms to the single letters of the
 // paper's heatmaps: N = binomial, R = ring, D = other state of the art.
-func familyLetter(res *sweepResult, name string) string {
+func familyLetter(res *sweep, name string) string {
 	for _, a := range res.Algos {
 		if a.Name == name {
 			switch {
@@ -285,15 +275,13 @@ func familyLetter(res *sweepResult, name string) string {
 // planHeatmapAllreduce reproduces Figs. 9a/10a: for every (node count, vector
 // size) cell of the allreduce sweep, either the Bine speedup over the best
 // baseline (when Bine wins) or the letter of the winning baseline.
-func planHeatmapAllreduce(sys System, opts Options) (*plan, error) {
-	counts := opts.nodeCounts(sys)
-	sizes := opts.sizes()
-	tasks, finish, err := planSweep(opts.Engine, sys, coll.CAllreduce, counts, sizes)
+func planHeatmapAllreduce(c *compile, sys System) (*plan, error) {
+	counts, sizes := c.nodeCounts(sys), c.sizes()
+	res, err := c.sweep(sys, coll.CAllreduce)
 	if err != nil {
 		return nil, err
 	}
 	render := func(w io.Writer) error {
-		res := finish()
 		fmt.Fprintf(w, "Allreduce heatmap on %s (cell = Bine speedup vs best baseline, or winning baseline letter;\n", sys.Name)
 		fmt.Fprintln(w, " N = binomial, R = ring, D = other):")
 		fmt.Fprintf(w, "  %-9s", "")
@@ -329,30 +317,23 @@ func planHeatmapAllreduce(sys System, opts Options) (*plan, error) {
 		}
 		return nil
 	}
-	return &plan{tasks: tasks, render: render}, nil
+	return &plan{render: render}, nil
 }
 
 // planBoxplots reproduces Figs. 9b/10b/11a: for every collective, the
 // distribution of Bine's improvement over the best baseline in the
 // configurations where Bine wins, plus the win percentage.
-func planBoxplots(sys System, opts Options) (*plan, error) {
-	counts := opts.nodeCounts(sys)
-	sizes := opts.sizes()
-	var tasks []task
-	finishes := make([]func() *sweepResult, len(coll.Collectives))
-	for ci, collective := range coll.Collectives {
-		ts, finish, err := planSweep(opts.Engine, sys, collective, counts, sizes)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, ts...)
-		finishes[ci] = finish
+func planBoxplots(c *compile, sys System) (*plan, error) {
+	counts, sizes := c.nodeCounts(sys), c.sizes()
+	sweeps, err := c.sweepAll(sys)
+	if err != nil {
+		return nil, err
 	}
 	render := func(w io.Writer) error {
 		fmt.Fprintf(w, "Per-collective improvement over the best baseline on %s (cells where Bine wins):\n", sys.Name)
 		fmt.Fprintf(w, "  %-15s %-6s %-46s %s\n", "collective", "win%", "improvement %  [0 ... 100]", "summary")
 		for ci, collective := range coll.Collectives {
-			res := finishes[ci]()
+			res := sweeps[ci]
 			bineNames, baseNames := res.names(isBine), res.names(isBaseline)
 			var improvements []float64
 			cells := 0
@@ -379,22 +360,20 @@ func planBoxplots(sys System, opts Options) (*plan, error) {
 		}
 		return nil
 	}
-	return &plan{tasks: tasks, render: render}, nil
+	return &plan{render: render}, nil
 }
 
 // planFig14 reproduces Appendix B: which non-contiguous-data strategy wins each
 // (node count, vector size) cell of the allgather sweep on the LUMI-like
 // system, and its gain over the binomial butterfly.
-func planFig14(opts Options) (*plan, error) {
+func planFig14(c *compile) (*plan, error) {
 	sys := LUMI()
-	counts := opts.nodeCounts(sys)
-	sizes := opts.sizes()
-	tasks, finish, err := planSweep(opts.Engine, sys, coll.CAllgather, counts, sizes)
+	counts, sizes := c.nodeCounts(sys), c.sizes()
+	res, err := c.sweep(sys, coll.CAllgather)
 	if err != nil {
 		return nil, err
 	}
 	render := func(w io.Writer) error {
-		res := finish()
 		strategies := map[string]string{
 			"bine-block":     "B",
 			"bine-permute":   "P",
@@ -431,18 +410,18 @@ func planFig14(opts Options) (*plan, error) {
 		fmt.Fprintln(w, "  two-transmissions split the large-vector regime")
 		return nil
 	}
-	return &plan{tasks: tasks, render: render}, nil
+	return &plan{render: render}, nil
 }
 
 // planFig11b reproduces the Fugaku evaluation (Sec. 5.4): Bine torus
 // collectives against bucket, ring and butterfly baselines over the paper's
 // job shapes, as per-collective improvement boxplots.
-func planFig11b(opts Options) (*plan, error) {
+func planFig11b(c *compile) (*plan, error) {
 	shapes := FugakuShapes()
-	if opts.Quick {
+	if c.Quick {
 		shapes = [][]int{{2, 2, 2}, {4, 4, 4}, {8, 2}}
 	}
-	sizes := opts.sizes()
+	sizes := c.sizes()
 	type group struct {
 		collective coll.Collective
 		bine       []torusAlgo
@@ -515,7 +494,6 @@ func planFig11b(opts Options) (*plan, error) {
 	outs := make([]map[int64]float64, len(jobs))
 	tasks := make([]task, len(jobs))
 	for i := range jobs {
-		i := i
 		tasks[i] = task{system: systemFugaku, run: func(ctx context.Context) error {
 			j := jobs[i]
 			tor := tors[j.shape]
@@ -524,7 +502,7 @@ func planFig11b(opts Options) (*plan, error) {
 			var rs []netsim.Result
 			var err error
 			if ta := j.torus; ta != nil {
-				rs, err = rp.evaluate(ctx, func() (*fabric.Trace, error) { return opts.Engine.cachedTorusTrace(ctx, *ta, tor, 0) },
+				rs, err = rp.evaluate(ctx, func() (*fabric.Trace, error) { return c.Engine.cachedTorusTrace(ctx, *ta, tor, 0) },
 					torusRecordedElems(*ta, tor), 0, netsim.Eval{Reduces: collective.Reduces(), Overlap: ta.Overlap})
 			} else {
 				algo, ok := coll.Find(registry, collective, j.flat)
@@ -536,7 +514,7 @@ func planFig11b(opts Options) (*plan, error) {
 						return nil // skipped: a nil slot folds as no result
 					}
 				}
-				rs, err = rp.evaluateAlgo(ctx, opts.Engine, algo, tor.P())
+				rs, err = rp.evaluateAlgo(ctx, c.Engine, algo, tor.P())
 			}
 			if err != nil {
 				return err
@@ -608,13 +586,13 @@ func planFig11b(opts Options) (*plan, error) {
 // allreduce (intra-node reduce-scatter, inter-node Bine allreduce,
 // intra-node allgather) against flat algorithms on a machine with four
 // fully connected GPUs per node.
-func planHier(opts Options) (*plan, error) {
+func planHier(c *compile) (*plan, error) {
 	const gpusPerNode = 4
 	counts := []int{16, 64, 256, 512}
-	if opts.Quick {
+	if c.Quick {
 		counts = []int{16, 64}
 	}
-	sizes := opts.sizes()
+	sizes := c.sizes()
 	params := defaultParams()
 	type hierAlgo struct {
 		name string
@@ -662,14 +640,13 @@ func planHier(opts Options) (*plan, error) {
 	times := make([]map[int64]float64, len(counts)*algosPerCount)
 	tasks := make([]task, len(times))
 	for i := range times {
-		i := i
 		tasks[i] = task{system: systemMisc, run: func(ctx context.Context) error {
 			ci, ai := i/algosPerCount, i%algosPerCount
 			p := counts[ci]
 			a := setups[ci].algos[ai]
 			n := p * gpusPerNode
 			rs, err := replay{topo: setups[ci].topo, params: params, sizes: sizes}.evaluate(ctx, func() (*fabric.Trace, error) {
-				return opts.Engine.cachedNamedTrace(ctx, "hier-allreduce", a.name, fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
+				return c.Engine.cachedNamedTrace(ctx, "hier-allreduce", a.name, fmt.Sprintf("p=%d/n=%d", p, n), p, func(c fabric.Comm) error {
 					return a.run(c, make([]int32, n))
 				})
 			}, n, 0, netsim.Eval{Reduces: true, Overlap: 0.3})
@@ -723,7 +700,7 @@ func planHier(opts Options) (*plan, error) {
 // planAppD illustrates Appendix D on a 4×4 torus: hop counts of the flat Bine
 // tree vs the torus-optimized construction, and the DFS-postorder block
 // permutation.
-func planAppD(opts Options) (*plan, error) {
+func planAppD(c *compile) (*plan, error) {
 	tor := core.MustTorus(4, 4)
 	topo, err := FugakuTopology([]int{4, 4})
 	if err != nil {
@@ -733,14 +710,14 @@ func planAppD(opts Options) (*plan, error) {
 	var flatTr, torusTr *fabric.Trace
 	tasks := []task{
 		{system: systemFugaku, run: func(ctx context.Context) error {
-			tr, err := opts.Engine.cachedNamedTrace(ctx, "tree-bcast", core.BineDH.String(), fmt.Sprintf("p=%d/n=1", tor.P()), tor.P(), func(c fabric.Comm) error {
+			tr, err := c.Engine.cachedNamedTrace(ctx, "tree-bcast", core.BineDH.String(), fmt.Sprintf("p=%d/n=1", tor.P()), tor.P(), func(c fabric.Comm) error {
 				return coll.Bcast(c, flatTree, make([]int32, 1))
 			})
 			flatTr = tr
 			return err
 		}},
 		{system: systemFugaku, run: func(ctx context.Context) error {
-			tr, err := opts.Engine.cachedNamedTrace(ctx, "torus-bcast", core.BineDH.String(), fmt.Sprintf("%v/n=1", tor.Dims), tor.P(), func(c fabric.Comm) error {
+			tr, err := c.Engine.cachedNamedTrace(ctx, "torus-bcast", core.BineDH.String(), fmt.Sprintf("%v/n=1", tor.Dims), tor.P(), func(c fabric.Comm) error {
 				return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
 			})
 			torusTr = tr

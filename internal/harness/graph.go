@@ -29,10 +29,12 @@ type task struct {
 
 // plan is one experiment compiled for the job graph: tasks that may run in
 // any order on any pool, and a render that serially writes the artifact
-// once every task has completed. A render only reads state its own plan's
-// tasks wrote into index-addressed slots, so the artifact is byte-identical
-// however the tasks interleave — drained per experiment or across the whole
-// cross-system graph of "all" (pinned by TestShardedRunAllByteIdentical).
+// once every task has completed. A render reads only index-addressed slots
+// that tasks wrote — its own plan's, or those of a sweep an earlier step of
+// the same compile created (safe because Run drains every task before the
+// first render) — so the artifact is byte-identical however the tasks
+// interleave, drained per experiment or across the whole cross-system graph
+// of "all" (pinned by TestShardedRunAllByteIdentical).
 type plan struct {
 	tasks  []task
 	render func(w io.Writer) error
@@ -92,7 +94,7 @@ func SystemKeys() []string {
 type step struct {
 	name    string
 	systems []string
-	plan    func(opts Options) (*plan, error)
+	plan    func(c *compile) (*plan, error)
 }
 
 func steps() []step {
@@ -101,14 +103,14 @@ func steps() []step {
 		{"fig1", []string{systemMisc}, planFig1},
 		{"eq2", []string{systemMisc}, planEq2},
 		{"fig5", []string{leo.Key, lumi.Key}, planFig5},
-		{"table3", []string{lumi.Key}, func(o Options) (*plan, error) { return planTableBinomial(lumi, o) }},
-		{"fig9a", []string{lumi.Key}, func(o Options) (*plan, error) { return planHeatmapAllreduce(lumi, o) }},
-		{"fig9b", []string{lumi.Key}, func(o Options) (*plan, error) { return planBoxplots(lumi, o) }},
-		{"table4", []string{leo.Key}, func(o Options) (*plan, error) { return planTableBinomial(leo, o) }},
-		{"fig10a", []string{leo.Key}, func(o Options) (*plan, error) { return planHeatmapAllreduce(leo, o) }},
-		{"fig10b", []string{leo.Key}, func(o Options) (*plan, error) { return planBoxplots(leo, o) }},
-		{"table5", []string{mare.Key}, func(o Options) (*plan, error) { return planTableBinomial(mare, o) }},
-		{"fig11a", []string{mare.Key}, func(o Options) (*plan, error) { return planBoxplots(mare, o) }},
+		{"table3", []string{lumi.Key}, func(c *compile) (*plan, error) { return planTableBinomial(c, lumi) }},
+		{"fig9a", []string{lumi.Key}, func(c *compile) (*plan, error) { return planHeatmapAllreduce(c, lumi) }},
+		{"fig9b", []string{lumi.Key}, func(c *compile) (*plan, error) { return planBoxplots(c, lumi) }},
+		{"table4", []string{leo.Key}, func(c *compile) (*plan, error) { return planTableBinomial(c, leo) }},
+		{"fig10a", []string{leo.Key}, func(c *compile) (*plan, error) { return planHeatmapAllreduce(c, leo) }},
+		{"fig10b", []string{leo.Key}, func(c *compile) (*plan, error) { return planBoxplots(c, leo) }},
+		{"table5", []string{mare.Key}, func(c *compile) (*plan, error) { return planTableBinomial(c, mare) }},
+		{"fig11a", []string{mare.Key}, func(c *compile) (*plan, error) { return planBoxplots(c, mare) }},
 		{"fig11b", []string{systemFugaku}, planFig11b},
 		{"fig14", []string{lumi.Key}, planFig14},
 		{"hier", []string{systemMisc}, planHier},
@@ -215,10 +217,10 @@ type Experiment struct {
 // The Experiment keeps its Engine (opts.Engine, or a fresh default one) for
 // its lifetime, so a second Run finds every trace the first resolved.
 func CompileExperiment(name string, opts Options) (*Experiment, error) {
-	opts = opts.withEngine()
+	c := newCompile(opts)
 	e := &Experiment{name: name}
 	if name == "all" {
-		selected, err := selectSteps(opts.Systems)
+		selected, err := selectSteps(c.Systems)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %w", err)
 		}
@@ -234,10 +236,13 @@ func CompileExperiment(name string, opts Options) (*Experiment, error) {
 		}
 	}
 	for i, s := range e.steps {
-		p, err := s.plan(opts)
+		p, err := s.plan(c)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", s.name, err)
 		}
+		// The sweeps this step created are its cells; the ones it found
+		// belong to the earlier step that created them.
+		p.tasks, c.cells = append(c.cells, p.tasks...), nil
 		e.plans = append(e.plans, p)
 		e.tasks = append(e.tasks, p.tasks...)
 		for range p.tasks {

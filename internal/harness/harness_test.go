@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,14 +12,14 @@ import (
 
 func TestSystemsTopologies(t *testing.T) {
 	for _, sys := range []System{LUMI(), Leonardo(), MareNostrum()} {
-		topo, err := sys.Topology()
+		topo, err := sys.TopologyFor(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
 		if topo.Nodes() != sys.Machine.Nodes() {
 			t.Errorf("%s: %d nodes, want %d", sys.Name, topo.Nodes(), sys.Machine.Nodes())
 		}
-		if max := maxInt(sys.NodeCounts); max > sys.Machine.Nodes() {
+		if max := slices.Max(sys.NodeCounts); max > sys.Machine.Nodes() {
 			t.Errorf("%s: sweeps %d nodes on a %d-node machine", sys.Name, max, sys.Machine.Nodes())
 		}
 	}
@@ -61,20 +62,22 @@ func TestPlacementsFragmentedAndComplete(t *testing.T) {
 	}
 }
 
-// drainSweep compiles one collective's sweep with planSweep, drains its cells
-// on a pool of the given width under ctx through a fresh Engine, and returns
-// the merged result.
-func drainSweep(ctx context.Context, sys System, collective coll.Collective, counts []int, sizes []int64, workers int) (*sweepResult, error) {
-	tasks, finish, err := planSweep(&Engine{}, sys, collective, counts, sizes)
+// drainSweep builds one collective's sweep with newSweep at explicit counts
+// and sizes, drains its cells on a pool of the given width under ctx through
+// a fresh Engine, and returns the filled sweep.
+func drainSweep(ctx context.Context, sys System, collective coll.Collective, counts []int, sizes []int64, workers int) (*sweep, error) {
+	c := newCompile(Options{})
+	pl, err := c.placed(sys, counts)
 	if err != nil {
 		return nil, err
 	}
+	s := newSweep(c.Engine, sys, collective, pl, sizes)
 	runner := pool.NewRunner(workers)
 	defer runner.Close()
-	if err := runner.ForEachCtx(ctx, len(tasks), func(i int) error { return tasks[i].run(ctx) }); err != nil {
+	if err := runner.ForEachCtx(ctx, len(s.tasks), func(i int) error { return s.tasks[i].run(ctx) }); err != nil {
 		return nil, err
 	}
-	return finish(), nil
+	return s, nil
 }
 
 func TestSweepCollectiveShape(t *testing.T) {

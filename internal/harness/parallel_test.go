@@ -66,7 +66,7 @@ type trPtr struct {
 // TestParallelSweepByteIdentical pins the tentpole guarantee: a sweep
 // dispatched on one worker and on eight workers renders byte-identical
 // artifacts. The chain covers every parallelized experiment family: fig9a
-// (planSweep), ppn, fig11b (torus + flat cells), hier and fig5 — exercising
+// (one sweep), ppn, fig11b (torus + flat cells), hier and fig5 — exercising
 // the worker pools and every trace-cache family.
 func TestParallelSweepByteIdentical(t *testing.T) {
 	t.Parallel()

@@ -13,21 +13,17 @@ import (
 // node each node injects more traffic, so the global-link relief Bine
 // provides matters more — the paper saw the 1 MiB reduce-scatter gain grow
 // from 59% to 84%.
-func planPPN(opts Options) (*plan, error) {
+func planPPN(c *compile) (*plan, error) {
 	sys := LUMI()
 	const nodes = 64
-	sizes := opts.sizes()
-	placements, err := Placements(sys, []int{nodes})
+	sizes := c.sizes()
+	// Every configuration shares one 64-node placement — placed alone, not the
+	// sweeps' p = 64 — hence the same tapered topology shares.
+	pl, err := c.placed(sys, []int{nodes})
 	if err != nil {
 		return nil, err
 	}
-	nodePlacement := placements[nodes]
-	// Every configuration shares the same 64-node placement, hence the same
-	// tapered topology shares.
-	topo, err := sys.TopologyFor(nodePlacement)
-	if err != nil {
-		return nil, err
-	}
+	nodePlacement, topo := pl.nodes[nodes], pl.topos[nodes]
 	// One cell per (collective, ppn, algorithm): record (or fetch from the
 	// trace cache) the schedule at the cell's rank count and score every
 	// size. The Bine candidate and the binomial baseline of each row are
@@ -57,7 +53,6 @@ func planPPN(opts Options) (*plan, error) {
 	outs := make([][]float64, len(jobs))
 	tasks := make([]task, len(jobs))
 	for i := range jobs {
-		i := i
 		tasks[i] = task{system: sys.Key, run: func(ctx context.Context) error {
 			j := jobs[i]
 			p := nodes * j.ppn
@@ -69,7 +64,7 @@ func planPPN(opts Options) (*plan, error) {
 			if !ok {
 				return fmt.Errorf("%v/%s not registered", j.collective, j.name)
 			}
-			rs, err := replay{topo, sys.Params, placement, sizes}.evaluateAlgo(ctx, opts.Engine, algo, p)
+			rs, err := replay{topo, sys.Params, placement, sizes}.evaluateAlgo(ctx, c.Engine, algo, p)
 			if err != nil {
 				return err
 			}

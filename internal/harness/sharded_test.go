@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"binetrees/internal/coll"
 	"binetrees/internal/pool"
 )
 
@@ -117,40 +119,133 @@ func TestRunAllProgressCounters(t *testing.T) {
 	}
 }
 
-// TestAllIsTheSelectedExperiments pins what "all" compiles to: exactly the
+// TestAllIsTheSelectedExperiments pins what "all" compiles to: the distinct
 // cells of the experiments its systems selection keeps — LUMI's share of the
-// suite here — and, when one of them fails, an error naming the step the
-// cell belongs to rather than "all".
+// suite here. table3 creates every LUMI sweep, so fig9a, fig9b and fig14 add
+// no cells after it, while each of them compiled alone still owns its cells;
+// and when a cell fails, the error names the step that created it rather
+// than "all".
 func TestAllIsTheSelectedExperiments(t *testing.T) {
 	t.Parallel()
 	opts := Options{Quick: true, Systems: []string{"lumi"}}
-	all, err := CompileExperiment("all", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for _, name := range []string{"fig5", "table3", "fig9a", "fig9b", "fig14", "ppn"} {
+	tasksOf := func(name string) int {
 		e, err := CompileExperiment(name, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += e.Tasks()
+		return e.Tasks()
 	}
-	if all.Tasks() != sum || sum == 0 {
-		t.Fatalf("all compiled %d cells, its experiments %d", all.Tasks(), sum)
+	all, err := CompileExperiment("all", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tasksOf("fig5") + tasksOf("table3") + tasksOf("ppn"); all.Tasks() != want || all.Tasks() != 206 {
+		t.Fatalf("all compiled %d cells, fig5 + table3 + ppn %d, want 206", all.Tasks(), want)
+	}
+	for name, want := range map[string]int{"table3": 188, "fig9b": 188, "fig9a": 32, "fig14": 40} {
+		if got := tasksOf(name); got != want {
+			t.Errorf("%s alone compiled %d cells, want %d", name, got, want)
+		}
+	}
+	for i, p := range all.plans {
+		if name := all.steps[i].name; (name == "fig9a" || name == "fig9b" || name == "fig14") != (len(p.tasks) == 0) {
+			t.Errorf("%s contributes %d cells to all", name, len(p.tasks))
+		}
 	}
 
+	// Fail a sweep cell that fig9a, fig9b and fig14 only read: it is table3's.
 	boom := errors.New("boom")
-	last := len(all.tasks) - 1 // a ppn cell: ppn is the selection's last step
-	all.tasks[last].run = func(context.Context) error { return boom }
+	shared := len(all.plans[0].tasks) // fig5's cells come first, then table3's
+	all.tasks[shared].run = func(context.Context) error { return boom }
 	runner := pool.NewRunner(1)
 	defer runner.Close()
 	var sb strings.Builder
 	err = all.Run(context.Background(), &sb, runner, nil)
-	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "harness: ppn: ") {
-		t.Fatalf("failing ppn cell reported as %v", err)
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "harness: table3: ") {
+		t.Fatalf("failing shared cell reported as %v", err)
 	}
 	if sb.Len() != 0 {
 		t.Fatalf("failed run rendered %d bytes", sb.Len())
+	}
+}
+
+// TestAllSharesSweeps pins the count a private copy would move: draining
+// quick "all" on a fresh Engine evaluates each distinct cell once, so the
+// only memory hits left are schedules that genuinely recur (one algorithm
+// under two collectives' names, one rank count on two systems, ppn and the
+// flat torus baselines meeting the sweeps' traces). A planner that builds
+// its own sweep again replays every one of its cells from the memory tier.
+func TestAllSharesSweeps(t *testing.T) {
+	t.Parallel()
+	eng := &Engine{}
+	var e *Experiment
+	for _, tc := range []struct {
+		opts Options
+		want int // distinct (system, collective, node count, algorithm) cells + the non-sweep cells
+	}{
+		{Options{}, 1082},
+		{Options{Systems: []string{"lumi"}}, 347},
+		{Options{Quick: true, Engine: eng}, 711},
+	} {
+		var err error
+		if e, err = CompileExperiment("all", tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		if e.Tasks() != tc.want {
+			t.Errorf("all (quick=%v systems=%v) compiled %d cells, want %d", tc.opts.Quick, tc.opts.Systems, e.Tasks(), tc.want)
+		}
+	}
+	runner := pool.NewRunner(2)
+	defer runner.Close()
+	if err := e.Run(context.Background(), io.Discard, runner, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := eng.Stats(); s.MemoryHits != 369 || s.SynthHits != 342 {
+		t.Fatalf("quick all: %d memory hits, %d synthesized, want 369 and 342", s.MemoryHits, s.SynthHits)
+	}
+}
+
+// TestCompileSharesPlacementsAndSweeps pins the compile's two memos: one
+// sweep per (system, collective), one Placements + TopologyFor pass per
+// (system, count sequence) — and ppn's [64] is a sequence of its own, whose
+// placement of 64 nodes is not the sweeps'.
+func TestCompileSharesPlacementsAndSweeps(t *testing.T) {
+	t.Parallel()
+	c := newCompile(Options{Quick: true})
+	sys := LUMI()
+	first, err := c.sweep(sys, coll.CAllreduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := len(c.cells)
+	if again, _ := c.sweep(sys, coll.CAllreduce); again != first || len(c.cells) != created || created != len(first.tasks) {
+		t.Fatalf("second sweep call: same value %v, %d cells pending after %d", again == first, len(c.cells), created)
+	}
+	if other, _ := c.sweep(sys, coll.CAllgather); other == first || len(c.cells) != created+len(other.tasks) {
+		t.Fatal("another collective must be another sweep adding its own cells")
+	}
+	if leo, _ := c.sweep(Leonardo(), coll.CAllreduce); leo == first {
+		t.Fatal("another system must be another sweep")
+	}
+	swept, err := c.placed(sys, c.nodeCounts(sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := c.placed(sys, c.nodeCounts(sys)); again != swept || len(c.placements) != 2 {
+		t.Fatalf("sweeps of two systems left %d placements, same value %v", len(c.placements), again == swept)
+	}
+	if _, err := planPPN(c); err != nil {
+		t.Fatal(err)
+	}
+	alone, _ := c.placed(sys, []int{64})
+	if alone == swept || len(c.placements) != 3 {
+		t.Fatalf("ppn's [64] shares the sweeps' key (%d placements)", len(c.placements))
+	}
+	if slices.Equal(alone.nodes[64], swept.nodes[64]) {
+		t.Fatal("64 nodes placed alone landed where the sweeps' p=64 did; reusing it would go unnoticed")
+	}
+	want, err := Placements(sys, []int{64})
+	if err != nil || !slices.Equal(alone.nodes[64], want[64]) {
+		t.Fatalf("placed([64]) is not Placements([64]): %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 
 	"binetrees/internal/coll"
 	"binetrees/internal/core"
@@ -33,14 +34,6 @@ type Options struct {
 	// Engine of its own (no disk tier, synthesis on), shared by all plans of
 	// that call and held for the life of what it compiled.
 	Engine *Engine
-}
-
-// withEngine returns o with a fresh default Engine in place of a nil one.
-func (o Options) withEngine() Options {
-	if o.Engine == nil {
-		o.Engine = &Engine{}
-	}
-	return o
 }
 
 func (o Options) nodeCounts(sys System) []int {
@@ -90,12 +83,6 @@ type cellKey struct {
 	Size int64
 }
 
-// sweepResult holds every algorithm's cells for one collective.
-type sweepResult struct {
-	Algos []coll.Algorithm
-	Cells map[string]map[cellKey]cell
-}
-
 // replay is the machine side of an evaluate cell: the network model and cost
 // parameters, where each rank sits, and the vector sizes to score. A nil
 // placement puts rank r on node r.
@@ -142,87 +129,132 @@ func (rp replay) evaluateAlgo(ctx context.Context, eng *Engine, algo coll.Algori
 		p, algo.CopyFactor, netsim.Eval{Reduces: algo.Coll.Reduces(), Overlap: algo.Overlap})
 }
 
-// planSweep compiles one collective's sweep — every applicable algorithm
-// over the node counts and sizes on the system's fragmented placements —
-// into flat-graph tasks. Each (node count, algorithm) cell writes into its
-// own slot of an index-addressed slice; finish merges the slots in
-// deterministic order into the sweepResult, so the result — and every
-// artifact rendered from it — is byte-identical to a serial evaluation.
-// Call finish only after every task has run (render time); it caches the
-// merge, so multiple renders are free.
-func planSweep(eng *Engine, sys System, collective coll.Collective, counts []int, sizes []int64) ([]task, func() *sweepResult, error) {
-	placements, err := Placements(sys, counts)
-	if err != nil {
-		return nil, nil, err
+// compile is the state of one CompileExperiment call: the Options every plan
+// reads, plus what plans would otherwise each rebuild — the fragmented
+// placements with their network models, and the sweeps evaluated on them
+// (tables, heatmaps and boxplots are views of one per-system campaign). It is
+// single-goroutine and dies with its Experiment, so nothing is ever evicted.
+type compile struct {
+	Options
+	placements map[string]*placedJobs // by system key + count sequence
+	sweeps     map[string]*sweep      // by system key + collective
+	// cells holds the tasks of sweeps created since CompileExperiment last
+	// folded them into the plan being compiled.
+	cells []task
+}
+
+// newCompile puts a fresh default Engine in place of a nil opts.Engine.
+func newCompile(opts Options) *compile {
+	if opts.Engine == nil {
+		opts.Engine = &Engine{}
 	}
-	var algos []coll.Algorithm
+	return &compile{Options: opts, placements: map[string]*placedJobs{}, sweeps: map[string]*sweep{}}
+}
+
+// placedJobs is one Placements call — a rank→node map per node count — and
+// the network model each placed job sees, shared read-only by every cell.
+type placedJobs struct {
+	counts []int
+	nodes  map[int][]int
+	topos  map[int]topology.Topology
+}
+
+// placed places counts on sys once per (system, count sequence): Placements
+// is deterministic in the whole sequence, so [64] alone is another key — and
+// another placement of 64 nodes — than a sweep's counts containing 64.
+func (c *compile) placed(sys System, counts []int) (*placedJobs, error) {
+	key := fmt.Sprint(sys.Key, counts)
+	if pl := c.placements[key]; pl != nil {
+		return pl, nil
+	}
+	nodes, err := Placements(sys, counts)
+	if err != nil {
+		return nil, err
+	}
+	pl := &placedJobs{counts, nodes, make(map[int]topology.Topology, len(counts))}
+	for _, p := range counts {
+		if pl.topos[p], err = sys.TopologyFor(nodes[p]); err != nil {
+			return nil, err
+		}
+	}
+	c.placements[key] = pl
+	return pl, nil
+}
+
+// sweep returns the compile's one sweep of collective on sys, at the node
+// counts and sizes the Options select. Creating it adds its cells to the plan
+// being compiled; finding it adds nothing, so a render may read slots that an
+// earlier step's tasks fill.
+func (c *compile) sweep(sys System, collective coll.Collective) (*sweep, error) {
+	key := sys.Key + "/" + collective.String()
+	if s := c.sweeps[key]; s != nil {
+		return s, nil
+	}
+	pl, err := c.placed(sys, c.nodeCounts(sys))
+	if err != nil {
+		return nil, err
+	}
+	s := newSweep(c.Engine, sys, collective, pl, c.sizes())
+	c.sweeps[key] = s
+	c.cells = append(c.cells, s.tasks...)
+	return s, nil
+}
+
+// sweepAll returns sys's sweep of every collective, in coll.Collectives order.
+func (c *compile) sweepAll(sys System) ([]*sweep, error) {
+	var out []*sweep
+	for _, collective := range coll.Collectives {
+		s, err := c.sweep(sys, collective)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// sweep is one collective's sweep: every applicable algorithm's cells over
+// the placed node counts and the sizes. Every slot of Cells exists from
+// construction and is filled by exactly one task, so nothing is merged and
+// whatever renders from it — only after every task has run — is
+// byte-identical to a serial evaluation.
+type sweep struct {
+	Algos []coll.Algorithm
+	Cells map[string]map[cellKey]*cell
+	tasks []task // one per (node count, algorithm)
+}
+
+func newSweep(eng *Engine, sys System, collective coll.Collective, pl *placedJobs, sizes []int64) *sweep {
+	s := &sweep{Cells: map[string]map[cellKey]*cell{}}
 	for _, a := range coll.ByCollective(coll.Registry(), collective) {
 		if !sys.ExcludesAlgorithm(a.Name) {
-			algos = append(algos, a)
+			s.Algos = append(s.Algos, a)
+			s.Cells[a.Name] = map[cellKey]*cell{}
 		}
 	}
-	// The topology share depends only on the placement; build each count's
-	// model once, up front, and let the tasks share it read-only.
-	topos := make(map[int]topology.Topology, len(counts))
-	for _, p := range counts {
-		topo, err := sys.TopologyFor(placements[p])
-		if err != nil {
-			return nil, nil, err
-		}
-		topos[p] = topo
-	}
-	type job struct {
-		p    int
-		algo coll.Algorithm
-	}
-	var jobs []job
-	for _, p := range counts {
-		for _, algo := range algos {
+	for _, p := range pl.counts {
+		for _, algo := range s.Algos {
 			if quadratic(algo.Name) && p > blockTraceCap {
 				continue
 			}
-			jobs = append(jobs, job{p: p, algo: algo})
-		}
-	}
-	outs := make([][]cell, len(jobs))
-	tasks := make([]task, len(jobs))
-	for i := range jobs {
-		i := i
-		tasks[i] = task{system: sys.Key, run: func(ctx context.Context) error {
-			j := jobs[i]
-			rs, err := replay{topos[j.p], sys.Params, placements[j.p], sizes}.evaluateAlgo(ctx, eng, j.algo, j.p)
-			if err != nil {
-				return err
-			}
-			cells := make([]cell, len(sizes))
-			for si := range sizes {
-				cells[si] = cell{Time: rs[si].Time, Global: rs[si].GlobalBytes}
-			}
-			outs[i] = cells
-			return nil
-		}}
-	}
-	var res *sweepResult
-	finish := func() *sweepResult {
-		if res != nil {
-			return res
-		}
-		res = &sweepResult{Algos: algos, Cells: map[string]map[cellKey]cell{}}
-		for _, algo := range algos {
-			res.Cells[algo.Name] = map[cellKey]cell{}
-		}
-		for i, j := range jobs {
+			slots := make([]cell, len(sizes))
 			for si, size := range sizes {
-				res.Cells[j.algo.Name][cellKey{P: j.p, Size: size}] = outs[i][si]
+				s.Cells[algo.Name][cellKey{P: p, Size: size}] = &slots[si]
 			}
+			s.tasks = append(s.tasks, task{system: sys.Key, run: func(ctx context.Context) error {
+				rs, err := replay{pl.topos[p], sys.Params, pl.nodes[p], sizes}.evaluateAlgo(ctx, eng, algo, p)
+				for si := range rs {
+					slots[si] = cell{Time: rs[si].Time, Global: rs[si].GlobalBytes}
+				}
+				return err
+			}})
 		}
-		return res
 	}
-	return tasks, finish, nil
+	return s
 }
 
 // best returns the fastest algorithm among the given names for a cell.
-func (s *sweepResult) best(names []string, k cellKey) (string, cell, bool) {
+func (s *sweep) best(names []string, k cellKey) (string, cell, bool) {
 	bestName := ""
 	var bestCell cell
 	for _, name := range names {
@@ -231,14 +263,14 @@ func (s *sweepResult) best(names []string, k cellKey) (string, cell, bool) {
 			continue
 		}
 		if bestName == "" || c.Time < bestCell.Time {
-			bestName, bestCell = name, c
+			bestName, bestCell = name, *c
 		}
 	}
 	return bestName, bestCell, bestName != ""
 }
 
 // names filters algorithm names by predicate.
-func (s *sweepResult) names(pred func(coll.Algorithm) bool) []string {
+func (s *sweep) names(pred func(coll.Algorithm) bool) []string {
 	var out []string
 	for _, a := range s.Algos {
 		if pred(a) {

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"binetrees/internal/alloc"
 	"binetrees/internal/netsim"
@@ -54,17 +55,12 @@ func (s System) ExcludesAlgorithm(name string) bool {
 	return false
 }
 
-// Topology instantiates the system's network model with full-machine
-// bundle capacities.
-func (s System) Topology() (topology.Topology, error) {
-	return s.TopologyFor(nil)
-}
-
 // TopologyFor instantiates the network model as experienced by a job placed
-// on the given nodes: on tapered (UpDown) systems the job's share of each
-// group's uplink/downlink bundle is proportional to how many of the group's
-// nodes it occupies — the rest of the bundle serves other tenants, which is
-// what makes global links the scarce resource the paper optimizes for.
+// on the given nodes (nil: full-machine bundle capacities): on tapered
+// (UpDown) systems the job's share of each group's uplink/downlink bundle is
+// proportional to how many of the group's nodes it occupies — the rest of
+// the bundle serves other tenants, which is what makes global links the
+// scarce resource the paper optimizes for.
 func (s System) TopologyFor(placement []int) (topology.Topology, error) {
 	if s.Oversub > 0 {
 		var share []int
@@ -204,7 +200,7 @@ func SizeLabel(bytes int64) string {
 // placing each job on the fragmented machine — the Slurm-realism at the
 // heart of the paper's locality argument (Sec. 2.4.2).
 func Placements(sys System, counts []int) (map[int][]int, error) {
-	w := FragmentingWorkload(sys.Machine, maxInt(counts), sys.Seed)
+	w := FragmentingWorkload(sys.Machine, slices.Max(counts), sys.Seed)
 	w.Run(1200) // reach steady-state fragmentation
 	out := make(map[int][]int, len(counts))
 	for _, p := range counts {
@@ -230,14 +226,4 @@ func FragmentingWorkload(m alloc.Machine, maxP int, seed int64) *alloc.Workload 
 		Sizes:    alloc.ProductionSizes(maxP),
 		Lifetime: alloc.UniformLifetime(30, 120),
 	}
-}
-
-func maxInt(v []int) int {
-	out := 0
-	for _, x := range v {
-		if x > out {
-			out = x
-		}
-	}
-	return out
 }

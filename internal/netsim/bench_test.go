@@ -60,7 +60,7 @@ func BenchmarkProfileRing(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileAlltoall is the replay as planSweep produces it: a fresh
+// BenchmarkProfileAlltoall is the replay as a sweep's cells produce it: a fresh
 // topology per node count (so nothing carries over between iterations), an
 // alltoall routing all p(p−1) ordered node pairs, replayed from two
 // goroutines at once against that one instance.

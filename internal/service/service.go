@@ -323,9 +323,21 @@ func (s *Server) logAccess(e accessEntry) {
 	s.logMu.Unlock()
 }
 
+// maxEcho bounds how many bytes of a request-supplied string an error body
+// repeats, so a megabyte URL cannot buy a megabyte response.
+const maxEcho = 64
+
+func echo(s string) string {
+	if len(s) > maxEcho {
+		return s[:maxEcho] + "..."
+	}
+	return s
+}
+
 // parseRequest validates an artifact request against the same rules as the
 // binebench flags: any experiment name (or "all"), full as a boolean, and
-// systems only meaningful — and only accepted — with "all".
+// systems only meaningful — and only accepted — with "all". A parameter given
+// twice is refused rather than resolved by position.
 func parseRequest(r *http.Request) (name string, full bool, systems []string, code int, err error) {
 	name = r.PathValue("experiment")
 	known := name == "all"
@@ -333,22 +345,34 @@ func parseRequest(r *http.Request) (name string, full bool, systems []string, co
 		known = known || n == name
 	}
 	if !known {
-		return "", false, nil, http.StatusNotFound, fmt.Errorf("unknown experiment %q", name)
+		return "", false, nil, http.StatusNotFound, fmt.Errorf("unknown experiment %q", echo(name))
 	}
 	q := r.URL.Query()
+	for _, param := range []string{"full", "systems"} {
+		if len(q[param]) > 1 {
+			return "", false, nil, http.StatusBadRequest, fmt.Errorf("parameter %s given %d times", param, len(q[param]))
+		}
+	}
 	if v := q.Get("full"); v != "" {
 		full, err = strconv.ParseBool(v)
 		if err != nil {
-			return "", false, nil, http.StatusBadRequest, fmt.Errorf("full=%q is not a boolean", v)
+			return "", false, nil, http.StatusBadRequest, fmt.Errorf("full=%q is not a boolean", echo(v))
 		}
 	}
 	if v := q.Get("systems"); v != "" {
 		if name != "all" {
 			return "", false, nil, http.StatusBadRequest, fmt.Errorf("systems only applies to the all experiment")
 		}
+		// No valid key, trimmed as NormalizeSystems trims it, is longer than
+		// maxEcho, so clipping changes no verdict, only how much of an
+		// unknown key the error repeats.
+		keys := strings.Split(v, ",")
+		for i, k := range keys {
+			keys[i] = echo(strings.TrimSpace(k))
+		}
 		// NormalizeSystems sorts and dedups, so the canonical form keys the
 		// flight table: differently-ordered identical selections dedup too.
-		systems, err = harness.NormalizeSystems(strings.Split(v, ","))
+		systems, err = harness.NormalizeSystems(keys)
 		if err != nil {
 			return "", false, nil, http.StatusBadRequest, err
 		}

@@ -164,10 +164,26 @@ func TestRequestValidation(t *testing.T) {
 		{"/artifact/all?systems=,", http.StatusBadRequest},
 		{"/artifact/fig1?full=banana", http.StatusBadRequest},
 		{"/artifact/", http.StatusNotFound},
+		// A repeated parameter is refused, not resolved by position.
+		{"/artifact/all?systems=lumi&systems=fugaku", http.StatusBadRequest},
+		{"/artifact/fig1?full=1&full=0", http.StatusBadRequest},
+		// Error bodies repeat a bounded prefix of what the client sent.
+		{"/artifact/" + strings.Repeat("x", 1<<16), http.StatusNotFound},
+		{"/artifact/all?systems=" + strings.Repeat("x", 1<<16), http.StatusBadRequest},
+		{"/artifact/fig1?full=" + strings.Repeat("x", 1<<16), http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		if code, body := get(t, ts.URL+c.path); code != c.code {
-			t.Fatalf("%s: status %d want %d (%s)", c.path, code, c.code, body)
+		code, body := get(t, ts.URL+c.path)
+		if code != c.code || len(body) > maxErrorBody {
+			t.Fatalf("%.80s: status %d want %d, %d-byte body (%.80s)", c.path, code, c.code, len(body), body)
+		}
+	}
+	for path, want := range map[string]string{
+		"/artifact/all?systems=lumi&systems=fugaku": "systems",
+		"/artifact/fig1?full=1&full=0":              "full",
+	} {
+		if _, body := get(t, ts.URL+path); !strings.Contains(body, "parameter "+want+" given 2 times") {
+			t.Fatalf("%s: body %q does not name the repeated parameter", path, body)
 		}
 	}
 	if srv.Snapshot().Requests != 0 {
