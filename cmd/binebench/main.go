@@ -53,6 +53,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,29 +67,42 @@ import (
 	"binetrees/internal/tracestore"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all", "which paper artifact to regenerate")
-	full := flag.Bool("full", false, "run the full paper-scale sweep (slower) instead of the quick one")
-	workers := flag.Int("workers", 0, "sweep worker pool width (0 = one per CPU)")
-	systems := flag.String("systems", "", "comma-separated system keys restricting -experiment all ("+strings.Join(harness.SystemKeys(), ", ")+"); empty = all")
-	progress := flag.Bool("progress", false, "report live per-system cell counts on stderr")
-	traceCache := flag.String("trace-cache", "", "directory of the persistent trace store (empty = in-process cache only)")
-	synthOn := flag.Bool("synth", true, "synthesize cold traces directly from schedule math instead of recording on the goroutine fabric")
-	verifySynth := flag.Bool("verify-synth", false, "record every synthesized trace on the fabric too and fail on any encoded-byte difference")
-	verbose := flag.Bool("v", false, "print trace-cache statistics and the stage latency breakdown to stderr after the run")
-	obsJSON := flag.String("obs-json", "", "write the observability registry snapshot (counters, gauges, histogram buckets) as JSON to this file after the run (\"-\" = stderr)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command — flags in, artifact on stdout, diagnostics on
+// stderr, exit code out — so tests can drive it in-process. Exit codes: 0 on
+// success, 1 on a failed run (unknown experiment, unusable -trace-cache or
+// -obs-json path, recording error), 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("binebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", "which paper artifact to regenerate")
+	full := fs.Bool("full", false, "run the full paper-scale sweep (slower) instead of the quick one")
+	workers := fs.Int("workers", 0, "sweep worker pool width (0 = one per CPU)")
+	systems := fs.String("systems", "", "comma-separated system keys restricting -experiment all ("+strings.Join(harness.SystemKeys(), ", ")+"); empty = all")
+	progress := fs.Bool("progress", false, "report live per-system cell counts on stderr")
+	traceCache := fs.String("trace-cache", "", "directory of the persistent trace store (empty = in-process cache only)")
+	synthOn := fs.Bool("synth", true, "synthesize cold traces directly from schedule math instead of recording on the goroutine fabric")
+	verifySynth := fs.Bool("verify-synth", false, "record every synthesized trace on the fabric too and fail on any encoded-byte difference")
+	verbose := fs.Bool("v", false, "print trace-cache statistics and the stage latency breakdown to stderr after the run")
+	obsJSON := fs.String("obs-json", "", "write the observability registry snapshot (counters, gauges, histogram buckets) as JSON to this file after the run (\"-\" = stderr)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *systems != "" && *experiment != "all" {
-		fmt.Fprintln(os.Stderr, "binebench: -systems only applies to -experiment all")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "binebench: -systems only applies to -experiment all")
+		return 2
 	}
 	// The run's one Engine: the three resolver flags map onto its fields.
 	engine := &harness.Engine{DisableSynth: !*synthOn, VerifySynth: *verifySynth}
 	if *traceCache != "" {
 		store, err := tracestore.Open(*traceCache)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "binebench:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "binebench:", err)
+			return 1
 		}
 		engine.Store = store
 	}
@@ -97,7 +111,7 @@ func main() {
 		opts.Systems = strings.Split(*systems, ",")
 	}
 	if *progress {
-		opts.Progress = progressPrinter(os.Stderr)
+		opts.Progress = progressPrinter(stderr)
 	}
 	// The process-lifetime context, cancelled on interrupt: Ctrl-C stops
 	// dispatching cells (in-flight ones complete, keeping the shared caches
@@ -107,24 +121,25 @@ func main() {
 	// Every experiment, "all" included, compiles and renders through the same
 	// plan path the binebenchd artifact service uses, so CLI files and served
 	// responses are byte-identical by construction.
-	err := harness.RunExperiment(ctx, os.Stdout, *experiment, opts)
+	err := harness.RunExperiment(ctx, stdout, *experiment, opts)
 	if *progress {
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
 	if *verbose {
-		fmt.Fprintln(os.Stderr, engine.Stats())
-		printStageBreakdown(os.Stderr)
+		fmt.Fprintln(stderr, engine.Stats())
+		printStageBreakdown(stderr)
 	}
 	if *obsJSON != "" {
-		if derr := dumpObsJSON(*obsJSON); derr != nil {
-			fmt.Fprintln(os.Stderr, "binebench:", derr)
-			os.Exit(1)
+		if derr := dumpObsJSON(*obsJSON, stderr); derr != nil {
+			fmt.Fprintln(stderr, "binebench:", derr)
+			return 1
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "binebench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "binebench:", err)
+		return 1
 	}
+	return 0
 }
 
 // printStageBreakdown renders the pipeline stage and resolver-origin latency
@@ -197,9 +212,9 @@ func fmtSeconds(s float64) string {
 // dumpObsJSON writes the full metric registry snapshot as indented JSON —
 // the machine-readable counterpart of the -v breakdown, sharing its metric
 // vocabulary with binebenchd's /metrics endpoint.
-func dumpObsJSON(path string) error {
+func dumpObsJSON(path string, stderr io.Writer) error {
 	if path == "-" {
-		return obs.Default.WriteJSON(os.Stderr)
+		return obs.Default.WriteJSON(stderr)
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"binetrees/internal/obs"
@@ -38,6 +41,35 @@ func TestStageLine(t *testing.T) {
 	for _, tc := range cases {
 		if got := stageLine(tc.labels, tc.h); got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRunExitCodes pins the three failures users hit, in-process: an unknown
+// experiment and an unusable -trace-cache fail the run (1), -systems without
+// -experiment all is a usage error (2); each names its cause on stderr and
+// writes nothing to stdout.
+func TestRunExitCodes(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string
+	}{
+		{"unknown experiment", []string{"-experiment", "nonesuch"}, 1, "nonesuch"},
+		{"-systems without all", []string{"-systems", "lumi", "-experiment", "fig1"}, 2, "-systems only applies to -experiment all"},
+		{"trace cache under a regular file", []string{"-experiment", "eq2", "-trace-cache", filepath.Join(file, "store")}, 1, "tracestore:"},
+	}
+	for _, tc := range cases {
+		var stdout, stderr strings.Builder
+		code := run(tc.args, &stdout, &stderr)
+		if code != tc.code || !strings.Contains(stderr.String(), tc.stderr) || stdout.Len() != 0 {
+			t.Errorf("%s: exit %d (want %d), stdout %q (want empty), stderr %q (want it to mention %q)",
+				tc.name, code, tc.code, stdout.String(), stderr.String(), tc.stderr)
 		}
 	}
 }

@@ -125,15 +125,6 @@ func NewButterfly(kind ButterflyKind, p int) (*Butterfly, error) {
 	return b, nil
 }
 
-// SendOffsets returns the rank offsets transmitted at step i of a
-// reduce-scatter (Bine kinds only); rank r's transmitted blocks are
-// r±offset. The slice is shared: callers must not modify it.
-func (b *Butterfly) SendOffsets(i int) []int { return b.sendOff[i] }
-
-// KeepOffsets returns the rank offsets still owned after step i (Bine kinds
-// only). The slice is shared: callers must not modify it.
-func (b *Butterfly) KeepOffsets(i int) []int { return b.keepOff[i] }
-
 // SendBlocks returns rank r's step-i transmitted blocks in the fixed
 // offset order both peers can derive independently (no sorting); Bine kinds
 // only. Execution paths use this; SendSet provides the sorted view.

@@ -281,20 +281,6 @@ func (t *Tree) Depth(r int) int {
 	return d
 }
 
-// MaxModDist returns the largest modular distance between any communicating
-// pair of the tree (used to validate the locality claims of Sec. 2.4).
-func (t *Tree) MaxModDist() int {
-	max := 0
-	for r := 0; r < t.P; r++ {
-		if p := t.Parent[r]; p >= 0 {
-			if d := ModDist(r, p, t.P); d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
 // StepSenders returns, for the given broadcast step, all (sender, receiver)
 // pairs active at that step, in deterministic order.
 func (t *Tree) StepSenders(step int) [][2]int {

@@ -155,11 +155,6 @@ func TestDetRangeGolden(t *testing.T) {
 	runGolden(t, DetRange, "testdata/src/detrange")
 }
 
-func TestMetricNameGolden(t *testing.T) {
-	runGolden(t, MetricName, "testdata/src/metricname",
-		"testdata/src/metricname/internal/obs", "testdata/src/metricname/names")
-}
-
 // TestCleanPackageNoFindings pins the zero-exit contract: a conforming
 // package produces no findings under the full suite.
 func TestCleanPackageNoFindings(t *testing.T) {

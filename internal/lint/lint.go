@@ -16,25 +16,18 @@ import (
 	"strings"
 )
 
-// Analyzer is one rule. Per-package analyzers run once per package with
-// Pass.Pkg set; Global analyzers run once over the whole analysis set with
-// Pass.Pkg nil (metricname correlates registrations across packages).
+// Analyzer is one rule; Run is called once per package.
 type Analyzer struct {
-	Name   string
-	Doc    string
-	Global bool
-	Run    func(*Pass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
-// Pass is one analyzer execution: the package under analysis (nil for
-// Global analyzers), the full analysis set, the shared fact layer
-// (facts.go: call-site index + constant resolver over that set), and the
-// report sink.
+// Pass is one analyzer execution: the package under analysis and the report
+// sink.
 type Pass struct {
-	Fset  *token.FileSet
-	Pkg   *Package
-	Pkgs  []*Package
-	Facts *Facts
+	Fset *token.FileSet
+	Pkg  *Package
 
 	modRoot string
 	rule    string
@@ -57,17 +50,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Position renders pos as a module-relative file:line string (for messages
-// that cite a second location, like metricname's first-registration site).
-func (p *Pass) Position(pos token.Pos) string {
-	position := p.Fset.Position(pos)
-	file := position.Filename
-	if rel, err := filepath.Rel(p.modRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return fmt.Sprintf("%s:%d", file, position.Line)
-}
-
 // Finding is one diagnostic.
 type Finding struct {
 	Rule    string `json:"rule"`
@@ -79,7 +61,7 @@ type Finding struct {
 
 // Analyzers returns the full rule suite in catalog order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{GoArg, CtxFlow, DetRange, MetricName}
+	return []*Analyzer{GoArg, CtxFlow, DetRange}
 }
 
 // ignoreDirective is one parsed //binelint:ignore comment.
@@ -145,17 +127,11 @@ func (d *ignoreDirective) matches(rule string) bool {
 // Run executes the analyzers over pkgs and returns the surviving findings,
 // sorted by file, line, column, rule. Findings matched by an ignore
 // directive are dropped; unused directives are reported (a stale ignore
-// hides nothing but misleads every future reader). The fact layer is
-// computed once over pkgs and shared by every analyzer through Pass.Facts.
+// hides nothing but misleads every future reader).
 func Run(ldr *Loader, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	facts := NewFacts(pkgs)
 	var raw []Finding
 	for _, a := range analyzers {
-		pass := &Pass{Fset: ldr.Fset, Pkgs: pkgs, Facts: facts, modRoot: ldr.ModRoot, rule: a.Name, out: &raw}
-		if a.Global {
-			a.Run(pass)
-			continue
-		}
+		pass := &Pass{Fset: ldr.Fset, modRoot: ldr.ModRoot, rule: a.Name, out: &raw}
 		for _, pkg := range pkgs {
 			pass.Pkg = pkg
 			a.Run(pass)

@@ -114,4 +114,13 @@ func TestMainExitCodes(t *testing.T) {
 			t.Errorf("unknown-rule error missing rule %q: %q", a.Name, errb)
 		}
 	}
+
+	// metricname is gone (obs.Registry refuses a second registration of a
+	// series itself): asking for it is the same usage error, and it is no
+	// longer among the known rules.
+	code, _, errb = runMain("-rules", "metricname", "testdata/src/clean")
+	if _, known, _ := strings.Cut(errb, "known rules:"); code != ExitError ||
+		known != " goarg, ctxflow, detrange)\n" {
+		t.Errorf("-rules metricname: code=%d err=%q, want exit 2 listing exactly goarg, ctxflow, detrange", code, errb)
+	}
 }

@@ -3,10 +3,9 @@
 // no-deps ethos. The Loader walks the module tree, parses each package
 // directory with go/parser, and type-checks it with go/types; module-local
 // imports resolve recursively through the Loader's own cache (so every
-// package in one analysis run shares one object identity space — the
-// fact layer's constant resolver depends on this), and standard-library
-// imports resolve through go/importer's source importer, which reads
-// GOROOT/src.
+// package in one analysis run shares one object identity space), and
+// standard-library imports resolve through go/importer's source importer,
+// which reads GOROOT/src.
 //
 // Test files (_test.go) are not loaded: binelint checks the invariants of
 // shipped code, and tests legitimately use context.Background() and other

@@ -67,10 +67,10 @@ type family struct {
 	metrics map[string]any // canonical label string → metric
 }
 
-// Registry is a set of named metrics. Metrics are created on first use and
-// returned on every later request with the same (name, labels) — callers
-// cache the returned pointer, so steady-state observation never touches the
-// registry lock.
+// Registry is a set of named metrics. A series — one (name, labels) pair —
+// is registered exactly once, by its one owner, which keeps the returned
+// pointer: a second registration panics (see register), and steady-state
+// observation never touches the registry lock.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -134,29 +134,33 @@ func (r *Registry) family(name, help string, typ metricType, buckets []float64) 
 	return f
 }
 
-func (f *family) get(labels []string, mk func() any) any {
+// register adds m as the series (f.name, labels). A series has one owner:
+// registering the same name with the same labels (in any order) a second
+// time panics, like a kind clash does — two sites sharing one series would
+// double-count each other's increments and no test would see it.
+func (f *family) register(labels []string, m any) {
 	ls := labelString(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m, ok := f.metrics[ls]
-	if !ok {
-		m = mk()
-		f.metrics[ls] = m
+	if _, dup := f.metrics[ls]; dup {
+		panic(fmt.Sprintf("obs: metric %s{%s} registered twice", f.name, ls))
 	}
-	return m
+	f.metrics[ls] = m
 }
 
-// Counter returns the monotonic counter for (name, labels), creating it if
-// needed. labels are alternating key/value pairs.
+// Counter registers and returns the monotonic counter for (name, labels).
+// labels are alternating key/value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	f := r.family(name, help, counterType, nil)
-	return f.get(labels, func() any { return &Counter{} }).(*Counter)
+	c := &Counter{}
+	r.family(name, help, counterType, nil).register(labels, c)
+	return c
 }
 
-// Gauge returns the settable gauge for (name, labels).
+// Gauge registers and returns the settable gauge for (name, labels).
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	f := r.family(name, help, gaugeType, nil)
-	return f.get(labels, func() any { return &Gauge{} }).(*Gauge)
+	g := &Gauge{}
+	r.family(name, help, gaugeType, nil).register(labels, g)
+	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time —
@@ -182,16 +186,18 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	}
 }
 
-// Histogram returns the fixed-bucket histogram for (name, labels). buckets
-// are ascending upper bounds (an implicit +Inf bucket is appended); nil
-// selects DefBuckets. The bucket layout is fixed by the first registration
-// of the name.
+// Histogram registers and returns the fixed-bucket histogram for (name,
+// labels). buckets are ascending upper bounds (an implicit +Inf bucket is
+// appended); nil selects DefBuckets. The bucket layout is fixed by the first
+// registration of the name.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
 	f := r.family(name, help, histogramType, buckets)
-	return f.get(labels, func() any { return newHistogram(f.buckets) }).(*Histogram)
+	h := newHistogram(f.buckets)
+	f.register(labels, h)
+	return h
 }
 
 // Counter is a monotonically increasing uint64.

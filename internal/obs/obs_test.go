@@ -95,17 +95,56 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
-// TestGetOrCreateIdentity pins that the same (name, labels) returns the
-// same metric regardless of label order, and different labels don't alias.
-func TestGetOrCreateIdentity(t *testing.T) {
+// mustPanic runs fn and returns the message it panicked with, failing the
+// test if it returned normally.
+func mustPanic(t *testing.T, what string, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Errorf("%s did not panic", what)
+		}
+		msg, _ = r.(string)
+	}()
+	fn()
+	return ""
+}
+
+// TestRegisterOnce pins the registration contract: a series — one name with
+// one label set, in any order — is registered exactly once and a second
+// registration panics naming it; other label values of the same name are
+// other series; a name keeps one kind. GaugeFunc alone replaces, which
+// TestGaugeFuncUnregister pins together with its stale-unregister handle.
+func TestRegisterOnce(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", "", "b", "2", "a", "1")
-	b := r.Counter("x_total", "", "a", "1", "b", "2")
-	if a != b {
-		t.Error("label order changed metric identity")
+	msg := mustPanic(t, "second registration in another label order", func() {
+		r.Counter("x_total", "", "a", "1", "b", "2")
+	})
+	if want := `obs: metric x_total{a="1",b="2"} registered twice`; msg != want {
+		t.Errorf("panic %q, want %q", msg, want)
 	}
-	if c := r.Counter("x_total", "", "a", "1"); c == a {
-		t.Error("different label sets aliased")
+	if c := r.Counter("x_total", "", "a", "1", "b", "3"); c == a {
+		t.Error("different label values aliased")
+	}
+
+	r.Gauge("g", "")
+	if msg := mustPanic(t, "second Gauge", func() { r.Gauge("g", "") }); !strings.Contains(msg, "g{} registered twice") {
+		t.Errorf("panic %q does not name the series", msg)
+	}
+	r.Histogram("h_seconds", "", nil, "stage", "s")
+	mustPanic(t, "second Histogram", func() { r.Histogram("h_seconds", "", nil, "stage", "s") })
+
+	if msg := mustPanic(t, "kind clash", func() { r.Gauge("x_total", "", "a", "9") }); !strings.Contains(msg, "x_total registered as counter and gauge") {
+		t.Errorf("kind-clash panic %q", msg)
+	}
+
+	// A refused registration leaves the first owner's series in place.
+	a.Inc()
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if !strings.Contains(b.String(), `x_total{a="1",b="2"} 1`) {
+		t.Errorf("exposition after the refused registrations:\n%s", b.String())
 	}
 }
 

@@ -190,6 +190,68 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// expositionAtInit is the process-wide registry as a fresh process exposes
+// it: init functions run after every package-level initializer and before
+// any test.
+var expositionAtInit string
+
+func init() {
+	var b strings.Builder
+	obs.Default.WritePrometheus(&b)
+	expositionAtInit = b.String()
+}
+
+// TestRequestCodeSeries pins the request counters' registration: all six
+// status codes artifact can answer are exposed at 0 from process start
+// (registered once at package init, not on first use) and on a fresh
+// server's /metrics, and one unknown experiment plus one eq2 move exactly
+// code="404" and code="200". Not parallel: the counters are process-wide, so
+// it reads deltas while no other test is serving.
+func TestRequestCodeSeries(t *testing.T) {
+	const series = `binebenchd_requests_total{code="%s"} `
+	codes := []string{"200", "400", "404", "429", "499", "500"}
+	for _, code := range codes {
+		if !strings.Contains(expositionAtInit, fmt.Sprintf(series, code)+"0\n") {
+			t.Errorf("code=%q series not exposed at 0 at process start", code)
+		}
+	}
+	_, ts := newTestServer(t, Config{})
+	scrape := func() map[string]uint64 {
+		t.Helper()
+		_, body := get(t, ts.URL+"/metrics")
+		counts := map[string]uint64{}
+		for _, code := range codes {
+			_, rest, ok := strings.Cut(body, fmt.Sprintf(series, code))
+			if !ok {
+				t.Fatalf("code=%q series missing from a fresh server's /metrics", code)
+			}
+			var n uint64
+			if _, err := fmt.Sscanf(rest, "%d", &n); err != nil {
+				t.Fatalf("code=%q sample does not parse: %v", code, err)
+			}
+			counts[code] = n
+		}
+		return counts
+	}
+	before := scrape()
+	if code, _ := get(t, ts.URL+"/artifact/nonesuch"); code != http.StatusNotFound {
+		t.Fatalf("unknown experiment answered %d", code)
+	}
+	if code, body := get(t, ts.URL+"/artifact/eq2"); code != http.StatusOK {
+		t.Fatalf("eq2: %d %s", code, body)
+	}
+	after := scrape()
+	for code, was := range before {
+		want := was
+		if code == "404" || code == "200" {
+			want++
+		}
+		if after[code] != want {
+			t.Errorf("code=%q went %d → %d, want %d", code, was, after[code], want)
+		}
+	}
+}
+
 // TestTracezTimeline is the stage-attribution pin: a served experiment's
 // trace shows the serial compile → execute → render spans, and — because the
 // leader runs them contiguously on the flight goroutine — their durations

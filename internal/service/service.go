@@ -54,10 +54,20 @@ var (
 		"Requests that surfaced a render error.")
 )
 
-func obsRequests(code int) *obs.Counter {
-	return obs.Default.Counter("binebenchd_requests_total",
-		"Artifact requests answered, by HTTP status code.", "code", strconv.Itoa(code))
-}
+// requestCounts holds one counter per status code artifact can answer,
+// registered once at init so /metrics lists every code (at zero) from
+// process start; the map is never mutated afterwards.
+var requestCounts = func() map[int]*obs.Counter {
+	m := map[int]*obs.Counter{}
+	for _, code := range []int{http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
+		http.StatusTooManyRequests, 499, http.StatusInternalServerError} {
+		m[code] = obs.Default.Counter("binebenchd_requests_total",
+			"Artifact requests answered, by HTTP status code.", "code", strconv.Itoa(code))
+	}
+	return m
+}()
+
+func obsRequests(code int) *obs.Counter { return requestCounts[code] }
 
 // Config tunes a Server.
 type Config struct {

@@ -175,12 +175,23 @@ var statFile = (*os.File).Stat
 // third of the payload) inside the int32 step index.
 const maxTraceFileBytes = 2 << 30
 
-// readTrace opens, reads and decodes one store file. A file that cannot be
-// opened is absent (opened=false). One that is oversized, unreadable or fails
-// to decode (stale codec, truncation, corruption) comes back as a nil trace:
-// it has been evicted — if the path still names the file that was read — and
-// counted corrupt. size is the encoded length of a decoded trace.
+// readTrace opens, reads and decodes one store file. A path that names
+// nothing, or cannot be opened, is absent (opened=false). One that is not a
+// regular file, is oversized, unreadable or fails to decode (stale codec,
+// truncation, corruption) comes back as a nil trace: it has been evicted —
+// if the path still names the file that was read — and counted corrupt. size
+// is the encoded length of a decoded trace.
 func (s *Store) readTrace(path string) (tr *fabric.Trace, size int64, opened bool) {
+	// The directory is shared, so look before opening: os.Open blocks forever
+	// on a FIFO nobody writes to, and a symlink reads whatever it points at.
+	li, err := os.Lstat(path)
+	if err != nil {
+		return nil, 0, false
+	}
+	if !li.Mode().IsRegular() {
+		s.evict(path, nil)
+		return nil, 0, true
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, false
@@ -208,8 +219,6 @@ func (s *Store) readTrace(path string) (tr *fabric.Trace, size int64, opened boo
 	}
 	if err != nil {
 		s.evict(path, fi)
-		s.corrupt.Add(1)
-		obsEvictions.Inc()
 		return nil, 0, true
 	}
 	return tr, int64(len(raw)), true
@@ -235,16 +244,19 @@ func (s *Store) Load(k Key) (tr *fabric.Trace, ok bool) {
 	return tr, true
 }
 
-// evict removes a damaged store file — but, given a fingerprint of the file
-// that was actually read, only if the path still names that file: in a store
-// shared across processes, a concurrent Save may have renamed a fresh valid
-// trace into place. The stat-and-compare narrows that race to a vanishing
-// window rather than eliminating it; losing the race merely deletes a trace
-// the next run re-records and re-saves, never corrupts one. With no
-// fingerprint (fi == nil) the removal is unconditional best-effort:
-// leaving the file in place would re-read and re-count it as corrupt on
-// every future run.
+// evict counts a damaged store file corrupt and removes it — but, given a
+// fingerprint of the file that was actually read, only if the path still
+// names that file: in a store shared across processes, a concurrent Save may
+// have renamed a fresh valid trace into place. The stat-and-compare narrows
+// that race to a vanishing window rather than eliminating it; losing the race
+// merely deletes a trace the next run re-records and re-saves, never corrupts
+// one. With no fingerprint (fi == nil: the stat failed, or the path named a
+// FIFO, symlink or directory that was never opened) the removal is
+// unconditional best-effort: leaving the entry in place would re-count it as
+// corrupt on every future run.
 func (s *Store) evict(path string, fi os.FileInfo) {
+	s.corrupt.Add(1)
+	obsEvictions.Inc()
 	if fi != nil {
 		cur, err := os.Stat(path)
 		if err != nil || !os.SameFile(fi, cur) {
