@@ -20,15 +20,14 @@
 //
 // Cold schedules are synthesized directly from schedule math (a serial
 // pattern walk, no goroutine fabric) and are byte-identical to fabric
-// recordings; the fabric remains the verification oracle, and a schedule the
-// synthesizer cannot walk fails the run as a failed recording would.
-// -synth=false forces the recording path, and -verify-synth records every
-// synthesized schedule too, failing on any encoded-byte difference (CI's
-// equivalence gate). With -trace-cache the resolved traces also persist to
-// a content-addressed on-disk store shared across runs — a warm store makes
-// repeated -full runs and CI sweeps skip even synthesis. -v prints the
-// cache counters (memory/disk hits, synthesized/verified counts,
-// recordings, evictions, and the resident columnar footprint) to stderr so
+// recordings (the fabric is the oracle the harness tests hold every
+// synthesized schedule to), and a schedule the synthesizer cannot walk fails
+// the run as a failed recording would. -synth=false forces the recording
+// path. With -trace-cache the resolved traces also persist to a
+// content-addressed on-disk store shared across runs — a warm store makes
+// repeated -full runs and CI sweeps skip even synthesis. -v prints the cache
+// counters (memory/disk hits, synthesized count, recordings, evictions, and
+// the resident columnar footprint) to stderr so
 // warm and cold runs are observable, followed by the per-stage latency
 // breakdown — compile, execute, render, cache-lookup, store-load, synth,
 // fabric-record, evaluate — and the per-origin resolve histograms (count,
@@ -44,7 +43,6 @@
 //	binebench -experiment all -systems lumi,fugaku -progress
 //	binebench -experiment all -workers 1
 //	binebench -experiment all -trace-cache ~/.cache/binetrees -v
-//	binebench -experiment all -verify-synth       # synthesis vs fabric oracle
 //	binebench -experiment fig11b -obs-json obs.json
 //
 // Experiments: fig1, eq2, fig5, table3, fig9a, fig9b, table4, fig10a,
@@ -83,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", false, "report live per-system cell counts on stderr")
 	traceCache := fs.String("trace-cache", "", "directory of the persistent trace store (empty = in-process cache only)")
 	synthOn := fs.Bool("synth", true, "synthesize cold traces directly from schedule math instead of recording on the goroutine fabric")
-	verifySynth := fs.Bool("verify-synth", false, "record every synthesized trace on the fabric too and fail on any encoded-byte difference")
 	verbose := fs.Bool("v", false, "print trace-cache statistics and the stage latency breakdown to stderr after the run")
 	obsJSON := fs.String("obs-json", "", "write the observability registry snapshot (counters, gauges, histogram buckets) as JSON to this file after the run (\"-\" = stderr)")
 	if err := fs.Parse(args); err != nil {
@@ -96,8 +93,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "binebench: -systems only applies to -experiment all")
 		return 2
 	}
-	// The run's one Engine: the three resolver flags map onto its fields.
-	engine := &harness.Engine{DisableSynth: !*synthOn, VerifySynth: *verifySynth}
+	// The run's one Engine: the two resolver flags map onto its fields.
+	engine := &harness.Engine{DisableSynth: !*synthOn}
 	if *traceCache != "" {
 		store, err := tracestore.Open(*traceCache)
 		if err != nil {

@@ -24,11 +24,10 @@
 // schedule once; all requests share one resident process-wide worker pool
 // and trace cache.
 // Cold schedules are synthesized directly from schedule math (byte-identical
-// to fabric recordings; -synth=false forces the recording path, and
-// -verify-synth cross-checks every synthesis against a recording), and
-// /statsz reports the resolver-chain counters — synthesized, verified,
-// recordings — alongside the cache and request stats. Replicas may share
-// one -trace-cache directory: stored traces are written world-readable and
+// to fabric recordings; -synth=false forces the recording path), and
+// /statsz reports the resolver-chain counters — synthesized, recordings —
+// alongside the cache and request stats. Replicas may share one
+// -trace-cache directory: stored traces are written world-readable and
 // corrupt files self-evict on either side.
 //
 // Overload protection: at most -max-flights non-follower renders run
@@ -76,20 +75,40 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
-	accessLog := flag.String("access-log", "stderr", "JSON access log destination: stderr, stdout, a file path (appended), or off")
-	traceCache := flag.String("trace-cache", "", "directory of the shared persistent trace store, prewarmed in the background at startup (empty = in-process cache only)")
-	workers := flag.Int("workers", 0, "resident worker pool width shared by all requests (0 = one per CPU)")
-	synthOn := flag.Bool("synth", true, "synthesize cold traces directly from schedule math instead of recording on the goroutine fabric")
-	verifySynth := flag.Bool("verify-synth", false, "record every synthesized trace on the fabric too and fail on any encoded-byte difference")
-	maxFlights := flag.Int("max-flights", 0, "max concurrent non-follower renders before new flights queue (0 = twice the pool width, min 4)")
-	queueBudget := flag.Int("queue-budget", 0, "max flights waiting for a render slot before further ones are shed with 429 (0 = max-flights)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	logDst, logClose, err := openAccessLog(*accessLog)
+// run is the whole daemon — flags in, log on stderr, exit code out — so tests
+// can drive it in-process; it serves until ctx is cancelled and returns only
+// once its listeners and the Server's goroutines have stopped. Exit codes: 0
+// on a clean shutdown, 1 when the daemon cannot start or its listener fails
+// (unusable -trace-cache or -access-log, -addr in use), 2 on a usage error.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("binebenchd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	debugAddr := fs.String("debug-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
+	accessLog := fs.String("access-log", "stderr", "JSON access log destination: stderr, stdout, a file path (appended), or off")
+	traceCache := fs.String("trace-cache", "", "directory of the shared persistent trace store, prewarmed in the background at startup (empty = in-process cache only)")
+	workers := fs.Int("workers", 0, "resident worker pool width shared by all requests (0 = one per CPU)")
+	synthOn := fs.Bool("synth", true, "synthesize cold traces directly from schedule math instead of recording on the goroutine fabric")
+	maxFlights := fs.Int("max-flights", 0, "max concurrent non-follower renders before new flights queue (0 = twice the pool width, min 4)")
+	queueBudget := fs.Int("queue-budget", 0, "max flights waiting for a render slot before further ones are shed with 429 (0 = max-flights)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+
+	logDst, logClose, err := openAccessLog(*accessLog, stderr)
 	if err != nil {
-		log.Fatalf("binebenchd: %v", err)
+		logger.Printf("binebenchd: %v", err)
+		return 1
 	}
 	if logClose != nil {
 		defer logClose()
@@ -99,63 +118,65 @@ func main() {
 		TraceDir:     *traceCache,
 		Workers:      *workers,
 		DisableSynth: !*synthOn,
-		VerifySynth:  *verifySynth,
 		AccessLog:    logDst,
 		MaxFlights:   *maxFlights,
 		QueueBudget:  *queueBudget,
 	})
 	if err != nil {
-		log.Fatalf("binebenchd: %v", err)
+		logger.Printf("binebenchd: %v", err)
+		return 1
 	}
+	defer srv.Close()
 	if *traceCache != "" {
 		// The prewarm pass runs in the background; log its outcome when it
 		// lands without holding the listener back. /readyz gates on it. The
 		// blocking Prewarm() call must sit inside the goroutine body: a bare
-		// `go log.Printf(..., srv.Prewarm())` would evaluate the argument in
-		// this goroutine and stall the listener for the whole prewarm.
-		go func() { log.Printf("binebenchd: %v", srv.Prewarm()) }()
+		// `go logger.Printf(..., srv.Prewarm())` would evaluate the argument
+		// in this goroutine and stall the listener for the whole prewarm.
+		go func() { logger.Printf("binebenchd: %v", srv.Prewarm()) }()
 	}
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- hs.ListenAndServe() }()
-	log.Printf("binebenchd: serving artifacts on %s", *addr)
+	logger.Printf("binebenchd: serving artifacts on %s", *addr)
 
 	if *debugAddr != "" {
 		// net/http/pprof registers on the default mux; serving that mux on a
 		// dedicated listener keeps profiling off the artifact port entirely.
+		ds := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux}
+		defer ds.Close()
 		go func() {
-			log.Printf("binebenchd: serving pprof on %s/debug/pprof/", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, http.DefaultServeMux); err != nil {
-				log.Printf("binebenchd: pprof listener: %v", err)
+			logger.Printf("binebenchd: serving pprof on %s/debug/pprof/", *debugAddr)
+			if err := ds.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				logger.Printf("binebenchd: pprof listener: %v", err)
 			}
 		}()
 	}
 
 	select {
 	case err := <-done:
-		log.Fatalf("binebenchd: %v", err)
+		logger.Printf("binebenchd: %v", err)
+		return 1
 	case <-ctx.Done():
 	}
-	log.Print("binebenchd: shutting down")
+	logger.Print("binebenchd: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("binebenchd: shutdown: %v", err)
+		logger.Printf("binebenchd: shutdown: %v", err)
 	}
-	srv.Close()
+	return 0
 }
 
 // openAccessLog resolves the -access-log destination. The returned closer is
 // non-nil only when a file was opened.
-func openAccessLog(dst string) (io.Writer, func() error, error) {
+func openAccessLog(dst string, stderr io.Writer) (io.Writer, func() error, error) {
 	switch dst {
 	case "off", "":
 		return nil, nil, nil
 	case "stderr":
-		return os.Stderr, nil, nil
+		return stderr, nil, nil
 	case "stdout":
 		return os.Stdout, nil, nil
 	}

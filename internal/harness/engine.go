@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strconv"
@@ -37,8 +36,8 @@ const schedVersion = 1
 // one and hands it to its plans through Options.Engine; everything an Engine
 // caches dies with it, so a fresh Engine is a cold start and two Engines in
 // one process share nothing. The zero value is ready to use: no disk tier,
-// synthesis on, verification off. Set the exported fields before the first
-// resolution and not afterwards; methods are safe for concurrent use.
+// synthesis on. Set the exported fields before the first resolution and not
+// afterwards; methods are safe for concurrent use.
 type Engine struct {
 	// Store is the disk tier, persisting resolved traces across processes
 	// under content addresses: misses of the memory tier consult it before
@@ -48,24 +47,18 @@ type Engine struct {
 	Store *tracestore.Store
 	// DisableSynth turns off direct schedule synthesis: every cold schedule
 	// executes on the recording goroutine fabric — the pre-synthesis
-	// behavior, kept as the oracle path for equivalence checks.
+	// behavior, kept as the oracle path for equivalence checks
+	// (TestSynthMatchesRecordedOracle compares the two Engines' traces).
 	DisableSynth bool
-	// VerifySynth also records each synthesized trace on the goroutine
-	// fabric and compares the two encodings byte for byte, failing the
-	// request on any difference. Recording still runs per schedule, so this
-	// costs what a cold pre-synthesis run did; it exists for CI's
-	// equivalence gate, not for production sweeps.
-	VerifySynth bool
 
 	mu     sync.Mutex
 	traces map[tracestore.Key]*traceEntry
 
-	memHits       atomic.Uint64
-	synthHits     atomic.Uint64
-	synthVerified atomic.Uint64
-	records       atomic.Uint64
-	cachedTraces  atomic.Uint64
-	cachedBytes   atomic.Uint64
+	memHits      atomic.Uint64
+	synthHits    atomic.Uint64
+	records      atomic.Uint64
+	cachedTraces atomic.Uint64
+	cachedBytes  atomic.Uint64
 }
 
 type traceEntry struct {
@@ -95,13 +88,10 @@ type CacheStats struct {
 	// corrupt file is a miss).
 	DiskHits, DiskMisses uint64
 	// SynthHits counts schedules resolved by direct synthesis from schedule
-	// math — no goroutine fabric involved. SynthVerified counts synthesized
-	// traces checked byte-identical against a fabric recording (verify mode
-	// only).
-	SynthHits, SynthVerified uint64
+	// math — no goroutine fabric involved.
+	SynthHits uint64
 	// Records counts schedules actually executed under a recording fabric
-	// — the expensive path; with synthesis on, a cold run keeps it at zero
-	// (verify mode deliberately drives it back up: one per verification).
+	// — the expensive path; with synthesis on, a cold run keeps it at zero.
 	Records uint64
 	// DiskSaves counts traces written through to the store.
 	DiskSaves uint64
@@ -121,8 +111,8 @@ type CacheStats struct {
 }
 
 func (s CacheStats) String() string {
-	out := fmt.Sprintf("trace cache: %d memory hits, %d disk hits, %d disk misses, %d synthesized (%d verified), %d recordings, %d disk saves, %d corrupt evictions; %d resident traces, %.1f MiB columnar",
-		s.MemoryHits, s.DiskHits, s.DiskMisses, s.SynthHits, s.SynthVerified,
+	out := fmt.Sprintf("trace cache: %d memory hits, %d disk hits, %d disk misses, %d synthesized, %d recordings, %d disk saves, %d corrupt evictions; %d resident traces, %.1f MiB columnar",
+		s.MemoryHits, s.DiskHits, s.DiskMisses, s.SynthHits,
 		s.Records, s.DiskSaves, s.CorruptEvictions,
 		s.CachedTraces, float64(s.CachedBytes)/(1<<20))
 	if s.StoreDegraded {
@@ -140,7 +130,6 @@ func (eng *Engine) Stats() CacheStats {
 		DiskHits:         ds.Hits,
 		DiskMisses:       ds.Misses,
 		SynthHits:        eng.synthHits.Load(),
-		SynthVerified:    eng.synthVerified.Load(),
 		Records:          eng.records.Load(),
 		DiskSaves:        ds.Saves,
 		CorruptEvictions: ds.CorruptEvictions,
@@ -190,35 +179,21 @@ func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synth
 		if s.Enabled() {
 			obs.ObserveStageCtx(ctx, obs.StageStoreLoad, time.Since(loadStart))
 		}
-		timedRecord := func() (*fabric.Trace, error) {
-			eng.records.Add(1)
-			defer obs.TimeStage(ctx, obs.StageRecord)()
-			return record()
-		}
 		var stamp tracestore.Origin // provenance of a cold resolution
 		switch {
 		case hit:
 			e.tr, e.origin = tr, obs.OriginStore
 		case eng.DisableSynth:
-			e.tr, e.err = timedRecord()
+			eng.records.Add(1)
+			recordStart := time.Now()
+			e.tr, e.err = record()
+			obs.ObserveStageCtx(ctx, obs.StageRecord, time.Since(recordStart))
 			e.origin, stamp = obs.OriginRecord, tracestore.OriginRecorded
 		default:
 			synthStart := time.Now()
 			e.tr, e.err = synthesize()
 			obs.ObserveStageCtx(ctx, obs.StageSynth, time.Since(synthStart))
 			e.origin, stamp = obs.OriginSynth, tracestore.OriginSynthesized
-			if e.err == nil && eng.VerifySynth {
-				// Verification mode: record the same schedule on the
-				// goroutine fabric (the oracle) and require the two
-				// encodings to match byte for byte.
-				var rt *fabric.Trace
-				if rt, e.err = timedRecord(); e.err == nil {
-					e.err = diffTraces(e.tr, rt)
-				}
-				if e.err == nil {
-					eng.synthVerified.Add(1)
-				}
-			}
 			if e.err == nil {
 				eng.synthHits.Add(1)
 			}
@@ -263,54 +238,6 @@ func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synth
 	return e.tr, nil
 }
 
-// diffTraces enforces verify-synth's contract at the byte-identity level:
-// the synthesized trace must encode to exactly the recorded oracle's bytes.
-// On divergence it names the first differing record (cachedTraceKey adds the
-// schedule identity) so a schedule drift is debuggable from the failure
-// message alone.
-func diffTraces(st, rt *fabric.Trace) error {
-	sb, err := encodeTraceBytes(st)
-	if err != nil {
-		return err
-	}
-	rb, err := encodeTraceBytes(rt)
-	if err != nil {
-		return err
-	}
-	if bytes.Equal(sb, rb) {
-		return nil
-	}
-	ss, rs := 0, 0 // the step holding record i in each trace
-	for i, n := 0, min(st.NumRecords(), rt.NumRecords()); i < n; i++ {
-		ss, rs = stepOf(st, ss, i), stepOf(rt, rs, i)
-		if ss != rs || st.From(i) != rt.From(i) || st.To(i) != rt.To(i) || st.Elems(i) != rt.Elems(i) {
-			return fmt.Errorf("verify-synth: record %d diverges: synthesized %s, recorded %s",
-				i, describeRecord(st, ss, i), describeRecord(rt, rs, i))
-		}
-	}
-	return fmt.Errorf("verify-synth: encodings differ (%d synthesized records vs %d recorded)", st.NumRecords(), rt.NumRecords())
-}
-
-// stepOf advances s to the step whose bounds hold record i.
-func stepOf(tr *fabric.Trace, s, i int) int {
-	for _, hi := tr.StepBounds(s); i >= hi; _, hi = tr.StepBounds(s) {
-		s++
-	}
-	return s
-}
-
-func describeRecord(tr *fabric.Trace, step, i int) string {
-	return fmt.Sprintf("{step %d: %d -> %d, %d elems}", step, tr.From(i), tr.To(i), tr.Elems(i))
-}
-
-func encodeTraceBytes(tr *fabric.Trace) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := fabric.EncodeTrace(&buf, tr); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // A schedule reaches the resolver as one per-rank body, built once and handed
 // to both cold legs: synth.Run walks it serially over pattern endpoints, and
 // record runs it on the goroutine fabric — so the oracle and the synthesizer
@@ -319,7 +246,7 @@ func encodeTraceBytes(tr *fabric.Trace) ([]byte, error) {
 // Bruck's closed form), but record the same way.
 
 // record executes a schedule body on the recording goroutine fabric: the
-// DisableSynth leg and verify mode's oracle.
+// DisableSynth leg, which is the oracle the synthesizer is tested against.
 func record(p int, body func(c fabric.Comm) error) (*fabric.Trace, error) {
 	rec := fabric.NewRecorder(fabric.NewMem(p))
 	defer rec.Close()
@@ -353,7 +280,7 @@ func (eng *Engine) cachedBody(ctx context.Context, key tracestore.Key, p int, bo
 // cachedTrace returns a registry algorithm's unit-granularity trace (n = p
 // elements). Its synthesized and recorded forms are byte-identical under the
 // trace codec for every registered algorithm (internal/synth's equivalence
-// suite and CI's -verify-synth gate).
+// suite and TestSynthMatchesRecordedOracle).
 func (eng *Engine) cachedTrace(ctx context.Context, algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
 	key := tracestore.Key{
 		Kind:         "flat",
@@ -405,8 +332,7 @@ func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.
 // Appendix D schedules): kind/name/shape must uniquely identify the schedule
 // body fn over p ranks, including its recorded element count. Every such
 // body is data-independent, so the resolver synthesizes it with a serial
-// pattern walk and touches the fabric only without synthesis or under verify
-// mode.
+// pattern walk and touches the fabric only with synthesis disabled.
 func (eng *Engine) cachedNamedTrace(ctx context.Context, kind, name, shape string, p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
 	key := tracestore.Key{
 		Kind:         kind,

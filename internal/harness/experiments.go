@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"binetrees/internal/alloc"
 	"binetrees/internal/coll"
@@ -187,7 +187,7 @@ func planFig5(c *compile) (*plan, error) {
 			for p := range buckets {
 				ps = append(ps, p)
 			}
-			sort.Ints(ps)
+			slices.Sort(ps)
 			for _, p := range ps {
 				box := stats.NewBox(buckets[p])
 				fmt.Fprintf(w, "  %-7d %-52s %s\n", p, box.Render(-20, 40, 52), box)
@@ -374,17 +374,9 @@ func planFig14(c *compile) (*plan, error) {
 		return nil, err
 	}
 	render := func(w io.Writer) error {
-		strategies := map[string]string{
-			"bine-block":     "B",
-			"bine-permute":   "P",
-			"bine-send":      "S",
-			"bine-two-trans": "T",
-		}
-		var stratNames []string
-		for name := range strategies {
-			stratNames = append(stratNames, name)
-		}
-		sort.Strings(stratNames)
+		// In the order best breaks ties; stratLetters[i] labels stratNames[i].
+		stratNames := []string{"bine-block", "bine-permute", "bine-send", "bine-two-trans"}
+		const stratLetters = "BPST"
 		fmt.Fprintln(w, "Fig. 14 — best non-contiguous-data strategy per allgather cell on LUMI")
 		fmt.Fprintln(w, "(B = block-by-block, P = permute, S = send, T = two transmissions; value = gain vs recursive doubling):")
 		fmt.Fprintf(w, "  %-9s", "")
@@ -402,7 +394,7 @@ func planFig14(c *compile) (*plan, error) {
 					fmt.Fprintf(w, " %8s", "-")
 					continue
 				}
-				fmt.Fprintf(w, " %s %5.2fx", strategies[name], nc.Time/bc.Time)
+				fmt.Fprintf(w, " %c %5.2fx", stratLetters[slices.Index(stratNames, name)], nc.Time/bc.Time)
 			}
 			fmt.Fprintln(w)
 		}

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -102,50 +104,7 @@ func TestResolverChainCounters(t *testing.T) {
 	}
 }
 
-// TestVerifySynthMode pins verification mode: a synthesized trace that
-// matches its fabric recording byte for byte resolves (counted verified), a
-// diverging one fails the request naming the first differing record, is
-// never cached or stored, and leaves the key retryable.
-func TestVerifySynthMode(t *testing.T) {
-	t.Parallel()
-	st := openStore(t, t.TempDir())
-	eng := &Engine{Store: st, VerifySynth: true}
-
-	same := func() (*fabric.Trace, error) { return synthTestTrace(1), nil }
-	other := func() (*fabric.Trace, error) { return synthTestTrace(2), nil }
-
-	if _, err := eng.cachedTraceKey(context.Background(), synthKey("match"), same, same); err != nil {
-		t.Fatal(err)
-	}
-	s := eng.Stats()
-	if s.SynthVerified != 1 || s.SynthHits != 1 || s.Records != 1 {
-		t.Fatalf("verified resolution miscounted: %+v", s)
-	}
-	if o := st.Origin(synthKey("match")); o != tracestore.OriginSynthesized {
-		t.Fatalf("verified trace stamped %q", o)
-	}
-
-	_, err := eng.cachedTraceKey(context.Background(), synthKey("diverge"), same, other)
-	if err == nil || !strings.Contains(err.Error(), "record 0 diverges") {
-		t.Fatalf("divergence not reported: %v", err)
-	}
-	s = eng.Stats()
-	if s.SynthVerified != 1 || s.SynthHits != 1 {
-		t.Fatalf("diverging synthesis counted as served: %+v", s)
-	}
-	if _, ok := st.Load(synthKey("diverge")); ok {
-		t.Fatal("diverging trace reached the store")
-	}
-	// The failed key was evicted, not poisoned: a fixed synthesizer passes.
-	if _, err := eng.cachedTraceKey(context.Background(), synthKey("diverge"), other, other); err != nil {
-		t.Fatalf("retry after divergence: %v", err)
-	}
-	if s := eng.Stats(); s.SynthVerified != 2 {
-		t.Fatalf("retry not verified: %+v", s)
-	}
-}
-
-// TestDiffTracesNamesFirstDivergence pins the verify-synth failure text: the
+// TestDiffTracesNamesFirstDivergence pins the oracle's failure text: the
 // index, step, endpoints and size of the first record that differs on either
 // side, and the record counts when one trace is a prefix of the other.
 func TestDiffTracesNamesFirstDivergence(t *testing.T) {
@@ -167,17 +126,122 @@ func TestDiffTracesNamesFirstDivergence(t *testing.T) {
 	}{
 		{"identical", fabric.NewTrace(4, base), ""},
 		{"elems", variant(2, func(r *fabric.Record) { r.Elems = 9 }),
-			"verify-synth: record 2 diverges: synthesized {step 2: 2 -> 3, 9 elems}, recorded {step 2: 2 -> 3, 8 elems}"},
+			"synth oracle: record 2 diverges: synthesized {step 2: 2 -> 3, 9 elems}, recorded {step 2: 2 -> 3, 8 elems}"},
 		{"endpoint", variant(1, func(r *fabric.Record) { r.To = 3 }),
-			"verify-synth: record 1 diverges: synthesized {step 2: 1 -> 3, 4 elems}, recorded {step 2: 1 -> 2, 4 elems}"},
+			"synth oracle: record 1 diverges: synthesized {step 2: 1 -> 3, 4 elems}, recorded {step 2: 1 -> 2, 4 elems}"},
 		{"step only", variant(1, func(r *fabric.Record) { r.Step = 1 }),
-			"verify-synth: record 1 diverges: synthesized {step 1: 1 -> 2, 4 elems}, recorded {step 2: 1 -> 2, 4 elems}"},
+			"synth oracle: record 1 diverges: synthesized {step 1: 1 -> 2, 4 elems}, recorded {step 2: 1 -> 2, 4 elems}"},
 		{"prefix", fabric.NewTrace(4, base[:2]),
-			"verify-synth: encodings differ (2 synthesized records vs 3 recorded)"},
+			"synth oracle: encodings differ (2 synthesized records vs 3 recorded)"},
 	} {
 		err := diffTraces(tc.st, fabric.NewTrace(4, base))
 		if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+var lumiFull = flag.Bool("lumi-full", false, "TestSynthMatchesRecordedOracle walks all -full -systems lumi (p up to 1024) instead of quick all; seconds plain, about a minute under -race")
+
+// TestSynthMatchesRecordedOracle is the synthesis equivalence gate: "all"
+// runs on a default Engine and on one that records every schedule on the
+// goroutine fabric (the oracle, which executes the same helpers with real
+// data), both must resolve the same schedule set, and every schedule's two
+// traces must encode to the same bytes — compared before the artifacts, so a
+// drift names its schedule and first diverging record. It also owns the
+// resolver counts of a fresh Engine: memory hits are the tripwire for a sweep
+// compiled twice (hundreds more; the ones left are schedules that genuinely
+// recur, at LUMI scale ppn's four algorithms at p = 64 and 256), resident
+// bytes the one for bytes per record creeping back (12 B a record + 4 B a
+// step-index entry).
+func TestSynthMatchesRecordedOracle(t *testing.T) {
+	t.Parallel()
+	opts, schedules, memHits, residentBytes := Options{Quick: true}, 342, uint64(369), uint64(6_856_444)
+	if *lumiFull {
+		// The quick suite stops at p <= 128; rotated block-set offsets and
+		// the Bine alltoall's per-step regrouping only go wrong above it.
+		opts, schedules, memHits, residentBytes = Options{Systems: []string{"lumi"}}, 339, 8, 123_179_012
+	}
+	synth, oracle := &Engine{}, &Engine{DisableSynth: true}
+	var rendered [2]strings.Builder
+	for i, eng := range []*Engine{synth, oracle} {
+		opts.Engine = eng
+		if err := RunExperiment(context.Background(), &rendered[i], "all", opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key, se := range synth.traces {
+		name := fmt.Sprintf("%s %s/%s shape=%s root=%d", key.Kind, key.Collective, key.Algo, key.Shape, key.Root)
+		if oe := oracle.traces[key]; oe == nil {
+			t.Errorf("%s: synthesized but never recorded", name)
+		} else if err := diffTraces(se.tr, oe.tr); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if len(synth.traces) != schedules || len(oracle.traces) != schedules {
+		t.Errorf("%d schedules synthesized, %d recorded, want %d of each", len(synth.traces), len(oracle.traces), schedules)
+	}
+	if t.Failed() {
+		return
+	}
+	if rendered[0].String() != rendered[1].String() {
+		t.Error("identical traces rendered different artifacts")
+	}
+	s, o := synth.Stats(), oracle.Stats()
+	if int(s.SynthHits) != schedules || s.Records != 0 || int(o.Records) != schedules || o.SynthHits != 0 {
+		t.Errorf("want %d schedules resolved by each Engine's own cold leg:\nsynth  %+v\noracle %+v", schedules, s, o)
+	}
+	if s.MemoryHits != memHits || o.MemoryHits != memHits {
+		t.Errorf("%d and %d memory hits, want %d", s.MemoryHits, o.MemoryHits, memHits)
+	}
+	if s.CachedBytes != residentBytes {
+		t.Errorf("%d resident trace bytes, want %d", s.CachedBytes, residentBytes)
+	}
+}
+
+// diffTraces holds synthesis to byte identity: the synthesized trace must
+// encode to exactly the recorded oracle's bytes. On divergence it names the
+// first differing record (the caller adds the schedule identity) so a
+// schedule drift is debuggable from the failure message alone.
+func diffTraces(st, rt *fabric.Trace) error {
+	sb, err := encodeTraceBytes(st)
+	if err != nil {
+		return err
+	}
+	rb, err := encodeTraceBytes(rt)
+	if err != nil {
+		return err
+	}
+	if bytes.Equal(sb, rb) {
+		return nil
+	}
+	ss, rs := 0, 0 // the step holding record i in each trace
+	for i, n := 0, min(st.NumRecords(), rt.NumRecords()); i < n; i++ {
+		ss, rs = stepOf(st, ss, i), stepOf(rt, rs, i)
+		if ss != rs || st.From(i) != rt.From(i) || st.To(i) != rt.To(i) || st.Elems(i) != rt.Elems(i) {
+			return fmt.Errorf("synth oracle: record %d diverges: synthesized %s, recorded %s",
+				i, describeRecord(st, ss, i), describeRecord(rt, rs, i))
+		}
+	}
+	return fmt.Errorf("synth oracle: encodings differ (%d synthesized records vs %d recorded)", st.NumRecords(), rt.NumRecords())
+}
+
+// stepOf advances s to the step whose bounds hold record i.
+func stepOf(tr *fabric.Trace, s, i int) int {
+	for _, hi := tr.StepBounds(s); i >= hi; _, hi = tr.StepBounds(s) {
+		s++
+	}
+	return s
+}
+
+func describeRecord(tr *fabric.Trace, step, i int) string {
+	return fmt.Sprintf("{step %d: %d -> %d, %d elems}", step, tr.From(i), tr.To(i), tr.Elems(i))
+}
+
+func encodeTraceBytes(tr *fabric.Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := fabric.EncodeTrace(&buf, tr); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

@@ -155,14 +155,12 @@ func TestDetRangeGolden(t *testing.T) {
 	runGolden(t, DetRange, "testdata/src/detrange")
 }
 
-// TestCleanPackageNoFindings pins the zero-exit contract: a conforming
-// package produces no findings under the full suite.
+// TestCleanPackageNoFindings pins the other half of the goldens: a
+// conforming package produces no findings under the full suite.
 func TestCleanPackageNoFindings(t *testing.T) {
 	ldr, pkgs := loadGolden(t, "testdata/src/clean")
-	if findings := Run(ldr, pkgs, Analyzers()); len(findings) != 0 {
-		for _, f := range findings {
-			t.Errorf("finding on clean package: %s:%d [%s] %s", f.File, f.Line, f.Rule, f.Message)
-		}
+	for _, f := range Run(ldr, pkgs, Analyzers()) {
+		t.Errorf("finding on clean package: %s", f)
 	}
 }
 

@@ -1,16 +1,15 @@
 // The binelint driver: repo-specific analyzers over type-checked packages,
-// with //binelint:ignore suppression and text/JSON findings output. Each
-// analyzer codifies an invariant a past PR's review had to catch by hand;
-// the catalog lives in EXPERIMENTS.md ("Static analysis").
+// with //binelint:ignore suppression. It has no binary: TestModuleClean runs
+// the suite over the whole module inside `go test ./...`. Each analyzer
+// codifies an invariant a past PR's review had to catch by hand; the catalog
+// lives in EXPERIMENTS.md ("Static analysis").
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -52,11 +51,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Finding is one diagnostic.
 type Finding struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"` // module-relative, slash-separated
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Rule    string
+	File    string // module-relative, slash-separated
+	Line    int
+	Col     int
+	Message string
+}
+
+// String renders the finding as file:line: [rule] message.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Rule, f.Message)
 }
 
 // Analyzers returns the full rule suite in catalog order.
@@ -186,24 +190,6 @@ func Run(ldr *Loader, pkgs []*Package, analyzers []*Analyzer) []Finding {
 		return a.Rule < b.Rule
 	})
 	return out
-}
-
-// WriteText renders findings one per line: file:line: [rule] message.
-func WriteText(w io.Writer, findings []Finding) {
-	for _, f := range findings {
-		fmt.Fprintf(w, "%s:%d: [%s] %s\n", f.File, f.Line, f.Rule, f.Message)
-	}
-}
-
-// WriteJSON renders findings as a JSON array (never null: an empty run
-// emits []).
-func WriteJSON(w io.Writer, findings []Finding) error {
-	if findings == nil {
-		findings = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
 }
 
 // ---- shared type/AST helpers used by the analyzers ----

@@ -21,7 +21,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -108,8 +108,8 @@ func skipDir(name string) bool {
 	return name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// LoadAll loads every package under the module root (the binelint ./...
-// set), in deterministic directory order.
+// LoadAll loads every package under the module root (the ./... set, bench/
+// included), each once, in deterministic directory order.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModRoot, func(path string, d os.DirEntry, err error) error {
@@ -123,17 +123,18 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			return nil
 		}
 		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
+			dirs = append(dirs, filepath.Dir(path))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(dirs)
+	// The walk visits a directory's files on both sides of its
+	// sub-directories (bench/calibrate.go … bench/probe/ … bench/workloads.go),
+	// so duplicates are not adjacent until sorted.
+	slices.Sort(dirs)
+	dirs = slices.Compact(dirs)
 	pkgs := make([]*Package, 0, len(dirs))
 	for _, dir := range dirs {
 		p, err := l.LoadDir(dir)

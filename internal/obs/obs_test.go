@@ -149,12 +149,15 @@ func TestRegisterOnce(t *testing.T) {
 }
 
 // TestPrometheusGolden pins the exposition bytes for a small fixed registry:
-// HELP/TYPE lines per family, sorted series, cumulative buckets with +Inf,
+// HELP/TYPE lines per family, families sorted by name and — whatever order
+// they were registered in — a family's series by labels (Snapshot's contract,
+// which both exposition formats render from), cumulative buckets with +Inf,
 // _sum and _count.
 func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("app_requests_total", "Requests served.", "code", "200").Add(3)
-	r.Counter("app_requests_total", "Requests served.", "code", "500").Add(1)
+	for _, code := range []string{"429", "200", "500", "404", "499", "400"} {
+		r.Counter("app_requests_total", "Requests served.", "code", code).Add(3)
+	}
 	r.Gauge("app_queue_depth", "Jobs waiting.").Set(2)
 	h := r.Histogram("app_latency_seconds", "Request latency.", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -177,7 +180,11 @@ app_queue_depth 2
 # HELP app_requests_total Requests served.
 # TYPE app_requests_total counter
 app_requests_total{code="200"} 3
-app_requests_total{code="500"} 1
+app_requests_total{code="400"} 3
+app_requests_total{code="404"} 3
+app_requests_total{code="429"} 3
+app_requests_total{code="499"} 3
+app_requests_total{code="500"} 3
 `
 	if b.String() != want {
 		t.Errorf("exposition diverges:\n--- got ---\n%s--- want ---\n%s", b.String(), want)

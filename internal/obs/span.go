@@ -43,7 +43,7 @@ var (
 	// StageSynth is direct schedule synthesis from schedule math.
 	StageSynth = Stage{"synth"}
 	// StageRecord is a schedule execution on the recording goroutine
-	// fabric (the -synth=false leg and verify mode's oracle).
+	// fabric (the -synth=false leg, which is the synthesizer's oracle).
 	StageRecord = Stage{"fabric-record"}
 	// StageEvaluate is a netsim evaluation of a resolved trace.
 	StageEvaluate = Stage{"evaluate"}

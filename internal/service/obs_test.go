@@ -255,10 +255,11 @@ func TestRequestCodeSeries(t *testing.T) {
 // TestTracezTimeline is the stage-attribution pin: a served experiment's
 // trace shows the serial compile → execute → render spans, and — because the
 // leader runs them contiguously on the flight goroutine — their durations
-// sum to the flight's wall time (within tolerance for scheduling noise).
+// sum to the flight's wall time (within tolerance for scheduling noise); its
+// per-cell stage aggregates count exactly the resolutions the Engine made.
 func TestTracezTimeline(t *testing.T) {
 	t.Parallel()
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	req, _ := http.NewRequest("GET", ts.URL+"/artifact/fig11b", nil)
 	req.Header.Set("X-Request-ID", "tracez-pin")
 	resp, err := http.DefaultClient.Do(req)
@@ -313,8 +314,15 @@ func TestTracezTimeline(t *testing.T) {
 	if ratio := sum / tr.WallMS; ratio < 0.5 || ratio > 1.05 {
 		t.Errorf("top-level spans sum to %.3fms of %.3fms wall (ratio %.2f)", sum, tr.WallMS, ratio)
 	}
-	if len(tr.Stages) == 0 {
-		t.Error("trace carries no per-cell stage aggregates")
+	// The server has served this one request, so its per-cell aggregates are
+	// the Engine's counters: a resolution that ran outside the request's
+	// context would be counted by the Engine and missing from the timeline.
+	cache := srv.Snapshot().Cache
+	if n := tr.Stages[obs.StageSynth.String()].Count; n == 0 || n != cache.SynthHits {
+		t.Errorf("synth stage count %d, engine synthesized %d", n, cache.SynthHits)
+	}
+	if n := tr.Stages[obs.StageCacheLookup.String()].Count; n != cache.MemoryHits {
+		t.Errorf("cache-lookup stage count %d, engine served %d memory hits", n, cache.MemoryHits)
 	}
 }
 

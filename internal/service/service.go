@@ -7,7 +7,7 @@
 // Identical concurrent requests are deduplicated by singleflight on the
 // compiled plan key, so a thundering herd resolves each schedule once —
 // by direct synthesis from schedule math, with the goroutine fabric as the
-// verification oracle — through the server's own harness.Engine, and
+// tests' oracle — through the server's own harness.Engine, and
 // the shared -trace-cache directory is prewarmed (decode-validated, corrupt
 // files evicted) in the background; /readyz reports 503 until that pass
 // completes.
@@ -80,10 +80,6 @@ type Config struct {
 	// DisableSynth turns off direct schedule synthesis: every cold schedule
 	// executes on the recording goroutine fabric (the oracle path).
 	DisableSynth bool
-	// VerifySynth records every synthesized schedule on the fabric as well
-	// and fails the render on any encoded-byte difference — CI's equivalence
-	// gate, at the cost of a full cold pre-synthesis run.
-	VerifySynth bool
 	// AccessLog, when non-nil, receives one JSON line per /artifact request:
 	// request ID, plan key, singleflight role, status, bytes, duration, and
 	// the request trace's stage breakdown. Writes are serialized.
@@ -136,7 +132,7 @@ type Server struct {
 // Server owning a resident Runner. The server answers immediately; /readyz
 // turns 200 once the prewarm completes.
 func New(cfg Config) (*Server, error) {
-	engine := &harness.Engine{DisableSynth: cfg.DisableSynth, VerifySynth: cfg.VerifySynth}
+	engine := &harness.Engine{DisableSynth: cfg.DisableSynth}
 	if cfg.TraceDir != "" {
 		store, err := tracestore.Open(cfg.TraceDir)
 		if err != nil {

@@ -8,13 +8,14 @@
 // logged, Recvs complete immediately) and merges the columns with the same
 // shard sort and counting merge the Recorder uses. The result is
 // byte-identical under the codec to a recorded trace of the same schedule
-// — pinned by this package's tests across the whole registry, by the
-// harness's -verify-synth mode, and in CI.
+// — pinned by this package's tests across the whole registry and, for every
+// schedule the artifacts use, by the harness's
+// TestSynthMatchesRecordedOracle.
 //
 // The goroutine fabric remains the oracle: property/fuzz tests and the
 // tcp-cluster example still execute schedules for real, and the harness
-// records on it with synthesis disabled or under verify mode. A synthesis
-// error is not retried there: it fails the request.
+// records on it with synthesis disabled. A synthesis error is not retried
+// there: it fails the request.
 package synth
 
 import (
