@@ -23,8 +23,6 @@ package binetrees
 
 import (
 	"fmt"
-	"math/bits"
-	"sync/atomic"
 
 	"binetrees/internal/coll"
 	"binetrees/internal/core"
@@ -47,18 +45,11 @@ var (
 type Cluster struct {
 	fab fabric.Fabric
 	rec *fabric.Recorder
-
-	// budget scales the transport's receive deadlines with the message
-	// counts of the collectives actually run (nil when the transport has a
-	// fixed deadline). When recording is enabled the Recorder auto-scales
-	// from observed traffic instead, so the estimate stays out of its way.
-	budget  fabric.BudgetSetter
-	granted atomic.Int64 // estimated messages granted so far
 }
 
 // NewCluster creates an in-process cluster of p ranks.
 func NewCluster(p int) *Cluster {
-	return newCluster(fabric.NewMem(p))
+	return &Cluster{fab: fabric.NewMem(p)}
 }
 
 // NewTCPCluster creates a cluster whose ranks exchange length-prefixed
@@ -68,53 +59,7 @@ func NewTCPCluster(p int) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCluster(f), nil
-}
-
-func newCluster(f fabric.Fabric) *Cluster {
-	cl := &Cluster{fab: f}
-	if bs, ok := f.(fabric.BudgetSetter); ok {
-		cl.budget = bs
-	}
-	return cl
-}
-
-// grantBudget accumulates a collective invocation's estimated per-rank send
-// count into the transport's receive-deadline budget: long schedules —
-// many collectives back to back, or large rank counts — earn deadlines
-// proportional to the traffic they are about to move, rather than relying
-// on the flat base timeout (which only fits short schedules). Estimates are
-// deliberately generous upper bounds: an over-grant merely delays the
-// detection of a genuinely deadlocked run (capped by fabric.MaxBudget),
-// while an under-grant could fail a healthy one.
-func (cl *Cluster) grantBudget(msgs int) {
-	if cl.budget == nil || cl.rec != nil || msgs <= 0 {
-		return
-	}
-	cl.budget.SetBudget(int(cl.granted.Add(int64(msgs))))
-}
-
-// estimateRankSends bounds the messages one rank sends in a single
-// invocation of the collective over p ranks: every registered algorithm —
-// trees, butterflies, rings, Bruck, pairwise, pipelines — stays within it.
-func estimateRankSends(c Collective, p int) int {
-	if p <= 1 {
-		return 0
-	}
-	log := bits.Len(uint(p - 1)) // ⌈log₂ p⌉
-	switch c {
-	case Alltoall:
-		// Pairwise and Bruck send ≤ p; the Bine alltoall resends blocks
-		// across its log steps.
-		return p * (log + 1)
-	case ReduceScatter, Allgather, Allreduce:
-		// Ring variants send 2(p−1); block-by-block butterflies ≈ p.
-		return 2*p + 2*log
-	default:
-		// Rooted collectives: linear roots send p−1, pipelines send one
-		// message per segment, trees send ≤ ⌈log₂ p⌉+1.
-		return p + coll.DefaultSegments + log
-	}
+	return &Cluster{fab: f}, nil
 }
 
 // EnableRecording wraps the cluster's transport so every message is
@@ -147,16 +92,14 @@ func (cl *Cluster) Run(fn func(r *Rank) error) error {
 		f = cl.rec
 	}
 	return fabric.Run(f, func(c fabric.Comm) error {
-		return fn(&Rank{c: c, cl: cl})
+		return fn(&Rank{c: c})
 	})
 }
 
 // Rank is one rank's handle inside Cluster.Run.
 type Rank struct {
-	c    fabric.Comm
-	cl   *Cluster
-	seq  int // tag window sequencing across successive collectives
-	opts options
+	c   fabric.Comm
+	seq int // tag window sequencing across successive collectives
 }
 
 // ID returns the rank identifier in [0, Size).
@@ -269,9 +212,6 @@ func pickDefault(c Collective, p, n int) string {
 
 func (r *Rank) dispatch(collective Collective, n int, in, out []int32, opts []Option) error {
 	o, c := r.prepare(opts)
-	if r.cl != nil {
-		r.cl.grantBudget(estimateRankSends(collective, r.Size()))
-	}
 	name := o.algorithm
 	if name == "" {
 		name = pickDefault(collective, r.Size(), n)

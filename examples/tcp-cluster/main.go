@@ -3,11 +3,9 @@
 // exchange length-prefixed frames; the example runs a Bine allreduce, a
 // gather, and an alltoall and verifies all of them.
 //
-// Receive deadlines scale with the work submitted: each collective call
-// feeds its estimated message count into the transport's deadline budget
-// (Cluster.grantBudget), so long schedules over TCP earn the wait they
-// need instead of relying on the flat base timeout — the same scaling the
-// Recorder applies from observed traffic on recording fabrics.
+// A receive gives up only once the whole fabric has delivered nothing for
+// fabric.DefaultTimeout, so a schedule of any length runs over TCP without
+// being told how long it is.
 package main
 
 import (

@@ -150,8 +150,8 @@ func AllreduceRsAg(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
 
 // rsContigPhase runs a contiguous-range reduce-scatter over seg (p·bs
 // elements, in raw position space) and returns the owned position range
-// [lo, hi) with hi−lo == 1. Used by AllreduceRsAg and the per-dimension
-// torus collectives.
+// [lo, hi) with hi−lo == 1. Used by rsContig, AllreduceRsAg and the
+// per-dimension torus collectives.
 func rsContigPhase(x *ctx, b *core.Butterfly, r int, seg []int32, op Op) (lo, hi int, err error) {
 	bs := len(seg) / b.P
 	lo, hi = 0, b.P
@@ -284,20 +284,9 @@ func rsContig(c fabric.Comm, b *core.Butterfly, strat Strategy, buf, out []int32
 		copy(pbuf, buf)
 	}
 	x := &ctx{c: c}
-	lo, hi := 0, b.P
-	tmp := make([]int32, len(buf)/2)
-	for i := 0; i < b.S; i++ {
-		slo, shi, klo, khi, err := splitRanges(b, r, i, lo, hi)
-		if err != nil {
-			return err
-		}
-		recv := tmp[:(khi-klo)*bs]
-		x.exchange(b.Partner(r, i), i, 0, pbuf[slo*bs:shi*bs], recv)
-		if x.err != nil {
-			return x.err
-		}
-		op.Apply(pbuf[klo*bs:khi*bs], recv)
-		lo, hi = klo, khi
+	lo, hi, err := rsContigPhase(x, b, r, pbuf, op)
+	if err != nil {
+		return err
 	}
 	if hi-lo != 1 {
 		return fmt.Errorf("coll: reduce-scatter ended owning %d positions", hi-lo)
@@ -404,28 +393,8 @@ func agContig(c fabric.Comm, b *core.Butterfly, strat Strategy, in, out []int32)
 	} else {
 		copy(pbuf[pos*bs:], in)
 	}
-	lo, hi := pos, pos+1
-	for i := 0; i < b.S; i++ {
-		j := b.S - 1 - i
-		plo, phi, err := keepRange(b, r, j-1)
-		if err != nil {
-			return err
-		}
-		q := b.Partner(r, j)
-		var olo, ohi int
-		if lo == plo {
-			olo, ohi = hi, phi
-		} else {
-			olo, ohi = plo, lo
-		}
-		x.exchange(q, i, 0, pbuf[lo*bs:hi*bs], pbuf[olo*bs:ohi*bs])
-		if x.err != nil {
-			return x.err
-		}
-		lo, hi = plo, phi
-	}
-	if x.err != nil {
-		return x.err
+	if err := agContigPhase(x, b, r, pbuf, pos, pos+1); err != nil {
+		return err
 	}
 	if strat == Permute {
 		// Terminal permutation: position reverse(ν(b)) holds block b.

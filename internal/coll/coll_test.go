@@ -2,8 +2,8 @@ package coll
 
 import (
 	"fmt"
-	"sync"
 	"testing"
+	"time"
 
 	"binetrees/internal/core"
 	"binetrees/internal/fabric"
@@ -31,7 +31,12 @@ func expectedReduce(p, n int, op Op) []int32 {
 // test on any error.
 func runRanks(t *testing.T, p int, fn func(c fabric.Comm) error) {
 	t.Helper()
-	f := fabric.NewMem(p)
+	runRanksOn(t, fabric.NewMem(p), fn)
+}
+
+// runRanksOn is runRanks on a fabric of the caller's choosing; it closes f.
+func runRanksOn(t *testing.T, f fabric.Fabric, fn func(c fabric.Comm) error) {
+	t.Helper()
 	defer f.Close()
 	if err := fabric.Run(f, fn); err != nil {
 		t.Fatal(err)
@@ -296,6 +301,24 @@ func TestRingCollectives(t *testing.T) {
 	}
 }
 
+// TestRingAllreduceUnderShortWatchdog is the receive watchdog's scale case:
+// 2(p−1) steps over 1024 ranks keep most receives waiting far longer than
+// 50 ms on a bare Mem, and none may fail, because the fabric never stops
+// delivering; nor may a thousand receivers expiring together stall it.
+func TestRingAllreduceUnderShortWatchdog(t *testing.T) {
+	const p = 1024
+	f := fabric.NewMem(p)
+	f.SetTimeout(50 * time.Millisecond)
+	want := expectedReduce(p, p, OpSum)
+	runRanksOn(t, f, func(c fabric.Comm) error {
+		buf := input(c.Rank(), p)
+		if err := RingAllreduce(c, buf, OpSum); err != nil {
+			return err
+		}
+		return eq(t, fmt.Sprintf("ring-allreduce p=%d rank=%d", p, c.Rank()), buf, want)
+	})
+}
+
 func alltoallExpected(p, bs, me int) []int32 {
 	out := make([]int32, p*bs)
 	for o := 0; o < p; o++ {
@@ -458,38 +481,6 @@ func TestAllreduceReduceBcast(t *testing.T) {
 			}
 			return eq(t, fmt.Sprintf("red-bcast p=%d", p), buf, want)
 		})
-	}
-}
-
-func TestCollectivesOverTCP(t *testing.T) {
-	// The same collective code must run unchanged over real sockets.
-	p := 8
-	f, err := fabric.NewTCP(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	b := core.MustButterfly(core.BflyBineDD, p)
-	n := p * 4
-	want := expectedReduce(p, n, OpSum)
-	var mu sync.Mutex
-	results := map[int][]int32{}
-	if err := fabric.Run(f, func(c fabric.Comm) error {
-		buf := input(c.Rank(), n)
-		if err := AllreduceRsAg(c, b, buf, OpSum); err != nil {
-			return err
-		}
-		mu.Lock()
-		results[c.Rank()] = buf
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < p; r++ {
-		if err := eq(t, fmt.Sprintf("tcp rank %d", r), results[r], want); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"binetrees/internal/core"
@@ -12,14 +13,32 @@ import (
 // several rank counts and verifies its output against locally computed
 // expected results.
 func TestRegistryAllAlgorithmsCorrect(t *testing.T) {
+	checkRegistry(t, func(p int) fabric.Fabric { return fabric.NewMem(p) }, []int{2, 4, 16}, []int{6, 12})
+}
+
+// TestCollectivesOverTCP runs the whole registry once more over real
+// sockets: the same collective code must run unchanged on either transport.
+func TestCollectivesOverTCP(t *testing.T) {
+	checkRegistry(t, func(p int) fabric.Fabric {
+		f, err := fabric.NewTCP(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}, []int{8}, []int{6})
+}
+
+// checkRegistry runs every registered algorithm on fabrics from mk, at the
+// pow2 rank counts and, unless the algorithm is Pow2Only, the other ones too.
+func checkRegistry(t *testing.T, mk func(p int) fabric.Fabric, pow2, other []int) {
 	algos := Registry()
 	if len(algos) < 30 {
 		t.Fatalf("registry has only %d algorithms", len(algos))
 	}
 	for _, algo := range algos {
-		counts := []int{2, 4, 16}
+		counts := pow2
 		if !algo.Pow2Only {
-			counts = append(counts, 6, 12)
+			counts = slices.Concat(pow2, other)
 		}
 		for _, p := range counts {
 			bs := 2
@@ -35,7 +54,7 @@ func TestRegistryAllAlgorithmsCorrect(t *testing.T) {
 			}
 			wantRed := expectedReduce(p, n, OpSum)
 			tag := fmt.Sprintf("%v/%s p=%d", algo.Coll, algo.Name, p)
-			runRanks(t, p, func(c fabric.Comm) error {
+			runRanksOn(t, mk(p), func(c fabric.Comm) error {
 				r := c.Rank()
 				inLen, outLen := algo.Coll.InOutLens(p, n)
 				in := make([]int32, inLen)

@@ -14,80 +14,35 @@
 // to demonstrate the collectives over a real network stack). A Recorder can
 // wrap any fabric to capture the full communication trace for the traffic
 // and cost analyses in internal/netsim.
+//
+// Nothing here needs to know how long a schedule is: a blocked Recv fails
+// only once the whole fabric has stopped delivering (see DefaultTimeout).
 package fabric
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
-// DefaultTimeout is the base bound on how long a Recv waits for a matching
-// message before failing. Collectives are deadlock-free by construction; the
-// timeout turns a bug into a test failure instead of a hang. Long schedules
-// (thousands of steps over thousands of ranks) legitimately keep individual
-// receives waiting far beyond any flat constant, so the effective deadline
-// is this base plus a budget that scales with the schedule size — see
-// SetBudget on the transports and the Recorder's auto-scaling.
+// DefaultTimeout is how long a fabric may deliver nothing before a blocked
+// Recv gives up. Collectives are deadlock-free by construction; the watchdog
+// turns a bug into a test failure instead of a hang. It watches the fabric,
+// not the receive: a delivery to any rank re-arms every blocked receiver, so
+// a healthy schedule of any length never trips it, and a deadlocked one fails
+// between one and two timeouts after its last delivery (or after the receive
+// began, if that is later) — see ranks.lastMoved. SetTimeout on the
+// transports overrides it; only tests do.
+//
+// The hot path pays nothing shared: put counts a delivery in its own mailbox
+// under the lock it already holds, and take reads no other rank's state until
+// a whole timeout has passed. Receivers expiring together share one O(p) pass
+// per timeout (a 1024-rank ring at 50 ms passes under -race,
+// coll.TestRingAllreduceUnderShortWatchdog).
 const DefaultTimeout = 30 * time.Second
 
-// PerMessageBudget is the extra receive allowance granted per message of a
-// schedule's budget: a schedule known (or observed) to move m messages may
-// keep any single receive waiting DefaultTimeout + m×PerMessageBudget. The
-// value is far above the per-message cost of the in-process transport, so a
-// healthy schedule never exhausts it, while a genuinely deadlocked small
-// schedule still fails near the base timeout.
-const PerMessageBudget = 20 * time.Microsecond
-
-// MaxBudget caps the scaled allowance so a deadlocked full-scale run fails
-// within minutes instead of hanging for hours.
-const MaxBudget = 15 * time.Minute
-
-// ScaledTimeout returns the effective receive deadline for a schedule of
-// the given total message count: the DefaultTimeout base plus the capped
-// per-message budget.
-func ScaledTimeout(messages int) time.Duration {
-	return DefaultTimeout + budgetFor(messages)
-}
-
-// budgetFor converts a message count into the capped extra allowance.
-func budgetFor(messages int) time.Duration {
-	b := time.Duration(messages) * PerMessageBudget
-	if b > MaxBudget {
-		b = MaxBudget
-	}
-	return b
-}
-
-// raiseBudget CAS-maxes the allowance into the transport's budget cell:
-// stale raises (smaller counts landing after larger ones) are no-ops.
-func raiseBudget(budget *atomic.Int64, b time.Duration) {
-	for {
-		cur := budget.Load()
-		if int64(b) <= cur {
-			return
-		}
-		if budget.CompareAndSwap(cur, int64(b)) {
-			return
-		}
-	}
-}
-
-// BudgetSetter is implemented by transports whose receive deadline scales
-// with the schedule size. SetBudget grants every receive an allowance of
-// DefaultTimeout (or the SetTimeout override) plus the capped per-message
-// budget for the given count. Budgets only grow: a call below the current
-// allowance is a no-op, so concurrent granters — many ranks observing
-// different cumulative counts — can never regress the deadline, whatever
-// order their raises land in. The Recorder calls it automatically as the
-// recorded schedule grows, so callers rarely need to.
-type BudgetSetter interface {
-	SetBudget(messages int)
-}
-
-// ErrTimeout is returned when a receive waits longer than the fabric's
-// timeout for a matching message.
+// ErrTimeout is returned by a receive still unmatched after the whole fabric
+// has delivered nothing for its timeout.
 var ErrTimeout = errors.New("fabric: receive timed out")
 
 // ErrClosed is returned when operating on a closed fabric.

@@ -208,124 +208,118 @@ func TestMemTimeout(t *testing.T) {
 	}
 }
 
-func TestScaledTimeout(t *testing.T) {
-	if got := ScaledTimeout(0); got != DefaultTimeout {
-		t.Fatalf("zero-message budget: %v, want %v", got, DefaultTimeout)
+// TestWatchdog pins what a receive timeout means on every fabric: not "this
+// receive waited too long" but "nothing was delivered anywhere for a whole
+// timeout". Rank 2 blocks on a message from rank 0 while ranks 0 and 1
+// ping-pong.
+func TestWatchdog(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	short := func(f interface {
+		Fabric
+		SetTimeout(time.Duration)
+	}) Fabric {
+		f.SetTimeout(timeout)
+		return f
 	}
-	if got, want := ScaledTimeout(1_000_000), DefaultTimeout+1_000_000*PerMessageBudget; got != want {
-		t.Fatalf("1M-message budget: %v, want %v", got, want)
+	kinds := []struct {
+		name string
+		mk   func(t *testing.T) Fabric
+	}{
+		{"Mem", func(*testing.T) Fabric { return short(NewMem(3)) }},
+		{"TCP", func(t *testing.T) Fabric {
+			f, err := NewTCP(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return short(f)
+		}},
+		{"RecordedMem", func(*testing.T) Fabric { return NewRecorder(short(NewMem(3))) }},
 	}
-	if got, want := ScaledTimeout(1<<40), DefaultTimeout+MaxBudget; got != want {
-		t.Fatalf("huge budget not capped: %v, want %v", got, want)
-	}
-}
-
-// longSchedule is the deadline-scaling scenario: rank 0 streams `msgs` tiny
-// messages, stalls, then sends a final one that rank 1 has been blocked on
-// all along. The final receive must wait out the stall, which only a budget
-// scaled to the schedule length allows under a short base timeout.
-func longSchedule(f Fabric, msgs int, stall time.Duration) error {
-	return Run(f, func(c Comm) error {
-		if c.Rank() == 0 {
-			for i := 0; i < msgs; i++ {
-				if err := c.Send(1, 0, i, []int32{int32(i)}); err != nil {
+	// pingPong bounces messages between ranks 0 and 1 until rank 0's more()
+	// says stop, which rank 1 learns from the payload; rank 1 calls last()
+	// just before the send that is the fabric's final delivery.
+	pingPong := func(c Comm, more func(round int) bool, last func()) error {
+		buf := make([]int32, 1)
+		for i := 0; buf[0] >= 0; i++ {
+			if c.Rank() == 0 {
+				if !more(i) {
+					buf[0] = -1
+				}
+				if err := c.Send(1, i, 0, buf); err != nil {
+					return err
+				}
+				if err := c.Recv(1, i, 0, buf); err != nil {
+					return err
+				}
+			} else {
+				if err := c.Recv(0, i, 0, buf); err != nil {
+					return err
+				}
+				if buf[0] < 0 {
+					last()
+				}
+				if err := c.Send(0, i, 0, buf); err != nil {
 					return err
 				}
 			}
-			time.Sleep(stall)
-			return c.Send(1, 1, 0, []int32{-1})
 		}
-		return c.Recv(0, 1, 0, make([]int32, 1))
-	})
-}
-
-// TestDeadlineScalesWithScheduleLength pins the fig11b -full fix: a long
-// schedule under an artificially short base timeout succeeds when the
-// Recorder auto-scales the deadline with the trace length, and the same
-// schedule fails with scaling off (no Recorder, flat base timeout).
-func TestDeadlineScalesWithScheduleLength(t *testing.T) {
-	const msgs = 16384 // budget: 16384 × PerMessageBudget ≈ 327ms
-	base := 20 * time.Millisecond
-	stall := 150 * time.Millisecond
-
-	raw := NewMem(2)
-	raw.SetTimeout(base)
-	err := longSchedule(raw, msgs, stall)
-	raw.Close()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("flat base timeout survived the stall: %v", err)
+		return nil
 	}
-
-	scaled := NewMem(2)
-	scaled.SetTimeout(base)
-	rec := NewRecorder(scaled)
-	defer rec.Close()
-	if err := longSchedule(rec, msgs, stall); err != nil {
-		t.Fatalf("auto-scaled deadline timed out: %v", err)
-	}
-	if got := rec.Trace().NumRecords(); got != msgs+1 {
-		t.Fatalf("recorded %d messages, want %d", got, msgs+1)
-	}
-}
-
-// TestSetBudgetExtendsBlockedReceive pins the live re-evaluation: a budget
-// raised while the receiver is already blocked extends the wait in place.
-func TestSetBudgetExtendsBlockedReceive(t *testing.T) {
-	f := NewMem(2)
-	defer f.Close()
-	f.SetTimeout(30 * time.Millisecond)
-	err := Run(f, func(c Comm) error {
-		if c.Rank() == 0 {
-			time.Sleep(10 * time.Millisecond) // let rank 1 block first
-			f.SetBudget(100_000)              // ≈ 2s allowance
-			time.Sleep(100 * time.Millisecond)
-			return c.Send(1, 0, 0, []int32{7})
-		}
-		return c.Recv(0, 0, 0, make([]int32, 1))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBudgetMonotone pins BudgetSetter's only-grow contract: a stale raise
-// landing after a larger one (concurrent granters race their SetBudget
-// calls) must not shrink the allowance.
-func TestBudgetMonotone(t *testing.T) {
-	f := NewMem(2)
-	defer f.Close()
-	f.SetBudget(100_000)
-	want := ScaledTimeout(100_000)
-	if got := f.recvTimeout(); got != want {
-		t.Fatalf("budget: %v, want %v", got, want)
-	}
-	f.SetBudget(1) // stale raise
-	if got := f.recvTimeout(); got != want {
-		t.Fatalf("stale raise shrank the budget: %v, want %v", got, want)
-	}
-	f.SetBudget(200_000)
-	if got, want := f.recvTimeout(), ScaledTimeout(200_000); got != want {
-		t.Fatalf("larger raise ignored: %v, want %v", got, want)
-	}
-}
-
-func TestTCPSetBudget(t *testing.T) {
-	f, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	f.SetTimeout(20 * time.Millisecond)
-	f.SetBudget(100_000) // ≈ 2s allowance
-	err = Run(f, func(c Comm) error {
-		if c.Rank() == 0 {
-			time.Sleep(100 * time.Millisecond)
-			return c.Send(1, 0, 0, []int32{7})
-		}
-		return c.Recv(0, 0, 0, make([]int32, 1))
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range kinds {
+		t.Run(k.name+"/BusyFabricKeepsBlockedReceiveAlive", func(t *testing.T) {
+			t.Parallel()
+			f := k.mk(t)
+			defer f.Close()
+			start := time.Now()
+			err := Run(f, func(c Comm) error {
+				if c.Rank() == 2 {
+					return c.Recv(0, 0, 1, make([]int32, 1))
+				}
+				busy := func(int) bool { return time.Since(start) < 5*timeout }
+				if err := pingPong(c, busy, func() {}); err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					return c.Send(2, 0, 1, []int32{7})
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("receive blocked %v on a busy fabric: %v", time.Since(start), err)
+			}
+		})
+		t.Run(k.name+"/QuietFabricFailsWithinTwoTimeouts", func(t *testing.T) {
+			t.Parallel()
+			f := k.mk(t)
+			defer f.Close()
+			const rounds, slack = 50_000, 250 * time.Millisecond // two deliveries a round
+			var quiet, failed time.Time
+			err := Run(f, func(c Comm) error {
+				if c.Rank() == 2 {
+					err := c.Recv(0, 0, 1, make([]int32, 1))
+					failed = time.Now()
+					return err
+				}
+				return pingPong(c, func(i int) bool { return i < rounds-1 }, func() { quiet = time.Now() })
+			})
+			if !errors.Is(err, ErrTimeout) {
+				t.Fatalf("got %v, want timeout", err)
+			}
+			if waited := failed.Sub(quiet); waited < timeout || waited > 2*timeout+slack {
+				t.Fatalf("failed %v after the last delivery; want between %v and %v (+%v slack)",
+					waited, timeout, 2*timeout, slack)
+			}
+		})
+		t.Run(k.name+"/IdleFabricTimesOut", func(t *testing.T) {
+			t.Parallel()
+			f := k.mk(t)
+			defer f.Close()
+			start := time.Now()
+			err := f.Comm(0).Recv(1, 0, 0, make([]int32, 1))
+			if !errors.Is(err, ErrTimeout) || time.Since(start) < timeout {
+				t.Fatalf("got %v after %v, want timeout after %v", err, time.Since(start), timeout)
+			}
+		})
 	}
 }
 

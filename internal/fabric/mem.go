@@ -1,89 +1,32 @@
 package fabric
 
-import (
-	"fmt"
-	"sync/atomic"
-	"time"
-)
-
 // Mem is the in-process transport: each rank has a mailbox and Send copies
 // the payload straight into the destination mailbox. It scales to thousands
 // of ranks and is the default substrate for correctness tests and trace
 // recording.
-type Mem struct {
-	boxes   []*mailbox
-	timeout atomic.Int64 // base receive timeout, nanoseconds
-	budget  atomic.Int64 // scaled schedule allowance, nanoseconds
-}
+type Mem struct{ ranks }
 
 // NewMem creates an in-process fabric with p ranks.
 func NewMem(p int) *Mem {
-	f := &Mem{boxes: make([]*mailbox, p)}
-	f.timeout.Store(int64(DefaultTimeout))
-	for i := range f.boxes {
-		f.boxes[i] = newMailbox()
-	}
+	f := &Mem{}
+	f.init(p)
 	return f
 }
 
-// SetTimeout adjusts the base receive timeout (tests exercising failure
-// paths use short timeouts). It may be called while receives are blocked.
-func (f *Mem) SetTimeout(d time.Duration) { f.timeout.Store(int64(d)) }
-
-// SetBudget grants every receive the capped per-message allowance for a
-// schedule of the given message count on top of the base timeout. Blocked
-// receives observe a raised budget in place (the deadline is re-derived on
-// every wake-up), which is what lets the Recorder extend deadlines while a
-// long schedule is already in flight. The allowance is monotone (see
-// BudgetSetter): stale concurrent raises never shrink it.
-func (f *Mem) SetBudget(messages int) { raiseBudget(&f.budget, budgetFor(messages)) }
-
-// recvTimeout is the live effective deadline: base plus scaled budget.
-func (f *Mem) recvTimeout() time.Duration {
-	return time.Duration(f.timeout.Load() + f.budget.Load())
-}
-
-// Size returns the number of ranks.
-func (f *Mem) Size() int { return len(f.boxes) }
-
 // Comm returns rank's endpoint.
-func (f *Mem) Comm(rank int) Comm {
-	if rank < 0 || rank >= len(f.boxes) {
-		panic(fmt.Sprintf("fabric: rank %d out of range [0,%d)", rank, len(f.boxes)))
-	}
-	return &memComm{f: f, rank: rank}
-}
+func (f *Mem) Comm(rank int) Comm { return memComm{f.endpoint(rank)} }
 
 // Close shuts every mailbox down; pending receives fail with ErrClosed.
 func (f *Mem) Close() error {
-	for _, b := range f.boxes {
-		b.close()
-	}
+	f.close()
 	return nil
 }
 
-type memComm struct {
-	f    *Mem
-	rank int
-}
+type memComm struct{ endpoint }
 
-func (c *memComm) Rank() int { return c.rank }
-func (c *memComm) Size() int { return len(c.f.boxes) }
-
-func (c *memComm) Send(to, step, sub int, data []int32) error {
-	if to < 0 || to >= len(c.f.boxes) {
-		return fmt.Errorf("fabric: send to rank %d of %d", to, len(c.f.boxes))
+func (c memComm) Send(to, step, sub int, data []int32) error {
+	if err := c.checkPeer(to); err != nil {
+		return err
 	}
-	if to == c.rank {
-		return fmt.Errorf("fabric: rank %d sending to itself", to)
-	}
-	return c.f.boxes[to].put(newMessage(c.rank, step, sub, data))
-}
-
-func (c *memComm) Recv(from, step, sub int, buf []int32) error {
-	msg, err := c.f.boxes[c.rank].take(from, step, sub, c.f.recvTimeout)
-	if err != nil {
-		return fmt.Errorf("fabric: rank %d recv: %w", c.rank, err)
-	}
-	return msg.copyInto(c.rank, from, step, sub, buf)
+	return c.boxes[to].put(newMessage(c.rank, step, sub, data))
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Record is one captured point-to-point transfer in materialized form — the
@@ -134,21 +133,6 @@ func (t *Trace) MemBytes() int64 {
 // (computed once at construction).
 func (t *Trace) TotalElems() int64 { return t.totalElems }
 
-// budgetEvery is how many captured sends pass between the Recorder's budget
-// raises: frequent enough that the allowance tracks the schedule closely
-// (each interval is worth budgetEvery × PerMessageBudget of extra deadline),
-// rare enough that the raise is free on the send path.
-const budgetEvery = 1024
-
-// budgetBatch is how many sends a shard accumulates locally before adding
-// them to the Recorder's shared counter: large enough that the counter is
-// never a contended cache line, small enough that schedules whose volume is
-// spread thinly across many ranks (each sender far below budgetEvery) still
-// feed the global count and earn their deadline — at most budgetBatch−1
-// messages per shard ever go uncounted. budgetEvery is a multiple, so
-// raises fire exactly at budgetEvery boundaries of the shared counter.
-const budgetBatch = 64
-
 // shard is one sender's private append-only record buffer: rank r's sends
 // land in shard r in columnar form (From is implicit — it's the shard
 // index), so concurrent ranks never contend on a shared mutex or interleave
@@ -159,8 +143,7 @@ const budgetBatch = 64
 type shard struct {
 	mu                   sync.Mutex
 	step, to, sub, elems []int32
-	pending              int      // sends since this shard's last budget contribution
-	_                    [80]byte // rounds the struct to 192 bytes, a cache-line multiple
+	_                    [88]byte // rounds the struct to 192 bytes, a cache-line multiple
 }
 
 // Recorder wraps a fabric and captures every Send into a Trace. Receives are
@@ -172,31 +155,14 @@ type shard struct {
 // single-slice []Record design. Trace merges the shards into deterministic
 // (step, from, to, sub) order with a counting merge (no comparison sort of
 // the full record set).
-//
-// The schedule length is unknown until the schedule has run, so when the
-// wrapped transport supports deadline budgets (BudgetSetter) the Recorder
-// auto-scales it: as the captured trace grows, every receive's deadline
-// grows with it (DefaultTimeout plus the capped per-message budget for the
-// messages recorded so far). A short schedule that deadlocks still fails
-// near the base timeout; a healthy 8192-rank ring — over a hundred million
-// messages — earns the deadline it needs as it makes progress. Shards
-// contribute to the shared message counter in budgetBatch-sized blocks, so
-// the counter never becomes a contended cache line, yet volume spread
-// thinly across many senders still accumulates and raises the deadline.
 type Recorder struct {
 	inner  Fabric
-	budget BudgetSetter // nil when the transport has a fixed deadline
-	shards []shard      // one per sending rank
-	total  atomic.Int64 // completed budgetBatch blocks across all shards, in messages
+	shards []shard // one per sending rank
 }
 
 // NewRecorder wraps inner.
 func NewRecorder(inner Fabric) *Recorder {
-	r := &Recorder{inner: inner, shards: make([]shard, inner.Size())}
-	if bs, ok := inner.(BudgetSetter); ok {
-		r.budget = bs
-	}
-	return r
+	return &Recorder{inner: inner, shards: make([]shard, inner.Size())}
 }
 
 // Size returns the rank count of the wrapped fabric.
@@ -207,7 +173,7 @@ func (r *Recorder) Close() error { return r.inner.Close() }
 
 // Comm returns a recording endpoint for the rank.
 func (r *Recorder) Comm(rank int) Comm {
-	return &recComm{rec: r, sh: &r.shards[rank], inner: r.inner.Comm(rank)}
+	return &recComm{sh: &r.shards[rank], inner: r.inner.Comm(rank)}
 }
 
 // Trace returns the captured trace in deterministic (step, from, to, sub)
@@ -269,7 +235,6 @@ func (c *shardCols) Swap(i, j int) {
 }
 
 type recComm struct {
-	rec   *Recorder
 	sh    *shard
 	inner Comm
 }
@@ -287,20 +252,7 @@ func (c *recComm) Send(to, step, sub int, data []int32) error {
 	sh.to = append(sh.to, int32(to))
 	sh.sub = append(sh.sub, int32(sub))
 	sh.elems = append(sh.elems, int32(len(data)))
-	sh.pending++
-	flush := sh.pending >= budgetBatch
-	if flush {
-		sh.pending = 0
-	}
 	sh.mu.Unlock()
-	if flush && c.rec.budget != nil {
-		// Every contribution is exactly budgetBatch, so the shared counter
-		// walks multiples of it and exactly one flusher observes each
-		// budgetEvery boundary.
-		if total := c.rec.total.Add(budgetBatch); total%budgetEvery == 0 {
-			c.rec.budget.SetBudget(int(total))
-		}
-	}
 	return c.inner.Send(to, step, sub, data)
 }
 

@@ -239,64 +239,6 @@ func FuzzShardedRecorderMerge(f *testing.F) {
 	})
 }
 
-// budgetFabric records SetBudget calls so tests can observe the Recorder's
-// sharded budget raises.
-type budgetFabric struct {
-	nullFabric
-	mu    sync.Mutex
-	calls []int
-}
-
-func (f *budgetFabric) SetBudget(messages int) {
-	f.mu.Lock()
-	f.calls = append(f.calls, messages)
-	f.mu.Unlock()
-}
-
-// TestRecorderBudgetRaisesSharded pins the sharded budget counter: senders
-// contribute in budgetBatch blocks, and the transport sees a raise at every
-// budgetEvery boundary of the cumulative count.
-func TestRecorderBudgetRaisesSharded(t *testing.T) {
-	f := &budgetFabric{nullFabric: nullFabric{p: 2}}
-	rec := NewRecorder(f)
-	c := rec.Comm(0)
-	for i := 0; i < 2*budgetEvery+5; i++ {
-		if err := c.Send(1, i, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.mu.Lock()
-	calls := append([]int(nil), f.calls...)
-	f.mu.Unlock()
-	if want := []int{budgetEvery, 2 * budgetEvery}; !reflect.DeepEqual(calls, want) {
-		t.Fatalf("budget raises %v, want %v", calls, want)
-	}
-}
-
-// TestRecorderBudgetSpreadAcrossSenders pins the regression the batched
-// counter exists to avoid: a schedule whose volume is spread thinly across
-// many ranks — every sender far below budgetEvery — must still accumulate
-// into the shared count and raise the deadline.
-func TestRecorderBudgetSpreadAcrossSenders(t *testing.T) {
-	p := 32
-	f := &budgetFabric{nullFabric: nullFabric{p: p}}
-	rec := NewRecorder(f)
-	for r := 0; r < p; r++ { // p ranks × budgetBatch sends = 2×budgetEvery total
-		c := rec.Comm(r)
-		for i := 0; i < budgetBatch; i++ {
-			if err := c.Send((r+1)%p, i, 0, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	f.mu.Lock()
-	calls := append([]int(nil), f.calls...)
-	f.mu.Unlock()
-	if want := []int{budgetEvery, 2 * budgetEvery}; !reflect.DeepEqual(calls, want) {
-		t.Fatalf("budget raises %v, want %v (no sender reached budgetEvery alone)", calls, want)
-	}
-}
-
 // ringSchedule is the fig11b hot spot in miniature: every rank sends
 // 2(p−1) unit messages, one per step, to its ring neighbour.
 func ringSchedule(p int) [][]sendRec {

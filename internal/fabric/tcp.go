@@ -6,8 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // TCP is the socket transport: every rank owns a loopback listener and
@@ -20,11 +18,9 @@ import (
 // in little-endian byte order, preceded on each connection by a single
 // uint32 handshake carrying the dialing rank.
 type TCP struct {
-	boxes     []*mailbox
+	ranks
 	listeners []net.Listener
 	addrs     []string
-	timeout   atomic.Int64 // base receive timeout, nanoseconds
-	budget    atomic.Int64 // scaled schedule allowance, nanoseconds
 
 	mu    sync.Mutex
 	conns map[[2]int]net.Conn // (from, to) → dialed connection
@@ -36,14 +32,12 @@ type TCP struct {
 // NewTCP creates a TCP fabric with p ranks listening on loopback.
 func NewTCP(p int) (*TCP, error) {
 	f := &TCP{
-		boxes:     make([]*mailbox, p),
 		listeners: make([]net.Listener, p),
 		addrs:     make([]string, p),
 		conns:     map[[2]int]net.Conn{},
 	}
-	f.timeout.Store(int64(DefaultTimeout))
+	f.init(p)
 	for i := 0; i < p; i++ {
-		f.boxes[i] = newMailbox()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			f.Close()
@@ -57,30 +51,8 @@ func NewTCP(p int) (*TCP, error) {
 	return f, nil
 }
 
-// SetTimeout adjusts the base receive timeout.
-func (f *TCP) SetTimeout(d time.Duration) { f.timeout.Store(int64(d)) }
-
-// SetBudget grants every receive the capped per-message allowance for a
-// schedule of the given message count on top of the base timeout; see
-// (*Mem).SetBudget. The allowance is monotone: stale concurrent raises
-// never shrink it.
-func (f *TCP) SetBudget(messages int) { raiseBudget(&f.budget, budgetFor(messages)) }
-
-// recvTimeout is the live effective deadline: base plus scaled budget.
-func (f *TCP) recvTimeout() time.Duration {
-	return time.Duration(f.timeout.Load() + f.budget.Load())
-}
-
-// Size returns the number of ranks.
-func (f *TCP) Size() int { return len(f.boxes) }
-
 // Comm returns rank's endpoint.
-func (f *TCP) Comm(rank int) Comm {
-	if rank < 0 || rank >= len(f.boxes) {
-		panic(fmt.Sprintf("fabric: rank %d out of range", rank))
-	}
-	return &tcpComm{f: f, rank: rank}
-}
+func (f *TCP) Comm(rank int) Comm { return tcpComm{f.endpoint(rank), f} }
 
 // Close shuts down listeners, connections and mailboxes.
 func (f *TCP) Close() error {
@@ -97,9 +69,7 @@ func (f *TCP) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	for _, b := range f.boxes {
-		b.close()
-	}
+	f.close()
 	f.wg.Wait()
 	return nil
 }
@@ -179,16 +149,13 @@ func (f *TCP) conn(from, to int) (net.Conn, error) {
 }
 
 type tcpComm struct {
-	f    *TCP
-	rank int
+	endpoint
+	f *TCP
 }
 
-func (c *tcpComm) Rank() int { return c.rank }
-func (c *tcpComm) Size() int { return len(c.f.boxes) }
-
-func (c *tcpComm) Send(to, step, sub int, data []int32) error {
-	if to == c.rank {
-		return fmt.Errorf("fabric: rank %d sending to itself", to)
+func (c tcpComm) Send(to, step, sub int, data []int32) error {
+	if err := c.checkPeer(to); err != nil {
+		return err
 	}
 	conn, err := c.f.conn(c.rank, to)
 	if err != nil {
@@ -205,12 +172,4 @@ func (c *tcpComm) Send(to, step, sub int, data []int32) error {
 		return fmt.Errorf("fabric: rank %d send to %d: %w", c.rank, to, err)
 	}
 	return nil
-}
-
-func (c *tcpComm) Recv(from, step, sub int, buf []int32) error {
-	msg, err := c.f.boxes[c.rank].take(from, step, sub, c.f.recvTimeout)
-	if err != nil {
-		return fmt.Errorf("fabric: rank %d recv: %w", c.rank, err)
-	}
-	return msg.copyInto(c.rank, from, step, sub, buf)
 }

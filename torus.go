@@ -4,28 +4,18 @@ import (
 	"binetrees/internal/coll"
 	"binetrees/internal/core"
 	"binetrees/internal/fabric"
+	"binetrees/internal/netsim"
 )
 
 // Torus collectives (Appendix D of the paper): ranks are treated as
 // coordinates of a multidimensional torus and every transfer moves along a
 // single dimension.
 
-// torusGrant feeds the per-dimension ring/tree traffic of a torus
-// collective into the cluster's receive-deadline budget (see grantBudget):
-// every torus algorithm here sends at most a few full traversals of each
-// ring per rank.
-func (r *Rank) torusGrant() {
-	if r.cl != nil {
-		r.cl.grantBudget(4 * r.Size())
-	}
-}
-
 // TorusAllreduce runs the torus-optimized Bine allreduce over a torus of
 // the given dimensions (the product must equal the cluster size; every
 // dimension must be a power of two).
 func (r *Rank) TorusAllreduce(dims []int, buf []int32, opts ...Option) error {
 	o, c := r.prepare(opts)
-	r.torusGrant()
 	tor, err := core.NewTorus(dims...)
 	if err != nil {
 		return err
@@ -38,7 +28,6 @@ func (r *Rank) TorusAllreduce(dims []int, buf []int32, opts ...Option) error {
 // direction, as on Fugaku). len(buf) must be divisible by 2·D·size.
 func (r *Rank) TorusMultiportAllreduce(dims []int, buf []int32, opts ...Option) error {
 	o, c := r.prepare(opts)
-	r.torusGrant()
 	tor, err := core.NewTorus(dims...)
 	if err != nil {
 		return err
@@ -50,7 +39,6 @@ func (r *Rank) TorusMultiportAllreduce(dims []int, buf []int32, opts ...Option) 
 // torus (works for any dimension sizes).
 func (r *Rank) BucketAllreduce(dims []int, buf []int32, opts ...Option) error {
 	o, c := r.prepare(opts)
-	r.torusGrant()
 	tor, err := core.NewTorus(dims...)
 	if err != nil {
 		return err
@@ -62,7 +50,6 @@ func (r *Rank) BucketAllreduce(dims []int, buf []int32, opts ...Option) error {
 // per-dimension Bine trees.
 func (r *Rank) TorusBcast(dims []int, buf []int32, opts ...Option) error {
 	o, c := r.prepare(opts)
-	r.torusGrant()
 	tor, err := core.NewTorus(dims...)
 	if err != nil {
 		return err
@@ -77,24 +64,7 @@ type Trace = fabric.Trace
 // moves across group boundaries, given a rank → group map — the paper's
 // headline locality metric.
 func GlobalTraffic(tr *Trace, groupOf []int) (global, total int64) {
-	p := 0
-	n := tr.NumRecords()
-	for i := 0; i < n; i++ {
-		if f := tr.From(i); f >= p {
-			p = f + 1
-		}
-		if t := tr.To(i); t >= p {
-			p = t + 1
-		}
-	}
-	g := make([]int, p)
+	g := make([]int, tr.P) // ranks beyond groupOf fall in group 0
 	copy(g, groupOf)
-	var gl, tot int64
-	for i := 0; i < n; i++ {
-		tot += int64(tr.Elems(i))
-		if g[tr.From(i)] != g[tr.To(i)] {
-			gl += int64(tr.Elems(i))
-		}
-	}
-	return gl, tot
+	return netsim.GlobalTraffic(tr, g)
 }
