@@ -10,10 +10,10 @@
 // MareNostrum, Fugaku — drained together on that pool, the artifacts
 // rendered in paper order; -systems selects a subset of its artifact groups
 // and -progress reports live per-system cell counts on stderr.
-// Receive deadlines in the recording fabric scale with the schedule
-// length, so full-scale recordings (the 8192-node Fugaku ring) complete
-// instead of tripping the flat timeout. Artifacts are byte-identical at
-// any pool width and sharding (pinned by tests). Traces are stored columnar
+// A receive on the recording fabric fails only once the whole fabric has
+// delivered nothing for its timeout, so full-scale recordings (the 8192-node
+// Fugaku ring) complete at any schedule length. Artifacts are byte-identical
+// at any pool width and sharding (pinned by tests). Traces are stored columnar
 // (struct-of-arrays int32), with replay running off the step index, routes
 // computed per message pair into a reused buffer, and dense scratch — see
 // EXPERIMENTS.md "Performance".

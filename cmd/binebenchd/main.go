@@ -24,15 +24,15 @@
 // schedule once; all requests share one resident process-wide worker pool
 // and trace cache.
 // Cold schedules are synthesized directly from schedule math (byte-identical
-// to fabric recordings; -synth=false forces the recording path), and
+// to fabric recordings, which the harness tests hold them to), and
 // /statsz reports the resolver-chain counters — synthesized, recordings —
 // alongside the cache and request stats. Replicas may share one
 // -trace-cache directory: stored traces are written world-readable and
 // corrupt files self-evict on either side.
 //
 // Overload protection: at most -max-flights non-follower renders run
-// concurrently, at most -queue-budget further flights wait for a slot, and
-// anything beyond that is shed with 429 Too Many Requests + a Retry-After
+// concurrently, at most as many again wait for a slot, and anything beyond
+// that is shed with 429 Too Many Requests + a Retry-After
 // computed from recent p95 serve latency. Followers joining an in-flight
 // render are never shed. If the -trace-cache directory turns read-only or
 // fills up mid-flight, the store flips to a degraded read-only mode —
@@ -64,6 +64,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on http.DefaultServeMux, served only on -debug-addr
 	"os"
@@ -94,9 +95,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	accessLog := fs.String("access-log", "stderr", "JSON access log destination: stderr, stdout, a file path (appended), or off")
 	traceCache := fs.String("trace-cache", "", "directory of the shared persistent trace store, prewarmed in the background at startup (empty = in-process cache only)")
 	workers := fs.Int("workers", 0, "resident worker pool width shared by all requests (0 = one per CPU)")
-	synthOn := fs.Bool("synth", true, "synthesize cold traces directly from schedule math instead of recording on the goroutine fabric")
-	maxFlights := fs.Int("max-flights", 0, "max concurrent non-follower renders before new flights queue (0 = twice the pool width, min 4)")
-	queueBudget := fs.Int("queue-budget", 0, "max flights waiting for a render slot before further ones are shed with 429 (0 = max-flights)")
+	maxFlights := fs.Int("max-flights", 0, "max concurrent non-follower renders; as many again may queue before further flights are shed with 429 (0 = twice the pool width, min 4)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -115,12 +114,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	}
 
 	srv, err := service.New(service.Config{
-		TraceDir:     *traceCache,
-		Workers:      *workers,
-		DisableSynth: !*synthOn,
-		AccessLog:    logDst,
-		MaxFlights:   *maxFlights,
-		QueueBudget:  *queueBudget,
+		TraceDir:   *traceCache,
+		Workers:    *workers,
+		AccessLog:  logDst,
+		MaxFlights: *maxFlights,
 	})
 	if err != nil {
 		logger.Printf("binebenchd: %v", err)
@@ -135,11 +132,18 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		// in this goroutine and stall the listener for the whole prewarm.
 		go func() { logger.Printf("binebenchd: %v", srv.Prewarm()) }()
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Listening here, not in ListenAndServe, lets the log name the port the
+	// kernel picked for an -addr ending in :0.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Printf("binebenchd: %v", err)
+		return 1
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 
 	done := make(chan error, 1)
-	go func() { done <- hs.ListenAndServe() }()
-	logger.Printf("binebenchd: serving artifacts on %s", *addr)
+	go func() { done <- hs.Serve(ln) }()
+	logger.Printf("binebenchd: serving artifacts on %s", ln.Addr())
 
 	if *debugAddr != "" {
 		// net/http/pprof registers on the default mux; serving that mux on a

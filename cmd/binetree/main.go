@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,16 +31,30 @@ import (
 	"binetrees/internal/core"
 )
 
-func main() {
-	ps := flag.String("p", "16", "number of ranks (comma-separated list renders several)")
-	kind := flag.String("kind", "bine-dh", "tree kind: bine-dh, bine-dd, binomial-dd, binomial-dh")
-	bfly := flag.String("butterfly", "", "instead of a tree, print a butterfly: bine-dh, bine-dd, binomial-dh, binomial-dd, swing")
-	root := flag.Int("root", 0, "tree root")
-	flag.Parse()
-	if err := runAll(os.Stdout, *ps, *kind, *bfly, *root); err != nil {
-		fmt.Fprintln(os.Stderr, "binetree:", err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command — flags in, schedule on stdout, diagnostics on
+// stderr, exit code out — so tests can drive it in-process. Exit codes: 0 on
+// success, 1 on a schedule that cannot be built (unknown kind, bad rank
+// count), 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("binetree", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ps := fs.String("p", "16", "number of ranks (comma-separated list renders several)")
+	kind := fs.String("kind", "bine-dh", "tree kind: bine-dh, bine-dd, binomial-dd, binomial-dh")
+	bfly := fs.String("butterfly", "", "instead of a tree, print a butterfly: bine-dh, bine-dd, binomial-dh, binomial-dd, swing")
+	root := fs.Int("root", 0, "tree root")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if err := runAll(stdout, *ps, *kind, *bfly, *root); err != nil {
+		fmt.Fprintln(stderr, "binetree:", err)
+		return 1
+	}
+	return 0
 }
 
 // runAll renders every requested rank count in argument order; nothing is
@@ -54,7 +69,7 @@ func runAll(w io.Writer, ps, kindName, bflyName string, root int) error {
 		if i > 0 {
 			fmt.Fprintln(&out, strings.Repeat("=", 80))
 		}
-		if err := run(&out, p, kindName, bflyName, root); err != nil {
+		if err := printSchedule(&out, p, kindName, bflyName, root); err != nil {
 			return err
 		}
 	}
@@ -77,7 +92,7 @@ var bflyKinds = map[string]core.ButterflyKind{
 	"swing":       core.BflySwing,
 }
 
-func run(w io.Writer, p int, kindName, bflyName string, root int) error {
+func printSchedule(w io.Writer, p int, kindName, bflyName string, root int) error {
 	if bflyName != "" {
 		return printButterfly(w, p, bflyName)
 	}

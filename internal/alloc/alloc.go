@@ -164,14 +164,6 @@ func (w *Workload) EnsureFree(k int) {
 	}
 }
 
-// Drain releases every still-running job.
-func (w *Workload) Drain() {
-	for _, l := range w.running {
-		w.A.Release(l.nodes)
-	}
-	w.running = nil
-}
-
 // PowerOfTwoSizes samples power-of-two job sizes between min and max
 // (inclusive), biased toward small jobs like real system mixes.
 func PowerOfTwoSizes(min, max int) func(rng *rand.Rand) int {

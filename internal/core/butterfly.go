@@ -54,8 +54,6 @@ func (k ButterflyKind) IsBine() bool {
 	return k == BflyBineDH || k == BflyBineDD || k == BflySwing
 }
 
-func (k ButterflyKind) isBine() bool { return k.IsBine() }
-
 // Butterfly describes a p-rank pairwise exchange schedule: at every one of
 // the s = log2(p) steps each rank exchanges data with exactly one partner,
 // and the pairing is symmetric (Partner(Partner(r, i), i) == r).
@@ -101,7 +99,7 @@ func NewButterfly(kind ButterflyKind, p int) (*Butterfly, error) {
 	for blk := range b.pos {
 		b.pos[blk] = b.permute(blk)
 	}
-	if kind.isBine() {
+	if kind.IsBine() {
 		b.sendOff = make([][]int, s)
 		b.keepOff = make([][]int, s)
 		kept := make([]int, 0, p)
@@ -247,7 +245,7 @@ func (b *Butterfly) binomialBit(i int) int {
 // For an allgather run as the mirror image (step order reversed, data
 // growing) the same sets describe the blocks received.
 func (b *Butterfly) SendSet(r, i int) []int {
-	if b.Kind.isBine() {
+	if b.Kind.IsBine() {
 		return b.sortedBlocks(r, b.sendOff[i])
 	}
 	// Binomial: blocks matching r on all previous step bits and matching
@@ -263,7 +261,7 @@ func (b *Butterfly) KeepSet(r, i int) []int {
 	if i < 0 {
 		return b.maskedBlocks(0, 0)
 	}
-	if b.Kind.isBine() {
+	if b.Kind.IsBine() {
 		return b.sortedBlocks(r, b.keepOff[i])
 	}
 	mask := b.binomialMask(i)
@@ -323,16 +321,6 @@ func (b *Butterfly) maskedBlocks(mask, val int) []int {
 			return out
 		}
 	}
-}
-
-// FinalBlock returns the block rank r owns after a full reduce-scatter down
-// this butterfly. It is r for every kind: Bine offsets end at a = 0,
-// binomial indices end fully constrained to r.
-func (b *Butterfly) FinalBlock(r int) int {
-	if b.Kind.isBine() {
-		return b.blockAt(r, 0)
-	}
-	return r
 }
 
 // PermutedPosition returns where the permute strategy of Sec. 4.3.1 places

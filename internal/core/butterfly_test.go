@@ -153,9 +153,6 @@ func TestReduceScatterBlockBookkeeping(t *testing.T) {
 				if len(owned) != 1 || !owned[r] {
 					t.Fatalf("%v p=%d: rank %d ends owning %v, want {%d}", kind, p, r, owned, r)
 				}
-				if b.FinalBlock(r) != r {
-					t.Fatalf("%v p=%d: FinalBlock(%d) = %d", kind, p, r, b.FinalBlock(r))
-				}
 			}
 		}
 	}
@@ -369,7 +366,7 @@ func refBlockSets(b *Butterfly, r int) (send, keep [][]int) {
 			if !owned[k] {
 				continue
 			}
-			if b.Kind.isBine() {
+			if b.Kind.IsBine() {
 				switch {
 				case b.offsetSent(k, i):
 					send[i] = append(send[i], b.blockAt(r, k))
@@ -420,7 +417,7 @@ func TestBlockSetsMatchDefinition(t *testing.T) {
 				prevKeep := all
 				send, keep := refBlockSets(b, r)
 				for i := 0; i < b.S; i++ {
-					if kind.isBine() {
+					if kind.IsBine() {
 						if got := b.SendBlocks(r, i); !slices.Equal(got, send[i]) {
 							t.Fatalf("%v p=%d: SendBlocks(%d, %d) = %v, want %v", kind, p, r, i, got, send[i])
 						}
@@ -454,7 +451,7 @@ func TestBlockSetsAreFreshSlices(t *testing.T) {
 	for _, kind := range allBflyKinds {
 		b := MustButterfly(kind, 16)
 		queries := map[string]func(r, i int) []int{"SendSet": b.SendSet, "KeepSet": b.KeepSet}
-		if kind.isBine() {
+		if kind.IsBine() {
 			queries["SendBlocks"], queries["KeepBlocks"] = b.SendBlocks, b.KeepBlocks
 		}
 		for name, q := range queries {

@@ -51,7 +51,3 @@ func ScatterRange(r, p, step int) CircRange {
 	}
 	return GatherRange(r, p, s-step)
 }
-
-// GatherExtendsUpFirst reports the direction of rank r's first extension:
-// even ranks add 2^0 to b (upward) first, odd ranks subtract it from a.
-func GatherExtendsUpFirst(r int) bool { return r%2 == 0 }

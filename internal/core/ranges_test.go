@@ -86,9 +86,6 @@ func TestScatterRangeShrinks(t *testing.T) {
 }
 
 func TestGatherDirectionAlternation(t *testing.T) {
-	if !GatherExtendsUpFirst(0) || GatherExtendsUpFirst(1) {
-		t.Error("first-extension parity")
-	}
 	// Rank 3 (odd, p=8) first merges {2} (down), then {4,5} (up).
 	if r := GatherRange(3, 8, 1); r.Start != 2 || r.Len != 2 {
 		t.Errorf("rank 3 after 1 merge: %+v", r)

@@ -72,18 +72,6 @@ func (t Torus) Displace(r, dim, delta int) int {
 	return t.Rank(c)
 }
 
-// HopDist returns the minimal hop distance between two ranks under
-// dimension-ordered minimal routing: the sum over dimensions of the circular
-// distance between coordinates.
-func (t Torus) HopDist(a, b int) int {
-	ca, cb := t.Coord(a), t.Coord(b)
-	h := 0
-	for i, d := range t.Dims {
-		h += ModDist(ca[i], cb[i], d)
-	}
-	return h
-}
-
 // DimStride returns the rank-id stride of one step along dimension dim.
 func (t Torus) DimStride(dim int) int {
 	s := 1

@@ -26,21 +26,6 @@ func TestTorusDisplace(t *testing.T) {
 	}
 }
 
-func TestTorusHopDist(t *testing.T) {
-	tor := MustTorus(4, 4)
-	// Fig. 16A: ranks 0 and 15 are 2 hops apart on the 4×4 torus even
-	// though their 1-D modular distance is 1.
-	if d := tor.HopDist(0, 15); d != 2 {
-		t.Errorf("HopDist(0,15) = %d, want 2", d)
-	}
-	if d := tor.HopDist(0, 5); d != 2 {
-		t.Errorf("HopDist(0,5) = %d, want 2", d)
-	}
-	if d := tor.HopDist(3, 3); d != 0 {
-		t.Error("self distance")
-	}
-}
-
 func TestTorusLine(t *testing.T) {
 	tor := MustTorus(2, 4)
 	line := tor.Line(5, 1) // rank 5 = (1,1); dim-1 line of row 1

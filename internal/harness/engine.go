@@ -313,7 +313,7 @@ func (eng *Engine) cachedTrace(ctx context.Context, algo coll.Algorithm, p, root
 // registry does not cover; the torus shape and the recorded element count
 // (torusRecordedElems) join the identity.
 func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.Torus, root int) (*fabric.Trace, error) {
-	n := torusRecordedElems(ta, tor)
+	n := torusRecordedElems(tor)
 	key := tracestore.Key{
 		Kind:         "torus",
 		Collective:   ta.Coll.String(),

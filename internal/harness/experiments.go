@@ -495,7 +495,7 @@ func planFig11b(c *compile) (*plan, error) {
 			var err error
 			if ta := j.torus; ta != nil {
 				rs, err = rp.evaluate(ctx, func() (*fabric.Trace, error) { return c.Engine.cachedTorusTrace(ctx, *ta, tor, 0) },
-					torusRecordedElems(*ta, tor), 0, netsim.Eval{Reduces: collective.Reduces(), Overlap: ta.Overlap})
+					torusRecordedElems(tor), 0, netsim.Eval{Reduces: collective.Reduces(), Overlap: ta.Overlap})
 			} else {
 				algo, ok := coll.Find(registry, collective, j.flat)
 				if !ok {

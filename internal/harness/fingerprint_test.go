@@ -5,6 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"os"
+	"runtime"
 	"testing"
 
 	"binetrees/internal/coll"
@@ -162,4 +165,33 @@ var torusPins = map[string]string{
 	"bucket":         "a82fdb0787c5ce7d",
 	"bine-bcast":     "ebe6c4f7cc5e69a7",
 	"bine-reduce":    "0db3e3d609194c01",
+}
+
+// TestQuickAllGolden owns the artifact hash inside tier-1: the quick "all"
+// rendering of a default Engine — what `binebench -experiment all` prints —
+// must hash to bench/goldens.json's quick-all entry for this architecture,
+// the digest the frozen benchmark holds both binaries to. The file is read,
+// not copied, so the figure has one home; an architecture it has no entry
+// for (floating-point formatting may differ) skips.
+func TestQuickAllGolden(t *testing.T) {
+	t.Parallel()
+	raw, err := os.ReadFile("../../bench/goldens.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var goldens map[string]map[string]string
+	if err := json.Unmarshal(raw, &goldens); err != nil {
+		t.Fatalf("bench/goldens.json: %v", err)
+	}
+	want := goldens[runtime.GOARCH]["quick-all"]
+	if want == "" {
+		t.Skipf("bench/goldens.json has no quick-all entry for %s", runtime.GOARCH)
+	}
+	h := sha256.New()
+	if err := RunExperiment(context.Background(), h, "all", Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("quick all hashes to %s, bench/goldens.json says %s: an artifact byte changed", got, want)
+	}
 }

@@ -292,9 +292,6 @@ type torusAlgo struct {
 	Bine    bool
 	Overlap float64
 	Run     func(c fabric.Comm, tor core.Torus, root int, in, out []int32, op coll.Op) error
-	// VecMult is the required divisibility of the recorded element count
-	// beyond p (multiport slices).
-	VecMult int
 }
 
 func torusAlgos() []torusAlgo {
@@ -322,13 +319,8 @@ func torusAlgos() []torusAlgo {
 	}
 }
 
-// torusRecordedElems is the block granularity a torus algorithm records at;
-// it is deterministic in the algorithm and geometry, so the trace caches
-// fold it into the schedule identity without executing anything.
-func torusRecordedElems(ta torusAlgo, tor core.Torus) int {
-	mult := ta.VecMult
-	if mult == 0 {
-		mult = 2 * tor.NDims() // safe for every per-dimension split
-	}
-	return tor.P() * mult
-}
+// torusRecordedElems is the block granularity every torus algorithm records
+// at — p blocks of 2·NDims elements, divisible by every per-dimension split;
+// it is deterministic in the geometry, so the trace caches fold it into the
+// schedule identity without executing anything.
+func torusRecordedElems(tor core.Torus) int { return tor.P() * 2 * tor.NDims() }

@@ -3,8 +3,8 @@
 // queue renders without limit — every one launched a goroutine and piled
 // cells into the pool, and nothing told clients to back off. The admission
 // layer bounds that: at most maxFlights renders hold a token at once, at
-// most queueBudget flights wait for one, and everything beyond that is shed
-// with 429 + Retry-After so clients retry when capacity is actually likely.
+// most as many again wait for one, and everything beyond that is shed with
+// 429 + Retry-After so clients retry when capacity is actually likely.
 //
 // Followers never touch admission: joining an in-flight render adds no work,
 // so a thundering herd of one artifact costs one token no matter its size.
@@ -33,29 +33,24 @@ type admitDecision int
 const (
 	admitNow   admitDecision = iota // token acquired, render immediately
 	admitQueue                      // no token free; wait for one via await
-	admitShed                       // queue budget exhausted; reject the request
+	admitShed                       // wait queue full; reject the request
 )
 
 // admission is the flight budget: a token channel bounding concurrent
 // renders plus a counted (not materialized) wait queue bounding how many
-// flights may block for a token. decide is called under the flightGroup
-// mutex, which serializes the queue-budget check; waiting is still atomic
-// because await decrements it outside that lock.
+// flights may block for a token — maxFlights of each. decide is called under
+// the flightGroup mutex, which serializes the queue-length check; waiting is
+// still atomic because await decrements it outside that lock.
 type admission struct {
-	maxFlights  int
-	queueBudget int
-	tokens      chan struct{} // len == renders currently holding a token
+	maxFlights int
+	tokens     chan struct{} // len == renders currently holding a token
 
 	waiting                atomic.Int64
 	admitted, queued, shed atomic.Uint64
 }
 
-func newAdmission(maxFlights, queueBudget int) *admission {
-	return &admission{
-		maxFlights:  maxFlights,
-		queueBudget: queueBudget,
-		tokens:      make(chan struct{}, maxFlights),
-	}
+func newAdmission(maxFlights int) *admission {
+	return &admission{maxFlights: maxFlights, tokens: make(chan struct{}, maxFlights)}
 }
 
 // decide classifies a brand-new flight. Called under the flightGroup mutex.
@@ -67,7 +62,7 @@ func (a *admission) decide() admitDecision {
 		return admitNow
 	default:
 	}
-	if a.waiting.Load() >= int64(a.queueBudget) {
+	if a.waiting.Load() >= int64(a.maxFlights) {
 		a.shed.Add(1)
 		obsShed.Inc()
 		return admitShed

@@ -32,7 +32,7 @@ func TestAdmissionShedsWith429RetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	renderGate = func() { <-gate }
 	defer func() { renderGate = nil }()
-	srv, ts := newTestServer(t, Config{MaxFlights: 1, QueueBudget: 1})
+	srv, ts := newTestServer(t, Config{MaxFlights: 1})
 
 	var wg sync.WaitGroup
 	launch := func(path string, wantCode int) {
@@ -85,7 +85,7 @@ func TestAdmissionShedsWith429RetryAfter(t *testing.T) {
 	}
 
 	st := srv.Snapshot().Admission
-	if st.MaxFlights != 1 || st.QueueBudget != 1 {
+	if st.MaxFlights != 1 {
 		t.Fatalf("admission config in statsz: %+v", st)
 	}
 	if st.Admitted != 2 || st.Queued != 1 || st.Shed != 1 {
@@ -105,7 +105,7 @@ func TestDisconnectStormFreesCells(t *testing.T) {
 	gate := make(chan struct{})
 	renderGate = func() { <-gate }
 	defer func() { renderGate = nil }()
-	srv, _ := newTestServer(t, Config{MaxFlights: 2, QueueBudget: 2})
+	srv, _ := newTestServer(t, Config{MaxFlights: 2})
 	mux := srv.Handler()
 
 	// Four distinct-plan clients: two render slots, two queue seats — the

@@ -165,7 +165,7 @@ func (g *flightGroup) do(parent context.Context, key string, tr *obs.Trace, rend
 		g.mu.Unlock()
 		return b, true, false
 	}
-	// Admission runs under the group lock so the queue-budget check is
+	// Admission runs under the group lock so the queue-length check is
 	// serialized and a herd on one key can never split across decisions.
 	queued := false
 	if g.adm != nil {

@@ -17,7 +17,8 @@ import (
 // run concurrently — the data-race audit of the stats surface, meaningful
 // under -race (CI runs this package with it). Correctness of the bodies is
 // covered elsewhere; here every response just has to be well-formed while
-// the counters, the pool gauges, and the prewarm fields churn.
+// the counters, the pool gauges, and the prewarm fields churn — and /statsz
+// has to carry the resolver-chain counters.
 func TestStatszUnderLoad(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Config{TraceDir: t.TempDir()})
@@ -51,6 +52,10 @@ func TestStatszUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	code, body := get(t, ts.URL+"/statsz")
+	if code != http.StatusOK || !strings.Contains(body, "\"SynthHits\"") || !strings.Contains(body, "\"Records\"") {
+		t.Fatalf("statsz lacks the resolver counters: %d\n%s", code, body)
+	}
 }
 
 // TestReadiness pins the liveness/readiness split: /healthz is 200 from the
@@ -375,7 +380,9 @@ func TestAccessLog(t *testing.T) {
 // TestCloseUnregistersGauges pins the lifecycle of the scrape-time callback
 // gauges: Close drops them from the process-wide registry, so a closed
 // Server (and its Runner) is neither pinned by nor invoked from later
-// scrapes — and a stale Close cannot drop a newer server's callbacks.
+// scrapes — and a stale Close cannot drop a newer server's callbacks. Close
+// is idempotent: a second call (a t.Cleanup after an explicit close) neither
+// panics on the already-closed pool nor unregisters anything again.
 func TestCloseUnregistersGauges(t *testing.T) {
 	exposed := func() string {
 		var b strings.Builder
@@ -405,6 +412,8 @@ func TestCloseUnregistersGauges(t *testing.T) {
 	}
 	defer next.Close()
 	old.Close() // stale: must not drop next's registrations
+	old.Close() // and closing twice is a no-op
+	srv.Close()
 	if !strings.Contains(exposed(), "binebenchd_pool_workers") {
 		t.Fatal("closing a superseded server dropped the live server's gauges")
 	}

@@ -77,29 +77,22 @@ type Config struct {
 	TraceDir string
 	// Workers bounds the resident Runner (<= 0: one per CPU).
 	Workers int
-	// DisableSynth turns off direct schedule synthesis: every cold schedule
-	// executes on the recording goroutine fabric (the oracle path).
-	DisableSynth bool
 	// AccessLog, when non-nil, receives one JSON line per /artifact request:
 	// request ID, plan key, singleflight role, status, bytes, duration, and
 	// the request trace's stage breakdown. Writes are serialized.
 	AccessLog io.Writer
 	// MaxFlights bounds concurrent non-follower renders (<= 0: twice the
-	// pool width, at least 4). Followers joining an in-flight render never
-	// count against it.
+	// pool width, at least 4), and as many again may wait for a render slot
+	// before further ones are shed with 429. Followers joining an in-flight
+	// render never count against it.
 	MaxFlights int
-	// QueueBudget bounds how many new flights may wait for a render slot
-	// before further ones are shed with 429 (<= 0: MaxFlights). Size it off
-	// the pool's queue-depth/in-flight gauges: once the pool holds several
-	// batches of backlog, queueing more flights only grows latency.
-	QueueBudget int
 }
 
 // Server is the artifact service: a resident worker pool, the Engine every
 // request resolves its traces through, the singleflight table, the trace log
 // behind /tracez, and the request counters behind /statsz. Servers share
-// nothing but the process-wide obs registry: each has its own trace cache,
-// synthesis mode and cache counters.
+// nothing but the process-wide obs registry: each has its own trace cache
+// and cache counters.
 type Server struct {
 	runner      *pool.Runner
 	engine      *harness.Engine
@@ -109,6 +102,7 @@ type Server struct {
 	start       time.Time
 	ctx         context.Context // bounds cell submission; cancelled by Close
 	cancel      context.CancelFunc
+	closeOnce   sync.Once
 
 	// prewarm runs on its own goroutine so the listener binds immediately;
 	// the stats fields are written exactly once before prewarmDone closes,
@@ -127,12 +121,12 @@ type Server struct {
 	requests, renders, joins, failures, bytesOut atomic.Uint64
 }
 
-// New builds the server's Engine from cfg (trace store opened, synthesis mode
-// set), kicks off the background prewarm pass, and returns a serving-ready
-// Server owning a resident Runner. The server answers immediately; /readyz
-// turns 200 once the prewarm completes.
+// New builds the server's Engine from cfg (trace store opened), kicks off the
+// background prewarm pass, and returns a serving-ready Server owning a
+// resident Runner. The server answers immediately; /readyz turns 200 once the
+// prewarm completes.
 func New(cfg Config) (*Server, error) {
-	engine := &harness.Engine{DisableSynth: cfg.DisableSynth}
+	engine := &harness.Engine{}
 	if cfg.TraceDir != "" {
 		store, err := tracestore.Open(cfg.TraceDir)
 		if err != nil {
@@ -163,11 +157,7 @@ func New(cfg Config) (*Server, error) {
 			maxFlights = 4
 		}
 	}
-	queueBudget := cfg.QueueBudget
-	if queueBudget <= 0 {
-		queueBudget = maxFlights
-	}
-	s.adm = newAdmission(maxFlights, queueBudget)
+	s.adm = newAdmission(maxFlights)
 	s.flights.adm = s.adm
 	go func() {
 		defer close(s.prewarmDone)
@@ -244,15 +234,17 @@ func (s *Server) Prewarm() tracestore.PrewarmStats {
 // Close stops new cell submission, drains the in-flight renders (which run
 // detached from their requests and may still be submitting cells), and only
 // then shuts the resident pool down — closing the pool under a live flight
-// would panic its next submission.
+// would panic its next submission. A second Close is a no-op.
 func (s *Server) Close() {
-	s.cancel()
-	<-s.prewarmDone
-	s.flights.wait()
-	s.runner.Close()
-	for _, unreg := range s.unregister {
-		unreg()
-	}
+	s.closeOnce.Do(func() {
+		s.cancel()
+		<-s.prewarmDone
+		s.flights.wait()
+		s.runner.Close()
+		for _, unreg := range s.unregister {
+			unreg()
+		}
+	})
 }
 
 // Handler returns the service's HTTP mux:
@@ -583,13 +575,12 @@ type Stats struct {
 // for a token (whether or not they eventually rendered); Waiting and
 // InFlight are the live occupancy at snapshot time.
 type AdmissionStats struct {
-	MaxFlights  int    `json:"max_flights"`
-	QueueBudget int    `json:"queue_budget"`
-	Admitted    uint64 `json:"admitted"`
-	Queued      uint64 `json:"queued"`
-	Shed        uint64 `json:"shed"`
-	Waiting     int64  `json:"waiting"`
-	InFlight    int    `json:"in_flight"`
+	MaxFlights int    `json:"max_flights"`
+	Admitted   uint64 `json:"admitted"`
+	Queued     uint64 `json:"queued"`
+	Shed       uint64 `json:"shed"`
+	Waiting    int64  `json:"waiting"`
+	InFlight   int    `json:"in_flight"`
 }
 
 // Snapshot captures the live counters. The prewarm fields are read only
@@ -607,13 +598,12 @@ func (s *Server) Snapshot() Stats {
 		BytesServed:   s.bytesOut.Load(),
 		Pool:          s.runner.Stats(),
 		Admission: AdmissionStats{
-			MaxFlights:  s.adm.maxFlights,
-			QueueBudget: s.adm.queueBudget,
-			Admitted:    s.adm.admitted.Load(),
-			Queued:      s.adm.queued.Load(),
-			Shed:        s.adm.shed.Load(),
-			Waiting:     s.adm.waiting.Load(),
-			InFlight:    s.adm.inFlight(),
+			MaxFlights: s.adm.maxFlights,
+			Admitted:   s.adm.admitted.Load(),
+			Queued:     s.adm.queued.Load(),
+			Shed:       s.adm.shed.Load(),
+			Waiting:    s.adm.waiting.Load(),
+			InFlight:   s.adm.inFlight(),
 		},
 		Cache: s.engine.Stats(),
 	}

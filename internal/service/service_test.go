@@ -238,24 +238,6 @@ func TestServicePrewarm(t *testing.T) {
 	}
 }
 
-// TestDisableSynthService pins the Config wiring end to end: a server built
-// with DisableSynth set resolves every schedule by recording, and /statsz
-// reports the resolver-chain counters.
-func TestDisableSynthService(t *testing.T) {
-	t.Parallel()
-	srv, ts := newTestServer(t, Config{DisableSynth: true})
-	if code, body := get(t, ts.URL+"/artifact/fig1"); code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	if c := srv.Snapshot().Cache; c.SynthHits != 0 || c.Records == 0 {
-		t.Fatalf("DisableSynth still synthesized: %+v", c)
-	}
-	code, body := get(t, ts.URL+"/statsz")
-	if code != http.StatusOK || !strings.Contains(body, "\"SynthHits\"") || !strings.Contains(body, "\"Records\"") {
-		t.Fatalf("statsz lacks the resolver counters: %d\n%s", code, body)
-	}
-}
-
 // TestServersAreIsolated pins the per-server Engine at the HTTP layer: two
 // servers in one process, on different trace directories, serve the same
 // artifacts while each /statsz cache block counts only that server's own
