@@ -13,8 +13,9 @@
 // A receive on the recording fabric fails only once the whole fabric has
 // delivered nothing for its timeout, so full-scale recordings (the 8192-node
 // Fugaku ring) complete at any schedule length. Artifacts are byte-identical
-// at any pool width and sharding (pinned by tests). Traces are stored columnar
-// (struct-of-arrays int32), with replay running off the step index, routes
+// at any pool width and sharding (pinned by tests). Traces store each distinct
+// step body once, columnar (struct-of-arrays int32), with replay running off
+// the step index and replaying each distinct body once, routes
 // computed per message pair into a reused buffer, and dense scratch — see
 // EXPERIMENTS.md "Performance".
 //
@@ -27,7 +28,8 @@
 // content-addressed on-disk store shared across runs — a warm store makes
 // repeated -full runs and CI sweeps skip even synthesis. -v prints the cache
 // counters (memory/disk hits, synthesized count, recordings, evictions, and
-// the resident columnar footprint) to stderr so
+// the resident columnar footprint) and the process's CPU user/system time
+// and peak RSS to stderr so
 // warm and cold runs are observable, followed by the per-stage latency
 // breakdown — compile, execute, render, cache-lookup, store-load, synth,
 // fabric-record, evaluate — and the per-origin resolve histograms (count,
@@ -57,8 +59,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
+	"time"
 
 	"binetrees/internal/harness"
 	"binetrees/internal/obs"
@@ -123,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr)
 	}
 	if *verbose {
-		fmt.Fprintln(stderr, engine.Stats())
+		fmt.Fprintln(stderr, engine.Stats().String()+processResources())
 		printStageBreakdown(stderr)
 	}
 	if *obsJSON != "" {
@@ -137,6 +142,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// processResources is the -v stats line's resource half: the process's own
+// CPU user and system time (getrusage RUSAGE_SELF) and its peak RSS, read
+// from VmHWM in /proc/self/status — not ru_maxrss, which a process inherits
+// from whatever spawned it — and omitted where /proc is absent.
+func processResources() string {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return ""
+	}
+	status, _ := os.ReadFile("/proc/self/status") // absent: no peak RSS
+	return resourceLine(time.Duration(ru.Utime.Nano()), time.Duration(ru.Stime.Nano()), string(status))
+}
+
+// resourceLine renders CPU times and, when the /proc status text has a
+// VmHWM line, the peak RSS it reports.
+func resourceLine(user, sys time.Duration, status string) string {
+	line := fmt.Sprintf("; cpu user %.2fs sys %.2fs", user.Seconds(), sys.Seconds())
+	for _, l := range strings.Split(status, "\n") {
+		if v, ok := strings.CutPrefix(l, "VmHWM:"); ok {
+			if kib, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64); err == nil {
+				line += fmt.Sprintf(", peak RSS %.1f MiB", float64(kib)/1024)
+			}
+		}
+	}
+	return line
 }
 
 // printStageBreakdown renders the pipeline stage and resolver-origin latency

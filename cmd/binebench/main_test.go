@@ -3,8 +3,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"binetrees/internal/obs"
 )
@@ -42,6 +44,42 @@ func TestStageLine(t *testing.T) {
 		if got := stageLine(tc.labels, tc.h); got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestResourceLine pins the resource half of the -v stats line: CPU user and
+// system seconds always, the peak RSS only where /proc reports VmHWM.
+func TestResourceLine(t *testing.T) {
+	status := "Name:\tbinebench\nVmPeak:\t  999999 kB\nVmHWM:\t  160256 kB\nVmRSS:\t   81920 kB\n"
+	cases := []struct {
+		name, status, want string
+	}{
+		{"linux", status, "; cpu user 1.50s sys 0.25s, peak RSS 156.5 MiB"},
+		{"no /proc", "", "; cpu user 1.50s sys 0.25s"},
+		{"no VmHWM line", "Name:\tbinebench\n", "; cpu user 1.50s sys 0.25s"},
+	}
+	for _, tc := range cases {
+		if got := resourceLine(1500*time.Millisecond, 250*time.Millisecond, tc.status); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestVerboseStatsLine pins the shape of the line -v prints first: the
+// trace-cache counters, then this process's CPU times and — where /proc
+// exists — its peak RSS.
+func TestVerboseStatsLine(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-experiment", "eq2", "-v"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	shape := `^trace cache: .* MiB columnar; cpu user \d+\.\d\ds sys \d+\.\d\ds`
+	if _, err := os.Stat("/proc/self/status"); err == nil {
+		shape += `, peak RSS \d+\.\d MiB`
+	}
+	line, _, _ := strings.Cut(stderr.String(), "\n")
+	if !regexp.MustCompile(shape + `$`).MatchString(line) {
+		t.Fatalf("-v stats line %q does not match %s$", line, shape)
 	}
 }
 

@@ -59,7 +59,7 @@ func main() {
 			}
 		}
 		fmt.Printf("  %-15s %3d synchronous steps, %5d messages, %6d elements moved\n",
-			v.name, active, tr.NumRecords(), tr.TotalElems())
+			v.name, active, tr.Messages(), tr.TotalElems())
 	}
 	fmt.Println("\nmultiport shares step numbers across its 2·D planes — they run concurrently")
 	fmt.Println("on disjoint torus directions, which is how Fugaku's six TNIs are saturated (App. D.4)")

@@ -87,9 +87,11 @@ func TestFoldedVolumeOverhead(t *testing.T) {
 	// Two folded ranks send n pre-fold and receive n post-unfold: 4n extra
 	// elements over the inner 4-rank allreduce.
 	foldElems := int64(0)
-	for i := 0; i < tr.NumRecords(); i++ {
-		if tr.From(i) >= 4 || tr.To(i) >= 4 {
-			foldElems += int64(tr.Elems(i))
+	for s := 0; s < tr.NumSteps(); s++ {
+		for i, hi := tr.StepBounds(s); i < hi; i++ {
+			if tr.From(i) >= 4 || tr.To(i) >= 4 {
+				foldElems += int64(tr.Elems(i))
+			}
 		}
 	}
 	if foldElems != 4*int64(n) {

@@ -17,27 +17,95 @@ type shardCols struct {
 
 // mergeShards assembles the deterministic (step, from, to, sub)-ordered
 // trace from per-sender columns. Each shard is sorted by (step, to, sub,
-// elems) — almost always already true of a rank's own send order — and the
-// shards are counting-merged by step in rank order, which yields the fully
-// sorted columns in O(records + steps) without comparing records across
-// ranks. mergeShards takes ownership of the shards and frees each one as
-// soon as it is merged.
+// elems) — almost always already true of a rank's own send order — and
+// walking the shards in rank order then visits every step's records in
+// (from, to, sub) order without comparing records across ranks.
+//
+// The copies of a repeated step are never written. Pass 1 hashes every
+// step's body in that merge order and gives each step the class of the first
+// step with its hash and record count. Pass 2 writes each class's first step
+// and checks every other step of the class record by record against it. A
+// check that fails is a hash collision: the trace is rebuilt by the exact
+// dedup (compactSteps over the materialized merge), so two different bodies
+// never share a class.
 func mergeShards(p int, shards []shardCols) *Trace {
-	n, maxStep := 0, -1
+	maxStep := -1
 	for s := range shards {
 		sh := &shards[s]
 		sh.sort()
+		if k := len(sh.step); k > 0 && int(sh.step[k-1]) > maxStep {
+			maxStep = int(sh.step[k-1])
+		}
+	}
+	numSteps := maxStep + 1
+	count := make([]int32, numSteps)
+	hash := make([]uint64, numSteps)
+	for r := range shards {
+		sh := &shards[r]
+		for i, st := range sh.step {
+			count[st]++
+			hash[st] = mixRecord(hash[st], int32(r), sh.to[i], sh.elems[i])
+		}
+	}
+	stepClass := make([]int32, numSteps)
+	classOff := []int32{0, 0}
+	first := []int32{-1} // each class's first step, the one pass 2 writes
+	byKey := map[uint64]int32{}
+	for s := range numSteps {
+		if count[s] == 0 {
+			continue // class 0
+		}
+		key := classKey(hash[s])
+		c, ok := byKey[key]
+		if !ok {
+			c = int32(len(classOff) - 1)
+			byKey[key] = c
+			classOff = append(classOff, classOff[c]+count[s])
+			first = append(first, int32(s))
+		} else if classOff[c+1]-classOff[c] != count[s] {
+			return exactMerge(p, shards)
+		}
+		stepClass[s] = c
+	}
+	from, to, elems := makeColumns(int(classOff[len(classOff)-1]))
+	// No rank is negative, so a slot its class's first step has not written
+	// yet fails every check against it.
+	for i := range from {
+		from[i] = -1
+	}
+	clear(count) // reused as each step's write/check cursor
+	for r := range shards {
+		sh := &shards[r]
+		for i, st := range sh.step {
+			c := stepClass[st]
+			slot := classOff[c] + count[st]
+			count[st]++
+			if first[c] == st {
+				from[slot], to[slot], elems[slot] = int32(r), sh.to[i], sh.elems[i]
+			} else if from[slot] != int32(r) || to[slot] != sh.to[i] || elems[slot] != sh.elems[i] {
+				return exactMerge(p, shards)
+			}
+		}
+	}
+	return newTrace(p, from, to, elems, append(make([]int32, 0, len(classOff)), classOff...), stepClass)
+}
+
+// exactMerge is mergeShards without the hash: the counting merge of sorted
+// shards into full step-grouped columns — every copy of every step written
+// out — deduplicated by compactSteps.
+func exactMerge(p int, shards []shardCols) *Trace {
+	n, maxStep := 0, -1
+	for s := range shards {
+		sh := &shards[s]
 		n += len(sh.step)
 		if k := len(sh.step); k > 0 && int(sh.step[k-1]) > maxStep {
 			maxStep = int(sh.step[k-1])
 		}
 	}
-	// Counting merge: off[s+1] is the next free output slot for step s.
-	// Walking shards in ascending rank order — each internally sorted by
-	// (step, to, sub) — fills every step's region in (from, to, sub) order.
-	// The cursors sit one slot above their step so that, once every region is
-	// full, off[s] has advanced to the start of step s: the merge's scratch
-	// array is the trace's step index, with one spare slot sliced off.
+	// off[s+1] is the next free output slot for step s. The cursors sit one
+	// slot above their step so that, once every region is full, off[s] has
+	// advanced to the start of step s: the merge's scratch array is the step
+	// index, with one spare slot sliced off.
 	off := make([]int32, maxStep+3)
 	for s := range shards {
 		for _, st := range shards[s].step {
@@ -57,9 +125,8 @@ func mergeShards(p int, shards []shardCols) *Trace {
 			to[pos] = sh.to[i]
 			elems[pos] = sh.elems[i]
 		}
-		*sh = shardCols{} // free the shard as soon as it's merged
 	}
-	return newTraceColumns(p, from, to, elems, off[:maxStep+2:maxStep+2])
+	return compactSteps(p, from, to, elems, off[:maxStep+2])
 }
 
 // TraceBuilder captures a trace from schedule math alone: its Comm endpoints
@@ -68,7 +135,7 @@ func mergeShards(p int, shards []shardCols) *Trace {
 // rank by rank, with no goroutines, mailboxes, payload copies or deadline
 // machinery — emits exactly the (step, to, sub, elems) shard columns a
 // Recorder-wrapped fabric run would capture. Trace merges the columns with
-// the same shard sort and counting merge the Recorder uses, so the result is
+// the same shard sort and merge the Recorder uses, so the result is
 // byte-identical under the codec to a recording of the same schedule.
 //
 // Ranks are driven one at a time, in any order: an endpoint writes only its

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -52,12 +53,14 @@ func encodeBytes(t *testing.T, tr *Trace) []byte {
 // endpoints and concurrently through a recording fabric run, captures the
 // same per-sender (step, to, sub, elems) columns — the encoding carries no
 // sub, so the shards are where a wrong tag would show — and merges to
-// byte-identical traces under the codec.
+// byte-identical traces under the codec, whose logical sequence, expanded
+// through StepBounds, is the single-mutex reference recorder's.
 func checkBuilderMatchesRecorder(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	p := 2 + rng.Intn(9)
 	sched := noSelfSchedule(rng, p)
-	rec := NewRecorder(nullFabric{p: p})
+	ref := newReferenceRecorder(nullFabric{p: p})
+	rec := NewRecorder(ref)
 	runSchedule(rec, sched)
 	b := NewTraceBuilder(p)
 	buildSchedule(t, b, sched)
@@ -69,10 +72,17 @@ func checkBuilderMatchesRecorder(t *testing.T, rng *rand.Rand) {
 		}
 	}
 	built, recorded := b.Trace(), rec.Trace()
-	checkMemBytes(t, built)
-	checkMemBytes(t, recorded)
+	checkLayout(t, built)
+	checkLayout(t, recorded)
 	if got, want := encodeBytes(t, built), encodeBytes(t, recorded); !bytes.Equal(got, want) {
 		t.Fatalf("built trace diverges from recorded trace (p=%d)\n built %+v", p, records(built))
+	}
+	var want []Record
+	for _, m := range ref.Trace() {
+		want = append(want, m.Record)
+	}
+	if got := records(built); !slices.Equal(got, want) {
+		t.Fatalf("built trace's logical sequence diverges from the reference recorder's (p=%d)\n got %+v\nwant %+v", p, got, want)
 	}
 	// The builder reset on Trace: a second merge of the same sends must
 	// reproduce the same bytes from a clean slate.
@@ -101,6 +111,101 @@ func FuzzTraceBuilderMerge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		checkBuilderMatchesRecorder(t, rand.New(rand.NewSource(seed)))
 	})
+}
+
+// TestRepeatedStepsShareClass pins the layout on the shape the schedules
+// produce: steps A B A _ C A (the fourth empty) store A, B and C once, the
+// non-adjacent copies of A share its class, the empty step is class 0, and
+// the builder's hashed merge finds exactly the classes NewTrace's exact dedup
+// does.
+func TestRepeatedStepsShareClass(t *testing.T) {
+	a := []sendRec{{Record{From: 0, To: 1, Elems: 2}, 0}, {Record{From: 2, To: 3, Elems: 2}, 0}}
+	b := []sendRec{{Record{From: 1, To: 0, Elems: 2}, 0}, {Record{From: 3, To: 2, Elems: 2}, 0}}
+	c := []sendRec{{Record{From: 0, To: 2, Elems: 4}, 0}}
+	var recs []Record
+	sched := make([][]sendRec, 4)
+	for step, body := range [][]sendRec{a, b, a, nil, c, a} {
+		for _, m := range body {
+			m.Step = step
+			recs = append(recs, m.Record)
+			sched[m.From] = append(sched[m.From], m)
+		}
+	}
+	want := NewTrace(4, recs)
+	builder := NewTraceBuilder(4)
+	buildSchedule(t, builder, sched)
+	built := builder.Trace()
+	for name, tr := range map[string]*Trace{"NewTrace": want, "TraceBuilder": built} {
+		checkLayout(t, tr)
+		classes := make([]int, tr.NumSteps())
+		for s := range classes {
+			classes[s] = tr.StepClass(s)
+		}
+		if !slices.Equal(classes, []int{1, 2, 1, 0, 3, 1}) || tr.NumClasses() != 4 ||
+			tr.NumRecords() != 5 || tr.Messages() != 9 || tr.TotalElems() != 20 {
+			t.Errorf("%s: step classes %v of %d, %d stored of %d messages, %d elems", name, classes,
+				tr.NumClasses(), tr.NumRecords(), tr.Messages(), tr.TotalElems())
+		}
+		if !slices.Equal(records(tr), recs) {
+			t.Errorf("%s: logical sequence %+v, want %+v", name, records(tr), recs)
+		}
+	}
+	if !reflect.DeepEqual(built, want) {
+		t.Fatal("hashed merge and exact dedup disagree")
+	}
+}
+
+// TestMergeSurvivesHashCollisions swaps in a hash under which every pair of
+// step bodies collides. The hashed merge must then detect each collision —
+// by record count, or record by record, including against a slot the
+// colliding class has not written yet — and fall back to the exact dedup:
+// two different bodies with one hash are two classes, and the trace equals
+// the one built with the real hash.
+func TestMergeSurvivesHashCollisions(t *testing.T) {
+	cases := []struct {
+		name    string
+		p       int
+		sends   []sendRec
+		classes int // the empty class included
+	}{
+		{"equal lengths differ in elems", 2, []sendRec{
+			{Record{From: 0, To: 1, Step: 0, Elems: 1}, 0},
+			{Record{From: 0, To: 1, Step: 1, Elems: 2}, 0},
+			{Record{From: 0, To: 1, Step: 2, Elems: 1}, 0},
+		}, 3},
+		// Rank 0 is merged first: its copy of step 1 meets the slot rank 1
+		// fills for step 0 before rank 1 has filled it.
+		{"check against an unwritten slot", 3, []sendRec{
+			{Record{From: 1, To: 2, Step: 0, Elems: 0}, 0},
+			{Record{From: 0, To: 0, Step: 1, Elems: 0}, 0},
+		}, 3},
+		{"lengths differ", 3, []sendRec{
+			{Record{From: 0, To: 1, Step: 0, Elems: 1}, 0},
+			{Record{From: 0, To: 1, Step: 1, Elems: 1}, 0},
+			{Record{From: 1, To: 2, Step: 1, Elems: 1}, 0},
+			{Record{From: 0, To: 1, Step: 2, Elems: 1}, 0},
+		}, 3},
+	}
+	defer func(real func(uint64) uint64) { classKey = real }(classKey)
+	for _, tc := range cases {
+		classKey = func(uint64) uint64 { return 0 }
+		sched := make([][]sendRec, tc.p)
+		var recs []Record
+		for _, m := range tc.sends {
+			sched[m.From] = append(sched[m.From], m)
+			recs = append(recs, m.Record)
+		}
+		rec := NewRecorder(nullFabric{p: tc.p})
+		runSchedule(rec, sched)
+		got := rec.Trace()
+		classKey = func(h uint64) uint64 { return h }
+		want := NewTrace(tc.p, recs)
+		checkLayout(t, got)
+		if got.NumClasses() != tc.classes || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d classes (want %d), logical sequence %+v; want %+v", tc.name,
+				got.NumClasses(), tc.classes, records(got), records(want))
+		}
+	}
 }
 
 // TestPatternCommValidation pins the endpoint's misuse surface: the builder

@@ -9,29 +9,38 @@ import (
 )
 
 // Binary trace codec: the on-disk format of internal/tracestore. The format
-// is compact (a run table for the step index, delta-zigzag varints that
-// exploit the sorted (from, to) order within a step), versioned (CodecVersion
-// joins the store's content address, so a format change can never misparse
-// old files as new ones) and self-checking (a CRC over the payload turns torn
-// or corrupted writes into decode errors instead of silently wrong traces).
-// It stores exactly what a Trace holds:
+// is compact (each distinct step body stored once, a run table for the step
+// index, delta-zigzag varints that exploit the sorted (from, to) order within
+// a step), versioned (CodecVersion joins the store's content address, so a
+// format change can never misparse old files as new ones) and self-checking
+// (a CRC over the payload turns torn or corrupted writes into decode errors
+// instead of silently wrong traces). It stores exactly what a Trace holds:
 //
 //	magic "BTRC"
-//	uvarint  version, p, n (records), runs (non-empty steps)
+//	uvarint  version, p, classes (non-empty step bodies)
+//	classes × uvarint count (records in class 1, 2, …; ≥ 1)
+//	uvarint  runs (non-empty steps)
 //	runs ×   uvarint gap (empty steps skipped since the previous run),
-//	         uvarint count (records in this step, ≥ 1)
+//	         uvarint class (of this step; 1 … classes)
 //	n ×      zigzag Δfrom, zigzag Δto (against the previous record), uvarint elems
 //	uint32   little-endian CRC-32 (IEEE) of everything after the magic
 //
-// The step index is a run table rather than one count per step because torus
+// n is the sum of the class counts: the records are the classes' bodies,
+// class after class. Classes are numbered in order of first use, so a run's
+// class is at most one above every class the runs before it named. The step
+// index is a run table rather than one class per step because torus
 // schedules number their phases 4096 steps apart: a few hundred records reach
 // step 28 675.
+//
+// The decoder does not re-hash the bodies, so a file may hold two equal
+// classes; such a trace replays exactly like its deduplicated form and costs
+// only the bytes the file spent on the copy.
 
 // CodecVersion identifies the trace wire format. Bump it on any encoding
 // change; the trace store folds it into every content address, so files
 // written by older codecs are never asked for again (and Prewarm evicts them
 // as undecodable).
-const CodecVersion = 2
+const CodecVersion = 3
 
 // Decoder bounds. A decoded Trace allocates a per-step index whatever the
 // record count (sparse schedules are real: a quarter of LUMI's stored traces
@@ -53,20 +62,23 @@ var traceMagic = [4]byte{'B', 'T', 'R', 'C'}
 
 // EncodeTrace writes tr in the versioned binary format.
 func EncodeTrace(w io.Writer, tr *Trace) error {
-	n := tr.NumRecords()
+	n, classes := tr.NumRecords(), tr.NumClasses()-1
 	var table []byte
 	runs, next := 0, 0 // next: the step after the previous run's
-	for s := 0; s < tr.NumSteps(); s++ {
-		if count := tr.stepOff[s+1] - tr.stepOff[s]; count > 0 {
+	for s, c := range tr.stepClass {
+		if c != 0 {
 			table = binary.AppendUvarint(table, uint64(s-next))
-			table = binary.AppendUvarint(table, uint64(count))
+			table = binary.AppendUvarint(table, uint64(c))
 			runs, next = runs+1, s+1
 		}
 	}
-	buf := make([]byte, 0, 24+len(table)+6*n)
+	buf := make([]byte, 0, 32+2*classes+len(table)+6*n)
 	buf = binary.AppendUvarint(buf, CodecVersion)
 	buf = binary.AppendUvarint(buf, uint64(tr.P))
-	buf = binary.AppendUvarint(buf, uint64(n))
+	buf = binary.AppendUvarint(buf, uint64(classes))
+	for c := 1; c <= classes; c++ {
+		buf = binary.AppendUvarint(buf, uint64(tr.classOff[c+1]-tr.classOff[c]))
+	}
 	buf = binary.AppendUvarint(buf, uint64(runs))
 	buf = append(buf, table...)
 	var prevFrom, prevTo int64
@@ -90,8 +102,9 @@ func EncodeTrace(w io.Writer, tr *Trace) error {
 // DecodeTraceBytes parses a trace encoded by EncodeTrace from its in-memory
 // encoding (the trace store reads whole files), rejecting wrong magic, any
 // other codec version, checksum mismatches, truncation, out-of-range fields,
-// rank or step counts above the decoder bounds, and a run table that does not
-// account for exactly the header's record count.
+// rank or step counts above the decoder bounds, more records or classes than
+// the payload can hold, and a run table that names a class out of range or
+// out of first-use order, or leaves one unused.
 func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	if len(raw) < len(traceMagic)+4 || string(raw[:4]) != string(traceMagic[:]) {
 		return nil, fmt.Errorf("fabric: not an encoded trace")
@@ -106,25 +119,41 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 		return nil, fmt.Errorf("fabric: trace codec version %d, want %d", version, CodecVersion)
 	}
 	p := d.uvarint()
-	count := d.uvarint()
-	runs := d.uvarint()
+	classes := d.uvarint()
 	if d.err != nil {
 		return nil, d.err
 	}
 	if p == 0 || p > maxTraceRanks {
 		return nil, fmt.Errorf("fabric: trace rank count %d out of range [1, %d]", p, maxTraceRanks)
 	}
-	// Every record costs ≥ 3 payload bytes (3 varints); the index holds int32
-	// offsets.
-	if count > uint64(len(payload))/3 || count > math.MaxInt32 {
-		return nil, fmt.Errorf("fabric: trace record count %d exceeds payload", count)
+	// Every record costs ≥ 3 payload bytes (3 varints) and every class holds
+	// ≥ 1 record; the indexes hold int32 offsets.
+	maxRecords := min(uint64(len(payload))/3, math.MaxInt32)
+	if classes > maxRecords {
+		return nil, fmt.Errorf("fabric: trace class count %d exceeds payload", classes)
+	}
+	classOff := make([]int32, classes+2)
+	for c := uint64(1); c <= classes; c++ {
+		count := d.uvarint()
+		if d.err != nil {
+			return nil, d.err
+		}
+		total := uint64(classOff[c])
+		if count == 0 || count > maxRecords-total {
+			return nil, fmt.Errorf("fabric: trace class %d: %d records, %d more fit the payload", c, count, maxRecords-total)
+		}
+		classOff[c+1] = int32(total + count)
+	}
+	runs := d.uvarint()
+	if d.err != nil {
+		return nil, d.err
 	}
 	// The run table is walked twice — first to validate it and find the last
 	// step, so the index is sized by a checked number, then to fill the index.
 	// A lying runs field costs nothing: no allocation is sized by it, and the
 	// walk stops at the first truncated varint.
 	table := d
-	lastStep, total := int64(-1), uint64(0)
+	lastStep, used := int64(-1), uint64(0)
 	for r := uint64(0); r < runs; r++ {
 		gap, c := d.uvarint(), d.uvarint()
 		if d.err != nil {
@@ -133,26 +162,24 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 		if gap >= uint64(maxTraceSteps-1-lastStep) {
 			return nil, fmt.Errorf("fabric: trace run %d: step exceeds the %d-step bound", r, maxTraceSteps)
 		}
-		if c == 0 || c > count-total {
-			return nil, fmt.Errorf("fabric: trace run %d: %d records, %d of %d unaccounted for", r, c, count-total, count)
+		if c == 0 || c > classes || c > used+1 {
+			return nil, fmt.Errorf("fabric: trace run %d: class %d, want 1 … %d", r, c, min(classes, used+1))
 		}
 		lastStep += 1 + int64(gap)
-		total += c
+		used = max(used, c)
 	}
-	if total != count {
-		return nil, fmt.Errorf("fabric: trace runs hold %d records, header says %d", total, count)
+	if used != classes {
+		return nil, fmt.Errorf("fabric: trace runs use %d of %d classes", used, classes)
 	}
-	stepOff := make([]int32, lastStep+2)
-	next, off := 0, int32(0) // next: first index entry not yet written
+	stepClass := make([]int32, lastStep+1)
+	next := 0 // first index entry not yet written; the skipped steps stay class 0
 	for r := uint64(0); r < runs; r++ {
-		for step := next + int(table.uvarint()); next <= step; next++ {
-			stepOff[next] = off // the skipped steps are empty; the run's starts here
-		}
-		off += int32(table.uvarint())
+		next += int(table.uvarint())
+		stepClass[next] = int32(table.uvarint())
+		next++
 	}
-	stepOff[next] = off
 
-	n := int(count)
+	n := int(classOff[classes+1])
 	from, to, elems := makeColumns(n)
 	var prevFrom, prevTo int64
 	for i := 0; i < n; i++ {
@@ -175,7 +202,7 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("fabric: %d trailing bytes after trace", len(d.buf))
 	}
-	return newTraceColumns(int(p), from, to, elems, stepOff), nil
+	return newTrace(int(p), from, to, elems, classOff, stepClass), nil
 }
 
 // varintReader consumes varints from a byte slice, latching the first error.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -55,7 +56,7 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, tr) {
 			t.Fatalf("trace %d: records differ", i)
 		}
-		checkMemBytes(t, got)
+		checkLayout(t, got)
 	}
 }
 
@@ -92,36 +93,66 @@ func TestTraceCodecRoundTripRecorded(t *testing.T) {
 	if !reflect.DeepEqual(got, tr) {
 		t.Fatalf("decoded trace differs:\n got %+v\nwant %+v", got, tr)
 	}
-	checkMemBytes(t, got)
+	checkLayout(t, got)
 }
 
-// goldenTraceHex is the encoding TestTraceCodecGolden pins (and a
-// FuzzDecodeTrace seed).
-const goldenTraceHex = "42545243020404030001000202010002020002ac020202ac02020501a4cfc664"
+// The encodings TestTraceCodecGolden pins (and FuzzDecodeTrace seeds): one
+// trace of distinct steps, one of repeated steps. v2GoldenTraceHex is the
+// first trace in the retired v2 format, which must be refused.
+const (
+	goldenTraceHex     = "42545243030403010201030001000202030002020002ac020202ac020205017ac74b27"
+	multiClassTraceHex = "425452430304030202010500010002000101030001000202040402010502040402050201f4bdaae9"
+	v2GoldenTraceHex   = "42545243020404030001000202010002020002ac020202ac02020501a4cfc664"
+)
 
-// TestTraceCodecGolden pins the on-disk byte format: any codec change must
-// show up here and force a CodecVersion bump (which re-addresses every
-// stored file) rather than silently reinterpreting old files.
-func TestTraceCodecGolden(t *testing.T) {
-	tr := NewTrace(4, []Record{
+// goldenTraces are the traces behind the goldens.
+func goldenTraces() (distinct, repeated *Trace) {
+	distinct = NewTrace(4, []Record{
 		{From: 0, To: 1, Step: 0, Elems: 2},
 		{From: 0, To: 2, Step: 1, Elems: 300},
 		{From: 1, To: 3, Step: 1, Elems: 300},
 		{From: 2, To: 0, Step: 4, Elems: 1}, // steps 2 and 3 are empty: a gap in the run table
 	})
-	var buf bytes.Buffer
-	if err := EncodeTrace(&buf, tr); err != nil {
-		t.Fatal(err)
+	var recs []Record
+	a := []Record{{From: 0, To: 1, Elems: 2}, {From: 2, To: 3, Elems: 2}}
+	b := []Record{{From: 1, To: 0, Elems: 2}, {From: 3, To: 2, Elems: 2}}
+	c := []Record{{From: 0, To: 3, Elems: 1}}
+	for step, body := range [][]Record{a, b, a, nil, c, a} { // A B A _ C A
+		for _, r := range body {
+			r.Step = step
+			recs = append(recs, r)
+		}
 	}
-	if got := hex.EncodeToString(buf.Bytes()); got != goldenTraceHex {
-		t.Fatalf("encoding changed (bump CodecVersion!):\n got %s\nwant %s", got, goldenTraceHex)
+	return distinct, NewTrace(4, recs)
+}
+
+// TestTraceCodecGolden pins the on-disk byte format: any codec change must
+// show up here and force a CodecVersion bump (which re-addresses every
+// stored file) rather than silently reinterpreting old files.
+func TestTraceCodecGolden(t *testing.T) {
+	distinct, repeated := goldenTraces()
+	if distinct.NumClasses() != 4 || repeated.NumClasses() != 4 || repeated.NumSteps() != 6 {
+		t.Fatalf("golden traces changed shape: %d and %d classes, %d steps",
+			distinct.NumClasses(), repeated.NumClasses(), repeated.NumSteps())
 	}
-	got, err := DecodeTraceBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatalf("golden decode differs: %+v", got)
+	for _, g := range []struct {
+		tr  *Trace
+		hex string
+	}{{distinct, goldenTraceHex}, {repeated, multiClassTraceHex}} {
+		var buf bytes.Buffer
+		if err := EncodeTrace(&buf, g.tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != g.hex {
+			t.Fatalf("encoding changed (bump CodecVersion!):\n got %s\nwant %s", got, g.hex)
+		}
+		got, err := DecodeTraceBytes(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, g.tr) {
+			t.Fatalf("golden decode differs: %+v", got)
+		}
 	}
 }
 
@@ -148,12 +179,20 @@ func TestTraceCodecRejectsDamage(t *testing.T) {
 		}
 	}
 	// Any other version must be rejected even with a valid checksum: the
-	// next one, and the retired v1 layout (version, P=1, no records).
+	// next one, the retired v1 layout (version, P=1, no records) and a v2
+	// file, which a store written before v3 holds.
 	if _, err := DecodeTraceBytes(frameTrace([]byte{CodecVersion + 1, 1, 0, 0})); err == nil {
 		t.Fatal("future codec version accepted")
 	}
 	if _, err := DecodeTraceBytes(frameTrace([]byte{1, 1, 0})); err == nil {
 		t.Fatal("v1 trace accepted")
+	}
+	v2, err := hex.DecodeString(v2GoldenTraceHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeTraceBytes(v2); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("v2 trace: %v, want a version mismatch", err)
 	}
 	// An empty trace is the smallest valid file; anything after it is not.
 	if _, err := DecodeTraceBytes(frameTrace([]byte{CodecVersion, 1, 0, 0})); err != nil {
@@ -173,12 +212,12 @@ func frameTrace(payload []byte) []byte {
 }
 
 // oneRecordTrace frames a single-record trace over p ranks at the given
-// step: 20 bytes for step = 1<<26.
+// step: 21 bytes for step = 1<<26.
 func oneRecordTrace(p, step uint64) []byte {
 	payload := binary.AppendUvarint([]byte{CodecVersion}, p)
-	payload = append(payload, 1, 1) // one record, one run
+	payload = append(payload, 1, 1, 1) // one class of one record, one run
 	payload = binary.AppendUvarint(payload, step)
-	return frameTrace(append(payload, 1, 0, 0, 1)) // run of 1; from 0, to 0, elems 1
+	return frameTrace(append(payload, 1, 0, 0, 1)) // the run's class 1; from 0, to 0, elems 1
 }
 
 // allocatedBytes is the heap f allocates: the smallest of three readings of
@@ -198,28 +237,35 @@ func allocatedBytes(f func()) uint64 {
 
 // TestTraceCodecBoundsAllocation pins the decoder's hardening: a CRC-valid
 // file of a few bytes cannot make it size an allocation by a field the file
-// chose. The 20-byte step = 1<<26 reproducer would allocate a 256 MiB step
-// index; it, an oversized rank count and every way a run table can disagree
-// with the header are rejected before anything is allocated.
+// chose. The 21-byte step = 1<<26 reproducer would allocate a 256 MiB step
+// index; it, an oversized rank or class count and every way the class counts
+// or the run table can disagree with the payload are rejected before
+// anything is allocated.
 func TestTraceCodecBoundsAllocation(t *testing.T) {
 	bomb := oneRecordTrace(1, 1<<26)
-	if len(bomb) != 20 {
-		t.Fatalf("reproducer is %d bytes, want 20", len(bomb))
+	if len(bomb) != 21 {
+		t.Fatalf("reproducer is %d bytes, want 21", len(bomb))
 	}
-	lastStep := binary.AppendUvarint([]byte{CodecVersion, 1, 2, 2}, maxTraceSteps-1) // p=1, 2 records, 2 runs; run 0 at the last legal step
-	hugeGap := binary.AppendUvarint([]byte{CodecVersion, 1, 1, 1}, 1<<64-1)
-	hugeRuns := binary.AppendUvarint([]byte{CodecVersion, 1, 1}, 1<<60)
+	// p=1, one class of one record, 2 runs; run 0 at the last legal step.
+	lastStep := binary.AppendUvarint([]byte{CodecVersion, 1, 1, 1, 2}, maxTraceSteps-1)
+	hugeGap := binary.AppendUvarint([]byte{CodecVersion, 1, 1, 1, 1}, 1<<64-1)
+	hugeRuns := binary.AppendUvarint([]byte{CodecVersion, 1, 1, 1}, 1<<60)
+	hugeClasses := binary.AppendUvarint([]byte{CodecVersion, 1}, 1<<40)
 	for name, raw := range map[string][]byte{
 		"step 1<<26":             bomb,
 		"claims 2²² steps":       oneRecordTrace(1, maxTraceSteps),
 		"ranks over the bound":   oneRecordTrace(maxTraceRanks+1, 0),
-		"gap past the bound":     frameTrace(append(lastStep, 1, 0, 1, 0, 0, 1, 0, 0, 1)), // run 1 lands on step 2²²
+		"gap past the bound":     frameTrace(append(lastStep, 1, 0, 1, 0, 0, 1)), // run 1 lands on step 2²²
 		"gap overflows":          frameTrace(append(hugeGap, 1, 0, 0, 1)),
-		"runs sum below n":       frameTrace([]byte{CodecVersion, 1, 2, 1, 0, 1, 0, 0, 1, 0, 0, 1}),
-		"runs sum above n":       frameTrace([]byte{CodecVersion, 1, 1, 1, 0, 2, 0, 0, 1}),
-		"zero-count run":         frameTrace([]byte{CodecVersion, 1, 1, 2, 0, 0, 0, 1, 0, 0, 1}),
+		"classes exceed payload": frameTrace(append(hugeClasses, 1, 1, 0, 1, 0, 0, 1)),
+		"records exceed payload": frameTrace([]byte{CodecVersion, 1, 1, 5, 1, 0, 1, 0, 0, 1}),
+		"counts exceed payload":  frameTrace([]byte{CodecVersion, 1, 2, 3, 3, 1, 0, 1, 0, 0, 1}),
+		"zero-count class":       frameTrace([]byte{CodecVersion, 1, 1, 0, 1, 0, 1, 0, 0, 1}),
+		"class 0 in a run":       frameTrace([]byte{CodecVersion, 1, 1, 1, 1, 0, 0, 0, 0, 1}),
+		"class out of range":     frameTrace([]byte{CodecVersion, 1, 1, 1, 1, 0, 2, 0, 0, 1}),
+		"class out of first-use": frameTrace([]byte{CodecVersion, 1, 2, 1, 1, 2, 0, 2, 0, 1, 0, 0, 1, 0, 0, 2}),
+		"class never used":       frameTrace([]byte{CodecVersion, 1, 2, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 2}),
 		"runs field lies":        frameTrace(append(hugeRuns, 0, 1, 0, 0, 1)),
-		"records exceed payload": frameTrace([]byte{CodecVersion, 1, 5, 1, 0, 5, 0, 0, 1}),
 	} {
 		var err error
 		got := allocatedBytes(func() { _, err = DecodeTraceBytes(raw) })
@@ -241,32 +287,33 @@ func TestTraceCodecBoundsAllocation(t *testing.T) {
 	if lo, hi := tr.StepBounds(maxTraceSteps - 1); lo != 0 || hi != 1 {
 		t.Fatalf("the record sits in [%d, %d) of the last step, want [0, 1)", lo, hi)
 	}
-	checkMemBytes(t, tr)
+	checkLayout(t, tr)
 }
 
 // FuzzDecodeTrace feeds the decoder arbitrary bytes, re-framed with a valid
 // checksum so the fuzzer reaches the field checks: it must never panic, and
-// whatever it accepts must have cost O(len(input)) plus the fixed bounds —
-// the per-rank scratch and step index the caps allow — and must re-encode to
-// a trace that decodes to the same records.
+// whatever it accepts must have cost O(len(input)) plus the step index the
+// cap allows, and must re-encode to a trace that decodes to the same records.
 func FuzzDecodeTrace(f *testing.F) {
-	golden, err := hex.DecodeString(goldenTraceHex)
-	if err != nil {
-		f.Fatal(err)
+	for _, g := range []string{goldenTraceHex, multiClassTraceHex} {
+		golden, err := hex.DecodeString(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden[4 : len(golden)-4])
 	}
-	f.Add(golden[4 : len(golden)-4])
 	bomb := oneRecordTrace(1, 1<<26)
 	f.Add(bomb[4 : len(bomb)-4])
-	f.Add([]byte{CodecVersion, 1, 1, 2, 0, 0, 0, 1, 0, 0, 1}) // a zero-count run
+	f.Add([]byte{CodecVersion, 1, 1, 0, 1, 0, 1, 0, 0, 1}) // a zero-count class
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		raw := frameTrace(payload)
 		var tr *Trace
 		var err error
 		got := allocatedBytes(func() { tr, err = DecodeTraceBytes(raw) })
-		// Three int32 columns per record (≤ len/3 records) plus the
-		// re-sliced payload, the step index, two per-rank scratch slices
-		// and slack for the runtime's own bookkeeping.
-		if limit := uint64(16*len(raw) + 4*(maxTraceSteps+1) + 8*maxTraceRanks + 1<<16); got > limit {
+		// Three int32 columns per record (≤ len/3 records), the class index
+		// and per-class sums (≤ len/3 classes), the step index and slack for
+		// the runtime's own bookkeeping.
+		if limit := uint64(16*len(raw) + 4*maxTraceSteps + 1<<16); got > limit {
 			t.Fatalf("%d-byte input allocated %d bytes (limit %d)", len(raw), got, limit)
 		}
 		if err != nil {
@@ -283,6 +330,6 @@ func FuzzDecodeTrace(f *testing.F) {
 		if !reflect.DeepEqual(back, tr) {
 			t.Fatal("accepted trace does not survive a round trip")
 		}
-		checkMemBytes(t, tr)
+		checkLayout(t, tr)
 	})
 }

@@ -415,7 +415,7 @@ func TestRecorderCapturesTrace(t *testing.T) {
 	if tr.P != 4 {
 		t.Fatalf("P = %d", tr.P)
 	}
-	if got, want := tr.NumRecords(), 4+3; got != want {
+	if got, want := tr.Messages(), 4+3; got != want {
 		t.Fatalf("%d records, want %d", got, want)
 	}
 	lo0, hi0 := tr.StepBounds(0)

@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// records materializes tr record by record, in its step-grouped order.
+// records materializes tr's logical record sequence, step by step through
+// StepBounds.
 func records(tr *Trace) []Record {
-	out := make([]Record, 0, tr.NumRecords())
+	out := make([]Record, 0, tr.Messages())
 	for s := 0; s < tr.NumSteps(); s++ {
 		for i, hi := tr.StepBounds(s); i < hi; i++ {
 			out = append(out, Record{From: tr.From(i), To: tr.To(i), Step: s, Elems: tr.Elems(i)})
@@ -27,17 +28,43 @@ type sendRec struct {
 	Sub int
 }
 
-// checkMemBytes pins that MemBytes is exact: 12 bytes per record plus the
-// step index, with no capacity beyond the lengths it counts.
-func checkMemBytes(t *testing.T, tr *Trace) {
+// checkLayout pins that MemBytes is exact — 12 bytes per stored record
+// plus the class and step indexes, with no capacity beyond the lengths it
+// counts — and the layout's invariants: class 0 is the empty body, every
+// other class holds records and is first used in class order, and the
+// logical counts are the per-step sums.
+func checkLayout(t *testing.T, tr *Trace) {
 	t.Helper()
-	n := tr.NumRecords()
-	if got, want := tr.MemBytes(), 4*int64(3*n+tr.NumSteps()+1); got != want {
-		t.Fatalf("MemBytes() = %d, want 4·(3·%d + %d) = %d", got, n, tr.NumSteps()+1, want)
+	n, k, steps := tr.NumRecords(), tr.NumClasses(), tr.NumSteps()
+	if got, want := tr.MemBytes(), 4*int64(3*n+k+1+steps); got != want {
+		t.Fatalf("MemBytes() = %d, want 4·(3·%d + %d + %d) = %d", got, n, k+1, steps, want)
 	}
-	if cap(tr.cFrom) != n || cap(tr.cTo) != n || cap(tr.cElems) != n || cap(tr.stepOff) != tr.NumSteps()+1 {
-		t.Fatalf("trace holds capacity MemBytes does not count: columns %d/%d/%d for %d records, index %d for %d steps",
-			cap(tr.cFrom), cap(tr.cTo), cap(tr.cElems), n, cap(tr.stepOff), tr.NumSteps())
+	if cap(tr.cFrom) != n || cap(tr.cTo) != n || cap(tr.cElems) != n || cap(tr.classOff) != k+1 || cap(tr.stepClass) != steps {
+		t.Fatalf("trace holds capacity MemBytes does not count: columns %d/%d/%d for %d records, indexes %d/%d for %d classes, %d steps",
+			cap(tr.cFrom), cap(tr.cTo), cap(tr.cElems), n, cap(tr.classOff), cap(tr.stepClass), k, steps)
+	}
+	if tr.classOff[0] != 0 || tr.classOff[1] != 0 || int(tr.classOff[k]) != n {
+		t.Fatalf("class index %v does not start 0, 0 and end at %d records", tr.classOff, n)
+	}
+	used, messages, elems := 0, 0, int64(0)
+	for s := 0; s < steps; s++ {
+		c := tr.StepClass(s)
+		if c > used+1 {
+			t.Fatalf("step %d uses class %d before class %d", s, c, used+1)
+		}
+		used = max(used, c)
+		lo, hi := tr.StepBounds(s)
+		if (lo == hi) != (c == 0) {
+			t.Fatalf("step %d: class %d holds %d records", s, c, hi-lo)
+		}
+		for i := lo; i < hi; i++ {
+			elems += int64(tr.Elems(i))
+		}
+		messages += hi - lo
+	}
+	if used != k-1 || messages != tr.Messages() || elems != tr.TotalElems() {
+		t.Fatalf("steps use %d of %d classes and sum to %d messages, %d elems; trace says %d, %d",
+			used, k-1, messages, elems, tr.Messages(), tr.TotalElems())
 	}
 }
 
@@ -128,8 +155,10 @@ func (c *refComm) Recv(from, step, sub int, buf []int32) error {
 }
 
 // randomSchedule builds per-rank send lists with clustered steps, repeated
-// (to, sub) pairs and occasional exact duplicates — the shapes that stress
-// the shard sort and the counting merge.
+// (to, sub) pairs, occasional exact duplicates and, in half the schedules,
+// whole steps repeated later — every rank's sends of an earlier step copied
+// to a new step, copies of different steps interleaved and sometimes apart —
+// the shapes that stress the shard sort, the merge and its step classes.
 func randomSchedule(rng *rand.Rand, p int) [][]sendRec {
 	sched := make([][]sendRec, p)
 	for r := 0; r < p; r++ {
@@ -152,7 +181,34 @@ func randomSchedule(rng *rand.Rand, p int) [][]sendRec {
 			}
 		}
 	}
+	if rng.Intn(2) == 0 {
+		repeatSteps(rng, sched)
+	}
 	return sched
+}
+
+// repeatSteps appends copies of whole steps past the schedule's last step:
+// each copy takes every rank's sends of a randomly chosen earlier step.
+func repeatSteps(rng *rand.Rand, sched [][]sendRec) {
+	last := 0
+	for _, sends := range sched {
+		for _, m := range sends {
+			last = max(last, m.Step)
+		}
+	}
+	dst := last
+	for k := 1 + rng.Intn(6); k > 0; k-- {
+		src := rng.Intn(last + 1)
+		dst += 1 + rng.Intn(2) // sometimes leaving an empty step between copies
+		for r, sends := range sched {
+			for _, m := range sends {
+				if m.Step == src {
+					m.Step = dst
+					sched[r] = append(sched[r], m)
+				}
+			}
+		}
+	}
 }
 
 // runSchedule drives every rank's send list concurrently through the
@@ -186,7 +242,9 @@ func runSchedule(f Fabric, sched [][]sendRec) {
 // checkShardedMatchesReference records one randomized concurrent schedule
 // through both recorders at once (the sharded Recorder wraps the reference,
 // so both observe the identical set of sends) and requires the sharded
-// counting merge to equal the single-mutex oracle's sorted order.
+// merge's logical sequence, expanded through StepBounds, to equal the
+// single-mutex oracle's sorted order — and its classes to be exactly the
+// ones NewTrace's exact dedup finds in that order.
 func checkShardedMatchesReference(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	p := 2 + rng.Intn(9)
@@ -211,9 +269,12 @@ func checkShardedMatchesReference(t *testing.T, rng *rand.Rand) {
 	if got.P != p {
 		t.Fatalf("trace P = %d, want %d", got.P, p)
 	}
-	checkMemBytes(t, got)
+	checkLayout(t, got)
 	if !reflect.DeepEqual(records(got), want) {
 		t.Fatalf("sharded merge diverged from single-mutex order\n got %+v\nwant %+v", records(got), want)
+	}
+	if !reflect.DeepEqual(got, NewTrace(p, want)) {
+		t.Fatalf("sharded merge's step classes differ from the exact dedup's (p=%d)", p)
 	}
 }
 
@@ -267,8 +328,8 @@ func BenchmarkRecordRing(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rec := NewRecorder(nullFabric{p: p})
 			runSchedule(rec, sched)
-			if tr := rec.Trace(); tr.NumRecords() != int(msgs) {
-				b.Fatalf("recorded %d messages, want %d", tr.NumRecords(), msgs)
+			if tr := rec.Trace(); tr.Messages() != int(msgs) {
+				b.Fatalf("recorded %d messages, want %d", tr.Messages(), msgs)
 			}
 		}
 	})

@@ -721,9 +721,11 @@ func planAppD(c *compile) (*plan, error) {
 		hops := func(tr *fabric.Trace) int {
 			var route []int32
 			total := 0
-			for i := 0; i < tr.NumRecords(); i++ {
-				route = topo.AppendRoute(route[:0], tr.From(i), tr.To(i))
-				total += len(route) - 2
+			for s := 0; s < tr.NumSteps(); s++ {
+				for i, hi := tr.StepBounds(s); i < hi; i++ {
+					route = topo.AppendRoute(route[:0], tr.From(i), tr.To(i))
+					total += len(route) - 2
+				}
 			}
 			return total
 		}

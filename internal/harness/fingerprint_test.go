@@ -83,16 +83,16 @@ func TestScheduleFingerprints(t *testing.T) {
 	}{
 		{"tree-bcast/bine-dh/p=8/n=1", 8, func(c fabric.Comm) error {
 			return coll.Bcast(c, tree, make([]int32, 1))
-		}, "47d1c71357c8ccba"},
+		}, "9c3f7b9bf05972b6"},
 		{"bfly-allreduce/bfly-bine-dd/p=16/n=16", 16, func(c fabric.Comm) error {
 			return coll.AllreduceRsAg(c, bfly, make([]int32, 16), coll.OpSum)
-		}, "cc85aafeeaa4f770"},
+		}, "ce91e1a6c5bca9c4"},
 		{"hier-allreduce/hier-bine/p=16/n=64", 16, func(c fabric.Comm) error {
 			return coll.HierarchicalAllreduce(c, 4, core.BflyBineDD, make([]int32, 64), coll.OpSum)
-		}, "c1c399e941c0961e"},
+		}, "7e31255426812d52"},
 		{"torus-bcast/bine-dh/4x4/n=1", 16, func(c fabric.Comm) error {
 			return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
-		}, "a0a4e9a6e3d237b9"},
+		}, "29d85d2689afac2f"},
 	}
 	for _, c := range named {
 		tr, err := record(c.p, c.body)
@@ -106,65 +106,65 @@ func TestScheduleFingerprints(t *testing.T) {
 // flatPins fingerprints every registry algorithm's p=16 schedule;
 // torusPins every torus algorithm's 4x4 schedule.
 var flatPins = map[string]string{
-	"bcast/bine-tree":                  "35a87140390cac7e",
-	"bcast/binomial-dd":                "7d620dad52b59ee0",
-	"bcast/binomial-dh":                "56f306b5254e6cd3",
-	"bcast/bine-scatter-allgather":     "bdc9fbdb9ad0113b",
-	"bcast/binomial-scatter-allgather": "03e853147971b1f2",
-	"bcast/linear":                     "0cf4a768af22ef72",
-	"bcast/pipeline":                   "b881e87c029616ae",
-	"bcast/chain":                      "bc21ea1f28c41616",
-	"reduce/bine-tree":                 "fa9162c779d38145",
-	"reduce/binomial-dd":               "fa9abb5f0d29f342",
-	"reduce/binomial-dh":               "7329446e436573bc",
-	"reduce/bine-rs-gather":            "86790b8af06d1c1b",
-	"reduce/binomial-rs-gather":        "c9d3cc1fdebd32b5",
-	"reduce/linear":                    "2037f3ea5391e6c1",
-	"gather/bine-tree":                 "2d90860441fbbbb7",
-	"gather/binomial-dd":               "8feafd6a147946cb",
-	"gather/binomial-dh":               "84ca385134d088c6",
-	"gather/linear":                    "ff7a6217f04619a2",
-	"scatter/bine-tree":                "2c558b13c35a06a2",
-	"scatter/binomial-dd":              "aa42066ada03de54",
-	"scatter/binomial-dh":              "3ef70a3e7eb4ca92",
-	"scatter/linear":                   "02b02f1e6e587321",
-	"reduce-scatter/bine-permute":      "8ecb7440d84996d2",
-	"reduce-scatter/bine-send":         "f05de7bed648e797",
-	"reduce-scatter/bine-block":        "fe66aafa4ef514ae",
-	"reduce-scatter/bine-two-trans":    "360cb3f23de255e8",
-	"reduce-scatter/recursive-halving": "eb6615207b9b697f",
-	"reduce-scatter/swing":             "fe66aafa4ef514ae",
-	"reduce-scatter/ring":              "8eaef8aad5dbe8b3",
-	"reduce-scatter/bine-fold":         "f05de7bed648e797",
-	"allgather/bine-permute":           "9c8775441f56a85b",
-	"allgather/bine-send":              "f3a4aef194c3e9f3",
-	"allgather/bine-block":             "cf1ae38aaa014dbf",
-	"allgather/bine-two-trans":         "c9c4918b79fde76c",
-	"allgather/recursive-doubling":     "79c7b5c451146911",
-	"allgather/swing":                  "cf1ae38aaa014dbf",
-	"allgather/ring":                   "8eaef8aad5dbe8b3",
-	"allgather/bruck":                  "c86ffe6284377c77",
-	"allgather/sparbit":                "116667aa4f3ea6d1",
-	"allgather/bine-fold":              "f3a4aef194c3e9f3",
-	"allreduce/bine-lat":               "48508a00647f3da8",
-	"allreduce/bine-bw":                "cc85aafeeaa4f770",
-	"allreduce/recursive-doubling":     "c23748c3239486d2",
-	"allreduce/rabenseifner":           "7d1fdaccdfbfda96",
-	"allreduce/ring":                   "7891c83b7022f90e",
-	"allreduce/swing":                  "062dedaed722ffb1",
-	"allreduce/reduce-bcast":           "b70179dd9ed73410",
-	"allreduce/bine-fold":              "cc85aafeeaa4f770",
-	"alltoall/bine":                    "48508a00647f3da8",
-	"alltoall/bruck":                   "cd167cf08e6a9850",
-	"alltoall/pairwise":                "370f5b33aeaa0b43",
+	"bcast/bine-tree":                  "b0d3f1c2f9fc56b0",
+	"bcast/binomial-dd":                "bc95a702b1f5df5f",
+	"bcast/binomial-dh":                "1b497a6f242e5786",
+	"bcast/bine-scatter-allgather":     "3099866e5752138c",
+	"bcast/binomial-scatter-allgather": "e5e5334e79bb36ae",
+	"bcast/linear":                     "c28726f1d0599612",
+	"bcast/pipeline":                   "a7ab2c8ef28f508f",
+	"bcast/chain":                      "ae2d816690f8c393",
+	"reduce/bine-tree":                 "5cea6a345b629402",
+	"reduce/binomial-dd":               "b2c300274417cf1e",
+	"reduce/binomial-dh":               "f098e581a208fde5",
+	"reduce/bine-rs-gather":            "bed3747c20f589a9",
+	"reduce/binomial-rs-gather":        "689a248861d657ca",
+	"reduce/linear":                    "938f08f56aa23759",
+	"gather/bine-tree":                 "06145cc98fc41ac9",
+	"gather/binomial-dd":               "439841f445264665",
+	"gather/binomial-dh":               "ae2d48a4b3761f67",
+	"gather/linear":                    "26ac2fe007c58546",
+	"scatter/bine-tree":                "9ec5b850ea3a7a7f",
+	"scatter/binomial-dd":              "5a08636becbe7600",
+	"scatter/binomial-dh":              "c440fc9cd6886b54",
+	"scatter/linear":                   "3d5aa4287d92fa71",
+	"reduce-scatter/bine-permute":      "0a14de2f9441a244",
+	"reduce-scatter/bine-send":         "35a8e4e60ff275d9",
+	"reduce-scatter/bine-block":        "6a961404b7a540e4",
+	"reduce-scatter/bine-two-trans":    "6e2a576596d30e89",
+	"reduce-scatter/recursive-halving": "aba2520148bf7606",
+	"reduce-scatter/swing":             "6a961404b7a540e4",
+	"reduce-scatter/ring":              "f318163d1c5803d8",
+	"reduce-scatter/bine-fold":         "35a8e4e60ff275d9",
+	"allgather/bine-permute":           "6ed8e6bc948e7b7c",
+	"allgather/bine-send":              "4206864e65292bb9",
+	"allgather/bine-block":             "490e038dd77155e8",
+	"allgather/bine-two-trans":         "9712909ab13e28fb",
+	"allgather/recursive-doubling":     "3fc9ec45df578d27",
+	"allgather/swing":                  "490e038dd77155e8",
+	"allgather/ring":                   "f318163d1c5803d8",
+	"allgather/bruck":                  "6dd424243ab21a72",
+	"allgather/sparbit":                "89c90165d9544507",
+	"allgather/bine-fold":              "4206864e65292bb9",
+	"allreduce/bine-lat":               "07af6b9b271c64ce",
+	"allreduce/bine-bw":                "ce91e1a6c5bca9c4",
+	"allreduce/recursive-doubling":     "8e3102fe421a32cf",
+	"allreduce/rabenseifner":           "c7b747365a45712d",
+	"allreduce/ring":                   "c22a3df2fa092e9e",
+	"allreduce/swing":                  "84832c861a093424",
+	"allreduce/reduce-bcast":           "fa9241455007de6d",
+	"allreduce/bine-fold":              "ce91e1a6c5bca9c4",
+	"alltoall/bine":                    "07af6b9b271c64ce",
+	"alltoall/bruck":                   "c4e479e7e295b5e2",
+	"alltoall/pairwise":                "5b8fac45bcdeecfe",
 }
 
 var torusPins = map[string]string{
-	"bine-torus":     "e3962b8faf546638",
-	"bine-multiport": "e02c7682165c1718",
-	"bucket":         "a82fdb0787c5ce7d",
-	"bine-bcast":     "ebe6c4f7cc5e69a7",
-	"bine-reduce":    "0db3e3d609194c01",
+	"bine-torus":     "e93909c0b0a3a9cf",
+	"bine-multiport": "ba4527c55308b3eb",
+	"bucket":         "ce9549d0abe511a9",
+	"bine-bcast":     "0a40117927eb1ff1",
+	"bine-reduce":    "704381c4c6ae2a5c",
 }
 
 // TestQuickAllGolden owns the artifact hash inside tier-1: the quick "all"

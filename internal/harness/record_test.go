@@ -77,8 +77,8 @@ func TestFailedRecordingNeverCachedOrStored(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("failed key served from cache: %d attempts, want 2", attempts)
 	}
-	if tr.NumRecords() != 1 {
-		t.Fatalf("retry recorded %d messages, want 1", tr.NumRecords())
+	if tr.Messages() != 1 {
+		t.Fatalf("retry recorded %d messages, want 1", tr.Messages())
 	}
 	if n := countTraceFiles(t, dir); n != 1 {
 		t.Fatalf("successful retry not persisted: %d files", n)

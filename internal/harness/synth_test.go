@@ -152,15 +152,16 @@ var lumiFull = flag.Bool("lumi-full", false, "TestSynthMatchesRecordedOracle wal
 // resolver counts of a fresh Engine: memory hits are the tripwire for a sweep
 // compiled twice (hundreds more; the ones left are schedules that genuinely
 // recur, at LUMI scale ppn's four algorithms at p = 64 and 256), resident
-// bytes the one for bytes per record creeping back (12 B a record + 4 B a
+// bytes the one for repeated steps or bytes per record creeping back
+// (fabric.Trace.MemBytes: 12 B a distinct record + 4 B a class- or
 // step-index entry).
 func TestSynthMatchesRecordedOracle(t *testing.T) {
 	t.Parallel()
-	opts, schedules, memHits, residentBytes := Options{Quick: true}, 342, uint64(369), uint64(6_856_444)
+	opts, schedules, memHits, residentBytes := Options{Quick: true}, 342, uint64(369), uint64(5_226_352)
 	if *lumiFull {
 		// The quick suite stops at p <= 128; rotated block-set offsets and
 		// the Bine alltoall's per-step regrouping only go wrong above it.
-		opts, schedules, memHits, residentBytes = Options{Systems: []string{"lumi"}}, 339, 8, 123_179_012
+		opts, schedules, memHits, residentBytes = Options{Systems: []string{"lumi"}}, 339, 8, 50_453_804
 	}
 	synth, oracle := &Engine{}, &Engine{DisableSynth: true}
 	var rendered [2]strings.Builder
@@ -215,27 +216,29 @@ func diffTraces(st, rt *fabric.Trace) error {
 	if bytes.Equal(sb, rb) {
 		return nil
 	}
-	ss, rs := 0, 0 // the step holding record i in each trace
-	for i, n := 0, min(st.NumRecords(), rt.NumRecords()); i < n; i++ {
-		ss, rs = stepOf(st, ss, i), stepOf(rt, rs, i)
-		if ss != rs || st.From(i) != rt.From(i) || st.To(i) != rt.To(i) || st.Elems(i) != rt.Elems(i) {
+	srecs, rrecs := messages(st), messages(rt)
+	for i := range min(len(srecs), len(rrecs)) {
+		if srecs[i] != rrecs[i] {
 			return fmt.Errorf("synth oracle: record %d diverges: synthesized %s, recorded %s",
-				i, describeRecord(st, ss, i), describeRecord(rt, rs, i))
+				i, describeRecord(srecs[i]), describeRecord(rrecs[i]))
 		}
 	}
-	return fmt.Errorf("synth oracle: encodings differ (%d synthesized records vs %d recorded)", st.NumRecords(), rt.NumRecords())
+	return fmt.Errorf("synth oracle: encodings differ (%d synthesized records vs %d recorded)", len(srecs), len(rrecs))
 }
 
-// stepOf advances s to the step whose bounds hold record i.
-func stepOf(tr *fabric.Trace, s, i int) int {
-	for _, hi := tr.StepBounds(s); i >= hi; _, hi = tr.StepBounds(s) {
-		s++
+// messages expands tr into its logical record sequence, step by step.
+func messages(tr *fabric.Trace) []fabric.Record {
+	out := make([]fabric.Record, 0, tr.Messages())
+	for s := 0; s < tr.NumSteps(); s++ {
+		for i, hi := tr.StepBounds(s); i < hi; i++ {
+			out = append(out, fabric.Record{From: tr.From(i), To: tr.To(i), Step: s, Elems: tr.Elems(i)})
+		}
 	}
-	return s
+	return out
 }
 
-func describeRecord(tr *fabric.Trace, step, i int) string {
-	return fmt.Sprintf("{step %d: %d -> %d, %d elems}", step, tr.From(i), tr.To(i), tr.Elems(i))
+func describeRecord(r fabric.Record) string {
+	return fmt.Sprintf("{step %d: %d -> %d, %d elems}", r.Step, r.From, r.To, r.Elems)
 }
 
 func encodeTraceBytes(tr *fabric.Trace) ([]byte, error) {

@@ -49,7 +49,7 @@ func BenchmarkProfileRing(b *testing.B) {
 	for _, name := range []string{"torus", "flat"} {
 		topo := topos[name]
 		b.Run(fmt.Sprintf("%s-p%d", name, p), func(b *testing.B) {
-			b.SetBytes(int64(tr.NumRecords()))
+			b.SetBytes(int64(tr.Messages()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := evaluateAt(tr, topo, params, Eval{Placement: placement, Reduces: true}, 4); err != nil {
@@ -76,7 +76,7 @@ func BenchmarkProfileAlltoall(b *testing.B) {
 	placement := identity(p)
 	params := testParams()
 	b.Run(fmt.Sprintf("dragonfly-p%d-w%d", p, workers), func(b *testing.B) {
-		b.SetBytes(int64(workers * tr.NumRecords()))
+		b.SetBytes(int64(workers * tr.Messages()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			topo, err := topology.NewDragonfly(topology.DragonflyConfig{

@@ -13,12 +13,14 @@
 // TestTraceScalingExact).
 //
 // The replay is allocation-free per message: traces are iterated straight
-// off their columnar step index, each message pair's route is computed into
-// one reused buffer (topology.Topology.AppendRoute: a few integers of
-// arithmetic, an O(hops) walk on a torus — nothing is cached or shared, so
-// any number of cells replay against one topology instance without
-// synchronization), and the per-step aggregates use dense
-// generation-stamped scratch slices reused across steps instead of maps.
+// off their columnar step index, each distinct step body (fabric.Trace's
+// step class) is replayed once however many steps repeat it, each message
+// pair's route is computed into one reused buffer
+// (topology.Topology.AppendRoute: a few integers of arithmetic, an O(hops)
+// walk on a torus — nothing is cached or shared, so any number of cells
+// replay against one topology instance without synchronization), and the
+// per-class aggregates use dense generation-stamped scratch slices reused
+// across classes instead of maps.
 package netsim
 
 import (
@@ -118,25 +120,37 @@ type traceProfile struct {
 	messages                int
 }
 
+// classProfile is one step class's contribution, computed once and charged
+// to every step of the class.
+type classProfile struct {
+	sp                      stepProfile
+	totalElems, globalElems int64
+	messages                int
+	done                    bool
+}
+
 // profile replays the trace once, accumulating link loads and received
-// volumes as exact integer element counts. The per-step aggregates —
-// link loads, per-receiver volumes, per-sender message counts — live in
-// dense scratch slices stamped with the step's generation, so advancing a
-// step resets nothing. Routes are computed per message pair into one buffer
-// reused for the whole replay (topo.AppendRoute), so beyond that scratch the
-// replay allocates only the profile it returns and touches no state shared
-// with other goroutines replaying against the same topo.
+// volumes as exact integer element counts. Steps of one class have equal
+// bodies, so each class is replayed once, at its first step, and its
+// stepProfile and totals are appended and added once per step, in step
+// order. The per-class aggregates — link loads, per-receiver volumes,
+// per-sender message counts — live in dense scratch slices stamped with the
+// class's generation, so moving to the next class resets nothing. Routes are
+// computed per message pair into one buffer reused for the whole replay
+// (topo.AppendRoute), so beyond that scratch the replay allocates only the
+// profile it returns and touches no state shared with other goroutines
+// replaying against the same topo.
 func profile(tr *fabric.Trace, topo topology.Topology, ev Eval) (*traceProfile, error) {
 	if len(ev.Placement) < tr.P {
 		return nil, fmt.Errorf("netsim: placement covers %d of %d ranks", len(ev.Placement), tr.P)
 	}
 	links := topo.Links()
-	// Generation-stamped scratch: entry i is live for the current step iff
-	// its stamp equals the step's generation, so clearing between steps is
-	// free and only touched entries are ever visited.
+	// Generation-stamped scratch: entry i is live for the class being
+	// replayed iff its stamp equals the class's generation, so clearing
+	// between classes is free and only touched entries are ever visited.
 	loadVal := make([]int64, len(links))
 	loadGen := make([]int32, len(links))
-	touched := make([]int32, 0, 256) // link IDs loaded in the current step
+	touched := make([]int32, 0, 256) // link IDs loaded by the current class
 	var recvVal []int64
 	var recvGen []int32
 	if ev.Reduces {
@@ -147,6 +161,7 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval) (*traceProfile, 
 	sendGen := make([]int32, tr.P)
 
 	numSteps := tr.NumSteps()
+	classes := make([]classProfile, tr.NumClasses())
 	pf := &traceProfile{}
 	lastSrc, lastDst := -1, -1
 	var route []int32
@@ -155,82 +170,91 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval) (*traceProfile, 
 		if lo == hi {
 			continue
 		}
-		gen := int32(s) + 1
-		touched = touched[:0]
-		sp := stepProfile{maxHops: -1}
-		for i := lo; i < hi; i++ {
-			from, to := tr.From(i), tr.To(i)
-			src, dst := ev.Placement[from], ev.Placement[to]
-			elems := int64(tr.Elems(i))
-			pf.totalElems += elems
-			pf.messages++
-			// Consecutive records very often repeat a pair (sub-message
-			// runs); those reuse the route already in the buffer.
-			if src != lastSrc || dst != lastDst {
-				route = topo.AppendRoute(route[:0], src, dst)
-				lastSrc, lastDst = src, dst
-			}
-			hops := 0
-			for _, id := range route {
-				if loadGen[id] != gen {
-					loadGen[id] = gen
-					loadVal[id] = 0
-					touched = append(touched, id)
+		class := tr.StepClass(s)
+		cp := &classes[class]
+		if !cp.done {
+			cp.done = true
+			gen := int32(class) + 1
+			touched = touched[:0]
+			sp := stepProfile{maxHops: -1}
+			for i := lo; i < hi; i++ {
+				from, to := tr.From(i), tr.To(i)
+				src, dst := ev.Placement[from], ev.Placement[to]
+				elems := int64(tr.Elems(i))
+				cp.totalElems += elems
+				cp.messages++
+				// Consecutive records very often repeat a pair (sub-message
+				// runs); those reuse the route already in the buffer.
+				if src != lastSrc || dst != lastDst {
+					route = topo.AppendRoute(route[:0], src, dst)
+					lastSrc, lastDst = src, dst
 				}
-				loadVal[id] += elems
-				if links[id].Kind == topology.Global {
-					pf.globalElems += elems
-					hops++
-				}
-			}
-			if hops == 0 {
-				sp.hasLocal = true
-			}
-			if hops > sp.maxHops {
-				sp.maxHops = hops
-			}
-			if ev.Reduces {
-				if recvGen[to] != gen {
-					recvGen[to] = gen
-					recvVal[to] = 0
-				}
-				recvVal[to] += elems
-				if recvVal[to] > sp.maxRecvElems {
-					sp.maxRecvElems = recvVal[to]
-				}
-			}
-			if sendGen[from] != gen {
-				sendGen[from] = gen
-				sendCnt[from] = 0
-			}
-			sendCnt[from]++
-			if int(sendCnt[from]) > sp.maxMsgs {
-				sp.maxMsgs = int(sendCnt[from])
-			}
-		}
-		// Collapse the per-link loads to one heaviest load per bandwidth
-		// class; topologies have a handful of classes, so the per-size
-		// derivation touches a few pairs instead of every link.
-		for _, id := range touched {
-			load := loadVal[id]
-			if load == 0 {
-				continue
-			}
-			found := false
-			for ci := range sp.loads {
-				if sp.loads[ci].bw == links[id].BW {
-					if load > sp.loads[ci].elems {
-						sp.loads[ci].elems = load
+				hops := 0
+				for _, id := range route {
+					if loadGen[id] != gen {
+						loadGen[id] = gen
+						loadVal[id] = 0
+						touched = append(touched, id)
 					}
-					found = true
-					break
+					loadVal[id] += elems
+					if links[id].Kind == topology.Global {
+						cp.globalElems += elems
+						hops++
+					}
+				}
+				if hops == 0 {
+					sp.hasLocal = true
+				}
+				if hops > sp.maxHops {
+					sp.maxHops = hops
+				}
+				if ev.Reduces {
+					if recvGen[to] != gen {
+						recvGen[to] = gen
+						recvVal[to] = 0
+					}
+					recvVal[to] += elems
+					if recvVal[to] > sp.maxRecvElems {
+						sp.maxRecvElems = recvVal[to]
+					}
+				}
+				if sendGen[from] != gen {
+					sendGen[from] = gen
+					sendCnt[from] = 0
+				}
+				sendCnt[from]++
+				if int(sendCnt[from]) > sp.maxMsgs {
+					sp.maxMsgs = int(sendCnt[from])
 				}
 			}
-			if !found {
-				sp.loads = append(sp.loads, loadClass{elems: load, bw: links[id].BW})
+			// Collapse the per-link loads to one heaviest load per bandwidth
+			// class; topologies have a handful of classes, so the per-size
+			// derivation touches a few pairs instead of every link.
+			for _, id := range touched {
+				load := loadVal[id]
+				if load == 0 {
+					continue
+				}
+				found := false
+				for ci := range sp.loads {
+					if sp.loads[ci].bw == links[id].BW {
+						if load > sp.loads[ci].elems {
+							sp.loads[ci].elems = load
+						}
+						found = true
+						break
+					}
+				}
+				if !found {
+					sp.loads = append(sp.loads, loadClass{elems: load, bw: links[id].BW})
+				}
 			}
+			cp.sp = sp
 		}
-		pf.steps = append(pf.steps, sp)
+		pf.steps = append(pf.steps, cp.sp)
+		pf.totalElems += cp.totalElems
+		pf.globalElems += cp.globalElems
+		pf.messages += cp.messages
 	}
 	return pf, nil
 }
@@ -311,12 +335,13 @@ func EvaluateSizes(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval, 
 // study: it returns the bytes crossing group boundaries (unit element size)
 // given a rank → group map, with no link model at all.
 func GlobalTraffic(tr *fabric.Trace, groupOf []int) (global, total int64) {
-	n := tr.NumRecords()
-	for i := 0; i < n; i++ {
-		elems := int64(tr.Elems(i))
-		total += elems
-		if groupOf[tr.From(i)] != groupOf[tr.To(i)] {
-			global += elems
+	for s := 0; s < tr.NumSteps(); s++ {
+		for i, hi := tr.StepBounds(s); i < hi; i++ {
+			elems := int64(tr.Elems(i))
+			total += elems
+			if groupOf[tr.From(i)] != groupOf[tr.To(i)] {
+				global += elems
+			}
 		}
 	}
 	return global, total

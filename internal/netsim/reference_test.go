@@ -91,8 +91,8 @@ func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Ev
 }
 
 // TestEvaluateMatchesSeedReference pins the batched evaluator to the seed's
-// per-message replay: every registry algorithm (all collectives) on every
-// topology family, all scales scored by ONE EvaluateSizes call with per-size
+// per-message replay: every registry algorithm (all collectives) and a trace
+// of non-adjacent repeated steps on every topology family, all scales scored by ONE EvaluateSizes call with per-size
 // copy costs (CopyBytesAt), each size compared with a reference replay at
 // that scale. At dyadic element scales — every scale the flat sweeps use:
 // power-of-two sizes over power-of-two rank counts — each per-message product
@@ -117,31 +117,49 @@ func TestEvaluateMatchesSeedReference(t *testing.T) {
 	}
 	elemBytes := []float64{0.25, 4, 4096, 1 << 16, 1024.0 / 48.0, 1e6 / 384.0, 7.3, 123456.789}
 	const dyadic = 4 // elemBytes[:dyadic] are exact per message
+	type input struct {
+		name            string
+		tr              *fabric.Trace
+		reduces         bool
+		overlap, factor float64
+	}
+	var inputs []input
 	for _, algo := range coll.Registry() {
-		tr := algoTrace(t, algo, p)
 		// The permute strategies' own copy factor, and a flat half vector for
 		// everything else so every algorithm exercises the per-size pairing.
 		factor := algo.CopyFactor
 		if factor == 0 {
 			factor = 0.5
 		}
+		inputs = append(inputs, input{algo.Coll.String() + "/" + algo.Name, algoTrace(t, algo, p),
+			algo.Coll.Reduces(), algo.Overlap, factor})
+	}
+	// Steps A B A _ C A: the profile replays each class once and charges it
+	// per step, the reference replays every step.
+	repeated := repeatedStepsTrace(p)
+	if repeated.NumClasses() != 4 || repeated.NumSteps() != 6 {
+		t.Fatalf("repeated-steps trace has %d classes over %d steps, want 4 over 6", repeated.NumClasses(), repeated.NumSteps())
+	}
+	inputs = append(inputs, input{"repeated steps", repeated, true, 0.3, 0.5})
+	for _, in := range inputs {
+		tr := in.tr
 		copyBytes := make([]float64, len(elemBytes))
 		for i, eb := range elemBytes {
-			copyBytes[i] = factor * eb * p
+			copyBytes[i] = in.factor * eb * p
 		}
 		for name, topo := range topos {
 			ev := Eval{
 				Placement:   identity(p),
-				Reduces:     algo.Coll.Reduces(),
-				Overlap:     algo.Overlap,
+				Reduces:     in.reduces,
+				Overlap:     in.overlap,
 				CopyBytesAt: copyBytes,
 			}
 			batched, err := EvaluateSizes(tr, topo, params, ev, elemBytes)
 			if err != nil {
-				t.Fatalf("%v/%s on %s: %v", algo.Coll, algo.Name, name, err)
+				t.Fatalf("%s on %s: %v", in.name, name, err)
 			}
 			if len(batched) != len(elemBytes) {
-				t.Fatalf("%v/%s on %s: %d results for %d sizes", algo.Coll, algo.Name, name, len(batched), len(elemBytes))
+				t.Fatalf("%s on %s: %d results for %d sizes", in.name, name, len(batched), len(elemBytes))
 			}
 			for i, eb := range elemBytes {
 				got := batched[i]
@@ -149,18 +167,35 @@ func TestEvaluateMatchesSeedReference(t *testing.T) {
 				ref.CopyBytesAt, ref.CopyBytes = nil, copyBytes[i]
 				want := referenceEvaluate(tr, topo, params, ref, eb)
 				if got.Steps != want.Steps || got.Messages != want.Messages {
-					t.Fatalf("%v/%s on %s: counts %+v, reference %+v", algo.Coll, algo.Name, name, got, want)
+					t.Fatalf("%s on %s: counts %+v, reference %+v", in.name, name, got, want)
 				}
 				if i < dyadic {
 					if got != want {
-						t.Fatalf("%v/%s on %s, dyadic elemBytes=%v:\n     got %+v\nseed ref %+v",
-							algo.Coll, algo.Name, name, eb, got, want)
+						t.Fatalf("%s on %s, dyadic elemBytes=%v:\n     got %+v\nseed ref %+v",
+							in.name, name, eb, got, want)
 					}
 				} else if !closeTo(got.Time, want.Time, want.Messages) || !closeTo(got.GlobalBytes, want.GlobalBytes, want.Messages) || !closeTo(got.TotalBytes, want.TotalBytes, want.Messages) {
-					t.Fatalf("%v/%s on %s, elemBytes=%v: drift beyond ulps:\n     got %+v\nseed ref %+v",
-						algo.Coll, algo.Name, name, eb, got, want)
+					t.Fatalf("%s on %s, elemBytes=%v: drift beyond ulps:\n     got %+v\nseed ref %+v",
+						in.name, name, eb, got, want)
 				}
 			}
 		}
 	}
+}
+
+// repeatedStepsTrace is a p-rank trace of steps A B A _ C A whose bodies
+// load shared links, send several messages per sender and fold several into
+// one receiver.
+func repeatedStepsTrace(p int) *fabric.Trace {
+	a := []fabric.Record{{From: 0, To: p - 1, Elems: 3}, {From: 0, To: p / 2, Elems: 1}, {From: 1, To: p - 1, Elems: 2}}
+	b := []fabric.Record{{From: p - 1, To: 0, Elems: 4}, {From: p / 2, To: 1, Elems: 4}}
+	c := []fabric.Record{{From: 2, To: 3, Elems: 5}}
+	var recs []fabric.Record
+	for step, body := range [][]fabric.Record{a, b, a, nil, c, a} {
+		for _, r := range body {
+			r.Step = step
+			recs = append(recs, r)
+		}
+	}
+	return fabric.NewTrace(p, recs)
 }

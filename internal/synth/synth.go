@@ -6,7 +6,7 @@
 // function of the schedule definition: synth walks each rank's schedule
 // body serially against a fabric.TraceBuilder pattern endpoint (Sends are
 // logged, Recvs complete immediately) and merges the columns with the same
-// shard sort and counting merge the Recorder uses. The result is
+// shard sort and merge the Recorder uses. The result is
 // byte-identical under the codec to a recorded trace of the same schedule
 // — pinned by this package's tests across the whole registry and, for every
 // schedule the artifacts use, by the harness's
@@ -41,7 +41,7 @@ var (
 func observe(tr *fabric.Trace, start time.Time) {
 	obsSeconds.ObserveSince(start)
 	obsTraces.Inc()
-	obsRecords.Add(uint64(tr.NumRecords()))
+	obsRecords.Add(uint64(tr.Messages()))
 }
 
 // Schedule emits the trace of one registry schedule by walking every rank

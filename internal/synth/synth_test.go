@@ -74,7 +74,7 @@ func checkAlgoEquivalence(t *testing.T, algo coll.Algorithm, p, root int) {
 	}
 	if !bytes.Equal(encodeBytes(t, st), encodeBytes(t, rt)) {
 		t.Fatalf("%s: synthesized trace is not byte-identical to the recording\n synth  %d records\n record %d records",
-			name, st.NumRecords(), rt.NumRecords())
+			name, st.Messages(), rt.Messages())
 	}
 }
 
@@ -176,7 +176,7 @@ func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (records, b
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return uint64(tr.NumRecords()), after.TotalAlloc - before.TotalAlloc
+	return uint64(tr.Messages()), after.TotalAlloc - before.TotalAlloc
 }
 
 // TestSynthAllocBudget is the deterministic complexity guard on the cold

@@ -5,8 +5,9 @@
 // stop serving. A Save or Prewarm failure whose cause is one of those
 // environmental classes flips the store into degraded mode: subsequent saves
 // are skipped (counted, not errored), a gauge and /statsz flag the state,
-// and a rate-limited probe rewrites a scratch file until the directory
-// recovers, at which point saves resume on their own.
+// and a rate-limited probe — run by the next Save or state read — rewrites a
+// scratch file until the directory recovers, at which point saves resume on
+// their own.
 //
 // The fault hook is the deterministic test seam: permission failures are
 // hard to stage for real (root ignores permission bits entirely), so tests
@@ -81,9 +82,12 @@ func degradingErr(err error) bool {
 }
 
 // Degraded reports whether the store is in degraded read-only mode, and the
-// cause that put it there.
+// cause that put it there. A degraded store first gets its rate-limited
+// recovery probe, so what Stats and /statsz read clears within one probe
+// interval of the directory healing, with no Save needed to notice — a
+// server whose every schedule is resident never saves again.
 func (s *Store) Degraded() (bool, string) {
-	if s == nil || !s.degraded.Load() {
+	if s == nil || !s.degraded.Load() || s.maybeProbe() {
 		return false, ""
 	}
 	reason, _ := s.degradedReason.Load().(string)
@@ -92,14 +96,16 @@ func (s *Store) Degraded() (bool, string) {
 
 // SetProbeInterval tunes how often a degraded store re-checks the directory
 // for writability (default 5s). Tests drop it to zero so the probe runs on
-// the next Save.
+// the next Save or Degraded call.
 func (s *Store) SetProbeInterval(d time.Duration) { s.probeEvery.Store(int64(d)) }
 
 // enterDegraded flips the store read-only, once: repeated failures while
-// already degraded update nothing and log nothing.
+// already degraded update nothing and log nothing. The first recovery probe
+// is due one probe interval later.
 func (s *Store) enterDegraded(cause error) {
 	s.degradedReason.Store(cause.Error())
 	if s.degraded.CompareAndSwap(false, true) {
+		s.lastProbe.Store(time.Now().UnixNano())
 		obsDegraded.Set(1)
 		log.Printf("tracestore: %s: entering degraded read-only mode (%v); serving continues from memory/synthesis, probing for recovery every %s",
 			s.dir, cause, time.Duration(s.probeEvery.Load()))
@@ -120,7 +126,7 @@ func (s *Store) exitDegraded() {
 func (s *Store) maybeProbe() bool {
 	now := time.Now().UnixNano()
 	last := s.lastProbe.Load()
-	if last != 0 && now-last < s.probeEvery.Load() {
+	if now-last < s.probeEvery.Load() {
 		return false
 	}
 	if !s.lastProbe.CompareAndSwap(last, now) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // failOps returns a fault hook failing each listed op with its error;
@@ -129,6 +130,37 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	}
 	if st := s.Stats(); st.Degraded || st.DegradedReason != "" {
 		t.Fatalf("recovered stats still report degradation: %+v", st)
+	}
+}
+
+// TestDegradedClearsWithoutSave: a store that has every trace it needs never
+// saves again, so the recovery probe must also run when the state is read.
+// Once the directory heals, Stats stops reporting degradation within one
+// probe interval, with no Save in between.
+func TestDegradedClearsWithoutSave(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = 20 * time.Millisecond
+	s.SetProbeInterval(interval)
+	enospc := &os.PathError{Op: "write", Path: dir, Err: syscall.ENOSPC}
+	s.SetFaultHook(failOps(map[FaultOp]error{FaultCreateTemp: enospc, FaultProbe: enospc}))
+	if err := s.Save(testKey("heal", 1), testTrace(4, 1), OriginSynthesized); err == nil {
+		t.Fatal("Save on a full disk returned nil before degrading")
+	}
+	if st := s.Stats(); !st.Degraded {
+		t.Fatalf("store not degraded while the probe still fails: %+v", st)
+	}
+	s.SetFaultHook(nil)
+	time.Sleep(interval)
+	if st := s.Stats(); st.Degraded || st.Saves != 0 {
+		t.Fatalf("one probe interval after the disk healed, with no Save: %+v", st)
+	}
+	if tmps := tmpFiles(t, dir); len(tmps) != 0 {
+		t.Fatalf("probe left scratch files behind: %v", tmps)
 	}
 }
 

@@ -169,10 +169,10 @@ var statFile = (*os.File).Stat
 // directory is shared across users, replicas and CI cache restores, and a
 // file is read into one buffer sized by its stat, so the stat is checked
 // before anything is allocated — a 10 GB sparse file named like a trace must
-// not cost 10 GB. 2 GiB leaves ≥ 4× headroom over the largest file the
-// registry writes at -full scale (the p = 8192 ring allreduce, 134 M records
-// at 3 bytes each: 403 MB), and keeps every decodable record count (≤ a
-// third of the payload) inside the int32 step index.
+// not cost 10 GB. 2 GiB is far above the largest file the registry writes at
+// -full scale (3.6 MB, the largest of fig11b's Fugaku traces; each distinct
+// step body is stored once), and keeps every decodable record count (≤ a
+// third of the payload) inside the int32 class index.
 const maxTraceFileBytes = 2 << 30
 
 // readTrace opens, reads and decodes one store file. A path that names
