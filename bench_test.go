@@ -1,6 +1,7 @@
 package binetrees
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -246,6 +247,39 @@ func BenchmarkSynthAlltoall(b *testing.B) {
 	a := findAlgo(b, coll.CAlltoall, "bine")
 	b.Run("synth-p1024", synthBench(a, 1024))
 	b.Run("record-p1024", recordBench(a, 1024))
+}
+
+// BenchmarkDecodeTrace times the store-load layer's decode of one trace file
+// at p=1024: alltoall/pairwise is the largest warm decode (p−1 distinct steps
+// of p records each, ~1 M stored records), allreduce/ring a 2-class trace
+// whose 2 M messages are 1,024 stored records and a run table.
+func BenchmarkDecodeTrace(b *testing.B) {
+	for _, tc := range []struct {
+		c    coll.Collective
+		name string
+	}{{coll.CAlltoall, "pairwise"}, {coll.CAllreduce, "ring"}} {
+		s, err := findAlgo(b, tc.c, tc.name).Pattern(1024, 0, 1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := synth.Schedule(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := fabric.EncodeTrace(&buf, tr); err != nil {
+			b.Fatal(err)
+		}
+		raw := buf.Bytes()
+		b.Run(fmt.Sprintf("%s-p1024", tc.name), func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				if _, err := fabric.DecodeTraceBytes(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func findAlgo(b *testing.B, c coll.Collective, name string) coll.Algorithm {

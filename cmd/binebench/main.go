@@ -67,6 +67,7 @@ import (
 
 	"binetrees/internal/harness"
 	"binetrees/internal/obs"
+	"binetrees/internal/pool"
 	"binetrees/internal/tracestore"
 )
 
@@ -129,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verbose {
 		fmt.Fprintln(stderr, engine.Stats().String()+processResources())
-		printStageBreakdown(stderr)
+		printStageBreakdown(stderr, pool.Width(*workers))
 	}
 	if *obsJSON != "" {
 		if derr := dumpObsJSON(*obsJSON, stderr); derr != nil {
@@ -174,7 +175,10 @@ func resourceLine(user, sys time.Duration, status string) string {
 // printStageBreakdown renders the pipeline stage and resolver-origin latency
 // histograms accumulated over the run — the -v observability report. Stages
 // with no observations (e.g. store-load without -trace-cache) are omitted.
-func printStageBreakdown(w io.Writer) {
+// The header names the sweep's worker count: per-cell stages (synth,
+// evaluate, store-load) run on every worker at once, so their totals are
+// summed over that many and may exceed the wall time.
+func printStageBreakdown(w io.Writer, workers int) {
 	var stages, resolves []obs.MetricSnapshot
 	for _, s := range obs.Default.Snapshot() {
 		if s.Histogram == nil || s.Histogram.Count == 0 {
@@ -196,7 +200,7 @@ func printStageBreakdown(w io.Writer) {
 			fmt.Fprintln(w, stageLine(s.Labels, *s.Histogram))
 		}
 	}
-	print("stage latency:", stages)
+	print(fmt.Sprintf("stage latency (Σ over %d workers):", workers), stages)
 	print("resolve latency by origin:", resolves)
 }
 

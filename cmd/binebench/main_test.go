@@ -1,14 +1,17 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"binetrees/internal/obs"
+	"binetrees/internal/pool"
 )
 
 // TestStageLine pins the -v latency row: quantiles only once there are
@@ -80,6 +83,21 @@ func TestVerboseStatsLine(t *testing.T) {
 	line, _, _ := strings.Cut(stderr.String(), "\n")
 	if !regexp.MustCompile(shape + `$`).MatchString(line) {
 		t.Fatalf("-v stats line %q does not match %s$", line, shape)
+	}
+}
+
+// TestStageLatencyHeader pins the -v stage table's header: it names the
+// resolved sweep width — -workers 0 is pool.DefaultWorkers — so per-cell
+// stage totals, summed across workers, divide without guessing.
+func TestStageLatencyHeader(t *testing.T) {
+	for _, tc := range []struct{ flag, want int }{{3, 3}, {0, pool.DefaultWorkers()}} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-experiment", "eq2", "-v", "-workers", strconv.Itoa(tc.flag)}, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		if want := fmt.Sprintf("\nstage latency (Σ over %d workers):\n", tc.want); !strings.Contains(stderr.String(), want) {
+			t.Errorf("-workers %d: -v output lacks %q:\n%s", tc.flag, want, stderr.String())
+		}
 	}
 }
 

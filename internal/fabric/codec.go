@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -32,9 +33,12 @@ import (
 // schedules number their phases 4096 steps apart: a few hundred records reach
 // step 28 675.
 //
-// The decoder does not re-hash the bodies, so a file may hold two equal
-// classes; such a trace replays exactly like its deduplicated form and costs
-// only the bytes the file spent on the copy.
+// The decoder reads the records in one loop off a single cursor: a
+// single-byte field (most of them: deltas within ±63, elems below 128) is
+// read inline, longer ones through binary.Uvarint. It does not re-hash the
+// bodies, so a file may hold two equal classes; such a trace replays exactly
+// like its deduplicated form and costs only the bytes the file spent on the
+// copy.
 
 // CodecVersion identifies the trace wire format. Bump it on any encoding
 // change; the trace store folds it into every content address, so files
@@ -181,14 +185,27 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 
 	n := int(classOff[classes+1])
 	from, to, elems := makeColumns(n)
+	// The records are most of the file and most of a warm load: one loop,
+	// three uvarints a record off the reader's cursor, a single-byte field
+	// read inline.
+	buf, pos := d.buf, d.pos
 	var prevFrom, prevTo int64
 	for i := 0; i < n; i++ {
-		recFrom := prevFrom + d.varint()
-		recTo := prevTo + d.varint()
-		recElems := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+		var f [3]uint64 // zigzag Δfrom, zigzag Δto, elems
+		for k := range f {
+			if pos < len(buf) && buf[pos] < 0x80 {
+				f[k], pos = uint64(buf[pos]), pos+1
+				continue
+			}
+			v, w := binary.Uvarint(buf[pos:])
+			if w <= 0 {
+				return nil, errTruncatedVarint
+			}
+			f[k], pos = v, pos+w
 		}
+		zFrom, zTo, recElems := f[0], f[1], f[2]
+		recFrom := prevFrom + (int64(zFrom>>1) ^ -int64(zFrom&1)) // undo the zigzag
+		recTo := prevTo + (int64(zTo>>1) ^ -int64(zTo&1))
 		if recElems > math.MaxInt32 ||
 			recFrom < 0 || recFrom >= int64(p) || recTo < 0 || recTo >= int64(p) {
 			return nil, fmt.Errorf("fabric: trace record %d out of range: from=%d to=%d elems=%d",
@@ -199,40 +216,38 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 		elems[i] = int32(recElems)
 		prevFrom, prevTo = recFrom, recTo
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("fabric: %d trailing bytes after trace", len(d.buf))
+	if pos != len(buf) {
+		return nil, fmt.Errorf("fabric: %d trailing bytes after trace", len(buf)-pos)
 	}
 	return newTrace(int(p), from, to, elems, classOff, stepClass), nil
 }
 
-// varintReader consumes varints from a byte slice, latching the first error.
+var errTruncatedVarint = errors.New("fabric: truncated trace varint")
+
+// varintReader consumes the header's and run table's uvarints from a byte
+// slice, latching the first error.
 type varintReader struct {
 	buf []byte
+	pos int // the cursor the record loop takes over
 	err error
 }
 
+// uvarint reads a single-byte value first (the run table is mostly those). A
+// failed read leaves the cursor on a byte ≥ 0x80 or at the end, so every
+// later call reaches the latched error.
 func (d *varintReader) uvarint() uint64 {
+	if i := d.pos; i < len(d.buf) && d.buf[i] < 0x80 {
+		d.pos = i + 1
+		return uint64(d.buf[i])
+	}
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.buf)
+	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
-		d.err = fmt.Errorf("fabric: truncated trace varint")
+		d.err = errTruncatedVarint
 		return 0
 	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *varintReader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("fabric: truncated trace varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
+	d.pos += n
 	return v
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -94,6 +95,78 @@ func TestTraceCodecRoundTripRecorded(t *testing.T) {
 		t.Fatalf("decoded trace differs:\n got %+v\nwant %+v", got, tr)
 	}
 	checkLayout(t, got)
+}
+
+// widthTrace is one step over maxTraceRanks ranks whose record fields cross
+// every varint width the decoder can accept: zigzag Δfrom and Δto of 0,
+// ±63/64, ±127/128, ±2¹³, 2¹⁴, 2¹⁹ and ±(p−1) (1 to 3 bytes; the rank bound
+// caps them there), with from and to stepping down to 0 and up to p−1, and
+// elems at every width up to MaxInt32 (1 to 5 bytes).
+func widthTrace() *Trace {
+	const p = maxTraceRanks
+	deltas := []int{0, 63, -63, 64, -64, 127, -127, 128, -128, 8191, -8192, 8192, 1 << 14, 1 << 19, p - 1, -(p - 1)}
+	elems := []int{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1 << 21, 1 << 28, math.MaxInt32}
+	var ranks []int // each delta d appears as the step between a pair
+	for _, d := range deltas {
+		a := max(0, -d)
+		ranks = append(ranks, a, a+d)
+	}
+	recs := make([]Record, len(ranks))
+	for i, from := range ranks {
+		recs[i] = Record{From: from, To: ranks[len(ranks)-1-i], Elems: elems[i%len(elems)]}
+	}
+	return NewTrace(p, recs)
+}
+
+// TestTraceCodecVarintWidths round-trips widthTrace, then pins the record
+// loop's rejections to the decoder's one truncation error: an overlong
+// (11-byte) varint in each field of a record, and a file cut just after a
+// single-byte field.
+func TestTraceCodecVarintWidths(t *testing.T) {
+	tr := widthTrace()
+	var buf bytes.Buffer
+	if err := EncodeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeTraceBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, tr) {
+		t.Fatal("varint-width trace does not survive a round trip")
+	}
+	checkLayout(t, got)
+
+	const truncated = "fabric: truncated trace varint"
+	for name, payload := range varintDamage() {
+		if _, err := DecodeTraceBytes(frameTrace(payload)); err == nil || err.Error() != truncated {
+			t.Errorf("%s: %v, want %q", name, err, truncated)
+		}
+	}
+}
+
+// varintDamage returns payloads of one-record traces (p=1, one class, one
+// run) that break the record region's varints.
+func varintDamage() map[string][]byte {
+	head := []byte{CodecVersion, 1, 1, 1, 1, 0, 1}
+	record := func(fields ...[]byte) []byte {
+		out := append([]byte(nil), head...)
+		for _, f := range fields {
+			out = append(out, f...)
+		}
+		return out
+	}
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0) // 11 bytes: overflows 64 bits
+	zero, one := []byte{0}, []byte{1}
+	return map[string][]byte{
+		"overlong Δfrom":      record(overlong, zero, one),
+		"overlong Δto":        record(zero, overlong, one),
+		"overlong elems":      record(zero, zero, overlong),
+		"cut after Δfrom":     record(zero),
+		"cut after Δto":       record(zero, zero),
+		"cut inside Δto":      record(zero, []byte{0x80}),
+		"cut after run table": record(),
+	}
 }
 
 // The encodings TestTraceCodecGolden pins (and FuzzDecodeTrace seeds): one
@@ -305,6 +378,14 @@ func FuzzDecodeTrace(f *testing.F) {
 	bomb := oneRecordTrace(1, 1<<26)
 	f.Add(bomb[4 : len(bomb)-4])
 	f.Add([]byte{CodecVersion, 1, 1, 0, 1, 0, 1, 0, 0, 1}) // a zero-count class
+	var widths bytes.Buffer
+	if err := EncodeTrace(&widths, widthTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(widths.Bytes()[4 : widths.Len()-4])
+	for _, payload := range varintDamage() {
+		f.Add(payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		raw := frameTrace(payload)
 		var tr *Trace

@@ -111,14 +111,19 @@ func newTrace(p int, from, to, elems, classOff, stepClass []int32) *Trace {
 	t := &Trace{P: p, cFrom: from, cTo: to, cElems: elems, classOff: classOff, stepClass: stepClass}
 	classElems := make([]int64, len(classOff)-1)
 	for c := range classElems {
+		var sum int64
 		for _, e := range elems[classOff[c]:classOff[c+1]] {
-			classElems[c] += int64(e)
+			sum += int64(e)
 		}
+		classElems[c] = sum
 	}
+	var messages int
+	var totalElems int64
 	for _, c := range stepClass {
-		t.messages += int(classOff[c+1] - classOff[c])
-		t.totalElems += classElems[c]
+		messages += int(classOff[c+1] - classOff[c])
+		totalElems += classElems[c]
 	}
+	t.messages, t.totalElems = messages, totalElems
 	return t
 }
 

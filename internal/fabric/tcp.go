@@ -16,7 +16,8 @@ import (
 //	uint32 from | uint32 step | uint32 sub | uint32 count | count × int32
 //
 // in little-endian byte order, preceded on each connection by a single
-// uint32 handshake carrying the dialing rank.
+// uint32 handshake carrying the dialing rank. Its listeners accept any local
+// process, so the reader trusts neither field: see readFrames.
 type TCP struct {
 	ranks
 	listeners []net.Listener
@@ -91,35 +92,61 @@ func (f *TCP) acceptLoop(rank int, ln net.Listener) {
 
 func (f *TCP) readLoop(rank int, conn net.Conn) {
 	defer conn.Close()
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return
+	readFrames(conn, rank, f.Size(), f.boxes[rank].put) // any error ends the connection
+}
+
+// maxFrameElems bounds a frame's element count, so a 16-byte header cannot
+// make the reader allocate more than 16 MiB; Send refuses a longer payload.
+const maxFrameElems = 1 << 22
+
+// readFrames parses one connection's bytes — the dialing rank's handshake,
+// then frames — handing each frame to deliver as a message, until r or
+// deliver fails. A handshake naming a rank outside [0, p) or rank itself,
+// and a frame longer than maxFrameElems, end the stream with an error before
+// anything is delivered or allocated for them. The payload is decoded
+// straight into the message's own storage.
+func readFrames(r io.Reader, rank, p int, deliver func(message) error) error {
+	var hdr [16]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return err
 	}
-	from := int(binary.LittleEndian.Uint32(hdr[:]))
-	var frame [16]byte
+	from := int64(binary.LittleEndian.Uint32(hdr[:4]))
+	if from >= int64(p) || from == int64(rank) {
+		return fmt.Errorf("fabric: rank %d: handshake from rank %d of %d", rank, from, p)
+	}
+	var chunk [4096]byte
 	for {
-		if _, err := io.ReadFull(conn, frame[:]); err != nil {
-			return
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return err
 		}
-		step := int(binary.LittleEndian.Uint32(frame[0:4]))
-		sub := int(binary.LittleEndian.Uint32(frame[4:8]))
-		count := int(binary.LittleEndian.Uint32(frame[8:12]))
-		// frame[12:16] is reserved padding keeping the header 16 bytes.
-		payload := make([]byte, 4*count)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return
+		// hdr[12:16] is reserved padding keeping the header 16 bytes.
+		count := binary.LittleEndian.Uint32(hdr[8:12])
+		if count > maxFrameElems {
+			return fmt.Errorf("fabric: rank %d: %d-element frame from rank %d exceeds %d", rank, count, from, maxFrameElems)
 		}
-		msg := message{from: from, step: step, sub: sub, n: int32(count)}
+		msg := message{
+			from: int(from),
+			step: int(binary.LittleEndian.Uint32(hdr[0:4])),
+			sub:  int(binary.LittleEndian.Uint32(hdr[4:8])),
+			n:    int32(count),
+		}
 		dst := msg.inline[:]
 		if count > inlineElems {
 			msg.data = make([]int32, count)
 			dst = msg.data
 		}
-		for i := 0; i < count; i++ {
-			dst[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
+		for dst = dst[:count]; len(dst) > 0; {
+			b := chunk[:4*min(len(dst), len(chunk)/4)]
+			if _, err := io.ReadFull(r, b); err != nil {
+				return err
+			}
+			for i := range len(b) / 4 {
+				dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+			dst = dst[len(b)/4:]
 		}
-		if err := f.boxes[rank].put(msg); err != nil {
-			return
+		if err := deliver(msg); err != nil {
+			return err
 		}
 	}
 }
@@ -156,6 +183,9 @@ type tcpComm struct {
 func (c tcpComm) Send(to, step, sub int, data []int32) error {
 	if err := c.checkPeer(to); err != nil {
 		return err
+	}
+	if len(data) > maxFrameElems {
+		return fmt.Errorf("fabric: rank %d send to %d: %d elements exceed the %d-element frame", c.rank, to, len(data), maxFrameElems)
 	}
 	conn, err := c.f.conn(c.rank, to)
 	if err != nil {

@@ -333,16 +333,28 @@ func EvaluateSizes(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval, 
 
 // GlobalTraffic is the traffic-only fast path used by the Fig. 5 allocation
 // study: it returns the bytes crossing group boundaries (unit element size)
-// given a rank → group map, with no link model at all.
+// given a rank → group map, with no link model at all. Each step class is
+// summed once and its sums added once per step, like profile's replay.
 func GlobalTraffic(tr *fabric.Trace, groupOf []int) (global, total int64) {
+	type sums struct {
+		global, total int64
+		done          bool
+	}
+	classes := make([]sums, tr.NumClasses())
 	for s := 0; s < tr.NumSteps(); s++ {
-		for i, hi := tr.StepBounds(s); i < hi; i++ {
-			elems := int64(tr.Elems(i))
-			total += elems
-			if groupOf[tr.From(i)] != groupOf[tr.To(i)] {
-				global += elems
+		cs := &classes[tr.StepClass(s)]
+		if !cs.done {
+			cs.done = true
+			for i, hi := tr.StepBounds(s); i < hi; i++ {
+				elems := int64(tr.Elems(i))
+				cs.total += elems
+				if groupOf[tr.From(i)] != groupOf[tr.To(i)] {
+					cs.global += elems
+				}
 			}
 		}
+		global += cs.global
+		total += cs.total
 	}
 	return global, total
 }

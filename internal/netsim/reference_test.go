@@ -183,6 +183,50 @@ func TestEvaluateMatchesSeedReference(t *testing.T) {
 	}
 }
 
+// TestGlobalTrafficMatchesPerRecordSum holds GlobalTraffic, which sums each
+// step class once, to the sum over every step's records expanded through
+// StepBounds, on traces whose steps repeat: the hand-built A B A _ C A and a
+// recorded ring allreduce (two classes over 2(p−1) steps).
+func TestGlobalTrafficMatchesPerRecordSum(t *testing.T) {
+	const p = 16
+	ring, ok := coll.Find(coll.Registry(), coll.CAllreduce, "ring")
+	if !ok {
+		t.Fatal("allreduce/ring not registered")
+	}
+	groupings := map[string]func(r int) int{
+		"pairs":   func(r int) int { return r / 2 },
+		"strided": func(r int) int { return r % 3 },
+	}
+	for name, tr := range map[string]*fabric.Trace{
+		"repeated steps": repeatedStepsTrace(p),
+		"ring allreduce": algoTrace(t, ring, p),
+	} {
+		if tr.NumClasses()-1 >= tr.NumSteps() {
+			t.Fatalf("%s: %d classes over %d steps, want repeated steps", name, tr.NumClasses(), tr.NumSteps())
+		}
+		for gname, group := range groupings {
+			groupOf := make([]int, p)
+			for r := range groupOf {
+				groupOf[r] = group(r)
+			}
+			var wantGlobal, wantTotal int64
+			for s := 0; s < tr.NumSteps(); s++ {
+				for i, hi := tr.StepBounds(s); i < hi; i++ {
+					wantTotal += int64(tr.Elems(i))
+					if groupOf[tr.From(i)] != groupOf[tr.To(i)] {
+						wantGlobal += int64(tr.Elems(i))
+					}
+				}
+			}
+			global, total := GlobalTraffic(tr, groupOf)
+			if global != wantGlobal || total != wantTotal || wantGlobal == 0 {
+				t.Errorf("%s, %s groups: GlobalTraffic = (%d, %d), per-record sum (%d, %d)",
+					name, gname, global, total, wantGlobal, wantTotal)
+			}
+		}
+	}
+}
+
 // repeatedStepsTrace is a p-rank trace of steps A B A _ C A whose bodies
 // load shared links, send several messages per sender and fold several into
 // one receiver.

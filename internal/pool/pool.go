@@ -15,6 +15,14 @@ import (
 // one worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
+// Width is the pool width a requested worker count resolves to.
+func Width(workers int) int {
+	if workers <= 0 {
+		return DefaultWorkers()
+	}
+	return workers
+}
+
 // Runner is a reusable fixed-width pool: every batch submitted through its
 // ForEach shares the same long-lived workers, so one process-wide instance
 // can drain the cells of many experiments — across systems — at once,
@@ -71,9 +79,7 @@ func (r *Runner) Stats() RunnerStats {
 // NewRunner starts a pool of the given width (<= 0 selects DefaultWorkers).
 // Close it when no more batches will be submitted.
 func NewRunner(workers int) *Runner {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
+	workers = Width(workers)
 	r := &Runner{jobs: make(chan func()), workers: workers}
 	r.wg.Add(workers)
 	for w := 0; w < workers; w++ {
