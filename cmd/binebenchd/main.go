@@ -12,7 +12,6 @@
 //	GET /artifact/{experiment}?systems=...&full=...  streamed text artifact
 //	GET /healthz                                     liveness (always 200)
 //	GET /readyz                                      readiness; 503 while prewarming
-//	GET /statsz                                      counters as JSON
 //	GET /metrics                                     Prometheus text format
 //	GET /tracez                                      recent + slowest request timelines
 //
@@ -24,11 +23,9 @@
 // schedule once; all requests share one resident process-wide worker pool
 // and trace cache.
 // Cold schedules are synthesized directly from schedule math (byte-identical
-// to fabric recordings, which the harness tests hold them to), and
-// /statsz reports the resolver-chain counters — synthesized, recordings —
-// alongside the cache and request stats. Replicas may share one
-// -trace-cache directory: stored traces are written world-readable and
-// corrupt files self-evict on either side.
+// to fabric recordings, which the harness tests hold them to). Replicas may
+// share one -trace-cache directory: stored traces are written
+// world-readable and corrupt files self-evict on either side.
 //
 // Overload protection: at most -max-flights non-follower renders run
 // concurrently, at most as many again wait for a slot, and anything beyond
@@ -36,15 +33,18 @@
 // computed from recent p95 serve latency. Followers joining an in-flight
 // render are never shed. If the -trace-cache directory turns read-only or
 // fills up mid-flight, the store flips to a degraded read-only mode —
-// requests keep succeeding from memory and synthesis, /statsz reports the
-// degradation, and the store probes periodically for recovery.
+// requests keep succeeding from memory and synthesis, the
+// binebench_tracestore_degraded gauge reports the degradation, and the store
+// probes periodically for recovery.
 //
 // Every request carries a request ID (the client's X-Request-ID header, or
 // a generated one), echoed on the response and stamped on the JSON access
 // log line written per /artifact request (-access-log; stderr by default).
-// /metrics exposes stage latency histograms, resolver-origin counters and
-// pool gauges in Prometheus text format with no client dependency, and
-// /tracez returns the recent and slowest per-request stage timelines.
+// /metrics is the daemon's one machine-readable view of its counts: stage
+// latency histograms, resolver-origin and request counters, and pool and
+// resident-trace gauges, in Prometheus text format with no client
+// dependency; /tracez returns the recent and slowest per-request stage
+// timelines.
 // -debug-addr serves net/http/pprof on a separate listener so profiling
 // stays off the artifact port.
 //

@@ -71,13 +71,6 @@ type traceEntry struct {
 	origin obs.Origin
 }
 
-// Prewarm decode-validates every file of the disk tier
-// (tracestore.Store.Prewarm): valid traces are paged in, corrupt ones are
-// evicted, and the returned stats report the store's footprint — what a
-// long-running artifact server does at startup before accepting requests.
-// Without a disk tier it is a no-op reporting zeroes.
-func (eng *Engine) Prewarm() (tracestore.PrewarmStats, error) { return eng.Store.Prewarm() }
-
 // CacheStats snapshots the trace-cache counters: per-tier hits, the
 // recordings performed, and the disk tier's write and eviction activity.
 type CacheStats struct {
@@ -105,9 +98,9 @@ type CacheStats struct {
 	// DiskSaveSkips counts write-behind saves dropped while the disk tier
 	// was degraded; StoreDegraded and StoreDegradedReason report that state
 	// (read-only dir, full disk — serving continues from memory/synth).
-	DiskSaveSkips       uint64 `json:",omitempty"`
-	StoreDegraded       bool   `json:",omitempty"`
-	StoreDegradedReason string `json:",omitempty"`
+	DiskSaveSkips       uint64
+	StoreDegraded       bool
+	StoreDegradedReason string
 }
 
 func (s CacheStats) String() string {

@@ -90,3 +90,36 @@ func TestWindowEmptyHistogram(t *testing.T) {
 		t.Fatalf("empty histogram windowed p95 = %v, want 0", got)
 	}
 }
+
+// TestWindowQuantileStaysInBucket pins what Retry-After rests on:
+// observations planted inside one bucket keep the windowed p95 inside that
+// bucket's bounds, however much older history lies elsewhere, before and
+// after an epoch rotation.
+func TestWindowQuantileStaysInBucket(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("w_bucket_seconds", "t", nil) // DefBuckets: ... 2.5, 5, ...
+	for i := 0; i < 1000; i++ {
+		h.Observe(0.001) // lifetime history the window must not see
+	}
+	clock := &fakeClock{t: time.Unix(3000, 0)}
+	w := newWindowAt(h, 10*time.Second, clock)
+	w.Quantile(0.95) // the first epoch starts after the history
+	check := func(when string) {
+		t.Helper()
+		if got := w.Quantile(0.95); got <= 2.5 || got > 5 {
+			t.Fatalf("%s: windowed p95 = %v, want in (2.5, 5]", when, got)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		h.Observe(3 + float64(i)/10)
+	}
+	check("before rotation")
+	clock.advance(10 * time.Second)
+	check("across one rotation")
+	for i := 0; i < 5; i++ {
+		h.Observe(4.9)
+	}
+	check("in the second epoch")
+	clock.advance(10 * time.Second)
+	check("across a second rotation") // only the second epoch's five remain
+}

@@ -49,19 +49,19 @@ type Runner struct {
 // RunnerStats is a point-in-time view of a Runner's job flow.
 type RunnerStats struct {
 	// Workers is the fixed pool width.
-	Workers int `json:"workers"`
+	Workers int
 	// QueueDepth counts jobs submitted but not yet picked up by a worker.
-	QueueDepth int64 `json:"queue_depth"`
+	QueueDepth int64
 	// InFlight counts jobs currently executing.
-	InFlight int64 `json:"in_flight"`
+	InFlight int64
 	// JobsDone counts completed jobs over the Runner's lifetime.
-	JobsDone uint64 `json:"jobs_done"`
+	JobsDone uint64
 	// WaitSeconds totals submit-to-start latency across all jobs — the
 	// queue pressure signal.
-	WaitSeconds float64 `json:"wait_seconds"`
+	WaitSeconds float64
 	// BusySeconds totals execution time — worker utilization is
 	// BusySeconds / (uptime × Workers).
-	BusySeconds float64 `json:"busy_seconds"`
+	BusySeconds float64
 }
 
 // Stats snapshots the runner's observability counters.

@@ -45,8 +45,7 @@ type admission struct {
 	maxFlights int
 	tokens     chan struct{} // len == renders currently holding a token
 
-	waiting                atomic.Int64
-	admitted, queued, shed atomic.Uint64
+	waiting atomic.Int64
 }
 
 func newAdmission(maxFlights int) *admission {
@@ -57,18 +56,15 @@ func newAdmission(maxFlights int) *admission {
 func (a *admission) decide() admitDecision {
 	select {
 	case a.tokens <- struct{}{}:
-		a.admitted.Add(1)
 		obsAdmitted.Inc()
 		return admitNow
 	default:
 	}
 	if a.waiting.Load() >= int64(a.maxFlights) {
-		a.shed.Add(1)
 		obsShed.Inc()
 		return admitShed
 	}
 	a.waiting.Add(1)
-	a.queued.Add(1)
 	obsQueued.Inc()
 	return admitQueue
 }

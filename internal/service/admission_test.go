@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"binetrees/internal/obs"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -32,7 +34,11 @@ func TestAdmissionShedsWith429RetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	renderGate = func() { <-gate }
 	defer func() { renderGate = nil }()
-	srv, ts := newTestServer(t, Config{MaxFlights: 1})
+	log := &accessTally{}
+	srv, ts := newTestServer(t, Config{MaxFlights: 1, AccessLog: log})
+	if srv.adm.maxFlights != 1 {
+		t.Fatalf("admission budget %d, want the configured 1", srv.adm.maxFlights)
+	}
 
 	var wg sync.WaitGroup
 	launch := func(path string, wantCode int) {
@@ -69,8 +75,9 @@ func TestAdmissionShedsWith429RetryAfter(t *testing.T) {
 
 	// A follower of the rendering flight is not shed — joins are free.
 	launch("/artifact/fig1", http.StatusOK)
-	waitFor(t, "follower to join flight 1", func() bool { return srv.Snapshot().DedupJoins == 1 })
-	if shed := srv.adm.shed.Load(); shed != 1 {
+	// Flight 1's leader and follower plus flight 2's leader.
+	waitFor(t, "follower to join flight 1", func() bool { return attached(&srv.flights) == 3 })
+	if shed := log.role("shed"); shed != 1 {
 		t.Fatalf("shed count after follower join = %d, want 1", shed)
 	}
 
@@ -84,15 +91,13 @@ func TestAdmissionShedsWith429RetryAfter(t *testing.T) {
 		t.Fatalf("post-drain request: status %d: %s", code, body)
 	}
 
-	st := srv.Snapshot().Admission
-	if st.MaxFlights != 1 {
-		t.Fatalf("admission config in statsz: %+v", st)
+	// fig1, eq2 (after queueing) and fig9b rendered; fig1's second request
+	// joined; fig9a was shed.
+	if leaders, joins, shed := log.role("leader"), log.role("follower"), log.role("shed"); leaders != 3 || joins != 1 || shed != 1 {
+		t.Fatalf("access log: %d leaders, %d followers, %d shed — want 3/1/1", leaders, joins, shed)
 	}
-	if st.Admitted != 2 || st.Queued != 1 || st.Shed != 1 {
-		t.Fatalf("admission counters: %+v, want admitted=2 queued=1 shed=1", st)
-	}
-	if st.Waiting != 0 || st.InFlight != 0 {
-		t.Fatalf("admission occupancy after drain: %+v, want idle", st)
+	if waiting, inFlight := srv.adm.waiting.Load(), srv.adm.inFlight(); waiting != 0 || inFlight != 0 {
+		t.Fatalf("admission occupancy after drain: %d waiting, %d in flight — want idle", waiting, inFlight)
 	}
 }
 
@@ -142,5 +147,33 @@ func TestDisconnectStormFreesCells(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/artifact/fig1", nil))
 	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
 		t.Fatalf("post-storm request: status %d, %d bytes", rec.Code, rec.Body.Len())
+	}
+}
+
+// TestRetryAfter pins the back-off advice over a recency window on a private
+// histogram: no recent latency answers 1, a p95 in (2.5, 5] seconds with an
+// empty queue and one render slot answers that p95 rounded up, and a deep
+// queue clamps at 60.
+func TestRetryAfter(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name     string
+		observed []float64
+		waiting  int64
+		min, max int
+	}{
+		{"empty window", nil, 0, 1, 1},
+		{"p95 in (2.5, 5]", []float64{3, 4, 4.5}, 0, 3, 5},
+		{"deep queue", []float64{3, 4, 4.5}, 1000, 60, 60},
+	} {
+		h := obs.NewRegistry().Histogram("retry_test_seconds", "t", nil)
+		s := &Server{serveWindow: obs.NewWindow(h, time.Minute), adm: newAdmission(1)}
+		for _, v := range c.observed {
+			h.Observe(v)
+		}
+		s.adm.waiting.Store(c.waiting)
+		if got := s.retryAfter(); got < c.min || got > c.max {
+			t.Errorf("%s: Retry-After %d, want %d..%d", c.name, got, c.min, c.max)
+		}
 	}
 }

@@ -12,12 +12,13 @@ import (
 
 // TestDegradedStoreServing pins the acceptance story end to end at the
 // service layer: the trace-cache directory goes read-only mid-run, requests
-// keep succeeding from synthesis, /statsz reports the store degraded (with
+// keep succeeding from synthesis, the Engine reports the store degraded (with
 // skipped saves), and once the directory recovers the store reports healthy
 // and writes through again.
 func TestDegradedStoreServing(t *testing.T) {
 	t.Parallel()
-	srv, ts := newTestServer(t, Config{TraceDir: t.TempDir()})
+	log := &accessTally{}
+	srv, ts := newTestServer(t, Config{TraceDir: t.TempDir(), AccessLog: log})
 	srv.Prewarm()
 	store := srv.engine.Store
 	store.SetProbeInterval(0) // probe on every degraded save
@@ -36,36 +37,36 @@ func TestDegradedStoreServing(t *testing.T) {
 	if code, body := get(t, ts.URL+"/artifact/fig1"); code != http.StatusOK || len(body) == 0 {
 		t.Fatalf("request on read-only store: %d, %d bytes", code, len(body))
 	}
-	snap := srv.Snapshot()
-	if !snap.Cache.StoreDegraded || snap.Cache.StoreDegradedReason == "" {
-		t.Fatalf("statsz does not report the store degraded: %+v", snap.Cache)
+	cache := srv.engine.Stats()
+	if !cache.StoreDegraded || cache.StoreDegradedReason == "" {
+		t.Fatalf("engine does not report the store degraded: %+v", cache)
 	}
-	if snap.Failures != 0 {
-		t.Fatalf("store degradation surfaced as request failures: %d", snap.Failures)
+	if n := log.code(http.StatusInternalServerError); n != 0 {
+		t.Fatalf("store degradation surfaced as request failures: %d", n)
 	}
 
 	// Degraded steady state: more artifacts serve fine, saves skip.
 	if code, _ := get(t, ts.URL+"/artifact/eq2"); code != http.StatusOK {
 		t.Fatalf("second request while degraded: %d", code)
 	}
-	if snap := srv.Snapshot(); snap.Cache.DiskSaveSkips == 0 {
-		t.Fatalf("degraded serving recorded no skipped saves: %+v", snap.Cache)
+	if cache := srv.engine.Stats(); cache.DiskSaveSkips == 0 {
+		t.Fatalf("degraded serving recorded no skipped saves: %+v", cache)
 	}
 
 	// The directory recovers: the next save's probe restores write-through,
-	// and /statsz drops the degraded flag.
+	// and the degraded flag drops.
 	broken.Store(false)
 	if code, _ := get(t, ts.URL+"/artifact/fig9a"); code != http.StatusOK {
 		t.Fatalf("request after recovery: %d", code)
 	}
-	snap = srv.Snapshot()
-	if snap.Cache.StoreDegraded {
-		t.Fatalf("statsz still reports degraded after recovery: %+v", snap.Cache)
+	cache = srv.engine.Stats()
+	if cache.StoreDegraded {
+		t.Fatalf("engine still reports degraded after recovery: %+v", cache)
 	}
-	if snap.Cache.DiskSaves == 0 {
-		t.Fatalf("post-recovery render did not write through: %+v", snap.Cache)
+	if cache.DiskSaves == 0 {
+		t.Fatalf("post-recovery render did not write through: %+v", cache)
 	}
-	if snap.Failures != 0 || snap.Requests != 3 {
-		t.Fatalf("degraded episode broke request accounting: %+v", snap)
+	if ok, leaders := log.code(http.StatusOK), log.role("leader"); ok != 3 || leaders != 3 {
+		t.Fatalf("degraded episode broke request accounting: %d served, %d rendered, want 3/3", ok, leaders)
 	}
 }

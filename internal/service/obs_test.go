@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,13 +14,13 @@ import (
 	"binetrees/internal/obs"
 )
 
-// TestStatszUnderLoad hammers /statsz and /metrics while artifact requests
-// run concurrently — the data-race audit of the stats surface, meaningful
-// under -race (CI runs this package with it). Correctness of the bodies is
-// covered elsewhere; here every response just has to be well-formed while
-// the counters, the pool gauges, and the prewarm fields churn — and /statsz
+// TestMetricsUnderLoad hammers /metrics while artifact requests run
+// concurrently — the data-race audit of the metrics surface, meaningful under
+// -race (CI runs this package with it). Correctness of the bodies is covered
+// elsewhere; here every scrape just has to succeed while the counters, the
+// pool and resident-trace gauges and the prewarm state churn — and /metrics
 // has to carry the resolver-chain counters.
-func TestStatszUnderLoad(t *testing.T) {
+func TestMetricsUnderLoad(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Config{TraceDir: t.TempDir()})
 	var wg sync.WaitGroup
@@ -33,10 +34,6 @@ func TestStatszUnderLoad(t *testing.T) {
 				case <-stop:
 					return
 				default:
-				}
-				if code, body := get(t, ts.URL+"/statsz"); code != http.StatusOK {
-					t.Errorf("statsz: %d %s", code, body)
-					return
 				}
 				if code, _ := get(t, ts.URL+"/metrics"); code != http.StatusOK {
 					t.Errorf("metrics: %d", code)
@@ -52,9 +49,10 @@ func TestStatszUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	code, body := get(t, ts.URL+"/statsz")
-	if code != http.StatusOK || !strings.Contains(body, "\"SynthHits\"") || !strings.Contains(body, "\"Records\"") {
-		t.Fatalf("statsz lacks the resolver counters: %d\n%s", code, body)
+	code, body := get(t, ts.URL+"/metrics")
+	if code != http.StatusOK || !strings.Contains(body, "binebench_synth_traces_total") ||
+		!strings.Contains(body, `binebench_resolves_total{origin="synth"}`) {
+		t.Fatalf("metrics lacks the resolver counters: %d\n%s", code, body)
 	}
 }
 
@@ -81,8 +79,8 @@ func TestReadiness(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "1" {
 		t.Fatalf("readyz 503 Retry-After = %q, want 1", ra)
 	}
-	if snap := srv.Snapshot(); snap.Ready {
-		t.Fatal("statsz reported ready before the prewarm finished")
+	if srv.Ready() {
+		t.Fatal("server reported ready before the prewarm finished")
 	}
 
 	close(gate)
@@ -94,9 +92,8 @@ func TestReadiness(t *testing.T) {
 	if !strings.Contains(body, "trace store prewarm:") || !strings.Contains(body, "prewarm took ") {
 		t.Fatalf("readyz body lacks the prewarm report: %q", body)
 	}
-	snap := srv.Snapshot()
-	if !snap.Ready || snap.PrewarmSeconds <= 0 {
-		t.Fatalf("statsz after prewarm: %+v", snap)
+	if !srv.Ready() || srv.prewarmSeconds <= 0 {
+		t.Fatalf("after prewarm: ready %v, prewarm took %vs", srv.Ready(), srv.prewarmSeconds)
 	}
 }
 
@@ -139,9 +136,11 @@ func TestRequestID(t *testing.T) {
 // TestMetricsEndpoint serves an experiment and scrapes /metrics: the core
 // series of every pipeline stage and resolver origin must be present, in
 // parseable Prometheus text form (every non-comment line is `name{labels}
-// value`), with the serve histogram actually populated.
+// value`), with the serve histogram actually populated, and the resident
+// trace gauges must read the server's Engine — until Close drops them. Not
+// parallel: the gauges are backed by the newest live server.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	if code, body := get(t, ts.URL+"/artifact/fig1"); code != http.StatusOK {
 		t.Fatalf("artifact: %d %s", code, body)
 	}
@@ -193,6 +192,38 @@ func TestMetricsEndpoint(t *testing.T) {
 	if lines < 50 {
 		t.Fatalf("suspiciously small exposition: %d samples", lines)
 	}
+
+	cache := srv.engine.Stats()
+	resident := map[string]uint64{
+		"binebenchd_resident_traces":      cache.CachedTraces,
+		"binebenchd_resident_trace_bytes": cache.CachedBytes,
+	}
+	for series, want := range resident {
+		got, ok := sample(body, series)
+		if !ok || want == 0 || got != float64(want) {
+			t.Errorf("%s = %v (exposed %v), engine reports %d", series, got, ok, want)
+		}
+	}
+	srv.Close()
+	var after strings.Builder
+	obs.Default.WritePrometheus(&after)
+	for series := range resident {
+		if strings.Contains(after.String(), series) {
+			t.Errorf("%s still exposed after Close", series)
+		}
+	}
+}
+
+// sample returns the value of the unlabelled series name in a Prometheus
+// text exposition.
+func sample(body, name string) (float64, bool) {
+	for _, line := range strings.Split(body, "\n") {
+		if series, value, ok := strings.Cut(line, " "); ok && series == name {
+			v, err := strconv.ParseFloat(value, 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
 }
 
 // expositionAtInit is the process-wide registry as a fresh process exposes
@@ -322,7 +353,7 @@ func TestTracezTimeline(t *testing.T) {
 	// The server has served this one request, so its per-cell aggregates are
 	// the Engine's counters: a resolution that ran outside the request's
 	// context would be counted by the Engine and missing from the timeline.
-	cache := srv.Snapshot().Cache
+	cache := srv.engine.Stats()
 	if n := tr.Stages[obs.StageSynth.String()].Count; n == 0 || n != cache.SynthHits {
 		t.Errorf("synth stage count %d, engine synthesized %d", n, cache.SynthHits)
 	}

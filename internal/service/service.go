@@ -89,10 +89,10 @@ type Config struct {
 }
 
 // Server is the artifact service: a resident worker pool, the Engine every
-// request resolves its traces through, the singleflight table, the trace log
-// behind /tracez, and the request counters behind /statsz. Servers share
-// nothing but the process-wide obs registry: each has its own trace cache
-// and cache counters.
+// request resolves its traces through, the singleflight table and the trace
+// log behind /tracez. Servers share nothing but the process-wide obs
+// registry, where every count the service keeps lives: each has its own
+// trace cache and cache counters.
 type Server struct {
 	runner      *pool.Runner
 	engine      *harness.Engine
@@ -117,8 +117,6 @@ type Server struct {
 	accessLog  io.Writer
 	reqSeq     atomic.Uint64
 	unregister []func() // drops this server's obs.Default gauge callbacks on Close
-
-	requests, renders, joins, failures, bytesOut atomic.Uint64
 }
 
 // New builds the server's Engine from cfg (trace store opened), kicks off the
@@ -165,7 +163,7 @@ func New(cfg Config) (*Server, error) {
 			prewarmGate()
 		}
 		t0 := time.Now()
-		s.prewarm, s.prewarmErr = engine.Prewarm()
+		s.prewarm, s.prewarmErr = engine.Store.Prewarm()
 		s.prewarmSeconds = time.Since(t0).Seconds()
 	}()
 	s.registerGauges()
@@ -211,6 +209,10 @@ func (s *Server) registerGauges() {
 		})
 	gauge("binebenchd_uptime_seconds",
 		"Seconds since the server was constructed.", func() float64 { return time.Since(s.start).Seconds() })
+	gauge("binebenchd_resident_traces",
+		"Traces resident in the server's in-process cache.", func() float64 { return float64(s.engine.Stats().CachedTraces) })
+	gauge("binebenchd_resident_trace_bytes",
+		"Columnar footprint of the resident traces.", func() float64 { return float64(s.engine.Stats().CachedBytes) })
 }
 
 // Ready reports whether the startup prewarm pass has completed — the /readyz
@@ -253,7 +255,6 @@ func (s *Server) Close() {
 //	GET /healthz                                     liveness (always 200)
 //	GET /readyz                                      readiness: 503 until the
 //	                                                 trace-store prewarm ends
-//	GET /statsz                                      counters as JSON
 //	GET /metrics                                     Prometheus text format
 //	GET /tracez                                      recent + slowest request
 //	                                                 timelines as JSON
@@ -265,7 +266,6 @@ func (s *Server) Handler() http.Handler {
 		io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("GET /readyz", s.readyz)
-	mux.HandleFunc("GET /statsz", s.statsz)
 	mux.Handle("GET /metrics", obs.Default.Handler())
 	mux.HandleFunc("GET /tracez", s.tracez)
 	return mux
@@ -390,7 +390,6 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 			Status: code, DurMS: float64(time.Since(t0).Microseconds()) / 1e3, Error: err.Error()})
 		return
 	}
-	s.requests.Add(1)
 	opts := harness.Options{Quick: !full, Systems: systems, Engine: s.engine}
 	key := fmt.Sprintf("%s|full=%v|systems=%s", name, full, strings.Join(systems, ","))
 	// The flight trace belongs to the leader: its render goroutine runs the
@@ -399,7 +398,6 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 	// access-log lines; a follower's own trace is simply discarded.
 	reqTrace := obs.NewTrace(reqID, key)
 	b, joined, shed := s.flights.do(s.ctx, key, reqTrace, func(fctx context.Context, fw io.Writer) error {
-		s.renders.Add(1)
 		obsRenders.Inc()
 		ctx := obs.WithTrace(fctx, reqTrace)
 		defer func() {
@@ -433,7 +431,6 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 	defer s.flights.release(key, b)
 	role := "leader"
 	if joined {
-		s.joins.Add(1)
 		obsJoins.Inc()
 		role = "follower"
 	}
@@ -455,7 +452,6 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 			status = 499 // client gave up before the first byte
 			return
 		}
-		s.failures.Add(1)
 		obsFailures.Inc()
 		status = http.StatusInternalServerError
 		serveErr = err.Error()
@@ -465,7 +461,6 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	n, err := b.streamTo(r.Context(), w)
 	served = n
-	s.bytesOut.Add(uint64(n))
 	obsBytes.Add(uint64(n))
 	if err != nil && r.Context().Err() == nil {
 		// The render failed mid-stream: the 200 header is out, so abort the
@@ -473,7 +468,6 @@ func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {
 		// The deferred access-log line still runs while the panic unwinds;
 		// record the failure status first so requests_total and the log line
 		// count this as a 500, not the 200 the wire happened to see.
-		s.failures.Add(1)
 		obsFailures.Inc()
 		status = http.StatusInternalServerError
 		serveErr = err.Error()
@@ -534,92 +528,4 @@ func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
 		Recent  []obs.TraceSummary `json:"recent"`
 		Slowest []obs.TraceSummary `json:"slowest"`
 	}{recent, slowest})
-}
-
-// Stats is the /statsz document.
-type Stats struct {
-	// UptimeSeconds is the time since New.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Workers is the resident pool width shared by all requests.
-	Workers int `json:"workers"`
-	// Ready reports whether the startup prewarm has completed (the /readyz
-	// condition); PrewarmSeconds is how long it took once done.
-	Ready          bool    `json:"ready"`
-	PrewarmSeconds float64 `json:"prewarm_seconds,omitempty"`
-	// Experiments lists the valid /artifact/{experiment} names.
-	Experiments []string `json:"experiments"`
-	// Requests counts accepted artifact requests; Renders the plan
-	// executions actually performed; DedupJoins the requests served by
-	// joining an identical in-flight render; Failures the requests that
-	// surfaced a render error.
-	Requests   uint64 `json:"requests"`
-	Renders    uint64 `json:"renders"`
-	DedupJoins uint64 `json:"dedup_joins"`
-	Failures   uint64 `json:"failures"`
-	// BytesServed totals artifact bytes written to clients.
-	BytesServed uint64 `json:"bytes_served"`
-	// Pool is the resident Runner's live job-flow view.
-	Pool pool.RunnerStats `json:"pool"`
-	// Admission is the flight-budget view: configuration, the decision
-	// counters, and the live queue/render occupancy.
-	Admission AdmissionStats `json:"admission"`
-	// Prewarm reports the startup store validation (zero until Ready); Cache
-	// this server's trace cache counters since New (including the resident
-	// columnar footprint).
-	Prewarm tracestore.PrewarmStats `json:"prewarm"`
-	Cache   harness.CacheStats      `json:"cache"`
-}
-
-// AdmissionStats is the /statsz view of the flight budget. Shed requests
-// were answered 429 with a Retry-After; Queued counts flights that waited
-// for a token (whether or not they eventually rendered); Waiting and
-// InFlight are the live occupancy at snapshot time.
-type AdmissionStats struct {
-	MaxFlights int    `json:"max_flights"`
-	Admitted   uint64 `json:"admitted"`
-	Queued     uint64 `json:"queued"`
-	Shed       uint64 `json:"shed"`
-	Waiting    int64  `json:"waiting"`
-	InFlight   int    `json:"in_flight"`
-}
-
-// Snapshot captures the live counters. The prewarm fields are read only
-// after prewarmDone closes, so a snapshot taken mid-prewarm reports them as
-// zero instead of racing the prewarm goroutine's writes.
-func (s *Server) Snapshot() Stats {
-	st := Stats{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Workers:       s.runner.Workers(),
-		Experiments:   harness.ExperimentNames(),
-		Requests:      s.requests.Load(),
-		Renders:       s.renders.Load(),
-		DedupJoins:    s.joins.Load(),
-		Failures:      s.failures.Load(),
-		BytesServed:   s.bytesOut.Load(),
-		Pool:          s.runner.Stats(),
-		Admission: AdmissionStats{
-			MaxFlights: s.adm.maxFlights,
-			Admitted:   s.adm.admitted.Load(),
-			Queued:     s.adm.queued.Load(),
-			Shed:       s.adm.shed.Load(),
-			Waiting:    s.adm.waiting.Load(),
-			InFlight:   s.adm.inFlight(),
-		},
-		Cache: s.engine.Stats(),
-	}
-	select {
-	case <-s.prewarmDone:
-		st.Ready = true
-		st.Prewarm = s.prewarm
-		st.PrewarmSeconds = s.prewarmSeconds
-	default:
-	}
-	return st
-}
-
-func (s *Server) statsz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Snapshot())
 }

@@ -34,6 +34,63 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// accessTally is an access-log sink counting what its server logged: lines
+// by singleflight role ("" for a request refused before the flight table)
+// and by status, and the artifact bytes they report. The server writes one
+// whole JSON line per Write.
+type accessTally struct {
+	mu     sync.Mutex
+	roles  map[string]int
+	codes  map[int]int
+	served int64
+}
+
+func (a *accessTally) Write(p []byte) (int, error) {
+	var e accessEntry
+	if err := json.Unmarshal(p, &e); err != nil {
+		return 0, err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.roles == nil {
+		a.roles, a.codes = map[string]int{}, map[int]int{}
+	}
+	a.roles[e.Role]++
+	a.codes[e.Status]++
+	a.served += e.Bytes
+	return len(p), nil
+}
+
+func (a *accessTally) role(r string) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.roles[r]
+}
+
+func (a *accessTally) code(c int) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.codes[c]
+}
+
+func (a *accessTally) bytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.served
+}
+
+// attached counts the requests holding a reference on an in-table flight:
+// leaders and the followers that joined them.
+func attached(g *flightGroup) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := 0
+	for _, b := range g.m {
+		n += b.refs
+	}
+	return n
+}
+
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -104,11 +161,12 @@ func TestSingleflightDedup(t *testing.T) {
 		t.Fatal("reference render synthesized nothing")
 	}
 
-	srv, ts := newTestServer(t, Config{})
+	log := &accessTally{}
+	srv, ts := newTestServer(t, Config{AccessLog: log})
 	const herd = 8
 	deadline := time.Now().Add(10 * time.Second)
 	renderGate = func() {
-		for srv.joins.Load() < herd-1 && time.Now().Before(deadline) {
+		for attached(&srv.flights) < herd && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -133,27 +191,29 @@ func TestSingleflightDedup(t *testing.T) {
 			t.Fatalf("request %d diverges from the CLI rendering:\n%s", i, b)
 		}
 	}
-	snap := srv.Snapshot()
-	if snap.Requests != herd || snap.Renders != 1 || snap.DedupJoins != herd-1 {
-		t.Fatalf("herd of %d: %d requests, %d renders, %d joins — want %d/1/%d",
-			herd, snap.Requests, snap.Renders, snap.DedupJoins, herd, herd-1)
+	if ok, leaders, joins := log.code(http.StatusOK), log.role("leader"), log.role("follower"); ok != herd || leaders != 1 || joins != herd-1 {
+		t.Fatalf("herd of %d: %d served, %d renders, %d joins — want %d/1/%d",
+			herd, ok, leaders, joins, herd, herd-1)
 	}
-	if snap.Cache.SynthHits != synthRef {
-		t.Fatalf("herd synthesized %d schedules, want %d (one per schedule)", snap.Cache.SynthHits, synthRef)
+	if n := log.bytes(); n != int64(herd*len(want.String())) {
+		t.Fatalf("herd logged %d bytes served, want %d", n, herd*len(want.String()))
 	}
-	if snap.Cache.Records != 0 {
-		t.Fatalf("herd touched the goroutine fabric %d times, want 0", snap.Cache.Records)
+	cache := srv.engine.Stats()
+	if cache.SynthHits != synthRef {
+		t.Fatalf("herd synthesized %d schedules, want %d (one per schedule)", cache.SynthHits, synthRef)
 	}
-	if snap.Failures != 0 || snap.BytesServed != uint64(herd*len(want.String())) {
-		t.Fatalf("snapshot %+v", snap)
+	if cache.Records != 0 {
+		t.Fatalf("herd touched the goroutine fabric %d times, want 0", cache.Records)
 	}
 }
 
 // TestRequestValidation covers the error surface: unknown experiments 404,
-// malformed or misaddressed parameters 400, and the health/stats endpoints.
+// malformed or misaddressed parameters 400, /healthz answers, and the retired
+// /statsz route is gone.
 func TestRequestValidation(t *testing.T) {
 	t.Parallel()
-	srv, ts := newTestServer(t, Config{})
+	log := &accessTally{}
+	_, ts := newTestServer(t, Config{AccessLog: log})
 	cases := []struct {
 		path string
 		code int
@@ -186,23 +246,15 @@ func TestRequestValidation(t *testing.T) {
 			t.Fatalf("%s: body %q does not name the repeated parameter", path, body)
 		}
 	}
-	if srv.Snapshot().Requests != 0 {
-		t.Fatal("rejected requests counted as accepted")
+	if flights := log.role("leader") + log.role("follower") + log.role("shed"); flights != 0 || log.role("") == 0 {
+		t.Fatalf("rejected requests reached the flight table: %d flight lines, %d refusals logged", flights, log.role(""))
 	}
 
 	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK || body != "ok\n" {
 		t.Fatalf("healthz: %d %q", code, body)
 	}
-	code, body := get(t, ts.URL+"/statsz")
-	if code != http.StatusOK {
-		t.Fatalf("statsz: %d", code)
-	}
-	var stats Stats
-	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatalf("statsz not JSON: %v\n%s", err, body)
-	}
-	if stats.Workers <= 0 || len(stats.Experiments) != len(harness.ExperimentNames()) {
-		t.Fatalf("statsz %+v", stats)
+	if code, _ := get(t, ts.URL+"/statsz"); code != http.StatusNotFound {
+		t.Fatalf("statsz: %d, want 404", code)
 	}
 }
 
@@ -232,15 +284,14 @@ func TestServicePrewarm(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "deadbeef.trace")); !os.IsNotExist(err) {
 		t.Fatal("prewarm left the corrupt file in place")
 	}
-	code, body := get(t, ts.URL+"/statsz")
-	if code != http.StatusOK || !strings.Contains(body, "\"prewarm\"") {
-		t.Fatalf("statsz after prewarm: %d\n%s", code, body)
+	if code, body := get(t, ts.URL+"/readyz"); code != http.StatusOK || !strings.Contains(body, ps.String()) {
+		t.Fatalf("readyz after prewarm: %d\n%s", code, body)
 	}
 }
 
 // TestServersAreIsolated pins the per-server Engine at the HTTP layer: two
 // servers in one process, on different trace directories, serve the same
-// artifacts while each /statsz cache block counts only that server's own
+// artifacts while each Engine's cache counters count only that server's own
 // resolutions — a warm store on one side, cold synthesis written through on
 // the other.
 func TestServersAreIsolated(t *testing.T) {
@@ -256,26 +307,14 @@ func TestServersAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, warm := newTestServer(t, Config{TraceDir: warmDir})
-	_, cold := newTestServer(t, Config{TraceDir: t.TempDir()})
-	cache := func(ts *httptest.Server) harness.CacheStats {
-		t.Helper()
-		code, body := get(t, ts.URL+"/statsz")
-		if code != http.StatusOK {
-			t.Fatalf("statsz: %d", code)
-		}
-		var st Stats
-		if err := json.Unmarshal([]byte(body), &st); err != nil {
-			t.Fatalf("statsz not JSON: %v\n%s", err, body)
-		}
-		return st.Cache
-	}
+	warmSrv, warm := newTestServer(t, Config{TraceDir: warmDir})
+	coldSrv, cold := newTestServer(t, Config{TraceDir: t.TempDir()})
 	for _, ts := range []*httptest.Server{warm, cold} {
 		if code, body := get(t, ts.URL+"/artifact/fig9a"); code != http.StatusOK || body != want.String() {
 			t.Fatalf("fig9a: status %d, diverges=%v", code, body != want.String())
 		}
 	}
-	w, c := cache(warm), cache(cold)
+	w, c := warmSrv.engine.Stats(), coldSrv.engine.Stats()
 	if w.DiskHits == 0 || w.SynthHits != 0 || w.DiskSaves != 0 {
 		t.Fatalf("warm-store server resolved cold: %+v", w)
 	}
@@ -289,10 +328,10 @@ func TestServersAreIsolated(t *testing.T) {
 	if code, _ := get(t, cold.URL+"/artifact/fig9a"); code != http.StatusOK {
 		t.Fatalf("second cold request: %d", code)
 	}
-	if again := cache(warm); again != w {
-		t.Fatalf("a request to the other server moved this one's cache block:\nbefore %+v\nafter  %+v", w, again)
+	if again := warmSrv.engine.Stats(); again != w {
+		t.Fatalf("a request to the other server moved this one's cache counters:\nbefore %+v\nafter  %+v", w, again)
 	}
-	if again := cache(cold); again.MemoryHits <= c.MemoryHits {
+	if again := coldSrv.engine.Stats(); again.MemoryHits <= c.MemoryHits {
 		t.Fatalf("second request did not hit the server's own memory tier: %+v", again)
 	}
 }

@@ -152,9 +152,9 @@ func damageTraces(dir string, n int) int {
 // and Close leaves no goroutine behind. CI runs it under -race.
 func TestSoak(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
-	// The 499 counter is process-wide; nothing else serves while this test runs.
-	gaveUpBefore := obsRequests(499).Value()
-	gaveUp := func() int64 { return int64(obsRequests(499).Value() - gaveUpBefore) }
+	// Both servers log into one tally: what they answered, as they saw it.
+	log := &accessTally{}
+	gaveUp := func() int64 { return int64(log.code(499)) }
 	dir := t.TempDir()
 	start := time.Now()
 	var flapping atomic.Bool
@@ -175,7 +175,7 @@ func TestSoak(t *testing.T) {
 		ts *httptest.Server
 	}
 	open := func(maxFlights int) node {
-		srv, ts := newTestServer(t, Config{TraceDir: dir, MaxFlights: maxFlights})
+		srv, ts := newTestServer(t, Config{TraceDir: dir, MaxFlights: maxFlights, AccessLog: log})
 		srv.engine.Store.SetProbeInterval(0) // probe on every degraded save
 		srv.engine.Store.SetFaultHook(flap)
 		srv.Prewarm()
@@ -233,7 +233,7 @@ func TestSoak(t *testing.T) {
 				pool.QueueDepth+pool.InFlight == 0
 		})
 	}
-	evictions := replica.Snapshot().Cache.CorruptEvictions
+	evictions := replica.engine.Stats().CorruptEvictions
 	t.Logf("soak: ok=%d shed=%d aborted=%d cancelled=%d 5xx=%d; servers: 499=%d corrupt-evictions=%d enospc-faults=%d",
 		tally.ok.Load(), tally.shed.Load(), tally.aborted.Load(), tally.cancelled.Load(), tally.s5xx.Load(), gaveUp(), evictions, faults.Load())
 	for _, p := range tally.problems {
@@ -247,9 +247,12 @@ func TestSoak(t *testing.T) {
 	// Reading a degraded store's state probes it, so on a healthy disk both
 	// servers report recovery without another Save.
 	for name, srv := range nodes {
-		if c := srv.Snapshot().Cache; c.StoreDegraded {
+		if c := srv.engine.Stats(); c.StoreDegraded {
 			t.Errorf("%s: store still degraded on a healthy disk: %+v", name, c)
 		}
+	}
+	if n := log.code(http.StatusInternalServerError); n != 0 {
+		t.Errorf("the servers counted %d failed requests", n)
 	}
 	var want strings.Builder
 	if err := harness.RunExperiment(context.Background(), &want, "all", harness.Options{Quick: true}); err != nil {
@@ -258,9 +261,6 @@ func TestSoak(t *testing.T) {
 	for name, srv := range nodes {
 		if code, body := get(t, srv.ts.URL+"/artifact/all"); code != http.StatusOK || body != want.String() {
 			t.Errorf("%s after the soak: /artifact/all status %d, diverges from harness.RunExperiment: %v", name, code, body != want.String())
-		}
-		if snap := srv.Snapshot(); snap.Failures != 0 {
-			t.Errorf("%s counted %d failed requests: %+v", name, snap.Failures, snap)
 		}
 		srv.ts.Close()
 		srv.Close()

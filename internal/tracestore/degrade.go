@@ -4,7 +4,7 @@
 // full, permissions yanked — the correct response is to stop writing, not to
 // stop serving. A Save or Prewarm failure whose cause is one of those
 // environmental classes flips the store into degraded mode: subsequent saves
-// are skipped (counted, not errored), a gauge and /statsz flag the state,
+// are skipped (counted, not errored), a gauge and Stats flag the state,
 // and a rate-limited probe — run by the next Save or state read — rewrites a
 // scratch file until the directory recovers, at which point saves resume on
 // their own.
@@ -83,7 +83,7 @@ func degradingErr(err error) bool {
 
 // Degraded reports whether the store is in degraded read-only mode, and the
 // cause that put it there. A degraded store first gets its rate-limited
-// recovery probe, so what Stats and /statsz read clears within one probe
+// recovery probe, so what Stats reads clears within one probe
 // interval of the directory healing, with no Save needed to notice — a
 // server whose every schedule is resident never saves again.
 func (s *Store) Degraded() (bool, string) {

@@ -29,8 +29,8 @@ import (
 )
 
 // Store-tier metrics in the process-wide obs registry; the lifetime Stats
-// counters below remain the /statsz source, these add bytes and latency
-// under the /metrics vocabulary.
+// counters below are a Store's own (what -v prints), these add bytes and
+// latency under the /metrics vocabulary.
 var (
 	obsLoadHits = obs.Default.Counter("binebench_tracestore_loads_total",
 		"Trace store lookups, by result.", "result", "hit")
