@@ -240,13 +240,34 @@ func BenchmarkSynthRing(b *testing.B) {
 }
 
 // BenchmarkSynthAlltoall is the same record → synth pair for alltoall/bine,
-// the log-step schedule whose per-rank walk was cubic in p before PR 12
-// (few records, but every rank regroups p/2 items per step): it tracks the
-// cost of the schedule helpers rather than of the trace builder.
+// the log-step schedule whose per-rank walk regroups p/2 items per step: the
+// synth side times its closed-form Synth pattern (one message per rank and
+// step, no walk), the record side the real BineAlltoall body.
 func BenchmarkSynthAlltoall(b *testing.B) {
 	a := findAlgo(b, coll.CAlltoall, "bine")
 	b.Run("synth-p1024", synthBench(a, 1024))
 	b.Run("record-p1024", recordBench(a, 1024))
+}
+
+// BenchmarkSynthButterfly times cold synthesis of two log-step butterfly
+// schedules whose steps are closed-form ranges rather than block lists:
+// Fig. 5's bfly-allreduce body (AllreduceRsAg over the distance-doubling
+// Bine butterfly, one contiguous position range per step) at p=2048 through
+// synth.Run, and reduce-scatter/bine-two-trans (one circular block run per
+// step) at p=1024.
+func BenchmarkSynthButterfly(b *testing.B) {
+	b.Run("bfly-bine-dd-p2048", func(b *testing.B) {
+		const p = 2048
+		bfly := core.MustButterfly(core.BflyBineDD, p)
+		for i := 0; i < b.N; i++ {
+			if _, err := synth.Run(p, func(c fabric.Comm) error {
+				return coll.AllreduceRsAg(c, bfly, make([]int32, p), coll.OpSum)
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bine-two-trans-p1024", synthBench(findAlgo(b, coll.CReduceScatter, "bine-two-trans"), 1024))
 }
 
 // BenchmarkDecodeTrace times the store-load layer's decode of one trace file

@@ -51,17 +51,18 @@ func BineAlltoall(c fabric.Comm, b *core.Butterfly, buf, out []int32) error {
 	}
 	msg := make([]int32, 0, p/2*w)
 	recv := make([]int32, p/2*w)
+	blks := make([]int, 0, p/2)
 	x := &ctx{c: c}
 	for i := 0; i < b.S; i++ {
 		q := b.Partner(r, i)
 		run := w << uint(i) // elements held per destination
 		msg = msg[:0]
-		for _, d := range b.SendBlocks(r, i) {
+		for _, d := range b.AppendSendBlocks(blks[:0], r, i) {
 			msg = append(msg, cur[at[d]:at[d]+run]...)
 		}
 		// The partner's message mirrors ours: its send blocks are exactly the
-		// blocks we keep, packed in its SendBlocks order, 2^i items each.
-		theirs := b.SendBlocks(q, i)
+		// blocks we keep, packed in its AppendSendBlocks order, 2^i items each.
+		theirs := b.AppendSendBlocks(blks[:0], q, i)
 		in := recv[:len(theirs)*run]
 		x.exchange(q, i, 0, msg, in)
 		if x.err != nil {

@@ -178,10 +178,7 @@ func agContigPhase(x *ctx, b *core.Butterfly, r int, seg []int32, lo, hi int) er
 	bs := len(seg) / b.P
 	for i := 0; i < b.S; i++ {
 		j := b.S - 1 - i
-		plo, phi, err := keepRange(b, r, j-1)
-		if err != nil {
-			return err
-		}
+		plo, phi := keepRange(b, r, j-1)
 		q := b.Partner(r, j)
 		var olo, ohi int
 		if lo == plo {
@@ -208,66 +205,30 @@ func checkButterfly(c fabric.Comm, b *core.Butterfly, n int) error {
 	return nil
 }
 
-// splitRanges maps rank r's step-i send and keep sets to contiguous
-// permuted-position ranges and checks they exactly partition [lo, hi).
+// splitRanges halves rank r's owned position range [lo, hi) at step i: r
+// keeps the half holding its own permuted position and sends the other,
+// which must hold its step-i partner's — the pairing that makes both sides
+// of the exchange agree on the range moved (Fig. 8).
 func splitRanges(b *core.Butterfly, r, i, lo, hi int) (slo, shi, klo, khi int, err error) {
-	slo, shi, err = posRange(b, sendBlocksOf(b, r, i))
-	if err != nil {
-		return 0, 0, 0, 0, err
+	mid := (lo + hi) / 2
+	slo, shi, klo, khi = mid, hi, lo, mid
+	if b.PermutedPosition(r) >= mid {
+		slo, shi, klo, khi = lo, mid, mid, hi
 	}
-	switch {
-	case slo == lo:
-		klo, khi = shi, hi
-	case shi == hi:
-		klo, khi = lo, slo
-	default:
-		return 0, 0, 0, 0, fmt.Errorf("coll: send range [%d,%d) not a prefix/suffix of [%d,%d)", slo, shi, lo, hi)
+	q := b.Partner(r, i)
+	if pos := b.PermutedPosition(q); pos < slo || pos >= shi {
+		return 0, 0, 0, 0, fmt.Errorf("coll: %v rank %d step %d: partner %d at position %d, outside the sent range [%d,%d)",
+			b.Kind, r, i, q, pos, slo, shi)
 	}
 	return slo, shi, klo, khi, nil
 }
 
-// keepRange returns the contiguous position range owned after step i
-// (i = −1 means the whole vector).
-func keepRange(b *core.Butterfly, r, i int) (lo, hi int, err error) {
-	if i < 0 {
-		return 0, b.P, nil
-	}
-	return posRange(b, keepBlocksOf(b, r, i))
-}
-
-// posRange maps blocks to permuted positions and requires them to be one
-// contiguous non-wrapping range.
-func posRange(b *core.Butterfly, blks []int) (lo, hi int, err error) {
-	lo, hi = b.P, -1
-	for _, blk := range blks {
-		pos := b.PermutedPosition(blk)
-		if pos < lo {
-			lo = pos
-		}
-		if pos > hi {
-			hi = pos
-		}
-	}
-	if hi-lo+1 != len(blks) {
-		return 0, 0, fmt.Errorf("coll: %d blocks span positions [%d,%d]", len(blks), lo, hi)
-	}
-	return lo, hi + 1, nil
-}
-
-// sendBlocksOf and keepBlocksOf dispatch between the cached Bine offset sets
-// and the binomial bit sets.
-func sendBlocksOf(b *core.Butterfly, r, i int) []int {
-	if b.Kind.IsBine() {
-		return b.SendBlocks(r, i)
-	}
-	return b.SendSet(r, i)
-}
-
-func keepBlocksOf(b *core.Butterfly, r, i int) []int {
-	if b.Kind.IsBine() {
-		return b.KeepBlocks(r, i)
-	}
-	return b.KeepSet(r, i)
+// keepRange returns the position range owned after step i (i = −1 means the
+// whole vector): the aligned range of p/2^(i+1) positions holding r's own.
+func keepRange(b *core.Butterfly, r, i int) (lo, hi int) {
+	n := b.P >> uint(i+1)
+	lo = b.PermutedPosition(r) &^ (n - 1)
+	return lo, lo + n
 }
 
 // rsContig is the permute/send reduce-scatter: one contiguous transmission
@@ -315,12 +276,15 @@ func rsBlockByBlock(c fabric.Comm, b *core.Butterfly, buf, out []int32, op Op) e
 	w := append([]int32(nil), buf...)
 	x := &ctx{c: c}
 	tmp := make([]int32, bs)
+	var blks []int
 	for i := 0; i < b.S; i++ {
 		q := b.Partner(r, i)
-		for sub, blk := range sendBlocksOf(b, r, i) {
+		blks = b.AppendSendBlocks(blks[:0], r, i)
+		for sub, blk := range blks {
 			x.send(q, i, sub, w[blk*bs:(blk+1)*bs])
 		}
-		for sub, blk := range sendBlocksOf(b, q, i) {
+		blks = b.AppendSendBlocks(blks[:0], q, i)
+		for sub, blk := range blks {
 			x.recv(q, i, sub, tmp)
 			if x.err != nil {
 				return x.err
@@ -339,38 +303,51 @@ func rsRuns(c fabric.Comm, b *core.Butterfly, buf, out []int32, op Op) error {
 	bs := len(buf) / b.P
 	w := append([]int32(nil), buf...)
 	x := &ctx{c: c}
-	tmp := make([]int32, len(buf)/2)
+	stage := make([]int32, len(buf)/2)
+	var runs []core.CircRange
 	for i := 0; i < b.S; i++ {
 		q := b.Partner(r, i)
-		for sub, run := range core.CircRuns(b.SendSet(r, i), b.P) {
-			x.send(q, i, sub, gatherRun(w, run, bs, b.P))
+		runs = b.SendRuns(runs[:0], r, i)
+		for sub, run := range runs {
+			x.send(q, i, sub, gatherRun(stage, w, run, bs))
 		}
-		for sub, run := range core.CircRuns(b.SendSet(q, i), b.P) {
-			recv := tmp[:run.Len*bs]
+		runs = b.SendRuns(runs[:0], q, i)
+		for sub, run := range runs {
+			recv := stage[:run.Len*bs]
 			x.recv(q, i, sub, recv)
 			if x.err != nil {
 				return x.err
 			}
-			for k, blk := range run.Members(b.P) {
-				op.Apply(w[blk*bs:(blk+1)*bs], recv[k*bs:(k+1)*bs])
-			}
+			head, tail := runSpans(w, run, bs)
+			op.Apply(head, recv[:len(head)])
+			op.Apply(tail, recv[len(head):])
 		}
 	}
 	copy(out, w[r*bs:(r+1)*bs])
 	return x.err
 }
 
-// gatherRun concatenates a circular run of blocks into one contiguous
-// payload (the sender-side staging copy the strategy implies).
-func gatherRun(w []int32, run core.CircRange, bs, p int) []int32 {
-	if run.Start+run.Len <= p {
-		return w[run.Start*bs : (run.Start+run.Len)*bs]
+// runSpans returns the element spans of w (p blocks of bs) a circular block
+// run covers: from its start up to the end of w, and the wrapped rest from
+// index 0, empty when the run does not wrap.
+func runSpans(w []int32, run core.CircRange, bs int) (head, tail []int32) {
+	head = w[run.Start*bs:]
+	n := run.Len * bs
+	if len(head) >= n {
+		return head[:n], w[:0]
 	}
-	out := make([]int32, 0, run.Len*bs)
-	for _, blk := range run.Members(p) {
-		out = append(out, w[blk*bs:(blk+1)*bs]...)
+	return head, w[:n-len(head)]
+}
+
+// gatherRun returns a circular run of blocks of w as one contiguous payload:
+// a subslice of w when the run does not wrap, else its two spans copied into
+// stage (the sender-side staging copy the strategy implies).
+func gatherRun(stage, w []int32, run core.CircRange, bs int) []int32 {
+	head, tail := runSpans(w, run, bs)
+	if len(tail) == 0 {
+		return head
 	}
-	return out
+	return append(append(stage[:0], head...), tail...)
 }
 
 // agContig is the permute/send allgather (reversed contiguous schedule).
@@ -413,13 +390,16 @@ func agBlockByBlock(c fabric.Comm, b *core.Butterfly, in, out []int32) error {
 	bs := len(in)
 	copy(out[r*bs:], in)
 	x := &ctx{c: c}
+	var blks []int
 	for i := 0; i < b.S; i++ {
 		j := b.S - 1 - i
 		q := b.Partner(r, j)
-		for sub, blk := range sendBlocksOf(b, q, j) {
+		blks = b.AppendSendBlocks(blks[:0], q, j)
+		for sub, blk := range blks {
 			x.send(q, i, sub, out[blk*bs:(blk+1)*bs])
 		}
-		for sub, blk := range sendBlocksOf(b, r, j) {
+		blks = b.AppendSendBlocks(blks[:0], r, j)
+		for sub, blk := range blks {
 			x.recv(q, i, sub, out[blk*bs:(blk+1)*bs])
 		}
 		if x.err != nil {
@@ -433,24 +413,26 @@ func agBlockByBlock(c fabric.Comm, b *core.Butterfly, in, out []int32) error {
 func agRuns(c fabric.Comm, b *core.Butterfly, in, out []int32) error {
 	r := c.Rank()
 	bs := len(in)
-	p := b.P
 	copy(out[r*bs:], in)
 	x := &ctx{c: c}
+	stage := make([]int32, len(out)/2)
+	var runs []core.CircRange
 	for i := 0; i < b.S; i++ {
 		j := b.S - 1 - i
 		q := b.Partner(r, j)
-		for sub, run := range core.CircRuns(b.SendSet(q, j), p) {
-			x.send(q, i, sub, gatherRun(out, run, bs, p))
+		runs = b.SendRuns(runs[:0], q, j)
+		for sub, run := range runs {
+			x.send(q, i, sub, gatherRun(stage, out, run, bs))
 		}
-		for sub, run := range core.CircRuns(b.SendSet(r, j), p) {
-			recv := make([]int32, run.Len*bs)
+		runs = b.SendRuns(runs[:0], r, j)
+		for sub, run := range runs {
+			recv := stage[:run.Len*bs]
 			x.recv(q, i, sub, recv)
 			if x.err != nil {
 				return x.err
 			}
-			for k, blk := range run.Members(p) {
-				copy(out[blk*bs:(blk+1)*bs], recv[k*bs:(k+1)*bs])
-			}
+			head, tail := runSpans(out, run, bs)
+			copy(tail, recv[copy(head, recv):])
 		}
 	}
 	return x.err

@@ -247,6 +247,60 @@ func TestAllreduceRecDoubling(t *testing.T) {
 	}
 }
 
+// TestButterflyRangesClosedForm pins splitRanges and keepRange, which derive
+// every step's position ranges from the permuted positions of the rank and
+// its partner alone, to the block sets they stand for: for every kind the
+// contiguous strategies run on, power-of-two p, rank and step, the sent and
+// kept ranges are exactly the permuted-position spans of SendSet and
+// KeepSet, and those spans are contiguous.
+func TestButterflyRangesClosedForm(t *testing.T) {
+	maxP := 4096
+	if testing.Short() {
+		maxP = 256
+	}
+	// span returns the permuted positions of blks as [lo, hi), or ok=false
+	// when they are not one contiguous range.
+	span := func(b *core.Butterfly, blks []int) (lo, hi int, ok bool) {
+		lo, hi = b.P, 0
+		for _, blk := range blks {
+			pos := b.PermutedPosition(blk)
+			lo, hi = min(lo, pos), max(hi, pos+1)
+		}
+		return lo, hi, hi-lo == len(blks)
+	}
+	for _, kind := range []core.ButterflyKind{core.BflyBineDD, core.BflySwing, core.BflyBinomialDH, core.BflyBinomialDD} {
+		for p := 2; p <= maxP; p *= 2 {
+			b := core.MustButterfly(kind, p)
+			for r := 0; r < p; r++ {
+				lo, hi := keepRange(b, r, -1)
+				if lo != 0 || hi != p {
+					t.Fatalf("%v p=%d: keepRange(%d, -1) = [%d,%d), want [0,%d)", kind, p, r, lo, hi, p)
+				}
+				for i := 0; i < b.S; i++ {
+					slo, shi, klo, khi, err := splitRanges(b, r, i, lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wslo, wshi, sok := span(b, b.SendSet(r, i))
+					wklo, wkhi, kok := span(b, b.KeepSet(r, i))
+					if !sok || !kok {
+						t.Fatalf("%v p=%d r=%d step %d: send [%d,%d) or keep [%d,%d) positions not contiguous",
+							kind, p, r, i, wslo, wshi, wklo, wkhi)
+					}
+					if slo != wslo || shi != wshi || klo != wklo || khi != wkhi {
+						t.Fatalf("%v p=%d r=%d step %d: splitRanges sends [%d,%d) keeps [%d,%d), block sets span [%d,%d) and [%d,%d)",
+							kind, p, r, i, slo, shi, klo, khi, wslo, wshi, wklo, wkhi)
+					}
+					if glo, ghi := keepRange(b, r, i); glo != klo || ghi != khi {
+						t.Fatalf("%v p=%d r=%d: keepRange(%d) = [%d,%d), want [%d,%d)", kind, p, r, i, glo, ghi, klo, khi)
+					}
+					lo, hi = klo, khi
+				}
+			}
+		}
+	}
+}
+
 func TestAllreduceRsAg(t *testing.T) {
 	for _, kind := range []core.ButterflyKind{core.BflyBineDD, core.BflyBinomialDH} {
 		for _, p := range []int{1, 2, 4, 16, 64, 256} {

@@ -105,8 +105,9 @@ type Algorithm struct {
 	Make func(p, root int) (RunFunc, error)
 	// Synth, when non-nil, overrides Pattern's generic zero-buffer walk for
 	// schedules whose runtime control flow reads received data (Bruck's
-	// negotiated item counts): it must compute the exact send pattern a
-	// real execution produces from schedule math alone.
+	// negotiated item counts) or whose walk costs far more than it emits
+	// (the Bine alltoall's per-step item regrouping): it must compute the
+	// exact send pattern a real execution produces from schedule math alone.
 	Synth func(p, root, n int) (Synthesizer, error)
 }
 
@@ -467,6 +468,7 @@ func Registry() []Algorithm {
 					return BineAlltoall(c, b, in, out)
 				}, nil
 			},
+			Synth: bineAlltoallPattern,
 		},
 		Algorithm{
 			Name: "bruck", Coll: CAlltoall, Binomial: true,

@@ -3,6 +3,7 @@ package coll
 import (
 	"fmt"
 
+	"binetrees/internal/core"
 	"binetrees/internal/fabric"
 )
 
@@ -14,10 +15,13 @@ import (
 // data-independent — the (step, from, to, sub, elems) sequence a rank emits
 // is a pure function of (p, root, n) — so walking the ranks one by one
 // yields exactly the trace a concurrent recorded run would, without
-// goroutines, mailboxes or payload traffic; the one exception (Bruck's
-// alltoall) carries a Synth override that derives the same pattern from
-// the items' displacements. internal/synth drives the walk and merges the
-// columns.
+// goroutines, mailboxes or payload traffic. Two schedules carry a Synth
+// override that derives the same pattern from schedule math, for different
+// reasons: Bruck's alltoall because its message lengths are negotiated at
+// run time, so the zero-buffer walk cannot reproduce them; the Bine
+// alltoall because its walk regroups every held item at every step, which
+// costs far more than the p·log2(p) messages it emits. internal/synth
+// drives the walk and merges the columns.
 type Synthesizer interface {
 	// Ranks returns the schedule's rank count.
 	Ranks() int
@@ -33,9 +37,8 @@ type Synthesizer interface {
 // the collective's InOutLens convention — matching the recording path,
 // where vectors are all-zero and only send lengths reach the trace. The
 // buffers are shared by the schedule's ranks and re-zeroed per Walk, so one
-// pattern must not be walked from several goroutines at once. Algorithms
-// whose control flow reads received data carry a Synth override instead of
-// walking the generic path.
+// pattern must not be walked from several goroutines at once. An algorithm
+// with a Synth override uses it instead of the generic walk.
 func (a Algorithm) Pattern(p, root, n int) (Synthesizer, error) {
 	if a.Synth != nil {
 		return a.Synth(p, root, n)
@@ -117,6 +120,38 @@ func (s *bruckPattern) Walk(rank int, c fabric.Comm) error {
 			return err
 		}
 		if err := c.Send(to, step, 1, one[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bineAlltoallPattern synthesizes BineAlltoall's send pattern in closed
+// form: at step i a rank sends the items of its p/2^(i+1) send blocks, 2^i
+// items of bs+1 elements each — one message of p·(bs+1)/2 elements to
+// Partner(r, i). BineAlltoall itself stays the recording oracle.
+func bineAlltoallPattern(p, _, n int) (Synthesizer, error) {
+	b, err := core.NewButterfly(core.BflyBineDD, p)
+	if err != nil {
+		return nil, err
+	}
+	return &bineAlltoall{b: b, n: n, zero: make([]int32, p*(n/p+1)/2)}, nil
+}
+
+type bineAlltoall struct {
+	b    *core.Butterfly
+	n    int
+	zero []int32 // payload stand-in: only message lengths reach the trace
+}
+
+func (s *bineAlltoall) Ranks() int { return s.b.P }
+
+func (s *bineAlltoall) Walk(rank int, c fabric.Comm) error {
+	if err := checkButterfly(c, s.b, s.n); err != nil {
+		return err
+	}
+	for i := 0; i < s.b.S; i++ {
+		if err := c.Send(s.b.Partner(rank, i), i, 0, s.zero); err != nil {
 			return err
 		}
 	}

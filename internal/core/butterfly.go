@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // ButterflyKind identifies a butterfly (pairwise-exchange) schedule family.
@@ -77,8 +78,12 @@ type Butterfly struct {
 	// order.
 	sendOff, keepOff [][]int
 
+	// sendRun[i] is sendOff[i] as the one circular run it forms for
+	// BflyBineDH (checked at construction), so SendRuns is O(1).
+	sendRun []CircRange
+
 	// pos[blk] is PermutedPosition(blk), tabulated at construction: the
-	// contiguous-range strategies look it up for every block of every step.
+	// contiguous-range strategies look it up at every step.
 	pos []int
 }
 
@@ -118,39 +123,48 @@ func NewButterfly(kind ButterflyKind, p int) (*Butterfly, error) {
 			}
 			kept = nextKept
 			b.keepOff[i] = kept
+			if kind == BflyBineDH {
+				runs := CircRuns(b.sendOff[i], p)
+				if len(runs) != 1 {
+					return nil, fmt.Errorf("core: %v p=%d step %d sends %d offset runs, want 1", kind, p, i, len(runs))
+				}
+				b.sendRun = append(b.sendRun, runs[0])
+			}
 		}
 	}
 	return b, nil
 }
 
-// SendBlocks returns rank r's step-i transmitted blocks in the fixed
-// offset order both peers can derive independently (no sorting); Bine kinds
-// only. Execution paths use this; SendSet provides the sorted view.
-func (b *Butterfly) SendBlocks(r, i int) []int {
-	off := b.sendOff[i]
-	out := make([]int, len(off))
-	for k, a := range off {
-		out[k] = b.blockAt(r, a)
+// AppendSendBlocks appends rank r's step-i transmitted blocks to dst in the
+// fixed order both peers can derive independently (no sorting): ascending
+// offset for Bine kinds, ascending block for binomial ones.
+func (b *Butterfly) AppendSendBlocks(dst []int, r, i int) []int {
+	if !b.Kind.IsBine() {
+		// Blocks matching r on all previous step bits and matching the
+		// partner on the current one.
+		mask := b.binomialMask(i)
+		return b.appendMaskedBlocks(dst, mask, r&mask^1<<uint(b.binomialBit(i)))
 	}
-	return out
+	for _, a := range b.sendOff[i] {
+		dst = append(dst, b.blockAt(r, a))
+	}
+	return dst
 }
 
-// KeepBlocks returns rank r's owned blocks after step i in fixed offset
-// order (Bine kinds only).
-func (b *Butterfly) KeepBlocks(r, i int) []int {
-	if i < 0 {
-		out := make([]int, b.P)
-		for k := range out {
-			out[k] = k
-		}
-		return out
+// SendRuns appends rank r's step-i send set to dst as maximal circular
+// block runs. A BflyBineDH send set is one run whose start is closed-form:
+// its offsets are the run [a0, a0+n), so it is [r+a0, r+a0+n) for even r and
+// [r−a0−n+1, r−a0] for odd r (mod p). Other kinds group SendSet.
+func (b *Butterfly) SendRuns(dst []CircRange, r, i int) []CircRange {
+	if b.Kind != BflyBineDH {
+		return append(dst, CircRuns(b.SendSet(r, i), b.P)...)
 	}
-	off := b.keepOff[i]
-	out := make([]int, len(off))
-	for k, a := range off {
-		out[k] = b.blockAt(r, a)
+	run := b.sendRun[i]
+	start := r + run.Start
+	if r%2 != 0 {
+		start = r - run.Start - run.Len + 1
 	}
-	return out
+	return append(dst, CircRange{Start: Mod(start, b.P), Len: run.Len})
 }
 
 // MustButterfly is NewButterfly, panicking on error.
@@ -248,10 +262,7 @@ func (b *Butterfly) SendSet(r, i int) []int {
 	if b.Kind.IsBine() {
 		return b.sortedBlocks(r, b.sendOff[i])
 	}
-	// Binomial: blocks matching r on all previous step bits and matching
-	// the partner on the current one.
-	mask := b.binomialMask(i)
-	return b.maskedBlocks(mask, r&mask^1<<uint(b.binomialBit(i)))
+	return b.AppendSendBlocks(nil, r, i) // binomial send blocks ascend
 }
 
 // KeepSet returns the blocks rank r still owns after steps 0..i of a
@@ -259,13 +270,13 @@ func (b *Butterfly) SendSet(r, i int) []int {
 // KeepSet(r, −1) is every block.
 func (b *Butterfly) KeepSet(r, i int) []int {
 	if i < 0 {
-		return b.maskedBlocks(0, 0)
+		return b.appendMaskedBlocks(nil, 0, 0)
 	}
 	if b.Kind.IsBine() {
 		return b.sortedBlocks(r, b.keepOff[i])
 	}
 	mask := b.binomialMask(i)
-	return b.maskedBlocks(mask, r&mask)
+	return b.appendMaskedBlocks(nil, mask, r&mask)
 }
 
 // sortedBlocks maps an ascending offset table to rank r's blocks in
@@ -310,15 +321,15 @@ func (b *Butterfly) binomialMask(i int) int {
 	return int(Ones(i + 1))
 }
 
-// maskedBlocks enumerates, ascending, the blocks in [0, P) that equal val on
-// the bits of mask.
-func (b *Butterfly) maskedBlocks(mask, val int) []int {
+// appendMaskedBlocks appends, ascending, the blocks in [0, P) that equal val
+// on the bits of mask.
+func (b *Butterfly) appendMaskedBlocks(dst []int, mask, val int) []int {
 	free := (b.P - 1) &^ mask
-	out := make([]int, 0, b.P>>uint(bits.OnesCount(uint(mask))))
+	dst = slices.Grow(dst, b.P>>uint(bits.OnesCount(uint(mask))))
 	for x := 0; ; {
-		out = append(out, val|x)
+		dst = append(dst, val|x)
 		if x = (x - free) & free; x == 0 {
-			return out
+			return dst
 		}
 	}
 }

@@ -305,6 +305,33 @@ func TestTwoTransmissionsBound(t *testing.T) {
 	}
 }
 
+// TestBineDHSendRuns pins SendRuns' closed-form run of the distance-halving
+// butterfly to the definition: the one circular run CircRuns finds in the
+// step's send set, for every power-of-two p, rank and step. It also checks
+// the run is appended after dst's existing contents.
+func TestBineDHSendRuns(t *testing.T) {
+	maxP := 4096
+	if testing.Short() {
+		maxP = 256
+	}
+	prefix := []CircRange{{Start: -1, Len: -1}}
+	for p := 2; p <= maxP; p *= 2 {
+		b := MustButterfly(BflyBineDH, p)
+		for r := 0; r < p; r++ {
+			for i := 0; i < b.S; i++ {
+				want := CircRuns(b.SendSet(r, i), p)
+				if len(want) != 1 {
+					t.Fatalf("p=%d r=%d step %d: send set forms %d runs, want 1", p, r, i, len(want))
+				}
+				got := b.SendRuns(prefix, r, i)
+				if len(got) != 2 || got[0] != prefix[0] || got[1] != want[0] {
+					t.Fatalf("p=%d: SendRuns(%v, %d, %d) = %v, want %v", p, prefix, r, i, got, append(prefix, want...))
+				}
+			}
+		}
+	}
+}
+
 func TestButterflyMatchesTreeSubtrees(t *testing.T) {
 	// The butterfly is a superposition of trees: rank 0's send set at step i
 	// of the distance-doubling butterfly must be exactly the subtree of the
@@ -353,8 +380,8 @@ func TestButterflyRejectsNonPowerOfTwo(t *testing.T) {
 // read the per-step offset tables (Bine) and fixed-bit masks (binomial): test
 // every offset, or every block, against the per-step predicate. It returns
 // rank r's send and keep lists of every step in scan order — ascending
-// offset for Bine kinds, which is SendBlocks/KeepBlocks order, ascending
-// block for binomial kinds.
+// offset for Bine kinds, ascending block for binomial kinds; the send lists
+// are AppendSendBlocks order.
 func refBlockSets(b *Butterfly, r int) (send, keep [][]int) {
 	send, keep = make([][]int, b.S), make([][]int, b.S)
 	owned := make([]bool, b.P) // indexed by offset (Bine) or block (binomial)
@@ -417,13 +444,8 @@ func TestBlockSetsMatchDefinition(t *testing.T) {
 				prevKeep := all
 				send, keep := refBlockSets(b, r)
 				for i := 0; i < b.S; i++ {
-					if kind.IsBine() {
-						if got := b.SendBlocks(r, i); !slices.Equal(got, send[i]) {
-							t.Fatalf("%v p=%d: SendBlocks(%d, %d) = %v, want %v", kind, p, r, i, got, send[i])
-						}
-						if got := b.KeepBlocks(r, i); !slices.Equal(got, keep[i]) {
-							t.Fatalf("%v p=%d: KeepBlocks(%d, %d) = %v, want %v", kind, p, r, i, got, keep[i])
-						}
+					if got := b.AppendSendBlocks(nil, r, i); !slices.Equal(got, send[i]) {
+						t.Fatalf("%v p=%d: AppendSendBlocks(nil, %d, %d) = %v, want %v", kind, p, r, i, got, send[i])
 					}
 					wantSend, wantKeep := ascending(send[i]), ascending(keep[i])
 					gotSend, gotKeep := b.SendSet(r, i), b.KeepSet(r, i)
@@ -450,13 +472,13 @@ func TestBlockSetsMatchDefinition(t *testing.T) {
 func TestBlockSetsAreFreshSlices(t *testing.T) {
 	for _, kind := range allBflyKinds {
 		b := MustButterfly(kind, 16)
-		queries := map[string]func(r, i int) []int{"SendSet": b.SendSet, "KeepSet": b.KeepSet}
-		if kind.IsBine() {
-			queries["SendBlocks"], queries["KeepBlocks"] = b.SendBlocks, b.KeepBlocks
+		queries := map[string]func(r, i int) []int{
+			"SendSet": b.SendSet, "KeepSet": b.KeepSet,
+			"AppendSendBlocks": func(r, i int) []int { return b.AppendSendBlocks(nil, r, i) },
 		}
 		for name, q := range queries {
 			for _, i := range []int{-1, 0, b.S - 1} {
-				if i < 0 && (name == "SendSet" || name == "SendBlocks") {
+				if i < 0 && name != "KeepSet" {
 					continue
 				}
 				for r := 0; r < 2; r++ {

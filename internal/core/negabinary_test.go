@@ -304,6 +304,15 @@ func TestOnes(t *testing.T) {
 	}
 }
 
+// members lists a run's elements in circular order on a ring of p elements.
+func members(c CircRange, p int) []int {
+	out := make([]int, c.Len)
+	for i := range out {
+		out[i] = Mod(c.Start+i, p)
+	}
+	return out
+}
+
 func TestCircRuns(t *testing.T) {
 	runs := CircRuns([]int{7, 0, 1, 2}, 8)
 	if len(runs) != 1 || runs[0].Start != 7 || runs[0].Len != 4 {
@@ -334,7 +343,7 @@ func TestCircRuns(t *testing.T) {
 		runs := CircRuns(vals, p)
 		covered := map[int]bool{}
 		for _, run := range runs {
-			for _, m := range run.Members(p) {
+			for _, m := range members(run, p) {
 				if covered[m] {
 					t.Fatalf("value %d covered twice", m)
 				}

@@ -76,7 +76,7 @@ func TestScatterRangeShrinks(t *testing.T) {
 			t.Fatalf("step %d: len %d after %d", step, cur.Len, prev.Len)
 		}
 		// The remaining range is a sub-range of the previous one.
-		for _, m := range cur.Members(p) {
+		for _, m := range members(cur, p) {
 			if !prev.Contains(m, p) {
 				t.Fatalf("step %d: block %d appeared from nowhere", step, m)
 			}

@@ -306,15 +306,6 @@ func (c CircRange) Contains(v, p int) bool {
 	return Mod(v-c.Start, p) < c.Len
 }
 
-// Members lists the run's elements in circular order on a ring of p elements.
-func (c CircRange) Members(p int) []int {
-	out := make([]int, c.Len)
-	for i := range out {
-		out[i] = Mod(c.Start+i, p)
-	}
-	return out
-}
-
 // CircRuns groups a set of distinct values in [0, p) into maximal circularly
 // contiguous runs, ordered by ascending start. The input need not be sorted.
 func CircRuns(vals []int, p int) []CircRange {
