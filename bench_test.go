@@ -273,7 +273,7 @@ func BenchmarkSynthButterfly(b *testing.B) {
 // BenchmarkDecodeTrace times the store-load layer's decode of one trace file
 // at p=1024: alltoall/pairwise is the largest warm decode (p−1 distinct steps
 // of p records each, ~1 M stored records), allreduce/ring a 2-class trace
-// whose 2 M messages are 1,024 stored records and a run table.
+// whose 2 M messages are 1,024 stored records and a 2(p−1)-step index.
 func BenchmarkDecodeTrace(b *testing.B) {
 	for _, tc := range []struct {
 		c    coll.Collective

@@ -145,7 +145,7 @@ func AllreduceRsAg(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
 	// Phase 2: allgather by running the same schedule backwards; the
 	// growing ranges restore every position, so buf ends fully reduced and
 	// in its original order on every rank.
-	return agContigPhase(&ctx{c: Offset(c, phaseStride)}, b, c.Rank(), buf, lo, hi)
+	return agContigPhase(&ctx{c: Offset(c, b.S)}, b, c.Rank(), buf, lo, hi)
 }
 
 // rsContigPhase runs a contiguous-range reduce-scatter over seg (p·bs

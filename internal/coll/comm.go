@@ -71,10 +71,10 @@ func (g *groupComm) Recv(from, step, sub int, buf []int32) error {
 	return g.inner.Recv(g.ranks[from], step, sub, buf)
 }
 
-// Offset shifts the step tags of a communicator by base. Composite
-// collectives give each phase a disjoint tag window so messages of different
-// phases can never be confused, and the cost model sees the phases as
-// serialized.
+// Offset shifts the step tags of a communicator by base. A composite runs
+// its phases back to back: phase k+1 starts at the step count of the phases
+// before it, taken from structures every rank shares (a tree's Steps, a
+// butterfly's S, p − 1 for a ring), never from a rank's own count.
 func Offset(c fabric.Comm, base int) fabric.Comm {
 	return &offsetComm{inner: c, base: base}
 }
@@ -118,7 +118,3 @@ func (s *subShiftComm) Send(to, step, sub int, data []int32) error {
 func (s *subShiftComm) Recv(from, step, sub int, buf []int32) error {
 	return s.inner.Recv(from, step, s.base+sub, buf)
 }
-
-// tag windows for composite collectives: each phase of a multi-phase
-// algorithm gets its own step window.
-const phaseStride = 1 << 12

@@ -55,7 +55,7 @@ func BcastScatterAllgather(c fabric.Comm, tree *core.Tree, bfly *core.Butterfly,
 	if err := Scatter(rc, tree, buf, own); err != nil {
 		return err
 	}
-	return Allgather(Offset(rc, phaseStride), bfly, strat, own, buf)
+	return Allgather(Offset(rc, tree.Steps), bfly, strat, own, buf)
 }
 
 // ReduceRsGather is the large-vector reduce: butterfly reduce-scatter, then
@@ -71,7 +71,11 @@ func ReduceRsGather(c fabric.Comm, bfly *core.Butterfly, tree *core.Tree, strat 
 	if err := ReduceScatter(rc, bfly, strat, in, own, op); err != nil {
 		return err
 	}
-	return Gather(Offset(rc, phaseStride), tree, own, out)
+	gatherAt := bfly.S
+	if strat == Send {
+		gatherAt++ // past the reduce-scatter's ownership exchange
+	}
+	return Gather(Offset(rc, gatherAt), tree, own, out)
 }
 
 // HierarchicalAllreduce is the Sec. 6.2 multi-GPU schedule: an intra-node
@@ -102,10 +106,6 @@ func HierarchicalAllreduce(c fabric.Comm, ranksPerNode int, bflyKind core.Butter
 	if err != nil {
 		return err
 	}
-	inter, err := Group(Offset(c, phaseStride), peerRanks)
-	if err != nil {
-		return err
-	}
 	intraBfly, err := core.NewButterfly(core.BflyBinomialDH, ranksPerNode)
 	if err != nil {
 		return err
@@ -118,11 +118,21 @@ func HierarchicalAllreduce(c fabric.Comm, ranksPerNode int, bflyKind core.Butter
 		return err
 	}
 	// Phase 2: inter-node Bine allreduce on the owned slice.
+	phase3 := intraBfly.S
 	if nodes > 1 {
 		interBfly, err := core.NewButterfly(bflyKind, nodes)
 		if err != nil {
 			return err
 		}
+		inter, err := Group(Offset(c, intraBfly.S), peerRanks)
+		if err != nil {
+			return err
+		}
+		// Phase 3 starts interBfly.S steps after phase 2, so under
+		// AllreduceRsAg it shares its steps with phase 2's allgather: the
+		// numbering the published artifacts were priced with (ROADMAP item
+		// 2(g) moves it past phase 2).
+		phase3 += interBfly.S
 		if bs%nodes == 0 {
 			if err := AllreduceRsAg(inter, interBfly, slice, op); err != nil {
 				return err
@@ -132,7 +142,7 @@ func HierarchicalAllreduce(c fabric.Comm, ranksPerNode int, bflyKind core.Butter
 		}
 	}
 	// Phase 3: intra-node allgather reassembles the full vector.
-	return Allgather(Offset(intra, 2*phaseStride), intraBfly, Permute, slice, buf)
+	return Allgather(Offset(intra, phase3), intraBfly, Permute, slice, buf)
 }
 
 // AllreduceReduceBcast is the naive baseline: reduce to rank 0 up the tree
@@ -151,5 +161,5 @@ func AllreduceReduceBcast(c fabric.Comm, tree *core.Tree, buf []int32, op Op) er
 	if c.Rank() == 0 {
 		copy(buf, out)
 	}
-	return Bcast(Offset(c, phaseStride), tree, buf)
+	return Bcast(Offset(c, tree.Steps), tree, buf)
 }

@@ -34,6 +34,10 @@ func foldSizes(c fabric.Comm, b *core.Butterfly) (pp, extra int, err error) {
 	return b.P, p - b.P, nil
 }
 
+// foldSteps counts the fold-in (step 0) and the unfold (step 1), both
+// numbered before the inner phase that runs between them.
+const foldSteps = 2
+
 // firstRanks restricts c to its first k ranks, numbering unchanged.
 func firstRanks(c fabric.Comm, k int) fabric.Comm { return &prefixComm{Comm: c, size: k} }
 
@@ -72,7 +76,7 @@ func FoldedAllreduce(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error
 		}
 		op.Apply(buf, tmp)
 	}
-	if err := allreduceAuto(firstRanks(Offset(c, phaseStride), pp), b, buf, op); err != nil {
+	if err := allreduceAuto(firstRanks(Offset(c, foldSteps), pp), b, buf, op); err != nil {
 		return err
 	}
 	if r < extra {
@@ -130,7 +134,7 @@ func FoldedReduceScatter(c fabric.Comm, b *core.Butterfly, strat Strategy, buf, 
 	// of inner rank i plus (for i < extra) those of folded rank i+p'.
 	shareLen := 2 * bs
 	share := make([]int32, shareLen)
-	inner := firstRanks(Offset(c, phaseStride), pp)
+	inner := firstRanks(Offset(c, foldSteps), pp)
 	// Repack: inner share i = [block i, block i+p' (zero-padded when absent)].
 	packed := make([]int32, pp*shareLen)
 	for i := 0; i < pp; i++ {
@@ -180,7 +184,7 @@ func FoldedAllgather(c fabric.Comm, b *core.Butterfly, strat Strategy, in, out [
 			return x.err
 		}
 	}
-	inner := firstRanks(Offset(c, phaseStride), pp)
+	inner := firstRanks(Offset(c, foldSteps), pp)
 	packed := make([]int32, pp*2*bs)
 	if err := Allgather(inner, b, strat, share, packed); err != nil {
 		return err

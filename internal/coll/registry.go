@@ -432,7 +432,7 @@ func Registry() []Algorithm {
 				if err := ReduceScatter(c, b, BlockByBlock, buf, own, op); err != nil {
 					return err
 				}
-				return Allgather(Offset(c, phaseStride), b, BlockByBlock, own, buf)
+				return Allgather(Offset(c, b.S), b, BlockByBlock, own, buf)
 			}, nil
 		}),
 		mkAllreduce("reduce-bcast", false, false, false, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {

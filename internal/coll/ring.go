@@ -86,7 +86,7 @@ func RingAllreduce(c fabric.Comm, buf []int32, op Op) error {
 	if err := RingReduceScatter(c, buf, own, op); err != nil {
 		return err
 	}
-	return RingAllgather(Offset(c, phaseStride), own, buf)
+	return RingAllgather(Offset(c, p-1), own, buf)
 }
 
 func mod(v, p int) int {

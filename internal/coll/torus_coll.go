@@ -1,7 +1,9 @@
 package coll
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"binetrees/internal/core"
 	"binetrees/internal/fabric"
@@ -17,14 +19,17 @@ import (
 // per-dimension allgather sweep. Every dimension size must be a power of
 // two; the vector length must be a multiple of the total rank count.
 func TorusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
-	return torusAllreduce(c, tor, buf, op, identityOrder(tor.NDims()), false)
+	return torusAllreduce(c, tor, buf, op, identityOrder(tor.NDims()), false, 0)
 }
 
 // torusAllreduce is the dimension-order/mirror parameterized core shared
 // with the multi-ported variant. order lists the dimensions in processing
 // sequence; mirror reverses every line, flipping the direction the Bine
 // schedule walks around each ring (Appendix D.4's opposite-port planes).
-func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []int, mirror bool) error {
+// width is every dimension phase's step count, 0 for its own log2 steps. The
+// allgathers follow the reduce-scatters, run in reverse order but numbered
+// in order: each offsets its reduce-scatter's sub-communicator by rsLen.
+func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []int, mirror bool, width int) error {
 	p := tor.P()
 	if c.Size() != p {
 		return fmt.Errorf("coll: torus of %d ranks on a %d-rank communicator", p, c.Size())
@@ -42,8 +47,11 @@ func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []i
 	}
 	phases := make([]phase, 0, len(order))
 	seg := buf
-	for k, d := range order {
+	rsLen := 0 // steps of the reduce-scatter phases so far
+	for _, d := range order {
 		qd := tor.Dims[d]
+		start := rsLen
+		rsLen += cmp.Or(width, core.Log2Ceil(qd))
 		if qd == 1 {
 			continue
 		}
@@ -55,7 +63,7 @@ func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []i
 		if mirror {
 			line = mirrorLine(line)
 		}
-		sub, err := Group(Offset(c, (k+1)*phaseStride), line)
+		sub, err := Group(Offset(c, start), line)
 		if err != nil {
 			return err
 		}
@@ -73,7 +81,7 @@ func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []i
 	}
 	for k := len(phases) - 1; k >= 0; k-- {
 		ph := phases[k]
-		ag := Offset(ph.sub, (len(order)+1)*phaseStride)
+		ag := Offset(ph.sub, rsLen)
 		if err := agContigPhase(&ctx{c: ag}, ph.b, ph.me, ph.seg, ph.lo, ph.hi); err != nil {
 			return err
 		}
@@ -105,7 +113,9 @@ func identityOrder(d int) []int {
 // concurrently, each starting on a different dimension (rotated order) and
 // direction (mirrored lines for the second half). Message tags share step
 // numbers across planes — the planes genuinely overlap on the wire — and
-// use disjoint sub windows.
+// use disjoint sub windows. Every plane gives each of its dimension phases
+// the largest dimension's step count, so phase k starts at the same step in
+// every plane.
 func TorusMultiportAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
 	d := tor.NDims()
 	planes := 2 * d
@@ -114,6 +124,7 @@ func TorusMultiportAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) 
 		return fmt.Errorf("coll: vector of %d elements not divisible into %d plane blocks", len(buf), planes*p)
 	}
 	sliceLen := len(buf) / planes
+	width := core.Log2Ceil(slices.Max(tor.Dims))
 	for k := 0; k < planes; k++ {
 		order := make([]int, d)
 		for j := range order {
@@ -121,7 +132,7 @@ func TorusMultiportAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) 
 		}
 		mirror := k >= d
 		slice := buf[k*sliceLen : (k+1)*sliceLen]
-		if err := torusAllreduce(SubShift(c, (k+1)*1024), tor, slice, op, order, mirror); err != nil {
+		if err := torusAllreduce(SubShift(c, (k+1)*1024), tor, slice, op, order, mirror, width); err != nil {
 			return fmt.Errorf("coll: multiport plane %d: %w", k, err)
 		}
 	}
@@ -149,16 +160,18 @@ func BucketAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
 	}
 	phases := make([]phase, 0, d)
 	seg := buf
+	rsLen := 0 // steps of the reduce-scatter phases so far
 	for k := 0; k < d; k++ {
 		qd := tor.Dims[k]
 		if qd == 1 {
 			continue
 		}
 		line := tor.Line(r, k)
-		sub, err := Group(Offset(c, (k+1)*phaseStride), line)
+		sub, err := Group(Offset(c, rsLen), line)
 		if err != nil {
 			return err
 		}
+		rsLen += qd - 1
 		bs := len(seg) / qd
 		own := seg[sub.Rank()*bs : (sub.Rank()+1)*bs]
 		tmp := make([]int32, bs)
@@ -171,12 +184,28 @@ func BucketAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
 	}
 	for k := len(phases) - 1; k >= 0; k-- {
 		ph := phases[k]
-		ag := Offset(ph.sub, (d+1)*phaseStride)
+		ag := Offset(ph.sub, rsLen)
 		if err := RingAllgather(ag, ph.own, ph.seg); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// torusTrees builds the per-dimension trees of TorusBcast and TorusReduce,
+// rooted at the root's coordinates rc, and the step each dimension's phase
+// starts at: the phases are numbered in ascending dimension order, whichever
+// order they run in.
+func torusTrees(tor core.Torus, kind core.Kind, rc []int) (trees []*core.Tree, start []int, err error) {
+	trees, start = make([]*core.Tree, tor.NDims()), make([]int, tor.NDims())
+	next := 0
+	for d, qd := range tor.Dims {
+		if trees[d], err = core.NewTree(kind, qd, rc[d]); err != nil {
+			return nil, nil, err
+		}
+		start[d], next = next, next+trees[d].Steps
+	}
+	return trees, start, nil
 }
 
 // TorusBcast broadcasts along one dimension at a time (Appendix D): after
@@ -190,29 +219,19 @@ func TorusBcast(c fabric.Comm, tor core.Torus, kind core.Kind, root int, buf []i
 	r := c.Rank()
 	my := tor.Coord(r)
 	rc := tor.Coord(root)
+	trees, start, err := torusTrees(tor, kind, rc)
+	if err != nil {
+		return err
+	}
 	for d := 0; d < tor.NDims(); d++ {
-		if tor.Dims[d] == 1 {
+		if tor.Dims[d] == 1 || !slices.Equal(my[d+1:], rc[d+1:]) {
 			continue
 		}
-		participates := true
-		for j := d + 1; j < tor.NDims(); j++ {
-			if my[j] != rc[j] {
-				participates = false
-				break
-			}
-		}
-		if !participates {
-			continue
-		}
-		sub, err := Group(Offset(c, (d+1)*phaseStride), tor.Line(r, d))
+		sub, err := Group(Offset(c, start[d]), tor.Line(r, d))
 		if err != nil {
 			return err
 		}
-		tree, err := core.NewTree(kind, tor.Dims[d], rc[d])
-		if err != nil {
-			return err
-		}
-		if err := Bcast(sub, tree, buf); err != nil {
+		if err := Bcast(sub, trees[d], buf); err != nil {
 			return err
 		}
 	}
@@ -232,31 +251,21 @@ func TorusReduce(c fabric.Comm, tor core.Torus, kind core.Kind, root int, in, ou
 	if r == root && len(out) != len(in) {
 		return fmt.Errorf("coll: reduce out has %d elements, want %d", len(out), len(in))
 	}
+	trees, start, err := torusTrees(tor, kind, rc)
+	if err != nil {
+		return err
+	}
 	acc := append([]int32(nil), in...)
 	for d := tor.NDims() - 1; d >= 0; d-- {
-		if tor.Dims[d] == 1 {
+		if tor.Dims[d] == 1 || !slices.Equal(my[d+1:], rc[d+1:]) {
 			continue
 		}
-		participates := true
-		for j := d + 1; j < tor.NDims(); j++ {
-			if my[j] != rc[j] {
-				participates = false
-				break
-			}
-		}
-		if !participates {
-			continue
-		}
-		sub, err := Group(Offset(c, (d+1)*phaseStride), tor.Line(r, d))
-		if err != nil {
-			return err
-		}
-		tree, err := core.NewTree(kind, tor.Dims[d], rc[d])
+		sub, err := Group(Offset(c, start[d]), tor.Line(r, d))
 		if err != nil {
 			return err
 		}
 		res := make([]int32, len(acc))
-		if err := Reduce(sub, tree, acc, res, op); err != nil {
+		if err := Reduce(sub, trees[d], acc, res, op); err != nil {
 			return err
 		}
 		if my[d] != rc[d] {

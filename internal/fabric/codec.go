@@ -10,8 +10,8 @@ import (
 )
 
 // Binary trace codec: the on-disk format of internal/tracestore. The format
-// is compact (each distinct step body stored once, a run table for the step
-// index, delta-zigzag varints that exploit the sorted (from, to) order within
+// is compact (each distinct step body stored once, one class number per
+// step, delta-zigzag varints that exploit the sorted (from, to) order within
 // a step), versioned (CodecVersion joins the store's content address, so a
 // format change can never misparse old files as new ones) and self-checking
 // (a CRC over the payload turns torn or corrupted writes into decode errors
@@ -20,18 +20,17 @@ import (
 //	magic "BTRC"
 //	uvarint  version, p, classes (non-empty step bodies)
 //	classes × uvarint count (records in class 1, 2, …; ≥ 1)
-//	uvarint  runs (non-empty steps)
-//	runs ×   uvarint gap (empty steps skipped since the previous run),
-//	         uvarint class (of this step; 1 … classes)
+//	uvarint  steps
+//	steps ×  uvarint class (of step 0, 1, …; 0 … classes, 0 for an empty step)
 //	n ×      zigzag Δfrom, zigzag Δto (against the previous record), uvarint elems
 //	uint32   little-endian CRC-32 (IEEE) of everything after the magic
 //
 // n is the sum of the class counts: the records are the classes' bodies,
-// class after class. Classes are numbered in order of first use, so a run's
-// class is at most one above every class the runs before it named. The step
-// index is a run table rather than one class per step because torus
-// schedules number their phases 4096 steps apart: a few hundred records reach
-// step 28 675.
+// class after class. Classes are numbered in order of first use, so a step's
+// class is at most one above every class the steps before it named. The
+// collectives number their steps densely (a composite starts each phase
+// where the one before it ends), so the step index costs about a byte a
+// step; an empty step, which only hand-built traces have, costs one too.
 //
 // The decoder reads the records in one loop off a single cursor: a
 // single-byte field (most of them: deltas within ±63, elems below 128) is
@@ -44,22 +43,15 @@ import (
 // change; the trace store folds it into every content address, so files
 // written by older codecs are never asked for again (and Prewarm evicts them
 // as undecodable).
-const CodecVersion = 3
+const CodecVersion = 4
 
-// Decoder bounds. A decoded Trace allocates a per-step index whatever the
-// record count (sparse schedules are real: a quarter of LUMI's stored traces
-// have empty steps, the sparsest 137 steps per record), and its consumers
-// allocate per-rank scratch, so the header's rank count and the run table's
-// last step are capped before anything is sized by them — a CRC-valid file of
-// a few bytes must not cost gigabytes. Both caps leave ≥ 64× headroom over the
-// largest schedule the registry produces at -full scale: p = 8192, and step
-// numbers below 2¹⁶ (the p = 8192 ring's 2(p−1) = 16 382; the 3-D torus
-// collectives' seven phases, offset 4096 steps apart, reach 28 675 at quick
-// scale already).
-const (
-	maxTraceRanks = 1 << 20
-	maxTraceSteps = 1 << 22
-)
+// maxTraceRanks bounds the header's rank count. The trace's consumers
+// allocate per-rank scratch, so a CRC-valid file of a few bytes must not
+// name a rank count that costs gigabytes; the cap leaves 128× headroom over
+// the largest schedule the registry produces at -full scale (p = 8192). The
+// step index needs no cap of its own: every step costs a payload byte, so
+// the decoder sizes it by a count the file's length backs.
+const maxTraceRanks = 1 << 20
 
 // traceMagic opens every encoded trace.
 var traceMagic = [4]byte{'B', 'T', 'R', 'C'}
@@ -67,24 +59,17 @@ var traceMagic = [4]byte{'B', 'T', 'R', 'C'}
 // EncodeTrace writes tr in the versioned binary format.
 func EncodeTrace(w io.Writer, tr *Trace) error {
 	n, classes := tr.NumRecords(), tr.NumClasses()-1
-	var table []byte
-	runs, next := 0, 0 // next: the step after the previous run's
-	for s, c := range tr.stepClass {
-		if c != 0 {
-			table = binary.AppendUvarint(table, uint64(s-next))
-			table = binary.AppendUvarint(table, uint64(c))
-			runs, next = runs+1, s+1
-		}
-	}
-	buf := make([]byte, 0, 32+2*classes+len(table)+6*n)
+	buf := make([]byte, 0, 32+2*classes+2*len(tr.stepClass)+6*n)
 	buf = binary.AppendUvarint(buf, CodecVersion)
 	buf = binary.AppendUvarint(buf, uint64(tr.P))
 	buf = binary.AppendUvarint(buf, uint64(classes))
 	for c := 1; c <= classes; c++ {
 		buf = binary.AppendUvarint(buf, uint64(tr.classOff[c+1]-tr.classOff[c]))
 	}
-	buf = binary.AppendUvarint(buf, uint64(runs))
-	buf = append(buf, table...)
+	buf = binary.AppendUvarint(buf, uint64(len(tr.stepClass)))
+	for _, c := range tr.stepClass {
+		buf = binary.AppendUvarint(buf, uint64(c))
+	}
 	var prevFrom, prevTo int64
 	for i := 0; i < n; i++ {
 		from, to := int64(tr.cFrom[i]), int64(tr.cTo[i])
@@ -106,9 +91,9 @@ func EncodeTrace(w io.Writer, tr *Trace) error {
 // DecodeTraceBytes parses a trace encoded by EncodeTrace from its in-memory
 // encoding (the trace store reads whole files), rejecting wrong magic, any
 // other codec version, checksum mismatches, truncation, out-of-range fields,
-// rank or step counts above the decoder bounds, more records or classes than
-// the payload can hold, and a run table that names a class out of range or
-// out of first-use order, or leaves one unused.
+// a rank count above maxTraceRanks, more records, classes or steps than the
+// payload can hold, and a step index that names a class out of range or out
+// of first-use order, or leaves one unused.
 func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	if len(raw) < len(traceMagic)+4 || string(raw[:4]) != string(traceMagic[:]) {
 		return nil, fmt.Errorf("fabric: not an encoded trace")
@@ -148,39 +133,30 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 		}
 		classOff[c+1] = int32(total + count)
 	}
-	runs := d.uvarint()
+	// Every step costs ≥ 1 payload byte, so the step index is sized by a
+	// count the payload backs before it is allocated.
+	steps := d.uvarint()
 	if d.err != nil {
 		return nil, d.err
 	}
-	// The run table is walked twice — first to validate it and find the last
-	// step, so the index is sized by a checked number, then to fill the index.
-	// A lying runs field costs nothing: no allocation is sized by it, and the
-	// walk stops at the first truncated varint.
-	table := d
-	lastStep, used := int64(-1), uint64(0)
-	for r := uint64(0); r < runs; r++ {
-		gap, c := d.uvarint(), d.uvarint()
+	if steps > uint64(len(payload)-d.pos) {
+		return nil, fmt.Errorf("fabric: trace step count %d exceeds payload", steps)
+	}
+	stepClass := make([]int32, steps)
+	used := uint64(0)
+	for s := range stepClass {
+		c := d.uvarint()
 		if d.err != nil {
 			return nil, d.err
 		}
-		if gap >= uint64(maxTraceSteps-1-lastStep) {
-			return nil, fmt.Errorf("fabric: trace run %d: step exceeds the %d-step bound", r, maxTraceSteps)
+		if c > classes || c > used+1 {
+			return nil, fmt.Errorf("fabric: trace step %d: class %d, want 0 … %d", s, c, min(classes, used+1))
 		}
-		if c == 0 || c > classes || c > used+1 {
-			return nil, fmt.Errorf("fabric: trace run %d: class %d, want 1 … %d", r, c, min(classes, used+1))
-		}
-		lastStep += 1 + int64(gap)
+		stepClass[s] = int32(c)
 		used = max(used, c)
 	}
 	if used != classes {
-		return nil, fmt.Errorf("fabric: trace runs use %d of %d classes", used, classes)
-	}
-	stepClass := make([]int32, lastStep+1)
-	next := 0 // first index entry not yet written; the skipped steps stay class 0
-	for r := uint64(0); r < runs; r++ {
-		next += int(table.uvarint())
-		stepClass[next] = int32(table.uvarint())
-		next++
+		return nil, fmt.Errorf("fabric: trace steps use %d of %d classes", used, classes)
 	}
 
 	n := int(classOff[classes+1])
@@ -224,7 +200,7 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 
 var errTruncatedVarint = errors.New("fabric: truncated trace varint")
 
-// varintReader consumes the header's and run table's uvarints from a byte
+// varintReader consumes the header's and step index's uvarints from a byte
 // slice, latching the first error.
 type varintReader struct {
 	buf []byte
@@ -232,7 +208,8 @@ type varintReader struct {
 	err error
 }
 
-// uvarint reads a single-byte value first (the run table is mostly those). A
+// uvarint reads a single-byte value first (the step index is all those below
+// 128 classes). A
 // failed read leaves the cursor on a byte ≥ 0x80 or at the end, so every
 // later call reaches the latched error.
 func (d *varintReader) uvarint() uint64 {

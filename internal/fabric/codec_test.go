@@ -146,9 +146,9 @@ func TestTraceCodecVarintWidths(t *testing.T) {
 }
 
 // varintDamage returns payloads of one-record traces (p=1, one class, one
-// run) that break the record region's varints.
+// step) that break the record region's varints.
 func varintDamage() map[string][]byte {
-	head := []byte{CodecVersion, 1, 1, 1, 1, 0, 1}
+	head := []byte{CodecVersion, 1, 1, 1, 1, 1}
 	record := func(fields ...[]byte) []byte {
 		out := append([]byte(nil), head...)
 		for _, f := range fields {
@@ -159,23 +159,23 @@ func varintDamage() map[string][]byte {
 	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0) // 11 bytes: overflows 64 bits
 	zero, one := []byte{0}, []byte{1}
 	return map[string][]byte{
-		"overlong Δfrom":      record(overlong, zero, one),
-		"overlong Δto":        record(zero, overlong, one),
-		"overlong elems":      record(zero, zero, overlong),
-		"cut after Δfrom":     record(zero),
-		"cut after Δto":       record(zero, zero),
-		"cut inside Δto":      record(zero, []byte{0x80}),
-		"cut after run table": record(),
+		"overlong Δfrom":       record(overlong, zero, one),
+		"overlong Δto":         record(zero, overlong, one),
+		"overlong elems":       record(zero, zero, overlong),
+		"cut after Δfrom":      record(zero),
+		"cut after Δto":        record(zero, zero),
+		"cut inside Δto":       record(zero, []byte{0x80}),
+		"cut after step index": record(),
 	}
 }
 
 // The encodings TestTraceCodecGolden pins (and FuzzDecodeTrace seeds): one
 // trace of distinct steps, one of repeated steps. v2GoldenTraceHex is the
-// first trace in the retired v2 format, which must be refused.
+// first trace in the retired v3 format, which must be refused.
 const (
-	goldenTraceHex     = "42545243030403010201030001000202030002020002ac020202ac020205017ac74b27"
-	multiClassTraceHex = "425452430304030202010500010002000101030001000202040402010502040402050201f4bdaae9"
-	v2GoldenTraceHex   = "42545243020404030001000202010002020002ac020202ac02020501a4cfc664"
+	goldenTraceHex     = "425452430404030102010501020000030002020002ac020202ac02020501a7adb9e0"
+	multiClassTraceHex = "4254524304040302020106010201000301000202040402010502040402050201f3be94b3"
+	v3GoldenTraceHex   = "42545243030403010201030001000202030002020002ac020202ac020205017ac74b27"
 )
 
 // goldenTraces are the traces behind the goldens.
@@ -184,7 +184,7 @@ func goldenTraces() (distinct, repeated *Trace) {
 		{From: 0, To: 1, Step: 0, Elems: 2},
 		{From: 0, To: 2, Step: 1, Elems: 300},
 		{From: 1, To: 3, Step: 1, Elems: 300},
-		{From: 2, To: 0, Step: 4, Elems: 1}, // steps 2 and 3 are empty: a gap in the run table
+		{From: 2, To: 0, Step: 4, Elems: 1}, // steps 2 and 3 are empty: class 0 in the step index
 	})
 	var recs []Record
 	a := []Record{{From: 0, To: 1, Elems: 2}, {From: 2, To: 3, Elems: 2}}
@@ -252,20 +252,20 @@ func TestTraceCodecRejectsDamage(t *testing.T) {
 		}
 	}
 	// Any other version must be rejected even with a valid checksum: the
-	// next one, the retired v1 layout (version, P=1, no records) and a v2
-	// file, which a store written before v3 holds.
+	// next one, the retired v1 layout (version, P=1, no records) and a v3
+	// file, which a store written before v4 holds.
 	if _, err := DecodeTraceBytes(frameTrace([]byte{CodecVersion + 1, 1, 0, 0})); err == nil {
 		t.Fatal("future codec version accepted")
 	}
 	if _, err := DecodeTraceBytes(frameTrace([]byte{1, 1, 0})); err == nil {
 		t.Fatal("v1 trace accepted")
 	}
-	v2, err := hex.DecodeString(v2GoldenTraceHex)
+	v3, err := hex.DecodeString(v3GoldenTraceHex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTraceBytes(v2); err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("v2 trace: %v, want a version mismatch", err)
+	if _, err := DecodeTraceBytes(v3); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("v3 trace: %v, want a version mismatch", err)
 	}
 	// An empty trace is the smallest valid file; anything after it is not.
 	if _, err := DecodeTraceBytes(frameTrace([]byte{CodecVersion, 1, 0, 0})); err != nil {
@@ -284,13 +284,13 @@ func frameTrace(payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
 }
 
-// oneRecordTrace frames a single-record trace over p ranks at the given
-// step: 21 bytes for step = 1<<26.
-func oneRecordTrace(p, step uint64) []byte {
+// claimedSteps frames a one-record trace over p ranks whose header claims
+// the given step count but whose step index holds a single class byte: a
+// valid trace for steps = 1, and 20 bytes for steps = 1<<26.
+func claimedSteps(p, steps uint64) []byte {
 	payload := binary.AppendUvarint([]byte{CodecVersion}, p)
-	payload = append(payload, 1, 1, 1) // one class of one record, one run
-	payload = binary.AppendUvarint(payload, step)
-	return frameTrace(append(payload, 1, 0, 0, 1)) // the run's class 1; from 0, to 0, elems 1
+	payload = binary.AppendUvarint(append(payload, 1, 1), steps) // one class of one record
+	return frameTrace(append(payload, 1, 0, 0, 1))               // step 0's class 1; from 0, to 0, elems 1
 }
 
 // allocatedBytes is the heap f allocates: the smallest of three readings of
@@ -310,35 +310,29 @@ func allocatedBytes(f func()) uint64 {
 
 // TestTraceCodecBoundsAllocation pins the decoder's hardening: a CRC-valid
 // file of a few bytes cannot make it size an allocation by a field the file
-// chose. The 21-byte step = 1<<26 reproducer would allocate a 256 MiB step
-// index; it, an oversized rank or class count and every way the class counts
-// or the run table can disagree with the payload are rejected before
+// chose. The 20-byte reproducer claiming 2²⁶ steps would allocate a 256 MiB
+// step index; it, an oversized rank or class count and every way the class
+// counts or the step index can disagree with the payload are rejected before
 // anything is allocated.
 func TestTraceCodecBoundsAllocation(t *testing.T) {
-	bomb := oneRecordTrace(1, 1<<26)
-	if len(bomb) != 21 {
-		t.Fatalf("reproducer is %d bytes, want 21", len(bomb))
+	bomb := claimedSteps(1, 1<<26)
+	if len(bomb) != 20 {
+		t.Fatalf("reproducer is %d bytes, want 20", len(bomb))
 	}
-	// p=1, one class of one record, 2 runs; run 0 at the last legal step.
-	lastStep := binary.AppendUvarint([]byte{CodecVersion, 1, 1, 1, 2}, maxTraceSteps-1)
-	hugeGap := binary.AppendUvarint([]byte{CodecVersion, 1, 1, 1, 1}, 1<<64-1)
-	hugeRuns := binary.AppendUvarint([]byte{CodecVersion, 1, 1, 1}, 1<<60)
 	hugeClasses := binary.AppendUvarint([]byte{CodecVersion, 1}, 1<<40)
 	for name, raw := range map[string][]byte{
-		"step 1<<26":             bomb,
-		"claims 2²² steps":       oneRecordTrace(1, maxTraceSteps),
-		"ranks over the bound":   oneRecordTrace(maxTraceRanks+1, 0),
-		"gap past the bound":     frameTrace(append(lastStep, 1, 0, 1, 0, 0, 1)), // run 1 lands on step 2²²
-		"gap overflows":          frameTrace(append(hugeGap, 1, 0, 0, 1)),
-		"classes exceed payload": frameTrace(append(hugeClasses, 1, 1, 0, 1, 0, 0, 1)),
-		"records exceed payload": frameTrace([]byte{CodecVersion, 1, 1, 5, 1, 0, 1, 0, 0, 1}),
-		"counts exceed payload":  frameTrace([]byte{CodecVersion, 1, 2, 3, 3, 1, 0, 1, 0, 0, 1}),
-		"zero-count class":       frameTrace([]byte{CodecVersion, 1, 1, 0, 1, 0, 1, 0, 0, 1}),
-		"class 0 in a run":       frameTrace([]byte{CodecVersion, 1, 1, 1, 1, 0, 0, 0, 0, 1}),
-		"class out of range":     frameTrace([]byte{CodecVersion, 1, 1, 1, 1, 0, 2, 0, 0, 1}),
-		"class out of first-use": frameTrace([]byte{CodecVersion, 1, 2, 1, 1, 2, 0, 2, 0, 1, 0, 0, 1, 0, 0, 2}),
-		"class never used":       frameTrace([]byte{CodecVersion, 1, 2, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 2}),
-		"runs field lies":        frameTrace(append(hugeRuns, 0, 1, 0, 0, 1)),
+		"claims 2²⁶ steps":       bomb,
+		"one step past payload":  claimedSteps(1, 5), // 4 payload bytes follow the count
+		"step count overflows":   claimedSteps(1, 1<<64-1),
+		"ranks over the bound":   claimedSteps(maxTraceRanks+1, 1),
+		"classes exceed payload": frameTrace(append(hugeClasses, 1, 1, 1, 0, 0, 1)),
+		"records exceed payload": frameTrace([]byte{CodecVersion, 1, 1, 5, 1, 1, 0, 0, 1}),
+		"counts exceed payload":  frameTrace([]byte{CodecVersion, 1, 2, 3, 3, 1, 1, 0, 0, 1}),
+		"zero-count class":       frameTrace([]byte{CodecVersion, 1, 1, 0, 1, 1, 0, 0, 1}),
+		"class out of range":     frameTrace([]byte{CodecVersion, 1, 1, 1, 1, 2, 0, 0, 1}),
+		"class out of first-use": frameTrace([]byte{CodecVersion, 1, 2, 1, 1, 2, 2, 1, 0, 0, 1, 0, 0, 2}),
+		"class never used":       frameTrace([]byte{CodecVersion, 1, 2, 1, 1, 1, 1, 0, 0, 1, 0, 0, 2}),
+		"empty steps past end":   frameTrace([]byte{CodecVersion, 1, 0, 4, 0, 0, 0}),
 	} {
 		var err error
 		got := allocatedBytes(func() { _, err = DecodeTraceBytes(raw) })
@@ -349,24 +343,30 @@ func TestTraceCodecBoundsAllocation(t *testing.T) {
 			t.Errorf("%s: rejected only after allocating %d bytes", name, got)
 		}
 	}
-	// Just inside both bounds decodes: the caps reject nothing real.
-	tr, err := DecodeTraceBytes(oneRecordTrace(maxTraceRanks, maxTraceSteps-1))
+	// Just inside the bounds decodes: the caps reject nothing real. A step
+	// count equal to the bytes left is legal (a trace of empty steps).
+	tr, err := DecodeTraceBytes(claimedSteps(maxTraceRanks, 1))
 	if err != nil {
-		t.Fatalf("trace at the bounds rejected: %v", err)
+		t.Fatalf("trace at the rank bound rejected: %v", err)
 	}
-	if tr.P != maxTraceRanks || tr.NumSteps() != maxTraceSteps {
-		t.Fatalf("trace at the bounds decoded as p=%d, %d steps", tr.P, tr.NumSteps())
+	if tr.P != maxTraceRanks || tr.NumSteps() != 1 {
+		t.Fatalf("trace at the rank bound decoded as p=%d, %d steps", tr.P, tr.NumSteps())
 	}
-	if lo, hi := tr.StepBounds(maxTraceSteps - 1); lo != 0 || hi != 1 {
-		t.Fatalf("the record sits in [%d, %d) of the last step, want [0, 1)", lo, hi)
+	checkLayout(t, tr)
+	tr, err = DecodeTraceBytes(frameTrace([]byte{CodecVersion, 1, 0, 3, 0, 0, 0}))
+	if err != nil {
+		t.Fatalf("three empty steps rejected: %v", err)
+	}
+	if tr.NumSteps() != 3 || tr.Messages() != 0 {
+		t.Fatalf("three empty steps decoded as %d steps, %d messages", tr.NumSteps(), tr.Messages())
 	}
 	checkLayout(t, tr)
 }
 
 // FuzzDecodeTrace feeds the decoder arbitrary bytes, re-framed with a valid
 // checksum so the fuzzer reaches the field checks: it must never panic, and
-// whatever it accepts must have cost O(len(input)) plus the step index the
-// cap allows, and must re-encode to a trace that decodes to the same records.
+// whatever it accepts must have cost O(len(input)), and must re-encode to a
+// trace that decodes to the same records.
 func FuzzDecodeTrace(f *testing.F) {
 	for _, g := range []string{goldenTraceHex, multiClassTraceHex} {
 		golden, err := hex.DecodeString(g)
@@ -375,9 +375,9 @@ func FuzzDecodeTrace(f *testing.F) {
 		}
 		f.Add(golden[4 : len(golden)-4])
 	}
-	bomb := oneRecordTrace(1, 1<<26)
+	bomb := claimedSteps(1, 1<<26)
 	f.Add(bomb[4 : len(bomb)-4])
-	f.Add([]byte{CodecVersion, 1, 1, 0, 1, 0, 1, 0, 0, 1}) // a zero-count class
+	f.Add([]byte{CodecVersion, 1, 1, 0, 1, 1, 0, 0, 1}) // a zero-count class
 	var widths bytes.Buffer
 	if err := EncodeTrace(&widths, widthTrace()); err != nil {
 		f.Fatal(err)
@@ -392,9 +392,9 @@ func FuzzDecodeTrace(f *testing.F) {
 		var err error
 		got := allocatedBytes(func() { tr, err = DecodeTraceBytes(raw) })
 		// Three int32 columns per record (≤ len/3 records), the class index
-		// and per-class sums (≤ len/3 classes), the step index and slack for
-		// the runtime's own bookkeeping.
-		if limit := uint64(16*len(raw) + 4*maxTraceSteps + 1<<16); got > limit {
+		// and per-class sums (≤ len/3 classes), the step index (≤ len steps)
+		// and slack for the runtime's own bookkeeping.
+		if limit := uint64(16*len(raw) + 1<<16); got > limit {
 			t.Fatalf("%d-byte input allocated %d bytes (limit %d)", len(raw), got, limit)
 		}
 		if err != nil {

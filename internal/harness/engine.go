@@ -28,7 +28,7 @@ import (
 // feeds the trace caches. It joins each disk content address, so bumping it
 // — required whenever any algorithm's schedule changes — cleanly orphans
 // every previously stored trace instead of wrongly reusing it.
-const schedVersion = 1
+const schedVersion = 2
 
 // Engine is the trace resolver chain as one value: the in-process memory
 // tier, the optional disk tier, the synthesis mode and the counters that

@@ -83,16 +83,16 @@ func TestScheduleFingerprints(t *testing.T) {
 	}{
 		{"tree-bcast/bine-dh/p=8/n=1", 8, func(c fabric.Comm) error {
 			return coll.Bcast(c, tree, make([]int32, 1))
-		}, "9c3f7b9bf05972b6"},
+		}, "a999010f9d971e40"},
 		{"bfly-allreduce/bfly-bine-dd/p=16/n=16", 16, func(c fabric.Comm) error {
 			return coll.AllreduceRsAg(c, bfly, make([]int32, 16), coll.OpSum)
-		}, "ce91e1a6c5bca9c4"},
+		}, "9141b07ab83934ca"},
 		{"hier-allreduce/hier-bine/p=16/n=64", 16, func(c fabric.Comm) error {
 			return coll.HierarchicalAllreduce(c, 4, core.BflyBineDD, make([]int32, 64), coll.OpSum)
-		}, "7e31255426812d52"},
+		}, "cec5b5270d72201e"},
 		{"torus-bcast/bine-dh/4x4/n=1", 16, func(c fabric.Comm) error {
 			return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
-		}, "29d85d2689afac2f"},
+		}, "24bff48a82f1d607"},
 	}
 	for _, c := range named {
 		tr, err := record(c.p, c.body)
@@ -106,65 +106,65 @@ func TestScheduleFingerprints(t *testing.T) {
 // flatPins fingerprints every registry algorithm's p=16 schedule;
 // torusPins every torus algorithm's 4x4 schedule.
 var flatPins = map[string]string{
-	"bcast/bine-tree":                  "b0d3f1c2f9fc56b0",
-	"bcast/binomial-dd":                "bc95a702b1f5df5f",
-	"bcast/binomial-dh":                "1b497a6f242e5786",
-	"bcast/bine-scatter-allgather":     "3099866e5752138c",
-	"bcast/binomial-scatter-allgather": "e5e5334e79bb36ae",
-	"bcast/linear":                     "c28726f1d0599612",
-	"bcast/pipeline":                   "a7ab2c8ef28f508f",
-	"bcast/chain":                      "ae2d816690f8c393",
-	"reduce/bine-tree":                 "5cea6a345b629402",
-	"reduce/binomial-dd":               "b2c300274417cf1e",
-	"reduce/binomial-dh":               "f098e581a208fde5",
-	"reduce/bine-rs-gather":            "bed3747c20f589a9",
-	"reduce/binomial-rs-gather":        "689a248861d657ca",
-	"reduce/linear":                    "938f08f56aa23759",
-	"gather/bine-tree":                 "06145cc98fc41ac9",
-	"gather/binomial-dd":               "439841f445264665",
-	"gather/binomial-dh":               "ae2d48a4b3761f67",
-	"gather/linear":                    "26ac2fe007c58546",
-	"scatter/bine-tree":                "9ec5b850ea3a7a7f",
-	"scatter/binomial-dd":              "5a08636becbe7600",
-	"scatter/binomial-dh":              "c440fc9cd6886b54",
-	"scatter/linear":                   "3d5aa4287d92fa71",
-	"reduce-scatter/bine-permute":      "0a14de2f9441a244",
-	"reduce-scatter/bine-send":         "35a8e4e60ff275d9",
-	"reduce-scatter/bine-block":        "6a961404b7a540e4",
-	"reduce-scatter/bine-two-trans":    "6e2a576596d30e89",
-	"reduce-scatter/recursive-halving": "aba2520148bf7606",
-	"reduce-scatter/swing":             "6a961404b7a540e4",
-	"reduce-scatter/ring":              "f318163d1c5803d8",
-	"reduce-scatter/bine-fold":         "35a8e4e60ff275d9",
-	"allgather/bine-permute":           "6ed8e6bc948e7b7c",
-	"allgather/bine-send":              "4206864e65292bb9",
-	"allgather/bine-block":             "490e038dd77155e8",
-	"allgather/bine-two-trans":         "9712909ab13e28fb",
-	"allgather/recursive-doubling":     "3fc9ec45df578d27",
-	"allgather/swing":                  "490e038dd77155e8",
-	"allgather/ring":                   "f318163d1c5803d8",
-	"allgather/bruck":                  "6dd424243ab21a72",
-	"allgather/sparbit":                "89c90165d9544507",
-	"allgather/bine-fold":              "4206864e65292bb9",
-	"allreduce/bine-lat":               "07af6b9b271c64ce",
-	"allreduce/bine-bw":                "ce91e1a6c5bca9c4",
-	"allreduce/recursive-doubling":     "8e3102fe421a32cf",
-	"allreduce/rabenseifner":           "c7b747365a45712d",
-	"allreduce/ring":                   "c22a3df2fa092e9e",
-	"allreduce/swing":                  "84832c861a093424",
-	"allreduce/reduce-bcast":           "fa9241455007de6d",
-	"allreduce/bine-fold":              "ce91e1a6c5bca9c4",
-	"alltoall/bine":                    "07af6b9b271c64ce",
-	"alltoall/bruck":                   "c4e479e7e295b5e2",
-	"alltoall/pairwise":                "5b8fac45bcdeecfe",
+	"bcast/bine-tree":                  "b1046187bc361bc5",
+	"bcast/binomial-dd":                "e0a390aa69d36ade",
+	"bcast/binomial-dh":                "d8d9c49d7b51f6e1",
+	"bcast/bine-scatter-allgather":     "fcad98b358f3ab84",
+	"bcast/binomial-scatter-allgather": "d2e7f70b31c04fee",
+	"bcast/linear":                     "22aed8ba174866d3",
+	"bcast/pipeline":                   "676a59e397e16a98",
+	"bcast/chain":                      "b6ba168a306c1358",
+	"reduce/bine-tree":                 "c708914fdf47eb02",
+	"reduce/binomial-dd":               "355f7b156164b4b9",
+	"reduce/binomial-dh":               "01d3bbc6ba60e06a",
+	"reduce/bine-rs-gather":            "0b147072bdbec1f6",
+	"reduce/binomial-rs-gather":        "f148a3ab26a31d63",
+	"reduce/linear":                    "54ca2f2b474296f7",
+	"gather/bine-tree":                 "e514eedc6ba58007",
+	"gather/binomial-dd":               "8a7fd1c0f8b5d2a5",
+	"gather/binomial-dh":               "12bcc3449833bfb1",
+	"gather/linear":                    "839861ab5e3d3589",
+	"scatter/bine-tree":                "bba1bcb0b941c45a",
+	"scatter/binomial-dd":              "36198b224bdf42c7",
+	"scatter/binomial-dh":              "b1a7182f7ed5c810",
+	"scatter/linear":                   "79499fd93df0e27b",
+	"reduce-scatter/bine-permute":      "1b397e71dad183a5",
+	"reduce-scatter/bine-send":         "e78098708837b5a3",
+	"reduce-scatter/bine-block":        "258099a251a2902d",
+	"reduce-scatter/bine-two-trans":    "160b2d18fc99687b",
+	"reduce-scatter/recursive-halving": "cc5c16e30062ff20",
+	"reduce-scatter/swing":             "258099a251a2902d",
+	"reduce-scatter/ring":              "9444a52d66f6d9df",
+	"reduce-scatter/bine-fold":         "e78098708837b5a3",
+	"allgather/bine-permute":           "be3b89826c75330f",
+	"allgather/bine-send":              "9fcf921c3167e2ee",
+	"allgather/bine-block":             "af4b83f14298d9e1",
+	"allgather/bine-two-trans":         "f869b16c3dfd736e",
+	"allgather/recursive-doubling":     "bdcfebc72994d8ef",
+	"allgather/swing":                  "af4b83f14298d9e1",
+	"allgather/ring":                   "9444a52d66f6d9df",
+	"allgather/bruck":                  "5c3c45e7ee1ecdd6",
+	"allgather/sparbit":                "095ebf71a64e2ee3",
+	"allgather/bine-fold":              "9fcf921c3167e2ee",
+	"allreduce/bine-lat":               "df1204683025f4a1",
+	"allreduce/bine-bw":                "9141b07ab83934ca",
+	"allreduce/recursive-doubling":     "5b1acf108e889700",
+	"allreduce/rabenseifner":           "c2b58baafc377d5f",
+	"allreduce/ring":                   "2efe3be40320c7f6",
+	"allreduce/swing":                  "fbd14f2ea17e2114",
+	"allreduce/reduce-bcast":           "0b01bfb396d27263",
+	"allreduce/bine-fold":              "9141b07ab83934ca",
+	"alltoall/bine":                    "df1204683025f4a1",
+	"alltoall/bruck":                   "c574d93cfa5d6b41",
+	"alltoall/pairwise":                "d2f44932110bae4b",
 }
 
 var torusPins = map[string]string{
-	"bine-torus":     "e93909c0b0a3a9cf",
-	"bine-multiport": "ba4527c55308b3eb",
-	"bucket":         "ce9549d0abe511a9",
-	"bine-bcast":     "0a40117927eb1ff1",
-	"bine-reduce":    "704381c4c6ae2a5c",
+	"bine-torus":     "6c6af6169c948e51",
+	"bine-multiport": "0d77675629c36e2e",
+	"bucket":         "5b7b49e264df3ff8",
+	"bine-bcast":     "8552e579fee31935",
+	"bine-reduce":    "8a19dfa048038303",
 }
 
 // TestQuickAllGolden owns the artifact hash inside tier-1: the quick "all"
