@@ -223,13 +223,13 @@ func BenchmarkSweepStore(b *testing.B) {
 }
 
 // BenchmarkSynthRing tracks the cold-path trajectory record → synth for the
-// suite's heaviest flat schedule (allreduce/ring): direct synthesis from
-// schedule math vs the same schedule executed on the recording goroutine
-// fabric at p=1024, plus — skipped under -short — synthesis at the
-// paper-scale p=8192 the Fugaku sweep needs (its ~134M-record trace is
-// exactly the recording synthesis exists to avoid, so the fabric leg stays
-// at p=1024). Replay cost for comparison lives in
-// BenchmarkEvaluateSizes/BENCH_pipeline.json.
+// suite's heaviest flat schedule (allreduce/ring): synthesis — the ring's
+// closed form, one class of p records and a 2(p−1)-step index, O(p + steps)
+// — vs the same schedule executed on the recording goroutine fabric at
+// p=1024, plus — skipped under -short — synthesis at the paper-scale p=8192
+// the Fugaku sweep needs (~134 M logical sends, 8 192 stored records; the
+// fabric leg stays at p=1024, where it already sends 2 M messages). Replay
+// cost for comparison lives in BenchmarkEvaluateSizes/BENCH_pipeline.json.
 func BenchmarkSynthRing(b *testing.B) {
 	a := findAlgo(b, coll.CAllreduce, "ring")
 	b.Run("synth-p1024", synthBench(a, 1024))

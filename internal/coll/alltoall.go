@@ -93,8 +93,8 @@ func BineAlltoall(c fabric.Comm, b *core.Butterfly, buf, out []int32) error {
 // ring displacement has bit k set hop k-th-power-of-two positions forward.
 func BruckAlltoall(c fabric.Comm, buf, out []int32) error {
 	p := c.Size()
-	if len(buf)%p != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
+	if err := checkBlocks(len(buf), p); err != nil {
+		return err
 	}
 	if len(out) != len(buf) {
 		return fmt.Errorf("coll: alltoall out has %d elements, want %d", len(out), len(buf))
@@ -171,8 +171,8 @@ func BruckAlltoall(c fabric.Comm, buf, out []int32) error {
 // (rank r sends to r+t and receives from r−t at step t).
 func PairwiseAlltoall(c fabric.Comm, buf, out []int32) error {
 	p := c.Size()
-	if len(buf)%p != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
+	if err := checkBlocks(len(buf), p); err != nil {
+		return err
 	}
 	if len(out) != len(buf) {
 		return fmt.Errorf("coll: alltoall out has %d elements, want %d", len(out), len(buf))
@@ -199,8 +199,8 @@ func PairwiseAlltoall(c fabric.Comm, buf, out []int32) error {
 func BruckAllgather(c fabric.Comm, in, out []int32) error {
 	p := c.Size()
 	bs := len(in)
-	if len(out) != p*bs {
-		return fmt.Errorf("coll: allgather out has %d elements, want %d", len(out), p*bs)
+	if err := checkGatherOut(len(out), p, bs); err != nil {
+		return err
 	}
 	r := c.Rank()
 	if p == 1 {
@@ -247,8 +247,8 @@ func SparbitAllgather(c fabric.Comm, in, out []int32) error {
 		return fmt.Errorf("coll: sparbit requires power-of-two ranks, got %d", p)
 	}
 	bs := len(in)
-	if len(out) != p*bs {
-		return fmt.Errorf("coll: allgather out has %d elements, want %d", len(out), p*bs)
+	if err := checkGatherOut(len(out), p, bs); err != nil {
+		return err
 	}
 	r := c.Rank()
 	copy(out[r*bs:], in)

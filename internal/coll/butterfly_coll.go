@@ -199,8 +199,8 @@ func checkButterfly(c fabric.Comm, b *core.Butterfly, n int) error {
 	if c.Size() != b.P {
 		return fmt.Errorf("coll: butterfly over %d ranks on a %d-rank communicator", b.P, c.Size())
 	}
-	if n%b.P != 0 || n == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", n, b.P)
+	if err := checkBlocks(n, b.P); err != nil {
+		return err
 	}
 	return nil
 }

@@ -99,8 +99,8 @@ func allreduceAuto(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
 // scatter step distributes each share's blocks to the folded ranks.
 func FoldedReduceScatter(c fabric.Comm, b *core.Butterfly, strat Strategy, buf, out []int32, op Op) error {
 	p := c.Size()
-	if len(buf)%p != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
+	if err := checkBlocks(len(buf), p); err != nil {
+		return err
 	}
 	pp, extra, err := foldSizes(c, b)
 	if err != nil {
@@ -159,8 +159,8 @@ func FoldedReduceScatter(c fabric.Comm, b *core.Butterfly, strat Strategy, buf, 
 func FoldedAllgather(c fabric.Comm, b *core.Butterfly, strat Strategy, in, out []int32) error {
 	p := c.Size()
 	bs := len(in)
-	if len(out) != p*bs {
-		return fmt.Errorf("coll: allgather out has %d elements, want %d", len(out), p*bs)
+	if err := checkGatherOut(len(out), p, bs); err != nil {
+		return err
 	}
 	pp, extra, err := foldSizes(c, b)
 	if err != nil {

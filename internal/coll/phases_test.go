@@ -3,34 +3,49 @@ package coll
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"binetrees/internal/core"
 	"binetrees/internal/fabric"
 )
 
-// tagComm is one rank's walking endpoint: it records the (to, step, sub) tag
-// of every send and fails the second send under a tag, and its receives
+// tagComm is one rank's tag-checking endpoint: it records the (to, step,
+// sub) tag of every send and fails the second send under a tag. Over an
+// inner endpoint it forwards both directions; without one its receives
 // complete at once, as on the synthesis endpoint.
 type tagComm struct {
+	inner      fabric.Comm
 	rank, size int
 	tags       map[[3]int]bool
 	steps      map[int]bool
 }
 
+func newTagComm(inner fabric.Comm, rank, size int) *tagComm {
+	return &tagComm{inner: inner, rank: rank, size: size, tags: map[[3]int]bool{}, steps: map[int]bool{}}
+}
+
 func (c *tagComm) Rank() int { return c.rank }
 func (c *tagComm) Size() int { return c.size }
 
-func (c *tagComm) Send(to, step, sub int, _ []int32) error {
+func (c *tagComm) Send(to, step, sub int, data []int32) error {
 	tag := [3]int{to, step, sub}
 	if c.tags[tag] {
 		return fmt.Errorf("rank %d sends twice under (to=%d, step=%d, sub=%d)", c.rank, to, step, sub)
 	}
 	c.tags[tag] = true
 	c.steps[step] = true
-	return nil
+	if c.inner == nil {
+		return nil
+	}
+	return c.inner.Send(to, step, sub, data)
 }
 
-func (c *tagComm) Recv(int, int, int, []int32) error { return nil }
+func (c *tagComm) Recv(from, step, sub int, buf []int32) error {
+	if c.inner == nil {
+		return nil
+	}
+	return c.inner.Recv(from, step, sub, buf)
+}
 
 // walkTags walks the given ranks of a p-rank schedule through tagComms and
 // returns each rank's distinct send steps; the first reused tag fails t.
@@ -38,7 +53,7 @@ func walkTags(t *testing.T, name string, p int, ranks []int, run func(c fabric.C
 	t.Helper()
 	steps := make([]int, len(ranks))
 	for i, r := range ranks {
-		c := &tagComm{rank: r, size: p, tags: map[[3]int]bool{}, steps: map[int]bool{}}
+		c := newTagComm(nil, r, p)
 		if err := run(c); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -58,7 +73,10 @@ func allRanks(p int) []int {
 // TestPhasesDoNotAlias holds every composite to its phase arithmetic: each
 // phase starts where the phases before it end, so no sender ever sends two
 // messages under one (to, step, sub) tag — which would let a receive take
-// either, and the cost model price two phases as one step.
+// either, and the cost model price two phases as one step. Each registry
+// algorithm runs its Make body — the schedule a recording executes, not its
+// synthesis, so a closed form cannot hide an alias — on the goroutine
+// fabric, because Bruck's alltoall reads the counts it receives.
 func TestPhasesDoNotAlias(t *testing.T) {
 	for _, algo := range Registry() {
 		for _, p := range []int{2, 3, 5, 8, 12, 16, 64} {
@@ -66,11 +84,20 @@ func TestPhasesDoNotAlias(t *testing.T) {
 				continue
 			}
 			name := fmt.Sprintf("%v/%s p=%d", algo.Coll, algo.Name, p)
-			s, err := algo.Pattern(p, p/3, 2*p)
+			root := p / 3
+			run, err := algo.Make(p, root)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			walkTags(t, name, p, allRanks(p), func(c fabric.Comm) error { return s.Walk(c.Rank(), c) })
+			inLen, outLen := algo.Coll.InOutLens(p, 2*p)
+			f := fabric.NewMem(p)
+			f.SetTimeout(5 * time.Second) // a failing rank leaves its peers waiting
+			if err := fabric.Run(f, func(c fabric.Comm) error {
+				return run(newTagComm(c, c.Rank(), p), root, make([]int32, inLen), make([]int32, outLen), OpSum)
+			}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			f.Close()
 		}
 	}
 	for _, dims := range [][]int{{2, 2, 2}, {4, 4, 4}, {8, 2}} {

@@ -103,11 +103,14 @@ type Algorithm struct {
 	// butterflies) are built once per (p, root) and captured by the
 	// closure, mirroring how MPI implementations cache communicator state.
 	Make func(p, root int) (RunFunc, error)
-	// Synth, when non-nil, overrides Pattern's generic zero-buffer walk for
-	// schedules whose runtime control flow reads received data (Bruck's
-	// negotiated item counts) or whose walk costs far more than it emits
-	// (the Bine alltoall's per-step item regrouping): it must compute the
-	// exact send pattern a real execution produces from schedule math alone.
+	// Synth, when non-nil, replaces Pattern's walk of Make with a closed
+	// form that computes, from schedule math alone, the exact trace a real
+	// execution records. Three schedule families have one: Bruck's alltoall,
+	// whose message lengths are negotiated at run time, so a walk on zero
+	// buffers cannot reproduce them; the Bine alltoall, whose walk regroups
+	// every held item at every step; and the ring reduce-scatter, allgather
+	// and allreduce, whose walk emits their one step body at every step —
+	// O(p²) sends for a trace of p records.
 	Synth func(p, root, n int) (Synthesizer, error)
 }
 
@@ -325,6 +328,7 @@ func Registry() []Algorithm {
 					return RingReduceScatter(c, in, out, op)
 				}, nil
 			},
+			Synth: ringPattern(1, checkBlocks),
 		},
 		foldAlgo(CReduceScatter),
 	)
@@ -344,6 +348,7 @@ func Registry() []Algorithm {
 					return RingAllgather(c, in, out)
 				}, nil
 			},
+			Synth: ringPattern(1, func(p, n int) error { return checkGatherOut(n, p, n/p) }),
 		},
 		Algorithm{
 			Name: "bruck", Coll: CAllgather,
@@ -381,6 +386,10 @@ func Registry() []Algorithm {
 			},
 		}
 	}
+	ringAllreduce := mkAllreduce("ring", false, false, false, 0.6, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+		return RingAllreduce, nil
+	})
+	ringAllreduce.Synth = ringPattern(2, checkBlocks)
 	algos = append(algos,
 		mkAllreduce("bine-lat", true, false, true, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			b, err := core.NewButterfly(core.BflyBineDD, p)
@@ -418,9 +427,7 @@ func Registry() []Algorithm {
 				return AllreduceRsAg(c, b, buf, op)
 			}, nil
 		}),
-		mkAllreduce("ring", false, false, false, 0.6, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
-			return RingAllreduce, nil
-		}),
+		ringAllreduce,
 		mkAllreduce("swing", false, false, true, 0.8, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			b, err := core.NewButterfly(core.BflySwing, p)
 			if err != nil {

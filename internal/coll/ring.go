@@ -18,8 +18,8 @@ import (
 // reduced. buf is not modified.
 func RingReduceScatter(c fabric.Comm, buf, out []int32, op Op) error {
 	p := c.Size()
-	if len(buf)%p != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
+	if err := checkBlocks(len(buf), p); err != nil {
+		return err
 	}
 	bs := len(buf) / p
 	if len(out) != bs {
@@ -52,8 +52,8 @@ func RingReduceScatter(c fabric.Comm, buf, out []int32, op Op) error {
 func RingAllgather(c fabric.Comm, in, out []int32) error {
 	p := c.Size()
 	bs := len(in)
-	if len(out) != p*bs {
-		return fmt.Errorf("coll: allgather out has %d elements, want %d", len(out), p*bs)
+	if err := checkGatherOut(len(out), p, bs); err != nil {
+		return err
 	}
 	r := c.Rank()
 	copy(out[r*bs:], in)
@@ -78,8 +78,8 @@ func RingAllgather(c fabric.Comm, in, out []int32) error {
 // reduce-scatter followed by ring allgather, 2(p−1) steps of n/p elements.
 func RingAllreduce(c fabric.Comm, buf []int32, op Op) error {
 	p := c.Size()
-	if len(buf)%p != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
+	if err := checkBlocks(len(buf), p); err != nil {
+		return err
 	}
 	bs := len(buf) / p
 	own := make([]int32, bs)
@@ -87,6 +87,53 @@ func RingAllreduce(c fabric.Comm, buf []int32, op Op) error {
 		return err
 	}
 	return RingAllgather(Offset(c, p-1), own, buf)
+}
+
+// ringPattern is the closed form of a ring schedule's trace, the registry
+// Synth of all three. Every step of RingReduceScatter and RingAllgather has
+// one body — rank r sends one block of n/p elements to r+1 mod p — so the
+// trace is that one class of p records in rank order and a step index naming
+// it p−1 times per phase (the allreduce runs two). A walk would emit the body
+// at every step, O(p²) sends to keep p records. check is the schedule's own
+// validation of n, so the closed form fails where the schedule does.
+func ringPattern(phases int, check func(p, n int) error) func(p, root, n int) (Synthesizer, error) {
+	return func(p, _, n int) (Synthesizer, error) {
+		if err := check(p, n); err != nil {
+			return nil, err
+		}
+		return synthFunc(func() (*fabric.Trace, error) {
+			steps := phases * (p - 1)
+			if steps == 0 {
+				return fabric.NewClassTrace(p, nil, nil, nil, []int32{0, 0}, nil)
+			}
+			from, to, elems := make([]int32, p), make([]int32, p), make([]int32, p)
+			for r := range p {
+				from[r], to[r], elems[r] = int32(r), int32((r+1)%p), int32(n/p)
+			}
+			stepClass := make([]int32, steps)
+			for s := range stepClass {
+				stepClass[s] = 1
+			}
+			return fabric.NewClassTrace(p, from, to, elems, []int32{0, 0, int32(p)}, stepClass)
+		}), nil
+	}
+}
+
+// checkBlocks fails unless an n-element vector splits into p equal,
+// non-empty blocks.
+func checkBlocks(n, p int) error {
+	if n%p != 0 || n == 0 {
+		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", n, p)
+	}
+	return nil
+}
+
+// checkGatherOut fails unless an output of out elements holds p blocks of bs.
+func checkGatherOut(out, p, bs int) error {
+	if out != p*bs {
+		return fmt.Errorf("coll: allgather out has %d elements, want %d", out, p*bs)
+	}
+	return nil
 }
 
 func mod(v, p int) int {

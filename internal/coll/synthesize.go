@@ -7,38 +7,57 @@ import (
 	"binetrees/internal/fabric"
 )
 
-// Synthesizer is the capability a collective schedule exposes so its
-// deterministic send pattern can be emitted without executing it on a
-// fabric: Walk replays one rank's schedule body against a pattern-only
-// endpoint (fabric.TraceBuilder's Comm), whose Sends are logged and whose
-// Recvs complete immediately. Nearly every registered algorithm is
+// Synthesizer emits a collective schedule's trace from schedule math,
+// without executing the schedule on a fabric. Every registered algorithm is
 // data-independent — the (step, from, to, sub, elems) sequence a rank emits
-// is a pure function of (p, root, n) — so walking the ranks one by one
-// yields exactly the trace a concurrent recorded run would, without
-// goroutines, mailboxes or payload traffic. Two schedules carry a Synth
-// override that derives the same pattern from schedule math, for different
-// reasons: Bruck's alltoall because its message lengths are negotiated at
-// run time, so the zero-buffer walk cannot reproduce them; the Bine
-// alltoall because its walk regroups every held item at every step, which
-// costs far more than the p·log2(p) messages it emits. internal/synth
-// drives the walk and merges the columns.
+// is a pure function of (p, root, n) — so its trace is too, and a
+// Synthesizer returns exactly the trace a concurrent recorded run would.
+//
+// Most algorithms synthesize by walking their Make body (see Pattern).
+// Three schedule families carry a closed form instead (Algorithm.Synth), for
+// different reasons: Bruck's alltoall because its message lengths are
+// negotiated at run time, so a walk on zero buffers cannot reproduce them;
+// the Bine alltoall because its walk regroups every held item at every step,
+// which costs far more than the p·log2(p) messages it emits; and the ring
+// reduce-scatter, allgather and allreduce because their walk emits the one
+// step body the trace stores at each of the p−1 or 2(p−1) steps.
 type Synthesizer interface {
-	// Ranks returns the schedule's rank count.
-	Ranks() int
-	// Walk runs rank's schedule body against the pattern endpoint c (whose
-	// Rank() is rank). It must emit the rank's sends in schedule order.
-	Walk(rank int, c fabric.Comm) error
+	// Synthesize returns the schedule's trace.
+	Synthesize() (*fabric.Trace, error)
 }
 
+// synthFunc adapts a function to Synthesizer.
+type synthFunc func() (*fabric.Trace, error)
+
+func (f synthFunc) Synthesize() (*fabric.Trace, error) { return f() }
+
+// walk builds a p-rank trace by running body once per rank, in rank order,
+// against a fabric.TraceBuilder's pattern endpoints, whose Sends are logged
+// and whose Recvs complete at once.
+func walk(p int, body func(c fabric.Comm) error) (*fabric.Trace, error) {
+	b := fabric.NewTraceBuilder(p)
+	for rank := 0; rank < p; rank++ {
+		if err := body(b.Comm(rank)); err != nil {
+			return nil, fmt.Errorf("rank %d: %w", rank, err)
+		}
+	}
+	return b.Trace(), nil
+}
+
+// opNone is the walk's reduction operator: it folds nothing, because no
+// trace reads the data a walk would reduce.
+var opNone = Op{Name: "none", apply: func(_, _ []int32) {}}
+
 // Pattern returns a Synthesizer for the algorithm's schedule over p ranks
-// with root root and n total vector elements. The per-rank runner is built
-// once (Make caches tree/butterfly structures in its closure, exactly as a
-// recording run would) and each Walk executes it on zero buffers sized by
-// the collective's InOutLens convention — matching the recording path,
-// where vectors are all-zero and only send lengths reach the trace. The
-// buffers are shared by the schedule's ranks and re-zeroed per Walk, so one
-// pattern must not be walked from several goroutines at once. An algorithm
-// with a Synth override uses it instead of the generic walk.
+// with root root and n total vector elements: the algorithm's Synth closed
+// form if it has one, otherwise a walk of its Make body. The walk builds the
+// per-rank runner once (Make caches tree/butterfly structures in its
+// closure, exactly as a recording run would) and runs every rank on one
+// pair of buffers sized by the collective's InOutLens convention, reducing
+// with opNone. The buffers stay zero, as a recording's vectors are: a walked
+// schedule only copies and reduces what its buffers hold, and a pattern Recv
+// leaves its buffer alone. Only send lengths reach the trace. A walking
+// Synthesizer must not run from several goroutines at once.
 func (a Algorithm) Pattern(p, root, n int) (Synthesizer, error) {
 	if a.Synth != nil {
 		return a.Synth(p, root, n)
@@ -47,27 +66,15 @@ func (a Algorithm) Pattern(p, root, n int) (Synthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &pattern{run: run, p: p, root: root}
 	inLen, outLen := a.Coll.InOutLens(p, n)
-	s.in = make([]int32, inLen)
+	in := make([]int32, inLen)
+	var out []int32
 	if outLen > 0 {
-		s.out = make([]int32, outLen)
+		out = make([]int32, outLen)
 	}
-	return s, nil
-}
-
-type pattern struct {
-	run     RunFunc
-	p, root int
-	in, out []int32
-}
-
-func (s *pattern) Ranks() int { return s.p }
-
-func (s *pattern) Walk(rank int, c fabric.Comm) error {
-	clear(s.in)
-	clear(s.out)
-	return s.run(c, s.root, s.in, s.out, OpSum)
+	return synthFunc(func() (*fabric.Trace, error) {
+		return walk(p, func(c fabric.Comm) error { return run(c, root, in, out, opNone) })
+	}), nil
 }
 
 // bruckAlltoallPattern synthesizes BruckAlltoall's send pattern. Bruck is
@@ -79,6 +86,10 @@ func (s *pattern) Walk(rank int, c fabric.Comm) error {
 // already shed exactly the lower set bits of its origin→destination
 // displacement, so it moves iff the displacement itself has bit k set, and
 // every rank holds one item per displacement in [0, p) at every step.
+//
+// Each rank emits its sends exactly as BruckAlltoall does: per step, the
+// item message — recorded even when empty — then the one-element count
+// header (the runtime negotiation whose answer the pattern already knows).
 func bruckAlltoallPattern(p, _, n int) (Synthesizer, error) {
 	var moved []int // moved[step] = items every rank forwards that step
 	for k := 1; k < p; k <<= 1 {
@@ -90,40 +101,29 @@ func bruckAlltoallPattern(p, _, n int) (Synthesizer, error) {
 		}
 		moved = append(moved, m)
 	}
-	return &bruckPattern{p: p, n: n, moved: moved, zero: make([]int32, n+2*p)}, nil
-}
-
-type bruckPattern struct {
-	p, n  int
-	moved []int
-	zero  []int32 // payload stand-in: only message lengths reach the trace
-}
-
-func (s *bruckPattern) Ranks() int { return s.p }
-
-// Walk emits rank's sends exactly as BruckAlltoall does: per step, the item
-// message — recorded even when empty — then the one-element count header
-// (the runtime negotiation whose answer the pattern already knows).
-func (s *bruckPattern) Walk(rank int, c fabric.Comm) error {
-	p, n := s.p, s.n
-	if n%p != 0 || n == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", n, p)
-	}
-	if p == 1 {
-		return nil
-	}
-	bs := n / p
-	var one [1]int32
-	for step, k := 0, 1; k < p; step, k = step+1, k<<1 {
-		to := (rank + k) % p
-		if err := c.Send(to, step, 0, s.zero[:s.moved[step]*(bs+2)]); err != nil {
-			return err
-		}
-		if err := c.Send(to, step, 1, one[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	zero := make([]int32, n+2*p) // payload stand-in: only message lengths reach the trace
+	return synthFunc(func() (*fabric.Trace, error) {
+		return walk(p, func(c fabric.Comm) error {
+			if err := checkBlocks(n, p); err != nil {
+				return err
+			}
+			if p == 1 {
+				return nil
+			}
+			bs := n / p
+			var one [1]int32
+			for step, k := 0, 1; k < p; step, k = step+1, k<<1 {
+				to := (c.Rank() + k) % p
+				if err := c.Send(to, step, 0, zero[:moved[step]*(bs+2)]); err != nil {
+					return err
+				}
+				if err := c.Send(to, step, 1, one[:]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}), nil
 }
 
 // bineAlltoallPattern synthesizes BineAlltoall's send pattern in closed
@@ -135,25 +135,18 @@ func bineAlltoallPattern(p, _, n int) (Synthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &bineAlltoall{b: b, n: n, zero: make([]int32, p*(n/p+1)/2)}, nil
-}
-
-type bineAlltoall struct {
-	b    *core.Butterfly
-	n    int
-	zero []int32 // payload stand-in: only message lengths reach the trace
-}
-
-func (s *bineAlltoall) Ranks() int { return s.b.P }
-
-func (s *bineAlltoall) Walk(rank int, c fabric.Comm) error {
-	if err := checkButterfly(c, s.b, s.n); err != nil {
-		return err
-	}
-	for i := 0; i < s.b.S; i++ {
-		if err := c.Send(s.b.Partner(rank, i), i, 0, s.zero); err != nil {
-			return err
-		}
-	}
-	return nil
+	zero := make([]int32, p*(n/p+1)/2) // payload stand-in: only message lengths reach the trace
+	return synthFunc(func() (*fabric.Trace, error) {
+		return walk(p, func(c fabric.Comm) error {
+			if err := checkButterfly(c, b, n); err != nil {
+				return err
+			}
+			for i := 0; i < b.S; i++ {
+				if err := c.Send(b.Partner(c.Rank(), i), i, 0, zero); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}), nil
 }

@@ -34,8 +34,8 @@ func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []i
 	if c.Size() != p {
 		return fmt.Errorf("coll: torus of %d ranks on a %d-rank communicator", p, c.Size())
 	}
-	if len(buf)%p != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
+	if err := checkBlocks(len(buf), p); err != nil {
+		return err
 	}
 	r := c.Rank()
 	type phase struct {
@@ -148,8 +148,8 @@ func BucketAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
 	if c.Size() != p {
 		return fmt.Errorf("coll: torus of %d ranks on a %d-rank communicator", p, c.Size())
 	}
-	if len(buf)%p != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
+	if err := checkBlocks(len(buf), p); err != nil {
+		return err
 	}
 	r := c.Rank()
 	d := tor.NDims()

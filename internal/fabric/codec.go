@@ -92,8 +92,8 @@ func EncodeTrace(w io.Writer, tr *Trace) error {
 // encoding (the trace store reads whole files), rejecting wrong magic, any
 // other codec version, checksum mismatches, truncation, out-of-range fields,
 // a rank count above maxTraceRanks, more records, classes or steps than the
-// payload can hold, and a step index that names a class out of range or out
-// of first-use order, or leaves one unused.
+// payload can hold, a class with no records, and a step index that names a
+// class out of range or out of first-use order, or leaves one unused.
 func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	if len(raw) < len(traceMagic)+4 || string(raw[:4]) != string(traceMagic[:]) {
 		return nil, fmt.Errorf("fabric: not an encoded trace")
@@ -112,8 +112,8 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if p == 0 || p > maxTraceRanks {
-		return nil, fmt.Errorf("fabric: trace rank count %d out of range [1, %d]", p, maxTraceRanks)
+	if err := checkRanks(p); err != nil {
+		return nil, err
 	}
 	// Every record costs ≥ 3 payload bytes (3 varints) and every class holds
 	// ≥ 1 record; the indexes hold int32 offsets.
@@ -128,7 +128,7 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 			return nil, d.err
 		}
 		total := uint64(classOff[c])
-		if count == 0 || count > maxRecords-total {
+		if count > maxRecords-total {
 			return nil, fmt.Errorf("fabric: trace class %d: %d records, %d more fit the payload", c, count, maxRecords-total)
 		}
 		classOff[c+1] = int32(total + count)
@@ -143,20 +143,17 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 		return nil, fmt.Errorf("fabric: trace step count %d exceeds payload", steps)
 	}
 	stepClass := make([]int32, steps)
-	used := uint64(0)
 	for s := range stepClass {
 		c := d.uvarint()
 		if d.err != nil {
 			return nil, d.err
 		}
-		if c > classes || c > used+1 {
-			return nil, fmt.Errorf("fabric: trace step %d: class %d, want 0 … %d", s, c, min(classes, used+1))
-		}
-		stepClass[s] = int32(c)
-		used = max(used, c)
+		// A class past the last is stored as one past it — negative at the
+		// int32 bound — which checkIndex rejects.
+		stepClass[s] = int32(min(c, classes+1))
 	}
-	if used != classes {
-		return nil, fmt.Errorf("fabric: trace steps use %d of %d classes", used, classes)
+	if err := checkIndex(classOff, stepClass); err != nil {
+		return nil, err
 	}
 
 	n := int(classOff[classes+1])
@@ -182,10 +179,8 @@ func DecodeTraceBytes(raw []byte) (*Trace, error) {
 		zFrom, zTo, recElems := f[0], f[1], f[2]
 		recFrom := prevFrom + (int64(zFrom>>1) ^ -int64(zFrom&1)) // undo the zigzag
 		recTo := prevTo + (int64(zTo>>1) ^ -int64(zTo&1))
-		if recElems > math.MaxInt32 ||
-			recFrom < 0 || recFrom >= int64(p) || recTo < 0 || recTo >= int64(p) {
-			return nil, fmt.Errorf("fabric: trace record %d out of range: from=%d to=%d elems=%d",
-				i, recFrom, recTo, recElems)
+		if !recordInRange(int64(p), recFrom, recTo, recElems) {
+			return nil, errRecordRange(i, recFrom, recTo, recElems)
 		}
 		from[i] = int32(recFrom)
 		to[i] = int32(recTo)

@@ -414,3 +414,93 @@ func FuzzDecodeTrace(f *testing.F) {
 		checkLayout(t, tr)
 	})
 }
+
+// classColumns is a trace in the form NewClassTrace takes it.
+type classColumns struct {
+	p                                    int
+	from, to, elems, classOff, stepClass []int32
+}
+
+// encode writes the columns in the codec's layout without validating them, as
+// a damaged or hostile file would hold them.
+func (c classColumns) encode() []byte {
+	classes := len(c.classOff) - 2
+	buf := binary.AppendUvarint([]byte{CodecVersion}, uint64(c.p))
+	buf = binary.AppendUvarint(buf, uint64(classes))
+	for k := 1; k <= classes; k++ {
+		buf = binary.AppendUvarint(buf, uint64(c.classOff[k+1]-c.classOff[k]))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(c.stepClass)))
+	for _, k := range c.stepClass {
+		buf = binary.AppendUvarint(buf, uint64(k))
+	}
+	var prevFrom, prevTo int64
+	for i := range c.from {
+		buf = binary.AppendVarint(buf, int64(c.from[i])-prevFrom)
+		buf = binary.AppendVarint(buf, int64(c.to[i])-prevTo)
+		buf = binary.AppendUvarint(buf, uint64(c.elems[i])) // a negative elems becomes a uvarint past MaxInt64
+		prevFrom, prevTo = int64(c.from[i]), int64(c.to[i])
+	}
+	return frameTrace(buf)
+}
+
+// TestNewClassTrace builds a valid class trace and pins that it encodes like
+// the same trace built from records.
+func TestNewClassTrace(t *testing.T) {
+	// Two steps of one body, an empty step, then a second body.
+	tr, err := NewClassTrace(3,
+		[]int32{0, 1, 2, 0}, []int32{1, 2, 0, 2}, []int32{4, 4, 4, 0},
+		[]int32{0, 0, 3, 4}, []int32{1, 1, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLayout(t, tr)
+	var recs []Record
+	for _, s := range []int{0, 1} {
+		for r := 0; r < 3; r++ {
+			recs = append(recs, Record{From: r, To: (r + 1) % 3, Step: s, Elems: 4})
+		}
+	}
+	recs = append(recs, Record{From: 0, To: 2, Step: 3})
+	if got, want := encodeBytes(t, tr), encodeBytes(t, NewTrace(3, recs)); !bytes.Equal(got, want) {
+		t.Fatalf("class trace encodes as %x, record trace as %x", got, want)
+	}
+	if tr.Messages() != 7 || tr.TotalElems() != 24 {
+		t.Fatalf("class trace has %d messages, %d elems; want 7, 24", tr.Messages(), tr.TotalElems())
+	}
+}
+
+// TestNewClassTraceRejects holds the constructor to the decoder: every
+// trace one rejects, the other rejects with the same error.
+func TestNewClassTraceRejects(t *testing.T) {
+	one := []int32{0, 0, 1} // class index of one one-record class
+	for name, c := range map[string]classColumns{
+		"no ranks":               {0, nil, nil, nil, []int32{0, 0}, nil},
+		"ranks over the bound":   {maxTraceRanks + 1, nil, nil, nil, []int32{0, 0}, nil},
+		"sender out of range":    {2, []int32{2}, []int32{0}, []int32{1}, one, []int32{1}},
+		"receiver out of range":  {2, []int32{0}, []int32{2}, []int32{1}, one, []int32{1}},
+		"negative elems":         {2, []int32{0}, []int32{1}, []int32{-1}, one, []int32{1}},
+		"empty class":            {2, nil, nil, nil, []int32{0, 0, 0}, []int32{1}},
+		"class out of range":     {2, []int32{0}, []int32{1}, []int32{1}, one, []int32{2}},
+		"class out of first-use": {2, []int32{0, 1}, []int32{1, 0}, []int32{1, 1}, []int32{0, 0, 1, 2}, []int32{2, 1}},
+		"class never used":       {2, []int32{0, 1}, []int32{1, 0}, []int32{1, 1}, []int32{0, 0, 1, 2}, []int32{1, 0}},
+	} {
+		_, cerr := NewClassTrace(c.p, c.from, c.to, c.elems, c.classOff, c.stepClass)
+		_, derr := DecodeTraceBytes(c.encode())
+		if cerr == nil || derr == nil || cerr.Error() != derr.Error() {
+			t.Errorf("%s: constructor %v, decoder %v; want one error from both", name, cerr, derr)
+		}
+	}
+	// What only the constructor can be handed: an index the codec's layout
+	// cannot express, and columns that disagree with it.
+	for name, c := range map[string]classColumns{
+		"index not 0, 0":    {2, []int32{0}, []int32{1}, []int32{1}, []int32{0, 1}, nil},
+		"no index":          {2, nil, nil, nil, nil, nil},
+		"columns too short": {2, []int32{0}, []int32{1}, nil, one, []int32{1}},
+		"columns too long":  {2, []int32{0, 1}, []int32{1, 0}, []int32{1, 1}, one, []int32{1}},
+	} {
+		if _, err := NewClassTrace(c.p, c.from, c.to, c.elems, c.classOff, c.stepClass); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

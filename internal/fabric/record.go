@@ -127,6 +127,84 @@ func newTrace(p int, from, to, elems, classOff, stepClass []int32) *Trace {
 	return t
 }
 
+// NewClassTrace builds a trace in the form a Trace stores, for schedules
+// whose distinct step bodies are known in closed form: from, to and elems
+// hold the classes' records back to back, classOff bounds class c at
+// classOff[c] .. classOff[c+1] and starts 0, 0 (class 0 is the empty body),
+// and stepClass names every step's class. It rejects what DecodeTraceBytes
+// rejects, through the same checks and with the same errors, and takes
+// ownership of its arguments.
+func NewClassTrace(p int, from, to, elems, classOff, stepClass []int32) (*Trace, error) {
+	if err := checkRanks(uint64(max(p, 0))); err != nil {
+		return nil, err
+	}
+	if err := checkIndex(classOff, stepClass); err != nil {
+		return nil, err
+	}
+	if n := int(classOff[len(classOff)-1]); len(from) != n || len(to) != n || len(elems) != n {
+		return nil, fmt.Errorf("fabric: trace columns hold %d, %d and %d records, want %d", len(from), len(to), len(elems), n)
+	}
+	for i := range from {
+		// A negative elems converts to a uint64 past MaxInt32.
+		if f, t, e := int64(from[i]), int64(to[i]), uint64(elems[i]); !recordInRange(int64(p), f, t, e) {
+			return nil, errRecordRange(i, f, t, e)
+		}
+	}
+	return newTrace(p, from, to, elems, classOff, stepClass), nil
+}
+
+// The checks the two constructors that take a trace's columns and indexes
+// from outside — DecodeTraceBytes and NewClassTrace — share, so a trace
+// either accepts is one newTrace can hold.
+
+// checkRanks bounds a trace's rank count: the trace's consumers allocate
+// per-rank scratch (see maxTraceRanks).
+func checkRanks(p uint64) error {
+	if p == 0 || p > maxTraceRanks {
+		return fmt.Errorf("fabric: trace rank count %d out of range [1, %d]", p, maxTraceRanks)
+	}
+	return nil
+}
+
+// checkIndex validates a class index and a step index: classOff starts 0, 0
+// and gives every class after the empty one at least one record, and
+// stepClass names classes in order of first use — each step's class at most
+// one above every class before it — and uses every class.
+func checkIndex(classOff, stepClass []int32) error {
+	classes := int32(len(classOff) - 2)
+	if classes < 0 || classOff[0] != 0 || classOff[1] != 0 {
+		return fmt.Errorf("fabric: trace class index does not start 0, 0")
+	}
+	for c := int32(1); c <= classes; c++ {
+		if classOff[c+1] <= classOff[c] {
+			return fmt.Errorf("fabric: trace class %d has no records", c)
+		}
+	}
+	used := int32(0)
+	for s, c := range stepClass {
+		if want := min(classes, used+1); c < 0 || c > want {
+			return fmt.Errorf("fabric: trace step %d: class %d, want 0 … %d", s, c, want)
+		}
+		used = max(used, c)
+	}
+	if used != classes {
+		return fmt.Errorf("fabric: trace steps use %d of %d classes", used, classes)
+	}
+	return nil
+}
+
+// recordInRange reports whether a record fits a trace over p ranks: ranks
+// below p and elems an int32.
+func recordInRange(p, from, to int64, elems uint64) bool {
+	return elems <= math.MaxInt32 && from >= 0 && from < p && to >= 0 && to < p
+}
+
+// errRecordRange reports a record recordInRange rejects; elems prints
+// signed, so a negative one reads as itself.
+func errRecordRange(i int, from, to int64, elems uint64) error {
+	return fmt.Errorf("fabric: trace record %d out of range: from=%d to=%d elems=%d", i, from, to, int64(elems))
+}
+
 // mixRecord folds one record into a step body's running hash, starting from
 // 0, so the hash depends on the records' order. Different bodies can share a
 // hash: every user compares the bodies before it lets two steps share a

@@ -235,8 +235,9 @@ func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synth
 // to both cold legs: synth.Run walks it serially over pattern endpoints, and
 // record runs it on the goroutine fabric — so the oracle and the synthesizer
 // cannot drift apart in what they execute. Registry algorithms synthesize
-// through Algorithm.Pattern instead (one shared buffer pair per schedule, and
-// Bruck's closed form), but record the same way.
+// through Algorithm.Pattern instead — a walk on one shared buffer pair per
+// schedule, or the closed forms of Bruck's and the Bine alltoall and of the
+// ring family — but record the same way.
 
 // record executes a schedule body on the recording goroutine fabric: the
 // DisableSynth leg, which is the oracle the synthesizer is tested against.

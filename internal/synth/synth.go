@@ -1,16 +1,19 @@
-// Package synth emits communication traces directly from schedule math —
-// the cold-path replacement for recording on the goroutine fabric. Every
-// schedule in internal/coll is deterministic and data-independent given
-// (collective, algorithm, rank count, root, vector length), so the
-// (step, from, to, sub, elems) columns a fabric.Trace stores are a pure
-// function of the schedule definition: synth walks each rank's schedule
-// body serially against a fabric.TraceBuilder pattern endpoint (Sends are
-// logged, Recvs complete immediately) and merges the columns with the same
-// shard sort and merge the Recorder uses. The result is
-// byte-identical under the codec to a recorded trace of the same schedule
-// — pinned by this package's tests across the whole registry and, for every
-// schedule the artifacts use, by the harness's
-// TestSynthMatchesRecordedOracle.
+// Package synth is the cold path's replacement for recording on the
+// goroutine fabric: it emits communication traces from schedule math and
+// counts what it emits. Every schedule in internal/coll is deterministic and
+// data-independent given (collective, algorithm, rank count, root, vector
+// length), so the (step, from, to, elems) columns a fabric.Trace stores are
+// a pure function of the schedule definition.
+//
+// Schedule takes a registry algorithm's coll.Synthesizer, which either walks
+// each rank's schedule body serially against a fabric.TraceBuilder pattern
+// endpoint (Sends are logged, Recvs complete immediately) or builds the
+// trace in closed form (Bruck and Bine alltoall, the ring family). Run walks
+// an ad-hoc schedule body — torus, named tree/butterfly and hierarchical
+// schedules — the same way. Either result is byte-identical under the codec
+// to a recorded trace of the same schedule: this package's tests pin that
+// across the whole registry and, for every schedule the artifacts use, so
+// does the harness's TestSynthMatchesRecordedOracle.
 //
 // The goroutine fabric remains the oracle: property/fuzz tests and the
 // tcp-cluster example still execute schedules for real, and the harness
@@ -44,18 +47,13 @@ func observe(tr *fabric.Trace, start time.Time) {
 	obsRecords.Add(uint64(tr.Messages()))
 }
 
-// Schedule emits the trace of one registry schedule by walking every rank
-// in ascending order.
+// Schedule emits the trace of one registry schedule.
 func Schedule(s coll.Synthesizer) (*fabric.Trace, error) {
 	start := time.Now()
-	p := s.Ranks()
-	b := fabric.NewTraceBuilder(p)
-	for rank := 0; rank < p; rank++ {
-		if err := s.Walk(rank, b.Comm(rank)); err != nil {
-			return nil, fmt.Errorf("synth: rank %d: %w", rank, err)
-		}
+	tr, err := s.Synthesize()
+	if err != nil {
+		return nil, fmt.Errorf("synth: %w", err)
 	}
-	tr := b.Trace()
 	observe(tr, start)
 	return tr, nil
 }

@@ -82,12 +82,61 @@ func checkAlgoEquivalence(t *testing.T, algo coll.Algorithm, p, root int) {
 // representative (p, root) combinations: the synthesized trace must encode
 // byte-identically to the fabric recording for every one of them. p=64
 // pins the closed-form patterns and ranges (the Bine alltoall's, the
-// two-transmission runs) past the small rank counts.
+// two-transmission runs) past the small rank counts; the odd and
+// non-power-of-two counts pin the others' — the ring family's among them —
+// where the rank arithmetic wraps unevenly.
 func TestRegistryScheduleEquivalence(t *testing.T) {
 	combos := []struct{ p, root int }{{2, 1}, {4, 0}, {16, 0}, {16, 5}, {8, 7}, {64, 0}, {64, 37}}
+	other := []struct{ p, root int }{{3, 2}, {5, 0}, {12, 7}}
 	for _, algo := range coll.Registry() {
 		for _, c := range combos {
 			checkAlgoEquivalence(t, algo, c.p, c.root)
+		}
+		if algo.Pow2Only {
+			continue
+		}
+		for _, c := range other {
+			checkAlgoEquivalence(t, algo, c.p, c.root)
+		}
+	}
+}
+
+// TestRingClosedFormMatchesWalk compares the ring family's closed forms with
+// the generic walk of their Make bodies at p = 4 098, just past a power of
+// two, by encoded bytes. The walk, not a recording, is the reference here:
+// it emits the same sends without a goroutine per rank, and it is how every
+// other registry algorithm synthesizes, so the tests above hold it to the
+// recording.
+func TestRingClosedFormMatchesWalk(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("the walks emit 67 M sends into ~600 MB of shards")
+	}
+	const p = 4098
+	for _, c := range []coll.Collective{coll.CReduceScatter, coll.CAllgather, coll.CAllreduce} {
+		algo, ok := coll.Find(coll.Registry(), c, "ring")
+		if !ok || algo.Synth == nil {
+			t.Fatalf("%v/ring: not registered with a closed form", c)
+		}
+		closed, err := algo.Pattern(p, 0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algo.Synth = nil
+		walked, err := algo.Pattern(p, 0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := walked.Synthesize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := closed.Synthesize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeBytes(t, got), encodeBytes(t, want)) {
+			t.Fatalf("%v/ring p=%d: closed form (%d steps, %d records) differs from the walk (%d steps, %d records)",
+				c, p, got.NumSteps(), got.NumRecords(), want.NumSteps(), want.NumRecords())
 		}
 	}
 }
@@ -159,9 +208,9 @@ func FuzzSynthEquivalence(f *testing.F) {
 	})
 }
 
-// synthAlloc returns the record count of one cold synthesis — Pattern plus
+// synthAlloc returns the trace of one cold synthesis — Pattern plus
 // Schedule, what the harness resolver runs — and the bytes it allocated.
-func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (records, bytes uint64) {
+func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (tr *fabric.Trace, bytes uint64) {
 	t.Helper()
 	algo, ok := coll.Find(coll.Registry(), c, name)
 	if !ok {
@@ -173,12 +222,12 @@ func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (records, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Schedule(s)
+	tr, err = Schedule(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return uint64(tr.Messages()), after.TotalAlloc - before.TotalAlloc
+	return tr, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestSynthAllocBudget is the deterministic complexity guard on the cold
@@ -194,7 +243,8 @@ func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (records, b
 // position ranges and circular runs are closed-form and the Bine alltoall
 // has a closed-form pattern — so what the budgets cover is the per-rank
 // vector copies, the trace builder and, for bine-rs-gather, the tree
-// gather.
+// gather. The ring family's closed forms allocate the trace they return and
+// little else, so their budget is twice its resident size (MemBytes).
 func TestSynthAllocBudget(t *testing.T) {
 	const recordBytes = 20 // columnar footprint of one trace record
 	cases := []struct {
@@ -211,8 +261,9 @@ func TestSynthAllocBudget(t *testing.T) {
 		{coll.CReduceScatter, "bine-fold", 18},      // 11.6
 	}
 	for _, tc := range cases {
-		r256, b256 := synthAlloc(t, tc.coll, tc.name, 256)
-		r512, b512 := synthAlloc(t, tc.coll, tc.name, 512)
+		tr256, b256 := synthAlloc(t, tc.coll, tc.name, 256)
+		tr512, b512 := synthAlloc(t, tc.coll, tc.name, 512)
+		r256, r512 := uint64(tr256.Messages()), uint64(tr512.Messages())
 		recGrowth, allocGrowth := float64(r512)/float64(r256), float64(b512)/float64(b256)
 		t.Logf("%v/%s: p=256 %d records, %d B = %.1f× trace; p=512 ×%.2f records, ×%.2f bytes",
 			tc.coll, tc.name, r256, b256, float64(b256)/float64(r256*recordBytes), recGrowth, allocGrowth)
@@ -223,6 +274,22 @@ func TestSynthAllocBudget(t *testing.T) {
 		if allocGrowth > 2*recGrowth {
 			t.Errorf("%v/%s: p 256→512 multiplies records by %.2f but allocation by %.2f (limit 2× the records' factor)",
 				tc.coll, tc.name, recGrowth, allocGrowth)
+		}
+	}
+	// At p = 4 096 the trace is tens of kilobytes; the least of three runs
+	// keeps a stray allocation elsewhere in the test binary out of the count.
+	for _, c := range []coll.Collective{coll.CReduceScatter, coll.CAllgather, coll.CAllreduce} {
+		var tr *fabric.Trace
+		least := ^uint64(0)
+		for range 3 {
+			var b uint64
+			tr, b = synthAlloc(t, c, "ring", 4096)
+			least = min(least, b)
+		}
+		foot := uint64(tr.MemBytes())
+		t.Logf("%v/ring p=4096: %d B = %.2f× the trace's %d B", c, least, float64(least)/float64(foot), foot)
+		if least > 2*foot {
+			t.Errorf("%v/ring p=4096: allocated %d B, budget 2× the trace's %d B", c, least, foot)
 		}
 	}
 }
