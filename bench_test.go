@@ -224,8 +224,8 @@ func BenchmarkSweepStore(b *testing.B) {
 
 // BenchmarkSynthRing tracks the cold-path trajectory record → synth for the
 // suite's heaviest flat schedule (allreduce/ring): synthesis — the ring's
-// closed form, one class of p records and a 2(p−1)-step index, O(p + steps)
-// — vs the same schedule executed on the recording goroutine fabric at
+// plan, one class of p records and a 2(p−1)-step index, O(p + steps) —
+// vs the same schedule executed on the recording goroutine fabric at
 // p=1024, plus — skipped under -short — synthesis at the paper-scale p=8192
 // the Fugaku sweep needs (~134 M logical sends, 8 192 stored records; the
 // fabric leg stays at p=1024, where it already sends 2 M messages). Replay
@@ -241,28 +241,31 @@ func BenchmarkSynthRing(b *testing.B) {
 
 // BenchmarkSynthAlltoall is the same record → synth pair for alltoall/bine,
 // the log-step schedule whose per-rank walk regroups p/2 items per step: the
-// synth side times its closed-form Synth pattern (one message per rank and
-// step, no walk), the record side the real BineAlltoall body.
+// synth side times its plan (one message per rank and step, no walk), the
+// record side the real BineAlltoall body. pairwise-p1024 times the synthesis
+// of the largest all-pairs trace, p−1 distinct steps of p records each.
 func BenchmarkSynthAlltoall(b *testing.B) {
 	a := findAlgo(b, coll.CAlltoall, "bine")
 	b.Run("synth-p1024", synthBench(a, 1024))
 	b.Run("record-p1024", recordBench(a, 1024))
+	b.Run("pairwise-p1024", synthBench(findAlgo(b, coll.CAlltoall, "pairwise"), 1024))
 }
 
 // BenchmarkSynthButterfly times cold synthesis of two log-step butterfly
-// schedules whose steps are closed-form ranges rather than block lists:
-// Fig. 5's bfly-allreduce body (AllreduceRsAg over the distance-doubling
-// Bine butterfly, one contiguous position range per step) at p=2048 through
-// synth.Run, and reduce-scatter/bine-two-trans (one circular block run per
-// step) at p=1024.
+// schedules from their plans: Fig. 5's bfly-allreduce (AllreduceRsAg over
+// the distance-doubling Bine butterfly, one contiguous position range per
+// step) at p=2048, and reduce-scatter/bine-two-trans (one circular block
+// run per step) at p=1024.
 func BenchmarkSynthButterfly(b *testing.B) {
 	b.Run("bfly-bine-dd-p2048", func(b *testing.B) {
 		const p = 2048
 		bfly := core.MustButterfly(core.BflyBineDD, p)
 		for i := 0; i < b.N; i++ {
-			if _, err := synth.Run(p, func(c fabric.Comm) error {
-				return coll.AllreduceRsAg(c, bfly, make([]int32, p), coll.OpSum)
-			}); err != nil {
+			s, err := coll.AllreduceRsAgPlan(bfly, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := synth.Schedule(s); err != nil {
 				b.Fatal(err)
 			}
 		}

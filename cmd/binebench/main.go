@@ -32,7 +32,7 @@
 // and peak RSS to stderr so
 // warm and cold runs are observable, followed by the per-stage latency
 // breakdown — compile, execute, render, cache-lookup, store-load, synth,
-// fabric-record, evaluate — and the per-origin resolve histograms (count,
+// fabric-record, store-save, evaluate — and the per-origin resolve histograms (count,
 // total, p50/p95/p99). -obs-json dumps the full metric registry (counters,
 // gauges, histogram buckets) as JSON for offline analysis; it shares one
 // metric vocabulary with binebenchd's /metrics endpoint, so sweep runs and
@@ -176,7 +176,7 @@ func resourceLine(user, sys time.Duration, status string) string {
 // histograms accumulated over the run — the -v observability report. Stages
 // with no observations (e.g. store-load without -trace-cache) are omitted.
 // The header names the sweep's worker count: per-cell stages (synth,
-// evaluate, store-load) run on every worker at once, so their totals are
+// evaluate, store-load, store-save) run on every worker at once, so their totals are
 // summed over that many and may exceed the wall time.
 func printStageBreakdown(w io.Writer, workers int) {
 	var stages, resolves []obs.MetricSnapshot

@@ -2,7 +2,6 @@ package coll
 
 import (
 	"fmt"
-	"sort"
 
 	"binetrees/internal/core"
 	"binetrees/internal/fabric"
@@ -52,24 +51,30 @@ func BineAlltoall(c fabric.Comm, b *core.Butterfly, buf, out []int32) error {
 	msg := make([]int32, 0, p/2*w)
 	recv := make([]int32, p/2*w)
 	blks := make([]int, 0, p/2)
+	pl := bineAlltoallPlan(b, len(buf))
+	var mine, theirs []extent
 	x := &ctx{c: c}
 	for i := 0; i < b.S; i++ {
-		q := b.Partner(r, i)
+		q, _, m, _ := pl.at(mine[:0], r, i)
+		mine = m
 		run := w << uint(i) // elements held per destination
 		msg = msg[:0]
 		for _, d := range b.AppendSendBlocks(blks[:0], r, i) {
 			msg = append(msg, cur[at[d]:at[d]+run]...)
 		}
+		if len(msg) != mine[0].n {
+			return fmt.Errorf("coll: alltoall rank %d step %d: message of %d elements, plan says %d", r, i, len(msg), mine[0].n)
+		}
 		// The partner's message mirrors ours: its send blocks are exactly the
 		// blocks we keep, packed in its AppendSendBlocks order, 2^i items each.
-		theirs := b.AppendSendBlocks(blks[:0], q, i)
-		in := recv[:len(theirs)*run]
+		_, _, theirs, _ = pl.at(theirs[:0], q, i)
+		in := recv[:theirs[0].n]
 		x.exchange(q, i, 0, msg, in)
 		if x.err != nil {
 			return x.err
 		}
 		next = next[:0]
-		for k, d := range theirs {
+		for k, d := range b.AppendSendBlocks(blks[:0], q, i) {
 			start := len(next)
 			next = append(next, cur[at[d]:at[d]+run]...)
 			next = append(next, in[k*run:(k+1)*run]...)
@@ -91,6 +96,9 @@ func BineAlltoall(c fabric.Comm, b *core.Butterfly, buf, out []int32) error {
 // BruckAlltoall is the classic logarithmic baseline (the closest binomial
 // relative, used for the comparison in Sec. 5.1.1): items whose remaining
 // ring displacement has bit k set hop k-th-power-of-two positions forward.
+// Partners and message lengths come from bruckAlltoallPlan; each step still
+// sends its item count in a one-element header, as the schedule does on the
+// wire, and the receiver checks it against the plan.
 func BruckAlltoall(c fabric.Comm, buf, out []int32) error {
 	p := c.Size()
 	if err := checkBlocks(len(buf), p); err != nil {
@@ -114,11 +122,13 @@ func BruckAlltoall(c fabric.Comm, buf, out []int32) error {
 		held = append(held, routed{origin: r, dest: d,
 			data: append([]int32(nil), buf[d*bs:(d+1)*bs]...)})
 	}
+	pl := bruckAlltoallPlan(p, len(buf))
+	var mine, theirs []extent
 	x := &ctx{c: c}
-	step := 0
-	for k := 1; k < p; k <<= 1 {
-		to := (r + k) % p
-		from := mod(r-k, p)
+	for step := 0; step < pl.steps; step++ {
+		k := 1 << step
+		to, from, m, _ := pl.at(mine[:0], r, step)
+		mine = m
 		var stay []routed
 		var msg []int32
 		moved := 0
@@ -131,16 +141,21 @@ func BruckAlltoall(c fabric.Comm, buf, out []int32) error {
 				stay = append(stay, it)
 			}
 		}
+		if len(msg) != mine[0].n {
+			return fmt.Errorf("coll: bruck rank %d step %d: %d items moved, plan says %d", r, step, moved, mine[0].n/(bs+2))
+		}
+		_, _, theirs, _ = pl.at(theirs[:0], from, step)
 		x.send(to, step, 0, msg)
-		// Peer count mirrors ours only for power-of-two p; receive length
-		// is negotiated with a small header message otherwise.
 		var cnt [1]int32
 		x.send(to, step, 1, []int32{int32(moved)})
 		x.recv(from, step, 1, cnt[:])
 		if x.err != nil {
 			return x.err
 		}
-		recv := make([]int32, int(cnt[0])*(bs+2))
+		if int(cnt[0])*(bs+2) != theirs[0].n {
+			return fmt.Errorf("coll: bruck rank %d step %d: %d items announced, plan says %d", r, step, cnt[0], theirs[0].n/(bs+2))
+		}
+		recv := make([]int32, theirs[0].n)
 		x.recv(from, step, 0, recv)
 		if x.err != nil {
 			return x.err
@@ -151,7 +166,6 @@ func BruckAlltoall(c fabric.Comm, buf, out []int32) error {
 			held = append(held, routed{origin: int(chunk[0]), dest: int(chunk[1]),
 				data: append([]int32(nil), chunk[2:]...)})
 		}
-		step++
 	}
 	n := 0
 	for _, it := range held {
@@ -167,8 +181,8 @@ func BruckAlltoall(c fabric.Comm, buf, out []int32) error {
 	return nil
 }
 
-// PairwiseAlltoall is the linear baseline: p−1 direct exchanges
-// (rank r sends to r+t and receives from r−t at step t).
+// PairwiseAlltoall is the linear baseline (pairwisePlan): p−1 direct
+// exchanges (rank r sends to r+t and receives from r−t at step t−1).
 func PairwiseAlltoall(c fabric.Comm, buf, out []int32) error {
 	p := c.Size()
 	if err := checkBlocks(len(buf), p); err != nil {
@@ -180,12 +194,16 @@ func PairwiseAlltoall(c fabric.Comm, buf, out []int32) error {
 	r := c.Rank()
 	bs := len(buf) / p
 	copy(out[r*bs:(r+1)*bs], buf[r*bs:(r+1)*bs])
+	pl := pairwisePlan(p, len(buf))
+	var mine, theirs []extent
 	x := &ctx{c: c}
-	for t := 1; t < p; t++ {
-		to := (r + t) % p
-		from := mod(r-t, p)
-		x.send(to, t-1, 0, buf[to*bs:(to+1)*bs])
-		x.recv(from, t-1, 0, out[from*bs:(from+1)*bs])
+	for s := 0; s < pl.steps; s++ {
+		to, from, m, _ := pl.at(mine[:0], r, s)
+		mine = m
+		_, _, theirs, _ = pl.at(theirs[:0], from, s)
+		x.send(to, s, 0, buf[mine[0].off:mine[0].off+mine[0].n])
+		// from's block for r lands at block from.
+		x.recv(from, s, 0, out[from*bs:from*bs+theirs[0].n])
 		if x.err != nil {
 			return x.err
 		}
@@ -193,9 +211,11 @@ func PairwiseAlltoall(c fabric.Comm, buf, out []int32) error {
 	return nil
 }
 
-// BruckAllgather is the classic Bruck allgather baseline: at step k each
-// rank sends all blocks it holds to rank r−2^k and receives from r+2^k,
-// doubling ownership per step (contiguous in a rotated view).
+// BruckAllgather is the classic Bruck allgather baseline
+// (bruckAllgatherPlan): at step k each rank sends all blocks it holds to
+// rank r−2^k and receives from r+2^k, doubling ownership per step. The
+// blocks a rank holds are a circular run from its own, so they move in
+// place in out, with no rotated copy.
 func BruckAllgather(c fabric.Comm, in, out []int32) error {
 	p := c.Size()
 	bs := len(in)
@@ -203,77 +223,25 @@ func BruckAllgather(c fabric.Comm, in, out []int32) error {
 		return err
 	}
 	r := c.Rank()
-	if p == 1 {
-		copy(out, in)
-		return nil
-	}
-	// Rotated working buffer: position i holds block (r+i) mod p.
-	w := make([]int32, p*bs)
-	copy(w[:bs], in)
-	have := 1
-	x := &ctx{c: c}
-	step := 0
-	for k := 1; k < p; k <<= 1 {
-		to := mod(r-k, p)
-		from := (r + k) % p
-		cnt := have
-		if cnt > p-k {
-			cnt = p - k
-		}
-		x.send(to, step, 0, w[:cnt*bs])
-		x.recv(from, step, 0, w[have*bs:(have+cnt)*bs])
-		if x.err != nil {
-			return x.err
-		}
-		have += cnt
-		step++
-	}
-	for i := 0; i < p; i++ {
-		blk := (r + i) % p
-		copy(out[blk*bs:(blk+1)*bs], w[i*bs:(i+1)*bs])
-	}
-	return nil
+	copy(out[r*bs:], in)
+	pl := bruckAllgatherPlan(p, len(out))
+	return pl.run(&ctx{c: c}, r, out, 0, pl.steps, nil)
 }
 
 // SparbitAllgather models the sparbit algorithm (Loch & Koslovski, cited by
 // the paper as a state-of-the-art log-cost allgather): a distance-halving
 // binomial exchange transmitting the non-contiguous block sets
-// block-by-block, preserving data locality at the price of per-block
-// messages.
+// block-by-block (sparbitPlan), preserving data locality at the price of
+// per-block messages.
 func SparbitAllgather(c fabric.Comm, in, out []int32) error {
-	p := c.Size()
-	s, ok := core.Log2(p)
-	if !ok {
-		return fmt.Errorf("coll: sparbit requires power-of-two ranks, got %d", p)
+	pl, err := sparbitPlan(c.Size(), len(out))
+	if err != nil {
+		return err
 	}
-	bs := len(in)
-	if err := checkGatherOut(len(out), p, bs); err != nil {
+	if err := checkGatherOut(len(out), c.Size(), len(in)); err != nil {
 		return err
 	}
 	r := c.Rank()
-	copy(out[r*bs:], in)
-	owned := []int{r}
-	x := &ctx{c: c}
-	for i := 0; i < s; i++ {
-		q := r ^ (p >> uint(i+1))
-		// Send every owned block as its own message (sparbit's per-block
-		// transfers), receive the partner's mirrored set.
-		for sub, blk := range owned {
-			x.send(q, i, sub, out[blk*bs:(blk+1)*bs])
-		}
-		theirs := make([]int, len(owned))
-		for k, blk := range owned {
-			theirs[k] = blk ^ (p >> uint(i+1))
-		}
-		sort.Ints(theirs)
-		for sub, blk := range theirs {
-			x.recv(q, i, sub, out[blk*bs:(blk+1)*bs])
-		}
-		if x.err != nil {
-			return x.err
-		}
-		owned = append(owned, theirs...)
-		sort.Ints(owned)
-	}
-	return nil
+	copy(out[r*len(in):], in)
+	return pl.run(&ctx{c: c}, r, out, 0, pl.steps, nil)
 }

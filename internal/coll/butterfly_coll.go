@@ -64,15 +64,35 @@ func ReduceScatter(c fabric.Comm, b *core.Butterfly, strat Strategy, buf, out []
 		copy(out, buf)
 		return nil
 	}
-	switch strat {
-	case BlockByBlock:
-		return rsBlockByBlock(c, b, buf, out, op)
-	case TwoTransmissions:
-		return rsRuns(c, b, buf, out, op)
-	case Permute, Send:
-		return rsContig(c, b, strat, buf, out, op)
+	if strat < BlockByBlock || strat > TwoTransmissions {
+		return fmt.Errorf("coll: unknown strategy %v", strat)
 	}
-	return fmt.Errorf("coll: unknown strategy %v", strat)
+	// The working vector, in the plan's index space: by permuted position
+	// for Permute, by block otherwise (Send sends positions as if permuted
+	// and fixes ownership in its last step).
+	w := make([]int32, len(buf))
+	if strat == Permute {
+		for blk := 0; blk < b.P; blk++ {
+			copy(w[b.PermutedPosition(blk)*bs:], buf[blk*bs:(blk+1)*bs])
+		}
+	} else {
+		copy(w, buf)
+	}
+	pl, r := rsPlan(b, strat, len(buf)), c.Rank()
+	x := &ctx{c: c}
+	if err := pl.run(x, r, w, 0, b.S, &op); err != nil {
+		return err
+	}
+	// Send's ownership step delivers each rank its own block's reduction.
+	if err := pl.run(x, r, w, b.S, pl.steps, nil); err != nil {
+		return err
+	}
+	own := r
+	if strat == Permute {
+		own = b.PermutedPosition(r) // position reverse(ν(r)) holds block r
+	}
+	copy(out, w[own*bs:(own+1)*bs])
+	return nil
 }
 
 // Allgather distributes each rank's in block (bs elements) to every rank:
@@ -92,15 +112,36 @@ func Allgather(c fabric.Comm, b *core.Butterfly, strat Strategy, in, out []int32
 		copy(out, in)
 		return nil
 	}
-	switch strat {
-	case BlockByBlock:
-		return agBlockByBlock(c, b, in, out)
-	case TwoTransmissions:
-		return agRuns(c, b, in, out)
-	case Permute, Send:
-		return agContig(c, b, strat, in, out)
+	if strat < BlockByBlock || strat > TwoTransmissions {
+		return fmt.Errorf("coll: unknown strategy %v", strat)
 	}
-	return fmt.Errorf("coll: unknown strategy %v", strat)
+	// out is the working vector, in the plan's index space (see
+	// ReduceScatter). Permute seeds position reverse(ν(r)) with block r; the
+	// others seed block r, which Send's pre-exchange (Sec. 4.3.1), run before
+	// the phase though numbered after it, moves to the rank whose position
+	// is r, so no terminal permutation is needed.
+	pl, r := agPlan(b, strat, len(out)), c.Rank()
+	seed := r
+	if strat == Permute {
+		seed = b.PermutedPosition(r)
+	}
+	copy(out[seed*bs:], in)
+	x := &ctx{c: c}
+	if err := pl.run(x, r, out, b.S, pl.steps, nil); err != nil {
+		return err
+	}
+	if err := pl.run(x, r, out, 0, b.S, nil); err != nil {
+		return err
+	}
+	if strat == Permute {
+		// Terminal permutation: position reverse(ν(b)) holds block b.
+		tmp := append([]int32(nil), out...)
+		for blk := 0; blk < b.P; blk++ {
+			pos := b.PermutedPosition(blk)
+			copy(out[blk*bs:], tmp[pos*bs:(pos+1)*bs])
+		}
+	}
+	return nil
 }
 
 // AllreduceRecDoubling is the small-vector allreduce: at every step the full
@@ -109,17 +150,7 @@ func AllreduceRecDoubling(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) 
 	if c.Size() != b.P {
 		return fmt.Errorf("coll: butterfly over %d ranks on a %d-rank communicator", b.P, c.Size())
 	}
-	x := &ctx{c: c}
-	r := c.Rank()
-	tmp := make([]int32, len(buf))
-	for i := 0; i < b.S; i++ {
-		x.exchange(b.Partner(r, i), i, 0, buf, tmp)
-		if x.err != nil {
-			return x.err
-		}
-		op.Apply(buf, tmp)
-	}
-	return nil
+	return recDoublingPlan(b, len(buf)).run(&ctx{c: c}, c.Rank(), buf, 0, b.S, &op)
 }
 
 // AllreduceRsAg is the large-vector allreduce: a reduce-scatter immediately
@@ -129,70 +160,28 @@ func AllreduceRecDoubling(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) 
 // key advantage over Swing (Sec. 5.2.2). The vector length must be a
 // multiple of the rank count.
 func AllreduceRsAg(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
+	return allreduceRsAg(c, b, Permute, buf, op)
+}
+
+// allreduceRsAg runs rsagPlan in place on buf: the reduce-scatter folds
+// every position, or block, into the rank that keeps it, and the allgather
+// that reverses it spreads the reductions back. With the contiguous
+// strategies both phases work on raw positions ("send" mode without the
+// ownership fix-up: position q accumulates the full reduction of whatever
+// block sits at index q, namely block q), and the growing ranges restore
+// every position, so buf ends fully reduced and in its original order.
+func allreduceRsAg(c fabric.Comm, b *core.Butterfly, strat Strategy, buf []int32, op Op) error {
 	if err := checkButterfly(c, b, len(buf)); err != nil {
 		return err
 	}
 	if b.P == 1 {
 		return nil
 	}
-	// Phase 1: reduce-scatter over raw positions ("send" mode without the
-	// ownership fix-up: position q accumulates the full reduction of
-	// whatever block sits at index q, namely block q).
-	lo, hi, err := rsContigPhase(&ctx{c: c}, b, c.Rank(), buf, op)
-	if err != nil {
+	pl, x := rsagPlan(b, strat, len(buf)), &ctx{c: c}
+	if err := pl.run(x, c.Rank(), buf, 0, b.S, &op); err != nil {
 		return err
 	}
-	// Phase 2: allgather by running the same schedule backwards; the
-	// growing ranges restore every position, so buf ends fully reduced and
-	// in its original order on every rank.
-	return agContigPhase(&ctx{c: Offset(c, b.S)}, b, c.Rank(), buf, lo, hi)
-}
-
-// rsContigPhase runs a contiguous-range reduce-scatter over seg (p·bs
-// elements, in raw position space) and returns the owned position range
-// [lo, hi) with hi−lo == 1. Used by rsContig, AllreduceRsAg and the
-// per-dimension torus collectives.
-func rsContigPhase(x *ctx, b *core.Butterfly, r int, seg []int32, op Op) (lo, hi int, err error) {
-	bs := len(seg) / b.P
-	lo, hi = 0, b.P
-	tmp := make([]int32, len(seg)/2)
-	for i := 0; i < b.S; i++ {
-		slo, shi, klo, khi, err := splitRanges(b, r, i, lo, hi)
-		if err != nil {
-			return 0, 0, err
-		}
-		recv := tmp[:(khi-klo)*bs]
-		x.exchange(b.Partner(r, i), i, 0, seg[slo*bs:shi*bs], recv)
-		if x.err != nil {
-			return 0, 0, x.err
-		}
-		op.Apply(seg[klo*bs:khi*bs], recv)
-		lo, hi = klo, khi
-	}
-	return lo, hi, nil
-}
-
-// agContigPhase reverses rsContigPhase, growing the owned position range
-// [lo, hi) back to the whole of seg on every rank.
-func agContigPhase(x *ctx, b *core.Butterfly, r int, seg []int32, lo, hi int) error {
-	bs := len(seg) / b.P
-	for i := 0; i < b.S; i++ {
-		j := b.S - 1 - i
-		plo, phi := keepRange(b, r, j-1)
-		q := b.Partner(r, j)
-		var olo, ohi int
-		if lo == plo {
-			olo, ohi = hi, phi
-		} else {
-			olo, ohi = plo, lo
-		}
-		x.exchange(q, i, 0, seg[lo*bs:hi*bs], seg[olo*bs:ohi*bs])
-		if x.err != nil {
-			return x.err
-		}
-		lo, hi = plo, phi
-	}
-	return nil
+	return pl.run(x, c.Rank(), buf, b.S, pl.steps, nil)
 }
 
 func checkButterfly(c fabric.Comm, b *core.Butterfly, n int) error {
@@ -229,211 +218,4 @@ func keepRange(b *core.Butterfly, r, i int) (lo, hi int) {
 	n := b.P >> uint(i+1)
 	lo = b.PermutedPosition(r) &^ (n - 1)
 	return lo, lo + n
-}
-
-// rsContig is the permute/send reduce-scatter: one contiguous transmission
-// per step in permuted position space.
-func rsContig(c fabric.Comm, b *core.Butterfly, strat Strategy, buf, out []int32, op Op) error {
-	r := c.Rank()
-	bs := len(buf) / b.P
-	pbuf := make([]int32, len(buf))
-	if strat == Permute {
-		for blk := 0; blk < b.P; blk++ {
-			copy(pbuf[b.PermutedPosition(blk)*bs:], buf[blk*bs:(blk+1)*bs])
-		}
-	} else {
-		copy(pbuf, buf)
-	}
-	x := &ctx{c: c}
-	lo, hi, err := rsContigPhase(x, b, r, pbuf, op)
-	if err != nil {
-		return err
-	}
-	if hi-lo != 1 {
-		return fmt.Errorf("coll: reduce-scatter ended owning %d positions", hi-lo)
-	}
-	if strat == Permute {
-		// Position reverse(ν(r)) holds block r.
-		copy(out, pbuf[lo*bs:hi*bs])
-		return nil
-	}
-	// Send: the surviving position holds block `lo`, owned by rank `lo`;
-	// one final exchange restores ownership (Sec. 4.3.1).
-	if lo == r {
-		copy(out, pbuf[lo*bs:hi*bs])
-		return nil
-	}
-	x.send(lo, b.S, 0, pbuf[lo*bs:hi*bs])
-	from := b.PermutedInverse(r) // the rank whose surviving position is r
-	x.recv(from, b.S, 0, out)
-	return x.err
-}
-
-// rsBlockByBlock transmits each block of the send set as its own message.
-func rsBlockByBlock(c fabric.Comm, b *core.Butterfly, buf, out []int32, op Op) error {
-	r := c.Rank()
-	bs := len(buf) / b.P
-	w := append([]int32(nil), buf...)
-	x := &ctx{c: c}
-	tmp := make([]int32, bs)
-	var blks []int
-	for i := 0; i < b.S; i++ {
-		q := b.Partner(r, i)
-		blks = b.AppendSendBlocks(blks[:0], r, i)
-		for sub, blk := range blks {
-			x.send(q, i, sub, w[blk*bs:(blk+1)*bs])
-		}
-		blks = b.AppendSendBlocks(blks[:0], q, i)
-		for sub, blk := range blks {
-			x.recv(q, i, sub, tmp)
-			if x.err != nil {
-				return x.err
-			}
-			op.Apply(w[blk*bs:(blk+1)*bs], tmp)
-		}
-	}
-	copy(out, w[r*bs:(r+1)*bs])
-	return x.err
-}
-
-// rsRuns is the two-transmissions reduce-scatter over the distance-halving
-// butterfly: send sets are at most two circularly contiguous block runs.
-func rsRuns(c fabric.Comm, b *core.Butterfly, buf, out []int32, op Op) error {
-	r := c.Rank()
-	bs := len(buf) / b.P
-	w := append([]int32(nil), buf...)
-	x := &ctx{c: c}
-	stage := make([]int32, len(buf)/2)
-	var runs []core.CircRange
-	for i := 0; i < b.S; i++ {
-		q := b.Partner(r, i)
-		runs = b.SendRuns(runs[:0], r, i)
-		for sub, run := range runs {
-			x.send(q, i, sub, gatherRun(stage, w, run, bs))
-		}
-		runs = b.SendRuns(runs[:0], q, i)
-		for sub, run := range runs {
-			recv := stage[:run.Len*bs]
-			x.recv(q, i, sub, recv)
-			if x.err != nil {
-				return x.err
-			}
-			head, tail := runSpans(w, run, bs)
-			op.Apply(head, recv[:len(head)])
-			op.Apply(tail, recv[len(head):])
-		}
-	}
-	copy(out, w[r*bs:(r+1)*bs])
-	return x.err
-}
-
-// runSpans returns the element spans of w (p blocks of bs) a circular block
-// run covers: from its start up to the end of w, and the wrapped rest from
-// index 0, empty when the run does not wrap.
-func runSpans(w []int32, run core.CircRange, bs int) (head, tail []int32) {
-	head = w[run.Start*bs:]
-	n := run.Len * bs
-	if len(head) >= n {
-		return head[:n], w[:0]
-	}
-	return head, w[:n-len(head)]
-}
-
-// gatherRun returns a circular run of blocks of w as one contiguous payload:
-// a subslice of w when the run does not wrap, else its two spans copied into
-// stage (the sender-side staging copy the strategy implies).
-func gatherRun(stage, w []int32, run core.CircRange, bs int) []int32 {
-	head, tail := runSpans(w, run, bs)
-	if len(tail) == 0 {
-		return head
-	}
-	return append(append(stage[:0], head...), tail...)
-}
-
-// agContig is the permute/send allgather (reversed contiguous schedule).
-func agContig(c fabric.Comm, b *core.Butterfly, strat Strategy, in, out []int32) error {
-	r := c.Rank()
-	bs := len(in)
-	pbuf := out // build the position-space vector in place
-	x := &ctx{c: c}
-	pos := b.PermutedPosition(r)
-	if strat == Send {
-		// Pre-exchange (Sec. 4.3.1): seed position reverse(ν(r)) with block
-		// reverse(ν(r)) so no terminal permutation is needed.
-		t := b.PermutedInverse(r) // the rank whose seed position is block r
-		if t == r {
-			copy(pbuf[pos*bs:], in)
-		} else {
-			x.send(t, b.S, 0, in)
-			x.recv(pos, b.S, 0, pbuf[pos*bs:(pos+1)*bs])
-		}
-	} else {
-		copy(pbuf[pos*bs:], in)
-	}
-	if err := agContigPhase(x, b, r, pbuf, pos, pos+1); err != nil {
-		return err
-	}
-	if strat == Permute {
-		// Terminal permutation: position reverse(ν(b)) holds block b.
-		tmp := append([]int32(nil), pbuf...)
-		for blk := 0; blk < b.P; blk++ {
-			copy(out[blk*bs:], tmp[b.PermutedPosition(blk)*bs:(b.PermutedPosition(blk)+1)*bs])
-		}
-	}
-	return nil
-}
-
-// agBlockByBlock reverses rsBlockByBlock: at step i (reverse step j) each
-// rank forwards the blocks its partner is missing, one message per block.
-func agBlockByBlock(c fabric.Comm, b *core.Butterfly, in, out []int32) error {
-	r := c.Rank()
-	bs := len(in)
-	copy(out[r*bs:], in)
-	x := &ctx{c: c}
-	var blks []int
-	for i := 0; i < b.S; i++ {
-		j := b.S - 1 - i
-		q := b.Partner(r, j)
-		blks = b.AppendSendBlocks(blks[:0], q, j)
-		for sub, blk := range blks {
-			x.send(q, i, sub, out[blk*bs:(blk+1)*bs])
-		}
-		blks = b.AppendSendBlocks(blks[:0], r, j)
-		for sub, blk := range blks {
-			x.recv(q, i, sub, out[blk*bs:(blk+1)*bs])
-		}
-		if x.err != nil {
-			return x.err
-		}
-	}
-	return nil
-}
-
-// agRuns reverses rsRuns over the distance-halving butterfly.
-func agRuns(c fabric.Comm, b *core.Butterfly, in, out []int32) error {
-	r := c.Rank()
-	bs := len(in)
-	copy(out[r*bs:], in)
-	x := &ctx{c: c}
-	stage := make([]int32, len(out)/2)
-	var runs []core.CircRange
-	for i := 0; i < b.S; i++ {
-		j := b.S - 1 - i
-		q := b.Partner(r, j)
-		runs = b.SendRuns(runs[:0], q, j)
-		for sub, run := range runs {
-			x.send(q, i, sub, gatherRun(stage, out, run, bs))
-		}
-		runs = b.SendRuns(runs[:0], r, j)
-		for sub, run := range runs {
-			recv := stage[:run.Len*bs]
-			x.recv(q, i, sub, recv)
-			if x.err != nil {
-				return x.err
-			}
-			head, tail := runSpans(out, run, bs)
-			copy(tail, recv[copy(head, recv):])
-		}
-	}
-	return x.err
 }

@@ -75,7 +75,7 @@ func allRanks(p int) []int {
 // messages under one (to, step, sub) tag — which would let a receive take
 // either, and the cost model price two phases as one step. Each registry
 // algorithm runs its Make body — the schedule a recording executes, not its
-// synthesis, so a closed form cannot hide an alias — on the goroutine
+// synthesis, so a plan cannot hide an alias — on the goroutine
 // fabric, because Bruck's alltoall reads the counts it receives.
 func TestPhasesDoNotAlias(t *testing.T) {
 	for _, algo := range Registry() {

@@ -103,14 +103,13 @@ type Algorithm struct {
 	// butterflies) are built once per (p, root) and captured by the
 	// closure, mirroring how MPI implementations cache communicator state.
 	Make func(p, root int) (RunFunc, error)
-	// Synth, when non-nil, replaces Pattern's walk of Make with a closed
-	// form that computes, from schedule math alone, the exact trace a real
-	// execution records. Three schedule families have one: Bruck's alltoall,
-	// whose message lengths are negotiated at run time, so a walk on zero
-	// buffers cannot reproduce them; the Bine alltoall, whose walk regroups
-	// every held item at every step; and the ring reduce-scatter, allgather
-	// and allreduce, whose walk emits their one step body at every step —
-	// O(p²) sends for a trace of p records.
+	// Synth, when non-nil, replaces Pattern's walk of Make: it returns the
+	// plan the algorithm's executor loops over — each rank's partner and
+	// message extents at each step — which synthesizes the exact trace a
+	// real execution records, step by step, with no vectors. Every butterfly
+	// reduce-scatter, allgather and allreduce and every all-pairs schedule
+	// (ring, pairwise, sparbit, Bruck, the Bine alltoall) has one; trees,
+	// composites, fold and the linear and pipelined broadcasts walk.
 	Synth func(p, root, n int) (Synthesizer, error)
 }
 
@@ -177,6 +176,19 @@ func butterflyAlgo(coll Collective, name string, kind core.ButterflyKind, strat 
 			}
 			return nil, fmt.Errorf("coll: no butterfly algorithm for %v", coll)
 		},
+		Synth: planned(func(p, n int) (*plan, error) {
+			b, err := core.NewButterfly(kind, p)
+			if err != nil {
+				return nil, err
+			}
+			if err := checkBlocks(n, p); err != nil {
+				return nil, err
+			}
+			if coll == CAllgather {
+				return agPlan(b, strat, n), nil
+			}
+			return rsPlan(b, strat, n), nil
+		}),
 	}
 }
 
@@ -328,7 +340,9 @@ func Registry() []Algorithm {
 					return RingReduceScatter(c, in, out, op)
 				}, nil
 			},
-			Synth: ringPattern(1, checkBlocks),
+			Synth: planned(func(p, n int) (*plan, error) {
+				return ringPlan(p, n, 1), checkBlocks(n, p)
+			}),
 		},
 		foldAlgo(CReduceScatter),
 	)
@@ -348,7 +362,9 @@ func Registry() []Algorithm {
 					return RingAllgather(c, in, out)
 				}, nil
 			},
-			Synth: ringPattern(1, func(p, n int) error { return checkGatherOut(n, p, n/p) }),
+			Synth: planned(func(p, n int) (*plan, error) {
+				return ringPlan(p, n, 0), checkGatherOut(n, p, n/p)
+			}),
 		},
 		Algorithm{
 			Name: "bruck", Coll: CAllgather,
@@ -357,6 +373,9 @@ func Registry() []Algorithm {
 					return BruckAllgather(c, in, out)
 				}, nil
 			},
+			Synth: planned(func(p, n int) (*plan, error) {
+				return bruckAllgatherPlan(p, n), checkGatherOut(n, p, n/p)
+			}),
 		},
 		Algorithm{
 			Name: "sparbit", Coll: CAllgather, Pow2Only: true, Overlap: 0.8,
@@ -365,6 +384,13 @@ func Registry() []Algorithm {
 					return SparbitAllgather(c, in, out)
 				}, nil
 			},
+			Synth: planned(func(p, n int) (*plan, error) {
+				pl, err := sparbitPlan(p, n)
+				if err != nil {
+					return nil, err
+				}
+				return pl, checkGatherOut(n, p, n/p)
+			}),
 		},
 		foldAlgo(CAllgather),
 	)
@@ -386,62 +412,46 @@ func Registry() []Algorithm {
 			},
 		}
 	}
+	// bflyAllreduce registers a butterfly allreduce: run is its executor,
+	// mk its plan, both over one butterfly of the given kind.
+	bflyAllreduce := func(name string, bine, binomial bool, overlap float64, kind core.ButterflyKind,
+		run func(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error,
+		mk func(b *core.Butterfly, n int) (*plan, error)) Algorithm {
+		a := mkAllreduce(name, bine, binomial, true, overlap, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
+			b, err := core.NewButterfly(kind, p)
+			if err != nil {
+				return nil, err
+			}
+			return func(c fabric.Comm, buf []int32, op Op) error { return run(c, b, buf, op) }, nil
+		})
+		a.Synth = planned(func(p, n int) (*plan, error) {
+			b, err := core.NewButterfly(kind, p)
+			if err != nil {
+				return nil, err
+			}
+			return mk(b, n)
+		})
+		return a
+	}
+	recDoubling := func(b *core.Butterfly, n int) (*plan, error) { return recDoublingPlan(b, n), nil }
+	rsag := func(strat Strategy) func(*core.Butterfly, int) (*plan, error) {
+		return func(b *core.Butterfly, n int) (*plan, error) { return rsagPlan(b, strat, n), checkBlocks(n, b.P) }
+	}
 	ringAllreduce := mkAllreduce("ring", false, false, false, 0.6, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 		return RingAllreduce, nil
 	})
-	ringAllreduce.Synth = ringPattern(2, checkBlocks)
+	ringAllreduce.Synth = planned(func(p, n int) (*plan, error) {
+		return ringPlan(p, n, 1, 0), checkBlocks(n, p)
+	})
 	algos = append(algos,
-		mkAllreduce("bine-lat", true, false, true, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
-			b, err := core.NewButterfly(core.BflyBineDD, p)
-			if err != nil {
-				return nil, err
-			}
-			return func(c fabric.Comm, buf []int32, op Op) error {
-				return AllreduceRecDoubling(c, b, buf, op)
-			}, nil
-		}),
-		mkAllreduce("bine-bw", true, false, true, 0.3, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
-			b, err := core.NewButterfly(core.BflyBineDD, p)
-			if err != nil {
-				return nil, err
-			}
-			return func(c fabric.Comm, buf []int32, op Op) error {
-				return AllreduceRsAg(c, b, buf, op)
-			}, nil
-		}),
-		mkAllreduce("recursive-doubling", false, true, true, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
-			b, err := core.NewButterfly(core.BflyBinomialDD, p)
-			if err != nil {
-				return nil, err
-			}
-			return func(c fabric.Comm, buf []int32, op Op) error {
-				return AllreduceRecDoubling(c, b, buf, op)
-			}, nil
-		}),
-		mkAllreduce("rabenseifner", false, true, true, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
-			b, err := core.NewButterfly(core.BflyBinomialDH, p)
-			if err != nil {
-				return nil, err
-			}
-			return func(c fabric.Comm, buf []int32, op Op) error {
-				return AllreduceRsAg(c, b, buf, op)
-			}, nil
-		}),
+		bflyAllreduce("bine-lat", true, false, 0, core.BflyBineDD, AllreduceRecDoubling, recDoubling),
+		bflyAllreduce("bine-bw", true, false, 0.3, core.BflyBineDD, AllreduceRsAg, rsag(Permute)),
+		bflyAllreduce("recursive-doubling", false, true, 0, core.BflyBinomialDD, AllreduceRecDoubling, recDoubling),
+		bflyAllreduce("rabenseifner", false, true, 0, core.BflyBinomialDH, AllreduceRsAg, rsag(Permute)),
 		ringAllreduce,
-		mkAllreduce("swing", false, false, true, 0.8, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
-			b, err := core.NewButterfly(core.BflySwing, p)
-			if err != nil {
-				return nil, err
-			}
-			return func(c fabric.Comm, buf []int32, op Op) error {
-				bs := len(buf) / p
-				own := make([]int32, bs)
-				if err := ReduceScatter(c, b, BlockByBlock, buf, own, op); err != nil {
-					return err
-				}
-				return Allgather(Offset(c, b.S), b, BlockByBlock, own, buf)
-			}, nil
-		}),
+		bflyAllreduce("swing", false, false, 0.8, core.BflySwing, func(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
+			return allreduceRsAg(c, b, BlockByBlock, buf, op)
+		}, rsag(BlockByBlock)),
 		mkAllreduce("reduce-bcast", false, false, false, 0, func(p int) (func(fabric.Comm, []int32, Op) error, error) {
 			tree, err := core.NewTree(core.BinomialDH, p, 0)
 			if err != nil {
@@ -475,7 +485,13 @@ func Registry() []Algorithm {
 					return BineAlltoall(c, b, in, out)
 				}, nil
 			},
-			Synth: bineAlltoallPattern,
+			Synth: planned(func(p, n int) (*plan, error) {
+				b, err := core.NewButterfly(core.BflyBineDD, p)
+				if err != nil {
+					return nil, err
+				}
+				return bineAlltoallPlan(b, n), checkBlocks(n, p)
+			}),
 		},
 		Algorithm{
 			Name: "bruck", Coll: CAlltoall, Binomial: true,
@@ -484,7 +500,9 @@ func Registry() []Algorithm {
 					return BruckAlltoall(c, in, out)
 				}, nil
 			},
-			Synth: bruckAlltoallPattern,
+			Synth: planned(func(p, n int) (*plan, error) {
+				return bruckAlltoallPlan(p, n), checkBlocks(n, p)
+			}),
 		},
 		Algorithm{
 			Name: "pairwise", Coll: CAlltoall,
@@ -493,6 +511,9 @@ func Registry() []Algorithm {
 					return PairwiseAlltoall(c, in, out)
 				}, nil
 			},
+			Synth: planned(func(p, n int) (*plan, error) {
+				return pairwisePlan(p, n), checkBlocks(n, p)
+			}),
 		},
 	)
 

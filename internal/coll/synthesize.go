@@ -3,7 +3,6 @@ package coll
 import (
 	"fmt"
 
-	"binetrees/internal/core"
 	"binetrees/internal/fabric"
 )
 
@@ -13,14 +12,14 @@ import (
 // is a pure function of (p, root, n) — so its trace is too, and a
 // Synthesizer returns exactly the trace a concurrent recorded run would.
 //
-// Most algorithms synthesize by walking their Make body (see Pattern).
-// Three schedule families carry a closed form instead (Algorithm.Synth), for
-// different reasons: Bruck's alltoall because its message lengths are
-// negotiated at run time, so a walk on zero buffers cannot reproduce them;
-// the Bine alltoall because its walk regroups every held item at every step,
-// which costs far more than the p·log2(p) messages it emits; and the ring
-// reduce-scatter, allgather and allreduce because their walk emits the one
-// step body the trace stores at each of the p−1 or 2(p−1) steps.
+// Two kinds exist. The butterfly reduce-scatters, allgathers and allreduces
+// and the all-pairs schedules (ring, pairwise, sparbit, Bruck, the Bine
+// alltoall) are plans (Algorithm.Synth): the same per-(rank, step) partners
+// and message extents their executors loop over, fed step by step into a
+// fabric.StepBuilder, with no vectors, shards or merge. Everything else —
+// trees, the tree + butterfly composites, fold, linear and pipelined
+// broadcasts — walks its Make body against a fabric.TraceBuilder (see
+// Pattern).
 type Synthesizer interface {
 	// Synthesize returns the schedule's trace.
 	Synthesize() (*fabric.Trace, error)
@@ -74,79 +73,5 @@ func (a Algorithm) Pattern(p, root, n int) (Synthesizer, error) {
 	}
 	return synthFunc(func() (*fabric.Trace, error) {
 		return walk(p, func(c fabric.Comm) error { return run(c, root, in, out, opNone) })
-	}), nil
-}
-
-// bruckAlltoallPattern synthesizes BruckAlltoall's send pattern. Bruck is
-// the registry's one data-dependent schedule: each step's message length is
-// the count of held items whose remaining ring displacement has the step
-// bit set, and a rank only learns its incoming count from a header message
-// at runtime — so the generic zero-buffer walk cannot reproduce it. The
-// counts are still pure schedule math: an item forwarded at step bit k has
-// already shed exactly the lower set bits of its origin→destination
-// displacement, so it moves iff the displacement itself has bit k set, and
-// every rank holds one item per displacement in [0, p) at every step.
-//
-// Each rank emits its sends exactly as BruckAlltoall does: per step, the
-// item message — recorded even when empty — then the one-element count
-// header (the runtime negotiation whose answer the pattern already knows).
-func bruckAlltoallPattern(p, _, n int) (Synthesizer, error) {
-	var moved []int // moved[step] = items every rank forwards that step
-	for k := 1; k < p; k <<= 1 {
-		m := 0
-		for disp := 0; disp < p; disp++ {
-			if (disp/k)%2 == 1 {
-				m++
-			}
-		}
-		moved = append(moved, m)
-	}
-	zero := make([]int32, n+2*p) // payload stand-in: only message lengths reach the trace
-	return synthFunc(func() (*fabric.Trace, error) {
-		return walk(p, func(c fabric.Comm) error {
-			if err := checkBlocks(n, p); err != nil {
-				return err
-			}
-			if p == 1 {
-				return nil
-			}
-			bs := n / p
-			var one [1]int32
-			for step, k := 0, 1; k < p; step, k = step+1, k<<1 {
-				to := (c.Rank() + k) % p
-				if err := c.Send(to, step, 0, zero[:moved[step]*(bs+2)]); err != nil {
-					return err
-				}
-				if err := c.Send(to, step, 1, one[:]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}), nil
-}
-
-// bineAlltoallPattern synthesizes BineAlltoall's send pattern in closed
-// form: at step i a rank sends the items of its p/2^(i+1) send blocks, 2^i
-// items of bs+1 elements each — one message of p·(bs+1)/2 elements to
-// Partner(r, i). BineAlltoall itself stays the recording oracle.
-func bineAlltoallPattern(p, _, n int) (Synthesizer, error) {
-	b, err := core.NewButterfly(core.BflyBineDD, p)
-	if err != nil {
-		return nil, err
-	}
-	zero := make([]int32, p*(n/p+1)/2) // payload stand-in: only message lengths reach the trace
-	return synthFunc(func() (*fabric.Trace, error) {
-		return walk(p, func(c fabric.Comm) error {
-			if err := checkButterfly(c, b, n); err != nil {
-				return err
-			}
-			for i := 0; i < b.S; i++ {
-				if err := c.Send(b.Partner(c.Rank(), i), i, 0, zero); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
 	}), nil
 }

@@ -39,11 +39,10 @@ func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []i
 	}
 	r := c.Rank()
 	type phase struct {
-		b      *core.Butterfly
-		sub    fabric.Comm
-		me     int
-		seg    []int32
-		lo, hi int
+		b   *core.Butterfly
+		sub fabric.Comm
+		me  int
+		seg []int32
 	}
 	phases := make([]phase, 0, len(order))
 	seg := buf
@@ -71,18 +70,18 @@ func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []i
 			return fmt.Errorf("coll: segment of %d elements not divisible by dimension %d (size %d)", len(seg), d, qd)
 		}
 		me := sub.Rank()
-		lo, hi, err := rsContigPhase(&ctx{c: sub}, b, me, seg, op)
-		if err != nil {
+		if err := halving(b, Permute, len(seg)).run(&ctx{c: sub}, me, seg, 0, b.S, &op); err != nil {
 			return err
 		}
 		bs := len(seg) / qd
-		phases = append(phases, phase{b: b, sub: sub, me: me, seg: seg, lo: lo, hi: hi})
+		lo, hi := keepRange(b, me, b.S-1)
+		phases = append(phases, phase{b: b, sub: sub, me: me, seg: seg})
 		seg = seg[lo*bs : hi*bs]
 	}
 	for k := len(phases) - 1; k >= 0; k-- {
 		ph := phases[k]
 		ag := Offset(ph.sub, rsLen)
-		if err := agContigPhase(&ctx{c: ag}, ph.b, ph.me, ph.seg, ph.lo, ph.hi); err != nil {
+		if err := doubling(ph.b, Permute, len(ph.seg)).run(&ctx{c: ag}, ph.me, ph.seg, 0, ph.b.S, nil); err != nil {
 			return err
 		}
 	}

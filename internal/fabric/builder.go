@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // shardCols is one sender's captured (step, to, sub, elems) columns — the
@@ -217,4 +218,121 @@ func (c *patternComm) Recv(from, step, sub int, buf []int32) error {
 		return fmt.Errorf("fabric: rank %d receiving from itself", from)
 	}
 	return nil
+}
+
+// StepBuilder builds a trace in step order from a schedule's plan: the
+// caller hands it every record of step 0, rank by rank in (from, to, sub)
+// order — the order mergeShards leaves a step in — then closes the step,
+// then step 1, and so on. A closed step is filed under the first earlier
+// class whose body equals it record by record, or else kept as a new class,
+// so each distinct body is written once, straight into the class columns:
+// there are no per-rank shards, no sort and no merge. Empty steps take class
+// 0 and trailing ones are dropped, as in mergeShards, so a schedule's
+// StepBuilder trace is byte-identical under the codec to its TraceBuilder
+// trace. Send applies patternComm's checks with its error texts, and Trace
+// finishes through NewClassTrace's validation.
+type StepBuilder struct {
+	p                   int
+	from, to, elems     []int32 // class columns; the open step's records follow the last class
+	classOff, stepClass []int32
+	// byHash holds the last class with a body hash, and sameHash[c] the
+	// class before c with c's hash, 0 ending the chain.
+	byHash   map[uint64]int32
+	sameHash []int32
+	hash     uint64 // the open step's running body hash
+	steps    int    // steps up to the last non-empty one
+}
+
+// NewStepBuilder returns a builder over p ranks whose columns and step index
+// are sized for steps steps of at most records distinct records in all.
+func NewStepBuilder(p, steps, records int) *StepBuilder {
+	cols := make([]int32, 3*records)
+	return &StepBuilder{
+		p:    p,
+		from: cols[:0:records], to: cols[records : records : 2*records], elems: cols[2*records : 2*records : 3*records],
+		classOff:  []int32{0, 0},
+		stepClass: make([]int32, 0, steps),
+		byHash:    map[uint64]int32{},
+		sameHash:  []int32{0},
+	}
+}
+
+// Send adds one record to the open step: from sends elems elements to to
+// under sub-tag sub.
+func (b *StepBuilder) Send(from, to, sub, elems int) error {
+	if step := len(b.stepClass); step > math.MaxInt32 || sub < 0 || sub > math.MaxInt32 {
+		return fmt.Errorf("fabric: record tag out of range (step=%d sub=%d)", step, sub)
+	}
+	if to < 0 || to >= b.p {
+		return fmt.Errorf("fabric: send to rank %d of %d", to, b.p)
+	}
+	if to == from {
+		return fmt.Errorf("fabric: rank %d sending to itself", to)
+	}
+	b.from = append(b.from, int32(from))
+	b.to = append(b.to, int32(to))
+	b.elems = append(b.elems, int32(elems))
+	b.hash = mixRecord(b.hash, int32(from), int32(to), int32(elems))
+	return nil
+}
+
+// EndStep closes the open step.
+func (b *StepBuilder) EndStep() {
+	lo, hi := b.classOff[len(b.classOff)-1], int32(len(b.from))
+	h := b.hash
+	b.hash = 0
+	if lo == hi {
+		b.stepClass = append(b.stepClass, 0)
+		return
+	}
+	// At most one earlier class can equal the step: equal classes would
+	// have been one.
+	key := classKey(h)
+	for c := b.byHash[key]; c != 0; c = b.sameHash[c] {
+		clo, chi := b.classOff[c], b.classOff[c+1]
+		if slices.Equal(b.from[clo:chi], b.from[lo:hi]) && slices.Equal(b.to[clo:chi], b.to[lo:hi]) &&
+			slices.Equal(b.elems[clo:chi], b.elems[lo:hi]) {
+			b.from, b.to, b.elems = b.from[:lo], b.to[:lo], b.elems[:lo]
+			b.closeStep(c)
+			return
+		}
+	}
+	c := int32(len(b.classOff) - 1)
+	b.classOff = append(b.classOff, hi)
+	b.sameHash = append(b.sameHash, b.byHash[key])
+	b.byHash[key] = c
+	b.closeStep(c)
+}
+
+// Repeat closes the open step, which must have no records, as a copy of
+// earlier step s: for a plan that knows two steps send the same body, so the
+// copy is neither built nor compared.
+func (b *StepBuilder) Repeat(s int) {
+	b.closeStep(b.stepClass[s])
+}
+
+func (b *StepBuilder) closeStep(c int32) {
+	b.stepClass = append(b.stepClass, c)
+	if c != 0 {
+		b.steps = len(b.stepClass)
+	}
+}
+
+// Trace returns the built trace, or NewClassTrace's error. Columns and
+// indexes sized past what the trace holds are copied down to it, so the
+// trace holds no spare capacity. The builder must not be used afterwards.
+func (b *StepBuilder) Trace() (*Trace, error) {
+	from, to, elems := b.from, b.to, b.elems
+	if n := len(from); n < cap(from) {
+		from, to, elems = makeColumns(n)
+		copy(from, b.from)
+		copy(to, b.to)
+		copy(elems, b.elems)
+	}
+	stepClass := b.stepClass[:b.steps]
+	if b.steps < cap(b.stepClass) {
+		stepClass = append(make([]int32, 0, b.steps), stepClass...)
+	}
+	classOff := append(make([]int32, 0, len(b.classOff)), b.classOff...)
+	return NewClassTrace(b.p, from, to, elems, classOff, stepClass)
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -244,5 +245,114 @@ func TestPatternCommValidation(t *testing.T) {
 	tr := b.Trace()
 	if recs := records(tr); len(recs) != 1 || recs[0] != (Record{From: 1, To: 2, Step: 0, Elems: 3}) {
 		t.Fatalf("trace %+v", recs)
+	}
+}
+
+// buildStepOrder drives a schedule through a StepBuilder the way a plan
+// does: step by step, each step's sends in mergeShards' (from, to, sub,
+// elems) order, sized for exactly the sends given, with extra empty steps
+// closed at the end.
+func buildStepOrder(t *testing.T, p int, sched [][]sendRec, trailing int) *Trace {
+	t.Helper()
+	var all []sendRec
+	for _, sends := range sched {
+		all = append(all, sends...)
+	}
+	slices.SortFunc(all, func(a, b sendRec) int {
+		return cmp.Or(cmp.Compare(a.Step, b.Step), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To),
+			cmp.Compare(a.Sub, b.Sub), cmp.Compare(a.Elems, b.Elems))
+	})
+	steps := trailing
+	if len(all) > 0 {
+		steps += all[len(all)-1].Step + 1
+	}
+	b := NewStepBuilder(p, steps, len(all))
+	i := 0
+	for s := range steps {
+		for ; i < len(all) && all[i].Step == s; i++ {
+			if err := b.Send(all[i].From, all[i].To, all[i].Sub, all[i].Elems); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.EndStep()
+	}
+	tr, err := b.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestStepBuilderMatchesTraceBuilder is the step-order builder's property
+// test: over the randomized schedules the TraceBuilder is held to the
+// recorder with — clustered and repeated steps, duplicate tags, empty steps
+// — the step-order trace encodes byte-identically to the shard merge's,
+// trailing empty steps are dropped, the trace holds no spare capacity
+// (checkLayout), and it all holds under a hash that makes every pair of
+// step bodies collide.
+func TestStepBuilderMatchesTraceBuilder(t *testing.T) {
+	defer func(real func(uint64) uint64) { classKey = real }(classKey)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 60; i++ {
+		p := 1 + rng.Intn(9)
+		var sched [][]sendRec
+		if p > 1 {
+			sched = noSelfSchedule(rng, p)
+		}
+		tb := NewTraceBuilder(p)
+		buildSchedule(t, tb, sched)
+		want := encodeBytes(t, tb.Trace())
+		for _, key := range []func(uint64) uint64{func(h uint64) uint64 { return h }, func(uint64) uint64 { return 0 }} {
+			classKey = key
+			got := buildStepOrder(t, p, sched, i%3)
+			checkLayout(t, got)
+			if !bytes.Equal(encodeBytes(t, got), want) {
+				t.Fatalf("schedule %d (p=%d): step-order trace %+v diverges from the shard merge's", i, p, records(got))
+			}
+		}
+	}
+}
+
+// TestStepBuilderRepeatAndValidation pins the rest of the builder's surface:
+// Repeat files a step under an earlier step's class, empty ones included,
+// without its records; Send rejects what patternComm rejects, with the same
+// error text; and Trace rejects what NewClassTrace rejects.
+func TestStepBuilderRepeatAndValidation(t *testing.T) {
+	b := NewStepBuilder(3, 5, 2)
+	for _, r := range []int{0, 1} {
+		if err := b.Send(r, r+1, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.EndStep() // step 0: class 1
+	b.EndStep() // step 1: empty
+	b.Repeat(0)
+	b.Repeat(1)
+	tr, err := b.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := []int{}
+	for s := range tr.NumSteps() {
+		classes = append(classes, tr.StepClass(s))
+	}
+	if !slices.Equal(classes, []int{1, 0, 1}) || tr.NumRecords() != 2 || tr.Messages() != 4 {
+		t.Fatalf("step classes %v, %d stored of %d messages", classes, tr.NumRecords(), tr.Messages())
+	}
+
+	pc := NewTraceBuilder(4).Comm(1)
+	sb := NewStepBuilder(4, 1, 1)
+	for _, tc := range []struct{ to, sub int }{{2, -1}, {4, 0}, {-1, 0}, {1, 0}} {
+		want, got := pc.Send(tc.to, 0, tc.sub, nil), sb.Send(1, tc.to, tc.sub, 0)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("send 1→%d sub %d: step builder says %v, pattern endpoint %v", tc.to, tc.sub, got, want)
+		}
+	}
+	if err := sb.Send(1, 2, 0, -1); err != nil {
+		t.Fatal(err)
+	}
+	sb.EndStep()
+	if _, err := sb.Trace(); err == nil {
+		t.Error("a negative elems reached a trace")
 	}
 }

@@ -127,8 +127,8 @@ func newTrace(p int, from, to, elems, classOff, stepClass []int32) *Trace {
 	return t
 }
 
-// NewClassTrace builds a trace in the form a Trace stores, for schedules
-// whose distinct step bodies are known in closed form: from, to and elems
+// NewClassTrace builds a trace in the form a Trace stores, for a builder
+// that knows the distinct step bodies (StepBuilder): from, to and elems
 // hold the classes' records back to back, classOff bounds class c at
 // classOff[c] .. classOff[c+1] and starts 0, 0 (class 0 is the empty body),
 // and stepClass names every step's class. It rejects what DecodeTraceBytes

@@ -149,10 +149,10 @@ func (eng *Engine) Stats() CacheStats {
 // slot is evicted so a later request retries.
 //
 // ctx carries the request trace, if any: each resolver stage the leader runs
-// (store-load, synth, fabric-record) is timed into the global stage
-// histograms and the trace's aggregates; waiters served from the in-process
-// tier — including time blocked on a concurrent leader — report under
-// cache-lookup. The whole resolution lands in the per-origin resolve metrics.
+// (store-load, synth, fabric-record, store-save) is timed into the global
+// stage histograms and the trace's aggregates; waiters served from the
+// in-process tier — including time blocked on a concurrent leader — report
+// under cache-lookup. The whole resolution lands in the per-origin resolve metrics.
 func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synthesize, record func() (*fabric.Trace, error)) (*fabric.Trace, error) {
 	resolveStart := time.Now()
 	eng.mu.Lock()
@@ -194,11 +194,13 @@ func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synth
 		if e.err != nil {
 			return
 		}
-		if !hit {
+		if !hit && s.Enabled() {
 			// Write-behind is best-effort: a read-only or full cache
 			// directory degrades to re-resolving next process, never to a
 			// failed sweep.
+			saveStart := time.Now()
 			_ = s.Save(key, e.tr, stamp)
+			obs.ObserveStageCtx(ctx, obs.StageStoreSave, time.Since(saveStart))
 		}
 		eng.cachedTraces.Add(1)
 		eng.cachedBytes.Add(uint64(e.tr.MemBytes()))
@@ -231,13 +233,15 @@ func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synth
 	return e.tr, nil
 }
 
-// A schedule reaches the resolver as one per-rank body, built once and handed
-// to both cold legs: synth.Run walks it serially over pattern endpoints, and
-// record runs it on the goroutine fabric — so the oracle and the synthesizer
-// cannot drift apart in what they execute. Registry algorithms synthesize
-// through Algorithm.Pattern instead — a walk on one shared buffer pair per
-// schedule, or the closed forms of Bruck's and the Bine alltoall and of the
-// ring family — but record the same way.
+// A schedule reaches the resolver as what its executor reads, handed to both
+// cold legs, so the oracle and the synthesizer cannot drift apart in what
+// they execute. A planned schedule — the registry's butterfly and all-pairs
+// algorithms through Algorithm.Pattern, and Fig. 5's butterfly allreduces —
+// synthesizes from the plan its executor loops over, and records by running
+// that executor on the goroutine fabric. Every other schedule is one
+// per-rank body: synth.Run walks it serially over pattern endpoints (a
+// registry algorithm's Pattern walks its Make body on one shared buffer
+// pair), and record runs it on the goroutine fabric.
 
 // record executes a schedule body on the recording goroutine fabric: the
 // DisableSynth leg, which is the oracle the synthesizer is tested against.
@@ -322,17 +326,29 @@ func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.
 }
 
 // cachedNamedTrace caches ad-hoc schedules that no registry covers (the
-// Fig. 1 tree broadcasts, Fig. 5 butterfly allreduces, hierarchical and
-// Appendix D schedules): kind/name/shape must uniquely identify the schedule
-// body fn over p ranks, including its recorded element count. Every such
-// body is data-independent, so the resolver synthesizes it with a serial
-// pattern walk and touches the fabric only with synthesis disabled.
+// Fig. 1 tree broadcasts, hierarchical and Appendix D schedules):
+// kind/name/shape must uniquely identify the schedule body fn over p ranks,
+// including its recorded element count. Every such body is data-independent,
+// so the resolver synthesizes it with a serial pattern walk and touches the
+// fabric only with synthesis disabled.
 func (eng *Engine) cachedNamedTrace(ctx context.Context, kind, name, shape string, p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
-	key := tracestore.Key{
+	return eng.cachedBody(ctx, namedKey(kind, name, shape), p, fn)
+}
+
+// cachedNamedPlan is cachedNamedTrace for an ad-hoc schedule with a plan
+// (the Fig. 5 butterfly allreduces): the synthesis leg runs s, the plan fn
+// executes, and only the recording leg runs fn.
+func (eng *Engine) cachedNamedPlan(ctx context.Context, kind, name, shape string, p int, s coll.Synthesizer, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
+	return eng.cachedTraceKey(ctx, namedKey(kind, name, shape),
+		func() (*fabric.Trace, error) { return synth.Schedule(s) },
+		func() (*fabric.Trace, error) { return record(p, fn) })
+}
+
+func namedKey(kind, name, shape string) tracestore.Key {
+	return tracestore.Key{
 		Kind:         kind,
 		Algo:         name,
 		Shape:        shape,
 		SchedVersion: schedVersion,
 	}
-	return eng.cachedBody(ctx, key, p, fn)
 }

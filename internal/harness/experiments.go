@@ -116,7 +116,11 @@ func planFig5(c *compile) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.Engine.cachedNamedTrace(ctx, "bfly-allreduce", kind.String(), fmt.Sprintf("p=%d/n=%d", p, p), p, func(c fabric.Comm) error {
+		s, err := coll.AllreduceRsAgPlan(b, p)
+		if err != nil {
+			return nil, err
+		}
+		return c.Engine.cachedNamedPlan(ctx, "bfly-allreduce", kind.String(), fmt.Sprintf("p=%d/n=%d", p, p), p, s, func(c fabric.Comm) error {
 			return coll.AllreduceRsAg(c, b, make([]int32, p), coll.OpSum)
 		})
 	}

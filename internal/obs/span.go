@@ -45,6 +45,9 @@ var (
 	// StageRecord is a schedule execution on the recording goroutine
 	// fabric (the -synth=false leg, which is the synthesizer's oracle).
 	StageRecord = Stage{"fabric-record"}
+	// StageStoreSave is the disk trace store's write of a cold resolution:
+	// encode, write and rename of the trace and its origin sidecar.
+	StageStoreSave = Stage{"store-save"}
 	// StageEvaluate is a netsim evaluation of a resolved trace.
 	StageEvaluate = Stage{"evaluate"}
 )
@@ -53,7 +56,7 @@ var (
 func Stages() []Stage {
 	return []Stage{
 		StageCompile, StageExecute, StageRender, StageServe,
-		StageCacheLookup, StageStoreLoad, StageSynth, StageRecord, StageEvaluate,
+		StageCacheLookup, StageStoreLoad, StageSynth, StageRecord, StageStoreSave, StageEvaluate,
 	}
 }
 

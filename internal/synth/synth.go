@@ -5,15 +5,18 @@
 // length), so the (step, from, to, elems) columns a fabric.Trace stores are
 // a pure function of the schedule definition.
 //
-// Schedule takes a registry algorithm's coll.Synthesizer, which either walks
-// each rank's schedule body serially against a fabric.TraceBuilder pattern
-// endpoint (Sends are logged, Recvs complete immediately) or builds the
-// trace in closed form (Bruck and Bine alltoall, the ring family). Run walks
-// an ad-hoc schedule body — torus, named tree/butterfly and hierarchical
-// schedules — the same way. Either result is byte-identical under the codec
-// to a recorded trace of the same schedule: this package's tests pin that
-// across the whole registry and, for every schedule the artifacts use, so
-// does the harness's TestSynthMatchesRecordedOracle.
+// Schedule takes a coll.Synthesizer: for the butterfly and all-pairs
+// schedules, and Fig. 5's butterfly allreduces, the plan their executors
+// loop over, fed step by step into a fabric.StepBuilder; for every other
+// registry algorithm a walk of each rank's schedule body, serially, against
+// a fabric.TraceBuilder pattern endpoint (Sends are logged, Recvs complete
+// immediately). Run walks an ad-hoc schedule body — torus, named tree and
+// hierarchical schedules — the same way. Either result is byte-identical
+// under the codec to a recorded trace of the same schedule: this package's
+// tests pin that across the whole registry, and plans against walks at the
+// largest p the artifacts use; for every schedule the artifacts use, so
+// does the harness's TestSynthMatchesRecordedOracle, and at paper scale
+// its TestPaperScaleTraces.
 //
 // The goroutine fabric remains the oracle: property/fuzz tests and the
 // tcp-cluster example still execute schedules for real, and the harness
@@ -59,7 +62,7 @@ func Schedule(s coll.Synthesizer) (*fabric.Trace, error) {
 }
 
 // Run is the ad-hoc form of Schedule for schedule bodies outside the
-// registry (torus, named tree/butterfly and hierarchical schedules): fn is
+// registry (torus, named tree and hierarchical schedules): fn is
 // the same per-rank body a fabric.Run recording would execute, driven here
 // once per rank, serially, against pattern endpoints.
 func Run(p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {

@@ -49,23 +49,8 @@ func checkAlgoEquivalence(t *testing.T, algo coll.Algorithm, p, root int) {
 		}
 		return Schedule(s)
 	}
-	record := func() (*fabric.Trace, error) {
-		run, err := algo.Make(p, root)
-		if err != nil {
-			return nil, err
-		}
-		return recordSchedule(p, func(c fabric.Comm) error {
-			inLen, outLen := algo.Coll.InOutLens(p, p)
-			in := make([]int32, inLen)
-			var out []int32
-			if outLen > 0 {
-				out = make([]int32, outLen)
-			}
-			return run(c, root, in, out, coll.OpSum)
-		})
-	}
 	st, serr := synthesize()
-	rt, rerr := record()
+	rt, rerr := recordAlgo(algo, p, root)
 	if (serr == nil) != (rerr == nil) {
 		t.Fatalf("%s: synth err %v, record err %v", name, serr, rerr)
 	}
@@ -78,10 +63,27 @@ func checkAlgoEquivalence(t *testing.T, algo coll.Algorithm, p, root int) {
 	}
 }
 
+// recordAlgo records a registry algorithm's schedule on n = p elements.
+func recordAlgo(algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
+	run, err := algo.Make(p, root)
+	if err != nil {
+		return nil, err
+	}
+	return recordSchedule(p, func(c fabric.Comm) error {
+		inLen, outLen := algo.Coll.InOutLens(p, p)
+		in := make([]int32, inLen)
+		var out []int32
+		if outLen > 0 {
+			out = make([]int32, outLen)
+		}
+		return run(c, root, in, out, coll.OpSum)
+	})
+}
+
 // TestRegistryScheduleEquivalence sweeps every registered algorithm over
 // representative (p, root) combinations: the synthesized trace must encode
 // byte-identically to the fabric recording for every one of them. p=64
-// pins the closed-form patterns and ranges (the Bine alltoall's, the
+// pins the plans' ranges and runs (the Bine alltoall's, the
 // two-transmission runs) past the small rank counts; the odd and
 // non-power-of-two counts pin the others' — the ring family's among them —
 // where the rank arithmetic wraps unevenly.
@@ -101,43 +103,104 @@ func TestRegistryScheduleEquivalence(t *testing.T) {
 	}
 }
 
-// TestRingClosedFormMatchesWalk compares the ring family's closed forms with
-// the generic walk of their Make bodies at p = 4 098, just past a power of
-// two, by encoded bytes. The walk, not a recording, is the reference here:
-// it emits the same sends without a goroutine per rank, and it is how every
-// other registry algorithm synthesizes, so the tests above hold it to the
-// recording.
-func TestRingClosedFormMatchesWalk(t *testing.T) {
+// TestPlanMatchesWalk holds every planned schedule — each registry
+// algorithm with a Synth, and Fig. 5's butterfly allreduces — to the generic
+// walk of its executor body through a fabric.TraceBuilder, by encoded bytes,
+// at the largest p the artifacts use: 8 192 for fig11b's flat set, 1 024 for
+// pairwise, 2 048 for Fig. 5 and 512 for the quick-only rest. The ring
+// family runs at 4 098, just past a power of two, where its rank arithmetic
+// wraps unevenly: its walk at 8 192 would emit 134 M sends. The walk, not a
+// recording, is the reference here: it emits the same sends without a
+// goroutine per rank, and the tests above hold it to the recording. Bruck's
+// alltoall is the exception: its executor reads the item counts it
+// receives, which a walk leaves zero, so its plan is held to a recording.
+func TestPlanMatchesWalk(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("the walks emit 67 M sends into ~600 MB of shards")
 	}
-	const p = 4098
+	type row struct {
+		coll coll.Collective
+		name string
+		p    int
+	}
+	var rows []row
+	for _, name := range []string{"bine-permute", "bine-send", "recursive-halving", "recursive-doubling", "bruck"} {
+		rows = append(rows, row{coll.CReduceScatter, name, 8192}, row{coll.CAllgather, name, 8192})
+	}
+	for _, name := range []string{"rabenseifner", "recursive-doubling"} {
+		rows = append(rows, row{coll.CAllreduce, name, 8192})
+	}
 	for _, c := range []coll.Collective{coll.CReduceScatter, coll.CAllgather, coll.CAllreduce} {
-		algo, ok := coll.Find(coll.Registry(), c, "ring")
-		if !ok || algo.Synth == nil {
-			t.Fatalf("%v/ring: not registered with a closed form", c)
+		rows = append(rows, row{c, "ring", 4098})
+	}
+	for _, c := range []coll.Collective{coll.CReduceScatter, coll.CAllgather, coll.CAllreduce, coll.CAlltoall} {
+		for _, name := range []string{"bine-block", "bine-two-trans", "swing", "sparbit", "bine-lat", "bine-bw", "bine", "bruck"} {
+			rows = append(rows, row{c, name, 512})
 		}
-		closed, err := algo.Pattern(p, 0, p)
+	}
+	rows = append(rows, row{coll.CAlltoall, "pairwise", 1024})
+	reg := coll.Registry()
+	seen := map[string]bool{}
+	for _, r := range rows {
+		algo, ok := coll.Find(reg, r.coll, r.name)
+		if !ok || seen[r.coll.String()+"/"+r.name] {
+			continue // a name another collective registers, or one listed twice
+		}
+		seen[r.coll.String()+"/"+r.name] = true
+		if algo.Synth == nil {
+			t.Errorf("%v/%s: not planned", r.coll, r.name)
+			continue
+		}
+		planned, err := algo.Pattern(r.p, 0, r.p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		algo.Synth = nil
-		walked, err := algo.Pattern(p, 0, p)
+		walked, err := algo.Pattern(r.p, 0, r.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := walked.Synthesize()
+		if r.coll == coll.CAlltoall && r.name == "bruck" {
+			walked = walkFunc(func() (*fabric.Trace, error) { return recordAlgo(algo, r.p, 0) })
+		}
+		comparePlanToWalk(t, fmt.Sprintf("%v/%s p=%d", r.coll, r.name, r.p), planned, walked)
+	}
+	for _, algo := range reg {
+		if algo.Synth != nil && !seen[algo.Coll.String()+"/"+algo.Name] {
+			t.Errorf("%v/%s: planned, but not in this table", algo.Coll, algo.Name)
+		}
+	}
+	const p = 2048
+	for _, kind := range []core.ButterflyKind{core.BflyBineDD, core.BflyBinomialDD} {
+		b := core.MustButterfly(kind, p)
+		planned, err := coll.AllreduceRsAgPlan(b, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := closed.Synthesize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(encodeBytes(t, got), encodeBytes(t, want)) {
-			t.Fatalf("%v/ring p=%d: closed form (%d steps, %d records) differs from the walk (%d steps, %d records)",
-				c, p, got.NumSteps(), got.NumRecords(), want.NumSteps(), want.NumRecords())
-		}
+		walked := walkFunc(func() (*fabric.Trace, error) {
+			return Run(p, func(c fabric.Comm) error { return coll.AllreduceRsAg(c, b, make([]int32, p), coll.OpSum) })
+		})
+		comparePlanToWalk(t, fmt.Sprintf("bfly-allreduce/%v p=%d", kind, p), planned, walked)
+	}
+}
+
+type walkFunc func() (*fabric.Trace, error)
+
+func (f walkFunc) Synthesize() (*fabric.Trace, error) { return f() }
+
+func comparePlanToWalk(t *testing.T, name string, planned, walked coll.Synthesizer) {
+	t.Helper()
+	want, err := walked.Synthesize()
+	if err != nil {
+		t.Fatalf("%s: walk: %v", name, err)
+	}
+	got, err := planned.Synthesize()
+	if err != nil {
+		t.Fatalf("%s: plan: %v", name, err)
+	}
+	if !bytes.Equal(encodeBytes(t, got), encodeBytes(t, want)) {
+		t.Errorf("%s: plan (%d steps, %d records) differs from the walk (%d steps, %d records)",
+			name, got.NumSteps(), got.NumRecords(), want.NumSteps(), want.NumRecords())
 	}
 }
 
@@ -231,34 +294,34 @@ func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (tr *fabric
 }
 
 // TestSynthAllocBudget is the deterministic complexity guard on the cold
-// path: allocation, unlike time, repeats exactly, so it can gate. Every
-// schedule here emits Θ(p log p) records while each rank's walk legitimately
-// allocates Θ(p) working elements (its copy of the n = p element vector), so
-// bytes per record grow like p/log p and doubling p multiplies allocation by
-// at most 4 against 2.2 for the records. The p=256 budget catches a helper
-// that rebuilds an O(p) structure per rank (a tree per rank put
-// reduce/bine-rs-gather at 225× its trace); the growth bound catches an
-// O(p²)-per-rank one (BineAlltoall's per-item block lists: 2413× at p=256,
-// ×6.9 per doubling). The butterfly steps allocate no block lists — their
-// position ranges and circular runs are closed-form and the Bine alltoall
-// has a closed-form pattern — so what the budgets cover is the per-rank
-// vector copies, the trace builder and, for bine-rs-gather, the tree
-// gather. The ring family's closed forms allocate the trace they return and
-// little else, so their budget is twice its resident size (MemBytes).
+// path: allocation, unlike time, repeats exactly, so it can gate. A planned
+// schedule allocates the trace it returns and a few small per-step
+// buffers, so at the p its artifacts use its budget is twice the trace's
+// resident size (MemBytes); the least of three runs keeps a stray
+// allocation elsewhere in the test binary out of the count. The walked
+// schedules — bine-rs-gather and bine-fold here — and the planned ones with
+// the longest history are also held to a budget at p=256 in units of their
+// logical records' footprint, 1.5× the measured ratio rounded up, and to a
+// growth bound: they emit Θ(p log p) records, so doubling p multiplies
+// records by 2.2, and allocation may grow at most twice as fast. The p=256
+// budget catches a helper that rebuilds an O(p) structure per rank (a tree
+// per rank put reduce/bine-rs-gather at 225× its trace); the growth bound
+// catches an O(p²)-per-rank one (BineAlltoall's per-item block lists: 2413×
+// at p=256, ×6.9 per doubling). What the walked budgets cover is each
+// rank's working copy of the n = p element vector, the trace builder's
+// shards and, for bine-rs-gather, the tree gather.
 func TestSynthAllocBudget(t *testing.T) {
 	const recordBytes = 20 // columnar footprint of one trace record
 	cases := []struct {
-		coll coll.Collective
-		name string
-		// budget bounds the bytes allocated at p=256 in units of the trace's
-		// own footprint: 1.5× the measured ratio, rounded up.
+		coll   coll.Collective
+		name   string
 		budget uint64
 	}{
-		{coll.CAlltoall, "bine", 5},                 // measured 3.2
-		{coll.CAllreduce, "bine-bw", 7},             // 4.6
-		{coll.CReduceScatter, "bine-two-trans", 20}, // 12.9
-		{coll.CReduce, "bine-rs-gather", 29},        // 18.7
-		{coll.CReduceScatter, "bine-fold", 18},      // 11.6
+		{coll.CAlltoall, "bine", 2},                // measured 0.9
+		{coll.CAllreduce, "bine-bw", 1},            // 0.5
+		{coll.CReduceScatter, "bine-two-trans", 2}, // 1.0
+		{coll.CReduce, "bine-rs-gather", 29},       // 18.7 (walked)
+		{coll.CReduceScatter, "bine-fold", 18},     // 11.6 (walked)
 	}
 	for _, tc := range cases {
 		tr256, b256 := synthAlloc(t, tc.coll, tc.name, 256)
@@ -276,20 +339,32 @@ func TestSynthAllocBudget(t *testing.T) {
 				tc.coll, tc.name, recGrowth, allocGrowth)
 		}
 	}
-	// At p = 4 096 the trace is tens of kilobytes; the least of three runs
-	// keeps a stray allocation elsewhere in the test binary out of the count.
-	for _, c := range []coll.Collective{coll.CReduceScatter, coll.CAllgather, coll.CAllreduce} {
+	planned := []struct {
+		coll coll.Collective
+		name string
+		p    int
+	}{
+		{coll.CReduceScatter, "ring", 4096},
+		{coll.CAllgather, "ring", 4096},
+		{coll.CAllreduce, "ring", 4096},
+		{coll.CAlltoall, "pairwise", 1024},
+		{coll.CAllgather, "sparbit", 512},
+		{coll.CReduceScatter, "bine-block", 512},
+		{coll.CAllreduce, "swing", 512},
+		{coll.CReduceScatter, "bine-permute", 8192},
+	}
+	for _, tc := range planned {
 		var tr *fabric.Trace
 		least := ^uint64(0)
 		for range 3 {
 			var b uint64
-			tr, b = synthAlloc(t, c, "ring", 4096)
+			tr, b = synthAlloc(t, tc.coll, tc.name, tc.p)
 			least = min(least, b)
 		}
 		foot := uint64(tr.MemBytes())
-		t.Logf("%v/ring p=4096: %d B = %.2f× the trace's %d B", c, least, float64(least)/float64(foot), foot)
+		t.Logf("%v/%s p=%d: %d B = %.2f× the trace's %d B", tc.coll, tc.name, tc.p, least, float64(least)/float64(foot), foot)
 		if least > 2*foot {
-			t.Errorf("%v/ring p=4096: allocated %d B, budget 2× the trace's %d B", c, least, foot)
+			t.Errorf("%v/%s p=%d: allocated %d B, budget 2× the trace's %d B", tc.coll, tc.name, tc.p, least, foot)
 		}
 	}
 }
