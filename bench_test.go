@@ -273,6 +273,36 @@ func BenchmarkSynthButterfly(b *testing.B) {
 	b.Run("bine-two-trans-p1024", synthBench(findAlgo(b, coll.CReduceScatter, "bine-two-trans"), 1024))
 }
 
+// BenchmarkSynthTorus times cold synthesis of the Fugaku torus allreduces
+// at paper-scale shapes as the trace resolver runs it, Pattern (which builds
+// the butterflies once) and Schedule (the walk) per iteration: the Bine
+// allreduce and its multi-ported variant on 64×64 (p = 4 096) and the
+// Bucket baseline on 32×256 (p = 8 192), each over the p·2·NDims elements
+// the harness records.
+func BenchmarkSynthTorus(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		dims []int
+	}{{"bine-torus", []int{64, 64}}, {"bine-multiport", []int{64, 64}}, {"bucket", []int{32, 256}}} {
+		tor := core.MustTorus(c.dims...)
+		a, ok := coll.Find(coll.TorusRegistry(tor), coll.CAllreduce, c.name)
+		if !ok {
+			b.Fatalf("torus allreduce %s not registered", c.name)
+		}
+		b.Run(fmt.Sprintf("%s-%dx%d", c.name, c.dims[0], c.dims[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, err := a.Pattern(tor.P(), 0, tor.P()*2*tor.NDims())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := synth.Schedule(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDecodeTrace times the store-load layer's decode of one trace file
 // at p=1024: alltoall/pairwise is the largest warm decode (p−1 distinct steps
 // of p records each, ~1 M stored records), allreduce/ring a 2-class trace

@@ -20,12 +20,15 @@ type Op struct {
 }
 
 // Apply folds src into dst elementwise: dst[i] = dst[i] op src[i]. The two
-// slices must have equal length.
+// slices must have equal length. An Op without a fold function, such as the
+// walks' opNone, folds nothing.
 func (o Op) Apply(dst, src []int32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("coll: %s over mismatched lengths %d and %d", o.Name, len(dst), len(src)))
 	}
-	o.apply(dst, src)
+	if o.apply != nil {
+		o.apply(dst, src)
+	}
 }
 
 // Reduction operators mirroring the MPI built-ins used by the paper's

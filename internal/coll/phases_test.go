@@ -102,17 +102,16 @@ func TestPhasesDoNotAlias(t *testing.T) {
 	}
 	for _, dims := range [][]int{{2, 2, 2}, {4, 4, 4}, {8, 2}} {
 		tor := core.MustTorus(dims...)
-		p, n := tor.P(), tor.P()*2*tor.NDims()
-		for name, run := range map[string]func(c fabric.Comm) error{
-			"torus allreduce": func(c fabric.Comm) error { return TorusAllreduce(c, tor, make([]int32, n), OpSum) },
-			"torus multiport": func(c fabric.Comm) error { return TorusMultiportAllreduce(c, tor, make([]int32, n), OpSum) },
-			"bucket":          func(c fabric.Comm) error { return BucketAllreduce(c, tor, make([]int32, n), OpSum) },
-			"torus bcast":     func(c fabric.Comm) error { return TorusBcast(c, tor, core.BineDH, p/3, make([]int32, n)) },
-			"torus reduce": func(c fabric.Comm) error {
-				return TorusReduce(c, tor, core.BineDH, p/3, make([]int32, n), make([]int32, n), OpSum)
-			},
-		} {
-			walkTags(t, fmt.Sprintf("%s %v", name, dims), p, allRanks(p), run)
+		p, n, root := tor.P(), tor.P()*2*tor.NDims(), tor.P()/3
+		for _, algo := range TorusRegistry(tor) {
+			run, err := algo.Make(p, root)
+			if err != nil {
+				t.Fatalf("%v/%s %v: %v", algo.Coll, algo.Name, dims, err)
+			}
+			inLen, outLen := algo.Coll.InOutLens(p, n)
+			walkTags(t, fmt.Sprintf("%v/%s %v", algo.Coll, algo.Name, dims), p, allRanks(p), func(c fabric.Comm) error {
+				return run(c, root, make([]int32, inLen), make([]int32, outLen), OpSum)
+			})
 		}
 	}
 	for _, p := range []int{16, 64} {

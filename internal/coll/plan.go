@@ -68,7 +68,7 @@ func (pl *plan) Synthesize() (*fabric.Trace, error) {
 // run executes steps [lo, hi) of the plan as rank r over its vector w: at
 // each step r sends its extents of w and receives its source's extents into
 // the same elements of w, folding them in with op, or overwriting them when
-// op is nil. Step tags are the plan's step numbers.
+// op is nil or opNone. Step tags are the plan's step numbers.
 func (pl *plan) run(x *ctx, r int, w []int32, lo, hi int, op *Op) error {
 	var mine, theirs []extent
 	var stage []int32
@@ -93,7 +93,7 @@ func (pl *plan) run(x *ctx, r int, w []int32, lo, hi int, op *Op) error {
 		}
 		for sub, e := range theirs {
 			head, tail := spans(w, e)
-			if op == nil && len(tail) == 0 {
+			if (op == nil || op.apply == nil) && len(tail) == 0 {
 				x.recv(from, s, sub, head)
 				continue
 			}

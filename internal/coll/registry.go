@@ -109,7 +109,8 @@ type Algorithm struct {
 	// real execution records, step by step, with no vectors. Every butterfly
 	// reduce-scatter, allgather and allreduce and every all-pairs schedule
 	// (ring, pairwise, sparbit, Bruck, the Bine alltoall) has one; trees,
-	// composites, fold and the linear and pipelined broadcasts walk.
+	// composites, fold, the linear and pipelined broadcasts and the
+	// TorusRegistry collectives walk.
 	Synth func(p, root, n int) (Synthesizer, error)
 }
 

@@ -18,8 +18,8 @@ import (
 // and message extents their executors loop over, fed step by step into a
 // fabric.StepBuilder, with no vectors, shards or merge. Everything else —
 // trees, the tree + butterfly composites, fold, linear and pipelined
-// broadcasts — walks its Make body against a fabric.TraceBuilder (see
-// Pattern).
+// broadcasts and the TorusRegistry collectives — walks its Make body
+// against a fabric.TraceBuilder (see Pattern and Walk).
 type Synthesizer interface {
 	// Synthesize returns the schedule's trace.
 	Synthesize() (*fabric.Trace, error)
@@ -30,26 +30,30 @@ type synthFunc func() (*fabric.Trace, error)
 
 func (f synthFunc) Synthesize() (*fabric.Trace, error) { return f() }
 
-// walk builds a p-rank trace by running body once per rank, in rank order,
-// against a fabric.TraceBuilder's pattern endpoints, whose Sends are logged
-// and whose Recvs complete at once.
-func walk(p int, body func(c fabric.Comm) error) (*fabric.Trace, error) {
-	b := fabric.NewTraceBuilder(p)
-	for rank := 0; rank < p; rank++ {
-		if err := body(b.Comm(rank)); err != nil {
-			return nil, fmt.Errorf("rank %d: %w", rank, err)
+// Walk returns the Synthesizer that builds a p-rank trace by running body
+// once per rank, in rank order, against a fabric.TraceBuilder's pattern
+// endpoints, whose Sends are logged and whose Recvs complete at once. It
+// must not run from several goroutines at once.
+func Walk(p int, body func(c fabric.Comm) error) Synthesizer {
+	return synthFunc(func() (*fabric.Trace, error) {
+		b := fabric.NewTraceBuilder(p)
+		for rank := 0; rank < p; rank++ {
+			if err := body(b.Comm(rank)); err != nil {
+				return nil, fmt.Errorf("rank %d: %w", rank, err)
+			}
 		}
-	}
-	return b.Trace(), nil
+		return b.Trace(), nil
+	})
 }
 
 // opNone is the walk's reduction operator: it folds nothing, because no
-// trace reads the data a walk would reduce.
-var opNone = Op{Name: "none", apply: func(_, _ []int32) {}}
+// trace reads the data a walk would reduce, and a plan receives under it
+// straight into the vector instead of a staging buffer.
+var opNone = Op{Name: "none"}
 
 // Pattern returns a Synthesizer for the algorithm's schedule over p ranks
 // with root root and n total vector elements: the algorithm's Synth closed
-// form if it has one, otherwise a walk of its Make body. The walk builds the
+// form if it has one, otherwise a Walk of its Make body. The walk builds the
 // per-rank runner once (Make caches tree/butterfly structures in its
 // closure, exactly as a recording run would) and runs every rank on one
 // pair of buffers sized by the collective's InOutLens convention, reducing
@@ -71,7 +75,5 @@ func (a Algorithm) Pattern(p, root, n int) (Synthesizer, error) {
 	if outLen > 0 {
 		out = make([]int32, outLen)
 	}
-	return synthFunc(func() (*fabric.Trace, error) {
-		return walk(p, func(c fabric.Comm) error { return run(c, root, in, out, opNone) })
-	}), nil
+	return Walk(p, func(c fabric.Comm) error { return run(c, root, in, out, opNone) }), nil
 }

@@ -14,51 +14,170 @@ import (
 // dimension, keeping hop counts minimal. Each dimension runs a 1-D
 // collective over the Line sub-communicator of that dimension.
 
-// TorusAllreduce performs the Appendix D Bine allreduce: a per-dimension
-// reduce-scatter sweep (dimensions ascending) followed by the mirrored
-// per-dimension allgather sweep. Every dimension size must be a power of
-// two; the vector length must be a multiple of the total rank count.
-func TorusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
-	return torusAllreduce(c, tor, buf, op, identityOrder(tor.NDims()), false, 0)
+// TorusRegistry returns the torus collectives over tor in the registry's
+// Algorithm shape: the Bine allreduce, its multi-ported variant and the
+// Bucket baseline, and the per-dimension Bine-tree broadcast and reduce.
+// Each Make rejects a rank count other than tor.P() and builds the
+// schedule's structures once — a butterfly per distinct dimension size,
+// shared by every multiport plane, or a tree per dimension rooted at the
+// root's coordinates — so the RunFunc it returns builds none per rank.
+func TorusRegistry(tor core.Torus) []Algorithm {
+	entry := func(name string, coll Collective, bine bool, build func(*torusSched) error,
+		run func(s *torusSched, c fabric.Comm, in, out []int32, op Op) error) Algorithm {
+		return Algorithm{Name: name, Coll: coll, Bine: bine, Make: func(p, root int) (RunFunc, error) {
+			if p != tor.P() {
+				return nil, fmt.Errorf("coll: %d ranks for a torus of %d", p, tor.P())
+			}
+			s := &torusSched{tor: tor, root: root, rc: tor.Coord(root)}
+			if err := build(s); err != nil {
+				return nil, err
+			}
+			return func(c fabric.Comm, _ int, in, out []int32, op Op) error {
+				if c.Size() != p {
+					return fmt.Errorf("coll: torus of %d ranks on a %d-rank communicator", p, c.Size())
+				}
+				return run(s, c, in, out, op)
+			}, nil
+		}}
+	}
+	return []Algorithm{
+		entry("bine-torus", CAllreduce, true, (*torusSched).buildButterflies, func(s *torusSched, c fabric.Comm, in, _ []int32, op Op) error {
+			return s.allreduce(c, in, op, 0, false, 0)
+		}),
+		entry("bine-multiport", CAllreduce, true, (*torusSched).buildButterflies, func(s *torusSched, c fabric.Comm, in, _ []int32, op Op) error {
+			return s.multiport(c, in, op)
+		}),
+		entry("bucket", CAllreduce, false, func(*torusSched) error { return nil }, func(s *torusSched, c fabric.Comm, in, _ []int32, op Op) error {
+			return s.bucket(c, in, op)
+		}),
+		entry("bine-bcast", CBcast, true, (*torusSched).buildTrees, func(s *torusSched, c fabric.Comm, in, _ []int32, _ Op) error {
+			return s.bcast(c, in)
+		}),
+		entry("bine-reduce", CReduce, true, (*torusSched).buildTrees, (*torusSched).reduce),
+	}
 }
 
-// torusAllreduce is the dimension-order/mirror parameterized core shared
-// with the multi-ported variant. order lists the dimensions in processing
-// sequence; mirror reverses every line, flipping the direction the Bine
-// schedule walks around each ring (Appendix D.4's opposite-port planes).
-// width is every dimension phase's step count, 0 for its own log2 steps. The
-// allgathers follow the reduce-scatters, run in reverse order but numbered
-// in order: each offsets its reduce-scatter's sub-communicator by rsLen.
-func torusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op, order []int, mirror bool, width int) error {
-	p := tor.P()
-	if c.Size() != p {
-		return fmt.Errorf("coll: torus of %d ranks on a %d-rank communicator", p, c.Size())
-	}
-	if err := checkBlocks(len(buf), p); err != nil {
+// runTorus runs TorusRegistry(tor)'s named entry once, building its
+// structures for this one call.
+func runTorus(c fabric.Comm, tor core.Torus, coll Collective, name string, root int, in, out []int32, op Op) error {
+	a, _ := Find(TorusRegistry(tor), coll, name)
+	run, err := a.Make(tor.P(), root)
+	if err != nil {
 		return err
 	}
-	r := c.Rank()
+	return run(c, root, in, out, op)
+}
+
+// TorusAllreduce performs the Appendix D Bine allreduce (TorusRegistry's
+// bine-torus): a per-dimension reduce-scatter sweep (dimensions ascending)
+// followed by the mirrored per-dimension allgather sweep. Every dimension
+// size must be a power of two; the vector length must be a multiple of the
+// total rank count.
+func TorusAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
+	return runTorus(c, tor, CAllreduce, "bine-torus", 0, buf, nil, op)
+}
+
+// TorusMultiportAllreduce exploits one NIC per torus direction (Appendix
+// D.4; TorusRegistry's bine-multiport): the vector is split into 2·D slices
+// and 2·D allreduces run concurrently, each starting on a different
+// dimension (rotated order) and direction (mirrored lines for the second
+// half).
+func TorusMultiportAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
+	return runTorus(c, tor, CAllreduce, "bine-multiport", 0, buf, nil, op)
+}
+
+// BucketAllreduce is the torus-optimized Bucket baseline (Jain & Sabharwal,
+// cited in Sec. 5; TorusRegistry's bucket): a multi-dimensional ring —
+// per-dimension ring reduce-scatter sweeps followed by reversed ring
+// allgather sweeps. It handles arbitrary dimension sizes.
+func BucketAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
+	return runTorus(c, tor, CAllreduce, "bucket", 0, buf, nil, op)
+}
+
+// TorusBcast broadcasts along one dimension at a time over per-dimension
+// Bine trees (Appendix D; TorusRegistry's bine-bcast): after phase d, every
+// rank whose trailing coordinates match the root's holds the vector; the
+// final phase covers the whole torus.
+func TorusBcast(c fabric.Comm, tor core.Torus, root int, buf []int32) error {
+	return runTorus(c, tor, CBcast, "bine-bcast", root, buf, nil, Op{})
+}
+
+// torusSched is what a TorusRegistry Make builds once and every rank's call
+// reads: the torus, the root and its coordinates rc, and the schedule's
+// structures.
+type torusSched struct {
+	tor  core.Torus
+	root int
+	rc   []int
+	// bflys holds each dimension's distance-doubling Bine butterfly (nil
+	// for a size-1 dimension), one per distinct size.
+	bflys []*core.Butterfly
+	// trees holds each dimension's Bine tree, rooted at rc, and start the
+	// step its phase starts at: the phases are numbered in ascending
+	// dimension order, whichever order they run in.
+	trees []*core.Tree
+	start []int
+}
+
+func (s *torusSched) buildButterflies() error {
+	s.bflys = make([]*core.Butterfly, s.tor.NDims())
+	for d, qd := range s.tor.Dims {
+		if same := slices.Index(s.tor.Dims[:d], qd); same >= 0 {
+			s.bflys[d] = s.bflys[same]
+		} else if qd > 1 {
+			b, err := core.NewButterfly(core.BflyBineDD, qd)
+			if err != nil {
+				return fmt.Errorf("coll: torus dimension %d: %w", d, err)
+			}
+			s.bflys[d] = b
+		}
+	}
+	return nil
+}
+
+func (s *torusSched) buildTrees() error {
+	s.trees, s.start = make([]*core.Tree, s.tor.NDims()), make([]int, s.tor.NDims())
+	next := 0
+	for d, qd := range s.tor.Dims {
+		var err error
+		if s.trees[d], err = core.NewTree(core.BineDH, qd, s.rc[d]); err != nil {
+			return err
+		}
+		s.start[d], next = next, next+s.trees[d].Steps
+	}
+	return nil
+}
+
+// allreduce is the Bine allreduce, parameterized for the multi-ported
+// variant: the dimensions run in order from first, wrapping; mirror reverses
+// every line, flipping the direction the Bine schedule walks around each
+// ring (Appendix D.4's opposite-port planes). width is every dimension
+// phase's step count, 0 for its own log2 steps. The allgathers follow the
+// reduce-scatters, run in reverse order but numbered in order: each offsets
+// its reduce-scatter's sub-communicator by rsLen.
+func (s *torusSched) allreduce(c fabric.Comm, buf []int32, op Op, first int, mirror bool, width int) error {
+	if err := checkBlocks(len(buf), s.tor.P()); err != nil {
+		return err
+	}
 	type phase struct {
 		b   *core.Butterfly
 		sub fabric.Comm
 		me  int
 		seg []int32
 	}
-	phases := make([]phase, 0, len(order))
+	phases := make([]phase, 0, s.tor.NDims())
 	seg := buf
 	rsLen := 0 // steps of the reduce-scatter phases so far
-	for _, d := range order {
-		qd := tor.Dims[d]
+	for j := range s.tor.NDims() {
+		d := (first + j) % s.tor.NDims()
+		qd := s.tor.Dims[d]
 		start := rsLen
 		rsLen += cmp.Or(width, core.Log2Ceil(qd))
 		if qd == 1 {
 			continue
 		}
-		b, err := core.NewButterfly(core.BflyBineDD, qd)
-		if err != nil {
-			return fmt.Errorf("coll: torus dimension %d: %w", d, err)
-		}
-		line := tor.Line(r, d)
+		b := s.bflys[d]
+		line := s.tor.Line(c.Rank(), d)
 		if mirror {
 			line = mirrorLine(line)
 		}
@@ -99,176 +218,121 @@ func mirrorLine(line []int) []int {
 	return out
 }
 
-func identityOrder(d int) []int {
-	out := make([]int, d)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// TorusMultiportAllreduce exploits one NIC per torus direction (Appendix
-// D.4): the vector is split into 2·D slices and 2·D allreduces run
-// concurrently, each starting on a different dimension (rotated order) and
-// direction (mirrored lines for the second half). Message tags share step
+// multiport runs the 2·D planes of TorusMultiportAllreduce, plane k on the
+// k-th slice of buf, starting on dimension k mod D. Message tags share step
 // numbers across planes — the planes genuinely overlap on the wire — and
 // use disjoint sub windows. Every plane gives each of its dimension phases
 // the largest dimension's step count, so phase k starts at the same step in
 // every plane.
-func TorusMultiportAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
-	d := tor.NDims()
+func (s *torusSched) multiport(c fabric.Comm, buf []int32, op Op) error {
+	d := s.tor.NDims()
 	planes := 2 * d
-	p := tor.P()
-	if len(buf)%(planes*p) != 0 || len(buf) == 0 {
-		return fmt.Errorf("coll: vector of %d elements not divisible into %d plane blocks", len(buf), planes*p)
+	if len(buf)%(planes*s.tor.P()) != 0 || len(buf) == 0 {
+		return fmt.Errorf("coll: vector of %d elements not divisible into %d plane blocks", len(buf), planes*s.tor.P())
 	}
 	sliceLen := len(buf) / planes
-	width := core.Log2Ceil(slices.Max(tor.Dims))
-	for k := 0; k < planes; k++ {
-		order := make([]int, d)
-		for j := range order {
-			order[j] = (k + j) % d
-		}
-		mirror := k >= d
+	width := core.Log2Ceil(slices.Max(s.tor.Dims))
+	for k := range planes {
 		slice := buf[k*sliceLen : (k+1)*sliceLen]
-		if err := torusAllreduce(SubShift(c, (k+1)*1024), tor, slice, op, order, mirror, width); err != nil {
+		if err := s.allreduce(SubShift(c, (k+1)*1024), slice, op, k%d, k >= d, width); err != nil {
 			return fmt.Errorf("coll: multiport plane %d: %w", k, err)
 		}
 	}
 	return nil
 }
 
-// BucketAllreduce is the torus-optimized Bucket baseline (Jain & Sabharwal,
-// cited in Sec. 5): a multi-dimensional ring — per-dimension ring
-// reduce-scatter sweeps followed by reversed ring allgather sweeps. It
-// handles arbitrary dimension sizes.
-func BucketAllreduce(c fabric.Comm, tor core.Torus, buf []int32, op Op) error {
-	p := tor.P()
-	if c.Size() != p {
-		return fmt.Errorf("coll: torus of %d ranks on a %d-rank communicator", p, c.Size())
-	}
-	if err := checkBlocks(len(buf), p); err != nil {
+// bucket is the Bucket allreduce. Each ring reduce-scatter runs in place, as
+// RingAllreduce's does: the rank's own block of the segment ends fully
+// reduced, and the matching ring allgather overwrites the others.
+func (s *torusSched) bucket(c fabric.Comm, buf []int32, op Op) error {
+	if err := checkBlocks(len(buf), s.tor.P()); err != nil {
 		return err
 	}
-	r := c.Rank()
-	d := tor.NDims()
 	type phase struct {
 		sub fabric.Comm
+		me  int
 		seg []int32
-		own []int32
 	}
-	phases := make([]phase, 0, d)
+	phases := make([]phase, 0, s.tor.NDims())
 	seg := buf
 	rsLen := 0 // steps of the reduce-scatter phases so far
-	for k := 0; k < d; k++ {
-		qd := tor.Dims[k]
+	for d, qd := range s.tor.Dims {
 		if qd == 1 {
 			continue
 		}
-		line := tor.Line(r, k)
-		sub, err := Group(Offset(c, rsLen), line)
+		sub, err := Group(Offset(c, rsLen), s.tor.Line(c.Rank(), d))
 		if err != nil {
 			return err
 		}
 		rsLen += qd - 1
-		bs := len(seg) / qd
-		own := seg[sub.Rank()*bs : (sub.Rank()+1)*bs]
-		tmp := make([]int32, bs)
-		if err := RingReduceScatter(sub, seg, tmp, op); err != nil {
+		me := sub.Rank()
+		if err := ringPlan(qd, len(seg), 1).run(&ctx{c: sub}, me, seg, 0, qd-1, &op); err != nil {
 			return err
 		}
-		copy(own, tmp)
-		phases = append(phases, phase{sub: sub, seg: seg, own: own})
-		seg = own
+		phases = append(phases, phase{sub: sub, me: me, seg: seg})
+		bs := len(seg) / qd
+		seg = seg[me*bs : (me+1)*bs]
 	}
 	for k := len(phases) - 1; k >= 0; k-- {
 		ph := phases[k]
-		ag := Offset(ph.sub, rsLen)
-		if err := RingAllgather(ag, ph.own, ph.seg); err != nil {
+		qd := ph.sub.Size()
+		if err := ringPlan(qd, len(ph.seg), 0).run(&ctx{c: Offset(ph.sub, rsLen)}, ph.me, ph.seg, 0, qd-1, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// torusTrees builds the per-dimension trees of TorusBcast and TorusReduce,
-// rooted at the root's coordinates rc, and the step each dimension's phase
-// starts at: the phases are numbered in ascending dimension order, whichever
-// order they run in.
-func torusTrees(tor core.Torus, kind core.Kind, rc []int) (trees []*core.Tree, start []int, err error) {
-	trees, start = make([]*core.Tree, tor.NDims()), make([]int, tor.NDims())
-	next := 0
-	for d, qd := range tor.Dims {
-		if trees[d], err = core.NewTree(kind, qd, rc[d]); err != nil {
-			return nil, nil, err
-		}
-		start[d], next = next, next+trees[d].Steps
+// line returns the calling rank's sub-communicator of dimension d's tree
+// phase, or nil when the rank sits out that phase: the dimension is trivial,
+// or its trailing coordinates my[d+1:] differ from the root's.
+func (s *torusSched) line(c fabric.Comm, my []int, d int) (fabric.Comm, error) {
+	if s.tor.Dims[d] == 1 || !slices.Equal(my[d+1:], s.rc[d+1:]) {
+		return nil, nil
 	}
-	return trees, start, nil
+	return Group(Offset(c, s.start[d]), s.tor.Line(c.Rank(), d))
 }
 
-// TorusBcast broadcasts along one dimension at a time (Appendix D): after
-// phase d, every rank whose trailing coordinates match the root's holds the
-// vector; the final phase covers the whole torus.
-func TorusBcast(c fabric.Comm, tor core.Torus, kind core.Kind, root int, buf []int32) error {
-	p := tor.P()
-	if c.Size() != p {
-		return fmt.Errorf("coll: torus of %d ranks on a %d-rank communicator", p, c.Size())
-	}
-	r := c.Rank()
-	my := tor.Coord(r)
-	rc := tor.Coord(root)
-	trees, start, err := torusTrees(tor, kind, rc)
-	if err != nil {
-		return err
-	}
-	for d := 0; d < tor.NDims(); d++ {
-		if tor.Dims[d] == 1 || !slices.Equal(my[d+1:], rc[d+1:]) {
-			continue
-		}
-		sub, err := Group(Offset(c, start[d]), tor.Line(r, d))
+// bcast broadcasts buf from the root one dimension at a time, first to last.
+func (s *torusSched) bcast(c fabric.Comm, buf []int32) error {
+	my := s.tor.Coord(c.Rank())
+	for d := range s.trees {
+		sub, err := s.line(c, my, d)
 		if err != nil {
 			return err
 		}
-		if err := Bcast(sub, trees[d], buf); err != nil {
+		if sub == nil {
+			continue
+		}
+		if err := Bcast(sub, s.trees[d], buf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// TorusReduce reverses TorusBcast: per-dimension tree reductions walking the
+// reduce reverses bcast: per-dimension tree reductions walking the
 // dimensions from last to first. out receives the result at the root.
-func TorusReduce(c fabric.Comm, tor core.Torus, kind core.Kind, root int, in, out []int32, op Op) error {
-	p := tor.P()
-	if c.Size() != p {
-		return fmt.Errorf("coll: torus of %d ranks on a %d-rank communicator", p, c.Size())
-	}
-	r := c.Rank()
-	my := tor.Coord(r)
-	rc := tor.Coord(root)
-	if r == root && len(out) != len(in) {
+func (s *torusSched) reduce(c fabric.Comm, in, out []int32, op Op) error {
+	if c.Rank() == s.root && len(out) != len(in) {
 		return fmt.Errorf("coll: reduce out has %d elements, want %d", len(out), len(in))
 	}
-	trees, start, err := torusTrees(tor, kind, rc)
-	if err != nil {
-		return err
-	}
-	acc := append([]int32(nil), in...)
-	for d := tor.NDims() - 1; d >= 0; d-- {
-		if tor.Dims[d] == 1 || !slices.Equal(my[d+1:], rc[d+1:]) {
-			continue
-		}
-		sub, err := Group(Offset(c, start[d]), tor.Line(r, d))
+	my := s.tor.Coord(c.Rank())
+	acc := in // Reduce leaves its input alone
+	for d := len(s.trees) - 1; d >= 0; d-- {
+		sub, err := s.line(c, my, d)
 		if err != nil {
 			return err
 		}
-		res := make([]int32, len(acc))
-		if err := Reduce(sub, trees[d], acc, res, op); err != nil {
-			return err
+		if sub == nil {
+			continue
 		}
-		if my[d] != rc[d] {
-			return nil // contributed; not on the path to the root
+		if my[d] != s.rc[d] {
+			return Reduce(sub, s.trees[d], acc, nil, op) // contributes; not on the path to the root
+		}
+		res := make([]int32, len(acc))
+		if err := Reduce(sub, s.trees[d], acc, res, op); err != nil {
+			return err
 		}
 		acc = res
 	}

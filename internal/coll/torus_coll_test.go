@@ -78,18 +78,23 @@ func TestTorusBcastAndReduce(t *testing.T) {
 				if c.Rank() == root {
 					copy(buf, want)
 				}
-				if err := TorusBcast(c, tor, core.BineDH, root, buf); err != nil {
+				if err := TorusBcast(c, tor, root, buf); err != nil {
 					return err
 				}
 				return eq(t, fmt.Sprintf("torus-bcast %v root=%d rank=%d", tor.Dims, root, c.Rank()), buf, want)
 			})
 			wantRed := expectedReduce(p, n, OpSum)
+			reduce, _ := Find(TorusRegistry(tor), CReduce, "bine-reduce")
+			run, err := reduce.Make(p, root)
+			if err != nil {
+				t.Fatal(err)
+			}
 			runRanks(t, p, func(c fabric.Comm) error {
 				var out []int32
 				if c.Rank() == root {
 					out = make([]int32, n)
 				}
-				if err := TorusReduce(c, tor, core.BineDH, root, input(c.Rank(), n), out, OpSum); err != nil {
+				if err := run(c, root, input(c.Rank(), n), out, OpSum); err != nil {
 					return err
 				}
 				if c.Rank() != root {
@@ -115,4 +120,9 @@ func TestTorusValidation(t *testing.T) {
 		}
 		return nil
 	})
+	for _, algo := range TorusRegistry(tor) {
+		if _, err := algo.Make(8, 0); err == nil {
+			t.Errorf("%v/%s: Make accepted 8 ranks for a 4-rank torus", algo.Coll, algo.Name)
+		}
+	}
 }

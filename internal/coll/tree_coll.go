@@ -38,8 +38,10 @@ func Reduce(c fabric.Comm, t *core.Tree, in, out []int32, op Op) error {
 		return fmt.Errorf("coll: reduce out has %d elements, want %d", len(out), len(in))
 	}
 	x := &ctx{c: c}
-	acc := append([]int32(nil), in...)
-	tmp := make([]int32, len(in))
+	acc, tmp := in, []int32(nil) // a leaf sends its input as it is
+	if len(t.Children[r]) > 0 {
+		acc, tmp = append([]int32(nil), in...), make([]int32, len(in))
+	}
 	// Gather direction: the broadcast edge at step s fires at reduce step
 	// Steps−1−s, child → parent. Children joined later send earlier, so by
 	// a rank's own send time all its children have reported.

@@ -109,8 +109,13 @@ func (m *mailbox) take(from, step, sub int, f *ranks) (message, error) {
 			continue
 		}
 		// sync.Cond has no timed wait; a one-shot timer broadcasting the
-		// condition bounds the sleep.
-		timer := time.AfterFunc(remaining, m.cond.Broadcast)
+		// condition bounds the sleep. It broadcasts under the lock, so it
+		// cannot fire between here and Wait's registration and be lost.
+		timer := time.AfterFunc(remaining, func() {
+			m.mu.Lock()
+			m.cond.Broadcast()
+			m.mu.Unlock()
+		})
 		m.cond.Wait()
 		timer.Stop()
 	}

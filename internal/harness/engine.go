@@ -235,13 +235,14 @@ func (eng *Engine) cachedTraceKey(ctx context.Context, key tracestore.Key, synth
 
 // A schedule reaches the resolver as what its executor reads, handed to both
 // cold legs, so the oracle and the synthesizer cannot drift apart in what
-// they execute. A planned schedule — the registry's butterfly and all-pairs
-// algorithms through Algorithm.Pattern, and Fig. 5's butterfly allreduces —
-// synthesizes from the plan its executor loops over, and records by running
-// that executor on the goroutine fabric. Every other schedule is one
-// per-rank body: synth.Run walks it serially over pattern endpoints (a
-// registry algorithm's Pattern walks its Make body on one shared buffer
-// pair), and record runs it on the goroutine fabric.
+// they execute. A registry algorithm — flat (coll.Registry) or torus
+// (coll.TorusRegistry) — synthesizes through Algorithm.Pattern: the plan its
+// executor loops over where it has one, otherwise a walk of its Make body on
+// one shared buffer pair; it records by running that executor on the
+// goroutine fabric. Fig. 5's butterfly allreduces synthesize from their plan
+// the same way. Every other schedule is one per-rank body: synth.Run walks it
+// serially over pattern endpoints, and record runs it on the goroutine
+// fabric.
 
 // record executes a schedule body on the recording goroutine fabric: the
 // DisableSynth leg, which is the oracle the synthesizer is tested against.
@@ -254,43 +255,15 @@ func record(p int, body func(c fabric.Comm) error) (*fabric.Trace, error) {
 	return rec.Trace(), nil
 }
 
-// zeroVectors adapts a collective's (in, out) runner to a schedule body: each
-// rank runs it on fresh all-zero vectors sized by the InOutLens convention for
-// n elements over p ranks (only send lengths reach a trace).
-func zeroVectors(collective coll.Collective, p, n int, run func(c fabric.Comm, in, out []int32) error) func(fabric.Comm) error {
-	inLen, outLen := collective.InOutLens(p, n)
-	return func(c fabric.Comm) error {
-		var out []int32
-		if outLen > 0 {
-			out = make([]int32, outLen)
-		}
-		return run(c, make([]int32, inLen), out)
-	}
-}
-
-// cachedBody resolves a schedule given as the body both cold legs execute.
-func (eng *Engine) cachedBody(ctx context.Context, key tracestore.Key, p int, body func(c fabric.Comm) error) (*fabric.Trace, error) {
-	return eng.cachedTraceKey(ctx, key,
-		func() (*fabric.Trace, error) { return synth.Run(p, body) },
-		func() (*fabric.Trace, error) { return record(p, body) })
-}
-
-// cachedTrace returns a registry algorithm's unit-granularity trace (n = p
-// elements). Its synthesized and recorded forms are byte-identical under the
-// trace codec for every registered algorithm (internal/synth's equivalence
-// suite and TestSynthMatchesRecordedOracle).
-func (eng *Engine) cachedTrace(ctx context.Context, algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
-	key := tracestore.Key{
-		Kind:         "flat",
-		Collective:   algo.Coll.String(),
-		Algo:         algo.Name,
-		Shape:        strconv.Itoa(p),
-		Root:         root,
-		SchedVersion: schedVersion,
-	}
+// cachedAlgo resolves under key the trace of a registry algorithm over p
+// ranks with root root and n vector elements: synthesized from its Pattern,
+// or recorded by running its Make body with OpSum. A recording runs its
+// ranks concurrently, so unlike a walk each rank gets fresh zero vectors
+// sized by the InOutLens convention (only send lengths reach a trace).
+func (eng *Engine) cachedAlgo(ctx context.Context, key tracestore.Key, algo coll.Algorithm, p, root, n int) (*fabric.Trace, error) {
 	return eng.cachedTraceKey(ctx, key,
 		func() (*fabric.Trace, error) {
-			s, err := algo.Pattern(p, root, p)
+			s, err := algo.Pattern(p, root, n)
 			if err != nil {
 				return nil, err
 			}
@@ -301,28 +274,45 @@ func (eng *Engine) cachedTrace(ctx context.Context, algo coll.Algorithm, p, root
 			if err != nil {
 				return nil, err
 			}
-			return record(p, zeroVectors(algo.Coll, p, p, func(c fabric.Comm, in, out []int32) error {
-				return run(c, root, in, out, coll.OpSum)
-			}))
+			inLen, outLen := algo.Coll.InOutLens(p, n)
+			return record(p, func(c fabric.Comm) error {
+				var out []int32
+				if outLen > 0 {
+					out = make([]int32, outLen)
+				}
+				return run(c, root, make([]int32, inLen), out, coll.OpSum)
+			})
 		})
 }
 
-// cachedTorusTrace is cachedTrace for torus-geometry algorithms, which the
-// registry does not cover; the torus shape and the recorded element count
-// (torusRecordedElems) join the identity.
-func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.Torus, root int) (*fabric.Trace, error) {
+// cachedTrace returns a registry algorithm's unit-granularity trace (n = p
+// elements). Its synthesized and recorded forms are byte-identical under the
+// trace codec for every registered algorithm (internal/synth's equivalence
+// suite and TestSynthMatchesRecordedOracle).
+func (eng *Engine) cachedTrace(ctx context.Context, algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
+	return eng.cachedAlgo(ctx, tracestore.Key{
+		Kind:         "flat",
+		Collective:   algo.Coll.String(),
+		Algo:         algo.Name,
+		Shape:        strconv.Itoa(p),
+		Root:         root,
+		SchedVersion: schedVersion,
+	}, algo, p, root, p)
+}
+
+// cachedTorusTrace is cachedTrace for an algorithm of coll.TorusRegistry(tor):
+// the torus shape and the recorded element count (torusRecordedElems) join
+// the identity.
+func (eng *Engine) cachedTorusTrace(ctx context.Context, algo coll.Algorithm, tor core.Torus, root int) (*fabric.Trace, error) {
 	n := torusRecordedElems(tor)
-	key := tracestore.Key{
+	return eng.cachedAlgo(ctx, tracestore.Key{
 		Kind:         "torus",
-		Collective:   ta.Coll.String(),
-		Algo:         ta.Name,
+		Collective:   algo.Coll.String(),
+		Algo:         algo.Name,
 		Shape:        fmt.Sprintf("%v/n=%d", tor.Dims, n),
 		Root:         root,
 		SchedVersion: schedVersion,
-	}
-	return eng.cachedBody(ctx, key, tor.P(), zeroVectors(ta.Coll, tor.P(), n, func(c fabric.Comm, in, out []int32) error {
-		return ta.Run(c, tor, root, in, out, coll.OpSum)
-	}))
+	}, algo, tor.P(), root, n)
 }
 
 // cachedNamedTrace caches ad-hoc schedules that no registry covers (the
@@ -332,7 +322,9 @@ func (eng *Engine) cachedTorusTrace(ctx context.Context, ta torusAlgo, tor core.
 // so the resolver synthesizes it with a serial pattern walk and touches the
 // fabric only with synthesis disabled.
 func (eng *Engine) cachedNamedTrace(ctx context.Context, kind, name, shape string, p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
-	return eng.cachedBody(ctx, namedKey(kind, name, shape), p, fn)
+	return eng.cachedTraceKey(ctx, namedKey(kind, name, shape),
+		func() (*fabric.Trace, error) { return synth.Run(p, fn) },
+		func() (*fabric.Trace, error) { return record(p, fn) })
 }
 
 // cachedNamedPlan is cachedNamedTrace for an ad-hoc schedule with a plan

@@ -418,40 +418,28 @@ func planFig11b(c *compile) (*plan, error) {
 		shapes = [][]int{{2, 2, 2}, {4, 4, 4}, {8, 2}}
 	}
 	sizes := c.sizes()
+	// Each group's Bine candidates and baselines: the torus algorithms of
+	// coll.TorusRegistry and flat registry algorithms run on the torus.
 	type group struct {
 		collective coll.Collective
-		bine       []torusAlgo
-		base       []torusAlgo
-		flatBine   []string // registry algorithms run on the torus as flat baselines/candidates
-		flatBase   []string
-	}
-	ta := torusAlgos()
-	pick := func(c coll.Collective, bine bool) []torusAlgo {
-		var out []torusAlgo
-		for _, a := range ta {
-			if a.Coll == c && a.Bine == bine {
-				out = append(out, a)
-			}
-		}
-		return out
+		bine, base []string
 	}
 	groups := []group{
-		{collective: coll.CAllreduce, bine: pick(coll.CAllreduce, true), base: pick(coll.CAllreduce, false),
-			flatBase: []string{"ring", "rabenseifner", "recursive-doubling"}},
-		{collective: coll.CBcast, bine: pick(coll.CBcast, true), flatBase: []string{"binomial-dd", "binomial-dh", "linear"}},
-		{collective: coll.CReduce, bine: pick(coll.CReduce, true), flatBase: []string{"binomial-dd", "binomial-dh", "linear"}},
-		{collective: coll.CReduceScatter, flatBine: []string{"bine-permute", "bine-send"},
-			flatBase: []string{"recursive-halving", "ring"}},
-		{collective: coll.CAllgather, flatBine: []string{"bine-permute", "bine-send"},
-			flatBase: []string{"recursive-doubling", "ring", "bruck"}},
+		{coll.CAllreduce, []string{"bine-torus", "bine-multiport"}, []string{"bucket", "ring", "rabenseifner", "recursive-doubling"}},
+		{coll.CBcast, []string{"bine-bcast"}, []string{"binomial-dd", "binomial-dh", "linear"}},
+		{coll.CReduce, []string{"bine-reduce"}, []string{"binomial-dd", "binomial-dh", "linear"}},
+		{coll.CReduceScatter, []string{"bine-permute", "bine-send"}, []string{"recursive-halving", "ring"}},
+		{coll.CAllgather, []string{"bine-permute", "bine-send"}, []string{"recursive-doubling", "ring", "bruck"}},
 	}
 	registry := coll.Registry()
-	// Every shape is shared by every collective group; build the geometry
-	// and network model once, up front.
+	// Every shape is shared by every collective group; build the geometry,
+	// its torus algorithms and the network model once, up front.
 	tors := make([]core.Torus, len(shapes))
+	torusAlgos := make([][]coll.Algorithm, len(shapes))
 	topos := make([]*topology.Torus, len(shapes))
 	for i, dims := range shapes {
 		tors[i] = core.MustTorus(dims...)
+		torusAlgos[i] = coll.TorusRegistry(tors[i])
 		topo, err := FugakuTopology(dims)
 		if err != nil {
 			return nil, err
@@ -459,59 +447,43 @@ func planFig11b(c *compile) (*plan, error) {
 		topos[i] = topo
 	}
 	// One eval cell per (collective group, shape, algorithm), appended in
-	// the serial evaluation order: a group's Bine candidates (torus then
-	// flat) followed by its baselines (torus then flat). Each cell records
-	// — or fetches from the trace cache — its schedule and scores every
-	// size; results land in the cell's own slot of an index-addressed
-	// slice.
+	// the serial evaluation order: a group's Bine candidates followed by its
+	// baselines. Each cell records — or fetches from the trace cache — its
+	// schedule and scores every size; results land in the cell's own slot of
+	// an index-addressed slice.
 	type evalJob struct {
-		group, shape int
-		torus        *torusAlgo // nil for registry (flat) algorithms
-		flat         string
+		shape int
+		algo  coll.Algorithm
+		torus bool // from coll.TorusRegistry, not coll.Registry
 	}
 	var jobs []evalJob
-	for gi := range groups {
-		g := &groups[gi]
+	for _, g := range groups {
 		for si := range shapes {
-			for ai := range g.bine {
-				jobs = append(jobs, evalJob{group: gi, shape: si, torus: &g.bine[ai]})
-			}
-			for _, name := range g.flatBine {
-				jobs = append(jobs, evalJob{group: gi, shape: si, flat: name})
-			}
-			for ai := range g.base {
-				jobs = append(jobs, evalJob{group: gi, shape: si, torus: &g.base[ai]})
-			}
-			for _, name := range g.flatBase {
-				jobs = append(jobs, evalJob{group: gi, shape: si, flat: name})
+			for _, name := range slices.Concat(g.bine, g.base) {
+				if algo, ok := coll.Find(torusAlgos[si], g.collective, name); ok {
+					jobs = append(jobs, evalJob{shape: si, algo: algo, torus: true})
+				} else if algo, ok := coll.Find(registry, g.collective, name); ok {
+					jobs = append(jobs, evalJob{shape: si, algo: algo})
+				} else {
+					return nil, fmt.Errorf("%v/%s not registered", g.collective, name)
+				}
 			}
 		}
 	}
 	outs := make([]map[int64]float64, len(jobs))
 	tasks := make([]task, len(jobs))
-	for i := range jobs {
+	for i, j := range jobs {
 		tasks[i] = task{system: systemFugaku, run: func(ctx context.Context) error {
-			j := jobs[i]
 			tor := tors[j.shape]
-			collective := groups[j.group].collective
 			rp := replay{topo: topos[j.shape], params: FugakuParams(), sizes: sizes}
-			var rs []netsim.Result
-			var err error
-			if ta := j.torus; ta != nil {
-				rs, err = rp.evaluate(ctx, func() (*fabric.Trace, error) { return c.Engine.cachedTorusTrace(ctx, *ta, tor, 0) },
-					torusRecordedElems(tor), 0, netsim.Eval{Reduces: collective.Reduces(), Overlap: ta.Overlap})
-			} else {
-				algo, ok := coll.Find(registry, collective, j.flat)
-				if !ok {
-					return fmt.Errorf("%v/%s not registered", collective, j.flat)
-				}
-				if algo.Pow2Only {
-					if _, pow2 := core.Log2(tor.P()); !pow2 {
-						return nil // skipped: a nil slot folds as no result
-					}
-				}
-				rs, err = rp.evaluateAlgo(ctx, c.Engine, algo, tor.P())
+			if _, pow2 := core.Log2(tor.P()); j.algo.Pow2Only && !pow2 {
+				return nil // skipped: a nil slot folds as no result
 			}
+			resolve, elems := func() (*fabric.Trace, error) { return c.Engine.cachedTrace(ctx, j.algo, tor.P(), 0) }, tor.P()
+			if j.torus {
+				resolve, elems = func() (*fabric.Trace, error) { return c.Engine.cachedTorusTrace(ctx, j.algo, tor, 0) }, torusRecordedElems(tor)
+			}
+			rs, err := rp.evaluate(ctx, resolve, elems, j.algo.CopyFactor, netsim.Eval{Reduces: j.algo.Coll.Reduces(), Overlap: j.algo.Overlap})
 			if err != nil {
 				return err
 			}
@@ -542,10 +514,8 @@ func planFig11b(c *compile) (*plan, error) {
 			for range shapes {
 				bineTimes := map[int64]float64{}
 				baseTimes := map[int64]float64{}
-				nBine := len(g.bine) + len(g.flatBine)
-				nAll := nBine + len(g.base) + len(g.flatBase)
-				for k := 0; k < nAll; k++ {
-					if k < nBine {
+				for k := range len(g.bine) + len(g.base) {
+					if k < len(g.bine) {
 						fold(bineTimes, outs[jobIdx])
 					} else {
 						fold(baseTimes, outs[jobIdx])
@@ -703,6 +673,11 @@ func planAppD(c *compile) (*plan, error) {
 		return nil, err
 	}
 	flatTree := core.MustTree(core.BineDH, tor.P(), 0)
+	torusBcast, _ := coll.Find(coll.TorusRegistry(tor), coll.CBcast, "bine-bcast")
+	torusRun, err := torusBcast.Make(tor.P(), 0)
+	if err != nil {
+		return nil, err
+	}
 	var flatTr, torusTr *fabric.Trace
 	tasks := []task{
 		{system: systemFugaku, run: func(ctx context.Context) error {
@@ -714,7 +689,7 @@ func planAppD(c *compile) (*plan, error) {
 		}},
 		{system: systemFugaku, run: func(ctx context.Context) error {
 			tr, err := c.Engine.cachedNamedTrace(ctx, "torus-bcast", core.BineDH.String(), fmt.Sprintf("%v/n=1", tor.Dims), tor.P(), func(c fabric.Comm) error {
-				return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
+				return torusRun(c, 0, make([]int32, 1), nil, coll.OpSum)
 			})
 			torusTr = tr
 			return err

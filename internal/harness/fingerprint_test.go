@@ -64,12 +64,12 @@ func TestScheduleFingerprints(t *testing.T) {
 		}
 		check("flat/"+algo.Coll.String()+"/"+algo.Name+"/p=16", fingerprint(tr), flatPins[algo.Coll.String()+"/"+algo.Name])
 	}
-	for _, ta := range torusAlgos() {
-		tr, err := eng.cachedTorusTrace(ctx, ta, tor, 0)
+	for _, algo := range coll.TorusRegistry(tor) {
+		tr, err := eng.cachedTorusTrace(ctx, algo, tor, 0)
 		if err != nil {
-			t.Fatalf("torus %s: %v", ta.Name, err)
+			t.Fatalf("torus %s: %v", algo.Name, err)
 		}
-		check("torus/"+ta.Name+"/4x4", fingerprint(tr), torusPins[ta.Name])
+		check("torus/"+algo.Name+"/4x4", fingerprint(tr), torusPins[algo.Name])
 	}
 	// The cachedNamedTrace families (Fig. 1 / Fig. 5 / Hier / AppD record
 	// outside the registries) are pinned via the same shared schedule code.
@@ -91,7 +91,7 @@ func TestScheduleFingerprints(t *testing.T) {
 			return coll.HierarchicalAllreduce(c, 4, core.BflyBineDD, make([]int32, 64), coll.OpSum)
 		}, "cec5b5270d72201e"},
 		{"torus-bcast/bine-dh/4x4/n=1", 16, func(c fabric.Comm) error {
-			return coll.TorusBcast(c, tor, core.BineDH, 0, make([]int32, 1))
+			return coll.TorusBcast(c, tor, 0, make([]int32, 1))
 		}, "24bff48a82f1d607"},
 	}
 	for _, c := range named {

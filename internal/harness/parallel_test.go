@@ -23,7 +23,7 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	}
 	algos = algos[:3]
 	tor := core.MustTorus(2, 2, 2)
-	ta := torusAlgos()[0]
+	ta := coll.TorusRegistry(tor)[0]
 	const lanes = 24
 	flat := make([][]*trPtr, lanes)
 	runner := pool.NewRunner(8)

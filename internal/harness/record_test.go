@@ -46,14 +46,17 @@ func TestFailedRecordingNeverCachedOrStored(t *testing.T) {
 		f := fabric.NewMem(2)
 		defer f.Close()
 		if attempts == 1 {
-			// Starve the first attempt: the receiver blocks before the
-			// sender wakes, and the floor deadline expires mid-schedule.
+			// Starve the first attempt: the sender never sends, so the
+			// receiver's watchdog expires mid-schedule however late either
+			// goroutine is scheduled.
 			f.SetTimeout(time.Millisecond)
 		}
 		rec := fabric.NewRecorder(f)
 		err := fabric.Run(rec, func(c fabric.Comm) error {
 			if c.Rank() == 0 {
-				time.Sleep(20 * time.Millisecond)
+				if attempts == 1 {
+					return nil
+				}
 				return c.Send(1, 0, 0, []int32{1})
 			}
 			return c.Recv(0, 0, 0, make([]int32, 1))

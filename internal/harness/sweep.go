@@ -284,41 +284,6 @@ func isBine(a coll.Algorithm) bool     { return a.Bine }
 func isBinomial(a coll.Algorithm) bool { return a.Binomial }
 func isBaseline(a coll.Algorithm) bool { return !a.Bine }
 
-// torusAlgo is a Fugaku-specific algorithm entry (the registry covers flat
-// networks; torus algorithms need the geometry).
-type torusAlgo struct {
-	Name    string
-	Coll    coll.Collective
-	Bine    bool
-	Overlap float64
-	Run     func(c fabric.Comm, tor core.Torus, root int, in, out []int32, op coll.Op) error
-}
-
-func torusAlgos() []torusAlgo {
-	return []torusAlgo{
-		{Name: "bine-torus", Coll: coll.CAllreduce, Bine: true,
-			Run: func(c fabric.Comm, tor core.Torus, _ int, in, _ []int32, op coll.Op) error {
-				return coll.TorusAllreduce(c, tor, in, op)
-			}},
-		{Name: "bine-multiport", Coll: coll.CAllreduce, Bine: true,
-			Run: func(c fabric.Comm, tor core.Torus, _ int, in, _ []int32, op coll.Op) error {
-				return coll.TorusMultiportAllreduce(c, tor, in, op)
-			}},
-		{Name: "bucket", Coll: coll.CAllreduce,
-			Run: func(c fabric.Comm, tor core.Torus, _ int, in, _ []int32, op coll.Op) error {
-				return coll.BucketAllreduce(c, tor, in, op)
-			}},
-		{Name: "bine-bcast", Coll: coll.CBcast, Bine: true,
-			Run: func(c fabric.Comm, tor core.Torus, root int, in, _ []int32, op coll.Op) error {
-				return coll.TorusBcast(c, tor, core.BineDH, root, in)
-			}},
-		{Name: "bine-reduce", Coll: coll.CReduce, Bine: true,
-			Run: func(c fabric.Comm, tor core.Torus, root int, in, out []int32, op coll.Op) error {
-				return coll.TorusReduce(c, tor, core.BineDH, root, in, out, op)
-			}},
-	}
-}
-
 // torusRecordedElems is the block granularity every torus algorithm records
 // at — p blocks of 2·NDims elements, divisible by every per-dimension split;
 // it is deterministic in the geometry, so the trace caches fold it into the

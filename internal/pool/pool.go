@@ -118,7 +118,8 @@ func (r *Runner) ForEach(n int, fn func(i int) error) error {
 // once ctx is cancelled no further indices are submitted (already-submitted
 // indices still run to completion, so shared state stays consistent), and
 // ctx.Err() is returned unless a submitted index failed first, in which case
-// the usual lowest-failing-index error wins.
+// the usual lowest-failing-index error wins. A batch whose indices were all
+// submitted before cancellation was observed returns nil.
 func (r *Runner) ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var failed atomic.Bool

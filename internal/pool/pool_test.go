@@ -3,8 +3,10 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForEachRunsEveryIndex covers the width edge cases: 0 selects
@@ -228,8 +230,19 @@ func TestForEachCtxStopsDispatchingOnCancel(t *testing.T) {
 		r := NewRunner(workers)
 		err := r.ForEachCtx(ctx, 200, func(i int) error {
 			ran.Add(1)
-			if i == 3 {
+			switch {
+			case i == 3:
 				cancel()
+			case i > 3:
+				// Later indices hold their worker until index 3 has
+				// cancelled, so dispatch cannot hand out all 200 first
+				// (a batch submitted whole returns nil); the timeout turns
+				// a missed cancellation into a failure, not a hang.
+				select {
+				case <-ctx.Done():
+				case <-time.After(10 * time.Second):
+					return fmt.Errorf("index %d: still not cancelled after 10s", i)
+				}
 			}
 			return nil
 		})

@@ -8,15 +8,16 @@
 // Schedule takes a coll.Synthesizer: for the butterfly and all-pairs
 // schedules, and Fig. 5's butterfly allreduces, the plan their executors
 // loop over, fed step by step into a fabric.StepBuilder; for every other
-// registry algorithm a walk of each rank's schedule body, serially, against
-// a fabric.TraceBuilder pattern endpoint (Sends are logged, Recvs complete
-// immediately). Run walks an ad-hoc schedule body — torus, named tree and
-// hierarchical schedules — the same way. Either result is byte-identical
-// under the codec to a recorded trace of the same schedule: this package's
-// tests pin that across the whole registry, and plans against walks at the
-// largest p the artifacts use; for every schedule the artifacts use, so
-// does the harness's TestSynthMatchesRecordedOracle, and at paper scale
-// its TestPaperScaleTraces.
+// registry algorithm, the torus collectives of coll.TorusRegistry among
+// them, a coll.Walk of each rank's schedule body, serially, against a
+// fabric.TraceBuilder pattern endpoint (Sends are logged, Recvs complete
+// immediately). Run walks an ad-hoc schedule body — the named tree,
+// hierarchical and Appendix D schedules — the same way. Either result is
+// byte-identical under the codec to a recorded trace of the same schedule:
+// this package's tests pin that across both registries, and plans against
+// walks at the largest p the artifacts use; for every schedule the
+// artifacts use, so does the harness's TestSynthMatchesRecordedOracle, and
+// at paper scale its TestPaperScaleTraces.
 //
 // The goroutine fabric remains the oracle: property/fuzz tests and the
 // tcp-cluster example still execute schedules for real, and the harness
@@ -44,36 +45,23 @@ var (
 		"Wall time of one trace synthesis (all ranks, merge included).", nil)
 )
 
-func observe(tr *fabric.Trace, start time.Time) {
-	obsSeconds.ObserveSince(start)
-	obsTraces.Inc()
-	obsRecords.Add(uint64(tr.Messages()))
-}
-
-// Schedule emits the trace of one registry schedule.
+// Schedule emits the trace of one schedule.
 func Schedule(s coll.Synthesizer) (*fabric.Trace, error) {
 	start := time.Now()
 	tr, err := s.Synthesize()
 	if err != nil {
 		return nil, fmt.Errorf("synth: %w", err)
 	}
-	observe(tr, start)
+	obsSeconds.ObserveSince(start)
+	obsTraces.Inc()
+	obsRecords.Add(uint64(tr.Messages()))
 	return tr, nil
 }
 
 // Run is the ad-hoc form of Schedule for schedule bodies outside the
-// registry (torus, named tree and hierarchical schedules): fn is
-// the same per-rank body a fabric.Run recording would execute, driven here
-// once per rank, serially, against pattern endpoints.
+// registries (named tree, hierarchical and Appendix D schedules): fn is
+// the same per-rank body a fabric.Run recording would execute, walked here
+// once per rank, serially, against pattern endpoints (coll.Walk).
 func Run(p int, fn func(c fabric.Comm) error) (*fabric.Trace, error) {
-	start := time.Now()
-	b := fabric.NewTraceBuilder(p)
-	for rank := 0; rank < p; rank++ {
-		if err := fn(b.Comm(rank)); err != nil {
-			return nil, fmt.Errorf("synth: rank %d: %w", rank, err)
-		}
-	}
-	tr := b.Trace()
-	observe(tr, start)
-	return tr, nil
+	return Schedule(coll.Walk(p, fn))
 }

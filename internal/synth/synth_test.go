@@ -36,41 +36,42 @@ func encodeBytes(t *testing.T, tr *fabric.Trace) []byte {
 	return buf.Bytes()
 }
 
-// checkAlgoEquivalence pins the tentpole property for one registry schedule:
-// synthesis and recording either both fail, or produce byte-identical
-// encoded traces.
-func checkAlgoEquivalence(t *testing.T, algo coll.Algorithm, p, root int) {
+// checkAlgoEquivalence pins the tentpole property for one registry schedule
+// over n vector elements: synthesis and recording either both fail, or
+// produce byte-identical encoded traces. It reports whether both succeeded.
+func checkAlgoEquivalence(t *testing.T, algo coll.Algorithm, p, root, n int) bool {
 	t.Helper()
-	name := fmt.Sprintf("%v/%s p=%d root=%d", algo.Coll, algo.Name, p, root)
+	name := fmt.Sprintf("%v/%s p=%d root=%d n=%d", algo.Coll, algo.Name, p, root, n)
 	synthesize := func() (*fabric.Trace, error) {
-		s, err := algo.Pattern(p, root, p)
+		s, err := algo.Pattern(p, root, n)
 		if err != nil {
 			return nil, err
 		}
 		return Schedule(s)
 	}
 	st, serr := synthesize()
-	rt, rerr := recordAlgo(algo, p, root)
+	rt, rerr := recordAlgo(algo, p, root, n)
 	if (serr == nil) != (rerr == nil) {
 		t.Fatalf("%s: synth err %v, record err %v", name, serr, rerr)
 	}
 	if serr != nil {
-		return
+		return false
 	}
 	if !bytes.Equal(encodeBytes(t, st), encodeBytes(t, rt)) {
 		t.Fatalf("%s: synthesized trace is not byte-identical to the recording\n synth  %d records\n record %d records",
 			name, st.Messages(), rt.Messages())
 	}
+	return true
 }
 
-// recordAlgo records a registry algorithm's schedule on n = p elements.
-func recordAlgo(algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
+// recordAlgo records a registry algorithm's schedule on n elements.
+func recordAlgo(algo coll.Algorithm, p, root, n int) (*fabric.Trace, error) {
 	run, err := algo.Make(p, root)
 	if err != nil {
 		return nil, err
 	}
 	return recordSchedule(p, func(c fabric.Comm) error {
-		inLen, outLen := algo.Coll.InOutLens(p, p)
+		inLen, outLen := algo.Coll.InOutLens(p, n)
 		in := make([]int32, inLen)
 		var out []int32
 		if outLen > 0 {
@@ -92,13 +93,32 @@ func TestRegistryScheduleEquivalence(t *testing.T) {
 	other := []struct{ p, root int }{{3, 2}, {5, 0}, {12, 7}}
 	for _, algo := range coll.Registry() {
 		for _, c := range combos {
-			checkAlgoEquivalence(t, algo, c.p, c.root)
+			checkAlgoEquivalence(t, algo, c.p, c.root, c.p)
 		}
 		if algo.Pow2Only {
 			continue
 		}
 		for _, c := range other {
-			checkAlgoEquivalence(t, algo, c.p, c.root)
+			checkAlgoEquivalence(t, algo, c.p, c.root, c.p)
+		}
+	}
+}
+
+// TestTorusScheduleEquivalence holds every coll.TorusRegistry entry's
+// Pattern — a walk of its Make body on one shared buffer pair — to a
+// recording on fresh vectors, on the quick fig11b shapes and a 4×4 torus,
+// at the element count the harness records (p blocks of 2·NDims) and
+// roots 0 and p/3. Every one must synthesize.
+func TestTorusScheduleEquivalence(t *testing.T) {
+	for _, dims := range [][]int{{2, 2, 2}, {4, 4, 4}, {8, 2}, {4, 4}} {
+		tor := core.MustTorus(dims...)
+		p := tor.P()
+		for _, algo := range coll.TorusRegistry(tor) {
+			for _, root := range []int{0, p / 3} {
+				if !checkAlgoEquivalence(t, algo, p, root, p*2*tor.NDims()) {
+					t.Errorf("torus %v %v/%s root=%d: neither synthesized nor recorded", dims, algo.Coll, algo.Name, root)
+				}
+			}
 		}
 	}
 }
@@ -161,7 +181,7 @@ func TestPlanMatchesWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.coll == coll.CAlltoall && r.name == "bruck" {
-			walked = walkFunc(func() (*fabric.Trace, error) { return recordAlgo(algo, r.p, 0) })
+			walked = walkFunc(func() (*fabric.Trace, error) { return recordAlgo(algo, r.p, 0, r.p) })
 		}
 		comparePlanToWalk(t, fmt.Sprintf("%v/%s p=%d", r.coll, r.name, r.p), planned, walked)
 	}
@@ -205,12 +225,10 @@ func comparePlanToWalk(t *testing.T, name string, planned, walked coll.Synthesiz
 }
 
 // TestAdHocScheduleEquivalence covers the schedule families outside the
-// registry — torus, named tree broadcast, butterfly allreduce and the
+// registries — named tree broadcast, butterfly allreduce and the
 // hierarchical composite — via Run, mirroring the harness's
-// cachedNamedTrace and torus recording sites.
+// cachedNamedTrace sites.
 func TestAdHocScheduleEquivalence(t *testing.T) {
-	tor44 := core.MustTorus(4, 4)
-	tor222 := core.MustTorus(2, 2, 2)
 	tree := core.MustTree(core.BineDH, 8, 0)
 	bfly := core.MustButterfly(core.BflyBineDD, 16)
 	cases := []struct {
@@ -218,21 +236,6 @@ func TestAdHocScheduleEquivalence(t *testing.T) {
 		p    int
 		fn   func(c fabric.Comm) error
 	}{
-		{"torus-allreduce/4x4", 16, func(c fabric.Comm) error {
-			return coll.TorusAllreduce(c, tor44, make([]int32, 16*4), coll.OpSum)
-		}},
-		{"torus-multiport-allreduce/4x4", 16, func(c fabric.Comm) error {
-			return coll.TorusMultiportAllreduce(c, tor44, make([]int32, 16*4), coll.OpSum)
-		}},
-		{"bucket-allreduce/2x2x2", 8, func(c fabric.Comm) error {
-			return coll.BucketAllreduce(c, tor222, make([]int32, 8*6), coll.OpSum)
-		}},
-		{"torus-bcast/4x4", 16, func(c fabric.Comm) error {
-			return coll.TorusBcast(c, tor44, core.BineDH, 0, make([]int32, 1))
-		}},
-		{"torus-reduce/4x4", 16, func(c fabric.Comm) error {
-			return coll.TorusReduce(c, tor44, core.BineDH, 0, make([]int32, 16), make([]int32, 16), coll.OpSum)
-		}},
 		{"tree-bcast/p=8", 8, func(c fabric.Comm) error {
 			return coll.Bcast(c, tree, make([]int32, 1))
 		}},
@@ -267,21 +270,18 @@ func FuzzSynthEquivalence(f *testing.F) {
 		algo := reg[int(algoIdx)%len(reg)]
 		p := 2 + int(pp)%31 // p in [2, 32]
 		root := int(rr) % p
-		checkAlgoEquivalence(t, algo, p, root)
+		checkAlgoEquivalence(t, algo, p, root, p)
 	})
 }
 
-// synthAlloc returns the trace of one cold synthesis — Pattern plus
-// Schedule, what the harness resolver runs — and the bytes it allocated.
-func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (tr *fabric.Trace, bytes uint64) {
+// synthAlloc returns the trace of one cold synthesis over n elements —
+// Pattern plus Schedule, what the harness resolver runs — and the bytes it
+// allocated.
+func synthAlloc(t *testing.T, algo coll.Algorithm, p, n int) (tr *fabric.Trace, bytes uint64) {
 	t.Helper()
-	algo, ok := coll.Find(coll.Registry(), c, name)
-	if !ok {
-		t.Fatalf("%v/%s not registered", c, name)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := algo.Pattern(p, 0, p)
+	s, err := algo.Pattern(p, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +291,15 @@ func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (tr *fabric
 	}
 	runtime.ReadMemStats(&after)
 	return tr, after.TotalAlloc - before.TotalAlloc
+}
+
+func findAlgo(t *testing.T, c coll.Collective, name string) coll.Algorithm {
+	t.Helper()
+	algo, ok := coll.Find(coll.Registry(), c, name)
+	if !ok {
+		t.Fatalf("%v/%s not registered", c, name)
+	}
+	return algo
 }
 
 // TestSynthAllocBudget is the deterministic complexity guard on the cold
@@ -309,7 +318,9 @@ func synthAlloc(t *testing.T, c coll.Collective, name string, p int) (tr *fabric
 // catches an O(p²)-per-rank one (BineAlltoall's per-item block lists: 2413×
 // at p=256, ×6.9 per doubling). What the walked budgets cover is each
 // rank's working copy of the n = p element vector, the trace builder's
-// shards and, for bine-rs-gather, the tree gather.
+// shards and, for bine-rs-gather, the tree gather. The walked torus
+// allreduce has one row, in the same units, at the p = 4 096 the Fugaku
+// sweep uses.
 func TestSynthAllocBudget(t *testing.T) {
 	const recordBytes = 20 // columnar footprint of one trace record
 	cases := []struct {
@@ -324,8 +335,9 @@ func TestSynthAllocBudget(t *testing.T) {
 		{coll.CReduceScatter, "bine-fold", 18},     // 11.6 (walked)
 	}
 	for _, tc := range cases {
-		tr256, b256 := synthAlloc(t, tc.coll, tc.name, 256)
-		tr512, b512 := synthAlloc(t, tc.coll, tc.name, 512)
+		algo := findAlgo(t, tc.coll, tc.name)
+		tr256, b256 := synthAlloc(t, algo, 256, 256)
+		tr512, b512 := synthAlloc(t, algo, 512, 512)
 		r256, r512 := uint64(tr256.Messages()), uint64(tr512.Messages())
 		recGrowth, allocGrowth := float64(r512)/float64(r256), float64(b512)/float64(b256)
 		t.Logf("%v/%s: p=256 %d records, %d B = %.1f× trace; p=512 ×%.2f records, ×%.2f bytes",
@@ -338,6 +350,21 @@ func TestSynthAllocBudget(t *testing.T) {
 			t.Errorf("%v/%s: p 256→512 multiplies records by %.2f but allocation by %.2f (limit 2× the records' factor)",
 				tc.coll, tc.name, recGrowth, allocGrowth)
 		}
+	}
+	// The walked torus allreduce on Fugaku's 64×64 shape (p = 4 096), at the
+	// harness's n = p·2·NDims: its Make builds one butterfly for both
+	// dimensions, so what the budget covers is each rank's sub-communicators
+	// and the trace builder's shards. A butterfly rebuilt per rank call, or
+	// a staging buffer per phase, breaks it.
+	const torusBudget = 12 // measured 7.5
+	tor := core.MustTorus(64, 64)
+	torus, _ := coll.Find(coll.TorusRegistry(tor), coll.CAllreduce, "bine-torus")
+	tr, b := synthAlloc(t, torus, tor.P(), tor.P()*2*tor.NDims())
+	recs := uint64(tr.Messages())
+	t.Logf("allreduce/bine-torus 64x64: %d records, %d B = %.1f× trace", recs, b, float64(b)/float64(recs*recordBytes))
+	if limit := torusBudget * recs * recordBytes; b > limit {
+		t.Errorf("allreduce/bine-torus 64x64: allocated %d B for %d records, budget %d× the trace = %d B",
+			b, recs, torusBudget, limit)
 	}
 	planned := []struct {
 		coll coll.Collective
@@ -358,7 +385,7 @@ func TestSynthAllocBudget(t *testing.T) {
 		least := ^uint64(0)
 		for range 3 {
 			var b uint64
-			tr, b = synthAlloc(t, tc.coll, tc.name, tc.p)
+			tr, b = synthAlloc(t, findAlgo(t, tc.coll, tc.name), tc.p, tc.p)
 			least = min(least, b)
 		}
 		foot := uint64(tr.MemBytes())

@@ -54,7 +54,7 @@ func (r *Rank) TorusBcast(dims []int, buf []int32, opts ...Option) error {
 	if err != nil {
 		return err
 	}
-	return coll.TorusBcast(c, tor, core.BineDH, o.root, buf)
+	return coll.TorusBcast(c, tor, o.root, buf)
 }
 
 // Trace is a recorded communication trace (see Cluster.EnableRecording).
