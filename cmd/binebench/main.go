@@ -177,7 +177,8 @@ func resourceLine(user, sys time.Duration, status string) string {
 // with no observations (e.g. store-load without -trace-cache) are omitted.
 // The header names the sweep's worker count: per-cell stages (synth,
 // evaluate, store-load, store-save) run on every worker at once, so their totals are
-// summed over that many and may exceed the wall time.
+// summed over that many and may exceed the wall time. The table ends with
+// execute's unattributed remainder (unattributedLine).
 func printStageBreakdown(w io.Writer, workers int) {
 	var stages, resolves []obs.MetricSnapshot
 	for _, s := range obs.Default.Snapshot() {
@@ -201,7 +202,28 @@ func printStageBreakdown(w io.Writer, workers int) {
 		}
 	}
 	print(fmt.Sprintf("stage latency (Σ over %d workers):", workers), stages)
+	totals := map[string]float64{} // stage label set → seconds
+	for _, s := range stages {
+		totals[s.Labels] = s.Histogram.Sum
+	}
+	label := func(st obs.Stage) string { return fmt.Sprintf("stage=%q", st) }
+	if execute, ok := totals[label(obs.StageExecute)]; ok {
+		perCell := 0.0
+		for _, st := range []obs.Stage{obs.StageSynth, obs.StageEvaluate, obs.StageStoreLoad, obs.StageStoreSave} {
+			perCell += totals[label(st)]
+		}
+		fmt.Fprintln(w, unattributedLine(execute, perCell, workers))
+	}
 	print("resolve latency by origin:", resolves)
+}
+
+// unattributedLine renders the part of the execute stage's wall time no
+// per-cell stage accounts for: execute less the per-cell stage totals
+// averaged over the workers that ran them — dispatch, memory-tier lookups
+// and cell bookkeeping. Its total column lines up with stageLine's.
+func unattributedLine(execute, perCell float64, workers int) string {
+	return fmt.Sprintf("  %-34s total=%9.3fs  = execute − Σ per-cell stages / %d workers",
+		"unattributed", execute-perCell/float64(workers), workers)
 }
 
 // minQuantileSamples is the observation count below which a bucket-

@@ -50,6 +50,35 @@ func TestStageLine(t *testing.T) {
 	}
 }
 
+// TestUnattributedLine pins the remainder row under the -v stage table:
+// execute less the per-cell stage totals divided by the worker count, its
+// total in stageLine's column, negative when the per-cell stages overlap
+// execute's wall time by more than it lasted.
+func TestUnattributedLine(t *testing.T) {
+	cases := []struct {
+		name             string
+		execute, perCell float64
+		workers          int
+		want             string
+	}{
+		{"two workers halve the per-cell sum", 1.5, 2.0, 2,
+			`  unattributed                       total=    0.500s  = execute − Σ per-cell stages / 2 workers`},
+		{"no per-cell stages leave execute whole", 0.25, 0, 8,
+			`  unattributed                       total=    0.250s  = execute − Σ per-cell stages / 8 workers`},
+		{"overlap beyond the wall time reads negative", 0.1, 0.3, 1,
+			`  unattributed                       total=   -0.200s  = execute − Σ per-cell stages / 1 workers`},
+	}
+	for _, tc := range cases {
+		if got := unattributedLine(tc.execute, tc.perCell, tc.workers); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+	row := stageLine(`stage="execute"`, obs.HistogramSummary{Count: 1, Sum: 1})
+	if got := unattributedLine(1, 0, 1); strings.Index(got, "total=") != strings.Index(row, "total=") {
+		t.Errorf("total columns differ:\n%s\n%s", row, got)
+	}
+}
+
 // TestResourceLine pins the resource half of the -v stats line: CPU user and
 // system seconds always, the peak RSS only where /proc reports VmHWM.
 func TestResourceLine(t *testing.T) {
@@ -88,7 +117,8 @@ func TestVerboseStatsLine(t *testing.T) {
 
 // TestStageLatencyHeader pins the -v stage table's header: it names the
 // resolved sweep width — -workers 0 is pool.DefaultWorkers — so per-cell
-// stage totals, summed across workers, divide without guessing.
+// stage totals, summed across workers, divide without guessing; the
+// unattributed row under the table divides by the same width.
 func TestStageLatencyHeader(t *testing.T) {
 	for _, tc := range []struct{ flag, want int }{{3, 3}, {0, pool.DefaultWorkers()}} {
 		var stdout, stderr strings.Builder
@@ -97,6 +127,9 @@ func TestStageLatencyHeader(t *testing.T) {
 		}
 		if want := fmt.Sprintf("\nstage latency (Σ over %d workers):\n", tc.want); !strings.Contains(stderr.String(), want) {
 			t.Errorf("-workers %d: -v output lacks %q:\n%s", tc.flag, want, stderr.String())
+		}
+		if want := fmt.Sprintf("s  = execute − Σ per-cell stages / %d workers\n", tc.want); !strings.Contains(stderr.String(), want) {
+			t.Errorf("-workers %d: -v output lacks the unattributed row %q:\n%s", tc.flag, want, stderr.String())
 		}
 	}
 }

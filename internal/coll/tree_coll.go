@@ -28,7 +28,9 @@ func Bcast(c fabric.Comm, t *core.Tree, buf []int32) error {
 
 // Reduce folds every rank's in vector with op up the tree; the fully reduced
 // vector lands in out at the root (out is ignored elsewhere and may be nil).
-// This is the small-vector reduce of Sec. 4.5. in is not modified.
+// This is the small-vector reduce of Sec. 4.5. in is not modified, unless op
+// has no fold function (the walks' opNone): then nothing reads what a rank
+// receives, so every rank sends and receives on in directly.
 func Reduce(c fabric.Comm, t *core.Tree, in, out []int32, op Op) error {
 	if err := checkTree(c, t); err != nil {
 		return err
@@ -38,8 +40,8 @@ func Reduce(c fabric.Comm, t *core.Tree, in, out []int32, op Op) error {
 		return fmt.Errorf("coll: reduce out has %d elements, want %d", len(out), len(in))
 	}
 	x := &ctx{c: c}
-	acc, tmp := in, []int32(nil) // a leaf sends its input as it is
-	if len(t.Children[r]) > 0 {
+	acc, tmp := in, in // a leaf sends its input as it is
+	if len(t.Children[r]) > 0 && op.apply != nil {
 		acc, tmp = append([]int32(nil), in...), make([]int32, len(in))
 	}
 	// Gather direction: the broadcast edge at step s fires at reduce step

@@ -11,7 +11,7 @@ import (
 
 // algoTrace records a registry algorithm at unit block granularity (n = p
 // elements), the way the harness does.
-func algoTrace(t *testing.T, algo coll.Algorithm, p int) *fabric.Trace {
+func algoTrace(t testing.TB, algo coll.Algorithm, p int) *fabric.Trace {
 	t.Helper()
 	run, err := algo.Make(p, 0)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"binetrees/internal/coll"
 	"binetrees/internal/fabric"
 	"binetrees/internal/topology"
 )
@@ -26,8 +27,8 @@ func ringTrace(p int) *fabric.Trace {
 // schedule — the netsim hot path of every sweep cell — on a torus and a
 // flat model. The replay reuses dense scratch and one route buffer, so
 // allocs/op stays flat in the message count. It shares one topology across
-// iterations from one goroutine; BenchmarkProfileAlltoall is the shape the
-// sweeps actually produce.
+// iterations from one goroutine; BenchmarkProfileSweepCell is the shape
+// the sweeps actually produce.
 func BenchmarkProfileRing(b *testing.B) {
 	const p = 256
 	tr := ringTrace(p)
@@ -97,5 +98,45 @@ func BenchmarkProfileAlltoall(b *testing.B) {
 			}
 			wg.Wait()
 		}
+	})
+}
+
+// BenchmarkProfileSweepCell is one evaluate cell as a quick sweep runs it: a
+// 16-rank Bine allreduce (reduce-scatter + allgather, 8 steps) scored at the
+// paper's nine vector sizes on the whole 6 504-link LUMI Dragonfly that
+// System.TopologyFor builds for every LUMI cell, with the cells shared by
+// two goroutines as a two-worker sweep shares them. The replay's dense
+// scratch is sized by the link table, not the job, so this is where its
+// per-call cost shows; one op is one cell.
+func BenchmarkProfileSweepCell(b *testing.B) {
+	const p, workers = 16, 2
+	algo, ok := coll.Find(coll.Registry(), coll.CAllreduce, "bine-bw")
+	if !ok {
+		b.Fatal("allreduce/bine-bw not registered")
+	}
+	tr := algoTrace(b, algo, p)
+	topo := lumiDragonfly(b)
+	ev := Eval{Placement: spreadPlacement(p, topo.Nodes()), Reduces: true, Overlap: algo.Overlap}
+	var elemBytes []float64
+	for size := 32.0; size <= 512<<20; size *= 8 {
+		elemBytes = append(elemBytes, size/p)
+	}
+	params := testParams()
+	b.Run(fmt.Sprintf("lumi-p%d-w%d", p, workers), func(b *testing.B) {
+		b.ReportAllocs()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < b.N; i += workers {
+					if _, err := EvaluateSizes(tr, topo, params, ev, elemBytes); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	})
 }

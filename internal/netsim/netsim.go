@@ -14,17 +14,26 @@
 //
 // The replay is allocation-free per message: traces are iterated straight
 // off their columnar step index, each distinct step body (fabric.Trace's
-// step class) is replayed once however many steps repeat it, each message
-// pair's route is computed into one reused buffer
+// step class) is replayed once however many steps repeat it, and each
+// message pair's route is computed into a reused buffer
 // (topology.Topology.AppendRoute: a few integers of arithmetic, an O(hops)
 // walk on a torus — nothing is cached or shared, so any number of cells
-// replay against one topology instance without synchronization), and the
-// per-class aggregates use dense generation-stamped scratch slices reused
-// across classes instead of maps.
+// replay against one topology instance without synchronization). The
+// per-class aggregates live in dense generation-stamped scratch slices sized
+// by the whole link table, and that scratch is reused across calls, not only
+// across classes: a replay takes it from a sync.Pool (the package's one
+// package-level variable, an allocation cache only), so a 16-rank cell on a
+// whole-machine model does not allocate and zero a link-table-sized array.
+// The generation counter carries across calls, so nothing is cleared between
+// calls or classes; the stamps are cleared once only when the counter would
+// pass math.MaxInt32 (scratch.reserve). A stamp never exceeds the counter,
+// so stale entries are invisible and no result depends on the pool.
 package netsim
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"binetrees/internal/fabric"
 	"binetrees/internal/topology"
@@ -129,42 +138,79 @@ type classProfile struct {
 	done                    bool
 }
 
+// scratch is one replay's dense working set, reused across replays through
+// scratchPool. Entry i of a value slice is live for the class being replayed
+// iff its stamp (the matching *Gen slice) equals the class's generation, so
+// only touched entries are ever visited. The slices grow to the largest link
+// table and rank count replayed and are never shrunk; every stamp is at
+// most gen.
+type scratch struct {
+	gen              int32 // the last generation reserved
+	loadVal          []int64
+	loadGen          []int32
+	touched          []int32 // link IDs loaded by the current class
+	recvVal          []int64
+	recvGen          []int32
+	sendCnt, sendGen []int32
+	route            []int32
+}
+
+// scratchPool caches scratch values between replays; a pooled scratch's
+// contents are all stale to its next replay's generations.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// reserve sizes the scratch for a replay of classes step classes over
+// nLinks links and p ranks (receive volumes only when reduces) and returns
+// the generation before the replay's first: class c replays under
+// generation base+c+1. When that range would pass math.MaxInt32, the stamps
+// are cleared and the counter restarts at 0 first.
+func (s *scratch) reserve(nLinks, p, classes int, reduces bool) (base int32) {
+	if len(s.loadGen) < nLinks {
+		s.loadVal, s.loadGen = make([]int64, nLinks), make([]int32, nLinks)
+	}
+	if len(s.sendGen) < p {
+		s.sendCnt, s.sendGen = make([]int32, p), make([]int32, p)
+	}
+	if reduces && len(s.recvGen) < p {
+		s.recvVal, s.recvGen = make([]int64, p), make([]int32, p)
+	}
+	if int64(s.gen)+int64(classes) > math.MaxInt32 {
+		clear(s.loadGen)
+		clear(s.recvGen)
+		clear(s.sendGen)
+		s.gen = 0
+	}
+	base = s.gen
+	s.gen += int32(classes)
+	return base
+}
+
 // profile replays the trace once, accumulating link loads and received
 // volumes as exact integer element counts. Steps of one class have equal
 // bodies, so each class is replayed once, at its first step, and its
 // stepProfile and totals are appended and added once per step, in step
 // order. The per-class aggregates — link loads, per-receiver volumes,
-// per-sender message counts — live in dense scratch slices stamped with the
-// class's generation, so moving to the next class resets nothing. Routes are
-// computed per message pair into one buffer reused for the whole replay
-// (topo.AppendRoute), so beyond that scratch the replay allocates only the
-// profile it returns and touches no state shared with other goroutines
-// replaying against the same topo.
-func profile(tr *fabric.Trace, topo topology.Topology, ev Eval) (*traceProfile, error) {
+// per-sender message counts — and the route buffer live in sc, stamped with
+// the class's generation out of the range sc.reserve hands this call, so
+// neither moving to the next class nor starting the next call resets
+// anything. Beyond sc the replay allocates only the profile it returns and
+// touches no state shared with other goroutines replaying against the same
+// topo; sc must not be shared while the call runs.
+func profile(tr *fabric.Trace, topo topology.Topology, ev Eval, sc *scratch) (*traceProfile, error) {
 	if len(ev.Placement) < tr.P {
 		return nil, fmt.Errorf("netsim: placement covers %d of %d ranks", len(ev.Placement), tr.P)
 	}
 	links := topo.Links()
-	// Generation-stamped scratch: entry i is live for the class being
-	// replayed iff its stamp equals the class's generation, so clearing
-	// between classes is free and only touched entries are ever visited.
-	loadVal := make([]int64, len(links))
-	loadGen := make([]int32, len(links))
-	touched := make([]int32, 0, 256) // link IDs loaded by the current class
-	var recvVal []int64
-	var recvGen []int32
-	if ev.Reduces {
-		recvVal = make([]int64, tr.P)
-		recvGen = make([]int32, tr.P)
-	}
-	sendCnt := make([]int32, tr.P)
-	sendGen := make([]int32, tr.P)
+	base := sc.reserve(len(links), tr.P, tr.NumClasses(), ev.Reduces)
+	loadVal, loadGen := sc.loadVal, sc.loadGen
+	recvVal, recvGen := sc.recvVal, sc.recvGen
+	sendCnt, sendGen := sc.sendCnt, sc.sendGen
+	touched, route := sc.touched, sc.route
 
 	numSteps := tr.NumSteps()
 	classes := make([]classProfile, tr.NumClasses())
-	pf := &traceProfile{}
+	pf := &traceProfile{steps: make([]stepProfile, 0, numSteps)}
 	lastSrc, lastDst := -1, -1
-	var route []int32
 	for s := 0; s < numSteps; s++ {
 		lo, hi := tr.StepBounds(s)
 		if lo == hi {
@@ -174,7 +220,7 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval) (*traceProfile, 
 		cp := &classes[class]
 		if !cp.done {
 			cp.done = true
-			gen := int32(class) + 1
+			gen := base + int32(class) + 1
 			touched = touched[:0]
 			sp := stepProfile{maxHops: -1}
 			for i := lo; i < hi; i++ {
@@ -256,6 +302,7 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval) (*traceProfile, 
 		pf.globalElems += cp.globalElems
 		pf.messages += cp.messages
 	}
+	sc.touched, sc.route = touched, route // keep the grown buffers
 	return pf, nil
 }
 
@@ -316,7 +363,9 @@ func EvaluateSizes(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval, 
 	if ev.CopyBytesAt != nil && len(ev.CopyBytesAt) != len(elemBytes) {
 		return nil, fmt.Errorf("netsim: %d copy costs for %d sizes", len(ev.CopyBytesAt), len(elemBytes))
 	}
-	pf, err := profile(tr, topo, ev)
+	sc := scratchPool.Get().(*scratch)
+	pf, err := profile(tr, topo, ev, sc)
+	scratchPool.Put(sc)
 	if err != nil {
 		return nil, err
 	}

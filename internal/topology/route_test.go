@@ -128,6 +128,23 @@ func TestAppendRouteMatchesDefinition(t *testing.T) {
 	}
 }
 
+// TestLinkTableSizedOnce pins that each constructor allocates its link
+// table at its exact final size — injection links plus the family's fabric
+// links — and that a link's ID is its index, the order routes rely on.
+func TestLinkTableSizedOnce(t *testing.T) {
+	for name, topo := range testTopologies(t) {
+		links := topo.Links()
+		if cap(links) != len(links) {
+			t.Errorf("%s: %d links in a table of capacity %d", name, len(links), cap(links))
+		}
+		for i, l := range links {
+			if l.ID != i {
+				t.Fatalf("%s: link %d has ID %d", name, i, l.ID)
+			}
+		}
+	}
+}
+
 // TestAppendRouteAllocatesNothing pins the replay hot path's contract: with
 // a buffer that already has the capacity, no family's AppendRoute allocates.
 func TestAppendRouteAllocatesNothing(t *testing.T) {

@@ -87,8 +87,11 @@ type common struct {
 	links []Link
 }
 
-func newCommon(nodes int, nicBW float64) *common {
-	c := &common{nodes: nodes}
+// newCommon builds the injection links of nodes nodes in a link table sized
+// for numLinks links in all, so the constructor's addLink calls that follow
+// never regrow it.
+func newCommon(nodes, numLinks int, nicBW float64) *common {
+	c := &common{nodes: nodes, links: make([]Link, 0, numLinks)}
 	for i := 0; i < nodes; i++ {
 		c.links = append(c.links,
 			Link{ID: 2 * i, Kind: Injection, BW: nicBW},
@@ -136,8 +139,9 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 	if cfg.Groups <= 0 || cfg.NodesPerGroup <= 0 {
 		return nil, fmt.Errorf("topology: dragonfly %d×%d", cfg.Groups, cfg.NodesPerGroup)
 	}
+	nodes := cfg.Groups * cfg.NodesPerGroup
 	d := &Dragonfly{
-		common:        newCommon(cfg.Groups*cfg.NodesPerGroup, cfg.NICBW),
+		common:        newCommon(nodes, 2*nodes+cfg.Groups*(cfg.Groups-1), cfg.NICBW),
 		name:          cfg.Name,
 		groups:        cfg.Groups,
 		nodesPerGroup: cfg.NodesPerGroup,
@@ -219,11 +223,14 @@ func NewUpDown(cfg UpDownConfig) (*UpDown, error) {
 	if cfg.Groups <= 0 || cfg.NodesPerGroup <= 0 || cfg.Oversub <= 0 {
 		return nil, fmt.Errorf("topology: updown %d×%d oversub %.1f", cfg.Groups, cfg.NodesPerGroup, cfg.Oversub)
 	}
+	nodes := cfg.Groups * cfg.NodesPerGroup
 	u := &UpDown{
-		common:        newCommon(cfg.Groups*cfg.NodesPerGroup, cfg.NICBW),
+		common:        newCommon(nodes, 2*nodes+2*cfg.Groups, cfg.NICBW),
 		name:          cfg.Name,
 		groups:        cfg.Groups,
 		nodesPerGroup: cfg.NodesPerGroup,
+		up:            make([]int32, 0, cfg.Groups),
+		down:          make([]int32, 0, cfg.Groups),
 	}
 	for g := 0; g < cfg.Groups; g++ {
 		share := cfg.NodesPerGroup
@@ -274,7 +281,7 @@ type Flat struct {
 
 // NewFlat builds a flat crossbar over n nodes.
 func NewFlat(name string, n int, nicBW float64) *Flat {
-	return &Flat{common: newCommon(n, nicBW), name: name}
+	return &Flat{common: newCommon(n, 2*n, nicBW), name: name}
 }
 
 // Name returns the configured system name.

@@ -39,7 +39,7 @@ func NewTorus(cfg TorusConfig) (*Torus, error) {
 		return nil, fmt.Errorf("topology: %w", err)
 	}
 	n := geom.P()
-	t := &Torus{common: newCommon(n, cfg.NICBW), name: cfg.Name, geom: geom}
+	t := &Torus{common: newCommon(n, 2*n+2*n*geom.NDims(), cfg.NICBW), name: cfg.Name, geom: geom}
 	for d := 0; d < geom.NDims(); d++ {
 		t.stride = append(t.stride, geom.DimStride(d))
 	}
