@@ -86,30 +86,44 @@ func planEq2(*compile) (*plan, error) {
 	return &plan{render: render}, nil
 }
 
+// fig5Case is one machine of the Fig. 5 allocation study: a churning
+// workload warmed up for fig5Warmup arrivals, then sampled for jobs more.
+type fig5Case struct {
+	name    string
+	key     string
+	machine alloc.Machine
+	jobs    int
+	maxP    int
+	seed    int64
+}
+
+// fig5Warmup is how many arrivals reach steady-state fragmentation before
+// the Fig. 5 study samples its jobs.
+const fig5Warmup = 800
+
+// fig5Cases returns the study's Leonardo-like and LUMI-like machines, with
+// fewer and smaller jobs at quick scale.
+func fig5Cases(quick bool) []fig5Case {
+	cases := []fig5Case{
+		{"Leonardo", "leonardo", alloc.Machine{Groups: 23, NodesPerGroup: 180}, 1116, 256, 3},
+		{"LUMI", "lumi", alloc.Machine{Groups: 24, NodesPerGroup: 124}, 1914, 2048, 4},
+	}
+	if quick {
+		for i := range cases {
+			cases[i].jobs = 200
+			cases[i].maxP = 256
+		}
+	}
+	return cases
+}
+
 // planFig5 reproduces the allocation study of Sec. 2.4.2: synthetic fragmented
 // job allocations on Leonardo-like and LUMI-like machines, reporting the
 // distribution of global-traffic reduction of a Bine allreduce over the
 // binomial allreduce with the same distance ordering, bucketed by node
 // count.
 func planFig5(c *compile) (*plan, error) {
-	type sysCase struct {
-		name    string
-		key     string
-		machine alloc.Machine
-		jobs    int
-		maxP    int
-		seed    int64
-	}
-	cases := []sysCase{
-		{"Leonardo", "leonardo", alloc.Machine{Groups: 23, NodesPerGroup: 180}, 1116, 256, 3},
-		{"LUMI", "lumi", alloc.Machine{Groups: 24, NodesPerGroup: 124}, 1914, 2048, 4},
-	}
-	if c.Quick {
-		for i := range cases {
-			cases[i].jobs = 200
-			cases[i].maxP = 256
-		}
-	}
+	cases := fig5Cases(c.Quick)
 	kinds := [2]core.ButterflyKind{core.BflyBineDD, core.BflyBinomialDD}
 	allreduceTrace := func(ctx context.Context, kind core.ButterflyKind, p int) (*fabric.Trace, error) {
 		b, err := core.NewButterfly(kind, p)
@@ -138,7 +152,7 @@ func planFig5(c *compile) (*plan, error) {
 	var tasks []task
 	for ci, sc := range cases {
 		wl := FragmentingWorkload(sc.machine, sc.maxP, sc.seed)
-		wl.Run(800) // reach steady-state fragmentation before sampling
+		wl.Run(fig5Warmup) // reach steady-state fragmentation before sampling
 		caseJobs[ci] = wl.Run(sc.jobs)
 		for _, job := range caseJobs[ci] {
 			p := len(job.Nodes)
