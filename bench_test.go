@@ -222,6 +222,39 @@ func BenchmarkSweepStore(b *testing.B) {
 	})
 }
 
+// BenchmarkPlacements tracks one Placements pass at a system's full node
+// counts — the workload churn to steady state, then one first-fit placement
+// per count with churn between them — which every compile pays once per
+// (system, count sequence).
+func BenchmarkPlacements(b *testing.B) {
+	for _, sys := range []harness.System{harness.LUMI(), harness.Leonardo()} {
+		b.Run(sys.Key+"-full", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := harness.Placements(sys, sys.NodeCounts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompileQuickAll tracks the serve path's compile: CompileExperiment
+// of the quick "all" experiment on an Engine that has already run it once,
+// so every schedule is resident and what is timed is plan building —
+// placements, network models and sweep cells.
+func BenchmarkCompileQuickAll(b *testing.B) {
+	opts := harness.Options{Quick: true, Engine: &harness.Engine{}}
+	if err := harness.RunExperiment(context.Background(), io.Discard, "all", opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := harness.CompileExperiment("all", opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSynthRing tracks the cold-path trajectory record → synth for the
 // suite's heaviest flat schedule (allreduce/ring): synthesis — the ring's
 // plan, one class of p records and a 2(p−1)-step index, O(p + steps) —
