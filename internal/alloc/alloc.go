@@ -5,10 +5,16 @@
 // distribution over the sorted free list), and long-running occupancy
 // fragments the machine so that consecutive ranks land in irregular group
 // runs — the regime in which Bine's shorter modular distances pay off.
+//
+// A placement costs what it returns: the allocator scans a free-node bitset
+// a word at a time, and a workload retires jobs only on the ticks where one
+// is due.
 package alloc
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -27,88 +33,86 @@ func (m Machine) Nodes() int { return m.Groups * m.NodesPerGroup }
 func (m Machine) GroupOf(node int) int { return node / m.NodesPerGroup }
 
 // Allocator tracks node occupancy and serves first-fit block allocations.
+// The free nodes are a bitset, one bit per node in hostname order, so a
+// first-fit allocation costs the words it reads and the nodes it returns,
+// not the machine size.
 type Allocator struct {
-	m    Machine
-	busy []bool
-	free int
-	rng  *rand.Rand
+	m     Machine
+	free  []uint64 // bit n%64 of word n/64 is set while node n is free
+	nfree int
+	rng   *rand.Rand
 }
 
 // NewAllocator creates an empty allocator with a deterministic random
 // source for workload generation.
 func NewAllocator(m Machine, seed int64) *Allocator {
-	return &Allocator{
-		m:    m,
-		busy: make([]bool, m.Nodes()),
-		free: m.Nodes(),
-		rng:  rand.New(rand.NewSource(seed)),
+	n := m.Nodes()
+	free := make([]uint64, (n+63)/64)
+	for i := range free {
+		free[i] = ^uint64(0)
 	}
+	if tail := n % 64; tail != 0 {
+		free[len(free)-1] = 1<<tail - 1
+	}
+	return &Allocator{m: m, free: free, nfree: n, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Machine returns the allocator's machine description.
 func (a *Allocator) Machine() Machine { return a.m }
 
 // FreeNodes returns how many nodes are currently unallocated.
-func (a *Allocator) FreeNodes() int { return a.free }
+func (a *Allocator) FreeNodes() int { return a.nfree }
 
-// Allocate hands out k free nodes in ascending hostname order (first fit).
-// Rank i of the job runs on the i-th returned node, matching Slurm's block
-// distribution over the sorted free list.
+// Allocate hands out the k lowest-numbered free nodes in ascending hostname
+// order (first fit). Rank i of the job runs on the i-th returned node,
+// matching Slurm's block distribution over the sorted free list.
 func (a *Allocator) Allocate(k int) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("alloc: request for %d nodes", k)
 	}
-	if k > a.free {
-		return nil, fmt.Errorf("alloc: %d nodes requested, %d free", k, a.free)
+	if k > a.nfree {
+		return nil, fmt.Errorf("alloc: %d nodes requested, %d free", k, a.nfree)
 	}
 	nodes := make([]int, 0, k)
-	for n := 0; n < len(a.busy) && len(nodes) < k; n++ {
-		if !a.busy[n] {
-			a.busy[n] = true
-			nodes = append(nodes, n)
+	for i := 0; len(nodes) < k; i++ {
+		word := a.free[i]
+		for ; word != 0 && len(nodes) < k; word &= word - 1 {
+			nodes = append(nodes, i<<6|bits.TrailingZeros64(word))
 		}
+		a.free[i] = word
 	}
-	a.free -= k
+	a.nfree -= k
 	return nodes, nil
 }
 
-// Release returns a job's nodes to the free pool.
+// Release returns a job's nodes to the free pool. Releasing a free node is
+// a no-op.
 func (a *Allocator) Release(nodes []int) {
 	for _, n := range nodes {
-		if a.busy[n] {
-			a.busy[n] = false
-			a.free++
+		if bit := uint64(1) << (n & 63); a.free[n>>6]&bit == 0 {
+			a.free[n>>6] |= bit
+			a.nfree++
 		}
 	}
 }
 
-// GroupsOf maps a job's node list to per-rank group IDs.
-func (a *Allocator) GroupsOf(nodes []int) []int {
-	out := make([]int, len(nodes))
-	for i, n := range nodes {
-		out[i] = a.m.GroupOf(n)
-	}
-	return out
-}
-
-// Job is one synthetic allocation.
+// Job is one synthetic allocation: the job's nodes, rank i on Nodes[i].
 type Job struct {
-	Nodes  []int
-	Groups []int
+	Nodes []int
 }
 
-// SpannedGroups counts the distinct groups a job touches.
-func (j Job) SpannedGroups() int {
+// SpannedGroups counts the distinct groups of m the job touches.
+func (j Job) SpannedGroups(m Machine) int {
 	seen := map[int]bool{}
-	for _, g := range j.Groups {
-		seen[g] = true
+	for _, n := range j.Nodes {
+		seen[m.GroupOf(n)] = true
 	}
 	return len(seen)
 }
 
-// Workload drives a churning job mix and collects the allocations of jobs
-// whose size matches the sampler's interest. sizes draws a job size;
-// lifetime draws how many subsequent arrivals a job survives.
+// Workload drives a churning job mix: one job arrives per tick, asks the
+// allocator for Sizes nodes and, if it fits, holds them for Lifetime further
+// arrivals.
 type Workload struct {
 	A *Allocator
 	// Sizes samples a job's node count.
@@ -117,7 +121,11 @@ type Workload struct {
 	Lifetime func(rng *rand.Rand) int
 
 	clock   int
-	running []liveJob
+	running []liveJob // in arrival order
+	// due is at most the earliest until in running, so no job expires
+	// before the clock reaches it. EnsureFree may leave it low, which costs
+	// one retire pass that releases nothing.
+	due int
 }
 
 type liveJob struct {
@@ -126,32 +134,62 @@ type liveJob struct {
 }
 
 // Run simulates the arrival of n further jobs and returns every
-// successfully placed job's allocation snapshot (in arrival order). Jobs
-// that cannot fit are dropped, like Slurm holding them in queue. Jobs still
-// running at the end stay allocated — the machine remains fragmented for
-// subsequent Run or Allocate calls; Drain releases them.
+// successfully placed job's allocation (in arrival order). Jobs that cannot
+// fit are dropped, like Slurm holding them in queue. Jobs still running at
+// the end stay allocated — the machine remains fragmented for subsequent
+// Run, Advance or Allocate calls.
 func (w *Workload) Run(n int) []Job {
 	var out []Job
 	for end := w.clock + n; w.clock < end; w.clock++ {
-		// Retire expired jobs first.
-		kept := w.running[:0]
-		for _, l := range w.running {
-			if l.until <= w.clock {
-				w.A.Release(l.nodes)
-			} else {
-				kept = append(kept, l)
-			}
+		if nodes := w.step(); nodes != nil {
+			out = append(out, Job{Nodes: nodes})
 		}
-		w.running = kept
-		k := w.Sizes(w.A.rng)
-		nodes, err := w.A.Allocate(k)
-		if err != nil {
-			continue
-		}
-		w.running = append(w.running, liveJob{nodes: nodes, until: w.clock + 1 + w.Lifetime(w.A.rng)})
-		out = append(out, Job{Nodes: nodes, Groups: w.A.GroupsOf(nodes)})
 	}
 	return out
+}
+
+// Advance simulates the arrival of n further jobs like Run, with the same
+// allocations and random draws, but collects nothing: it only moves the
+// machine's occupancy forward.
+func (w *Workload) Advance(n int) {
+	for end := w.clock + n; w.clock < end; w.clock++ {
+		w.step()
+	}
+}
+
+// step retires the jobs expiring at the current tick, then submits one
+// arrival and returns its nodes, or nil if it did not fit.
+func (w *Workload) step() []int {
+	if w.clock >= w.due {
+		w.retire()
+	}
+	nodes, err := w.A.Allocate(w.Sizes(w.A.rng))
+	if err != nil {
+		return nil
+	}
+	until := w.clock + 1 + w.Lifetime(w.A.rng)
+	w.running = append(w.running, liveJob{nodes: nodes, until: until})
+	w.due = min(w.due, until)
+	return nodes
+}
+
+// retire releases every running job whose lifetime ended by the current
+// tick, keeping the rest in arrival order, and recomputes due.
+func (w *Workload) retire() {
+	due, kept := math.MaxInt, 0
+	for i, l := range w.running {
+		if l.until <= w.clock {
+			w.A.Release(l.nodes)
+			continue
+		}
+		if kept < i {
+			w.running[kept] = l
+		}
+		kept++
+		due = min(due, l.until)
+	}
+	w.running = w.running[:kept]
+	w.due = due
 }
 
 // EnsureFree retires the oldest running jobs until at least k nodes are

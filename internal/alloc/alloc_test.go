@@ -61,15 +61,19 @@ func TestGroupsOf(t *testing.T) {
 	m := Machine{Groups: 3, NodesPerGroup: 4}
 	a := NewAllocator(m, 1)
 	nodes, _ := a.Allocate(6)
-	groups := a.GroupsOf(nodes)
 	want := []int{0, 0, 0, 0, 1, 1}
 	for i, g := range want {
-		if groups[i] != g {
-			t.Fatalf("groups %v, want %v", groups, want)
+		if m.GroupOf(nodes[i]) != g {
+			t.Fatalf("node %d in group %d, want %d", nodes[i], m.GroupOf(nodes[i]), g)
 		}
 	}
-	if (Job{Nodes: nodes, Groups: groups}).SpannedGroups() != 2 {
+	if (Job{Nodes: nodes}).SpannedGroups(m) != 2 {
 		t.Fatal("spanned groups")
+	}
+	// A fragmented job counts the groups it touches, not the span from its
+	// first to its last: nodes 1 and 9 sit in groups 0 and 2.
+	if got := (Job{Nodes: []int{1, 9}}).SpannedGroups(m); got != 2 {
+		t.Fatalf("spanned groups of a two-hole job %d, want 2", got)
 	}
 }
 
@@ -111,8 +115,8 @@ func TestWorkloadChurnsAndFragments(t *testing.T) {
 	}
 	// Larger jobs span more groups (the paper's Fig. 5 driver).
 	for _, j := range jobs {
-		if len(j.Nodes) >= 512 && j.SpannedGroups() < 2 {
-			t.Errorf("a %d-node job spans %d group(s)", len(j.Nodes), j.SpannedGroups())
+		if len(j.Nodes) >= 512 && j.SpannedGroups(m) < 2 {
+			t.Errorf("a %d-node job spans %d group(s)", len(j.Nodes), j.SpannedGroups(m))
 		}
 	}
 }

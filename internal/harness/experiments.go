@@ -152,7 +152,7 @@ func planFig5(c *compile) (*plan, error) {
 	var tasks []task
 	for ci, sc := range cases {
 		wl := FragmentingWorkload(sc.machine, sc.maxP, sc.seed)
-		wl.Run(fig5Warmup) // reach steady-state fragmentation before sampling
+		wl.Advance(fig5Warmup) // reach steady-state fragmentation before sampling
 		caseJobs[ci] = wl.Run(sc.jobs)
 		for _, job := range caseJobs[ci] {
 			p := len(job.Nodes)
@@ -186,14 +186,19 @@ func planFig5(c *compile) (*plan, error) {
 				traces[slot.p] = slot.cases
 			}
 			buckets := map[int][]float64{}
+			var groups []int // rank → group of the job being bucketed
 			for _, job := range caseJobs[ci] {
 				p := len(job.Nodes)
 				if p < 16 || p&(p-1) != 0 {
 					continue
 				}
+				groups = groups[:0]
+				for _, node := range job.Nodes {
+					groups = append(groups, sc.machine.GroupOf(node))
+				}
 				tr := traces[p]
-				bine, _ := netsim.GlobalTraffic(tr[0], job.Groups)
-				binom, _ := netsim.GlobalTraffic(tr[1], job.Groups)
+				bine, _ := netsim.GlobalTraffic(tr[0], groups)
+				binom, _ := netsim.GlobalTraffic(tr[1], groups)
 				if binom == 0 {
 					continue // single-group job: no global traffic at all
 				}

@@ -198,10 +198,12 @@ func SizeLabel(bytes int64) string {
 // Placements builds fragmented rank→node maps for every requested job size
 // by replaying a churning workload on the system's allocator and then
 // placing each job on the fragmented machine — the Slurm-realism at the
-// heart of the paper's locality argument (Sec. 2.4.2).
+// heart of the paper's locality argument (Sec. 2.4.2). The churn only moves
+// the machine's occupancy (Workload.Advance); the one node list kept per
+// count is the job placed on it.
 func Placements(sys System, counts []int) (map[int][]int, error) {
 	w := FragmentingWorkload(sys.Machine, slices.Max(counts), sys.Seed)
-	w.Run(1200) // reach steady-state fragmentation
+	w.Advance(1200) // reach steady-state fragmentation
 	out := make(map[int][]int, len(counts))
 	for _, p := range counts {
 		w.EnsureFree(p)
@@ -211,7 +213,7 @@ func Placements(sys System, counts []int) (map[int][]int, error) {
 		}
 		out[p] = nodes
 		w.A.Release(nodes)
-		w.Run(53) // churn between placements so each job sees different holes
+		w.Advance(53) // churn between placements so each job sees different holes
 	}
 	return out, nil
 }
