@@ -5,11 +5,12 @@
 //
 // Every experiment compiles to a flat job graph of independent recording
 // and evaluation cells, drained on one worker pool (one worker per CPU by
-// default; -workers overrides). "all" is itself an experiment: every
-// artifact's plan compiled up front, every system's cells — LUMI, Leonardo,
-// MareNostrum, Fugaku — drained together on that pool, the artifacts
-// rendered in paper order; -systems selects a subset of its artifact groups
-// and -progress reports live per-system cell counts on stderr.
+// default; -workers overrides, up to 1024). "all" is itself an experiment:
+// every artifact's plan compiled up front, every system's cells — LUMI,
+// Leonardo, MareNostrum, Fugaku — drained together on that pool, the
+// artifacts rendered in paper order; -systems selects a subset of its
+// artifact groups and -progress reports live per-system cell counts on
+// stderr.
 // A receive on the recording fabric fails only once the whole fabric has
 // delivered nothing for its timeout, so full-scale recordings (the 8192-node
 // Fugaku ring) complete at any schedule length. Artifacts are byte-identical
@@ -76,13 +77,14 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is the whole command — flags in, artifact on stdout, diagnostics on
 // stderr, exit code out — so tests can drive it in-process. Exit codes: 0 on
 // success, 1 on a failed run (unknown experiment, unusable -trace-cache or
-// -obs-json path, recording error), 2 on a usage error.
+// -obs-json path, recording error), 2 on a usage error (a -workers above
+// pool.MaxWidth among them, refused before any worker starts).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("binebench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	experiment := fs.String("experiment", "all", "which paper artifact to regenerate")
 	full := fs.Bool("full", false, "run the full paper-scale sweep (slower) instead of the quick one")
-	workers := fs.Int("workers", 0, "sweep worker pool width (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "sweep worker pool width (0 = one per CPU; at most 1024)")
 	systems := fs.String("systems", "", "comma-separated system keys restricting -experiment all ("+strings.Join(harness.SystemKeys(), ", ")+"); empty = all")
 	progress := fs.Bool("progress", false, "report live per-system cell counts on stderr")
 	traceCache := fs.String("trace-cache", "", "directory of the persistent trace store (empty = in-process cache only)")
@@ -93,6 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if err := pool.CheckWidth("-workers", *workers); err != nil {
+		fmt.Fprintln(stderr, "binebench:", err)
 		return 2
 	}
 	if *systems != "" && *experiment != "all" {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -160,5 +161,21 @@ func TestRunExitCodes(t *testing.T) {
 			t.Errorf("%s: exit %d (want %d), stdout %q (want empty), stderr %q (want it to mention %q)",
 				tc.name, code, tc.code, stdout.String(), stderr.String(), tc.stderr)
 		}
+	}
+}
+
+// TestWorkersOverCapIsUsageError pins that a -workers above pool.MaxWidth is
+// refused as a usage error (2) naming the cap before anything starts: no
+// pool worker, no signal watcher, so the process has no more goroutines
+// after the call than before it.
+func TestWorkersOverCapIsUsageError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var stdout, stderr strings.Builder
+	code := run([]string{"-workers", strconv.Itoa(pool.MaxWidth + 1)}, &stdout, &stderr)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before run, %d after it returned", before, after)
+	}
+	if want := "-workers 1025 exceeds the cap of 1024"; code != 2 || !strings.Contains(stderr.String(), want) || stdout.Len() != 0 {
+		t.Errorf("exit %d (want 2), stdout %q (want empty), stderr %q (want it to mention %q)", code, stdout.String(), stderr.String(), want)
 	}
 }

@@ -72,6 +72,7 @@ import (
 	"syscall"
 	"time"
 
+	"binetrees/internal/pool"
 	"binetrees/internal/service"
 )
 
@@ -86,7 +87,9 @@ func main() {
 // can drive it in-process; it serves until ctx is cancelled and returns only
 // once its listeners and the Server's goroutines have stopped. Exit codes: 0
 // on a clean shutdown, 1 when the daemon cannot start or its listener fails
-// (unusable -trace-cache or -access-log, -addr in use), 2 on a usage error.
+// (unusable -trace-cache or -access-log, -addr in use), 2 on a usage error
+// (a -workers or -max-flights above pool.MaxWidth among them, refused before
+// any worker starts or any admission slot is made).
 func run(ctx context.Context, args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("binebenchd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -94,12 +97,16 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	debugAddr := fs.String("debug-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
 	accessLog := fs.String("access-log", "stderr", "JSON access log destination: stderr, stdout, a file path (appended), or off")
 	traceCache := fs.String("trace-cache", "", "directory of the shared persistent trace store, prewarmed in the background at startup (empty = in-process cache only)")
-	workers := fs.Int("workers", 0, "resident worker pool width shared by all requests (0 = one per CPU)")
-	maxFlights := fs.Int("max-flights", 0, "max concurrent non-follower renders; as many again may queue before further flights are shed with 429 (0 = twice the pool width, min 4)")
+	workers := fs.Int("workers", 0, "resident worker pool width shared by all requests (0 = one per CPU; at most 1024)")
+	maxFlights := fs.Int("max-flights", 0, "max concurrent non-follower renders; as many again may queue before further flights are shed with 429 (0 = twice the pool width, min 4; at most 1024)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if err := errors.Join(pool.CheckWidth("-workers", *workers), pool.CheckWidth("-max-flights", *maxFlights)); err != nil {
+		fmt.Fprintln(stderr, "binebenchd:", err)
 		return 2
 	}
 	logger := log.New(stderr, "", log.LstdFlags)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"binetrees/internal/harness"
+	"binetrees/internal/pool"
 )
 
 // waitGoroutines gives goroutines that are already unwinding up to 5 s to
@@ -32,7 +34,8 @@ func waitGoroutines(t *testing.T, what string, before int) {
 }
 
 // TestRunExitCodes pins the exits an operator hits, in-process: a flag the
-// daemon does not have is a usage error (2), an unusable -trace-cache and an
+// daemon does not have, and a -workers or -max-flights above pool.MaxWidth,
+// are usage errors (2), an unusable -trace-cache and an
 // -addr another listener holds fail the start (1), an interrupt is a clean
 // shutdown (0). Each names its cause on stderr, returns promptly, and leaves
 // no goroutine behind — no pool worker, no listener still serving.
@@ -58,6 +61,8 @@ func TestRunExitCodes(t *testing.T) {
 	}{
 		{"unknown flag", context.Background(), []string{"-no-such-flag"}, 2, "Usage of binebenchd:"},
 		{"bad -max-flights", context.Background(), []string{"-max-flights", "many"}, 2, "invalid value"},
+		{"-workers over the cap", context.Background(), []string{"-access-log", "off", "-addr", "127.0.0.1:0", "-workers", fmt.Sprint(pool.MaxWidth + 1)}, 2, "-workers 1025 exceeds the cap of 1024"},
+		{"-max-flights over the cap", context.Background(), []string{"-access-log", "off", "-addr", "127.0.0.1:0", "-max-flights", fmt.Sprint(pool.MaxWidth + 1)}, 2, "-max-flights 1025 exceeds the cap of 1024"},
 		{"trace cache under a regular file", context.Background(), []string{"-trace-cache", filepath.Join(file, "store")}, 1, "tracestore:"},
 		{"address in use", context.Background(), []string{"-access-log", "off", "-addr", held.Addr().String()}, 1, "address already in use"},
 		{"interrupt", interrupted, []string{"-access-log", "off", "-addr", "127.0.0.1:0"}, 0, "shutting down"},

@@ -1,6 +1,7 @@
 // Package fabric is the hand-rolled message-passing runtime the collectives
-// run on — the substitute for the MPI point-to-point layer used by the paper
-// (no MPI ecosystem exists for Go; see DESIGN.md).
+// run on — the substitute for the MPI point-to-point layer used by the paper.
+// Go has no MPI binding in its standard library, and the repository takes no
+// dependencies, so the point-to-point layer is written here.
 //
 // A Fabric hosts p ranks. Each rank obtains a Comm handle and exchanges
 // typed vectors ([]int32, matching the paper's 32-bit-integer benchmark

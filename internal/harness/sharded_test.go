@@ -196,9 +196,8 @@ func TestAllSharesSweeps(t *testing.T) {
 
 // TestCompileSharesPlacementsAndSweeps pins the compile's two memos: one
 // sweep per (system, collective), one Placements + TopologyFor pass per
-// (system, count sequence), on a Dragonfly one model for every count — and
-// ppn's [64] is a sequence of its own, whose placement of 64 nodes is not the
-// sweeps'.
+// (system, count sequence) — and ppn's [64] is a sequence of its own, whose
+// placement of 64 nodes is not the sweeps'.
 func TestCompileSharesPlacementsAndSweeps(t *testing.T) {
 	t.Parallel()
 	c := newCompile(Options{Quick: true})
@@ -224,13 +223,7 @@ func TestCompileSharesPlacementsAndSweeps(t *testing.T) {
 	if again, _ := c.placed(sys, c.nodeCounts(sys)); again != swept || len(c.placements) != 2 {
 		t.Fatalf("sweeps of two systems left %d placements, same value %v", len(c.placements), again == swept)
 	}
-	// A Dragonfly's model ignores the placement, so LUMI's counts share one;
 	// Leonardo's tapered model is each count's own.
-	for _, p := range swept.counts {
-		if swept.topos[p] != swept.topos[swept.counts[0]] {
-			t.Errorf("LUMI's %d-node model is not its %d-node one", p, swept.counts[0])
-		}
-	}
 	leo, err := c.placed(Leonardo(), c.nodeCounts(Leonardo()))
 	if err != nil || len(c.placements) != 2 {
 		t.Fatalf("Leonardo's sweep placement was not memoized (%d placements): %v", len(c.placements), err)

@@ -152,8 +152,8 @@ func newCompile(opts Options) *compile {
 }
 
 // placedJobs is one Placements call — a rank→node map per node count — and
-// the network model each placed job sees, shared read-only by every cell
-// (and, on a Dragonfly, by every count).
+// the network model each placed job sees (System.TopologyFor), shared
+// read-only by every cell of that count.
 type placedJobs struct {
 	counts []int
 	nodes  map[int][]int
@@ -173,13 +173,7 @@ func (c *compile) placed(sys System, counts []int) (*placedJobs, error) {
 		return nil, err
 	}
 	pl := &placedJobs{counts, nodes, make(map[int]topology.Topology, len(counts))}
-	for i, p := range counts {
-		if i > 0 && sys.Oversub == 0 {
-			// A Dragonfly's model does not depend on the placement
-			// (TopologyFor), so every count shares the first one's.
-			pl.topos[p] = pl.topos[counts[0]]
-			continue
-		}
+	for _, p := range counts {
 		if pl.topos[p], err = sys.TopologyFor(nodes[p]); err != nil {
 			return nil, err
 		}

@@ -106,7 +106,7 @@ func BenchmarkProfileAlltoall(b *testing.B) {
 // paper's nine vector sizes on the whole 6 504-link LUMI Dragonfly that
 // System.TopologyFor builds for every LUMI cell, with the cells shared by
 // two goroutines as a two-worker sweep shares them. The replay's dense
-// scratch is sized by the link table, not the job, so this is where its
+// scratch is sized by the link count, not the job, so this is where its
 // per-call cost shows; one op is one cell.
 func BenchmarkProfileSweepCell(b *testing.B) {
 	const p, workers = 16, 2

@@ -20,10 +20,10 @@
 // walk on a torus — nothing is cached or shared, so any number of cells
 // replay against one topology instance without synchronization). The
 // per-class aggregates live in dense generation-stamped scratch slices sized
-// by the whole link table, and that scratch is reused across calls, not only
-// across classes: a replay takes it from a sync.Pool (the package's one
+// by the topology's link count, and that scratch is reused across calls, not
+// only across classes: a replay takes it from a sync.Pool (the package's one
 // package-level variable, an allocation cache only), so a 16-rank cell on a
-// whole-machine model does not allocate and zero a link-table-sized array.
+// whole-machine model does not allocate and zero a link-count-sized array.
 // The generation counter carries across calls, so nothing is cleared between
 // calls or classes; the stamps are cleared once only when the counter would
 // pass math.MaxInt32 (scratch.reserve). A stamp never exceeds the counter,
@@ -200,8 +200,7 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval, sc *scratch) (*t
 	if len(ev.Placement) < tr.P {
 		return nil, fmt.Errorf("netsim: placement covers %d of %d ranks", len(ev.Placement), tr.P)
 	}
-	links := topo.Links()
-	base := sc.reserve(len(links), tr.P, tr.NumClasses(), ev.Reduces)
+	base := sc.reserve(topo.NumLinks(), tr.P, tr.NumClasses(), ev.Reduces)
 	loadVal, loadGen := sc.loadVal, sc.loadGen
 	recvVal, recvGen := sc.recvVal, sc.recvGen
 	sendCnt, sendGen := sc.sendCnt, sc.sendGen
@@ -235,7 +234,6 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval, sc *scratch) (*t
 					route = topo.AppendRoute(route[:0], src, dst)
 					lastSrc, lastDst = src, dst
 				}
-				hops := 0
 				for _, id := range route {
 					if loadGen[id] != gen {
 						loadGen[id] = gen
@@ -243,11 +241,11 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval, sc *scratch) (*t
 						touched = append(touched, id)
 					}
 					loadVal[id] += elems
-					if links[id].Kind == topology.Global {
-						cp.globalElems += elems
-						hops++
-					}
 				}
+				// Every link between a route's injection and ejection links
+				// is global (topology.Topology.AppendRoute).
+				hops := max(len(route)-2, 0)
+				cp.globalElems += elems * int64(hops)
 				if hops == 0 {
 					sp.hasLocal = true
 				}
@@ -281,9 +279,10 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval, sc *scratch) (*t
 				if load == 0 {
 					continue
 				}
+				bw := topo.LinkBW(id)
 				found := false
 				for ci := range sp.loads {
-					if sp.loads[ci].bw == links[id].BW {
+					if sp.loads[ci].bw == bw {
 						if load > sp.loads[ci].elems {
 							sp.loads[ci].elems = load
 						}
@@ -292,7 +291,7 @@ func profile(tr *fabric.Trace, topo topology.Topology, ev Eval, sc *scratch) (*t
 					}
 				}
 				if !found {
-					sp.loads = append(sp.loads, loadClass{elems: load, bw: links[id].BW})
+					sp.loads = append(sp.loads, loadClass{elems: load, bw: bw})
 				}
 			}
 			cp.sp = sp

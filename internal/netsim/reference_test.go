@@ -10,13 +10,16 @@ import (
 )
 
 // referenceEvaluate is the seed repository's Evaluate at one element scale,
-// verbatim but for reading the trace through StepBounds/At: per-message
-// floating-point accumulation of link loads, received volumes and byte
-// totals. It anchors the profile/derive evaluator against the original
-// semantics non-circularly — it shares no arithmetic with EvaluateSizes.
+// verbatim but for reading the trace through StepBounds/At and the links
+// through NumLinks/LinkBW: per-message floating-point accumulation of link
+// loads, received volumes and byte totals. A link is global when its ID is
+// past the injection block, whatever its place in the route. It anchors the
+// profile/derive evaluator against the original semantics non-circularly —
+// it shares no arithmetic with EvaluateSizes, which counts a route's global
+// hops by its length.
 func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Eval, elemBytes float64) Result {
-	links := topo.Links()
-	loads := make([]float64, len(links))
+	firstGlobal := int32(2 * topo.Nodes())
+	loads := make([]float64, topo.NumLinks())
 	var res Result
 	for s := 0; s < tr.NumSteps(); s++ {
 		lo, hi := tr.StepBounds(s)
@@ -43,7 +46,7 @@ func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Ev
 			hops := 0
 			for _, id := range route {
 				loads[id] += bytes
-				if links[id].Kind == topology.Global {
+				if id >= firstGlobal {
 					a = p.AlphaGlobal
 					res.GlobalBytes += bytes
 					hops++
@@ -71,7 +74,7 @@ func referenceEvaluate(tr *fabric.Trace, topo topology.Topology, p Params, ev Ev
 			if load == 0 {
 				continue
 			}
-			if t := load / links[i].BW; t > worst {
+			if t := load / topo.LinkBW(int32(i)); t > worst {
 				worst = t
 			}
 		}

@@ -170,7 +170,7 @@ func TestScratchGenerationWraps(t *testing.T) {
 	params := testParams()
 	inputs := scratchInputs(t)
 	sc := &scratch{}
-	sc.reserve(len(topo.Links()), 64, 0, true)
+	sc.reserve(topo.NumLinks(), 64, 0, true)
 	for _, stamps := range [][]int32{sc.loadGen, sc.recvGen, sc.sendGen} {
 		for i := range stamps {
 			stamps[i] = int32(i%8 + 1)
@@ -250,11 +250,11 @@ func TestEvaluateSizesAllocsIndependentOfLinkTable(t *testing.T) {
 	smallAllocs, smallBytes := measure(small)
 	lumiAllocs, lumiBytes := measure(lumi)
 	if lumiAllocs != smallAllocs {
-		t.Errorf("allocs per EvaluateSizes: %v on %d links, %v on %d links", lumiAllocs, len(lumi.Links()), smallAllocs, len(small.Links()))
+		t.Errorf("allocs per EvaluateSizes: %v on %d links, %v on %d links", lumiAllocs, lumi.NumLinks(), smallAllocs, small.NumLinks())
 	}
-	// A link-table-sized allocation per call is 6 504 × 12 B ≈ 76 KiB; a
+	// A link-count-sized allocation per call is 6 504 × 12 B ≈ 76 KiB; a
 	// refill after the pool is dropped by two GCs costs 1/runs of that.
 	if lumiBytes > smallBytes+4096 {
-		t.Errorf("bytes per EvaluateSizes: %.0f on %d links, %.0f on %d links", lumiBytes, len(lumi.Links()), smallBytes, len(small.Links()))
+		t.Errorf("bytes per EvaluateSizes: %.0f on %d links, %.0f on %d links", lumiBytes, lumi.NumLinks(), smallBytes, small.NumLinks())
 	}
 }

@@ -5,6 +5,7 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,20 @@ import (
 // DefaultWorkers is the pool width used when the caller passes workers <= 0:
 // one worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+
+// MaxWidth caps a requested pool width or flight budget. A width past it is
+// a mistake, not a machine: honouring it would start that many goroutines
+// (NewRunner) or size a channel by it, so callers check a requested width
+// with CheckWidth before they build anything.
+const MaxWidth = 1024
+
+// CheckWidth returns an error naming what when n exceeds MaxWidth.
+func CheckWidth(what string, n int) error {
+	if n > MaxWidth {
+		return fmt.Errorf("%s %d exceeds the cap of %d", what, n, MaxWidth)
+	}
+	return nil
+}
 
 // Width is the pool width a requested worker count resolves to.
 func Width(workers int) int {

@@ -23,6 +23,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -75,16 +76,17 @@ type Config struct {
 	// the background after New; empty serves from the server's in-process
 	// cache only.
 	TraceDir string
-	// Workers bounds the resident Runner (<= 0: one per CPU).
+	// Workers bounds the resident Runner (<= 0: one per CPU; at most
+	// pool.MaxWidth).
 	Workers int
 	// AccessLog, when non-nil, receives one JSON line per /artifact request:
 	// request ID, plan key, singleflight role, status, bytes, duration, and
 	// the request trace's stage breakdown. Writes are serialized.
 	AccessLog io.Writer
 	// MaxFlights bounds concurrent non-follower renders (<= 0: twice the
-	// pool width, at least 4), and as many again may wait for a render slot
-	// before further ones are shed with 429. Followers joining an in-flight
-	// render never count against it.
+	// pool width, at least 4; at most pool.MaxWidth), and as many again may
+	// wait for a render slot before further ones are shed with 429.
+	// Followers joining an in-flight render never count against it.
 	MaxFlights int
 }
 
@@ -124,6 +126,9 @@ type Server struct {
 // resident Runner. The server answers immediately; /readyz turns 200 once the
 // prewarm completes.
 func New(cfg Config) (*Server, error) {
+	if err := errors.Join(pool.CheckWidth("workers", cfg.Workers), pool.CheckWidth("max flights", cfg.MaxFlights)); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	engine := &harness.Engine{}
 	if cfg.TraceDir != "" {
 		store, err := tracestore.Open(cfg.TraceDir)

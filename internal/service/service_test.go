@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"binetrees/internal/fabric"
 	"binetrees/internal/harness"
+	"binetrees/internal/pool"
 	"binetrees/internal/tracestore"
 )
 
@@ -286,6 +288,27 @@ func TestServicePrewarm(t *testing.T) {
 	}
 	if code, body := get(t, ts.URL+"/readyz"); code != http.StatusOK || !strings.Contains(body, ps.String()) {
 		t.Fatalf("readyz after prewarm: %d\n%s", code, body)
+	}
+}
+
+// TestNewRefusesWidthsOverCap pins that a Workers or MaxFlights above
+// pool.MaxWidth makes New fail, naming the cap, before it starts anything: no
+// pool worker, no prewarm goroutine, so the process has no more goroutines
+// after the call than before it. The test is not parallel, so no other test
+// starts goroutines meanwhile.
+func TestNewRefusesWidthsOverCap(t *testing.T) {
+	for _, cfg := range []Config{{Workers: pool.MaxWidth + 1}, {MaxFlights: pool.MaxWidth + 1}} {
+		before := runtime.NumGoroutine()
+		srv, err := New(cfg)
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%+v: %d goroutines before New, %d after it returned", cfg, before, after)
+		}
+		if srv != nil {
+			srv.Close()
+		}
+		if srv != nil || err == nil || !strings.Contains(err.Error(), "1025 exceeds the cap of 1024") {
+			t.Errorf("%+v: New = (%v, %v), want an error naming the cap", cfg, srv, err)
+		}
 	}
 }
 

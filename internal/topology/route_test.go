@@ -40,9 +40,12 @@ func testTopologies(t testing.TB) map[string]Topology {
 }
 
 // definitionalRoute is the routing the package shipped before AppendRoute,
-// kept as the oracle: a freshly allocated []int per call, the torus walked
-// through core.Torus coordinates with its link IDs counted off in
-// construction order (injection links, then node-major, dimension, +/−).
+// kept as the oracle: a freshly allocated []int per call, with every
+// family's link IDs counted off in the order the link table was once built —
+// injection links, then Dragonfly group pairs (source-major, skipping the
+// diagonal), UpDown (uplink, downlink) per group, or torus links
+// node-major, dimension, +/− — and the torus walked through core.Torus
+// coordinates.
 func definitionalRoute(topo Topology, src, dst int) []int {
 	if src == dst {
 		return nil
@@ -54,12 +57,28 @@ func definitionalRoute(topo Topology, src, dst int) []int {
 		if ga == gb {
 			return []int{inject, eject}
 		}
-		return []int{inject, int(t.global[ga][gb]), eject}
+		id := 2 * t.Nodes()
+		for a := 0; a < t.NumGroups(); a++ {
+			for b := 0; b < t.NumGroups(); b++ {
+				if a == ga && b == gb {
+					return []int{inject, id, eject}
+				}
+				if a != b {
+					id++
+				}
+			}
+		}
 	case *UpDown:
 		if ga == gb {
 			return []int{inject, eject}
 		}
-		return []int{inject, int(t.up[ga]), int(t.down[gb]), eject}
+		up, down := make([]int, t.NumGroups()), make([]int, t.NumGroups())
+		id := 2 * t.Nodes()
+		for g := range up {
+			up[g], down[g] = id, id+1
+			id += 2
+		}
+		return []int{inject, up[ga], down[gb], eject}
 	case *Flat:
 		return []int{inject, eject}
 	case *Torus:
@@ -125,23 +144,6 @@ func TestAppendRouteMatchesDefinition(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLinkTableSizedOnce pins that each constructor allocates its link
-// table at its exact final size — injection links plus the family's fabric
-// links — and that a link's ID is its index, the order routes rely on.
-func TestLinkTableSizedOnce(t *testing.T) {
-	for name, topo := range testTopologies(t) {
-		links := topo.Links()
-		if cap(links) != len(links) {
-			t.Errorf("%s: %d links in a table of capacity %d", name, len(links), cap(links))
-		}
-		for i, l := range links {
-			if l.ID != i {
-				t.Fatalf("%s: link %d has ID %d", name, i, l.ID)
-			}
-		}
 	}
 }
 

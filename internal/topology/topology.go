@@ -5,51 +5,31 @@
 // traverses, which of those links are global (inter-group), and how much
 // bandwidth each link offers when several messages share it.
 //
-// Modelling notes (see DESIGN.md): node-to-switch (injection/ejection) links
-// carry every message; fully connected intra-group fabrics are assumed
-// non-blocking beyond injection; inter-group capacity is modelled either as
+// Modelling notes: node-to-switch (injection/ejection) links carry every
+// message; fully connected intra-group fabrics are assumed non-blocking
+// beyond injection; inter-group capacity is modelled either as
 // per-group-pair links (Dragonfly) or per-group uplink/downlink bundles
 // (Dragonfly+, fat-tree subtrees); torus links are per node, dimension and
 // direction. Routing is minimal, matching the paper's lower-bound accounting
 // ("we assume packets traverse inter-group connections via minimal paths").
+//
+// Links are not stored: a link ID and its bandwidth are arithmetic on the
+// configuration. On n nodes, node i injects on link 2i and ejects on 2i+1;
+// every ID from 2n up is a global link of the family's block:
+//   - Dragonfly, g groups: the bundle from group a to group b ≠ a is
+//     2n + a·(g−1) + b − [b > a].
+//   - UpDown, g groups: group h's uplink is 2n+2h and its downlink 2n+2h+1.
+//   - Torus, k dimensions: the link leaving node i along dimension d is
+//     2n + 2(i·k+d), plus 1 in the negative direction.
+//   - Flat: no global links.
+//
+// A route (AppendRoute) is the sender's injection link, then the global
+// links it crosses, then the receiver's ejection link, so a message between
+// two nodes crosses its route's length less two global links. A node's
+// message to itself routes nothing.
 package topology
 
 import "fmt"
-
-// LinkKind classifies links for traffic accounting.
-type LinkKind int
-
-const (
-	// Injection covers node→network and network→node (NIC) links.
-	Injection LinkKind = iota
-	// Local links stay within a group (intra-group fabric, local torus
-	// links are Global — see Torus).
-	Local
-	// Global links cross group boundaries; their load is the paper's
-	// headline metric.
-	Global
-)
-
-// String names the link kind.
-func (k LinkKind) String() string {
-	switch k {
-	case Injection:
-		return "injection"
-	case Local:
-		return "local"
-	case Global:
-		return "global"
-	}
-	return fmt.Sprintf("LinkKind(%d)", int(k))
-}
-
-// Link is one shared network resource.
-type Link struct {
-	ID   int
-	Kind LinkKind
-	// BW is the capacity in bytes per second.
-	BW float64
-}
 
 // Topology answers routing and grouping questions about a machine.
 type Topology interface {
@@ -63,7 +43,9 @@ type Topology interface {
 	// GroupOf returns the group of a node.
 	GroupOf(node int) int
 	// AppendRoute appends to buf the link IDs a message from src to dst
-	// traverses under minimal routing, and returns the extended slice.
+	// traverses under minimal routing, and returns the extended slice: the
+	// sender's injection link 2·src, then the global links crossed (IDs
+	// from 2·Nodes() up), then the receiver's ejection link 2·dst+1.
 	// src == dst appends nothing. A route is a few integers of arithmetic
 	// (an O(hops) walk on a torus), so it is computed per message pair
 	// rather than stored: the call allocates nothing once buf has the
@@ -72,55 +54,58 @@ type Topology interface {
 	AppendRoute(buf []int32, src, dst int) []int32
 	// Routes exists only for the frozen bench/probe; see RouteCache.
 	Routes() *RouteCache
-	// Links enumerates every link; AppendRoute results index into it by
-	// ID.
-	Links() []Link
+	// NumLinks returns the number of links; IDs run over [0, NumLinks()).
+	NumLinks() int
+	// LinkBW returns the capacity of link id in bytes per second.
+	LinkBW(id int32) float64
 }
 
 // GbpsToBytes converts gigabits per second to bytes per second.
 func GbpsToBytes(gbps float64) float64 { return gbps * 1e9 / 8 }
 
-// common implements injection links (IDs 0..2N-1: node i injects on 2i and
-// ejects on 2i+1) shared by all concrete topologies.
+// common implements what all concrete topologies share: the name, and the
+// injection links — node i injects on 2i and ejects on 2i+1, each of nicBW.
 type common struct {
+	name  string
 	nodes int
-	links []Link
+	nicBW float64
 }
 
-// newCommon builds the injection links of nodes nodes in a link table sized
-// for numLinks links in all, so the constructor's addLink calls that follow
-// never regrow it.
-func newCommon(nodes, numLinks int, nicBW float64) *common {
-	c := &common{nodes: nodes, links: make([]Link, 0, numLinks)}
-	for i := 0; i < nodes; i++ {
-		c.links = append(c.links,
-			Link{ID: 2 * i, Kind: Injection, BW: nicBW},
-			Link{ID: 2*i + 1, Kind: Injection, BW: nicBW},
-		)
+func (c common) inject(node int) int32 { return int32(2 * node) }
+func (c common) eject(node int) int32  { return int32(2*node + 1) }
+
+// firstGlobal is the ID of the first link past the injection block.
+func (c common) firstGlobal() int32 { return int32(2 * c.nodes) }
+
+// linkBW is nicBW on an injection link and global past them.
+func (c common) linkBW(id int32, global float64) float64 {
+	if id < c.firstGlobal() {
+		return c.nicBW
 	}
-	return c
+	return global
 }
 
-func (c *common) inject(node int) int32 { return int32(2 * node) }
-func (c *common) eject(node int) int32  { return int32(2*node + 1) }
+// Name returns the configured system name.
+func (c common) Name() string { return c.name }
 
-func (c *common) addLink(kind LinkKind, bw float64) int32 {
-	id := len(c.links)
-	c.links = append(c.links, Link{ID: id, Kind: kind, BW: bw})
-	return int32(id)
-}
+func (c common) Nodes() int { return c.nodes }
 
-func (c *common) Nodes() int    { return c.nodes }
-func (c *common) Links() []Link { return c.links }
+// blocks groups nodes block-wise (hostnames numbered consecutively across
+// groups, as on the paper's systems).
+type blocks struct{ groups, nodesPerGroup int }
+
+// NumGroups returns the group count.
+func (b blocks) NumGroups() int { return b.groups }
+
+// GroupOf maps nodes to groups block-wise.
+func (b blocks) GroupOf(node int) int { return node / b.nodesPerGroup }
 
 // Dragonfly is a LUMI-like network: groups are fully connected internally
 // and every group pair is joined by a dedicated global-link bundle.
 type Dragonfly struct {
-	*common
-	name          string
-	groups        int
-	nodesPerGroup int
-	global        [][]int32 // global[ga][gb] = link ID (ga != gb)
+	common
+	blocks
+	globalBW float64
 }
 
 // DragonflyConfig sizes a Dragonfly.
@@ -139,39 +124,26 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 	if cfg.Groups <= 0 || cfg.NodesPerGroup <= 0 {
 		return nil, fmt.Errorf("topology: dragonfly %d×%d", cfg.Groups, cfg.NodesPerGroup)
 	}
-	nodes := cfg.Groups * cfg.NodesPerGroup
-	d := &Dragonfly{
-		common:        newCommon(nodes, 2*nodes+cfg.Groups*(cfg.Groups-1), cfg.NICBW),
-		name:          cfg.Name,
-		groups:        cfg.Groups,
-		nodesPerGroup: cfg.NodesPerGroup,
-	}
-	d.global = make([][]int32, cfg.Groups)
-	for a := range d.global {
-		d.global[a] = make([]int32, cfg.Groups)
-		for b := range d.global[a] {
-			d.global[a][b] = -1
-		}
-	}
-	for a := 0; a < cfg.Groups; a++ {
-		for b := 0; b < cfg.Groups; b++ {
-			if a != b {
-				d.global[a][b] = d.addLink(Global, cfg.GlobalBW)
-			}
-		}
-	}
-	return d, nil
+	return &Dragonfly{
+		common:   common{cfg.Name, cfg.Groups * cfg.NodesPerGroup, cfg.NICBW},
+		blocks:   blocks{cfg.Groups, cfg.NodesPerGroup},
+		globalBW: cfg.GlobalBW,
+	}, nil
 }
 
-// Name returns the configured system name.
-func (d *Dragonfly) Name() string { return d.name }
+// global is the bundle from group ga to group gb ≠ ga.
+func (d *Dragonfly) global(ga, gb int) int32 {
+	if gb > ga {
+		gb--
+	}
+	return d.firstGlobal() + int32(ga*(d.groups-1)+gb)
+}
 
-// NumGroups returns the group count.
-func (d *Dragonfly) NumGroups() int { return d.groups }
+// NumLinks counts the injection links and the g(g−1) group-pair bundles.
+func (d *Dragonfly) NumLinks() int { return 2*d.nodes + d.groups*(d.groups-1) }
 
-// GroupOf maps nodes to groups block-wise (hostnames numbered consecutively
-// across groups, as on the paper's systems).
-func (d *Dragonfly) GroupOf(node int) int { return node / d.nodesPerGroup }
+// LinkBW is the NIC bandwidth on injection links, the bundle's otherwise.
+func (d *Dragonfly) LinkBW(id int32) float64 { return d.linkBW(id, d.globalBW) }
 
 // Routes returns the bench/probe shim.
 func (d *Dragonfly) Routes() *RouteCache { return &RouteCache{topo: d} }
@@ -186,7 +158,7 @@ func (d *Dragonfly) AppendRoute(buf []int32, src, dst int) []int32 {
 	if ga == gb {
 		return append(buf, d.inject(src), d.eject(dst))
 	}
-	return append(buf, d.inject(src), d.global[ga][gb], d.eject(dst))
+	return append(buf, d.inject(src), d.global(ga, gb), d.eject(dst))
 }
 
 // UpDown is the shared shape of Dragonfly+ (Leonardo) and oversubscribed
@@ -194,11 +166,9 @@ func (d *Dragonfly) AppendRoute(buf []int32, src, dst int) []int32 {
 // rest of the machine through an aggregated uplink/downlink bundle; the
 // second-level fabric is assumed non-blocking.
 type UpDown struct {
-	*common
-	name          string
-	groups        int
-	nodesPerGroup int
-	up, down      []int32
+	common
+	blocks
+	bundleBW []float64 // bundleBW[g]: group g's uplink and downlink capacity
 }
 
 // UpDownConfig sizes an UpDown topology. The uplink/downlink bundle
@@ -223,16 +193,12 @@ func NewUpDown(cfg UpDownConfig) (*UpDown, error) {
 	if cfg.Groups <= 0 || cfg.NodesPerGroup <= 0 || cfg.Oversub <= 0 {
 		return nil, fmt.Errorf("topology: updown %d×%d oversub %.1f", cfg.Groups, cfg.NodesPerGroup, cfg.Oversub)
 	}
-	nodes := cfg.Groups * cfg.NodesPerGroup
 	u := &UpDown{
-		common:        newCommon(nodes, 2*nodes+2*cfg.Groups, cfg.NICBW),
-		name:          cfg.Name,
-		groups:        cfg.Groups,
-		nodesPerGroup: cfg.NodesPerGroup,
-		up:            make([]int32, 0, cfg.Groups),
-		down:          make([]int32, 0, cfg.Groups),
+		common:   common{cfg.Name, cfg.Groups * cfg.NodesPerGroup, cfg.NICBW},
+		blocks:   blocks{cfg.Groups, cfg.NodesPerGroup},
+		bundleBW: make([]float64, cfg.Groups),
 	}
-	for g := 0; g < cfg.Groups; g++ {
+	for g := range u.bundleBW {
 		share := cfg.NodesPerGroup
 		if cfg.GroupNodeShare != nil {
 			share = cfg.GroupNodeShare[g]
@@ -240,21 +206,26 @@ func NewUpDown(cfg UpDownConfig) (*UpDown, error) {
 				share = 1
 			}
 		}
-		bundle := float64(share) * cfg.NICBW / cfg.Oversub
-		u.up = append(u.up, u.addLink(Global, bundle))
-		u.down = append(u.down, u.addLink(Global, bundle))
+		u.bundleBW[g] = float64(share) * cfg.NICBW / cfg.Oversub
 	}
 	return u, nil
 }
 
-// Name returns the configured system name.
-func (u *UpDown) Name() string { return u.name }
+// up and down are group g's bundles.
+func (u *UpDown) up(g int) int32   { return u.firstGlobal() + int32(2*g) }
+func (u *UpDown) down(g int) int32 { return u.firstGlobal() + int32(2*g+1) }
 
-// NumGroups returns the group (subtree/pod) count.
-func (u *UpDown) NumGroups() int { return u.groups }
+// NumLinks counts the injection links and two bundles per group.
+func (u *UpDown) NumLinks() int { return 2*u.nodes + 2*u.groups }
 
-// GroupOf maps nodes to groups block-wise.
-func (u *UpDown) GroupOf(node int) int { return node / u.nodesPerGroup }
+// LinkBW is the NIC bandwidth on injection links, the group's bundle
+// capacity otherwise.
+func (u *UpDown) LinkBW(id int32) float64 {
+	if id < u.firstGlobal() {
+		return u.nicBW
+	}
+	return u.bundleBW[(id-u.firstGlobal())/2]
+}
 
 // Routes returns the bench/probe shim.
 func (u *UpDown) Routes() *RouteCache { return &RouteCache{topo: u} }
@@ -269,23 +240,23 @@ func (u *UpDown) AppendRoute(buf []int32, src, dst int) []int32 {
 	if ga == gb {
 		return append(buf, u.inject(src), u.eject(dst))
 	}
-	return append(buf, u.inject(src), u.up[ga], u.down[gb], u.eject(dst))
+	return append(buf, u.inject(src), u.up(ga), u.down(gb), u.eject(dst))
 }
 
 // Flat is a non-blocking crossbar (intra-node GPU fabric, or an idealized
 // network): only injection links constrain traffic.
-type Flat struct {
-	*common
-	name string
-}
+type Flat struct{ common }
 
 // NewFlat builds a flat crossbar over n nodes.
 func NewFlat(name string, n int, nicBW float64) *Flat {
-	return &Flat{common: newCommon(n, 2*n, nicBW), name: name}
+	return &Flat{common{name, n, nicBW}}
 }
 
-// Name returns the configured system name.
-func (f *Flat) Name() string { return f.name }
+// NumLinks counts the injection links, the only ones.
+func (f *Flat) NumLinks() int { return 2 * f.nodes }
+
+// LinkBW is the NIC bandwidth.
+func (f *Flat) LinkBW(int32) float64 { return f.nicBW }
 
 // NumGroups is 1: nothing is oversubscribed.
 func (f *Flat) NumGroups() int { return 1 }

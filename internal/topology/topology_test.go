@@ -6,18 +6,20 @@ import "testing"
 // routes side by side.
 func routeOf(topo Topology, src, dst int) []int32 { return topo.AppendRoute(nil, src, dst) }
 
+// checkRoutes holds topo to the link and route contract: every link has a
+// positive bandwidth, and a route is the sender's injection link, the global
+// links crossed (IDs from 2·Nodes() up), then the receiver's ejection link —
+// global links for inter-group traffic only.
 func checkRoutes(t *testing.T, topo Topology) {
 	t.Helper()
-	links := topo.Links()
-	for id, l := range links {
-		if l.ID != id {
-			t.Fatalf("%s: link %d has ID %d", topo.Name(), id, l.ID)
-		}
-		if l.BW <= 0 {
-			t.Fatalf("%s: link %d has bandwidth %f", topo.Name(), id, l.BW)
+	numLinks := int32(topo.NumLinks())
+	for id := range numLinks {
+		if bw := topo.LinkBW(id); bw <= 0 {
+			t.Fatalf("%s: link %d has bandwidth %f", topo.Name(), id, bw)
 		}
 	}
 	n := topo.Nodes()
+	firstGlobal := int32(2 * n)
 	step := n/17 + 1
 	for src := 0; src < n; src += step {
 		for dst := 0; dst < n; dst += step {
@@ -28,25 +30,18 @@ func checkRoutes(t *testing.T, topo Topology) {
 				}
 				continue
 			}
-			if len(route) < 2 {
-				t.Fatalf("%s: route %d→%d too short: %v", topo.Name(), src, dst, route)
+			last := len(route) - 1
+			if last < 1 || route[0] != int32(2*src) || route[last] != int32(2*dst+1) {
+				t.Fatalf("%s: route %d→%d is %v, want injection %d first and ejection %d last", topo.Name(), src, dst, route, 2*src, 2*dst+1)
 			}
-			for _, id := range route {
-				if id < 0 || int(id) >= len(links) {
-					t.Fatalf("%s: route %d→%d uses unknown link %d", topo.Name(), src, dst, id)
+			for _, id := range route[1:last] {
+				if id < firstGlobal || id >= numLinks {
+					t.Fatalf("%s: route %d→%d crosses link %d, outside the global links [%d, %d)", topo.Name(), src, dst, id, firstGlobal, numLinks)
 				}
-			}
-			if links[route[0]].Kind != Injection || links[route[len(route)-1]].Kind != Injection {
-				t.Fatalf("%s: route %d→%d does not start/end at NICs", topo.Name(), src, dst)
 			}
 			// Intra-group routes must avoid global links; inter-group
 			// routes must use at least one.
-			globals := 0
-			for _, id := range route {
-				if links[id].Kind == Global {
-					globals++
-				}
-			}
+			globals := last - 1
 			if topo.GroupOf(src) == topo.GroupOf(dst) && globals != 0 {
 				t.Fatalf("%s: intra-group route %d→%d crosses %d global links", topo.Name(), src, dst, globals)
 			}
@@ -94,14 +89,9 @@ func TestUpDown(t *testing.T) {
 	checkRoutes(t, u)
 	// 2:1 oversubscription: uplink bundle carries half the aggregate NIC
 	// bandwidth of its subtree.
-	links := u.Links()
 	route := routeOf(u, 0, 7)
-	up := links[route[1]]
-	if up.Kind != Global {
-		t.Fatal("expected uplink")
-	}
-	if want := 2 * GbpsToBytes(200) / 2; up.BW != want {
-		t.Errorf("uplink bw %f, want %f", up.BW, want)
+	if want := 2 * GbpsToBytes(200) / 2; u.LinkBW(route[1]) != want {
+		t.Errorf("uplink bw %f, want %f", u.LinkBW(route[1]), want)
 	}
 	// All traffic leaving one subtree shares its uplink.
 	ra, rb := routeOf(u, 0, 2), routeOf(u, 1, 4)
@@ -132,6 +122,7 @@ func TestTorusTopology(t *testing.T) {
 	if tor.Nodes() != 16 {
 		t.Fatal("size")
 	}
+	checkRoutes(t, tor)
 	// Neighbour route: inject + 1 hop + eject.
 	if r := routeOf(tor, 0, 1); len(r) != 3 {
 		t.Errorf("neighbour route %v", r)

@@ -10,12 +10,12 @@ import (
 // dedicated per-(node, dimension, direction) link; routing is
 // dimension-ordered and minimal (ties broken toward the positive
 // direction). Following the paper's observation that "on a torus, all links
-// can be considered oversubscribed", torus links are classified Global so
-// the traffic-reduction metric counts byte·hops.
+// can be considered oversubscribed", torus links are global links, so the
+// traffic-reduction metric counts byte·hops.
 type Torus struct {
-	*common
-	name string
-	geom core.Torus
+	common
+	torusBW float64
+	geom    core.Torus
 	// stride[d] is the node-id distance of one step along dimension d.
 	stride []int
 }
@@ -38,15 +38,9 @@ func NewTorus(cfg TorusConfig) (*Torus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topology: %w", err)
 	}
-	n := geom.P()
-	t := &Torus{common: newCommon(n, 2*n+2*n*geom.NDims(), cfg.NICBW), name: cfg.Name, geom: geom}
+	t := &Torus{common: common{cfg.Name, geom.P(), cfg.NICBW}, torusBW: cfg.LinkBW, geom: geom}
 	for d := 0; d < geom.NDims(); d++ {
 		t.stride = append(t.stride, geom.DimStride(d))
-	}
-	// Torus links follow the injection links in (node, dim, direction)
-	// order, so dimLink finds them by arithmetic.
-	for i := 0; i < 2*n*geom.NDims(); i++ {
-		t.addLink(Global, cfg.LinkBW)
 	}
 	return t, nil
 }
@@ -54,11 +48,15 @@ func NewTorus(cfg TorusConfig) (*Torus, error) {
 // dimLink is the link leaving node along dimension d: back = 0 for the
 // positive direction, 1 for the negative.
 func (t *Torus) dimLink(node, d, back int) int32 {
-	return int32(2*t.nodes + 2*(node*len(t.stride)+d) + back)
+	return t.firstGlobal() + int32(2*(node*len(t.stride)+d)+back)
 }
 
-// Name returns the configured system name.
-func (t *Torus) Name() string { return t.name }
+// NumLinks counts the injection links and two links per node and dimension.
+func (t *Torus) NumLinks() int { return 2*t.nodes + 2*t.nodes*len(t.stride) }
+
+// LinkBW is the NIC bandwidth on injection links, the torus link's
+// otherwise.
+func (t *Torus) LinkBW(id int32) float64 { return t.linkBW(id, t.torusBW) }
 
 // Geometry exposes the underlying coordinate system.
 func (t *Torus) Geometry() core.Torus { return t.geom }
